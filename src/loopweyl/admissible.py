@@ -1,10 +1,13 @@
-"""Admissible sets in the extended affine Weyl group.
+"""Admissible sets in the Iwahori-Weyl group.
 
 Adm(mu) is the Bruhat lower closure of the translations t_{w(lam)} over the
 finite Weyl orbit of lam; all of them share one Omega-class tau, and the
-neutral version divides tau out on the right.  Parahoric saturations
-multiply by the standard parabolics W^Y = W_{S-Y} on the left and W_{Y°}
-(the tau-conjugate set) on the right.
+neutral version divides tau out on the right, landing in the affine Weyl
+group.  Parahoric saturations multiply by the standard parabolics
+W^Y = W_{S-Y} on the left and W_{Y°} (the tau-conjugate set) on the right.
+engine_for(fin) is the Iwahori-Weyl engine of a finite datum, and
+context_for(datum) the affine Weyl group of the datum's own Cartan matrix,
+on which path counts run.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ _CONTEXTS = {}
 def engine_for(fin):
     key = id(fin)
     if key not in _ENGINES:
-        _ENGINES[key] = weyl.AffineEngine(fin)
+        _ENGINES[key] = weyl.CartanContext.iwahori_weyl(fin)
     return _ENGINES[key]
 
 
@@ -53,7 +56,6 @@ def adm(fin, mu=None, lam=None, cap=20000):
         if not fin.in_coweight_lattice(lam):
             raise ValueError("lam is not in the coweight lattice")
     eng = engine_for(fin)
-    ctx = context_for(fin.datum)
     orbit = fin.w0_orbit(lam)
     tops = [eng.translation(v) for v in orbit]
     classes = {eng.omega_class(t) for t in tops}
@@ -65,7 +67,7 @@ def adm(fin, mu=None, lam=None, cap=20000):
     while frontier:
         nxt = []
         for x in frontier:
-            for v, _, _ in weyl.labeled_covers_down(eng, ctx, x):
+            for v, _, _ in weyl.labeled_covers_down(eng, x):
                 if v not in neutral:
                     neutral.add(v)
                     nxt.append(v)

@@ -543,8 +543,6 @@ def _common(sub):
     sub.add_argument("--format", choices=("text", "json", "csv"),
                      default="text")
     sub.add_argument("--cap", type=int, default=None)
-    sub.add_argument("--precision", type=int, default=16)
-    sub.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():
@@ -604,6 +602,7 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--elt", required=True,
                    help="a series, or matrix rows separated by ';'")
+    p.add_argument("--precision", type=int, default=16)
     _common(p)
     p.set_defaults(handler=cmd_kottwitz, command_name="kottwitz")
 
@@ -624,6 +623,7 @@ def build_parser():
     p.add_argument("--no-cells", action="store_true")
     p.add_argument("--spot-check", type=int, default=0,
                    help="validate this many random points as lattice chains")
+    p.add_argument("--seed", type=int, default=0)
     _common(p)
     p.set_defaults(handler=cmd_fiber, command_name="fiber")
 

@@ -18,14 +18,6 @@ def mat(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def int_mat(rows):
-    return tuple(tuple(int(x) for x in row) for row in rows)
-
-
-def identity(n):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
 def transpose(a):
     return tuple(zip(*a))
 
@@ -41,20 +33,8 @@ def matvec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
-def vadd(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
 def vsub(u, v):
     return tuple(x - y for x, y in zip(u, v))
-
-
-def vscale(c, u):
-    return tuple(c * x for x in u)
 
 
 def rref(a):
@@ -80,10 +60,6 @@ def rref(a):
         if r == nrows:
             break
     return tuple(tuple(row) for row in rows), tuple(pivots)
-
-
-def rank(a):
-    return len(rref(a)[1]) if a else 0
 
 
 def det(a):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .. import weyl
-from ..admissible import context_for, engine_for
+from ..admissible import engine_for
 from ..errors import SpecParseError, UnsupportedDatumError, UnsupportedFieldError
 from ..rootdata import echelon_system, load_affine_datum
 from .chains import standard_member
@@ -181,10 +181,9 @@ def schubert_count(fin, word, q, modulo=()):
     that set of nodes, over coset-minimal representatives.
     """
     eng = engine_for(fin)
-    ctx = context_for(fin.datum)
     w = weyl.from_word(eng, word)
     if eng.length(w) != len(word):
         raise SpecParseError(f"word {word} is not reduced")
     w = weyl.coset_min(eng, w, (), tuple(modulo))
-    graph = weyl.bruhat_interval(eng, ctx, [w], right_quotient=tuple(modulo))
+    graph = weyl.bruhat_interval(eng, [w], right_quotient=tuple(modulo))
     return sum(q ** eng.length(v) for v in graph.nodes)

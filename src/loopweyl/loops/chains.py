@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import SeriesPrecisionError, SpecParseError
-from .series import (EXACT, Series, santidiag, sconj, sdet, sin_ring, sinv,
+from .series import (EXACT, Series, santidiag, sconj, sin_ring, sinv,
                      smul, stranspose)
 
 
@@ -192,20 +192,6 @@ def standard_member(q, n, token):
     return Lattice.from_columns(
         q, [[Series.monomial(q, 1, exps[j] - k) if r == j else 0 for r in range(n)]
             for j in range(n)])
-
-
-def chain_tokens(n):
-    """Tokens of the full standard chain in one period, in inclusion order."""
-    return list(range(n))
-
-
-def parse_token(text, n):
-    if text == "m'":
-        return "m'"
-    try:
-        return int(text)
-    except ValueError:
-        raise SpecParseError(f"bad chain token {text!r}") from None
 
 
 def token_value(token, n):

@@ -369,20 +369,12 @@ def _ssum(items):
     return acc
 
 
-def smatvec(a, v):
-    return tuple(_ssum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a)))
-
-
 def stranspose(a):
     return tuple(zip(*a))
 
 
 def sconj(a):
     return tuple(tuple(x.conj() for x in row) for row in a)
-
-
-def sscale(a, s):
-    return tuple(tuple(x * s for x in row) for row in a)
 
 
 def sdet(a):
@@ -421,7 +413,3 @@ def sinv(a, prec=None):
 
 def sin_ring(a):
     return all(x.in_ring() for row in a for x in row)
-
-
-def smat_text(a, var="u"):
-    return [[x.to_text(var) for x in row] for row in a]

@@ -4,19 +4,20 @@ A path datum is a strictly decreasing sequence of cosets in W/W_shape
 together with rational cut points 0 = a_0 < a_1 < ... < a_s = 1; between
 consecutive directions there must be a chain of cover reflections whose
 pairing against the shape weight becomes integral at the cut.  Directions
-are represented by minimal coset representatives in a CartanContext, so the
-same machinery counts against finite and affine diagrams.
+are minimal coset representatives in a CartanContext, so the same machinery
+counts against finite and affine diagrams.
+
+Shapes and kappa follow the normalization of the datum's own Cartan matrix,
+so count_h_y counts in the affine Weyl group of that matrix
+(admissible.context_for), not in the Iwahori-Weyl engine, whose wall matrix
+can differ from it (e.g. A(2)_{2m}).  The admissible directions cross over
+by their reduced words, which both groups share.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import admissible, weyl
-
-# pairing evaluation endpoint for the chain integrality test; the absolute
-# value is the same at both ends of a cover, so the count never depends on
-# this, but the emitted integer labels do
-CHAIN_EVAL = "lower"
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class PathSpace:
             )
         )
         self.graph = weyl.bruhat_interval(
-            ctx, ctx, self.tops, right_quotient=self.stab, cap=cap
+            ctx, self.tops, right_quotient=self.stab, cap=cap
         )
         self.values = {}
         down = self.graph.down()
@@ -62,11 +63,11 @@ class PathSpace:
         for up in self.graph.nodes:
             outs = []
             for lo, beta, beta_co in down[up]:
-                at = lo if CHAIN_EVAL == "lower" else up
-                val = linedot(
-                    self.shape, ctx.coroot_apply_inv(at, beta_co)
-                )
-                val = abs(val)
+                # |<shape, lo^{-1} beta^vee>| is the same at either end of
+                # the cover; the lower end fixes the emitted labels
+                val = abs(linedot(
+                    self.shape, ctx.coroot_apply_inv(lo, beta_co)
+                ))
                 assert val > 0 and Fraction(val).denominator == 1
                 outs.append((lo, int(val)))
             self.down[up] = tuple(outs)

@@ -186,6 +186,7 @@ class FiniteRootDatum:
                 f"of {datum.name}"
             )
         self.t_star = tuple(int(c) for c in t_star)
+        self.theta_grad = linalg.matvec(self.a_del, self.theta_coef)
         # theta_x(psi) = 2 pins the normalization of the x-wall
         assert self._theta(self.psi) == 2
 
@@ -244,8 +245,7 @@ class FiniteRootDatum:
     # -- linear algebra helpers on coroot coordinates --
 
     def _theta(self, v):
-        grad = linalg.matvec(self.a_del, self.theta_coef)
-        return sum(v[r] * grad[r] for r in range(self.r))
+        return sum(v[r] * self.theta_grad[r] for r in range(self.r))
 
     def _coroot_reflection(self, i):
         p = self.npos[i]
@@ -292,22 +292,11 @@ class FiniteRootDatum:
         p = self.npos[i]
         return sum(v[r] * self.a_del[r][p] for r in range(self.r))
 
-    def affine_gradient(self, i):
-        if i != self.x:
-            p = self.npos[i]
-            return (
-                tuple(Fraction(self.a_del[r][p]) for r in range(self.r)),
-                Fraction(0),
-            )
-        grad = linalg.matvec(self.a_del, self.theta_coef)
-        return (
-            tuple(-c for c in grad),
-            Fraction(1, self.a_x),
-        )
-
     def affine_value(self, i, v):
-        grad, const = self.affine_gradient(i)
-        return const + sum(v[r] * grad[r] for r in range(self.r))
+        """The wall functional of node i at v; for i = x it is 1/a_x - theta."""
+        if i != self.x:
+            return self.simple_root_value(i, v)
+        return Fraction(1, self.a_x) - self._theta(v)
 
     def reflect_point(self, i, v):
         """Apply the affine simple reflection s_i to a point of V."""
@@ -319,8 +308,12 @@ class FiniteRootDatum:
         return tuple(v[r] + c * self.psi[r] for r in range(self.r))
 
     def alcove_normalize(self, v):
-        """Walk a point into the closed base alcove by simple reflections."""
+        """Walk a point into the closed base alcove by simple reflections.
+
+        Returns the end point and the nodes of the walls crossed, in order.
+        """
         v = tuple(Fraction(c) for c in v)
+        walls = []
         for _ in range(100000):
             neg = next(
                 (
@@ -331,7 +324,8 @@ class FiniteRootDatum:
                 None,
             )
             if neg is None:
-                return v
+                return v, walls
+            walls.append(neg)
             v = self.reflect_point(neg, v)
         raise UnsupportedDatumError("alcove walk did not terminate")
 
@@ -503,7 +497,7 @@ def bt_nodes(fin, tokens):
     """
     out = set()
     for token in tokens:
-        p = fin.alcove_normalize(_su_vertex_point(fin, token))
+        p, _ = fin.alcove_normalize(_su_vertex_point(fin, token))
         pos = {
             i for i in fin.datum.nodes if fin.affine_value(i, p) > 0
         }

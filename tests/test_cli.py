@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -167,3 +168,37 @@ def test_cells_text_points():
 def test_hpoly_requires_y_or_errors():
     proc = run("hpoly", "--datum", "A(1)_1", "--mu", "1,0")
     assert proc.returncode == 2
+
+
+def test_golden_payloads(capsys):
+    # exact payload bytes, pinned as regression oracles for every CASES
+    # entry and for inputs that reach Omega twists and twisted data
+    from loopweyl.cli import main
+    golden = json.loads(
+        (Path(__file__).parent / "golden_payloads.json").read_text())
+    argvs = [case["argv"] for case in golden]
+    assert [argv for argv in CASES.values() if argv not in argvs] == []
+    for case in golden:
+        assert main([*case["argv"], "--format", "json"]) == 0, case["argv"]
+        doc = json.loads(capsys.readouterr().out)
+        assert json.dumps(doc["payload"], sort_keys=True) == case["payload"], \
+            case["argv"]
+
+
+def test_weyl_leq_long_translation():
+    proc = run("weyl", "leq", "--datum", "A(1)_1", "--elt", "e",
+               "--other", "t[700]")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "true"
+
+
+def test_options_scoped_to_their_readers():
+    assert run("coherence", "--datum", "A(1)_1", "--mu", "1,0", "--Y", "0",
+               "--seed", "1").returncode == 2
+    proc = run("kottwitz", "--torus", "gm", "--q", "3", "--elt", "t^2",
+               "--precision", "8")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "2"
+    proc = run("fiber", "--n", "3", "--r", "1", "--q", "3", "--I", "0",
+               "--spot-check", "2", "--seed", "5")
+    assert proc.returncode == 0, proc.stderr

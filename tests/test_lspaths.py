@@ -45,7 +45,7 @@ def test_finite_calibration_matches_weyl_dim():
     for name in ("A(1)_2", "C(1)_2"):
         fin = fin_for(name)
         ctx = CartanContext(fin.ech_cartan)
-        group = bruhat_interval(ctx, ctx, (longest_element(ctx),)).nodes
+        group = bruhat_interval(ctx, (longest_element(ctx),)).nodes
         two_rho_co = [
             sum(co[i] for _, co in fin.ech_pairs) for i in range(fin.r)
         ]

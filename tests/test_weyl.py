@@ -2,8 +2,11 @@
 
 import itertools
 
-from loopweyl.admissible import context_for, engine_for
-from loopweyl.rootdata import echelon_system, load_affine_datum, project_coweight
+from loopweyl.admissible import engine_for
+from loopweyl.errors import UnsupportedDatumError
+from loopweyl.kactables import known_names
+from loopweyl.rootdata import (echelon_system, load_affine_datum,
+                               project_coweight, special_nodes)
 from loopweyl.weyl import bruhat_interval, coset_min, from_word, reduced_word
 
 
@@ -42,6 +45,53 @@ def test_translation_lengths():
         eng = engine_for(fin)
         lam = project_coweight(fin, mu)
         assert eng.length(eng.translation(lam)) == expected, name
+        assert fin.translation_length(lam) == expected, name
+
+
+def test_engine_matches_alcove_geometry():
+    # for every datum of rank <= 4 (every twisted family has one) and every
+    # special node, the integer engine agrees with the alcove picture: s_i
+    # is a left descent of w iff w(v0) lies on the negative side of wall i,
+    # l(w) is the number of walls the walk of w(v0) back into the base
+    # alcove crosses, translations by coweights put v0 + lam in the alcove
+    # of t_lam and have length <lam+, 2 rho>, and every tau permutes the
+    # walls preserving the wall Cartan matrix
+    pairs = 0
+    for name in known_names():
+        datum = load_affine_datum(name)
+        if datum.rank > 4:
+            continue
+        for x in special_nodes(datum):
+            try:
+                fin = echelon_system(datum, x)
+            except UnsupportedDatumError:
+                continue
+            pairs += 1
+            eng = engine_for(fin)
+            for w in ball(eng, datum.nodes, 2):
+                point = fin.v0
+                for i in reversed(reduced_word(eng, w)[0]):
+                    point = fin.reflect_point(i, point)
+                assert len(fin.alcove_normalize(point)[1]) == eng.length(w)
+                for i in datum.nodes:
+                    assert eng.is_left_descent(i, w) == \
+                        (fin.affine_value(i, point) < 0), (name, x, i)
+            for lam in fin.p_basis:
+                t = eng.translation(lam)
+                assert eng.length(t) == fin.translation_length(lam)
+                point = tuple(a + b for a, b in zip(fin.v0, lam))
+                for i in datum.nodes:
+                    assert eng.is_left_descent(i, t) == \
+                        (fin.affine_value(i, point) < 0), (name, x, lam)
+            for res in eng.omega_residues():
+                tau = eng.tau_for_class(res)
+                sigma = [eng.tau_conj_node(tau, i) for i in datum.nodes]
+                assert sorted(sigma) == list(datum.nodes)
+                for i in datum.nodes:
+                    for j in datum.nodes:
+                        assert eng.a[sigma[i]][sigma[j]] == eng.a[i][j], \
+                            (name, x, res)
+    assert pairs == 48
 
 
 def test_word_round_trip():
@@ -115,11 +165,10 @@ def test_coset_min_is_invariant():
 def test_bruhat_interval_agrees_with_leq():
     fin = fin_for("A(1)_2")
     eng = engine_for(fin)
-    ctx = context_for(fin.datum)
     elements = ball(eng, fin.datum.nodes, 4)
     for word in ((0, 1), (0, 1, 2), (2, 1, 0, 2)):
         top = from_word(eng, list(word))
-        graph = bruhat_interval(eng, ctx, [top])
+        graph = bruhat_interval(eng, [top])
         expected = {v for v in elements if eng.bruhat_leq(v, top)}
         assert set(graph.nodes) == expected
         for a, b, *_ in graph.edges:
