@@ -33,3 +33,7 @@ class SeriesPrecisionError(LoopweylError):
 
 class SpecParseError(LoopweylError):
     """Malformed element, series, or option specification string."""
+
+
+class ConsistencyError(LoopweylError):
+    """A construction failed an internal consistency check."""

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .. import weyl
 from ..admissible import engine_for
-from ..errors import SpecParseError, UnsupportedDatumError, UnsupportedFieldError
+from ..errors import (ConsistencyError, SpecParseError, UnsupportedDatumError,
+                      UnsupportedFieldError)
 from ..rootdata import echelon_system, load_affine_datum
 from .chains import standard_member
 from .kottwitz import is_unitary
@@ -51,10 +52,12 @@ class CellGroup:
         self.nodes = list(self.datum.nodes)
         self._base = [standard_member(q, n, t) for t in self.tokens]
         self._refl = {i: self._make_refl(i) for i in self.nodes}
+        self._steps = {}
         for i, m in self._refl.items():
-            assert (sdet(m) - 1).is_zero(), f"n_{i} must have determinant 1"
-            if self.hermitian:
-                assert is_unitary(m), f"n_{i} must be unitary"
+            if not (sdet(m) - 1).is_zero():
+                raise ConsistencyError(f"n_{i} must have determinant 1")
+            if self.hermitian and not is_unitary(m):
+                raise ConsistencyError(f"n_{i} must be unitary")
 
     # -- generator matrices ------------------------------------------------
 
@@ -101,6 +104,14 @@ class CellGroup:
     def refl(self, i):
         return self._refl[i]
 
+    def step(self, i, x):
+        """The product U_i(x) n_i, built on first use and then reused."""
+        key = (i, x)
+        out = self._steps.get(key)
+        if out is None:
+            out = self._steps[key] = smul(self.unip(i, x), self._refl[i])
+        return out
+
     # -- chain actions -----------------------------------------------------
 
     def base_chain(self):
@@ -139,11 +150,7 @@ def cell_matrices(group, word, q=None):
     group.check_word_reduced(word)
     prods = [sid(q, group.n)]
     for i in word:
-        step = []
-        for g in prods:
-            for x in range(q):
-                step.append(smul(g, smul(group.unip(i, x), group.refl(i))))
-        prods = step
+        prods = [smul(g, group.step(i, x)) for g in prods for x in range(q)]
     return prods
 
 
@@ -152,25 +159,30 @@ def cell_points(group, word):
     return [group.apply(g) for g in cell_matrices(group, word)]
 
 
-def closure_points(group, word):
-    """Chains of the closed cell: all subword products, deduplicated.
+def chain_key(chain):
+    return tuple(L.key() for L in chain)
 
-    Runs over every pattern of keeping or dropping each letter, so the result
-    is the union of the open cells of all Bruhat-smaller elements.
+
+def closure_points(group, word):
+    """Chains of the closed cell, keyed by ``chain_key``.
+
+    The closed cell of i_1 ... i_l is the set of chains
+    g_1 ... g_l . (standard chain) with each g_k either 1 or U_{i_k}(x) n_{i_k},
+    the union of the open cells of all Bruhat-smaller elements.  The chains
+    are built from the right end of the word: each letter keeps every chain
+    and adds its images under the q steps of that letter, and equal chains
+    are merged after every letter, so the work grows with the size of the
+    closure rather than with the (q+1)^l keep-or-drop patterns.
     """
-    q = group.q
-    prods = [sid(q, group.n)]
-    for i in word:
-        step = []
-        for g in prods:
-            step.append(g)
-            for x in range(q):
-                step.append(smul(g, smul(group.unip(i, x), group.refl(i))))
-        prods = step
-    out = {}
-    for g in prods:
-        chain = group.apply(g)
-        out[tuple(L.key() for L in chain)] = chain
+    base = group.base_chain()
+    out = {chain_key(base): base}
+    for i in reversed(word):
+        grown = dict(out)
+        for chain in out.values():
+            for x in range(group.q):
+                image = group.apply(group.step(i, x), chain)
+                grown.setdefault(chain_key(image), image)
+        out = grown
     return out
 
 

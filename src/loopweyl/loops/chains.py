@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import SeriesPrecisionError, SpecParseError
-from .series import (EXACT, Series, santidiag, sconj, sin_ring, sinv,
-                     smul, stranspose)
+from .series import (Series, santidiag, sconj, sdot, sin_ring, sinv, smul,
+                     stranspose)
 
 
 def _min_ord_row(cols, row, start):
@@ -57,7 +57,7 @@ def canonical_columns(q, cols):
         pivot = work[i][i]
         a = pivot.ord()
         pivots.append(a)
-        unit_inv = (pivot * Series.monomial(q, 1, -a)).inverse()
+        unit_inv = pivot.shift(-a).inverse()
         work[i] = [x * unit_inv for x in work[i]]
         for jj in range(len(work)):
             if jj == i:
@@ -67,16 +67,12 @@ def canonical_columns(q, cols):
                 continue
             if jj > i:
                 # full elimination: later columns lose their row-i entry
-                factor = x * Series.monomial(q, 1, -a)
+                factor = x.shift(-a)
                 if not factor.in_ring():
                     raise SeriesPrecisionError("pivot selection lost minimality")
             else:
                 # earlier columns keep the residue modulo u^a
-                if x.prec < a:
-                    raise SeriesPrecisionError(
-                        f"cannot reduce entry of precision O(u^{x.prec}) mod u^{a}")
-                keep = Series(q, x.start, x.coeffs[:max(0, a - x.start)], EXACT)
-                factor = (x - keep) * Series.monomial(q, 1, -a)
+                factor = (x - x.below(a)).shift(-a)
             work[jj] = [work[jj][r] - factor * work[i][r] for r in range(n)]
     work = work[:n]
     # canonical entries have finite support, so snap them back to exact
@@ -90,11 +86,7 @@ def canonical_columns(q, cols):
             elif r == j:
                 work[j][r] = Series.monomial(q, 1, pivots[j])
             else:
-                if x.prec < pivots[r]:
-                    raise SeriesPrecisionError(
-                        f"entry precision O(u^{x.prec}) below pivot order {pivots[r]}")
-                work[j][r] = Series(q, x.start,
-                                    x.coeffs[:max(0, pivots[r] - x.start)], EXACT)
+                work[j][r] = x.below(pivots[r])
     return [tuple(c) for c in work]
 
 
@@ -131,7 +123,7 @@ class Lattice:
 
     def transform(self, g):
         """The lattice g L for a matrix g over the series ring."""
-        cols = [[sum_entries(g, col, i) for i in range(self.n)] for col in self.cols]
+        cols = [[sdot(row, col) for row in g] for col in self.cols]
         return Lattice.from_columns(self.q, cols)
 
     def contains(self, other):
@@ -155,26 +147,13 @@ class Lattice:
         return Lattice.from_columns(
             self.q, [[dual[i][j] for i in range(self.n)] for j in range(self.n)])
 
-    def key(self, prec=12):
-        """Hashable fingerprint, entries truncated to the given precision."""
-        out = []
-        for col in self.cols:
-            for x in col:
-                t = x.truncate(prec)
-                out.append((t.start, t.coeffs))
-        return tuple(out)
+    def key(self):
+        """Hashable fingerprint: the exact canonical entries."""
+        return tuple((x.start, x.coeffs) for col in self.cols for x in col)
 
     def __str__(self):
         rows = self.matrix()
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in rows) + "]"
-
-
-def sum_entries(g, col, i):
-    acc = None
-    for j, x in enumerate(col):
-        term = g[i][j] * x
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def standard_member(q, n, token):

@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 
 from ..admissible import adm, adm_count, adm_parahoric, engine_for
-from ..errors import ResourceCapError, SpecParseError, UnsupportedFieldError
+from ..errors import (ConsistencyError, ResourceCapError, SpecParseError,
+                      UnsupportedFieldError)
 from ..rootdata import bt_nodes, echelon_system, load_affine_datum
 from ..weyl import reduced_word
 from .cells import CellGroup, cell_matrices
@@ -112,12 +113,13 @@ def member_exponents(n, j):
 
 def inclusion_matrix(n, i, j, q):
     """Coordinate matrix of Lambda_i/t -> Lambda_j/t for i <= j, row action."""
+    if i > j:
+        raise SpecParseError(f"inclusion needs i <= j, got {i} > {j}")
     ei = member_exponents(n, i)
     ej = member_exponents(n, j)
     m = [[0] * (2 * n) for _ in range(2 * n)]
     for a in range(n):
         delta = ei[a] - ej[a]
-        assert delta >= 0
         if delta == 0:
             m[a][a] = 1
             m[n + a][n + a] = 1
@@ -359,7 +361,9 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
         contained = True
         for w in par.double_min:
             word, rem = reduced_word(eng, w)
-            assert eng.length(rem) == 0 and not reduced_word(eng, rem)[0]
+            if eng.length(rem) or reduced_word(eng, rem)[0]:
+                raise ConsistencyError(f"reduced word of {w} leaves a remainder "
+                                       "of positive length")
             for g in cell_matrices(group, list(word)):
                 chain = group.apply(g)
                 key = tuple(_cell_member_key(chain[group.tokens.index(i)], n, i, q)

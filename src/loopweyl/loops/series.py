@@ -1,15 +1,28 @@
 """Truncated Laurent series over small prime fields.
 
 A series carries its own absolute precision: coefficients at exponents
-``>= prec`` are unknown.  Arithmetic propagates precision pessimistically and
+``>= prec`` are unknown, and ``prec == EXACT`` marks a Laurent polynomial
+known exactly.  Arithmetic propagates precision pessimistically and
 operations that cannot certify their answer raise SeriesPrecisionError instead
 of guessing.  The Galois conjugate is the F_q((u^2))-linear involution
 ``u -> -u``.
+
+Every value is kept in one normal form: coefficients reduced into
+``range(q)``, none at or beyond ``prec``, no zeros at either end, and
+``start == 0`` for the zero series.  The public constructor checks the field
+and normalises in ``__post_init__``.  Arithmetic results are built by a raw
+constructor instead and reduced mod q once per result; an exact product of
+nonzero Laurent polynomials needs no trimming (F_q is a field), and other
+results pass through the same normalisation as user input.
+
+Exact fast paths: an exact zero operand returns the other operand from
+``+`` and an exact zero from ``*``, and a one-term factor multiplies
+coefficientwise.  A zero of finite precision is not exact and takes the
+general path, so precision tracking is unchanged for user-supplied series.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import SeriesPrecisionError, SpecParseError, UnsupportedFieldError
@@ -38,31 +51,47 @@ def fq(value, q):
     return value % q
 
 
-@dataclass(frozen=True)
+def _normal(q, start, coeffs, prec):
+    """The normal form ``(start, coeffs, prec)`` of arbitrary integer data."""
+    prec = min(prec, EXACT)
+    coeffs = [c % q for c in coeffs]
+    # drop unknown coefficients, then strip zeros at both ends
+    hi = len(coeffs)
+    if start + hi > prec:
+        hi = max(0, prec - start)
+    lo = 0
+    while lo < hi and not coeffs[lo]:
+        lo += 1
+    while hi > lo and not coeffs[hi - 1]:
+        hi -= 1
+    if lo == hi:
+        return 0, (), prec
+    return start + lo, tuple(coeffs[lo:hi]), prec
+
+
 class Series:
-    q: int
-    start: int
-    coeffs: tuple
-    prec: int
+    __slots__ = ("q", "start", "coeffs", "prec")
+
+    def __init__(self, q, start, coeffs, prec):
+        self.q = q
+        self.start = start
+        self.coeffs = coeffs
+        self.prec = prec
+        self.__post_init__()
 
     def __post_init__(self):
         check_field(self.q)
-        prec = min(self.prec, EXACT)
-        coeffs = [c % self.q for c in self.coeffs]
-        start = self.start
-        # drop unknown coefficients, then strip zeros at both ends
-        if start + len(coeffs) > prec:
-            coeffs = coeffs[:max(0, prec - start)]
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            start += 1
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        if not coeffs:
-            start = 0
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "prec", prec)
+        self.start, self.coeffs, self.prec = _normal(
+            self.q, self.start, self.coeffs, self.prec)
+
+    def __eq__(self, other):
+        if other.__class__ is not Series:
+            return NotImplemented
+        return (self.q == other.q and self.start == other.start and
+                self.coeffs == other.coeffs and self.prec == other.prec)
+
+    def __hash__(self):
+        return hash((self.q, self.start, self.coeffs, self.prec))
 
     # -- constructors ------------------------------------------------------
 
@@ -119,6 +148,14 @@ class Series:
     def is_unit(self):
         return bool(self.coeffs) and self.start == 0
 
+    def below(self, k):
+        """The exact Laurent polynomial of the terms below u^k."""
+        if self.prec < k:
+            raise SeriesPrecisionError(
+                f"terms below u^{k} unknown at precision O(u^{self.prec})")
+        return _raw(self.q, *_normal(
+            self.q, self.start, self.coeffs[:max(0, k - self.start)], EXACT))
+
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -131,55 +168,73 @@ class Series:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if other.__class__ is not Series or other.q != self.q:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        if not other.coeffs and other.prec == EXACT:
+            return self
+        if not self.coeffs and self.prec == EXACT:
             return other
         prec = min(self.prec, other.prec)
-        if not self.coeffs and not other.coeffs:
-            return Series(self.q, 0, (), prec)
-        lo = min(self.ord_lower_bound(), other.ord_lower_bound(), prec)
-        hi = min(prec, max(self.start + len(self.coeffs), other.start + len(other.coeffs)))
-        out = [0] * max(0, hi - lo)
+        lo = min(self.start, other.start)
+        out = [0] * (max(self.start + len(self.coeffs),
+                         other.start + len(other.coeffs)) - lo)
         for src in (self, other):
+            off = src.start - lo
             for i, c in enumerate(src.coeffs):
-                e = src.start + i
-                if lo <= e < hi:
-                    out[e - lo] = (out[e - lo] + c) % self.q
-        return Series(self.q, lo, tuple(out), prec)
+                out[off + i] += c
+        return _raw(self.q, *_normal(self.q, lo, out, prec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.q, self.start, tuple(-c % self.q for c in self.coeffs), self.prec)
+        q = self.q
+        return _raw(q, self.start, tuple(-c % q for c in self.coeffs), self.prec)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if other.__class__ is not Series or other.q != self.q:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+        if other.__class__ is not Series or other.q != self.q:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
+        q = self.q
+        a, b = self.coeffs, other.coeffs
+        if (not a and self.prec == EXACT) or (not b and other.prec == EXACT):
+            return _raw(q, 0, (), EXACT)
         # only a finite factor precision can truncate the product
-        parts = [EXACT]
+        prec = EXACT
         if self.prec < EXACT:
-            parts.append(self.prec + other.ord_lower_bound())
+            prec = min(prec, self.prec + other.ord_lower_bound())
         if other.prec < EXACT:
-            parts.append(other.prec + self.ord_lower_bound())
-        prec = min(parts)
-        if not self.coeffs or not other.coeffs:
-            return Series(self.q, 0, (), prec)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % self.q
-        return Series(self.q, self.start + other.start, tuple(out), prec)
+            prec = min(prec, other.prec + self.ord_lower_bound())
+        if not a or not b:
+            return _raw(q, 0, (), prec)
+        if len(a) == 1:
+            c = a[0]
+            out = [c * y for y in b]
+        elif len(b) == 1:
+            c = b[0]
+            out = [x * c for x in a]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        start = self.start + other.start
+        if prec == EXACT:
+            # both factors exact and nonzero: the end terms cannot vanish
+            return _raw(q, start, tuple(v % q for v in out), EXACT)
+        return _raw(q, *_normal(q, start, out, prec))
 
     __rmul__ = __mul__
 
@@ -200,7 +255,7 @@ class Series:
         v = self.ord()
         if len(self.coeffs) == 1 and self.prec == EXACT:
             # a monomial inverts exactly
-            out = Series.monomial(self.q, pow(self.coeffs[0], -1, self.q), -v)
+            out = _raw(self.q, -v, (pow(self.coeffs[0], -1, self.q),), EXACT)
             return out if prec is None else out.truncate(prec)
         if prec is None:
             prec = self.prec - 2 * v if self.prec < EXACT else DEFAULT_PREC
@@ -220,7 +275,7 @@ class Series:
                 if j < len(g):
                     acc += g[j] * h[k - j]
             h.append(-g0inv * acc % self.q)
-        return Series(self.q, -v, tuple(h), prec)
+        return _raw(self.q, *_normal(self.q, -v, h, prec))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -231,16 +286,18 @@ class Series:
     def shift(self, k):
         """Multiply by u^k."""
         prec = self.prec + k if self.prec < EXACT else EXACT
-        return Series(self.q, self.start + k, self.coeffs, prec)
+        return _raw(self.q, *_normal(self.q, self.start + k, self.coeffs, prec))
 
     def truncate(self, prec):
-        return Series(self.q, self.start, self.coeffs, min(self.prec, prec))
+        return _raw(self.q, *_normal(self.q, self.start, self.coeffs,
+                                     min(self.prec, prec)))
 
     def conj(self):
         """Galois conjugate u -> -u."""
-        out = tuple(c if (self.start + i) % 2 == 0 else -c % self.q
+        q = self.q
+        out = tuple(c if (self.start + i) % 2 == 0 else -c % q
                     for i, c in enumerate(self.coeffs))
-        return Series(self.q, self.start, out, self.prec)
+        return _raw(q, self.start, out, self.prec)
 
     # -- text --------------------------------------------------------------
 
@@ -269,6 +326,19 @@ class Series:
 
     def __repr__(self):
         return f"Series({self.q}, {self.to_text()!r})"
+
+
+_new = object.__new__
+
+
+def _raw(q, start, coeffs, prec):
+    """A Series from data already in normal form, skipping all checks."""
+    out = _new(Series)
+    out.q = q
+    out.start = start
+    out.coeffs = coeffs
+    out.prec = prec
+    return out
 
 
 def parse_series(text, q, prec=None, var="u"):
@@ -357,16 +427,19 @@ def santidiag(q, n):
 
 
 def smul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return tuple(tuple(_ssum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
-                 for i in range(n))
+    cols = tuple(zip(*b))
+    return tuple(tuple(sdot(row, col) for col in cols) for row in a)
 
 
-def _ssum(items):
+def sdot(row, col):
+    """The sum of row[t] * col[t], skipping terms with an exact-zero factor."""
     acc = None
-    for x in items:
-        acc = x if acc is None else acc + x
-    return acc
+    for x, y in zip(row, col):
+        if (not x.coeffs and x.prec == EXACT) or (not y.coeffs and y.prec == EXACT):
+            continue
+        term = x * y
+        acc = term if acc is None else acc + term
+    return _raw(row[0].q, 0, (), EXACT) if acc is None else acc
 
 
 def stranspose(a):

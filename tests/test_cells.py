@@ -1,15 +1,16 @@
 """Schubert cells as explicit lattice chains, counted over F_q."""
 
+from itertools import product
+
 import pytest
 
+from loopweyl.admissible import engine_for
 from loopweyl.errors import SpecParseError, UnsupportedFieldError
-from loopweyl.loops.cells import (CellGroup, cell_points, closure_points,
-                                  schubert_count)
+from loopweyl.loops.cells import (CellGroup, cell_points, chain_key,
+                                  closure_points, schubert_count)
 from loopweyl.loops.chains import validate_chain
-
-
-def chain_key(chain):
-    return tuple(L.key() for L in chain)
+from loopweyl.loops.series import sid, smul
+from loopweyl.weyl import from_word
 
 
 def test_cell_sizes_are_q_powers():
@@ -53,6 +54,40 @@ def test_closure_matches_schubert_count():
         pts = closure_points(group, word)
         assert len(pts) == expected
         assert len(pts) == schubert_count(group.fin, word, 2)
+
+
+def subword_closure_keys(group, word):
+    """Reference closed cell: every (q+1)^l keep-or-drop product, deduplicated."""
+    q = group.q
+    prods = [sid(q, group.n)]
+    for i in word:
+        step = []
+        for g in prods:
+            step.append(g)
+            for x in range(q):
+                step.append(smul(g, smul(group.unip(i, x), group.refl(i))))
+        prods = step
+    return {chain_key(group.apply(g)) for g in prods}
+
+
+def reduced_words(group, max_len):
+    eng = engine_for(group.fin)
+    for length in range(max_len + 1):
+        for word in product(group.nodes, repeat=length):
+            if eng.length(from_word(eng, word)) == length:
+                yield list(word)
+
+
+def test_closure_matches_subword_oracle():
+    for kind, n, q, max_len, extra in (("sl", 2, 3, 4, []),
+                                       ("sl", 3, 2, 3, [[2, 1, 0, 2]]),
+                                       ("su", 3, 3, 3, [])):
+        group = CellGroup(kind, n, q)
+        words = list(reduced_words(group, max_len)) + extra
+        for word in words:
+            pts = closure_points(group, word)
+            assert set(pts) == subword_closure_keys(group, word), (kind, word)
+            assert all(chain_key(c) == k for k, c in pts.items())
 
 
 def test_closure_contains_cells():

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopweyl.errors import SeriesPrecisionError, SpecParseError
 from loopweyl.loops.chains import (Lattice, canonical_columns, standard_member,
                                    token_value, validate_chain)
-from loopweyl.loops.series import EXACT, Series
+from loopweyl.loops.series import EXACT, Series, smul
 
 
 def poly(q, rng, lo=0, hi=3):
@@ -97,6 +99,62 @@ def test_canonical_uniqueness():
         # redundant generators are eliminated away
         extra = [x + y for x, y in zip(cols[0], cols[1])]
         assert Lattice.from_columns(q, cols + [extra]) == L
+
+
+def test_key_separates_deep_entries():
+    # the two lattices differ only in an entry u^12 of the first column
+    q = 3
+    u12, u20 = Series.monomial(q, 1, 12), Series.monomial(q, 1, 20)
+    L = Lattice.from_columns(q, [[Series.one(q), u12], [Series.zero(q), u20]])
+    M = Lattice.from_columns(q, [[Series.one(q), Series.zero(q)],
+                                 [Series.zero(q), u20]])
+    assert not L.contains(M) and not M.contains(L)
+    assert L != M
+    assert L.key() != M.key()
+
+
+@st.composite
+def laurent(draw, q, lo, hi):
+    start = draw(st.integers(lo, hi))
+    coeffs = draw(st.lists(st.integers(0, q - 1), max_size=hi - start + 1))
+    return Series(q, start, tuple(coeffs), EXACT)
+
+
+@st.composite
+def lattice_and_gl_n_o(draw):
+    """Columns of a random lattice and a random element of GL_n(O)."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(2, 3))
+    cols = [[draw(laurent(q, -2, 2)) if r > j else
+             Series.monomial(q, 1, draw(st.integers(-2, 2))) if r == j else
+             Series.zero(q) for r in range(n)] for j in range(n)]
+    # g = P U D L: a permutation, unitriangular factors over O, unit diagonal
+    one = [[Series.const(q, 1 if r == c else 0) for c in range(n)]
+           for r in range(n)]
+    perm = draw(st.permutations(range(n)))
+    upper = [[draw(laurent(q, 0, 2)) if r < c else one[r][c]
+              for c in range(n)] for r in range(n)]
+    lower = [[draw(laurent(q, 0, 2)) if r > c else one[r][c]
+              for c in range(n)] for r in range(n)]
+    diag = [Series.const(q, draw(st.integers(1, q - 1))) +
+            draw(laurent(q, 1, 2)) for _ in range(n)]
+    g = [one[perm[r]] for r in range(n)]
+    g = smul(smul(g, upper),
+             [[d * x for x in row] for d, row in zip(diag, lower)])
+    return q, cols, g
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(lattice_and_gl_n_o())
+def test_canonical_form_invariant_under_gl_n_o(case):
+    q, cols, g = case
+    n = len(cols)
+    moved = [[sum((cols[k][r] * g[k][j] for k in range(n)), Series.zero(q))
+              for r in range(n)] for j in range(n)]
+    L = Lattice.from_columns(q, cols)
+    M = Lattice.from_columns(q, moved)
+    assert M == L
+    assert M.key() == L.key()
 
 
 def test_canonical_failure_modes():

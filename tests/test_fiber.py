@@ -7,9 +7,9 @@ import pytest
 from loopweyl.errors import (ResourceCapError, SpecParseError,
                              UnsupportedFieldError)
 from loopweyl.loops.chains import validate_chain
-from loopweyl.loops.fiber import (enumerate_fiber, member_exponents,
-                                  normalize_tokens, rebuild_members,
-                                  ustable_subspaces)
+from loopweyl.loops.fiber import (enumerate_fiber, inclusion_matrix,
+                                  member_exponents, normalize_tokens,
+                                  rebuild_members, ustable_subspaces)
 
 
 def test_member_exponents():
@@ -111,3 +111,9 @@ def test_cap_and_rejections():
         enumerate_fiber(3, 1, 1, 3, {0})
     with pytest.raises(SpecParseError):
         enumerate_fiber(5, 2, 3, 3, {0})
+
+
+def test_inclusion_matrix_rejects_descending_tokens():
+    assert inclusion_matrix(3, 0, 1, 3)
+    with pytest.raises(SpecParseError):
+        inclusion_matrix(3, 2, 1, 3)

@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopweyl.errors import (SeriesPrecisionError, SpecParseError,
                              UnsupportedFieldError)
-from loopweyl.loops.series import (EXACT, Series, fq, parse_series, santidiag,
-                                   sdet, sid, sin_ring, sinv, smat, smul,
-                                   stranspose)
+from loopweyl.loops.series import (EXACT, SUPPORTED_Q, Series, fq, parse_series,
+                                   santidiag, sdet, sid, sin_ring, sinv, smat,
+                                   smul, stranspose)
 
 
 def rand_series(rng, q=3, exact=False):
@@ -161,3 +163,82 @@ def test_matrix_helpers():
     assert sin_ring(low)
     assert not sin_ring(sinv(smat(q, [[Series.uniformizer(q), 0], [0, 1]])))
     assert smul(sid(q, 2), low) == low
+
+
+# -- property tests (fixed seeds: derandomized, no example database) --------
+
+PROPS = settings(max_examples=150, derandomize=True, deadline=None,
+                 database=None)
+
+
+@st.composite
+def series(draw, q, exact=None):
+    """A series built through the public constructor from unreduced data."""
+    start = draw(st.integers(-3, 3))
+    coeffs = draw(st.lists(st.integers(-q, 2 * q), max_size=5))
+    if exact is None:
+        exact = draw(st.booleans())
+    prec = EXACT if exact else start + draw(st.integers(-1, 6))
+    return Series(q, start, tuple(coeffs), prec)
+
+
+def triples(exact=None):
+    return st.sampled_from(SUPPORTED_Q).flatmap(
+        lambda q: st.tuples(*(series(q, exact) for _ in range(3))))
+
+
+def rebuilt(x):
+    return Series(x.q, x.start, x.coeffs, x.prec)
+
+
+@PROPS
+@given(triples())
+def test_ring_laws_modulo_precision(abc):
+    a, b, c = abc
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert eq_mod_prec((a * b) * c, a * (b * c))
+    assert eq_mod_prec(a * (b + c), a * b + a * c)
+    assert eq_mod_prec(a - b, -(b - a))
+
+
+@PROPS
+@given(triples(exact=True))
+def test_exact_ring_laws(abc):
+    a, b, c = abc
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a * b).prec == EXACT
+
+
+@PROPS
+@given(triples())
+def test_results_are_normalised(abc):
+    a, b, c = abc
+    for x in (a + b, b + c, a - b, c - a, a * b, b * c, -a, -c, a.conj(),
+              a.truncate(2), b.shift(-2)):
+        assert type(x.coeffs) is tuple
+        assert x == rebuilt(x)
+
+
+@PROPS
+@given(st.sampled_from(SUPPORTED_Q).flatmap(
+    lambda q: st.tuples(series(q), st.integers(-2, 4))))
+def test_zero_operands(case):
+    a, p = case
+    q = a.q
+    zero = Series.zero(q)
+    for x in (a + zero, zero + a, a - zero):
+        assert x == a and x.prec == a.prec
+    assert a * zero == zero and zero * a == zero
+    assert (a * zero).prec == EXACT
+    # a zero known only to O(u^p) truncates sums and products
+    fuzzy = Series.zero(q, p)
+    assert a + fuzzy == fuzzy + a == a.truncate(p)
+    prod = a * fuzzy
+    assert prod.is_zero()
+    if not (a.is_zero() and a.prec == EXACT):
+        assert prod.prec < EXACT
+    if a.coeffs and a.prec == EXACT:
+        assert prod.prec == p + a.start
