@@ -25,8 +25,7 @@ from fractions import Fraction
 
 from .admissible import adm, adm_count, adm_parahoric, engine_for
 from .dims import check_coherence
-from .errors import (LoopweylError, ResourceCapError, SpecParseError,
-                     UnknownDatumError)
+from .errors import LoopweylError, ResourceCapError, SpecParseError
 from .kactables import known_names
 from .lspaths import count_h_y
 from .rootdata import (datum_from_json, echelon_system, load_affine_datum,
@@ -322,10 +321,7 @@ def _mu_or_lam(args, fin):
 def cmd_adm(args):
     fin = finite_for(args)
     eng = engine_for(fin)
-    try:
-        adm_set = adm(fin, cap=args.cap, **_mu_or_lam(args, fin))
-    except ValueError as exc:
-        raise SpecParseError(str(exc))
+    adm_set = adm(fin, cap=args.cap, **_mu_or_lam(args, fin))
     payload = {
         "datum": fin.datum.name,
         "mu": None if args.mu is None else list(parse_ints(args.mu)),
@@ -361,14 +357,11 @@ def cmd_hpoly(args):
     if bad:
         raise SpecParseError(f"node {bad[0]} outside {list(fin.datum.nodes)}")
     kw = _mu_or_lam(args, fin)
-    try:
-        if args.emit_paths:
-            n, paths = count_h_y(fin, y=y, a=args.a, cap=args.cap, emit=True, **kw)
-        else:
-            n = count_h_y(fin, y=y, a=args.a, cap=args.cap, **kw)
-            paths = None
-    except ValueError as exc:
-        raise SpecParseError(str(exc))
+    if args.emit_paths:
+        n, paths = count_h_y(fin, y=y, a=args.a, cap=args.cap, emit=True, **kw)
+    else:
+        n = count_h_y(fin, y=y, a=args.a, cap=args.cap, **kw)
+        paths = None
     payload = {"datum": fin.datum.name, "y": list(y), "a": args.a, "count": n}
     payload.update({k: list(v) for k, v in kw.items()})
     text = [f"count {n}"]
@@ -420,20 +413,14 @@ def cmd_kottwitz(args):
         value = kottwitz_gm(f)
     elif args.torus == "norm1":
         f = parse_series(args.elt, args.q, prec=prec, var="u")
-        try:
-            value = kottwitz_norm_one(f)
-        except ValueError as exc:
-            raise SpecParseError(str(exc))
+        value = kottwitz_norm_one(f)
     else:
         rows = [[parse_series(e, args.q, prec=prec, var="u")
                  for e in row.split(",")]
                 for row in args.elt.split(";")]
         if any(len(r) != len(rows) for r in rows):
             raise SpecParseError("matrix must be square")
-        try:
-            value = kottwitz_unitary(smat(args.q, rows))
-        except ValueError as exc:
-            raise SpecParseError(str(exc))
+        value = kottwitz_unitary(smat(args.q, rows))
     payload = {"torus": args.torus, "q": args.q, "elt": args.elt,
                "value": value}
     return payload, [str(value)], None, "ok", 0
@@ -648,13 +635,8 @@ def main(argv=None):
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SpecParseError, UnknownDatumError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LoopweylError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (LoopweylError, FileNotFoundError, ValueError) as exc:
+        # bad input; exit 1 is kept for a proven coherence mismatch
         print(f"error: {exc}", file=sys.stderr)
         return 2
     emit(args, args.command_name, payload, text_lines, csv_rows, status,

@@ -1,9 +1,11 @@
-"""Exact linear algebra over Fraction and over integer lattices.
+"""Exact linear algebra over Fraction, over F_q and over integer lattices.
 
 Vectors are tuples, matrices are tuples of row tuples.  Everything returns
-new immutable values; Fractions keep all arithmetic exact.  The lattice
-helpers work with Z-spans of rational vectors via an integer Hermite normal
-form after clearing denominators.
+new immutable values; Fractions keep all arithmetic exact.  `rref` and
+`nullspace` work over F_q instead when given a prime q, with entries as ints
+in range(q): one Gauss-Jordan serves both fields.  The lattice helpers work
+with Z-spans of rational vectors via an integer Hermite normal form after
+clearing denominators.
 """
 
 import math
@@ -37,9 +39,17 @@ def vsub(u, v):
     return tuple(x - y for x, y in zip(u, v))
 
 
-def rref(a):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(map(Fraction, r)) for r in a]
+def rref(a, q=None):
+    """Reduced row echelon form over Q, or over F_q for a prime q.
+
+    Returns (rows, pivot column indices).  Zero rows are kept, at the bottom;
+    over F_q the entries are ints in range(q).
+    """
+    def reduce(row):
+        return row if q is None else [x % q for x in row]
+
+    rows = [list(map(Fraction, r)) if q is None else [x % q for x in r]
+            for r in a]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
@@ -49,12 +59,12 @@ def rref(a):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        inv = 1 / rows[r][c] if q is None else pow(rows[r][c], -1, q)
+        rows[r] = reduce([x * inv for x in rows[r]])
         for i in range(nrows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = reduce([x - f * y for x, y in zip(rows[i], rows[r])])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -112,18 +122,19 @@ def solve(a, b):
     return tuple(x)
 
 
-def nullspace(a):
-    """Basis of the right nullspace, as rational row vectors."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    red, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
+def nullspace(a, q=None):
+    """Basis of the right nullspace, as row vectors over Q or over F_q."""
+    ncols = len(a[0]) if a else 0
+    red, pivots = rref(a, q)
+    zero, one = (Fraction(0), Fraction(1)) if q is None else (0, 1)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [zero] * ncols
+        v[f] = one
         for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
+            v[c] = -red[r][f] if q is None else -red[r][f] % q
         basis.append(tuple(v))
     return tuple(basis)
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import SeriesPrecisionError, SpecParseError
-from .series import (Series, santidiag, sconj, sdot, sin_ring, sinv, smul,
-                     stranspose)
+from .series import (EXACT, Series, _raw, santidiag, sconj, sdot, sin_ring,
+                     sinv, smul, stranspose)
 
 
 def _min_ord_row(cols, row, start):
@@ -75,16 +75,18 @@ def canonical_columns(q, cols):
                 factor = (x - x.below(a)).shift(-a)
             work[jj] = [work[jj][r] - factor * work[i][r] for r in range(n)]
     work = work[:n]
-    # canonical entries have finite support, so snap them back to exact
+    # canonical entries have finite support, so snap them back to exact;
+    # zeros and monic pivots are built raw, already in normal form
+    zero = _raw(q, 0, (), EXACT)
     for j in range(n):
         for r in range(n):
             x = work[j][r]
             if r < j:
                 if not x.is_zero():
                     raise SeriesPrecisionError("nonzero entry above a pivot")
-                work[j][r] = Series.zero(q)
+                work[j][r] = zero
             elif r == j:
-                work[j][r] = Series.monomial(q, 1, pivots[j])
+                work[j][r] = _raw(q, pivots[j], (1,), EXACT)
             else:
                 work[j][r] = x.below(pivots[r])
     return [tuple(c) for c in work]

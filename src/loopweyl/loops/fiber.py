@@ -11,15 +11,24 @@ the parameterization already enforces.
 Coordinates: the member for token j has basis u^{e_a} e_a with exponent -k-1
 for a < i0 and -k otherwise, j = k n + i0; a quotient vector is written in
 the 2n slots (reductions of the basis, then u times them).
+
+Subspaces are kept as reduced bases (the nonzero rows of the reduced row
+echelon form over F_q), built reduced where they are made; only perps and
+cell-point coordinates go through `linalg.rref`.  Each gram matrix has one
+nonzero entry, +-2, in every row and column, so the pairing is nondegenerate:
+for a self-dual token (j = -j mod n) a rank-n subspace has a rank-n perp, and
+is its own perp exactly when it is isotropic.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from ..admissible import adm, adm_count, adm_parahoric, engine_for
 from ..errors import (ConsistencyError, ResourceCapError, SpecParseError,
                       UnsupportedFieldError)
+from ..linalg import nullspace, rref
 from ..rootdata import bt_nodes, echelon_system, load_affine_datum
 from ..weyl import reduced_word
 from .cells import CellGroup, cell_matrices
@@ -27,37 +36,16 @@ from .cells import CellGroup, cell_matrices
 ODD_FIELDS = (3, 5)
 
 
-# -- linear algebra over F_q ----------------------------------------------
-
-def rref(rows, q):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    width = len(rows[0]) if rows else 0
-    for col in range(width):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] % q:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, q)
-        rows[rank] = [x * inv % q for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] % q:
-                c = rows[r][col]
-                rows[r] = [(x - c * y) % q for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return [tuple(r) for r in rows[:rank]], pivots
-
+# -- subspaces of F_q^n, as reduced bases ---------------------------------
 
 def space_key(rows, q):
-    reduced, _ = rref(rows, q)
-    return tuple(reduced)
+    """The reduced basis of the row space: the nonzero rows of the rref."""
+    reduced, pivots = rref(rows, q)
+    return reduced[:len(pivots)]
+
+
+def pivot_columns(reduced_rows):
+    return [next(c for c, x in enumerate(row) if x) for row in reduced_rows]
 
 
 def subspaces(n, d, q):
@@ -66,12 +54,8 @@ def subspaces(n, d, q):
         yield ()
         return
     for pivots in itertools.combinations(range(n), d):
-        free = []
-        for r, p in enumerate(pivots):
-            cols = [c for c in range(p + 1, n)
-                    if c not in pivots]
-            free.append(cols)
-        slots = [(r, c) for r, cols in enumerate(free) for c in cols]
+        slots = [(r, c) for r, p in enumerate(pivots)
+                 for c in range(p + 1, n) if c not in pivots]
         for values in itertools.product(range(q), repeat=len(slots)):
             rows = [[0] * n for _ in range(d)]
             for r, p in enumerate(pivots):
@@ -88,20 +72,6 @@ def in_row_space(vec, reduced_rows, pivots, q):
             c = v[p]
             v = [(x - c * y) % q for x, y in zip(v, row)]
     return not any(x % q for x in v)
-
-
-def nullspace(rows, q, width):
-    """Basis of {x : x . row^T = 0 for every constraint row} in F_q^width."""
-    reduced, pivots = rref(rows, q)
-    free = [j for j in range(width) if j not in pivots]
-    out = []
-    for f in free:
-        x = [0] * width
-        x[f] = 1
-        for row, p in zip(reduced, pivots):
-            x[p] = (-row[f]) % q
-        out.append(tuple(x))
-    return out
 
 
 # -- chain member coordinates ----------------------------------------------
@@ -166,37 +136,45 @@ def apply_rows(rows, mat, q):
 
 
 def perp_space(rows, gram, q):
-    """All x with x . gram . row^T = 0, as a reduced basis."""
-    n2 = len(gram)
-    gr = [tuple(sum(gram[p][t] * r[t] for t in range(n2)) % q for p in range(n2))
-          for r in rows]
-    return nullspace(gr, q, n2)
+    """The reduced basis of all x with x . gram . row^T = 0 for every row."""
+    images = [tuple(sum(g * x for g, x in zip(grow, row)) % q for grow in gram)
+              for row in rows]
+    return space_key(nullspace(images, q), q)
+
+
+def is_isotropic(rows, gram, q):
+    """Whether x . gram . y^T = 0 for all rows x, y (self-duality, above)."""
+    terms = [(p, r, g) for p, grow in enumerate(gram)
+             for r, g in enumerate(grow) if g]
+    return not any(sum(x[p] * g * y[r] for p, r, g in terms) % q
+                   for x in rows for y in rows)
 
 
 def ustable_subspaces(n, q):
     """All u-stable n-dimensional subspaces of a member quotient.
 
     Yields reduced bases in the 2n slot coordinates; u sends slot a to slot
-    n+a and slot n+a to zero.
+    n+a and slot n+a to zero.  The rows are built reduced: top rows pivot in
+    the first n slots, bottom rows in the last n, and each row vanishes at
+    the pivots of the others.
     """
     for b in range(n, (n + 1) // 2 - 1, -1):
         a = n - b
         for bot in subspaces(n, b, q):
-            bot_red, bot_piv = rref(bot, q)
+            bot_piv = pivot_columns(bot)
             nonpiv = [c for c in range(n) if c not in bot_piv]
+            bottom = tuple((0,) * n + bv for bv in bot)
             # top rows live inside the bottom space (u-stability)
             for topc in subspaces(b, a, q):
-                top = apply_rows(topc, bot_red, q) if a else []
+                top = apply_rows(topc, bot, q)
                 for values in itertools.product(range(q), repeat=a * len(nonpiv)):
                     rows = []
                     for t, tv in enumerate(top):
                         lift = [0] * n
                         for s, c in enumerate(nonpiv):
                             lift[c] = values[t * len(nonpiv) + s]
-                        rows.append(tuple(tv) + tuple(lift))
-                    for bv in bot:
-                        rows.append((0,) * n + tuple(bv))
-                    yield space_key(rows, q)
+                        rows.append(tv + tuple(lift))
+                    yield tuple(rows) + bottom
 
 
 # -- the fiber --------------------------------------------------------------
@@ -286,41 +264,29 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
     adm_points = sum(q ** eng.length(v) for v in par.mod_right)
 
     free, window, partner, incs, grams = fiber_conditions(n, q, sharp)
-    candidates = {}
-    for i in free:
-        cands = []
-        for key in ustable_subspaces(n, q):
-            if (n - i) % n == i:
-                perp = space_key(perp_space(key, grams[i], q), q)
-                if perp != key:
-                    continue
-            cands.append(key)
-        candidates[i] = cands
-    total_work = 1
-    for i in free:
-        total_work *= len(candidates[i])
+    self_dual = [i for i in free if (n - i) % n == i]
+    candidates = {i: [] for i in free}
+    for key in ustable_subspaces(n, q):
+        for i in free:
+            if i not in self_dual or is_isotropic(key, grams[i], q):
+                candidates[i].append(key)
+    total_work = math.prod(len(candidates[i]) for i in free)
     if total_work > cap:
         raise ResourceCapError("fiber candidate combinations", total_work, cap)
 
     def members_for(assign):
         out = dict(assign)
         for j, i in partner.items():
-            out[j] = space_key(perp_space(assign[i], grams[i], q), q)
+            out[j] = perp_space(assign[i], grams[i], q)
         return out
 
     free_set = set(free)
     first = [t for t in incs if t[0] in free_set and t[1] in free_set]
     rest = [t for t in incs if not (t[0] in free_set and t[1] in free_set)]
-    reduced_cache = {}
-
-    def reduced_for(key):
-        if key not in reduced_cache:
-            reduced_cache[key] = rref(key, q)
-        return reduced_cache[key]
 
     def passes(mem, checks):
         for a, b, mat in checks:
-            target, tpiv = reduced_for(mem[b])
+            target, tpiv = mem[b], pivot_columns(mem[b])
             for row in apply_rows(mem[a], mat, q):
                 if not in_row_space(row, target, tpiv, q):
                     return False

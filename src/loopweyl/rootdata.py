@@ -82,10 +82,17 @@ def datum_from_json(text):
             su_n = sub + 1
     except UnknownDatumError:
         pass
-    return _build_datum(
-        fields["name"], fields["cartan"], fields["twist_order"], su_n,
-        kappa=fields["kappa"],
-    )
+    try:
+        return _build_datum(
+            fields["name"], fields["cartan"], fields["twist_order"], su_n,
+            kappa=fields["kappa"],
+        )
+    except ValueError as exc:
+        # a GCM is affine and indecomposable exactly when a strictly
+        # positive vector spans its nullspace (Kac, Thm 4.3)
+        raise UnsupportedDatumError(
+            f"cartan matrix of {fields['name']!r} is not of affine type: {exc}"
+        ) from exc
 
 
 def datum_to_json(datum):

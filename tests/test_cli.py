@@ -78,7 +78,7 @@ def test_payload_determinism():
             json.dumps(second["payload"], sort_keys=True)
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     assert run("datum", "info", "H(1)_2").returncode == 2
     assert run("weyl", "length", "--datum", "A(1)_1", "--elt", "s9").returncode == 2
     assert run("weyl", "length", "--datum", "A(1)_1", "--elt", "zz").returncode == 2
@@ -92,6 +92,23 @@ def test_exit_codes():
     assert run("sweep", "/nonexistent/file.csv").returncode == 2
     assert run("kottwitz", "--torus", "norm1", "--q", "3",
                "--elt", "1+u").returncode == 2
+    # bad values are input errors (2), never a coherence mismatch (1)
+    for argv in (("coherence", "--datum", "A(1)_1", "--mu", "1,0,0", "--Y", "0"),
+                 ("coherence", "--datum", "A(1)_2", "--mu", "2,0,0", "--Y", "0"),
+                 ("adm", "--datum", "A(1)_1", "--mu", "1,0", "--Y", "5")):
+        proc = run(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    config = tmp_path / "bad_a.csv"
+    config.write_text('datum,mu,Y,a\nA(1)_1,"1,0",0,x\n')
+    proc = run("sweep", str(config))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"name": "X", "cartan": [[2, -1], [-1, 2]],
+                                "twist_order": 1}))
+    proc = run("datum", "info", str(path))
+    assert proc.returncode == 2
+    assert "not of affine type" in proc.stderr
 
 
 def test_fiber_spot_check_reports():

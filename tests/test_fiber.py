@@ -7,9 +7,14 @@ import pytest
 from loopweyl.errors import (ResourceCapError, SpecParseError,
                              UnsupportedFieldError)
 from loopweyl.loops.chains import validate_chain
-from loopweyl.loops.fiber import (enumerate_fiber, inclusion_matrix,
+from loopweyl.loops.fiber import (enumerate_fiber, gram_matrix,
+                                  inclusion_matrix, is_isotropic,
                                   member_exponents, normalize_tokens,
-                                  rebuild_members, ustable_subspaces)
+                                  perp_space, rebuild_members, space_key,
+                                  ustable_subspaces)
+
+# (n, q) for the invariants the enumeration relies on
+INVARIANT_CASES = ((3, 3), (3, 5), (4, 3))
 
 
 def test_member_exponents():
@@ -41,6 +46,38 @@ def test_ustable_counts():
     seen = set(ustable_subspaces(3, 3))
     for key in list(seen)[:10]:
         assert len(key) == 3
+
+
+def test_ustable_subspaces_are_built_reduced():
+    for n, q in INVARIANT_CASES:
+        keys = list(ustable_subspaces(n, q))
+        assert len(set(keys)) == len(keys)
+        for key in keys:
+            assert len(key) == n
+            assert space_key(key, q) == key
+
+
+def test_gram_matrices_are_monomial():
+    # one nonzero entry per row and column: nondegenerate over F_q
+    for n in (3, 4):
+        for q in (3, 5):
+            for j in range(-n, 2 * n):
+                g = gram_matrix(n, j, q)
+                assert len(g) == 2 * n
+                for line in list(g) + list(zip(*g)):
+                    assert len(line) == 2 * n
+                    assert sum(1 for x in line if x) == 1
+                    assert all(x in (0, 2 % q, -2 % q) for x in line)
+
+
+def test_isotropy_is_self_duality():
+    # the old filter, computing and reducing the perp, is the oracle
+    for n, q in INVARIANT_CASES:
+        for j in (j for j in range(n) if (n - j) % n == j):
+            gram = gram_matrix(n, j, q)
+            for key in ustable_subspaces(n, q):
+                self_dual = space_key(perp_space(key, gram, q), q) == key
+                assert is_isotropic(key, gram, q) == self_dual, (n, q, j, key)
 
 
 def test_su3_fibers():

@@ -1,7 +1,11 @@
-"""Exact rational linear algebra."""
+"""Exact linear algebra over Q, over F_q and over integer lattices."""
 
+import itertools
 import random
 from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loopweyl.linalg as L
 
@@ -75,3 +79,55 @@ def test_lattice_index_random():
         done += 1
         doubled = L.mat([[2 * x for x in row] for row in a])
         assert L.lattice_index(doubled, a) == 8
+
+
+# -- Gauss-Jordan over F_q (fixed seeds: derandomized, no example database) --
+
+@st.composite
+def fq_matrices(draw):
+    """(q, matrix) with unreduced integer entries, 1-4 rows, 1-5 columns."""
+    q = draw(st.sampled_from((2, 3, 5)))
+    width = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-2 * q, 2 * q), min_size=width,
+                                  max_size=width), min_size=1, max_size=4))
+    return q, rows
+
+
+def span(rows, q):
+    """Every F_q-combination of the rows, by brute force."""
+    return {tuple(sum(c * x for c, x in zip(coeffs, col)) % q
+                  for col in zip(*rows))
+            for coeffs in itertools.product(range(q), repeat=len(rows))}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(fq_matrices())
+def test_rref_and_nullspace_over_fq(case):
+    q, a = case
+    width = len(a[0])
+    red, pivots = L.rref(a, q)
+    rank = len(pivots)
+    assert len(red) == len(a)
+    assert all(x in range(q) for row in red for x in row)
+    # reduced: monic pivots, strictly increasing, alone in their columns,
+    # and zero rows only below the pivot rows
+    assert list(pivots) == sorted(set(pivots))
+    for r, row in enumerate(red):
+        if r >= rank:
+            assert not any(row)
+            continue
+        p = pivots[r]
+        assert not any(row[:p]) and row[p] == 1
+        assert all(other[p] == 0 for k, other in enumerate(red) if k != r)
+    # the row space is preserved and has q^rank elements
+    reduced_span = span(red[:rank], q) if rank else {(0,) * width}
+    assert reduced_span == span(a, q)
+    assert len(reduced_span) == q ** rank
+    # the nullspace annihilates A and has dimension width - rank
+    basis = L.nullspace(a, q)
+    assert len(basis) == width - rank
+    for v in basis:
+        assert all(x in range(q) for x in v)
+        assert all(sum(x * y for x, y in zip(row, v)) % q == 0 for row in a)
+    if basis:
+        assert len(span(basis, q)) == q ** len(basis)

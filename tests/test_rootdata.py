@@ -1,5 +1,6 @@
 """Affine root data: echelonnage, coweight models, building dictionaries."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -110,3 +111,14 @@ def test_json_round_trip():
 def test_json_rejects_garbage():
     with pytest.raises(Exception):
         datum_from_json("{\"name\": \"X\"}")
+
+
+def test_json_rejects_non_affine_cartan():
+    finite = {"name": "X", "cartan": [[2, -1], [-1, 2]], "twist_order": 1}
+    # two disjoint affine A(1)_1 blocks: a two-dimensional nullspace
+    pair = {"name": "Y", "twist_order": 1,
+            "cartan": [[2, -2, 0, 0], [-2, 2, 0, 0],
+                       [0, 0, 2, -2], [0, 0, -2, 2]]}
+    for obj in (finite, pair):
+        with pytest.raises(UnsupportedDatumError, match="not of affine type"):
+            datum_from_json(json.dumps(obj))
