@@ -8,13 +8,23 @@ W^Y = W_{S-Y} on the left and W_{Y°} (the tau-conjugate set) on the right.
 engine_for(fin) is the Iwahori-Weyl engine of a finite datum, and
 context_for(datum) the affine Weyl group of the datum's own Cartan matrix,
 on which path counts run.
+
+Each set is built once per engine: the engine keeps the admissible sets it
+has built, keyed by (mu, lam), and the saturations, keyed by their
+admissible set and Y, each table holding at most MEMO_SIZE entries and
+dropping its oldest first.  A repeated call returns the stored object, and
+still raises ResourceCapError when the stored set is larger than its cap.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rootdata, weyl
-from .errors import ResourceCapError
+from .errors import ConsistencyError, ResourceCapError
+
+# entries per engine in each of the admissible and saturation memos; the
+# coherence sweep of one datum needs at most ~15 saturations
+MEMO_SIZE = 64
 
 _ENGINES = {}
 _CONTEXTS = {}
@@ -32,6 +42,18 @@ def context_for(datum):
     if key not in _CONTEXTS:
         _CONTEXTS[key] = weyl.CartanContext(datum.cartan)
     return _CONTEXTS[key]
+
+
+def _remember(table, key, value):
+    if len(table) >= MEMO_SIZE:
+        del table[next(iter(table))]
+    table[key] = value
+    return value
+
+
+def _check_cap(what, size, cap):
+    if size > cap:
+        raise ResourceCapError(what, size, cap)
 
 
 @dataclass(frozen=True)
@@ -56,10 +78,20 @@ def adm(fin, mu=None, lam=None, cap=20000):
         if not fin.in_coweight_lattice(lam):
             raise ValueError("lam is not in the coweight lattice")
     eng = engine_for(fin)
+    memo = eng.memos.setdefault("adm", {})
+    key = (None if mu is None else tuple(mu), tuple(lam))
+    hit = memo.get(key)
+    if hit is not None:
+        _check_cap("admissible set size", len(hit.neutral), cap)
+        return hit
     orbit = fin.w0_orbit(lam)
     tops = [eng.translation(v) for v in orbit]
     classes = {eng.omega_class(t) for t in tops}
-    assert len(classes) == 1
+    if len(classes) != 1:
+        raise ConsistencyError(
+            f"translations of the W-orbit of {lam} lie in {len(classes)} "
+            "Omega-classes"
+        )
     tau = eng.tau_for_class(next(iter(classes)))
     tau_inv = eng.inv(tau)
     frontier = [eng.mul(t, tau_inv) for t in tops]
@@ -71,19 +103,18 @@ def adm(fin, mu=None, lam=None, cap=20000):
                 if v not in neutral:
                     neutral.add(v)
                     nxt.append(v)
-            if len(neutral) > cap:
-                raise ResourceCapError("admissible set size", len(neutral), cap)
+            _check_cap("admissible set size", len(neutral), cap)
         frontier = nxt
-    key = eng.sort_key
-    return AdmissibleSet(
+    order = eng.sort_key
+    return _remember(memo, key, AdmissibleSet(
         fin=fin,
-        mu=None if mu is None else tuple(mu),
-        lam=tuple(lam),
+        mu=key[0],
+        lam=key[1],
         tau=tau,
-        elements=tuple(sorted((eng.mul(x, tau) for x in neutral), key=key)),
-        maximal_elements=tuple(sorted(set(tops), key=key)),
-        neutral=tuple(sorted(neutral, key=key)),
-    )
+        elements=tuple(sorted((eng.mul(x, tau) for x in neutral), key=order)),
+        maximal_elements=tuple(sorted(set(tops), key=order)),
+        neutral=tuple(sorted(neutral, key=order)),
+    ))
 
 
 def tau_conjugate_nodes(adm_set, nodes):
@@ -111,8 +142,15 @@ def adm_parahoric(adm_set, y, cap=20000):
     y = tuple(sorted(set(y)))
     if not y or any(i not in s for i in y):
         raise ValueError(f"Y must be a nonempty subset of {s}")
-    y_circ = tau_conjugate_nodes(adm_set, y)
     eng = engine_for(fin)
+    memo = eng.memos.setdefault("saturation", {})
+    key = (adm_set.mu, adm_set.lam, y)
+    hit = memo.get(key)
+    # an equal Adm(mu) rebuilt after eviction is a new object: rebuild too
+    if hit is not None and hit.adm_set is adm_set:
+        _check_cap("parahoric admissible set size", len(hit.full), cap)
+        return hit
+    y_circ = tau_conjugate_nodes(adm_set, y)
     left = tuple(i for i in s if i not in y)
     right = tuple(i for i in s if i not in y_circ)
     full = set(adm_set.neutral)
@@ -130,22 +168,19 @@ def adm_parahoric(adm_set, y, cap=20000):
                 if z not in full:
                     full.add(z)
                     nxt.append(z)
-            if len(full) > cap:
-                raise ResourceCapError(
-                    "parahoric admissible set size", len(full), cap
-                )
+            _check_cap("parahoric admissible set size", len(full), cap)
         frontier = nxt
-    key = eng.sort_key
+    order = eng.sort_key
     mod_right = {weyl.coset_min(eng, x, (), right) for x in full}
     double = {weyl.coset_min(eng, x, left, right) for x in full}
-    return ParahoricAdmissible(
+    return _remember(memo, key, ParahoricAdmissible(
         adm_set=adm_set,
         y=y,
         y_circ=y_circ,
-        full=tuple(sorted(full, key=key)),
-        mod_right=tuple(sorted(mod_right, key=key)),
-        double_min=tuple(sorted(double, key=key)),
-    )
+        full=tuple(sorted(full, key=order)),
+        mod_right=tuple(sorted(mod_right, key=order)),
+        double_min=tuple(sorted(double, key=order)),
+    ))
 
 
 def adm_count(adm_par, q):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import admissible, weyl
+from .errors import ConsistencyError
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,10 @@ class PathSpace:
                 val = abs(linedot(
                     self.shape, ctx.coroot_apply_inv(lo, beta_co)
                 ))
-                assert val > 0 and Fraction(val).denominator == 1
+                if val <= 0 or Fraction(val).denominator != 1:
+                    raise ConsistencyError(
+                        f"cover value {val} is not a positive integer"
+                    )
                 outs.append((lo, int(val)))
             self.down[up] = tuple(outs)
         self._reach_cache = {}
@@ -182,7 +186,10 @@ def count_h_y(fin, mu=None, lam=None, y=(), a=1, cap=20000, emit=False):
     tops = []
     for x in par.mod_right:
         word, rem = weyl.reduced_word(eng, x)
-        assert eng.length(rem) == 0 and rem == eng.identity()
+        if rem != eng.identity():
+            raise ConsistencyError(
+                "admissible direction has a nontrivial Omega remainder"
+            )
         tops.append(weyl.from_word(ctx, word))
     space = PathSpace(ctx, shape, tops, cap=cap)
     n = space.count()

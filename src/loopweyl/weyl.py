@@ -12,13 +12,22 @@ where a coweight enters (translation) and where an Omega residue leaves
 covers and interval graphs are written against the engine's methods, so the
 same code serves the Iwahori-Weyl group, the affine Weyl group of a datum's
 own Cartan matrix, and the finite calibration contexts.
+
+The matrix of a simple reflection s_p is the identity except in row p,
+which is e_p - a[p] (the transpose A^T takes the place of A on the coroot
+side).  So lmul and rmul, which do nearly all of the multiplying, are row
+and column updates: s_p M changes only row p of M, to M[p] - sum_c a[p][c]
+M[c], and M s_p subtracts M[r][p] a[p][c] from each entry (r, c).  Since
+(s_p x)^{-1} = x^{-1} s_p, the inverse matrices take the mirrored update,
+and all four matrices of an element cost O(n^2).  mul is the general O(n^3)
+product.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import ResourceCapError, UnsupportedDatumError
+from .errors import ConsistencyError, ResourceCapError, UnsupportedDatumError
 
 
 class CoxElement:
@@ -56,21 +65,33 @@ class CartanContext:
         self.a = tuple(tuple(row) for row in a)
         n = len(self.a)
         self.nodes = tuple(range(n)) if nodes is None else tuple(nodes)
-        assert len(self.nodes) == n
+        if len(self.nodes) != n:
+            raise ValueError(
+                f"{len(self.nodes)} node labels for a {n}x{n} Cartan matrix"
+            )
         self.npos = {i: p for p, i in enumerate(self.nodes)}
         eye = tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
         self._id = CoxElement(eye, eye, eye, eye)
         self._gens = {}
+        # per node: (position p, row p of A, row p of A^T), the data of the
+        # one-row updates in lmul and rmul
+        self._rows = {}
+        at = linalg.transpose(self.a)
         for i in self.nodes:
-            root = _reflection(self.a, self.npos[i])
-            co = _reflection(linalg.transpose(self.a), self.npos[i])
+            p = self.npos[i]
+            root = _row_update(eye, p, self.a[p])
+            co = _row_update(eye, p, at[p])
             self._gens[i] = CoxElement(root, root, co, co)
+            self._rows[i] = (p, self.a[p], at[p])
         self.fin = None
         self._taus = {(): self._id}
         self._residues = {self._id: ()}
         self._word_cache = {}
+        # results of the layers built on this group, one table per layer;
+        # each layer bounds its own table (admissible.MEMO_SIZE)
+        self.memos = {}
 
     @classmethod
     def iwahori_weyl(cls, fin):
@@ -159,16 +180,42 @@ class CartanContext:
         return CoxElement(x.minv, x.m, x.mcoinv, x.mco)
 
     def lmul(self, i, x):
-        return self.mul(self._gens[i], x)
+        """s_i x by one-row updates, without a matrix product.
+
+        With p the position of i, row p of m becomes m[p] - sum_c a[p][c]
+        m[c], and each row r of minv loses minv[r][p] times a[p], since
+        (s_i x)^{-1} = x^{-1} s_i; mco and mcoinv do the same with A^T.
+        """
+        p, row, corow = self._rows[i]
+        return CoxElement(
+            _row_update(x.m, p, row),
+            _col_update(x.minv, p, row),
+            _row_update(x.mco, p, corow),
+            _col_update(x.mcoinv, p, corow),
+        )
 
     def rmul(self, x, i):
-        return self.mul(x, self._gens[i])
+        """x s_i, the mirror of lmul.
+
+        Each row r of m loses m[r][p] times a[p], and row p of minv becomes
+        minv[p] - sum_c a[p][c] minv[c]; mco and mcoinv use A^T.
+        """
+        p, row, corow = self._rows[i]
+        return CoxElement(
+            _col_update(x.m, p, row),
+            _row_update(x.minv, p, row),
+            _col_update(x.mco, p, corow),
+            _row_update(x.mcoinv, p, corow),
+        )
 
     def _col_negative(self, m, i):
         p = self.npos[i]
-        col = [m[r][p] for r in range(len(self.nodes))]
+        col = [row[p] for row in m]
         neg = any(c < 0 for c in col)
-        assert not (neg and any(c > 0 for c in col)), "mixed-sign root column"
+        if neg and any(c > 0 for c in col):
+            raise ConsistencyError(
+                f"root column {i} has mixed signs: not a real root"
+            )
         return neg
 
     def is_left_descent(self, i, x):
@@ -240,11 +287,20 @@ class CartanContext:
 AffineEngine = CartanContext
 
 
-def _reflection(a, p):
-    """Matrix of s_p on the simple roots of the GCM a, as columns."""
+def _row_update(m, p, ap):
+    """(I - e_p ap) M: row p becomes M[p] - sum_c ap[c] M[c]."""
+    new = m[p]
+    for c, coef in enumerate(ap):
+        if coef:
+            new = tuple(u - coef * v for u, v in zip(new, m[c]))
+    return m[:p] + (new,) + m[p + 1:]
+
+
+def _col_update(m, p, ap):
+    """M (I - e_p ap): each row r loses M[r][p] times ap."""
     return tuple(
-        tuple(int(r == c) - (a[p][c] if r == p else 0) for c in range(len(a)))
-        for r in range(len(a))
+        tuple(u - row[p] * v for u, v in zip(row, ap)) if row[p] else row
+        for row in m
     )
 
 

@@ -151,6 +151,12 @@ def test_coherence_ramified_unitary():
     return "Y=[0] equal at 6 and 15; open: " + "; ".join(notes)
 
 
+def test_coherence_gl5_hyperspecial():
+    # GL_5, mu = (1,1,0,0,0), Y = {0}, a = 1; |Adm(mu)| = 131
+    rep = check_coherence(fin_for("A(1)_4"), ((1, 1, 0, 0, 0),), (0,), 1)
+    assert rep.equal and rep.h_path == hook_content(5, 2, 1) == 10, rep
+
+
 @_criterion("criterion 5: closed form vs hook-content grid")
 def test_h_mu_matches_hook_content():
     checks = 0

@@ -109,3 +109,34 @@ def test_lam_input_and_cap():
         adm(fin, lam=("1/3",))
     with pytest.raises(ResourceCapError):
         adm(fin_for("A(1)_3"), mu=(2, 2, 0, 0), cap=10)
+
+
+def test_repeated_calls_return_the_stored_sets():
+    fin = fin_for("A(1)_2")
+    s = adm(fin, mu=(1, 0, 0))
+    assert adm(fin, mu=(1, 0, 0)) is s
+    # the lam call for the same lam is its own set, with mu left empty
+    by_lam = adm(fin, lam=s.lam)
+    assert adm(fin, lam=s.lam) is by_lam
+    assert s.mu == (1, 0, 0) and by_lam.mu is None
+    assert by_lam.elements == s.elements
+    par = adm_parahoric(s, (0, 1))
+    assert adm_parahoric(s, (1, 0)) is par
+    # two Y on one Adm(mu) are two saturations
+    other = adm_parahoric(s, (0, 1, 2))
+    assert other is not par
+    assert (len(par.full), len(other.full)) == (10, 7)
+    assert adm_parahoric(s, (0, 1, 2)) is other
+
+
+def test_cap_holds_on_stored_sets():
+    # a cap fails loudly whether or not the set was built before
+    fin = fin_for("A(1)_3")
+    s = adm(fin, mu=(2, 2, 0, 0))
+    assert len(s.neutral) == 185
+    with pytest.raises(ResourceCapError):
+        adm(fin, mu=(2, 2, 0, 0), cap=10)
+    par = adm_parahoric(s, (0,))
+    with pytest.raises(ResourceCapError):
+        adm_parahoric(s, (0,), cap=len(par.full) - 1)
+    assert adm_parahoric(s, (0,), cap=len(par.full)) is par

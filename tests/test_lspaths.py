@@ -93,3 +93,10 @@ def test_scaling_monotone():
 def test_cap():
     with pytest.raises(ResourceCapError):
         count_h_y(fin_for("A(1)_2"), mu=(3, 1, 0), y=(0, 1, 2), a=3, cap=10)
+    # the stored Adm(mu) and saturation of an uncapped count obey a cap too
+    fin = fin_for("A(1)_2")
+    n = count_h_y(fin, mu=(3, 1, 0), y=(0, 1, 2), a=3)
+    with pytest.raises(ResourceCapError):
+        count_h_y(fin, mu=(3, 1, 0), y=(0, 1, 2), a=3, cap=10)
+    assert count_h_y(fin, mu=(3, 1, 0), y=(0, 1, 2), a=3) == n
+

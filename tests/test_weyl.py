@@ -1,13 +1,19 @@
 """Iwahori-Weyl groups: lengths, Bruhat order, fundamental group."""
 
+import functools
 import itertools
 
-from loopweyl.admissible import engine_for
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from loopweyl.admissible import context_for, engine_for
 from loopweyl.errors import UnsupportedDatumError
 from loopweyl.kactables import known_names
 from loopweyl.rootdata import (echelon_system, load_affine_datum,
                                project_coweight, special_nodes)
-from loopweyl.weyl import bruhat_interval, coset_min, from_word, reduced_word
+from loopweyl.weyl import (CartanContext, bruhat_interval, coset_min,
+                           from_word, reduced_word)
 
 
 def fin_for(name, x=0):
@@ -174,3 +180,96 @@ def test_bruhat_interval_agrees_with_leq():
         for a, b, *_ in graph.edges:
             assert eng.length(a) == eng.length(b) + 1
             assert eng.bruhat_leq(b, a)
+
+
+def matrices(x):
+    return (x.m, x.minv, x.mco, x.mcoinv)
+
+
+def test_node_labels_must_match_the_matrix():
+    with pytest.raises(ValueError):
+        CartanContext([[2, -2], [-2, 2]], nodes=(0, 1, 2))
+
+
+def test_one_row_updates_match_the_general_product():
+    # lmul and rmul update one row or column of each matrix; the general
+    # product by the generator's matrices is the oracle, on every datum of
+    # rank <= 4, in the Iwahori-Weyl engine (tau-twisted elements included)
+    # and in the affine Weyl group of the datum's own Cartan matrix
+    engines = 0
+    for name in known_names():
+        datum = load_affine_datum(name)
+        if datum.rank > 4:
+            continue
+        fin = None
+        for x in special_nodes(datum):
+            try:
+                fin = echelon_system(datum, x)
+                break
+            except UnsupportedDatumError:
+                continue
+        eng = engine_for(fin)
+        ctx = context_for(datum)
+        base = ball(eng, datum.nodes, 3)
+        twisted = {
+            eng.mul(w, eng.tau_for_class(res))
+            for w in base for res in eng.omega_residues()
+        }
+        for group, elements in ((eng, twisted), (ctx, ball(ctx, ctx.nodes, 3))):
+            engines += 1
+            for w in elements:
+                for i in group.nodes:
+                    s_i = group.gen(i)
+                    assert matrices(group.lmul(i, w)) == \
+                        matrices(group.mul(s_i, w)), (name, i)
+                    assert matrices(group.rmul(w, i)) == \
+                        matrices(group.mul(w, s_i)), (name, i)
+    assert engines == 2 * 24
+
+
+# random elements of A(1)_2, C(1)_2, G(1)_2 and A(2)_4, as words of length <=
+# 8 in the generators of the Iwahori-Weyl engine
+RANDOM_NAMES = ("A(1)_2", "C(1)_2", "G(1)_2", "A(2)_4")
+
+
+@functools.lru_cache(maxsize=None)
+def random_engine(name):
+    return engine_for(fin_for(name))
+
+
+words = st.lists(st.integers(0, 2), max_size=8)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(RANDOM_NAMES), words, st.sets(st.integers(0, 2)),
+       st.sets(st.integers(0, 2)))
+def test_coset_min_is_idempotent_and_minimal(name, word, left, right):
+    eng = random_engine(name)
+    x = from_word(eng, word)
+    left, right = sorted(left), sorted(right)
+    m = coset_min(eng, x, left, right)
+    assert coset_min(eng, m, left, right) == m
+    assert eng.length(m) <= eng.length(x)
+    assert not any(eng.is_left_descent(i, m) for i in left)
+    assert not any(eng.is_right_descent(m, i) for i in right)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(RANDOM_NAMES), words, st.lists(st.booleans(),
+                                                     min_size=8, max_size=8))
+def test_bruhat_lifting_property(name, wword, keep):
+    # v is a subword of a reduced word of w, so v <= w; then Bjorner-Brenti,
+    # Prop. 2.2.7, on both sides: if s is a descent of w but not of v, then
+    # v <= sw and sv <= w (resp. v <= ws and vs <= w)
+    eng = random_engine(name)
+    w = from_word(eng, wword)
+    word = reduced_word(eng, w)[0]
+    v = from_word(eng, [i for i, k in zip(word, keep) if k])
+    assert eng.bruhat_leq(v, w)
+    for i in eng.nodes:
+        if eng.is_left_descent(i, w) and not eng.is_left_descent(i, v):
+            assert eng.bruhat_leq(v, eng.lmul(i, w))
+            assert eng.bruhat_leq(eng.lmul(i, v), w)
+        if eng.is_right_descent(w, i) and not eng.is_right_descent(v, i):
+            assert eng.bruhat_leq(v, eng.rmul(w, i))
+            assert eng.bruhat_leq(eng.rmul(v, i), w)
