@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kactables, lspaths, rootdata
-from .errors import UnsupportedDatumError
+from .errors import ConsistencyError, UnsupportedDatumError
 
 
 def weyl_dim(fin, lam):
@@ -28,7 +28,9 @@ def weyl_dim(fin, lam):
         num = sum((l + 1) * c for l, c in zip(lam, coroot))
         den = sum(coroot)
         out *= Fraction(num, den)
-    assert out.denominator == 1 and out > 0
+    if out.denominator != 1 or out <= 0:
+        raise ConsistencyError(
+            f"Weyl dimension {out} is not a positive integer")
     return int(out)
 
 
@@ -91,13 +93,14 @@ def h_mu_sum(datum, parts, m):
 
 def hook_content(n, r, m):
     """prod_{i<=r, j<=n-r} (i+j+m-1)/(i+j-1); the type A closed form."""
-    if not 0 < r < n or m < 0:
-        raise ValueError("need 0 < r < n and m >= 0")
+    if not 0 < r < n or m < 0 or m != int(m):
+        raise ValueError("need 0 < r < n and an integer m >= 0")
     out = Fraction(1)
     for i in range(1, r + 1):
         for j in range(1, n - r + 1):
             out *= Fraction(i + j + m - 1, i + j - 1)
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise ConsistencyError(f"hook-content product {out} is not an integer")
     return int(out)
 
 

@@ -13,17 +13,37 @@ for a < i0 and -k otherwise, j = k n + i0; a quotient vector is written in
 the 2n slots (reductions of the basis, then u times them).
 
 Subspaces are kept as reduced bases (the nonzero rows of the reduced row
-echelon form over F_q), built reduced where they are made; only perps and
-cell-point coordinates go through `linalg.rref`.  Each gram matrix has one
-nonzero entry, +-2, in every row and column, so the pairing is nondegenerate:
-for a self-dual token (j = -j mod n) a rank-n subspace has a rank-n perp, and
-is its own perp exactly when it is isotropic.
+echelon form over F_q), built reduced where they are made; only perps, join
+keys and cell-point coordinates go through `linalg.rref`.  Each gram matrix
+has one nonzero entry, +-2, in every row and column, so the pairing is
+nondegenerate: for a self-dual token (j = -j mod n) a rank-n subspace has a
+rank-n perp, and is its own perp exactly when it is isotropic.
+
+The enumeration is a join over the free tokens, not a product of their
+candidate lists.  Every window token has an owner, the free token whose
+subspace fixes it: a free token owns itself, and the partner of a free token
+i (the token -i, when it is not free) holds the perp of i's subspace.  The
+window's inclusion checks rows.M <= target then fall in two kinds.
+
+- A check reading one owner filters that owner's candidates once, before any
+  join.  When the target is a partner member perp(S), the check is the
+  vanishing pairing x.G.s^T = 0 for every image row x and every row s of S,
+  with no nullspace taken.  A perp is built only where a partner member is
+  the source of a check, only for candidates that pass the checks with a
+  free source, and at most once per (token, subspace).
+- A check reading two owners runs in a depth-first search over the free
+  tokens, in order, when the later owner is placed.  The space it reads of
+  the earlier owner (the image of the source member under M, or the target
+  subspace) keys a memo of the later owner's surviving candidates, so each
+  distinct space filters the list once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 from ..admissible import adm, adm_count, adm_parahoric, engine_for
 from ..errors import (ConsistencyError, ResourceCapError, SpecParseError,
@@ -119,7 +139,7 @@ def gram_matrix(n, j, q):
             if expa + expb == 1:
                 sign = -1 if expa % 2 else 1
                 g[p][r] = 2 * sign % q
-    return [tuple(r) for r in g]
+    return tuple(tuple(r) for r in g)
 
 
 def apply_rows(rows, mat, q):
@@ -142,12 +162,32 @@ def perp_space(rows, gram, q):
     return space_key(nullspace(images, q), q)
 
 
+@functools.lru_cache(maxsize=64)
+def _pairing_terms(gram):
+    """The nonzero entries (p, r, g) of a gram matrix, listed once per gram."""
+    return tuple((p, r, g) for p, grow in enumerate(gram)
+                 for r, g in enumerate(grow) if g)
+
+
+def pairs_to_zero(xs, ys, gram, q):
+    """Whether x . gram . y^T = 0 for every x in xs and every y in ys.
+
+    When ys spans a space S this says each x lies in perp_space(S, gram, q),
+    with no nullspace taken.
+    """
+    terms = _pairing_terms(gram)
+    for x in xs:
+        xg = [0] * len(gram[0])
+        for p, r, g in terms:
+            xg[r] += x[p] * g
+        if any(sum(map(operator.mul, xg, y)) % q for y in ys):
+            return False
+    return True
+
+
 def is_isotropic(rows, gram, q):
     """Whether x . gram . y^T = 0 for all rows x, y (self-duality, above)."""
-    terms = [(p, r, g) for p, grow in enumerate(gram)
-             for r, g in enumerate(grow) if g]
-    return not any(sum(x[p] * g * y[r] for p, r, g in terms) % q
-                   for x in rows for y in rows)
+    return pairs_to_zero(rows, rows, gram, q)
 
 
 def ustable_subspaces(n, q):
@@ -222,6 +262,101 @@ def fiber_conditions(n, q, sharp):
     return free, window, partner, incs, grams
 
 
+def fiber_points(n, q, sharp, cap):
+    """The points of the naive fiber for the free tokens sharp.
+
+    Returns the window tokens and the points, each a tuple of reduced bases
+    aligned with the window, found by the owner join of the module notes.
+    Raises ResourceCapError when the product of the candidate lists (u-stable
+    subspaces, isotropic ones for a self-dual token) exceeds cap.
+    """
+    free, window, partner, incs, grams = fiber_conditions(n, q, sharp)
+    candidates = {i: [] for i in free}
+    for key in ustable_subspaces(n, q):
+        for i in free:
+            if (n - i) % n != i or is_isotropic(key, grams[i], q):
+                candidates[i].append(key)
+    total_work = math.prod(len(candidates[i]) for i in free)
+    if total_work > cap:
+        raise ResourceCapError("fiber candidate combinations", total_work, cap)
+
+    owner = {j: partner.get(j, j) for j in window}
+    perps = {}
+
+    def member(j, space):
+        """The member for token j when its owner holds space."""
+        if j not in partner:
+            return space
+        if (j, space) not in perps:
+            perps[j, space] = perp_space(space, grams[owner[j]], q)
+        return perps[j, space]
+
+    pivots = {}
+
+    def contains(b, space, rows):
+        """Whether rows lie in token b's member, its owner holding space."""
+        if b in partner:
+            return pairs_to_zero(rows, space, grams[owner[b]], q)
+        if space not in pivots:
+            pivots[space] = pivot_columns(space)
+        return all(in_row_space(row, space, pivots[space], q) for row in rows)
+
+    def image(a, space, mat):
+        return apply_rows(member(a, space), mat, q)
+
+    single = {i: [] for i in free}
+    joined = {i: [] for i in free}
+    for a, b, mat in incs:
+        if owner[a] == owner[b]:
+            single[owner[a]].append((a, b, mat))
+        else:
+            later = max(owner[a], owner[b], key=free.index)
+            joined[later].append((a, b, mat))
+    pools = {}
+    for i in free:
+        # checks with a free source need no perp; run them first
+        single[i].sort(key=lambda c: c[0] in partner)
+        pools[i] = [s for s in candidates[i]
+                    if all(contains(b, s, image(a, s, mat))
+                           for a, b, mat in single[i])]
+        # checks keyed by an image of the earlier owner first: fewer keys
+        joined[i].sort(key=lambda c: owner[c[0]] == i)
+
+    memo = {}
+
+    def narrowed(i, chosen):
+        """The candidates for i passing its join checks against chosen.
+
+        Each check reads one space of its earlier owner: the image of the
+        source member when that owner holds the source, else the owner's
+        subspace.  The filtered lists are memoized by those spaces.
+        """
+        pool, keys = pools[i], (i,)
+        for a, b, mat in joined[i]:
+            if owner[a] in chosen:
+                key = space_key(image(a, chosen[owner[a]], mat), q)
+                keep = lambda s: contains(b, s, key)
+            else:
+                key = chosen[owner[b]]
+                keep = lambda s: contains(b, key, image(a, s, mat))
+            keys += (key,)
+            if keys not in memo:
+                memo[keys] = list(filter(keep, pool))
+            pool = memo[keys]
+        return pool
+
+    points = []
+    stack = [{}]
+    while stack:
+        chosen = stack.pop()
+        if len(chosen) == len(free):
+            points.append(tuple(member(j, chosen[owner[j]]) for j in window))
+            continue
+        i = free[len(chosen)]
+        stack.extend({**chosen, i: space} for space in narrowed(i, chosen))
+    return window, points
+
+
 def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
                     collect=False):
     """Count the special fiber of the naive model and compare with Adm.
@@ -230,6 +365,13 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
     honest point count of the admissible locus and bookkeeping fields.  With
     collect=True the dict also carries every point as a tuple of subspace
     bases aligned with the window tokens.
+
+    The points come from `fiber_points`: each window token's member is fixed
+    by its owner among the free tokens; checks reading one owner filter its
+    candidates once (a check into a partner's perp is a vanishing pairing),
+    and checks reading two owners join the filtered lists token by token,
+    memoized by the space read of the earlier owner.  ResourceCapError is
+    raised when the product of the unfiltered candidate lists exceeds cap.
     """
     if q not in ODD_FIELDS:
         raise UnsupportedFieldError(f"residue field size {q} not odd in {ODD_FIELDS}")
@@ -263,50 +405,8 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
     a_count = adm_count(par, q)
     adm_points = sum(q ** eng.length(v) for v in par.mod_right)
 
-    free, window, partner, incs, grams = fiber_conditions(n, q, sharp)
-    self_dual = [i for i in free if (n - i) % n == i]
-    candidates = {i: [] for i in free}
-    for key in ustable_subspaces(n, q):
-        for i in free:
-            if i not in self_dual or is_isotropic(key, grams[i], q):
-                candidates[i].append(key)
-    total_work = math.prod(len(candidates[i]) for i in free)
-    if total_work > cap:
-        raise ResourceCapError("fiber candidate combinations", total_work, cap)
-
-    def members_for(assign):
-        out = dict(assign)
-        for j, i in partner.items():
-            out[j] = perp_space(assign[i], grams[i], q)
-        return out
-
-    free_set = set(free)
-    first = [t for t in incs if t[0] in free_set and t[1] in free_set]
-    rest = [t for t in incs if not (t[0] in free_set and t[1] in free_set)]
-
-    def passes(mem, checks):
-        for a, b, mat in checks:
-            target, tpiv = mem[b], pivot_columns(mem[b])
-            for row in apply_rows(mem[a], mat, q):
-                if not in_row_space(row, target, tpiv, q):
-                    return False
-        return True
-
-    count = 0
-    points = []
-    full_points = []
-    for combo in itertools.product(*(candidates[i] for i in free)):
-        assign = dict(zip(free, combo))
-        if not passes(assign, first):
-            continue
-        mem = members_for(assign)
-        if not passes(mem, rest):
-            continue
-        count += 1
-        points.append(tuple(assign[i] for i in free))
-        if collect:
-            full_points.append(tuple(mem[j] for j in window))
-    point_set = set(points)
+    window, points = fiber_points(n, q, sharp, cap)
+    count = len(points)
 
     out = {
         "naive_count": count,
@@ -320,9 +420,11 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
         "y": sorted(y),
     }
     if collect:
-        out["points"] = sorted(full_points)
+        out["points"] = sorted(points)
 
     if check_cells and n == 3:
+        free_at = [window.index(i) for i in sharp]
+        point_set = {tuple(pt[k] for k in free_at) for pt in points}
         group = CellGroup("su", n, q)
         contained = True
         for w in par.double_min:
@@ -333,7 +435,7 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
             for g in cell_matrices(group, list(word)):
                 chain = group.apply(g)
                 key = tuple(_cell_member_key(chain[group.tokens.index(i)], n, i, q)
-                            for i in free)
+                            for i in sharp)
                 if key not in point_set:
                     contained = False
                     break

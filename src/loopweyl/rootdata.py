@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import kactables, linalg
-from .errors import UnknownDatumError, UnsupportedDatumError
+from .errors import (ConsistencyError, UnknownDatumError,
+                     UnsupportedDatumError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +145,11 @@ def root_closure(a):
                     coroot[k] - (cpair if k == j else 0) for k in range(n)
                 )
                 if r2 in seen:
-                    assert seen[r2] == c2
+                    if seen[r2] != c2:
+                        raise UnsupportedDatumError(
+                            f"root {r2} reached with coroots {seen[r2]} "
+                            f"and {c2}"
+                        )
                     continue
                 seen[r2] = c2
                 nxt.append((r2, c2))
@@ -195,20 +200,32 @@ class FiniteRootDatum:
         self.t_star = tuple(int(c) for c in t_star)
         self.theta_grad = linalg.matvec(self.a_del, self.theta_coef)
         # theta_x(psi) = 2 pins the normalization of the x-wall
-        assert self._theta(self.psi) == 2
+        if self._theta(self.psi) != 2:
+            raise UnsupportedDatumError(
+                f"marks and comarks of {datum.name} do not normalize the "
+                f"wall of node {x}"
+            )
 
         self._w0_gens = {i: self._coroot_reflection(i) for i in self.nodes}
         orbit = self._orbit(tuple(Fraction(c) for c in self.t_star))
         self.t_basis = linalg.lattice_basis(orbit)
-        assert len(self.t_basis) == self.r
+        if len(self.t_basis) != self.r:
+            raise UnsupportedDatumError(
+                f"translations of {datum.name} at node {x} span rank "
+                f"{len(self.t_basis)}, not {self.r}"
+            )
 
         self.g = tuple(self._rescale_factor(p) for p in range(self.r))
-        assert self.t_basis == linalg.lattice_basis(
+        if self.t_basis != linalg.lattice_basis(
             [
                 tuple(self.g[p] if k == p else 0 for k in range(self.r))
                 for p in range(self.r)
             ]
-        )
+        ):
+            raise UnsupportedDatumError(
+                f"translations of {datum.name} at node {x} are not spanned "
+                f"by rescaled simple coroots"
+            )
         ech = [
             [
                 Fraction(self.g[p] * self.a_del[p][q], self.g[q])
@@ -216,7 +233,11 @@ class FiniteRootDatum:
             ]
             for p in range(self.r)
         ]
-        assert all(c.denominator == 1 for row in ech for c in row)
+        if any(c.denominator != 1 for row in ech for c in row):
+            raise UnsupportedDatumError(
+                f"echelonnage Cartan matrix of {datum.name} at node {x} "
+                f"is not integral"
+            )
         self.ech_cartan = tuple(tuple(int(c) for c in row) for row in ech)
         self.ech_pairs = root_closure(self.ech_cartan)
 
@@ -247,7 +268,11 @@ class FiniteRootDatum:
         p_sum = tuple(sum(row) for row in dmat)
         t = Fraction(1, self.a_x * (sum(self.theta_coef) + 1))
         self.v0 = tuple(t * c for c in p_sum)
-        assert all(self.affine_value(i, self.v0) > 0 for i in datum.nodes)
+        if any(self.affine_value(i, self.v0) <= 0 for i in datum.nodes):
+            raise UnsupportedDatumError(
+                f"barycentre of the base alcove of {datum.name} is not "
+                f"interior"
+            )
 
     # -- linear algebra helpers on coroot coordinates --
 
@@ -376,9 +401,13 @@ class FiniteRootDatum:
 
     def translation_length(self, lam):
         """l(t_lam) = <lam+, 2 rho> over the echelonnage system."""
+        if not self.in_coweight_lattice(lam):
+            raise ValueError(f"{tuple(lam)} is not in the coweight lattice")
         lam = self.dominant_rep(lam)
-        val = sum(self.two_rho_fun[r] * lam[r] for r in range(self.r))
-        assert Fraction(val).denominator == 1
+        val = Fraction(
+            sum(self.two_rho_fun[r] * lam[r] for r in range(self.r)))
+        if val.denominator != 1:
+            raise ConsistencyError(f"l(t_lam) = {val} is not an integer")
         return int(val)
 
 
@@ -508,7 +537,11 @@ def bt_nodes(fin, tokens):
         pos = {
             i for i in fin.datum.nodes if fin.affine_value(i, p) > 0
         }
-        assert pos, "chain point did not normalize to a facet"
+        if not pos:
+            raise UnsupportedDatumError(
+                f"chain index {token} of {fin.datum.name} did not normalize "
+                f"to a facet"
+            )
         out |= pos
     return tuple(sorted(out))
 

@@ -202,6 +202,25 @@ def test_golden_payloads(capsys):
             case["argv"]
 
 
+def test_golden_payloads_without_asserts():
+    # python -O strips every assert, so no payload may depend on one
+    golden = {json.dumps(case["argv"]): case["payload"] for case in json.loads(
+        (Path(__file__).parent / "golden_payloads.json").read_text())}
+    stripped = subprocess.run([sys.executable, "-O", "-c", "assert False"],
+                              capture_output=True, timeout=60)
+    assert stripped.returncode == 0
+    for argv in (CASES["fiber"], CASES["coherence"],
+                 ["adm", "--datum", "A(2)_3", "--mu", "1,0,0,0", "--Y", "0",
+                  "--q", "3"]):
+        proc = subprocess.run([sys.executable, "-O", "-m", "loopweyl", *argv,
+                               "--format", "json"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)["payload"]
+        assert json.dumps(payload, sort_keys=True) == \
+            golden[json.dumps(argv)], argv
+
+
 def test_weyl_leq_long_translation():
     proc = run("weyl", "leq", "--datum", "A(1)_1", "--elt", "e",
                "--other", "t[700]")

@@ -1,6 +1,7 @@
 """Closed-form dimension counts against independent oracles."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -48,7 +49,7 @@ def test_hook_content():
     for n in range(2, 7):
         for m in range(6):
             assert hook_content(n, 1, m) == comb(n - 1 + m, m)
-    for n, r, m in ((3, 0, 1), (3, 3, 1), (4, 2, -1)):
+    for n, r, m in ((3, 0, 1), (3, 3, 1), (4, 2, -1), (3, 1, Fraction(1, 2))):
         with pytest.raises(ValueError):
             hook_content(n, r, m)
 

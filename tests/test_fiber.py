@@ -1,17 +1,21 @@
 """Naive local model fibers: enumeration against admissible-locus counts."""
 
+import itertools
+import math
 import random
 
 import pytest
 
 from loopweyl.errors import (ResourceCapError, SpecParseError,
                              UnsupportedFieldError)
+from loopweyl.loops import fiber
 from loopweyl.loops.chains import validate_chain
-from loopweyl.loops.fiber import (enumerate_fiber, gram_matrix,
-                                  inclusion_matrix, is_isotropic,
-                                  member_exponents, normalize_tokens,
-                                  perp_space, rebuild_members, space_key,
-                                  ustable_subspaces)
+from loopweyl.loops.fiber import (apply_rows, enumerate_fiber, gram_matrix,
+                                  in_row_space, inclusion_matrix,
+                                  is_isotropic, member_exponents,
+                                  normalize_tokens, pairs_to_zero,
+                                  perp_space, pivot_columns, rebuild_members,
+                                  space_key, ustable_subspaces)
 
 # (n, q) for the invariants the enumeration relies on
 INVARIANT_CASES = ((3, 3), (3, 5), (4, 3))
@@ -154,3 +158,91 @@ def test_inclusion_matrix_rejects_descending_tokens():
     assert inclusion_matrix(3, 0, 1, 3)
     with pytest.raises(SpecParseError):
         inclusion_matrix(3, 2, 1, 3)
+
+
+def product_join(n, q, sharp, cap):
+    """Slow oracle for `fiber.fiber_points`: test every candidate product.
+
+    Every combination of the free tokens' candidate lists is checked against
+    every inclusion, with the partner members computed as perps.
+    """
+    free, window, partner, incs, grams = fiber.fiber_conditions(n, q, sharp)
+    candidates = {i: [] for i in free}
+    for key in ustable_subspaces(n, q):
+        for i in free:
+            if (n - i) % n != i or is_isotropic(key, grams[i], q):
+                candidates[i].append(key)
+    total_work = math.prod(len(candidates[i]) for i in free)
+    if total_work > cap:
+        raise ResourceCapError("fiber candidate combinations", total_work, cap)
+
+    def holds(mem, checks):
+        return all(in_row_space(row, mem[b], pivot_columns(mem[b]), q)
+                   for a, b, mat in checks
+                   for row in apply_rows(mem[a], mat, q))
+
+    points = []
+    for combo in itertools.product(*(candidates[i] for i in free)):
+        mem = dict(zip(free, combo))
+        if not holds(mem, [c for c in incs if c[0] in mem and c[1] in mem]):
+            continue
+        for j, i in partner.items():
+            mem[j] = perp_space(mem[i], grams[i], q)
+        if holds(mem, incs):
+            points.append(tuple(mem[j] for j in window))
+    return window, points
+
+
+# (n, r, q, tokens): every SU_3 token set, the SU_4 vertices within reach
+ORACLE_CASES = (
+    [(3, 1, q, toks) for q in (3, 5) for toks in ({0}, {1}, {0, 1})]
+    + [(4, 2, 3, {0}), (4, 1, 3, {2}), (4, 2, 3, {2})])
+
+
+@pytest.mark.parametrize("n,r,q,toks", ORACLE_CASES)
+def test_join_matches_product_oracle(monkeypatch, n, r, q, toks):
+    out = enumerate_fiber(n, r, n - r, q, toks, collect=True)
+    with monkeypatch.context() as m:
+        m.setattr(fiber, "fiber_points", product_join)
+        expect = enumerate_fiber(n, r, n - r, q, toks, collect=True)
+    assert len(expect["points"]) == expect["naive_count"] > 0
+    assert out == expect
+
+
+def test_join_keeps_the_cap_on_unfiltered_candidates():
+    # 265 isotropic candidates for token 0 and 161 for token 2
+    with pytest.raises(ResourceCapError) as err:
+        enumerate_fiber(4, 2, 2, 3, {0, 2}, cap=1000)
+    assert err.value.size == 265 * 161
+    # 13 isotropic candidates for token 0, all 157 for token 1
+    _, points = fiber.fiber_points(3, 3, [0, 1], cap=13 * 157)
+    assert len(points) == 25
+    with pytest.raises(ResourceCapError):
+        fiber.fiber_points(3, 3, [0, 1], cap=13 * 157 - 1)
+
+
+def test_su4_two_vertex_fiber():
+    out = enumerate_fiber(4, 2, 2, 3, {0, 2})
+    assert out["naive_count"] == 689
+    assert out["admissible_points"] == 385
+    assert out["flat_match"] is False
+    assert out["window"] == [0, 2]
+
+
+@pytest.mark.parametrize("n,q", ((3, 3), (2, 5)))
+def test_pairing_is_membership_in_the_perp(n, q):
+    # every vector against every u-stable subspace, for every gram: the
+    # vectors pairing to zero with the space are exactly the perp's span
+    vectors = list(itertools.product(range(q), repeat=2 * n))
+    for j in range(n):
+        gram = gram_matrix(n, j, q)
+        for space in ustable_subspaces(n, q):
+            perp = perp_space(space, gram, q)
+            pivots = pivot_columns(perp)
+            paired = [x for x in vectors
+                      if pairs_to_zero([x], space, gram, q)]
+            assert len(paired) == q ** len(perp)
+            assert all(in_row_space(x, perp, pivots, q) for x in paired)
+            assert pairs_to_zero(paired, space, gram, q)
+            outside = next(x for x in vectors if x not in paired)
+            assert not pairs_to_zero(paired[:3] + [outside], space, gram, q)

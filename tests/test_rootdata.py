@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from loopweyl.errors import UnsupportedDatumError
-from loopweyl.rootdata import (bt_nodes, datum_from_json, datum_to_json,
-                               echelon_system, load_affine_datum,
-                               project_coweight, special_nodes, split_parent)
+from loopweyl.rootdata import (AffineRootDatum, FiniteRootDatum, bt_nodes,
+                               datum_from_json, datum_to_json, echelon_system,
+                               load_affine_datum, project_coweight,
+                               special_nodes, split_parent)
 
 
 def fin_for(name, x=0):
@@ -122,3 +123,20 @@ def test_json_rejects_non_affine_cartan():
     for obj in (finite, pair):
         with pytest.raises(UnsupportedDatumError, match="not of affine type"):
             datum_from_json(json.dumps(obj))
+
+
+def test_inconsistent_marks_are_a_typed_error():
+    # comarks that do not match the marks break the x-wall normalization
+    d = load_affine_datum("A(1)_1")
+    bad = AffineRootDatum(d.name, d.cartan, d.twist_order, (1, 1), (1, 2),
+                          d.kappa, d.su_n)
+    with pytest.raises(UnsupportedDatumError, match="normalize the wall"):
+        FiniteRootDatum(bad, 0)
+
+
+def test_translation_length_needs_a_coweight():
+    fin = fin_for("A(1)_1")
+    assert fin.translation_length((1,)) == 2
+    assert fin.translation_length((Fraction(1, 2),)) == 1
+    with pytest.raises(ValueError, match="coweight lattice"):
+        fin.translation_length((Fraction(1, 3),))
