@@ -431,7 +431,6 @@ def cmd_cells(args):
     n = 3 if kind == "su" else args.n
     group = CellGroup(kind, n, args.q)
     word = parse_word(args.word)
-    group.check_word_reduced(word)
     pts = cell_points(group, word)
     closure = closure_points(group, word)
     expected = schubert_count(group.fin, word, args.q)

@@ -20,6 +20,8 @@ def weyl_dim(fin, lam):
     lam lists nonnegative fundamental-weight coordinates over the
     echelonnage system of fin.
     """
+    if any(c != int(c) for c in lam):
+        raise ValueError(f"weight coordinates {tuple(lam)} are not integers")
     lam = tuple(int(c) for c in lam)
     if len(lam) != fin.r or any(c < 0 for c in lam):
         raise ValueError("expected dominant fundamental-weight coordinates")

@@ -2,13 +2,20 @@
 
 Each supported group comes with one unipotent parameter family U_i(x) and one
 reflection representative n_i per affine simple node, acting on the standard
-lattice chain.  The cell of a reduced word i_1 ... i_l consists of the chains
+lattice chain.  Node labels agree with the Kac numbering of the matching
+affine datum, and the step U_i(x) n_i moves the chain member with token i and
+fixes all others.
+
+The flag variety is the disjoint union of the Iwahori orbits C(v), and when
+l(v s_j) = l(v) + 1 the cell of v s_j is the disjoint union over x in F_q of
+the translates C(v) U_j(x) n_j.  So the open cell of a reduced word
+i_1 ... i_l, the chains
 
     U_{i_1}(x_1) n_{i_1} ... U_{i_l}(x_l) n_{i_l} . (standard chain)
 
-over all parameter tuples in F_q^l; distinct tuples give distinct chains.
-Node labels agree with the Kac numbering of the matching affine datum, so
-n_i moves the chain member with token i and fixes all others.
+over F_q^l, grows one letter at a time, and each new chain differs from its
+parent in one member only.  The closed cell of w is the disjoint union of
+the open cells C(v), v <= w, each grown from the cell one letter shorter.
 """
 
 from __future__ import annotations
@@ -117,10 +124,9 @@ class CellGroup:
     def base_chain(self):
         return tuple(self._base)
 
-    def apply(self, g, chain=None):
-        if chain is None:
-            chain = self._base
-        return tuple(L.transform(g) for L in chain)
+    def apply(self, g):
+        """The chain g . (standard chain), every member transformed."""
+        return tuple(L.transform(g) for L in self._base)
 
     def moved_tokens(self, g):
         """Tokens whose standard member is not fixed by g."""
@@ -144,19 +150,39 @@ def _set(mat, i, j, value):
     return tuple(tuple(r) for r in rows)
 
 
-def cell_matrices(group, word, q=None):
-    """All products U(x_1) n ... U(x_l) n over parameter tuples in F_q^l."""
-    q = group.q if q is None else q
-    group.check_word_reduced(word)
-    prods = [sid(q, group.n)]
-    for i in word:
-        prods = [smul(g, group.step(i, x)) for g in prods for x in range(q)]
-    return prods
+def _grow(group, points, j):
+    """The points of C(v s_j) from those of C(v), for l(v s_j) = l(v) + 1.
+
+    A point is a pair (h, chain) with chain = h . (standard chain).  Its q
+    children are h U_j(x) n_j, x in F_q; the step fixes every standard
+    member but the one with token j, so a child keeps its parent's other
+    members and costs one lattice transform.
+    """
+    k = group.tokens.index(j)
+    member = group.base_chain()[k]
+    out = []
+    for h, chain in points:
+        for x in range(group.q):
+            g = smul(h, group.step(j, x))
+            out.append((g, chain[:k] + (member.transform(g),) + chain[k + 1:]))
+    return out
+
+
+def _identity_point(group):
+    return (sid(group.q, group.n), group.base_chain())
 
 
 def cell_points(group, word):
-    """The chains of the open cell of a reduced word, one per parameter tuple."""
-    return [group.apply(g) for g in cell_matrices(group, word)]
+    """The chains of the open cell of a reduced word, one per parameter tuple.
+
+    The cell grows letter by letter from the left, so the chains come in
+    lexicographic order of (x_1, ..., x_l).
+    """
+    group.check_word_reduced(word)
+    points = [_identity_point(group)]
+    for j in word:
+        points = _grow(group, points, j)
+    return [chain for _, chain in points]
 
 
 def chain_key(chain):
@@ -164,25 +190,30 @@ def chain_key(chain):
 
 
 def closure_points(group, word):
-    """Chains of the closed cell, keyed by ``chain_key``.
+    """Chains of the closed cell of a reduced word, keyed by ``chain_key``.
 
-    The closed cell of i_1 ... i_l is the set of chains
-    g_1 ... g_l . (standard chain) with each g_k either 1 or U_{i_k}(x) n_{i_k},
-    the union of the open cells of all Bruhat-smaller elements.  The chains
-    are built from the right end of the word: each letter keeps every chain
-    and adds its images under the q steps of that letter, and equal chains
-    are merged after every letter, so the work grows with the size of the
-    closure rather than with the (q+1)^l keep-or-drop patterns.
+    The closed cell of w is the disjoint union of the open cells C(v) over
+    the Bruhat interval v <= w.  Taken by length, each v other than 1 grows
+    its cell from that of v s_j, j its least right descent, so every chain
+    is built exactly once.  A chain met twice raises ConsistencyError.
     """
-    base = group.base_chain()
-    out = {chain_key(base): base}
-    for i in reversed(word):
-        grown = dict(out)
-        for chain in out.values():
-            for x in range(group.q):
-                image = group.apply(group.step(i, x), chain)
-                grown.setdefault(chain_key(image), image)
-        out = grown
+    eng = engine_for(group.fin)
+    w = group.check_word_reduced(word)
+    cells = {}
+    out = {}
+    for v in weyl.bruhat_interval(eng, [w]).nodes:
+        j = next((i for i in eng.nodes if eng.is_right_descent(v, i)), None)
+        if j is None:
+            points = [_identity_point(group)]
+        else:
+            points = _grow(group, cells[eng.rmul(v, j)], j)
+        cells[v] = points
+        for _, chain in points:
+            key = chain_key(chain)
+            if key in out:
+                raise ConsistencyError(
+                    f"the cells of {word} meet: a chain occurs twice")
+            out[key] = chain
     return out
 
 

@@ -51,7 +51,7 @@ from ..errors import (ConsistencyError, ResourceCapError, SpecParseError,
 from ..linalg import nullspace, rref
 from ..rootdata import bt_nodes, echelon_system, load_affine_datum
 from ..weyl import reduced_word
-from .cells import CellGroup, cell_matrices
+from .cells import CellGroup, cell_points
 
 ODD_FIELDS = (3, 5)
 
@@ -432,8 +432,7 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
             if eng.length(rem) or reduced_word(eng, rem)[0]:
                 raise ConsistencyError(f"reduced word of {w} leaves a remainder "
                                        "of positive length")
-            for g in cell_matrices(group, list(word)):
-                chain = group.apply(g)
+            for chain in cell_points(group, list(word)):
                 key = tuple(_cell_member_key(chain[group.tokens.index(i)], n, i, q)
                             for i in sharp)
                 if key not in point_set:

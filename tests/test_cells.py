@@ -78,9 +78,32 @@ def reduced_words(group, max_len):
                 yield list(word)
 
 
+def product_cell_keys(group, word):
+    """Reference open cell: all q^l products, each applied to the whole chain."""
+    q = group.q
+    prods = [sid(q, group.n)]
+    for i in word:
+        prods = [smul(g, smul(group.unip(i, x), group.refl(i)))
+                 for g in prods for x in range(q)]
+    return [chain_key(group.apply(g)) for g in prods]
+
+
+@pytest.mark.parametrize("kind,n,q,max_len", [
+    ("sl", 2, 2, 4), ("sl", 2, 3, 4), ("sl", 3, 2, 3), ("sl", 3, 3, 3),
+    ("su", 3, 3, 3), ("sl", 4, 2, 3)])
+def test_open_cell_matches_product_oracle(kind, n, q, max_len):
+    # same chains in the same order: lexicographic in (x_1, ..., x_l)
+    group = CellGroup(kind, n, q)
+    for word in reduced_words(group, max_len):
+        keys = [chain_key(c) for c in cell_points(group, word)]
+        assert keys == product_cell_keys(group, word), (kind, n, q, word)
+
+
 def test_closure_matches_subword_oracle():
     for kind, n, q, max_len, extra in (("sl", 2, 3, 4, []),
                                        ("sl", 3, 2, 3, [[2, 1, 0, 2]]),
+                                       ("sl", 3, 3, 3, []),
+                                       ("sl", 4, 2, 3, []),
                                        ("su", 3, 3, 3, [])):
         group = CellGroup(kind, n, q)
         words = list(reduced_words(group, max_len)) + extra

@@ -209,7 +209,7 @@ def test_golden_payloads_without_asserts():
     stripped = subprocess.run([sys.executable, "-O", "-c", "assert False"],
                               capture_output=True, timeout=60)
     assert stripped.returncode == 0
-    for argv in (CASES["fiber"], CASES["coherence"],
+    for argv in (CASES["fiber"], CASES["coherence"], CASES["cells"],
                  ["adm", "--datum", "A(2)_3", "--mu", "1,0,0,0", "--Y", "0",
                   "--q", "3"]):
         proc = subprocess.run([sys.executable, "-O", "-m", "loopweyl", *argv,

@@ -31,6 +31,11 @@ def test_weyl_dim_values():
         weyl_dim(a2, (-1, 0))
     with pytest.raises(ValueError):
         weyl_dim(a2, (1, 0, 0))
+    # non-integral coordinates are refused, not truncated
+    for lam in ((Fraction(1, 2), 0), (1.7, 0)):
+        with pytest.raises(ValueError):
+            weyl_dim(a2, lam)
+    assert weyl_dim(a2, (Fraction(2), 0)) == 6
 
 
 def test_weyl_dim_dual_symmetry():
