@@ -3,8 +3,14 @@
 Adm(mu) is the Bruhat lower closure of the translations t_{w(lam)} over the
 finite Weyl orbit of lam; all of them share one Omega-class tau, and the
 neutral version divides tau out on the right, landing in the affine Weyl
-group.  Parahoric saturations multiply by the standard parabolics
-W^Y = W_{S-Y} on the left and W_{Y°} (the tau-conjugate set) on the right.
+group.  The parahoric saturation W^Y Adm(mu)° W^{Y°} by the standard
+parabolics W^Y = W_{S-Y} on the left and W^{Y°} (the tau-conjugate set) on
+the right is never multiplied out.  It is the lower closure of the maxima
+of the double cosets W^Y t W^{Y°} over the neutral tops t (both parabolics
+are finite, as Y is nonempty), so its image in W/W^{Y°} is the quotient
+Bruhat closure of the images of those maxima (Bjorner-Brenti ch. 2;
+Haines-He, arXiv:1411.5450), and the saturation itself is that image times
+W^{Y°}, kept as a sized view.
 engine_for(fin) is the Iwahori-Weyl engine of a finite datum, and
 context_for(datum) the affine Weyl group of the datum's own Cartan matrix,
 on which path counts run.
@@ -44,7 +50,7 @@ def context_for(datum):
     return _CONTEXTS[key]
 
 
-def _remember(table, key, value):
+def remember(table, key, value):
     if len(table) >= MEMO_SIZE:
         del table[next(iter(table))]
     table[key] = value
@@ -106,7 +112,7 @@ def adm(fin, mu=None, lam=None, cap=20000):
             _check_cap("admissible set size", len(neutral), cap)
         frontier = nxt
     order = eng.sort_key
-    return _remember(memo, key, AdmissibleSet(
+    return remember(memo, key, AdmissibleSet(
         fin=fin,
         mu=key[0],
         lam=key[1],
@@ -125,18 +131,48 @@ def tau_conjugate_nodes(adm_set, nodes):
     )
 
 
+class Saturation:
+    """The saturation as m u over m in mod_right and u in W_right.
+
+    It is a union of right cosets of W_right, so its size is |mod_right|
+    times |W_right| (order); iterating forms the products on demand.
+    """
+
+    __slots__ = ("eng", "mod_right", "right", "order")
+
+    def __init__(self, eng, mod_right, right, order):
+        self.eng = eng
+        self.mod_right = mod_right
+        self.right = right
+        self.order = order
+
+    def __len__(self):
+        return len(self.mod_right) * self.order
+
+    def __iter__(self):
+        stab = tuple(weyl.parabolic(self.eng, self.right))
+        for m in self.mod_right:
+            for u in stab:
+                yield self.eng.mul(m, u)
+
+
 @dataclass(frozen=True)
 class ParahoricAdmissible:
     adm_set: object
     y: tuple
     y_circ: tuple
-    full: tuple
+    full: Saturation
     mod_right: tuple
     double_min: tuple
 
 
 def adm_parahoric(adm_set, y, cap=20000):
-    """Saturation W^Y Adm(mu)° W^{Y°} with its right and double coset minima."""
+    """Saturation W^Y Adm(mu)° W^{Y°} with its right and double coset minima.
+
+    mod_right is the quotient Bruhat closure in W/W^{Y°} of the maxima of
+    W^Y t W^{Y°} over the neutral tops t, and double_min the minima of the
+    double cosets through it; full is the saturation as a sized view.
+    """
     fin = adm_set.fin
     s = fin.datum.nodes
     y = tuple(sorted(set(y)))
@@ -145,41 +181,39 @@ def adm_parahoric(adm_set, y, cap=20000):
     eng = engine_for(fin)
     memo = eng.memos.setdefault("saturation", {})
     key = (adm_set.mu, adm_set.lam, y)
+    what = "parahoric admissible set size"
     hit = memo.get(key)
     # an equal Adm(mu) rebuilt after eviction is a new object: rebuild too
     if hit is not None and hit.adm_set is adm_set:
-        _check_cap("parahoric admissible set size", len(hit.full), cap)
+        _check_cap(what, len(hit.full), cap)
         return hit
     y_circ = tau_conjugate_nodes(adm_set, y)
     left = tuple(i for i in s if i not in y)
     right = tuple(i for i in s if i not in y_circ)
-    full = set(adm_set.neutral)
-    frontier = list(full)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i in left:
-                z = eng.lmul(i, x)
-                if z not in full:
-                    full.add(z)
-                    nxt.append(z)
-            for i in right:
-                z = eng.rmul(x, i)
-                if z not in full:
-                    full.add(z)
-                    nxt.append(z)
-            _check_cap("parahoric admissible set size", len(full), cap)
-        frontier = nxt
-    order = eng.sort_key
-    mod_right = {weyl.coset_min(eng, x, (), right) for x in full}
-    double = {weyl.coset_min(eng, x, left, right) for x in full}
-    return _remember(memo, key, ParahoricAdmissible(
+    order = 0
+    for _ in weyl.parabolic(eng, right):
+        order += 1
+        _check_cap(what, order, cap)
+    tau_inv = eng.inv(adm_set.tau)
+    maxima = [
+        weyl.coset_max(eng, eng.mul(t, tau_inv), left, right)
+        for t in adm_set.maximal_elements
+    ]
+    # |full| = |mod_right| |W_right|, so the closure may hold cap // order
+    try:
+        mod_right = weyl.bruhat_interval(
+            eng, maxima, right_quotient=right, cap=cap // order
+        ).nodes
+    except ResourceCapError as err:
+        raise ResourceCapError(what, err.size * order, cap) from None
+    double = {weyl.coset_min(eng, x, left, right) for x in mod_right}
+    return remember(memo, key, ParahoricAdmissible(
         adm_set=adm_set,
         y=y,
         y_circ=y_circ,
-        full=tuple(sorted(full, key=order)),
-        mod_right=tuple(sorted(mod_right, key=order)),
-        double_min=tuple(sorted(double, key=order)),
+        full=Saturation(eng, mod_right, right, order),
+        mod_right=mod_right,
+        double_min=tuple(sorted(double, key=eng.sort_key)),
     ))
 
 

@@ -12,13 +12,20 @@ so count_h_y counts in the affine Weyl group of that matrix
 (admissible.context_for), not in the Iwahori-Weyl engine, whose wall matrix
 can differ from it (e.g. A(2)_{2m}).  The admissible directions cross over
 by their reduced words, which both groups share.
+
+A PathGraph is the quotient Bruhat graph of the allowed directions with
+each cover's value against one shape.  The stabiliser of a shape and its
+cover values scale with it, so one PathGraph serves every positive integer
+multiple of its shape: count_h_y builds it once per (Adm(mu), Y) at scale
+a = 1, keeps it in a table of at most admissible.MEMO_SIZE entries on the
+Iwahori-Weyl engine, and each scale a multiplies the values by a.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import admissible, weyl
-from .errors import ConsistencyError
+from .errors import ConsistencyError, ResourceCapError
 
 
 @dataclass(frozen=True)
@@ -38,43 +45,89 @@ def shape_weight(datum, nodes, a):
     return tuple(out)
 
 
-class PathSpace:
-    """Lower-closure graph of allowed initial directions in W/W_shape."""
+class PathGraph:
+    """Lower closure of the tops in W/W_stab, with cover values of shape.
 
-    def __init__(self, ctx, shape, tops, cap=20000):
+    A coset is kept as the root matrix of its minimum, which is what
+    identifies a CoxElement, beside its reduced word, so a stored graph
+    holds no group elements.  nodes are in sort_key order, words are
+    their reduced words, and edges are (upper, lower, value) with the ends
+    as positions in nodes.
+    """
+
+    __slots__ = ("shape", "stab", "nodes", "words", "tops", "edges")
+
+    def __init__(self, shape, stab, nodes, words, tops, edges):
+        self.shape = shape
+        self.stab = stab
+        self.nodes = nodes
+        self.words = words
+        self.tops = tops
+        self.edges = edges
+
+
+def path_graph(ctx, shape, tops, cap=20000):
+    """The PathGraph of the cosets below the tops, for a dominant shape."""
+    shape = tuple(shape)
+    if all(c == 0 for c in shape) or any(c < 0 for c in shape):
+        raise ValueError("shape must be nonzero and dominant")
+    stab = tuple(i for i in ctx.nodes if shape[ctx.npos[i]] == 0)
+    graph = weyl.bruhat_interval(ctx, tops, right_quotient=stab, cap=cap)
+    index = {x: k for k, x in enumerate(graph.nodes)}
+    edges = []
+    for up, lo, _, beta_co in graph.edges:
+        # |<shape, lo^{-1} beta^vee>| is the same at either end of the
+        # cover; the lower end fixes the emitted labels
+        val = abs(linedot(shape, ctx.coroot_apply_inv(lo, beta_co)))
+        if val <= 0 or Fraction(val).denominator != 1:
+            raise ConsistencyError(
+                f"cover value {val} is not a positive integer"
+            )
+        edges.append((index[up], index[lo], int(val)))
+    return PathGraph(
+        shape=shape,
+        stab=stab,
+        nodes=tuple(x.m for x in graph.nodes),
+        words=tuple(weyl.reduced_word(ctx, x)[0] for x in graph.nodes),
+        tops=tuple(t.m for t in graph.tops),
+        edges=tuple(edges),
+    )
+
+
+class PathSpace:
+    """Paths of a shape whose initial direction lies below the tops.
+
+    Directions are the nodes of a PathGraph.  graph, a PathGraph of the
+    same tops for a shape of which this shape is a positive integer
+    multiple, is reused instead of rebuilt; the cap holds on it as on a
+    new one.
+    """
+
+    def __init__(self, ctx, shape, tops, cap=20000, graph=None):
         self.ctx = ctx
         self.shape = tuple(shape)
-        if all(c == 0 for c in self.shape) or any(c < 0 for c in self.shape):
-            raise ValueError("shape must be nonzero and dominant")
-        self.stab = tuple(
-            i for i in ctx.nodes if self.shape[ctx.npos[i]] == 0
-        )
-        self.tops = tuple(
-            sorted(
-                {weyl.coset_min(ctx, t, (), self.stab) for t in tops},
-                key=ctx.sort_key,
-            )
-        )
-        self.graph = weyl.bruhat_interval(
-            ctx, self.tops, right_quotient=self.stab, cap=cap
-        )
-        self.values = {}
-        down = self.graph.down()
-        self.down = {}
-        for up in self.graph.nodes:
-            outs = []
-            for lo, beta, beta_co in down[up]:
-                # |<shape, lo^{-1} beta^vee>| is the same at either end of
-                # the cover; the lower end fixes the emitted labels
-                val = abs(linedot(
-                    self.shape, ctx.coroot_apply_inv(lo, beta_co)
-                ))
-                if val <= 0 or Fraction(val).denominator != 1:
-                    raise ConsistencyError(
-                        f"cover value {val} is not a positive integer"
-                    )
-                outs.append((lo, int(val)))
-            self.down[up] = tuple(outs)
+        if graph is None:
+            graph = path_graph(ctx, self.shape, tops, cap=cap)
+            scale = 1
+        else:
+            if len(graph.nodes) > cap:
+                raise ResourceCapError(
+                    "bruhat interval nodes", len(graph.nodes), cap
+                )
+            p = next(p for p, u in enumerate(graph.shape) if u)
+            scale = self.shape[p] // graph.shape[p]
+            if scale <= 0 or \
+                    self.shape != tuple(scale * u for u in graph.shape):
+                raise ValueError(
+                    f"shape {self.shape} is not a multiple of {graph.shape}"
+                )
+        self.graph = graph
+        self.stab = graph.stab
+        self.tops = graph.tops
+        nodes = graph.nodes
+        self.down = {x: [] for x in nodes}
+        for up, lo, val in graph.edges:
+            self.down[nodes[up]].append((nodes[lo], scale * val))
         self._reach_cache = {}
         self._count_cache = {}
         self.cuts = self._cut_candidates()
@@ -129,12 +182,11 @@ class PathSpace:
     def paths(self, initials=None):
         if initials is None:
             initials = self.tops
+        word = dict(zip(self.graph.nodes, self.graph.words))
         out = []
         for t in initials:
             for dirs, cuts in self.paths_from(t, Fraction(0)):
-                words = tuple(
-                    weyl.reduced_word(self.ctx, d)[0] for d in dirs
-                )
+                words = tuple(word[d] for d in dirs)
                 out.append(
                     LSPath(
                         shape=self.shape,
@@ -153,7 +205,7 @@ def is_ls_path(space, directions, cuts):
     """Validate a candidate path given by coset-minimum words and cuts."""
     ctx = space.ctx
     elems = [
-        weyl.coset_min(ctx, weyl.from_word(ctx, w), (), space.stab)
+        weyl.coset_min(ctx, weyl.from_word(ctx, w), (), space.stab).m
         for w in directions
     ]
     if len(cuts) != len(elems) + 1 or cuts[0] != 0 or cuts[-1] != 1:
@@ -172,26 +224,39 @@ def is_ls_path(space, directions, cuts):
 def count_h_y(fin, mu=None, lam=None, y=(), a=1, cap=20000, emit=False):
     """Number of shape a*lam_Y paths with admissible initial direction.
 
-    Builds Adm(mu), saturates by the parahoric pair (Y, Y°), and counts the
-    paths on the affine diagram whose first direction lies in the image of
-    the saturation in W/W_shape.  With emit=True the paths themselves are
+    Builds Adm(mu) and its image modulo the parahoric pair (Y, Y°), and
+    counts the paths on the affine diagram whose first direction lies in
+    that image in W/W_shape.  The graph of those directions is built once
+    per (Adm(mu), Y), at scale 1.  With emit=True the paths themselves are
     returned alongside the count.
     """
     adm_set = admissible.adm(fin, mu=mu, lam=lam, cap=cap)
     par = admissible.adm_parahoric(adm_set, y, cap=cap)
     datum = fin.datum
-    shape = shape_weight(datum, par.y_circ, a)
     ctx = admissible.context_for(datum)
     eng = admissible.engine_for(fin)
-    tops = []
-    for x in par.mod_right:
-        word, rem = weyl.reduced_word(eng, x)
-        if rem != eng.identity():
-            raise ConsistencyError(
-                "admissible direction has a nontrivial Omega remainder"
-            )
-        tops.append(weyl.from_word(ctx, word))
-    space = PathSpace(ctx, shape, tops, cap=cap)
+    memo = eng.memos.setdefault("path graph", {})
+    key = (adm_set.mu, adm_set.lam, par.y)
+    hit = memo.get(key)
+    # a rebuilt saturation is a new object: rebuild its graph too
+    if hit is None or hit[0] is not par:
+        tops = []
+        for x in par.mod_right:
+            word, rem = weyl.reduced_word(eng, x)
+            if rem != eng.identity():
+                raise ConsistencyError(
+                    "admissible direction has a nontrivial Omega remainder"
+                )
+            tops.append(weyl.from_word(ctx, word))
+        unit = shape_weight(datum, par.y_circ, 1)
+        hit = admissible.remember(
+            memo, key, (par, path_graph(ctx, unit, tops, cap=cap))
+        )
+    graph = hit[1]
+    space = PathSpace(
+        ctx, shape_weight(datum, par.y_circ, a), graph.tops, cap=cap,
+        graph=graph,
+    )
     n = space.count()
     if emit:
         return n, space.paths()

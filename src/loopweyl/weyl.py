@@ -21,6 +21,12 @@ M[c], and M s_p subtracts M[r][p] a[p][c] from each entry (r, c).  Since
 (s_p x)^{-1} = x^{-1} s_p, the inverse matrices take the mirrored update,
 and all four matrices of an element cost O(n^2).  mul is the general O(n^3)
 product.
+
+A Bruhat cover v = s_beta x of x comes from dropping letter k of a reduced
+word of x, where beta = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}).  The
+reflection s_beta is I - beta phi^T on the root side, with phi = A^T
+beta^vee, and I - beta^vee psi^T on the coroot side, with psi = A beta, so
+reflect forms s_beta x by rank-one updates, again O(n^2) per matrix.
 """
 
 from dataclasses import dataclass
@@ -208,6 +214,28 @@ class CartanContext:
             _row_update(x.mcoinv, p, corow),
         )
 
+    def reflect(self, beta, beta_co, x):
+        """s_beta x by rank-one updates, without a matrix product.
+
+        beta and beta_co are the root and coroot coordinates of one real
+        root.  m and mco take (I - beta phi^T) M and (I - beta_co psi^T) M,
+        with phi_j = <alpha_j, beta^vee> and psi_j = <beta, alpha_j^vee>;
+        since (s_beta x)^{-1} = x^{-1} s_beta, minv and mcoinv take
+        M (I - beta phi^T) and M (I - beta_co psi^T).
+        """
+        a = self.a
+        phi = [0] * len(a)
+        for b, row in zip(beta_co, a):
+            if b:
+                phi = [p + b * u for p, u in zip(phi, row)]
+        psi = [sum(u * b for u, b in zip(row, beta) if b) for row in a]
+        return CoxElement(
+            _rank_one_left(x.m, beta, phi),
+            _rank_one_right(x.minv, beta, phi),
+            _rank_one_left(x.mco, beta_co, psi),
+            _rank_one_right(x.mcoinv, beta_co, psi),
+        )
+
     def _col_negative(self, m, i):
         p = self.npos[i]
         col = [row[p] for row in m]
@@ -302,6 +330,27 @@ def _col_update(m, p, ap):
         tuple(u - row[p] * v for u, v in zip(row, ap)) if row[p] else row
         for row in m
     )
+
+
+def _rank_one_left(m, u, f):
+    """(I - u f^T) M: row r loses u[r] times the row f^T M."""
+    fm = [0] * len(m[0])
+    for c, row in zip(f, m):
+        if c:
+            fm = [s + c * v for s, v in zip(fm, row)]
+    return tuple(
+        tuple(v - ur * w for v, w in zip(row, fm)) if ur else row
+        for row, ur in zip(m, u)
+    )
+
+
+def _rank_one_right(m, u, f):
+    """M (I - u f^T): row r loses (M u)[r] times f."""
+    out = []
+    for row in m:
+        c = sum(v * w for v, w in zip(row, u) if w)
+        out.append(tuple(v - c * w for v, w in zip(row, f)) if c else row)
+    return tuple(out)
 
 
 def _shift(v, lam):
@@ -407,33 +456,68 @@ def coset_min(eng, x, left_gens=(), right_gens=()):
             return x
 
 
+def coset_max(eng, x, left_gens=(), right_gens=()):
+    """The maximal element of a finite W_{left_gens} x W_{right_gens}.
+
+    Greedy ascent: an element with every left generator a left descent and
+    every right generator a right descent is the double coset's maximum.
+    Both parabolics must be finite, or the ascent does not end.
+    """
+    while True:
+        moved = False
+        for i in left_gens:
+            if not eng.is_left_descent(i, x):
+                x = eng.lmul(i, x)
+                moved = True
+        for i in right_gens:
+            if not eng.is_right_descent(x, i):
+                x = eng.rmul(x, i)
+                moved = True
+        if not moved:
+            return x
+
+
+def parabolic(eng, gens):
+    """The elements of the finite standard parabolic W_gens, breadth first."""
+    x = eng.identity()
+    seen = {x}
+    frontier = [x]
+    yield x
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for i in gens:
+                z = eng.rmul(x, i)
+                if z not in seen:
+                    seen.add(z)
+                    nxt.append(z)
+                    yield z
+        frontier = nxt
+
+
 def labeled_covers_down(eng, x):
     """Covers v <| x with reflection labels, via single-letter word drops.
 
     Returns a list of (v, beta_root_coords, beta_coroot_coords), where beta
     is the positive root with x = s_beta v, in the engine's coordinates.
+    Dropping letter k of the reduced word s_{i_1} ... s_{i_l} of x leaves
+    s_beta x with beta = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}), formed by
+    eng.reflect; it is a cover when its length is l - 1.
     """
-    word, rem = reduced_word(eng, x)
+    word, _ = reduced_word(eng, x)
     lx = len(word)
-    pre = [eng.identity()]
-    for i in word:
-        pre.append(eng.rmul(pre[-1], i))
-    suf = [rem]
-    for i in reversed(word):
-        suf.append(eng.lmul(i, suf[-1]))
-    suf.reverse()
+    pre = eng.identity()
     out = []
     seen = set()
-    for k in range(lx):
-        v = eng.mul(pre[k], suf[k + 1])
+    for i in word:
+        beta = eng.root_coords(pre, i)
+        beta_co = eng.coroot_coords(pre, i)
+        pre = eng.rmul(pre, i)
+        v = eng.reflect(beta, beta_co, x)
         if eng.length(v) != lx - 1 or v in seen:
             continue
         seen.add(v)
-        out.append((
-            v,
-            eng.root_coords(pre[k], word[k]),
-            eng.coroot_coords(pre[k], word[k]),
-        ))
+        out.append((v, beta, beta_co))
     return out
 
 
@@ -444,12 +528,6 @@ class BruhatGraph:
     nodes: tuple
     edges: tuple  # (upper, lower, beta, beta_co)
     tops: tuple
-
-    def down(self):
-        adj = {x: [] for x in self.nodes}
-        for up, lo, beta, beta_co in self.edges:
-            adj[up].append((lo, beta, beta_co))
-        return adj
 
 
 def bruhat_interval(eng, tops, right_quotient=(), cap=20000):

@@ -157,6 +157,22 @@ def test_coherence_gl5_hyperspecial():
     assert rep.equal and rep.h_path == hook_content(5, 2, 1) == 10, rep
 
 
+def test_coherence_gl6_hyperspecial():
+    # GL_6, mu = (1,1,1,0,0,0), Y = {0}, a = 1; the saturation has 14,400
+    # elements and 20 right cosets
+    rep = check_coherence(
+        fin_for("A(1)_5"), ((1, 1, 1, 0, 0, 0),), (0,), 1)
+    assert rep.equal and rep.h_path == hook_content(6, 3, 1) == 20, rep
+
+
+def test_coherence_d5_vector():
+    # D(1)_5, mu = varpi_1, Y = {0}, a = 1: h_Y = h_mu = dim V(varpi_1) of
+    # SO_10
+    rep = check_coherence(fin_for("D(1)_5"), ((1, 0, 0, 0, 0),), (0,), 1)
+    assert rep.equal and rep.h_path == h_mu(load_affine_datum("D(1)_5"),
+                                           (1, 0, 0, 0, 0), 1) == 10, rep
+
+
 @_criterion("criterion 5: closed form vs hook-content grid")
 def test_h_mu_matches_hook_content():
     checks = 0

@@ -1,10 +1,13 @@
 """Admissible sets and their parahoric saturations."""
 
+from itertools import combinations
+
 import pytest
 
 from loopweyl.admissible import adm, adm_count, adm_parahoric, engine_for
 from loopweyl.errors import ResourceCapError
 from loopweyl.rootdata import echelon_system, load_affine_datum
+from loopweyl.weyl import coset_min
 
 
 def fin_for(name, x=0):
@@ -140,3 +143,79 @@ def test_cap_holds_on_stored_sets():
     with pytest.raises(ResourceCapError):
         adm_parahoric(s, (0,), cap=len(par.full) - 1)
     assert adm_parahoric(s, (0,), cap=len(par.full)) is par
+
+
+def saturation_oracle(adm_set, y, y_circ):
+    """The two-sided saturation multiplied out, breadth first (slow)."""
+    eng = engine_for(adm_set.fin)
+    nodes = adm_set.fin.datum.nodes
+    left = tuple(i for i in nodes if i not in y)
+    right = tuple(i for i in nodes if i not in y_circ)
+    full = set(adm_set.neutral)
+    frontier = list(full)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for z in [eng.lmul(i, x) for i in left] + \
+                    [eng.rmul(x, i) for i in right]:
+                if z not in full:
+                    full.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    mod_right = {coset_min(eng, x, (), right) for x in full}
+    double = {coset_min(eng, x, left, right) for x in full}
+    return (full, tuple(sorted(mod_right, key=eng.sort_key)),
+            tuple(sorted(double, key=eng.sort_key)))
+
+
+def test_saturation_matches_the_multiplied_out_oracle():
+    # mod_right is closed from the double-coset maxima, and full is a view
+    # of mod_right times W_{S-Y°}; the saturation built element by element
+    # must agree on every nonempty Y, non-minuscule mu included
+    cases = [
+        ("A(1)_1", (1, 0)),
+        ("A(1)_2", (1, 0, 0)),
+        ("A(1)_2", (1, 1, 0)),
+        ("A(1)_2", (2, 1, 0)),
+        ("A(1)_3", (1, 0, 0, 0)),
+        ("A(1)_3", (1, 1, 0, 0)),
+        ("A(1)_3", (2, 1, 1, 0)),
+        ("C(1)_2", (0, 1)),
+        ("C(1)_2", (1, 1)),
+        ("A(2)_2", (1, 0, 0)),
+        ("A(2)_3", (1, 0, 0, 0)),
+        ("A(2)_4", (1, 0, 0, 0, 0)),
+    ]
+    triples = 0
+    for name, mu in cases:
+        fin = fin_for(name)
+        s = adm(fin, mu=mu)
+        nodes = fin.datum.nodes
+        for k in range(1, len(nodes) + 1):
+            for y in combinations(nodes, k):
+                par = adm_parahoric(s, y)
+                full, mod_right, double = saturation_oracle(s, y, par.y_circ)
+                assert len(par.full) == len(full), (name, mu, y)
+                assert set(par.full) == full, (name, mu, y)
+                assert par.mod_right == mod_right, (name, mu, y)
+                assert par.double_min == double, (name, mu, y)
+                triples += 1
+    assert triples == 100
+
+
+def test_cap_holds_while_building():
+    # below |W_{S-Y°}| the parabolic count fails, below |full| the closure
+    fin = fin_for("A(1)_3")
+    s = adm(fin, mu=(2, 2, 0, 0))
+    memo = engine_for(fin).memos["saturation"]
+    par = adm_parahoric(s, (0,))
+    size, order = len(par.full), par.full.order
+    assert 1 < order < size
+    for cap in (order - 1, size - 1):
+        memo.clear()
+        with pytest.raises(ResourceCapError) as err:
+            adm_parahoric(s, (0,), cap=cap)
+        assert err.value.what == "parahoric admissible set size"
+        assert err.value.size > cap
+    memo.clear()
+    assert len(adm_parahoric(s, (0,), cap=size).full) == size

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from loopweyl import weyl
 from loopweyl.admissible import adm, adm_parahoric, context_for, engine_for
 from loopweyl.dims import weyl_dim
 from loopweyl.errors import ResourceCapError
@@ -100,3 +101,62 @@ def test_cap():
         count_h_y(fin, mu=(3, 1, 0), y=(0, 1, 2), a=3, cap=10)
     assert count_h_y(fin, mu=(3, 1, 0), y=(0, 1, 2), a=3) == n
 
+
+
+def fresh_space(fin, mu, y, a):
+    """A PathSpace over the saturation's image, built without the memo."""
+    eng = engine_for(fin)
+    ctx = context_for(fin.datum)
+    par = adm_parahoric(adm(fin, mu=mu), y)
+    tops = [from_word(ctx, reduced_word(eng, x)[0]) for x in par.mod_right]
+    return PathSpace(ctx, shape_weight(fin.datum, par.y_circ, a), tops)
+
+
+def test_one_path_graph_serves_every_scale(monkeypatch):
+    # count_h_y builds the context's quotient graph once per (Adm, Y) and
+    # scales its cover values; counts and emitted paths match a PathSpace
+    # built from scratch at each scale
+    fin = fin_for("C(1)_2")
+    mu, y = (0, 1), (0, 1)
+    ctx = context_for(fin.datum)
+    engine_for(fin).memos.pop("path graph", None)
+    built = []
+    interval = weyl.bruhat_interval
+
+    def counting(eng, *args, **kwargs):
+        built.append(eng)
+        return interval(eng, *args, **kwargs)
+
+    monkeypatch.setattr(weyl, "bruhat_interval", counting)
+    counts = {a: count_h_y(fin, mu=mu, y=y, a=a) for a in (1, 2, 3)}
+    assert built.count(ctx) == 1
+    paths = {a: count_h_y(fin, mu=mu, y=y, a=a, emit=True)[1]
+             for a in (1, 2, 3)}
+    assert built.count(ctx) == 1
+    monkeypatch.undo()
+    for a in (1, 2, 3):
+        space = fresh_space(fin, mu, y, a)
+        assert counts[a] == space.count() == len(paths[a])
+        assert set(paths[a]) == set(space.paths())
+    assert len(set(counts.values())) == 3
+
+
+def test_cap_holds_on_a_stored_path_graph():
+    fin = fin_for("A(2)_2")
+    n = count_h_y(fin, mu=(1, 0, 0), y=(0, 1), a=2)
+    stored = [g for par, g in engine_for(fin).memos["path graph"].values()
+              if par.y == (0, 1)]
+    graph = stored[-1]
+    ctx = context_for(fin.datum)
+    shape = shape_weight(fin.datum, (0, 1), 2)
+    with pytest.raises(ResourceCapError):
+        PathSpace(ctx, shape, graph.tops, cap=len(graph.nodes) - 1,
+                  graph=graph)
+    with pytest.raises(ResourceCapError):
+        count_h_y(fin, mu=(1, 0, 0), y=(0, 1), a=2, cap=len(graph.nodes) - 1)
+    space = PathSpace(ctx, shape, graph.tops, cap=len(graph.nodes),
+                      graph=graph)
+    assert space.count() == n
+    # a shape that is not a multiple of the graph's is refused
+    with pytest.raises(ValueError):
+        PathSpace(ctx, (1, 1), graph.tops, graph=graph)

@@ -12,8 +12,8 @@ from loopweyl.errors import UnsupportedDatumError
 from loopweyl.kactables import known_names
 from loopweyl.rootdata import (echelon_system, load_affine_datum,
                                project_coweight, special_nodes)
-from loopweyl.weyl import (CartanContext, bruhat_interval, coset_min,
-                           from_word, reduced_word)
+from loopweyl.weyl import (CartanContext, bruhat_interval, coset_max,
+                           coset_min, from_word, reduced_word)
 
 
 def fin_for(name, x=0):
@@ -227,6 +227,44 @@ def test_one_row_updates_match_the_general_product():
     assert engines == 2 * 24
 
 
+def test_rank_one_reflection_matches_the_word_drop_product():
+    # dropping letter k of the reduced word of x leaves pre[k] suf[k+1],
+    # which labeled_covers_down forms as s_beta x by rank-one updates
+    # (eng.reflect); the general product is the oracle, in all four
+    # matrices, on every drop of the radius-4 ball of the Iwahori-Weyl
+    # engine (tau-twisted elements included) and of the affine Weyl group
+    # of the datum's own Cartan matrix
+    drops = 0
+    for name in ("A(1)_2", "A(1)_4", "C(1)_3", "G(1)_2", "B(1)_3", "D(1)_4",
+                 "A(2)_3", "A(2)_4", "A(2)_5"):
+        fin = fin_for(name)
+        eng = engine_for(fin)
+        ctx = context_for(fin.datum)
+        twisted = {
+            eng.mul(w, eng.tau_for_class(res))
+            for w in ball(eng, fin.datum.nodes, 4)
+            for res in eng.omega_residues()
+        }
+        for group, elements in ((eng, twisted),
+                                (ctx, ball(ctx, ctx.nodes, 4))):
+            for x in elements:
+                word, rem = reduced_word(group, x)
+                pre = [group.identity()]
+                for i in word:
+                    pre.append(group.rmul(pre[-1], i))
+                suf = [rem]
+                for i in reversed(word):
+                    suf.append(group.lmul(i, suf[-1]))
+                suf.reverse()
+                for k, i in enumerate(word):
+                    v = group.reflect(group.root_coords(pre[k], i),
+                                      group.coroot_coords(pre[k], i), x)
+                    assert matrices(v) == \
+                        matrices(group.mul(pre[k], suf[k + 1])), (name, k)
+                    drops += 1
+    assert drops == 7076
+
+
 # random elements of A(1)_2, C(1)_2, G(1)_2 and A(2)_4, as words of length <=
 # 8 in the generators of the Iwahori-Weyl engine
 RANDOM_NAMES = ("A(1)_2", "C(1)_2", "G(1)_2", "A(2)_4")
@@ -252,6 +290,23 @@ def test_coset_min_is_idempotent_and_minimal(name, word, left, right):
     assert eng.length(m) <= eng.length(x)
     assert not any(eng.is_left_descent(i, m) for i in left)
     assert not any(eng.is_right_descent(m, i) for i in right)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(RANDOM_NAMES), words,
+       st.sets(st.integers(0, 2), max_size=2),
+       st.sets(st.integers(0, 2), max_size=2))
+def test_coset_max_is_the_top_of_the_double_coset(name, word, left, right):
+    # proper subsets of the three affine nodes generate finite parabolics
+    eng = random_engine(name)
+    x = from_word(eng, word)
+    left, right = sorted(left), sorted(right)
+    m = coset_max(eng, x, left, right)
+    assert coset_max(eng, m, left, right) == m
+    assert coset_min(eng, m, left, right) == coset_min(eng, x, left, right)
+    assert eng.length(m) >= eng.length(x)
+    assert all(eng.is_left_descent(i, m) for i in left)
+    assert all(eng.is_right_descent(m, i) for i in right)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
