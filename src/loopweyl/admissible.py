@@ -3,7 +3,11 @@
 Adm(mu) is the Bruhat lower closure of the translations t_{w(lam)} over the
 finite Weyl orbit of lam; all of them share one Omega-class tau, and the
 neutral version divides tau out on the right, landing in the affine Weyl
-group.  The parahoric saturation W^Y Adm(mu)° W^{Y°} by the standard
+group.  tau has length zero and permutes the simple roots, so x tau^{+-1}
+is a permutation of the rows and columns of x's matrices (eng.twist), not
+a matrix product, and has the length of x; the closure carries each
+element's reduced word from labeled_covers_down and sorts by its length.
+The parahoric saturation W^Y Adm(mu)° W^{Y°} by the standard
 parabolics W^Y = W_{S-Y} on the left and W^{Y°} (the tau-conjugate set) on
 the right is never multiplied out.  It is the lower closure of the maxima
 of the double cosets W^Y t W^{Y°} over the neutral tops t (both parabolics
@@ -16,9 +20,10 @@ context_for(datum) the affine Weyl group of the datum's own Cartan matrix,
 on which path counts run.
 
 Each set is built once per engine: the engine keeps the admissible sets it
-has built, keyed by (mu, lam), and the saturations, keyed by their
-admissible set and Y, each table holding at most MEMO_SIZE entries and
-dropping its oldest first.  A repeated call returns the stored object, and
+has built, keyed by lam alone (so adm(mu=...) and adm(lam=...) share the
+set of the projection lam of mu), and the saturations, keyed by lam and
+Y, each table holding at most MEMO_SIZE entries and dropping its oldest
+first.  A repeated call returns the stored object, and
 still raises ResourceCapError when the stored set is larger than its cap.
 """
 
@@ -65,7 +70,6 @@ def _check_cap(what, size, cap):
 @dataclass(frozen=True)
 class AdmissibleSet:
     fin: object
-    mu: tuple
     lam: tuple
     tau: object
     elements: tuple
@@ -74,19 +78,21 @@ class AdmissibleSet:
 
 
 def adm(fin, mu=None, lam=None, cap=20000):
-    """The mu-admissible set; pass lam directly to skip the coweight model."""
+    """The mu-admissible set; pass lam directly to skip the coweight model.
+
+    The set is stored under its lam, so adm(fin, mu=mu) and adm(fin,
+    lam=lam) for the projection lam of mu return one object.
+    """
     if (mu is None) == (lam is None):
         raise ValueError("exactly one of mu, lam is required")
     if lam is None:
         lam = rootdata.project_coweight(fin, mu)
-    else:
-        lam = tuple(map(Fraction, lam))
-        if not fin.in_coweight_lattice(lam):
-            raise ValueError("lam is not in the coweight lattice")
+    lam = tuple(map(Fraction, lam))
+    if mu is None and not fin.in_coweight_lattice(lam):
+        raise ValueError("lam is not in the coweight lattice")
     eng = engine_for(fin)
     memo = eng.memos.setdefault("adm", {})
-    key = (None if mu is None else tuple(mu), tuple(lam))
-    hit = memo.get(key)
+    hit = memo.get(lam)
     if hit is not None:
         _check_cap("admissible set size", len(hit.neutral), cap)
         return hit
@@ -100,26 +106,33 @@ def adm(fin, mu=None, lam=None, cap=20000):
         )
     tau = eng.tau_for_class(next(iter(classes)))
     tau_inv = eng.inv(tau)
-    frontier = [eng.mul(t, tau_inv) for t in tops]
-    neutral = set(frontier)
+    # each neutral element with a reduced word, grown by dropped letters
+    words = {}
+    for t in tops:
+        x = eng.twist(t, tau_inv)
+        words.setdefault(x, weyl.reduced_word(eng, x)[0])
+    frontier = list(words)
     while frontier:
         nxt = []
         for x in frontier:
-            for v, _, _ in weyl.labeled_covers_down(eng, x):
-                if v not in neutral:
-                    neutral.add(v)
+            for v, _, _, word in weyl.labeled_covers_down(eng, x, words[x]):
+                if v not in words:
+                    words[v] = word
                     nxt.append(v)
-            _check_cap("admissible set size", len(neutral), cap)
+            _check_cap("admissible set size", len(words), cap)
         frontier = nxt
-    order = eng.sort_key
-    return remember(memo, key, AdmissibleSet(
+    # l(x tau) = l(x), so (len(word), m) is sort_key's order on both sides
+    elements = {eng.twist(x, tau): len(w) for x, w in words.items()}
+    neutral = sorted(words, key=lambda x: (len(words[x]), x.m))
+    return remember(memo, lam, AdmissibleSet(
         fin=fin,
-        mu=key[0],
-        lam=key[1],
+        lam=lam,
         tau=tau,
-        elements=tuple(sorted((eng.mul(x, tau) for x in neutral), key=order)),
-        maximal_elements=tuple(sorted(set(tops), key=order)),
-        neutral=tuple(sorted(neutral, key=order)),
+        elements=tuple(sorted(elements, key=lambda x: (elements[x], x.m))),
+        maximal_elements=tuple(
+            sorted(set(tops), key=lambda x: (elements[x], x.m))
+        ),
+        neutral=tuple(neutral),
     ))
 
 
@@ -180,7 +193,7 @@ def adm_parahoric(adm_set, y, cap=20000):
         raise ValueError(f"Y must be a nonempty subset of {s}")
     eng = engine_for(fin)
     memo = eng.memos.setdefault("saturation", {})
-    key = (adm_set.mu, adm_set.lam, y)
+    key = (adm_set.lam, y)
     what = "parahoric admissible set size"
     hit = memo.get(key)
     # an equal Adm(mu) rebuilt after eviction is a new object: rebuild too
@@ -196,7 +209,7 @@ def adm_parahoric(adm_set, y, cap=20000):
         _check_cap(what, order, cap)
     tau_inv = eng.inv(adm_set.tau)
     maxima = [
-        weyl.coset_max(eng, eng.mul(t, tau_inv), left, right)
+        weyl.coset_max(eng, eng.twist(t, tau_inv), left, right)
         for t in adm_set.maximal_elements
     ]
     # |full| = |mod_right| |W_right|, so the closure may hold cap // order

@@ -19,6 +19,14 @@ cover values scale with it, so one PathGraph serves every positive integer
 multiple of its shape: count_h_y builds it once per (Adm(mu), Y) at scale
 a = 1, keeps it in a table of at most admissible.MEMO_SIZE entries on the
 Iwahori-Weyl engine, and each scale a multiplies the values by a.
+
+PathSpace.count is an integer dynamic programme over the positions of the
+graph's nodes: the cosets reachable under a cut depend on the cut only
+through its denominator, so they are one bitset per node and denominator,
+and the count is a suffix sum over the cuts, with no recursion and no
+Fraction-keyed memo.  paths() and is_ls_path walk the per-cut reachable
+sets instead (PathSpace.reachable), because the order in which those sets
+iterate is the order of the emitted paths, which the CLI's payloads pin.
 """
 
 from dataclasses import dataclass
@@ -125,20 +133,18 @@ class PathSpace:
         self.stab = graph.stab
         self.tops = graph.tops
         nodes = graph.nodes
+        self.scale = scale
         self.down = {x: [] for x in nodes}
         for up, lo, val in graph.edges:
             self.down[nodes[up]].append((nodes[lo], scale * val))
         self._reach_cache = {}
-        self._count_cache = {}
         self.cuts = self._cut_candidates()
 
     def _cut_candidates(self):
-        cand = set()
-        for outs in self.down.values():
-            for _, p in outs:
-                for k in range(1, p):
-                    cand.add(Fraction(k, p))
-        return tuple(sorted(cand))
+        values = {p for outs in self.down.values() for _, p in outs}
+        return tuple(sorted(
+            {Fraction(k, p) for p in values for k in range(1, p)}
+        ))
 
     def reachable(self, x, a):
         """Cosets reachable from x by covers whose value divides the cut a."""
@@ -152,23 +158,43 @@ class PathSpace:
             self._reach_cache[key] = frozenset(out)
         return self._reach_cache[key]
 
-    def count_from(self, x, a_prev):
-        key = (x, a_prev)
-        if key not in self._count_cache:
-            total = 1
-            for a in self.cuts:
-                if a <= a_prev:
-                    continue
-                for y in self.reachable(x, a):
-                    total += self.count_from(y, a)
-            self._count_cache[key] = total
-        return self._count_cache[key]
-
     def count(self, initials=None):
-        """Total over the given initial directions (default: the tops)."""
+        """Total over the given initial directions (default: the tops).
+
+        F_c(y), the number of paths from y whose previous cut is c, is
+        1 + sum over cuts c' > c of F_c'(z) over z in R_c'(y), the cosets
+        reachable from y by covers whose value the cut c' makes integral.
+        R_c' depends on c' only through its denominator d, so it is one
+        bitset per node and d, built bottom-up over the node positions
+        (every cover goes to a lower position); F is then a suffix sum over
+        the cuts, from the largest down, in integers.
+        """
         if initials is None:
             initials = self.tops
-        return sum(self.count_from(t, Fraction(0)) for t in initials)
+        nodes = self.graph.nodes
+        below = [[] for _ in nodes]
+        for up, lo, val in self.graph.edges:
+            below[up].append((lo, self.scale * val))
+        reach = {}
+        for d in {c.denominator for c in self.cuts}:
+            bits = []
+            for outs in below:
+                b = 0
+                for lo, p in outs:
+                    if p % d == 0:
+                        b |= bits[lo] | (1 << lo)
+                bits.append(b)
+            reach[d] = [_positions(b) for b in bits]
+        # after the cut c: later[y] = sum over c' > c of F_c'(R_c'(y))
+        later = [0] * len(nodes)
+        for c in reversed(self.cuts):
+            f = [1 + t for t in later]
+            later = [
+                t + sum(f[z] for z in r)
+                for t, r in zip(later, reach[c.denominator])
+            ]
+        index = {x: k for k, x in enumerate(nodes)}
+        return sum(1 + later[index[t]] for t in initials)
 
     def paths_from(self, x, a_prev):
         yield (x,), ()
@@ -195,6 +221,16 @@ class PathSpace:
                     )
                 )
         return out
+
+
+def _positions(bits):
+    """The positions of the set bits of an int, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 def linedot(u, v):
@@ -236,7 +272,7 @@ def count_h_y(fin, mu=None, lam=None, y=(), a=1, cap=20000, emit=False):
     ctx = admissible.context_for(datum)
     eng = admissible.engine_for(fin)
     memo = eng.memos.setdefault("path graph", {})
-    key = (adm_set.mu, adm_set.lam, par.y)
+    key = (adm_set.lam, par.y)
     hit = memo.get(key)
     # a rebuilt saturation is a new object: rebuild its graph too
     if hit is None or hit[0] is not par:

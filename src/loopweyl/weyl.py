@@ -22,11 +22,28 @@ M[c], and M s_p subtracts M[r][p] a[p][c] from each entry (r, c).  Since
 and all four matrices of an element cost O(n^2).  mul is the general O(n^3)
 product.
 
+A length-zero tau is a permutation matrix in all four slots, so x tau
+permutes the columns of m and mco and the rows of minv and mcoinv
+(twist), and l(x tau) = l(x).
+
 A Bruhat cover v = s_beta x of x comes from dropping letter k of a reduced
-word of x, where beta = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}).  The
-reflection s_beta is I - beta phi^T on the root side, with phi = A^T
-beta^vee, and I - beta^vee psi^T on the coroot side, with psi = A beta, so
-reflect forms s_beta x by rank-one updates, again O(n^2) per matrix.
+word i_1 ... i_l of x, where beta = gamma_k = s_{i_1} ... s_{i_{k-1}}
+(alpha_{i_k}) is the k-th inversion root.  The word with letter k dropped
+is reduced, and s_beta x a cover, exactly when s_{gamma_k}(gamma_j) > 0
+for every j > k (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 1
+and 4: the strong exchange property and the inversion sequence of a
+reduced word).  labeled_covers_down decides every drop on those signs,
+read off the heights of real roots, whose coordinates share one sign; it
+reflects only the true covers and returns each with its dropped word, so
+no candidate needs a reduced word of its own.  A cover lies in W^J when
+s_beta x(alpha_j) > 0 for each j in J, which is again a sign, tested
+before reflecting.  The reflection s_beta is I - beta phi^T on the root
+side, with phi = A^T beta^vee, and I - beta^vee psi^T on the coroot side,
+with psi = A beta, so reflect forms s_beta x by rank-one updates, O(n^2)
+per matrix.  The dropped words are reduced but not the least-descent
+words of reduced_word, so they never enter its cache; bruhat_interval
+and admissible.adm carry them beside their elements and sort by
+(len(word), m), which is sort_key's order.
 """
 
 from dataclasses import dataclass
@@ -224,16 +241,29 @@ class CartanContext:
         M (I - beta phi^T) and M (I - beta_co psi^T).
         """
         a = self.a
-        phi = [0] * len(a)
-        for b, row in zip(beta_co, a):
-            if b:
-                phi = [p + b * u for p, u in zip(phi, row)]
+        phi = _pairing_row(a, beta_co)
         psi = [sum(u * b for u, b in zip(row, beta) if b) for row in a]
         return CoxElement(
             _rank_one_left(x.m, beta, phi),
             _rank_one_right(x.minv, beta, phi),
             _rank_one_left(x.mco, beta_co, psi),
             _rank_one_right(x.mcoinv, beta_co, psi),
+        )
+
+    def twist(self, x, tau):
+        """x tau for a length-zero tau, by permuting rows and columns.
+
+        tau permutes the simple roots and coroots alike, alpha_c to
+        alpha_{sigma(c)}, so column c of m tau is column sigma(c) of m and
+        row c of tau^{-1} minv is row sigma(c) of minv; mco and mcoinv
+        follow suit.
+        """
+        sigma = [row.index(1) for row in tau.minv]
+        return CoxElement(
+            tuple(tuple(row[s] for s in sigma) for row in x.m),
+            tuple(x.minv[s] for s in sigma),
+            tuple(tuple(row[s] for s in sigma) for row in x.mco),
+            tuple(x.mcoinv[s] for s in sigma),
         )
 
     def _col_negative(self, m, i):
@@ -306,7 +336,7 @@ class CartanContext:
             return False
         tau_inv = self.inv(self._taus[cv])
         return bruhat_leq_cox(
-            self, self.mul(v, tau_inv), self.mul(w, tau_inv)
+            self, self.twist(v, tau_inv), self.twist(w, tau_inv)
         )
 
 
@@ -330,6 +360,15 @@ def _col_update(m, p, ap):
         tuple(u - row[p] * v for u, v in zip(row, ap)) if row[p] else row
         for row in m
     )
+
+
+def _pairing_row(a, beta_co):
+    """phi = A^T beta^vee, so that <v, beta^vee> = phi . v for a root v."""
+    phi = [0] * len(a)
+    for b, row in zip(beta_co, a):
+        if b:
+            phi = [f + b * u for f, u in zip(phi, row)]
+    return phi
 
 
 def _rank_one_left(m, u, f):
@@ -495,29 +534,49 @@ def parabolic(eng, gens):
         frontier = nxt
 
 
-def labeled_covers_down(eng, x):
-    """Covers v <| x with reflection labels, via single-letter word drops.
+def labeled_covers_down(eng, x, word, right_quotient=()):
+    """Covers v <| x with reflection labels and reduced words.
 
-    Returns a list of (v, beta_root_coords, beta_coroot_coords), where beta
-    is the positive root with x = s_beta v, in the engine's coordinates.
-    Dropping letter k of the reduced word s_{i_1} ... s_{i_l} of x leaves
-    s_beta x with beta = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}), formed by
-    eng.reflect; it is a cover when its length is l - 1.
+    Returns a list of (v, beta, beta_co, v_word): beta is the positive root
+    with x = s_beta v, in root and coroot coordinates, and v_word is word,
+    any reduced word of x, with the dropped letter removed (v keeps x's
+    remainder).  With right_quotient J, x must lie in W^J, and only the
+    covers in W^J are returned.  Each drop is decided by the sign tests of
+    the module docstring.
     """
-    word, _ = reduced_word(eng, x)
-    lx = len(word)
-    pre = eng.identity()
-    out = []
-    seen = set()
+    n = len(eng.a)
+    # columns of the root and coroot matrices of s_{i_1} ... s_{i_{k-1}},
+    # whose column i_k is gamma_k; right multiplication by s_p makes
+    # column c lose a[p][c] (a[c][p] on the coroot side) times column p
+    cols = [tuple(int(r == c) for r in range(n)) for c in range(n)]
+    cocols = list(cols)
+    gammas = []
     for i in word:
-        beta = eng.root_coords(pre, i)
-        beta_co = eng.coroot_coords(pre, i)
-        pre = eng.rmul(pre, i)
-        v = eng.reflect(beta, beta_co, x)
-        if eng.length(v) != lx - 1 or v in seen:
-            continue
-        seen.add(v)
-        out.append((v, beta, beta_co))
+        p, row, corow = eng._rows[i]
+        g, gco = cols[p], cocols[p]
+        gammas.append((g, gco))
+        for c, coef in enumerate(row):
+            if coef:
+                cols[c] = tuple(u - coef * v for u, v in zip(cols[c], g))
+        for c, coef in enumerate(corow):
+            if coef:
+                cocols[c] = tuple(u - coef * v for u, v in zip(cocols[c], gco))
+    # the roots that s_{gamma_k} must keep positive: gamma_j for j > k,
+    # then x(alpha_j) for j in J.  A real root is positive iff its height
+    # h is, and s_g(y) = y - <y, g^vee> g has height h(y) - <y, g^vee> h(g)
+    keep = [(g, sum(g)) for g, _ in gammas]
+    for j in right_quotient:
+        y = eng.root_coords(x, j)
+        keep.append((y, sum(y)))
+    out = []
+    for k, (g, gco) in enumerate(gammas):
+        phi = _pairing_row(eng.a, gco)
+        h = keep[k][1]
+        if all(hy > sum(f * u for f, u in zip(phi, y) if u) * h
+               for y, hy in keep[k + 1:]):
+            out.append(
+                (eng.reflect(g, gco, x), g, gco, word[:k] + word[k + 1:])
+            )
     return out
 
 
@@ -536,31 +595,36 @@ def bruhat_interval(eng, tops, right_quotient=(), cap=20000):
     With right_quotient nonempty, nodes are the minimal representatives of
     cosets modulo the standard parabolic on those generators, ordered by the
     quotient Bruhat order; cover labels are inherited from word drops.
+    Each node carries the reduced word it was reached by, and the nodes are
+    sorted by (word length, m), which is eng.sort_key's order.
     """
-    start = [coset_min(eng, t, (), right_quotient) for t in tops]
-    nodes = set(start)
+    words = {}
+    for t in tops:
+        m = coset_min(eng, t, (), right_quotient)
+        words.setdefault(m, reduced_word(eng, m)[0])
+    start = list(words)
     edges = set()
-    frontier = list(nodes)
+    frontier = list(start)
     while frontier:
         nxt = []
         for x in frontier:
-            lx = eng.length(x)
-            for v, beta, beta_co in labeled_covers_down(eng, x):
-                v = coset_min(eng, v, (), right_quotient)
-                if eng.length(v) != lx - 1:
-                    continue
+            for v, beta, beta_co, word in labeled_covers_down(
+                    eng, x, words[x], right_quotient):
                 edges.add((x, v, beta, beta_co))
-                if v not in nodes:
-                    nodes.add(v)
+                if v not in words:
+                    words[v] = word
                     nxt.append(v)
-            if len(nodes) > cap:
-                raise ResourceCapError("bruhat interval nodes", len(nodes), cap)
+            if len(words) > cap:
+                raise ResourceCapError("bruhat interval nodes", len(words), cap)
         frontier = nxt
-    key = eng.sort_key
+
+    def key(x):
+        return (len(words[x]), x.m)
+
     return BruhatGraph(
-        nodes=tuple(sorted(nodes, key=key)),
+        nodes=tuple(sorted(words, key=key)),
         edges=tuple(
             sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))
         ),
-        tops=tuple(sorted(set(start), key=key)),
+        tops=tuple(sorted(start, key=key)),
     )

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -219,6 +220,40 @@ def test_golden_payloads_without_asserts():
         payload = json.loads(proc.stdout)["payload"]
         assert json.dumps(payload, sort_keys=True) == \
             golden[json.dumps(argv)], argv
+
+
+HASH_SEED_SCRIPT = """
+import contextlib, io, json, sys
+from loopweyl.cli import main
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--format", "json"])
+    if code != 0:
+        raise SystemExit(f"{argv} exited with {code}")
+    print(json.dumps(json.loads(out.getvalue())["payload"], sort_keys=True))
+"""
+
+
+def test_golden_payloads_under_other_hash_seeds():
+    # closures iterate dicts and sets of group elements, whose order must
+    # not come to depend on str hashing: the emitted paths and the
+    # parahoric payloads must be the same under any PYTHONHASHSEED
+    golden = json.loads(
+        (Path(__file__).parent / "golden_payloads.json").read_text())
+    cases = [case for case in golden
+             if "--emit-paths" in case["argv"]
+             or (case["argv"][0] == "adm" and "--Y" in case["argv"])]
+    assert len(cases) == 6
+    argvs = json.dumps([case["argv"] for case in cases])
+    for seed in ("0", "4242"):
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT, argvs],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        payloads = proc.stdout.splitlines()
+        assert payloads == [case["payload"] for case in cases], seed
 
 
 def test_weyl_leq_long_translation():

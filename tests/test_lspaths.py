@@ -1,6 +1,7 @@
 """Rational-structure path counts on affine diagrams."""
 
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -160,3 +161,52 @@ def test_cap_holds_on_a_stored_path_graph():
     # a shape that is not a multiple of the graph's is refused
     with pytest.raises(ValueError):
         PathSpace(ctx, (1, 1), graph.tops, graph=graph)
+
+
+def count_oracle(space):
+    """The recursive count over (direction, previous cut), memoized."""
+    memo = {}
+
+    def count_from(x, a_prev):
+        key = (x, a_prev)
+        if key not in memo:
+            total = 1
+            for a in space.cuts:
+                if a > a_prev:
+                    for y in space.reachable(x, a):
+                        total += count_from(y, a)
+            memo[key] = total
+        return memo[key]
+
+    return sum(count_from(t, Fraction(0)) for t in space.tops)
+
+
+def test_integer_count_matches_the_recursive_oracle():
+    # PathSpace.count sums over cuts by denominator bitsets; the recursive
+    # count and the number of emitted paths are the oracles, on the path
+    # graph of every tier-1 coherence row of these data, at three scales
+    cases = [("A(1)_1", (1, 0)), ("A(1)_2", (1, 0, 0)), ("A(1)_2", (1, 1, 0)),
+             ("A(1)_3", (1, 0, 0, 0)), ("A(1)_3", (1, 1, 0, 0)),
+             ("A(1)_3", (1, 1, 1, 0)), ("C(1)_2", (0, 1)),
+             ("A(2)_2", (1, 0, 0)), ("A(2)_3", (1, 0, 0, 0)),
+             ("A(2)_4", (1, 0, 0, 0, 0))]
+    graphs = 0
+    for name, mu in cases:
+        fin = fin_for(name)
+        ctx = context_for(fin.datum)
+        memo = engine_for(fin).memos
+        lam = adm(fin, mu=mu).lam
+        nodes = fin.datum.nodes
+        for y in [c for k in range(1, len(nodes) + 1)
+                  for c in combinations(nodes, k)]:
+            count_h_y(fin, mu=mu, y=y)
+            par, graph = memo["path graph"][(lam, y)]
+            for a in (1, 2, 3):
+                space = PathSpace(
+                    ctx, shape_weight(fin.datum, par.y_circ, a), graph.tops,
+                    graph=graph)
+                n = space.count()
+                assert n == count_oracle(space) == len(space.paths()), \
+                    (name, mu, y, a)
+            graphs += 1
+    assert graphs == 86

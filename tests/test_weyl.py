@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopweyl.admissible import context_for, engine_for
+from loopweyl.admissible import adm, adm_parahoric, context_for, engine_for
 from loopweyl.errors import UnsupportedDatumError
 from loopweyl.kactables import known_names
 from loopweyl.rootdata import (echelon_system, load_affine_datum,
                                project_coweight, special_nodes)
 from loopweyl.weyl import (CartanContext, bruhat_interval, coset_max,
-                           coset_min, from_word, reduced_word)
+                           coset_min, from_word, labeled_covers_down,
+                           reduced_word)
 
 
 def fin_for(name, x=0):
@@ -263,6 +264,145 @@ def test_rank_one_reflection_matches_the_word_drop_product():
                         matrices(group.mul(pre[k], suf[k + 1])), (name, k)
                     drops += 1
     assert drops == 7076
+
+
+def covers_oracle(eng, x):
+    """Every word drop reflected, kept when its length is l - 1 (slow)."""
+    word, _ = reduced_word(eng, x)
+    pre = eng.identity()
+    out = set()
+    for i in word:
+        beta = eng.root_coords(pre, i)
+        beta_co = eng.coroot_coords(pre, i)
+        pre = eng.rmul(pre, i)
+        v = eng.reflect(beta, beta_co, x)
+        if eng.length(v) == len(word) - 1:
+            out.add((v, beta, beta_co))
+    return out
+
+
+COVER_NAMES = ("A(1)_3", "C(1)_3", "B(1)_3", "D(1)_4", "G(1)_2", "F(1)_4",
+               "A(2)_2", "A(2)_3", "A(2)_5", "D(2)_3", "E(2)_6", "D(3)_4")
+
+
+def first_fin(datum):
+    for x in special_nodes(datum):
+        try:
+            return echelon_system(datum, x)
+        except UnsupportedDatumError:
+            continue
+
+
+def test_covers_by_inversion_roots_match_the_length_oracle():
+    # labeled_covers_down decides each word drop by the signs of
+    # s_{gamma_k}(gamma_j), j > k; reflecting every drop and keeping those
+    # of length l - 1 is the oracle, on the radius-5 balls of the
+    # Iwahori-Weyl engine (each element twisted by a tau, cycling through
+    # Omega) and of the affine Weyl group of the datum's own Cartan matrix
+    elements = carried = 0
+    for name in COVER_NAMES:
+        datum = load_affine_datum(name)
+        eng = engine_for(first_fin(datum))
+        ctx = context_for(datum)
+        taus = [eng.tau_for_class(res) for res in eng.omega_residues()]
+        base = sorted(ball(eng, datum.nodes, 5), key=eng.sort_key)
+        twisted = []
+        for k, w in enumerate(base):
+            tau = taus[k % len(taus)]
+            x = eng.twist(w, tau)
+            assert matrices(x) == matrices(eng.mul(w, tau)), name
+            twisted.append(x)
+        for group, group_elements in ((eng, twisted),
+                                      (ctx, ball(ctx, ctx.nodes, 5))):
+            for x in group_elements:
+                word, rem = reduced_word(group, x)
+                covers = labeled_covers_down(group, x, word)
+                assert {c[:3] for c in covers} == covers_oracle(group, x), \
+                    name
+                assert len(covers) == len({c[0] for c in covers})
+                for v, _, _, v_word in covers:
+                    assert len(v_word) == len(word) - 1
+                    assert from_word(group, v_word, rem) == v
+                    # a carried word need not be reduced_word's, and serves
+                    # as well
+                    if v_word != reduced_word(group, v)[0]:
+                        assert {c[:3] for c in labeled_covers_down(
+                            group, v, v_word)} == covers_oracle(group, v), \
+                            name
+                        carried += 1
+                elements += 1
+    assert elements == 2420
+    assert carried == 892
+
+
+def interval_oracle(eng, tops, right_quotient):
+    """bruhat_interval by coset minima of every cover and a length check."""
+    start = {coset_min(eng, t, (), right_quotient) for t in tops}
+    nodes, edges, frontier = set(start), set(), list(start)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for v, beta, beta_co in covers_oracle(eng, x):
+                v = coset_min(eng, v, (), right_quotient)
+                if eng.length(v) != eng.length(x) - 1:
+                    continue
+                edges.add((x, v, beta, beta_co))
+                if v not in nodes:
+                    nodes.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    key = eng.sort_key
+    return (tuple(sorted(nodes, key=key)),
+            tuple(sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))),
+            tuple(sorted(start, key=key)))
+
+
+def test_interval_quotient_matches_the_coset_min_oracle():
+    # covers into W^J are kept by the signs of s_beta x(alpha_j), j in J;
+    # projecting every cover to its coset minimum and keeping those of
+    # length l - 1 is the oracle, for every proper J and twisted tops
+    graphs = 0
+    for name, word in (("A(1)_2", (0, 1, 2, 0, 1)), ("C(1)_2", (0, 1, 2, 1)),
+                       ("A(2)_3", (0, 1, 2, 1, 0)), ("G(1)_2", (0, 1, 2, 1))):
+        fin = fin_for(name)
+        eng = engine_for(fin)
+        nodes = fin.datum.nodes
+        top = from_word(eng, list(word))
+        tops = [top, eng.lmul(word[-1], top)]
+        for k in range(len(nodes)):
+            for quotient in itertools.combinations(nodes, k):
+                graph = bruhat_interval(eng, tops, right_quotient=quotient)
+                assert (graph.nodes, graph.edges, graph.tops) == \
+                    interval_oracle(eng, tops, quotient), (name, quotient)
+                graphs += 1
+    assert graphs == 28
+
+
+def test_word_cache_holds_only_least_descent_words():
+    # the words carried by covers are reduced but not canonical; after
+    # building admissible sets, saturations and intervals, every cached
+    # word must still be the least-descent stripping of its key
+    def strip(eng, x):
+        word = []
+        while True:
+            i = next((j for j in eng.nodes if eng.is_left_descent(j, x)),
+                     None)
+            if i is None:
+                return tuple(word), x
+            word.append(i)
+            x = eng.lmul(i, x)
+
+    for name, mu in (("A(1)_3", (1, 1, 0, 0)), ("C(1)_2", (1, 1)),
+                     ("A(2)_4", (1, 0, 0, 0, 0))):
+        fin = fin_for(name)
+        eng = engine_for(fin)
+        s = adm(fin, mu=mu)
+        for y in ((0,), (1,), (0, 1)):
+            adm_parahoric(s, y)
+        bruhat_interval(eng, s.maximal_elements)
+        assert len(eng._word_cache) > 0
+        for x, (word, rem) in eng._word_cache.items():
+            assert (word, rem) == strip(eng, x), name
 
 
 # random elements of A(1)_2, C(1)_2, G(1)_2 and A(2)_4, as words of length <=
