@@ -19,47 +19,32 @@ engine_for(fin) is the Iwahori-Weyl engine of a finite datum, and
 context_for(datum) the affine Weyl group of the datum's own Cartan matrix,
 on which path counts run.
 
-Each set is built once per engine: the engine keeps the admissible sets it
-has built, keyed by lam alone (so adm(mu=...) and adm(lam=...) share the
-set of the projection lam of mu), and the saturations, keyed by lam and
-Y, each table holding at most MEMO_SIZE entries and dropping its oldest
-first.  A repeated call returns the stored object, and
+Each result is kept on the object it is built from: a finite datum keeps
+its admissible sets (fin.adm_sets), keyed by lam alone (so adm(mu=...) and
+adm(lam=...) share the set of the projection lam of mu), at most MEMO_SIZE
+of them, dropping the oldest first; an admissible set keeps its
+saturations, keyed by Y.  A repeated call returns the stored object, and
 still raises ResourceCapError when the stored set is larger than its cap.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import rootdata, weyl
 from .errors import ConsistencyError, ResourceCapError
 
-# entries per engine in each of the admissible and saturation memos; the
-# coherence sweep of one datum needs at most ~15 saturations
+# admissible sets kept per finite datum, the oldest dropped first; the
+# coherence sweep of one datum uses a handful
 MEMO_SIZE = 64
-
-_ENGINES = {}
-_CONTEXTS = {}
 
 
 def engine_for(fin):
-    key = id(fin)
-    if key not in _ENGINES:
-        _ENGINES[key] = weyl.CartanContext.iwahori_weyl(fin)
-    return _ENGINES[key]
+    return fin.engine
 
 
 def context_for(datum):
-    key = id(datum)
-    if key not in _CONTEXTS:
-        _CONTEXTS[key] = weyl.CartanContext(datum.cartan)
-    return _CONTEXTS[key]
-
-
-def remember(table, key, value):
-    if len(table) >= MEMO_SIZE:
-        del table[next(iter(table))]
-    table[key] = value
-    return value
+    return datum.context
 
 
 def _check_cap(what, size, cap):
@@ -75,6 +60,9 @@ class AdmissibleSet:
     elements: tuple
     maximal_elements: tuple
     neutral: tuple
+    # the ParahoricAdmissible of each Y, built by adm_parahoric
+    saturations: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
 
 def adm(fin, mu=None, lam=None, cap=20000):
@@ -91,7 +79,7 @@ def adm(fin, mu=None, lam=None, cap=20000):
     if mu is None and not fin.in_coweight_lattice(lam):
         raise ValueError("lam is not in the coweight lattice")
     eng = engine_for(fin)
-    memo = eng.memos.setdefault("adm", {})
+    memo = fin.adm_sets
     hit = memo.get(lam)
     if hit is not None:
         _check_cap("admissible set size", len(hit.neutral), cap)
@@ -124,7 +112,9 @@ def adm(fin, mu=None, lam=None, cap=20000):
     # l(x tau) = l(x), so (len(word), m) is sort_key's order on both sides
     elements = {eng.twist(x, tau): len(w) for x, w in words.items()}
     neutral = sorted(words, key=lambda x: (len(words[x]), x.m))
-    return remember(memo, lam, AdmissibleSet(
+    if len(memo) >= MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[lam] = AdmissibleSet(
         fin=fin,
         lam=lam,
         tau=tau,
@@ -133,7 +123,8 @@ def adm(fin, mu=None, lam=None, cap=20000):
             sorted(set(tops), key=lambda x: (elements[x], x.m))
         ),
         neutral=tuple(neutral),
-    ))
+    )
+    return memo[lam]
 
 
 def tau_conjugate_nodes(adm_set, nodes):
@@ -145,31 +136,23 @@ def tau_conjugate_nodes(adm_set, nodes):
 
 
 class Saturation:
-    """The saturation as m u over m in mod_right and u in W_right.
+    """The saturation as m u over m in mod_right and u in W_{S-Y°}.
 
-    It is a union of right cosets of W_right, so its size is |mod_right|
-    times |W_right| (order); iterating forms the products on demand.
+    It is a union of right cosets of W_{S-Y°}, so its size is |mod_right|
+    times |W_{S-Y°}| (order); it is never multiplied out.
     """
 
-    __slots__ = ("eng", "mod_right", "right", "order")
+    __slots__ = ("mod_right", "order")
 
-    def __init__(self, eng, mod_right, right, order):
-        self.eng = eng
+    def __init__(self, mod_right, order):
         self.mod_right = mod_right
-        self.right = right
         self.order = order
 
     def __len__(self):
         return len(self.mod_right) * self.order
 
-    def __iter__(self):
-        stab = tuple(weyl.parabolic(self.eng, self.right))
-        for m in self.mod_right:
-            for u in stab:
-                yield self.eng.mul(m, u)
 
-
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ParahoricAdmissible:
     adm_set: object
     y: tuple
@@ -177,6 +160,21 @@ class ParahoricAdmissible:
     full: Saturation
     mod_right: tuple
     double_min: tuple
+    # the lspaths.PathGraph of mod_right, built by count_h_y
+    path_graph: object = field(default=None, init=False, repr=False)
+
+
+def parabolic_order(eng, gens):
+    """|W_gens| of a finite standard parabolic, by the heights of its roots.
+
+    The Poincare polynomial of W_gens is the product over its positive
+    roots alpha of (1 - q^(ht alpha + 1)) / (1 - q^ht alpha) (Macdonald,
+    Math. Ann. 199 (1972)); at q = 1 it is the order.
+    """
+    pos = [eng.npos[i] for i in gens]
+    sub = [[eng.a[i][j] for j in pos] for i in pos]
+    heights = [sum(root) for root, _ in rootdata.root_closure(sub)]
+    return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
 def adm_parahoric(adm_set, y, cap=20000):
@@ -191,22 +189,17 @@ def adm_parahoric(adm_set, y, cap=20000):
     y = tuple(sorted(set(y)))
     if not y or any(i not in s for i in y):
         raise ValueError(f"Y must be a nonempty subset of {s}")
-    eng = engine_for(fin)
-    memo = eng.memos.setdefault("saturation", {})
-    key = (adm_set.lam, y)
     what = "parahoric admissible set size"
-    hit = memo.get(key)
-    # an equal Adm(mu) rebuilt after eviction is a new object: rebuild too
-    if hit is not None and hit.adm_set is adm_set:
+    hit = adm_set.saturations.get(y)
+    if hit is not None:
         _check_cap(what, len(hit.full), cap)
         return hit
+    eng = engine_for(fin)
     y_circ = tau_conjugate_nodes(adm_set, y)
     left = tuple(i for i in s if i not in y)
     right = tuple(i for i in s if i not in y_circ)
-    order = 0
-    for _ in weyl.parabolic(eng, right):
-        order += 1
-        _check_cap(what, order, cap)
+    order = parabolic_order(eng, right)
+    _check_cap(what, order, cap)
     tau_inv = eng.inv(adm_set.tau)
     maxima = [
         weyl.coset_max(eng, eng.twist(t, tau_inv), left, right)
@@ -220,14 +213,15 @@ def adm_parahoric(adm_set, y, cap=20000):
     except ResourceCapError as err:
         raise ResourceCapError(what, err.size * order, cap) from None
     double = {weyl.coset_min(eng, x, left, right) for x in mod_right}
-    return remember(memo, key, ParahoricAdmissible(
+    par = adm_set.saturations[y] = ParahoricAdmissible(
         adm_set=adm_set,
         y=y,
         y_circ=y_circ,
-        full=Saturation(eng, mod_right, right, order),
+        full=Saturation(mod_right, order),
         mod_right=mod_right,
         double_min=tuple(sorted(double, key=eng.sort_key)),
-    ))
+    )
+    return par
 
 
 def adm_count(adm_par, q):

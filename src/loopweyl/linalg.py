@@ -35,10 +35,6 @@ def matvec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def vsub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
 def rref(a, q=None):
     """Reduced row echelon form over Q, or over F_q for a prime q.
 

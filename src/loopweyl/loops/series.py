@@ -238,18 +238,6 @@ class Series:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = Series.one(self.q)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def inverse(self, prec=None):
         """Multiplicative inverse; ``prec`` is the absolute output precision."""
         v = self.ord()
@@ -276,12 +264,6 @@ class Series:
                     acc += g[j] * h[k - j]
             h.append(-g0inv * acc % self.q)
         return _raw(self.q, *_normal(self.q, -v, h, prec))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self * other.inverse()
 
     def shift(self, k):
         """Multiply by u^k."""

@@ -17,8 +17,8 @@ A PathGraph is the quotient Bruhat graph of the allowed directions with
 each cover's value against one shape.  The stabiliser of a shape and its
 cover values scale with it, so one PathGraph serves every positive integer
 multiple of its shape: count_h_y builds it once per (Adm(mu), Y) at scale
-a = 1, keeps it in a table of at most admissible.MEMO_SIZE entries on the
-Iwahori-Weyl engine, and each scale a multiplies the values by a.
+a = 1, keeps it on the saturation it is built from (par.path_graph), and
+each scale a multiplies the values by a.
 
 PathSpace.count is an integer dynamic programme over the positions of the
 graph's nodes: the cosets reachable under a cut depend on the cut only
@@ -270,12 +270,8 @@ def count_h_y(fin, mu=None, lam=None, y=(), a=1, cap=20000, emit=False):
     par = admissible.adm_parahoric(adm_set, y, cap=cap)
     datum = fin.datum
     ctx = admissible.context_for(datum)
-    eng = admissible.engine_for(fin)
-    memo = eng.memos.setdefault("path graph", {})
-    key = (adm_set.lam, par.y)
-    hit = memo.get(key)
-    # a rebuilt saturation is a new object: rebuild its graph too
-    if hit is None or hit[0] is not par:
+    if par.path_graph is None:
+        eng = admissible.engine_for(fin)
         tops = []
         for x in par.mod_right:
             word, rem = weyl.reduced_word(eng, x)
@@ -285,10 +281,8 @@ def count_h_y(fin, mu=None, lam=None, y=(), a=1, cap=20000, emit=False):
                 )
             tops.append(weyl.from_word(ctx, word))
         unit = shape_weight(datum, par.y_circ, 1)
-        hit = admissible.remember(
-            memo, key, (par, path_graph(ctx, unit, tops, cap=cap))
-        )
-    graph = hit[1]
+        par.path_graph = path_graph(ctx, unit, tops, cap=cap)
+    graph = par.path_graph
     space = PathSpace(
         ctx, shape_weight(datum, par.y_circ, a), graph.tops, cap=cap,
         graph=graph,

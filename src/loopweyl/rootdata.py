@@ -12,11 +12,12 @@ diagram, in increasing node order.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-from . import kactables, linalg
+from . import kactables, linalg, weyl
 from .errors import (ConsistencyError, UnknownDatumError,
                      UnsupportedDatumError)
 
@@ -30,6 +31,13 @@ class AffineRootDatum:
     comarks: tuple
     kappa: tuple
     su_n: Optional[int]
+    # the FiniteRootDatum of each special node, built by echelon_system
+    fins: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def context(self):
+        """The affine Weyl group of the Cartan matrix (a CartanContext)."""
+        return weyl.CartanContext(self.cartan)
 
     @property
     def nodes(self):
@@ -164,7 +172,9 @@ class FiniteRootDatum:
 
     Carries the translation lattice T, the echelonnage root system (whose
     simple coroots generate T), the coweight lattice, and the affine wall
-    functionals of the base alcove.
+    functionals of the base alcove.  It keeps its Iwahori-Weyl group
+    (engine) and the admissible sets built in it (adm_sets, filled and
+    bounded by admissible.adm).
     """
 
     def __init__(self, datum, x=0):
@@ -273,6 +283,12 @@ class FiniteRootDatum:
                 f"barycentre of the base alcove of {datum.name} is not "
                 f"interior"
             )
+        self.adm_sets = {}
+
+    @cached_property
+    def engine(self):
+        """The Iwahori-Weyl group of this realization (a CartanContext)."""
+        return weyl.CartanContext.iwahori_weyl(self)
 
     # -- linear algebra helpers on coroot coordinates --
 
@@ -411,14 +427,11 @@ class FiniteRootDatum:
         return int(val)
 
 
-_FIN_CACHE = {}
-
-
 def echelon_system(datum, x=0):
-    key = (id(datum), x)
-    if key not in _FIN_CACHE:
-        _FIN_CACHE[key] = FiniteRootDatum(datum, x)
-    return _FIN_CACHE[key]
+    """The FiniteRootDatum of datum at node x, built once per datum."""
+    if x not in datum.fins:
+        datum.fins[x] = FiniteRootDatum(datum, x)
+    return datum.fins[x]
 
 
 # -- coweight projection --

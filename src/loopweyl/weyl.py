@@ -112,9 +112,6 @@ class CartanContext:
         self._taus = {(): self._id}
         self._residues = {self._id: ()}
         self._word_cache = {}
-        # results of the layers built on this group, one table per layer;
-        # each layer bounds its own table (admissible.MEMO_SIZE)
-        self.memos = {}
 
     @classmethod
     def iwahori_weyl(cls, fin):
@@ -514,24 +511,6 @@ def coset_max(eng, x, left_gens=(), right_gens=()):
                 moved = True
         if not moved:
             return x
-
-
-def parabolic(eng, gens):
-    """The elements of the finite standard parabolic W_gens, breadth first."""
-    x = eng.identity()
-    seen = {x}
-    frontier = [x]
-    yield x
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i in gens:
-                z = eng.rmul(x, i)
-                if z not in seen:
-                    seen.add(z)
-                    nxt.append(z)
-                    yield z
-        frontier = nxt
 
 
 def labeled_covers_down(eng, x, word, right_quotient=()):

@@ -66,7 +66,8 @@ def test_lattice_operations():
     assert L.lattice_index(L.mat([[2, 0], [0, 2]]), basis) == 2
     r = L.reduce_mod_lattice(L.vec([Fraction(5, 2), 1]), basis)
     assert r == (Fraction(1, 2), Fraction(1, 1))
-    assert L.in_lattice(L.vsub(L.vec([Fraction(5, 2), 1]), r), basis)
+    diff = tuple(x - y for x, y in zip(L.vec([Fraction(5, 2), 1]), r))
+    assert L.in_lattice(diff, basis)
 
 
 def test_lattice_index_random():

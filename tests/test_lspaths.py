@@ -1,5 +1,7 @@
 """Rational-structure path counts on affine diagrams."""
 
+import gc
+import weakref
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -10,7 +12,8 @@ from loopweyl.admissible import adm, adm_parahoric, context_for, engine_for
 from loopweyl.dims import weyl_dim
 from loopweyl.errors import ResourceCapError
 from loopweyl.lspaths import PathSpace, count_h_y, is_ls_path, shape_weight
-from loopweyl.rootdata import echelon_system, load_affine_datum
+from loopweyl.rootdata import (datum_from_json, datum_to_json,
+                               echelon_system, load_affine_datum)
 from loopweyl.weyl import (CartanContext, bruhat_interval, from_word,
                            longest_element, reduced_word)
 
@@ -120,7 +123,7 @@ def test_one_path_graph_serves_every_scale(monkeypatch):
     fin = fin_for("C(1)_2")
     mu, y = (0, 1), (0, 1)
     ctx = context_for(fin.datum)
-    engine_for(fin).memos.pop("path graph", None)
+    adm(fin, mu=mu).saturations.clear()
     built = []
     interval = weyl.bruhat_interval
 
@@ -145,9 +148,8 @@ def test_one_path_graph_serves_every_scale(monkeypatch):
 def test_cap_holds_on_a_stored_path_graph():
     fin = fin_for("A(2)_2")
     n = count_h_y(fin, mu=(1, 0, 0), y=(0, 1), a=2)
-    stored = [g for par, g in engine_for(fin).memos["path graph"].values()
-              if par.y == (0, 1)]
-    graph = stored[-1]
+    graph = adm_parahoric(adm(fin, mu=(1, 0, 0)), (0, 1)).path_graph
+    assert graph is not None
     ctx = context_for(fin.datum)
     shape = shape_weight(fin.datum, (0, 1), 2)
     with pytest.raises(ResourceCapError):
@@ -194,13 +196,13 @@ def test_integer_count_matches_the_recursive_oracle():
     for name, mu in cases:
         fin = fin_for(name)
         ctx = context_for(fin.datum)
-        memo = engine_for(fin).memos
-        lam = adm(fin, mu=mu).lam
+        adm_set = adm(fin, mu=mu)
         nodes = fin.datum.nodes
         for y in [c for k in range(1, len(nodes) + 1)
                   for c in combinations(nodes, k)]:
             count_h_y(fin, mu=mu, y=y)
-            par, graph = memo["path graph"][(lam, y)]
+            par = adm_parahoric(adm_set, y)
+            graph = par.path_graph
             for a in (1, 2, 3):
                 space = PathSpace(
                     ctx, shape_weight(fin.datum, par.y_circ, a), graph.tops,
@@ -210,3 +212,20 @@ def test_integer_count_matches_the_recursive_oracle():
                     (name, mu, y, a)
             graphs += 1
     assert graphs == 86
+
+
+def test_a_dropped_datum_takes_its_caches_with_it():
+    # each cache lives on the object it is built from (finite data and the
+    # affine group on the datum, the engine and Adm sets on the finite
+    # datum, saturations on Adm, the path graph on the saturation), so
+    # nothing keeps a datum alive once its caller drops it
+    datum = datum_from_json(datum_to_json(load_affine_datum("A(1)_2")))
+    fin = echelon_system(datum, 0)
+    engine_for(fin)
+    context_for(datum)
+    adm(fin, mu=(1, 0, 0))
+    assert count_h_y(fin, mu=(1, 0, 0), y=(0, 1)) == 6
+    ref = weakref.ref(datum)
+    del datum, fin
+    gc.collect()
+    assert ref() is None

@@ -77,7 +77,6 @@ def test_ring_axioms():
     for _ in range(20):
         a, b = rand_series(rng, exact=True), rand_series(rng, exact=True)
         assert (a * b).prec == EXACT
-        assert a ** 3 == a * a * a
         assert a.shift(2) == a * Series.monomial(3, 1, 2)
 
 
