@@ -5,16 +5,19 @@ finite Weyl orbit of lam; all of them share one Omega-class tau, and the
 neutral version divides tau out on the right, landing in the affine Weyl
 group.  tau has length zero and permutes the simple roots, so x tau^{+-1}
 is a permutation of the rows and columns of x's matrices (eng.twist), not
-a matrix product, and has the length of x; the closure carries each
-element's reduced word from labeled_covers_down and sorts by its length.
+a matrix product, and has the length of x; the closure (weyl.lower_closure)
+carries each element's reduced word and sorts by its length.
 The parahoric saturation W^Y Adm(mu)° W^{Y°} by the standard
 parabolics W^Y = W_{S-Y} on the left and W^{Y°} (the tau-conjugate set) on
-the right is never multiplied out.  It is the lower closure of the maxima
-of the double cosets W^Y t W^{Y°} over the neutral tops t (both parabolics
-are finite, as Y is nonempty), so its image in W/W^{Y°} is the quotient
-Bruhat closure of the images of those maxima (Bjorner-Brenti ch. 2;
-Haines-He, arXiv:1411.5450), and the saturation itself is that image times
-W^{Y°}, kept as a sized view.
+the right needs no closure of its own and is never multiplied out.  For K
+the parahoric of W^{Y°}, Adm(mu)^K meets the minimal coset representatives
+W~^K where Adm(mu) does (He, "Kottwitz-Rapoport conjecture on unions of
+affine Deligne-Lusztig varieties", arXiv:1408.5838, sec. 6; Haines-He,
+"Vertexwise criteria for admissibility of alcoves", arXiv:1411.5450).  So
+the saturation's right coset minima are the elements of Adm(mu)° with no
+right descent in S - Y°, its double coset minima those with no left
+descent in S - Y either, both in the neutral set's (length, m) order, and
+the saturation is those right minima times W^{Y°}, kept as a sized view.
 engine_for(fin) is the Iwahori-Weyl engine of a finite datum, and
 context_for(datum) the affine Weyl group of the datum's own Cartan matrix,
 on which path counts run.
@@ -76,14 +79,15 @@ def adm(fin, mu=None, lam=None, cap=20000):
     if lam is None:
         lam = rootdata.project_coweight(fin, mu)
     lam = tuple(map(Fraction, lam))
-    if mu is None and not fin.in_coweight_lattice(lam):
-        raise ValueError("lam is not in the coweight lattice")
-    eng = engine_for(fin)
+    # every stored lam passed the lattice check, so the memo comes first
     memo = fin.adm_sets
     hit = memo.get(lam)
     if hit is not None:
         _check_cap("admissible set size", len(hit.neutral), cap)
         return hit
+    if mu is None and not fin.in_coweight_lattice(lam):
+        raise ValueError("lam is not in the coweight lattice")
+    eng = engine_for(fin)
     orbit = fin.w0_orbit(lam)
     tops = [eng.translation(v) for v in orbit]
     classes = {eng.omega_class(t) for t in tops}
@@ -99,16 +103,7 @@ def adm(fin, mu=None, lam=None, cap=20000):
     for t in tops:
         x = eng.twist(t, tau_inv)
         words.setdefault(x, weyl.reduced_word(eng, x)[0])
-    frontier = list(words)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for v, _, _, word in weyl.labeled_covers_down(eng, x, words[x]):
-                if v not in words:
-                    words[v] = word
-                    nxt.append(v)
-            _check_cap("admissible set size", len(words), cap)
-        frontier = nxt
+    weyl.lower_closure(eng, words, cap=cap, what="admissible set size")
     # l(x tau) = l(x), so (len(word), m) is sort_key's order on both sides
     elements = {eng.twist(x, tau): len(w) for x, w in words.items()}
     neutral = sorted(words, key=lambda x: (len(words[x]), x.m))
@@ -135,6 +130,7 @@ def tau_conjugate_nodes(adm_set, nodes):
     )
 
 
+@dataclass(frozen=True)
 class Saturation:
     """The saturation as m u over m in mod_right and u in W_{S-Y°}.
 
@@ -142,11 +138,8 @@ class Saturation:
     times |W_{S-Y°}| (order); it is never multiplied out.
     """
 
-    __slots__ = ("mod_right", "order")
-
-    def __init__(self, mod_right, order):
-        self.mod_right = mod_right
-        self.order = order
+    mod_right: tuple
+    order: int
 
     def __len__(self):
         return len(self.mod_right) * self.order
@@ -180,9 +173,10 @@ def parabolic_order(eng, gens):
 def adm_parahoric(adm_set, y, cap=20000):
     """Saturation W^Y Adm(mu)° W^{Y°} with its right and double coset minima.
 
-    mod_right is the quotient Bruhat closure in W/W^{Y°} of the maxima of
-    W^Y t W^{Y°} over the neutral tops t, and double_min the minima of the
-    double cosets through it; full is the saturation as a sized view.
+    mod_right is the elements of Adm(mu)° with no right descent in S - Y°,
+    and double_min those of them with no left descent in S - Y (module
+    docstring); full is the saturation as a sized view, and the cap holds
+    on its size |mod_right| |W_{S-Y°}|.
     """
     fin = adm_set.fin
     s = fin.datum.nodes
@@ -198,28 +192,22 @@ def adm_parahoric(adm_set, y, cap=20000):
     y_circ = tau_conjugate_nodes(adm_set, y)
     left = tuple(i for i in s if i not in y)
     right = tuple(i for i in s if i not in y_circ)
-    order = parabolic_order(eng, right)
-    _check_cap(what, order, cap)
-    tau_inv = eng.inv(adm_set.tau)
-    maxima = [
-        weyl.coset_max(eng, eng.twist(t, tau_inv), left, right)
-        for t in adm_set.maximal_elements
-    ]
-    # |full| = |mod_right| |W_right|, so the closure may hold cap // order
-    try:
-        mod_right = weyl.bruhat_interval(
-            eng, maxima, right_quotient=right, cap=cap // order
-        ).nodes
-    except ResourceCapError as err:
-        raise ResourceCapError(what, err.size * order, cap) from None
-    double = {weyl.coset_min(eng, x, left, right) for x in mod_right}
+    mod_right = tuple(
+        x for x in adm_set.neutral
+        if not any(eng.is_right_descent(x, i) for i in right)
+    )
+    full = Saturation(mod_right, parabolic_order(eng, right))
+    _check_cap(what, len(full), cap)
     par = adm_set.saturations[y] = ParahoricAdmissible(
         adm_set=adm_set,
         y=y,
         y_circ=y_circ,
-        full=Saturation(mod_right, order),
+        full=full,
         mod_right=mod_right,
-        double_min=tuple(sorted(double, key=eng.sort_key)),
+        double_min=tuple(
+            x for x in mod_right
+            if not any(eng.is_left_descent(i, x) for i in left)
+        ),
     )
     return par
 

@@ -2,29 +2,33 @@
 
 One engine class, CartanContext, realizes the Coxeter group of a generalized
 Cartan matrix in its integer root representation; an element is a CoxElement
-holding its root and coroot matrices.  CartanContext.iwahori_weyl(fin) builds
-the Iwahori-Weyl group W~ = W_aff x| Omega of a FiniteRootDatum: its simple
-roots are the walls of the base alcove, normalized as the echelonnage affine
-simple roots, and each tau in Omega permutes those walls, so it is a length
-zero permutation matrix.  Rational arithmetic is confined to the boundary,
-where a coweight enters (translation) and where an Omega residue leaves
-(omega_class).  Reduced words, Bruhat comparison, coset minima, labeled
-covers and interval graphs are written against the engine's methods, so the
-same code serves the Iwahori-Weyl group, the affine Weyl group of a datum's
-own Cartan matrix, and the finite calibration contexts.
+holding its root matrix m and its inverse.  CartanContext.iwahori_weyl(fin)
+builds the Iwahori-Weyl group W~ = W_aff x| Omega of a FiniteRootDatum: its
+simple roots are the walls of the base alcove, normalized as the echelonnage
+affine simple roots, and each tau in Omega permutes those walls, so it is a
+length zero permutation matrix.  Rational arithmetic is confined to the
+boundary, where a coweight enters (translation) and where an Omega residue
+leaves (omega_class).  Reduced words, Bruhat comparison, coset minima,
+labeled covers and interval graphs are written against the engine's
+methods, so the same code serves the Iwahori-Weyl group, the affine Weyl
+group of a datum's own Cartan matrix, and the finite calibration contexts.
 
 The matrix of a simple reflection s_p is the identity except in row p,
-which is e_p - a[p] (the transpose A^T takes the place of A on the coroot
-side).  So lmul and rmul, which do nearly all of the multiplying, are row
-and column updates: s_p M changes only row p of M, to M[p] - sum_c a[p][c]
-M[c], and M s_p subtracts M[r][p] a[p][c] from each entry (r, c).  Since
-(s_p x)^{-1} = x^{-1} s_p, the inverse matrices take the mirrored update,
-and all four matrices of an element cost O(n^2).  mul is the general O(n^3)
-product.
+which is e_p - a[p].  So lmul and rmul, which do nearly all of the
+multiplying, are row and column updates: s_p M changes only row p of M, to
+M[p] - sum_c a[p][c] M[c], and M s_p subtracts M[r][p] a[p][c] from each
+entry (r, c).  Since (s_p x)^{-1} = x^{-1} s_p, minv takes the mirrored
+update, and both matrices of an element cost O(n^2).  mul is the general
+O(n^3) product.
 
-A length-zero tau is a permutation matrix in all four slots, so x tau
-permutes the columns of m and mco and the rows of minv and mcoinv
-(twist), and l(x tau) = l(x).
+The coroot side needs no matrices of its own: A is symmetrizable, d_i a_ij
+= d_j a_ji for positive integers d (Kac, Infinite dimensional Lie algebras,
+ch. 2 and 4), so with D = diag(d) the coroot matrix of s_p (row p is e_p -
+(A^T)[p]) is D s_p D^{-1}, x acts on coroots by D m D^{-1} and x^{-1} by D
+minv D^{-1}, and coroot_coords and coroot_apply_inv read them through D.
+
+A length-zero tau is a permutation matrix, so x tau permutes the columns
+of m and the rows of minv (twist), and l(x tau) = l(x).
 
 A Bruhat cover v = s_beta x of x comes from dropping letter k of a reduced
 word i_1 ... i_l of x, where beta = gamma_k = s_{i_1} ... s_{i_{k-1}}
@@ -38,14 +42,16 @@ reflects only the true covers and returns each with its dropped word, so
 no candidate needs a reduced word of its own.  A cover lies in W^J when
 s_beta x(alpha_j) > 0 for each j in J, which is again a sign, tested
 before reflecting.  The reflection s_beta is I - beta phi^T on the root
-side, with phi = A^T beta^vee, and I - beta^vee psi^T on the coroot side,
-with psi = A beta, so reflect forms s_beta x by rank-one updates, O(n^2)
-per matrix.  The dropped words are reduced but not the least-descent
-words of reduced_word, so they never enter its cache; bruhat_interval
-and admissible.adm carry them beside their elements and sort by
-(len(word), m), which is sort_key's order.
+side, with phi = A^T beta^vee, so reflect forms s_beta x by rank-one
+updates, O(n^2) per matrix.  Elements are equal when their m are, so
+lower_closure forms the m of each cover first and looks it up among the
+elements found so far; only a new element costs its minv.  The dropped
+words are reduced but not the least-descent words of reduced_word, so
+they never enter its cache; bruhat_interval and admissible.adm carry them
+beside their elements and sort by (len(word), m), sort_key's order.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -54,15 +60,13 @@ from .errors import ConsistencyError, ResourceCapError, UnsupportedDatumError
 
 
 class CoxElement:
-    """Group element as paired root and coroot representation matrices."""
+    """Group element: its root matrix m, which decides equality, and minv."""
 
-    __slots__ = ("m", "minv", "mco", "mcoinv", "_hash")
+    __slots__ = ("m", "minv", "_hash")
 
-    def __init__(self, m, minv, mco, mcoinv):
+    def __init__(self, m, minv):
         self.m = m
         self.minv = minv
-        self.mco = mco
-        self.mcoinv = mcoinv
         self._hash = hash(m)
 
     def __eq__(self, other):
@@ -96,18 +100,18 @@ class CartanContext:
         eye = tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
-        self._id = CoxElement(eye, eye, eye, eye)
+        self._id = CoxElement(eye, eye)
         self._gens = {}
-        # per node: (position p, row p of A, row p of A^T), the data of the
-        # one-row updates in lmul and rmul
+        # per node: (position p, row p of A), the data of the one-row
+        # updates in lmul and rmul
         self._rows = {}
-        at = linalg.transpose(self.a)
         for i in self.nodes:
             p = self.npos[i]
             root = _row_update(eye, p, self.a[p])
-            co = _row_update(eye, p, at[p])
-            self._gens[i] = CoxElement(root, root, co, co)
-            self._rows[i] = (p, self.a[p], at[p])
+            self._gens[i] = CoxElement(root, root)
+            self._rows[i] = (p, self.a[p])
+        # d_i a_ij = d_j a_ji, which carries the root side to the coroot side
+        self.sym = _symmetrizer(self.a)
         self.fin = None
         self._taus = {(): self._id}
         self._residues = {self._id: ()}
@@ -175,7 +179,7 @@ class CartanContext:
                 tuple(int(sigma[c] == r) for c in nodes) for r in nodes
             )
             tinv = linalg.transpose(perm)
-            tau = CoxElement(perm, tinv, perm, tinv)
+            tau = CoxElement(perm, tinv)
             eng._taus[res] = tau
             eng._residues[tau] = res
         return eng
@@ -190,77 +194,60 @@ class CartanContext:
 
     def mul(self, x, y):
         return CoxElement(
-            linalg.matmul(x.m, y.m),
-            linalg.matmul(y.minv, x.minv),
-            linalg.matmul(x.mco, y.mco),
-            linalg.matmul(y.mcoinv, x.mcoinv),
+            linalg.matmul(x.m, y.m), linalg.matmul(y.minv, x.minv)
         )
 
     def inv(self, x):
-        return CoxElement(x.minv, x.m, x.mcoinv, x.mco)
+        return CoxElement(x.minv, x.m)
 
     def lmul(self, i, x):
         """s_i x by one-row updates, without a matrix product.
 
         With p the position of i, row p of m becomes m[p] - sum_c a[p][c]
         m[c], and each row r of minv loses minv[r][p] times a[p], since
-        (s_i x)^{-1} = x^{-1} s_i; mco and mcoinv do the same with A^T.
+        (s_i x)^{-1} = x^{-1} s_i.
         """
-        p, row, corow = self._rows[i]
+        p, row = self._rows[i]
         return CoxElement(
-            _row_update(x.m, p, row),
-            _col_update(x.minv, p, row),
-            _row_update(x.mco, p, corow),
-            _col_update(x.mcoinv, p, corow),
+            _row_update(x.m, p, row), _col_update(x.minv, p, row)
         )
 
     def rmul(self, x, i):
         """x s_i, the mirror of lmul.
 
         Each row r of m loses m[r][p] times a[p], and row p of minv becomes
-        minv[p] - sum_c a[p][c] minv[c]; mco and mcoinv use A^T.
+        minv[p] - sum_c a[p][c] minv[c].
         """
-        p, row, corow = self._rows[i]
+        p, row = self._rows[i]
         return CoxElement(
-            _col_update(x.m, p, row),
-            _row_update(x.minv, p, row),
-            _col_update(x.mco, p, corow),
-            _row_update(x.mcoinv, p, corow),
+            _col_update(x.m, p, row), _row_update(x.minv, p, row)
         )
 
     def reflect(self, beta, beta_co, x):
         """s_beta x by rank-one updates, without a matrix product.
 
         beta and beta_co are the root and coroot coordinates of one real
-        root.  m and mco take (I - beta phi^T) M and (I - beta_co psi^T) M,
-        with phi_j = <alpha_j, beta^vee> and psi_j = <beta, alpha_j^vee>;
-        since (s_beta x)^{-1} = x^{-1} s_beta, minv and mcoinv take
-        M (I - beta phi^T) and M (I - beta_co psi^T).
+        root.  m takes (I - beta phi^T) m, with phi_j = <alpha_j, beta^vee>,
+        and since (s_beta x)^{-1} = x^{-1} s_beta, minv takes minv (I - beta
+        phi^T).  labeled_covers_down makes the same updates, the one of
+        minv only for a cover that is a new element.
         """
-        a = self.a
-        phi = _pairing_row(a, beta_co)
-        psi = [sum(u * b for u, b in zip(row, beta) if b) for row in a]
+        phi = _pairing_row(self.a, beta_co)
         return CoxElement(
-            _rank_one_left(x.m, beta, phi),
-            _rank_one_right(x.minv, beta, phi),
-            _rank_one_left(x.mco, beta_co, psi),
-            _rank_one_right(x.mcoinv, beta_co, psi),
+            _rank_one_left(x.m, beta, phi), _rank_one_right(x.minv, beta, phi)
         )
 
     def twist(self, x, tau):
         """x tau for a length-zero tau, by permuting rows and columns.
 
-        tau permutes the simple roots and coroots alike, alpha_c to
-        alpha_{sigma(c)}, so column c of m tau is column sigma(c) of m and
-        row c of tau^{-1} minv is row sigma(c) of minv; mco and mcoinv
-        follow suit.
+        tau permutes the simple roots, alpha_c to alpha_{sigma(c)}, so
+        column c of m tau is column sigma(c) of m and row c of tau^{-1}
+        minv is row sigma(c) of minv.
         """
         sigma = [row.index(1) for row in tau.minv]
         return CoxElement(
             tuple(tuple(row[s] for s in sigma) for row in x.m),
             tuple(x.minv[s] for s in sigma),
-            tuple(tuple(row[s] for s in sigma) for row in x.mco),
-            tuple(x.mcoinv[s] for s in sigma),
         )
 
     def _col_negative(self, m, i):
@@ -291,13 +278,21 @@ class CartanContext:
         return tuple(row[p] for row in x.m)
 
     def coroot_coords(self, x, i):
-        """Coordinates of x(alpha_i^vee) over the simple coroots."""
+        """Coordinates of x(alpha_i^vee) over the simple coroots.
+
+        Column p of D m D^{-1}: entry r is d_r m[r][p] / d_p.
+        """
         p = self.npos[i]
-        return tuple(row[p] for row in x.mco)
+        d = self.sym
+        return tuple(dr * row[p] // d[p] for dr, row in zip(d, x.m))
 
     def coroot_apply_inv(self, x, c):
-        """x^{-1} applied to a simple-coroot coordinate vector."""
-        return linalg.matvec(x.mcoinv, c)
+        """x^{-1} applied to simple-coroot coordinates c: D minv D^{-1} c."""
+        d = self.sym
+        lcm = math.lcm(*d)
+        u = [v * (lcm // dj) for v, dj in zip(c, d)]
+        return tuple(dr * sum(a * b for a, b in zip(row, u)) // lcm
+                     for dr, row in zip(d, x.minv))
 
     # -- translations, Omega-classes and tau representatives --
 
@@ -340,6 +335,26 @@ class CartanContext:
 # perfbench/layertrace.py patches mul, length and the descent tests through
 # the __dict__ of both names; binding them to one class keeps its counts
 AffineEngine = CartanContext
+
+
+def _symmetrizer(a):
+    """Positive integers d with d_i a_ij = d_j a_ji, spread along edges."""
+    n = len(a)
+    d = [None] * n
+    for start in range(n):
+        stack = [] if d[start] else [start]
+        d[start] = d[start] or Fraction(1)
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if d[j] is None and a[j][i]:
+                    d[j] = d[i] * a[i][j] / a[j][i]
+                    stack.append(j)
+    if any(d[i] <= 0 or d[i] * a[i][j] != d[j] * a[j][i]
+           for i in range(n) for j in range(n)):
+        raise UnsupportedDatumError("Cartan matrix is not symmetrizable")
+    lcm = math.lcm(*(v.denominator for v in d))
+    return tuple(int(v * lcm) for v in d)
 
 
 def _row_update(m, p, ap):
@@ -492,28 +507,7 @@ def coset_min(eng, x, left_gens=(), right_gens=()):
             return x
 
 
-def coset_max(eng, x, left_gens=(), right_gens=()):
-    """The maximal element of a finite W_{left_gens} x W_{right_gens}.
-
-    Greedy ascent: an element with every left generator a left descent and
-    every right generator a right descent is the double coset's maximum.
-    Both parabolics must be finite, or the ascent does not end.
-    """
-    while True:
-        moved = False
-        for i in left_gens:
-            if not eng.is_left_descent(i, x):
-                x = eng.lmul(i, x)
-                moved = True
-        for i in right_gens:
-            if not eng.is_right_descent(x, i):
-                x = eng.rmul(x, i)
-                moved = True
-        if not moved:
-            return x
-
-
-def labeled_covers_down(eng, x, word, right_quotient=()):
+def labeled_covers_down(eng, x, word, right_quotient=(), found=None):
     """Covers v <| x with reflection labels and reduced words.
 
     Returns a list of (v, beta, beta_co, v_word): beta is the positive root
@@ -521,25 +515,24 @@ def labeled_covers_down(eng, x, word, right_quotient=()):
     any reduced word of x, with the dropped letter removed (v keeps x's
     remainder).  With right_quotient J, x must lie in W^J, and only the
     covers in W^J are returned.  Each drop is decided by the sign tests of
-    the module docstring.
+    the module docstring.  found maps the m of elements already built to
+    the elements: a cover whose m is there comes back as the stored
+    object, and only a new one gets its minv.
     """
     n = len(eng.a)
-    # columns of the root and coroot matrices of s_{i_1} ... s_{i_{k-1}},
-    # whose column i_k is gamma_k; right multiplication by s_p makes
-    # column c lose a[p][c] (a[c][p] on the coroot side) times column p
+    d = eng.sym
+    # columns of the root matrix of s_{i_1} ... s_{i_{k-1}}, whose column
+    # i_k is gamma_k; right multiplication by s_p makes column c lose
+    # a[p][c] times column p.  gamma_k^vee is D gamma_k / d_{i_k}
     cols = [tuple(int(r == c) for r in range(n)) for c in range(n)]
-    cocols = list(cols)
     gammas = []
     for i in word:
-        p, row, corow = eng._rows[i]
-        g, gco = cols[p], cocols[p]
-        gammas.append((g, gco))
+        p, row = eng._rows[i]
+        g = cols[p]
+        gammas.append((g, tuple(dr * u // d[p] for dr, u in zip(d, g))))
         for c, coef in enumerate(row):
             if coef:
                 cols[c] = tuple(u - coef * v for u, v in zip(cols[c], g))
-        for c, coef in enumerate(corow):
-            if coef:
-                cocols[c] = tuple(u - coef * v for u, v in zip(cocols[c], gco))
     # the roots that s_{gamma_k} must keep positive: gamma_j for j > k,
     # then x(alpha_j) for j in J.  A real root is positive iff its height
     # h is, and s_g(y) = y - <y, g^vee> g has height h(y) - <y, g^vee> h(g)
@@ -553,10 +546,40 @@ def labeled_covers_down(eng, x, word, right_quotient=()):
         h = keep[k][1]
         if all(hy > sum(f * u for f, u in zip(phi, y) if u) * h
                for y, hy in keep[k + 1:]):
-            out.append(
-                (eng.reflect(g, gco, x), g, gco, word[:k] + word[k + 1:])
-            )
+            m = _rank_one_left(x.m, g, phi)
+            v = found.get(m) if found else None
+            if v is None:
+                v = CoxElement(m, _rank_one_right(x.minv, g, phi))
+            out.append((v, g, gco, word[:k] + word[k + 1:]))
     return out
+
+
+def lower_closure(eng, words, right_quotient=(), cap=20000,
+                  what="bruhat interval nodes", edges=None):
+    """Grow words, a dict from elements to reduced words, down by covers.
+
+    The m of each cover is looked up among the elements found so far, so a
+    known cover is the stored object; a new one enters words with its
+    dropped word.  edges, if given, collects each cover as (upper, lower,
+    beta, beta_co).  Past cap elements it raises ResourceCapError(what).
+    """
+    found = {x.m: x for x in words}
+    frontier = list(words)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for v, beta, beta_co, word in labeled_covers_down(
+                    eng, x, words[x], right_quotient, found):
+                if edges is not None:
+                    edges.add((x, v, beta, beta_co))
+                if v.m not in found:
+                    found[v.m] = v
+                    words[v] = word
+                    nxt.append(v)
+            if len(words) > cap:
+                raise ResourceCapError(what, len(words), cap)
+        frontier = nxt
+    return words
 
 
 @dataclass(frozen=True)
@@ -583,19 +606,7 @@ def bruhat_interval(eng, tops, right_quotient=(), cap=20000):
         words.setdefault(m, reduced_word(eng, m)[0])
     start = list(words)
     edges = set()
-    frontier = list(start)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for v, beta, beta_co, word in labeled_covers_down(
-                    eng, x, words[x], right_quotient):
-                edges.add((x, v, beta, beta_co))
-                if v not in words:
-                    words[v] = word
-                    nxt.append(v)
-            if len(words) > cap:
-                raise ResourceCapError("bruhat interval nodes", len(words), cap)
-        frontier = nxt
+    lower_closure(eng, words, right_quotient, cap, edges=edges)
 
     def key(x):
         return (len(words[x]), x.m)

@@ -165,6 +165,15 @@ def test_coherence_gl6_hyperspecial():
     assert rep.equal and rep.h_path == hook_content(6, 3, 1) == 20, rep
 
 
+def test_coherence_gl7_hyperspecial():
+    # GL_7, mu = (1,1,1,0,0,0,0), Y = {0}, a = 1; |Adm(mu)| = 5,111, and the
+    # saturation has 176,400 elements (35 right cosets of S_7), past the
+    # default cap
+    rep = check_coherence(
+        fin_for("A(1)_6"), ((1, 1, 1, 0, 0, 0, 0),), (0,), 1, cap=200000)
+    assert rep.equal and rep.h_path == hook_content(7, 3, 1) == 35, rep
+
+
 def test_coherence_d5_vector():
     # D(1)_5, mu = varpi_1, Y = {0}, a = 1: h_Y = h_mu = dim V(varpi_1) of
     # SO_10

@@ -1,13 +1,16 @@
 """Admissible sets and their parahoric saturations."""
 
+import functools
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopweyl.admissible import adm, adm_count, adm_parahoric, engine_for
 from loopweyl.errors import ResourceCapError
 from loopweyl.rootdata import echelon_system, load_affine_datum
-from loopweyl.weyl import coset_min
+from loopweyl.weyl import bruhat_interval, coset_min, from_word
 
 
 def fin_for(name, x=0):
@@ -116,6 +119,19 @@ def test_lam_input_and_cap():
         adm(fin_for("A(1)_3"), mu=(2, 2, 0, 0), cap=10)
 
 
+def test_lam_off_the_lattice_raises_beside_stored_sets():
+    # the memo is read before the lattice check; a lam that is not stored
+    # still meets the check, however many sets are stored
+    fin = fin_for("A(1)_2")
+    for mu in ((1, 0, 0), (1, 1, 0), (2, 1, 0)):
+        adm(fin, mu=mu)
+    assert len(fin.adm_sets) == 3
+    for lam in (("1/2", 0), ("1/3", "1/3"), ("2/3", "1/2")):
+        with pytest.raises(ValueError):
+            adm(fin, lam=lam)
+    assert len(fin.adm_sets) == 3
+
+
 def test_repeated_calls_return_the_stored_sets():
     fin = fin_for("A(1)_2")
     s = adm(fin, mu=(1, 0, 0))
@@ -168,7 +184,7 @@ def saturation_oracle(adm_set, y, y_circ):
 
 
 def test_saturation_matches_the_multiplied_out_oracle():
-    # mod_right is closed from the double-coset maxima, and full is a view
+    # mod_right is a descent filter of the neutral set, and full is a view
     # of mod_right times W_{S-Y°}; the saturation built element by element
     # must agree on every nonempty Y, non-minuscule mu included: in size,
     # and in its right and double coset minima
@@ -203,7 +219,7 @@ def test_saturation_matches_the_multiplied_out_oracle():
 
 
 def test_cap_holds_while_building():
-    # below |W_{S-Y°}| the parabolic count fails, below |full| the closure
+    # below |W_{S-Y°}| or below |full| the filtered set is refused
     fin = fin_for("A(1)_3")
     s = adm(fin, mu=(2, 2, 0, 0))
     memo = s.saturations
@@ -218,3 +234,103 @@ def test_cap_holds_while_building():
         assert err.value.size > cap
     memo.clear()
     assert len(adm_parahoric(s, (0,), cap=size).full) == size
+
+
+def coset_max(eng, x, left_gens=(), right_gens=()):
+    """The maximal element of a finite W_{left_gens} x W_{right_gens}.
+
+    Greedy ascent: an element with every left generator a left descent and
+    every right generator a right descent is the double coset's maximum.
+    """
+    while True:
+        moved = False
+        for i in left_gens:
+            if not eng.is_left_descent(i, x):
+                x = eng.lmul(i, x)
+                moved = True
+        for i in right_gens:
+            if not eng.is_right_descent(x, i):
+                x = eng.rmul(x, i)
+                moved = True
+        if not moved:
+            return x
+
+
+@functools.lru_cache(maxsize=None)
+def random_engine(name):
+    return engine_for(fin_for(name))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(("A(1)_2", "C(1)_2", "G(1)_2", "A(2)_4")),
+       st.lists(st.integers(0, 2), max_size=8),
+       st.sets(st.integers(0, 2), max_size=2),
+       st.sets(st.integers(0, 2), max_size=2))
+def test_coset_max_is_the_top_of_the_double_coset(name, word, left, right):
+    # proper subsets of the three affine nodes generate finite parabolics
+    eng = random_engine(name)
+    x = from_word(eng, word)
+    left, right = sorted(left), sorted(right)
+    m = coset_max(eng, x, left, right)
+    assert coset_max(eng, m, left, right) == m
+    assert coset_min(eng, m, left, right) == coset_min(eng, x, left, right)
+    assert eng.length(m) >= eng.length(x)
+    assert all(eng.is_left_descent(i, m) for i in left)
+    assert all(eng.is_right_descent(m, i) for i in right)
+
+
+def closure_oracle(adm_set, y, y_circ):
+    """mod_right and double_min by a closure of their own.
+
+    mod_right is the quotient Bruhat closure in W/W^{Y°} of the maxima of
+    the double cosets W^Y t W^{Y°} over the neutral tops t, and double_min
+    the double coset minima through it.
+    """
+    eng = engine_for(adm_set.fin)
+    nodes = adm_set.fin.datum.nodes
+    left = tuple(i for i in nodes if i not in y)
+    right = tuple(i for i in nodes if i not in y_circ)
+    tau_inv = eng.inv(adm_set.tau)
+    maxima = [coset_max(eng, eng.twist(t, tau_inv), left, right)
+              for t in adm_set.maximal_elements]
+    mod_right = bruhat_interval(eng, maxima, right_quotient=right).nodes
+    double = {coset_min(eng, x, left, right) for x in mod_right}
+    return mod_right, tuple(sorted(double, key=eng.sort_key))
+
+
+def test_saturation_filter_matches_the_closure_oracle():
+    # Adm(mu)^K and Adm(mu) meet W~^K alike, so the saturation's minima are
+    # descent filters of the neutral set; the closure of the double coset
+    # maxima must give the same minima, in order, on every nonempty Y,
+    # non-minuscule mu included
+    cases = [
+        ("A(1)_1", (1, 0)),
+        ("A(1)_2", (1, 0, 0)),
+        ("A(1)_2", (2, 1, 0)),
+        ("A(1)_3", (1, 1, 0, 0)),
+        ("A(1)_3", (2, 1, 1, 0)),
+        ("A(1)_4", (1, 0, 0, 0, 0)),
+        ("C(1)_2", (0, 1)),
+        ("C(1)_2", (1, 1)),
+        ("C(1)_3", (0, 0, 1)),
+        ("B(1)_3", (1, 0, 0)),
+        ("D(1)_4", (1, 0, 0, 0)),
+        ("D(1)_4", (0, 0, 1, 0)),
+        ("A(2)_2", (1, 0, 0)),
+        ("A(2)_3", (1, 0, 0, 0)),
+        ("A(2)_4", (1, 0, 0, 0, 0)),
+        ("A(2)_5", (1, 0, 0, 0, 0, 0)),
+    ]
+    triples = 0
+    for name, mu in cases:
+        fin = fin_for(name)
+        s = adm(fin, mu=mu)
+        nodes = fin.datum.nodes
+        for k in range(1, len(nodes) + 1):
+            for y in combinations(nodes, k):
+                par = adm_parahoric(s, y)
+                mod_right, double = closure_oracle(s, y, par.y_circ)
+                assert par.mod_right == mod_right, (name, mu, y)
+                assert par.double_min == double, (name, mu, y)
+                triples += 1
+    assert triples == 216
