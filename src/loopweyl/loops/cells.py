@@ -137,11 +137,15 @@ class CellGroup:
         return out
 
     def check_word_reduced(self, word):
-        eng = engine_for(self.fin)
-        x = weyl.from_word(eng, word)
-        if eng.length(x) != len(word):
-            raise SpecParseError(f"word {word} is not reduced")
-        return x
+        return _reduced_element(engine_for(self.fin), word)
+
+
+def _reduced_element(eng, word):
+    """The element of a word, which must be reduced."""
+    x = weyl.from_word(eng, word)
+    if eng.length(x) != len(word):
+        raise SpecParseError(f"word {word} is not reduced")
+    return x
 
 
 def _set(mat, i, j, value):
@@ -224,9 +228,6 @@ def schubert_count(fin, word, q, modulo=()):
     that set of nodes, over coset-minimal representatives.
     """
     eng = engine_for(fin)
-    w = weyl.from_word(eng, word)
-    if eng.length(w) != len(word):
-        raise SpecParseError(f"word {word} is not reduced")
-    w = weyl.coset_min(eng, w, (), tuple(modulo))
+    w = weyl.coset_min(eng, _reduced_element(eng, word), (), tuple(modulo))
     graph = weyl.bruhat_interval(eng, [w], right_quotient=tuple(modulo))
     return sum(q ** eng.length(v) for v in graph.nodes)

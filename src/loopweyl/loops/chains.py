@@ -6,6 +6,18 @@ structure is the split form phi(e_i, e_j) = delta(i, n+1-j) on the quadratic
 extension k((u)) over k((u^2)), with duals taken via conj-transpose against
 the antidiagonal.
 
+The canonical basis is found by exact linear algebra over F_q.  Let lo be the
+least exponent among the entries and D = ord det of the first n columns with
+a nonzero determinant.  Then u^hi O^n <= L <= u^lo O^n for hi = D - (n-1) lo,
+so L is a u-stable subspace of the window u^lo O^n / u^hi O^n, of dimension
+n (hi - lo) over F_q.  Each column and its u-shifts below u^hi are rows in
+the window's coordinates, ordered by (row, exponent), and one reduced row
+echelon form reads off the basis.  SeriesPrecisionError is raised only when
+no n columns have a certified nonzero determinant, or when an entry is known
+to less than O(u^hi); exact input never raises.  Containment and duals solve
+against the triangular basis by forward substitution, which is exact because
+its pivots are monomials.
+
 The standard chain member for token i, 0 <= i < n, is
 
     span(u^-1 e_1, ..., u^-1 e_i, e_{i+1}, ..., e_n)
@@ -17,23 +29,11 @@ extended periodically by u^-1 in steps of n; for even n = 2m the extra token
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from ..errors import SeriesPrecisionError, SpecParseError
-from .series import (EXACT, Series, _raw, santidiag, sconj, sdot, sin_ring,
-                     sinv, smul, stranspose)
-
-
-def _min_ord_row(cols, row, start):
-    best = None
-    best_ord = None
-    for j in range(start, len(cols)):
-        x = cols[j][row]
-        if x.is_zero():
-            continue
-        v = x.ord()
-        if best_ord is None or v < best_ord:
-            best, best_ord = j, v
-    return best
+from ..linalg import rref
+from .series import EXACT, Series, _normal, _raw, sdet, sdot, sid
 
 
 def canonical_columns(q, cols):
@@ -42,54 +42,49 @@ def canonical_columns(q, cols):
     Returns columns forming a lower triangular matrix with monic diagonal
     u^{a_i} and every entry below the diagonal reduced modulo the diagonal
     entry of its own row, so equal lattices produce identical output.  Extra
-    generating columns beyond n are allowed and eliminated away.  Raises
-    SeriesPrecisionError when a pivot order cannot be certified.
+    generating columns beyond n are allowed.  Column i is the first row of
+    block i in the window's reduced echelon form, or u^hi e_i when the block
+    has no pivot.
     """
     n = len(cols[0])
-    work = [list(c) for c in cols]
-    pivots = []
-    for i in range(n):
-        j = _min_ord_row(work, i, i)
-        if j is None:
-            raise SeriesPrecisionError(
-                f"rank defect or precision loss in row {i} during lattice reduction")
-        work[i], work[j] = work[j], work[i]
-        pivot = work[i][i]
-        a = pivot.ord()
-        pivots.append(a)
-        unit_inv = pivot.shift(-a).inverse()
-        work[i] = [x * unit_inv for x in work[i]]
-        for jj in range(len(work)):
-            if jj == i:
-                continue
-            x = work[jj][i]
-            if x.is_zero():
-                continue
-            if jj > i:
-                # full elimination: later columns lose their row-i entry
-                factor = x.shift(-a)
-                if not factor.in_ring():
-                    raise SeriesPrecisionError("pivot selection lost minimality")
-            else:
-                # earlier columns keep the residue modulo u^a
-                factor = (x - x.below(a)).shift(-a)
-            work[jj] = [work[jj][r] - factor * work[i][r] for r in range(n)]
-    work = work[:n]
-    # canonical entries have finite support, so snap them back to exact;
-    # zeros and monic pivots are built raw, already in normal form
+    for sub in combinations(cols, n):
+        d = sdet(sub)
+        if not d.is_zero():
+            break
+    else:
+        raise SeriesPrecisionError(
+            "no n columns have a certified nonzero determinant")
+    lo = min(x.start for col in cols for x in col if x.coeffs)
+    hi = d.ord() - (n - 1) * lo
+    width = hi - lo
+    rows = []
+    for col in cols:
+        blocks = []
+        for x in col:
+            if x.prec < hi:
+                raise SeriesPrecisionError(
+                    f"terms below u^{hi} unknown at precision O(u^{x.prec})")
+            block = [0] * width
+            for e, c in enumerate(x.coeffs[:max(0, hi - x.start)], x.start - lo):
+                block[e] = c
+            blocks.append(block)
+        low = min((x.start for x in col if x.coeffs), default=hi)
+        for k in range(hi - low):
+            rows.append([c for b in blocks for c in [0] * k + b[:width - k]])
+    red, pivots = rref(rows, q)
+    first = {}
+    for row, p in zip(red, pivots):
+        first.setdefault(p // width, (lo + p % width, row))
     zero = _raw(q, 0, (), EXACT)
-    for j in range(n):
-        for r in range(n):
-            x = work[j][r]
-            if r < j:
-                if not x.is_zero():
-                    raise SeriesPrecisionError("nonzero entry above a pivot")
-                work[j][r] = zero
-            elif r == j:
-                work[j][r] = _raw(q, pivots[j], (1,), EXACT)
-            else:
-                work[j][r] = x.below(pivots[r])
-    return [tuple(c) for c in work]
+    out = []
+    for i in range(n):
+        a, row = first.get(i, (hi, None))
+        col = [zero] * i + [_raw(q, a, (1,), EXACT)]
+        for r in range(i + 1, n):
+            col.append(zero if row is None else _raw(q, *_normal(
+                q, lo, row[r * width:(r + 1) * width], EXACT)))
+        out.append(tuple(col))
+    return out
 
 
 @dataclass(frozen=True)
@@ -103,11 +98,6 @@ class Lattice:
         cols = [tuple(x if isinstance(x, Series) else Series.const(q, x) for x in col)
                 for col in cols]
         return Lattice(q, len(cols[0]), tuple(canonical_columns(q, cols)))
-
-    @staticmethod
-    def standard(q, n):
-        return Lattice.from_columns(
-            q, [[1 if i == j else 0 for i in range(n)] for j in range(n)])
 
     def matrix(self):
         """Basis matrix with generators as columns."""
@@ -128,26 +118,38 @@ class Lattice:
         cols = [[sdot(row, col) for row in g] for col in self.cols]
         return Lattice.from_columns(self.q, cols)
 
+    def coords(self, v):
+        """The x with B x = v for the canonical basis B, by forward substitution."""
+        x = []
+        for r, col in enumerate(self.cols):
+            acc = v[r]
+            if r:
+                acc = acc - sdot([c[r] for c in self.cols[:r]], x)
+            x.append(acc.shift(-col[r].start))
+        return x
+
     def contains(self, other):
         """Certified test for other <= self."""
-        rel = smul(sinv(self.matrix()), other.matrix())
-        return sin_ring(rel)
+        return all(self.contains_vector(col) for col in other.cols)
 
     def contains_vector(self, v):
-        coords = smul(sinv(self.matrix()), tuple((x,) for x in v))
-        return all(row[0].in_ring() for row in coords)
+        return all(x.in_ring() for x in self.coords(v))
 
     def colength(self, other):
         """Index [self : other] for other <= self."""
         return other.det_ord() - self.det_ord()
 
     def hermitian_dual(self):
-        """All w with phi(w, L) integral, phi the antidiagonal hermitian form."""
-        m = self.matrix()
-        form = santidiag(self.q, self.n)
-        dual = sconj(sinv(smul(stranspose(m), form)))
+        """All w with phi(w, L) integral, phi the antidiagonal hermitian form.
+
+        The dual basis is J conj(B^-1)^T, J the antidiagonal: its column k is
+        row k of B^-1, conjugated and read backwards.
+        """
+        n = self.n
+        inv = [self.coords(e) for e in sid(self.q, n)]
         return Lattice.from_columns(
-            self.q, [[dual[i][j] for i in range(self.n)] for j in range(self.n)])
+            self.q, [[inv[n - 1 - i][k].conj() for i in range(n)]
+                     for k in range(n)])
 
     def key(self):
         """Hashable fingerprint: the exact canonical entries."""

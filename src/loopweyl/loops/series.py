@@ -148,14 +148,6 @@ class Series:
     def is_unit(self):
         return bool(self.coeffs) and self.start == 0
 
-    def below(self, k):
-        """The exact Laurent polynomial of the terms below u^k."""
-        if self.prec < k:
-            raise SeriesPrecisionError(
-                f"terms below u^{k} unknown at precision O(u^{self.prec})")
-        return _raw(self.q, *_normal(
-            self.q, self.start, self.coeffs[:max(0, k - self.start)], EXACT))
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -326,9 +318,9 @@ def _raw(q, start, coeffs, prec):
 def parse_series(text, q, prec=None, var="u"):
     """Parse ``u^-1 + 2*u^0 + u^2`` style series text over F_q.
 
-    Grammar (also in the README): a signed sum of terms, each term either an
-    integer, a fraction ``a/b``, or ``[coefficient *] var [^ exponent]``, plus
-    an optional trailing ``O(var^k)`` fixing the precision.
+    Grammar: a signed sum of terms, each term either an integer, a fraction
+    ``a/b``, or ``[coefficient *] var [^ exponent]``, plus an optional
+    trailing ``O(var^k)`` fixing the precision.
     """
     check_field(q)
     if prec is None:
@@ -438,33 +430,12 @@ def sdet(a):
     if n == 1:
         return a[0][0]
     acc = None
-    for j in range(n):
+    for j, x in enumerate(a[0]):
+        if not x.coeffs and x.prec == EXACT:
+            continue
         minor = tuple(tuple(row[k] for k in range(n) if k != j) for row in a[1:])
-        term = a[0][j] * sdet(minor)
+        term = x * sdet(minor)
         if j % 2:
             term = -term
         acc = term if acc is None else acc + term
-    return acc
-
-
-def sinv(a, prec=None):
-    """Inverse via the adjugate; exact up to the determinant's precision."""
-    n = len(a)
-    d = sdet(a)
-    dinv = d.inverse(prec)
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = tuple(tuple(a[r][c] for c in range(n) if c != j)
-                          for r in range(n) if r != i)
-            m = sdet(minor) if n > 1 else Series.one(a[0][0].q)
-            if (i + j) % 2:
-                m = -m
-            row.append(m)
-        cof.append(row)
-    return tuple(tuple(cof[j][i] * dinv for j in range(n)) for i in range(n))
-
-
-def sin_ring(a):
-    return all(x.in_ring() for row in a for x in row)
+    return _raw(a[0][0].q, 0, (), EXACT) if acc is None else acc

@@ -9,11 +9,91 @@ from hypothesis import strategies as st
 from loopweyl.errors import SeriesPrecisionError, SpecParseError
 from loopweyl.loops.chains import (Lattice, canonical_columns, standard_member,
                                    token_value, validate_chain)
-from loopweyl.loops.series import EXACT, Series, smul
+from loopweyl.loops.series import EXACT, Series, sdet, smul
 
 
 def poly(q, rng, lo=0, hi=3):
     return Series(q, lo, tuple(rng.randrange(q) for _ in range(hi - lo)), EXACT)
+
+
+def _below(x, k):
+    """The exact Laurent polynomial of the terms of x below u^k."""
+    if x.prec < k:
+        raise SeriesPrecisionError(
+            f"terms below u^{k} unknown at precision O(u^{x.prec})")
+    return Series(x.q, x.start, x.coeffs[:max(0, k - x.start)], EXACT)
+
+
+def _min_ord_row(cols, row, start):
+    best = None
+    best_ord = None
+    for j in range(start, len(cols)):
+        x = cols[j][row]
+        if x.is_zero():
+            continue
+        v = x.ord()
+        if best_ord is None or v < best_ord:
+            best, best_ord = j, v
+    return best
+
+
+def series_elimination(q, cols):
+    """Oracle: the canonical form by elimination over Series entries.
+
+    Each pivot unit is inverted to the default precision of
+    `Series.inverse`, so deep exact lattices can raise SeriesPrecisionError.
+    """
+    n = len(cols[0])
+    work = [list(c) for c in cols]
+    pivots = []
+    for i in range(n):
+        j = _min_ord_row(work, i, i)
+        if j is None:
+            raise SeriesPrecisionError(f"rank defect in row {i}")
+        work[i], work[j] = work[j], work[i]
+        pivot = work[i][i]
+        a = pivot.ord()
+        pivots.append(a)
+        unit_inv = pivot.shift(-a).inverse()
+        work[i] = [x * unit_inv for x in work[i]]
+        for jj in range(len(work)):
+            x = work[jj][i]
+            if jj == i or x.is_zero():
+                continue
+            if jj > i:
+                factor = x.shift(-a)
+                if not factor.in_ring():
+                    raise SeriesPrecisionError("pivot selection lost minimality")
+            else:
+                factor = (x - _below(x, a)).shift(-a)
+            work[jj] = [work[jj][r] - factor * work[i][r] for r in range(n)]
+    work = work[:n]
+    for j in range(n):
+        for r in range(n):
+            x = work[j][r]
+            if r < j:
+                if not x.is_zero():
+                    raise SeriesPrecisionError("nonzero entry above a pivot")
+                work[j][r] = Series.zero(q)
+            elif r == j:
+                work[j][r] = Series.monomial(q, 1, pivots[j])
+            else:
+                work[j][r] = _below(x, pivots[r])
+    return [tuple(c) for c in work]
+
+
+def check_against_oracle(q, cols):
+    """Equal to the oracle where it certifies; else the same lattice volume
+    and every input column inside.  Returns whether the oracle certified."""
+    out = canonical_columns(q, cols)
+    try:
+        assert out == series_elimination(q, cols)
+        return True
+    except SeriesPrecisionError:
+        L = Lattice(q, len(out), tuple(out))
+        assert all(L.contains_vector(c) for c in cols)
+        assert L.det_ord() == sdet(cols).ord()
+        return False
 
 
 def test_standard_members():
@@ -125,8 +205,12 @@ def lattice_and_gl_n_o(draw):
     """Columns of a random lattice and a random element of GL_n(O)."""
     q = draw(st.sampled_from((2, 3, 5)))
     n = draw(st.integers(2, 3))
+    exps = [draw(st.integers(-2, 2)) for _ in range(n)]
+    if draw(st.booleans()):
+        # a pivot deeper than the 16 terms of Series.inverse
+        exps[draw(st.integers(0, n - 1))] = draw(st.integers(17, 19))
     cols = [[draw(laurent(q, -2, 2)) if r > j else
-             Series.monomial(q, 1, draw(st.integers(-2, 2))) if r == j else
+             Series.monomial(q, 1, exps[j]) if r == j else
              Series.zero(q) for r in range(n)] for j in range(n)]
     # g = P U D L: a permutation, unitriangular factors over O, unit diagonal
     one = [[Series.const(q, 1 if r == c else 0) for c in range(n)]
@@ -144,17 +228,64 @@ def lattice_and_gl_n_o(draw):
     return q, cols, g
 
 
+def act(q, cols, g):
+    """The columns of (cols) g: a change of basis of their span."""
+    n = len(cols)
+    return [[sum((cols[k][r] * g[k][j] for k in range(n)), Series.zero(q))
+             for r in range(n)] for j in range(n)]
+
+
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
 @given(lattice_and_gl_n_o())
 def test_canonical_form_invariant_under_gl_n_o(case):
     q, cols, g = case
-    n = len(cols)
-    moved = [[sum((cols[k][r] * g[k][j] for k in range(n)), Series.zero(q))
-              for r in range(n)] for j in range(n)]
+    moved = act(q, cols, g)
     L = Lattice.from_columns(q, cols)
     M = Lattice.from_columns(q, moved)
     assert M == L
     assert M.key() == L.key()
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(lattice_and_gl_n_o())
+def test_window_matches_the_series_elimination(case):
+    q, cols, g = case
+    for c in (cols, act(q, cols, g)):
+        check_against_oracle(q, c)
+
+
+def test_oracle_on_random_exact_lattices():
+    rng = random.Random(41)
+    certified = raised = 0
+    for _ in range(150):
+        q = rng.choice((2, 3, 5))
+        n = rng.choice((2, 3))
+        cols = [[poly(q, rng, lo, lo + 3) for lo in
+                 (rng.randrange(-2, 3) for _ in range(n))] for _ in range(n)]
+        if rng.random() < 0.4:
+            k, deep = rng.randrange(n), rng.randrange(17, 20)
+            cols[k] = [x.shift(deep) for x in cols[k]]
+        if sdet(cols).is_zero():
+            continue
+        if check_against_oracle(q, cols):
+            certified += 1
+        else:
+            raised += 1
+    assert certified > 50 and raised > 5, (certified, raised)
+
+
+def test_deep_lattice_with_a_non_monomial_pivot_unit():
+    q = 3
+    u = Series.uniformizer(q)
+    cols = [[u + 2 * u * u, 2 * u], [Series.zero(q), Series.monomial(q, 1, 18)]]
+    with pytest.raises(SeriesPrecisionError):
+        series_elimination(q, cols)
+    L = Lattice.from_columns(q, cols)
+    assert L.det_ord() == 19
+    assert all(L.contains_vector(c) for c in cols)
+    # the first column is (u, 2u / (1 + 2u)) modulo u^18 in its second row
+    assert L.cols[0][0] == u
+    assert (L.cols[0][1] * (1 + 2 * u) - 2 * u).ord() >= 18
 
 
 def test_canonical_failure_modes():
@@ -166,6 +297,14 @@ def test_canonical_failure_modes():
     with pytest.raises(SeriesPrecisionError):
         canonical_columns(q, [[fuzzy, Series.zero(q)],
                               [Series.zero(q), Series.one(q)]])
+    # det u^3 puts u^3 O^2 inside the span, so entries must be known to O(u^3)
+    u3 = Series.monomial(q, 1, 3)
+    with pytest.raises(SeriesPrecisionError):
+        canonical_columns(q, [[Series.one(q), Series(q, 0, (1, 1), 2)],
+                              [Series.zero(q), u3]])
+    assert canonical_columns(q, [[Series.one(q), Series(q, 0, (1, 1, 2), 3)],
+                                 [Series.zero(q), u3]]) == \
+        [(Series.one(q), Series(q, 0, (1, 1, 2), EXACT)), (Series.zero(q), u3)]
 
 
 def test_contains_vector():

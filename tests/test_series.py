@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from loopweyl.errors import (SeriesPrecisionError, SpecParseError,
                              UnsupportedFieldError)
+from loopweyl.loops.chains import Lattice
 from loopweyl.loops.series import (EXACT, SUPPORTED_Q, Series, fq, parse_series,
-                                   santidiag, sdet, sid, sin_ring, sinv, smat,
-                                   smul, stranspose)
+                                   santidiag, sdet, sid, smat, smul, stranspose)
 
 
 def rand_series(rng, q=3, exact=False):
@@ -146,22 +146,26 @@ def test_matrix_helpers():
     form = santidiag(q, 3)
     assert sdet(form).coeff(0) == 2
     assert stranspose(form) == form
+    assert sdet(smat(q, [[0, 0], [1, 1]])) == Series.zero(q)
     rng = random.Random(23)
-    done = 0
-    for _ in range(20):
-        a = smat(q, [[rng.randrange(q) for _ in range(3)] for _ in range(3)])
-        if sdet(a).is_zero():
-            continue
-        prod = smul(sinv(a), a)
-        for i in range(3):
-            for j in range(3):
-                assert (prod[i][j] - (1 if i == j else 0)).is_zero()
-        done += 1
-    assert done > 5
     low = smat(q, [[1, 0], [Series.uniformizer(q), 1]])
-    assert sin_ring(low)
-    assert not sin_ring(sinv(smat(q, [[Series.uniformizer(q), 0], [0, 1]])))
     assert smul(sid(q, 2), low) == low
+    # the triangular inverse: B times the coordinates of the unit vectors
+    done = 0
+    for n in (2, 3, 4):
+        for _ in range(10):
+            cols = [[Series(q, rng.randrange(-3, 2),
+                            tuple(rng.randrange(q) for _ in range(4)), EXACT)
+                     for _ in range(n)] for _ in range(n)]
+            try:
+                L = Lattice.from_columns(q, cols)
+            except SeriesPrecisionError:
+                continue
+            inv = tuple(zip(*(L.coords(e) for e in sid(q, n))))
+            assert smul(L.matrix(), inv) == sid(q, n)
+            assert smul(inv, L.matrix()) == sid(q, n)
+            done += 1
+    assert done > 20
 
 
 # -- property tests (fixed seeds: derandomized, no example database) --------
