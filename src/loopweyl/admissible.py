@@ -18,6 +18,9 @@ the saturation's right coset minima are the elements of Adm(mu)° with no
 right descent in S - Y°, its double coset minima those with no left
 descent in S - Y either, both in the neutral set's (length, m) order, and
 the saturation is those right minima times W^{Y°}, kept as a sized view.
+Both minima are subsets of Adm(mu)°, so the cap of adm, on |Adm(mu)°|,
+bounds everything a saturation builds; the saturation has no cap of its
+own.
 engine_for(fin) is the Iwahori-Weyl engine of a finite datum, and
 context_for(datum) the affine Weyl group of the datum's own Cartan matrix,
 on which path counts run.
@@ -26,7 +29,7 @@ Each result is kept on the object it is built from: a finite datum keeps
 its admissible sets (fin.adm_sets), keyed by lam alone (so adm(mu=...) and
 adm(lam=...) share the set of the projection lam of mu), at most MEMO_SIZE
 of them, dropping the oldest first; an admissible set keeps its
-saturations, keyed by Y.  A repeated call returns the stored object, and
+saturations, keyed by Y.  A repeated call returns the stored object; adm
 still raises ResourceCapError when the stored set is larger than its cap.
 """
 
@@ -48,11 +51,6 @@ def engine_for(fin):
 
 def context_for(datum):
     return datum.context
-
-
-def _check_cap(what, size, cap):
-    if size > cap:
-        raise ResourceCapError(what, size, cap)
 
 
 @dataclass(frozen=True)
@@ -83,7 +81,9 @@ def adm(fin, mu=None, lam=None, cap=20000):
     memo = fin.adm_sets
     hit = memo.get(lam)
     if hit is not None:
-        _check_cap("admissible set size", len(hit.neutral), cap)
+        if len(hit.neutral) > cap:
+            raise ResourceCapError(
+                "admissible set size", len(hit.neutral), cap)
         return hit
     if mu is None and not fin.in_coweight_lattice(lam):
         raise ValueError("lam is not in the coweight lattice")
@@ -170,23 +170,20 @@ def parabolic_order(eng, gens):
     return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
-def adm_parahoric(adm_set, y, cap=20000):
+def adm_parahoric(adm_set, y):
     """Saturation W^Y Adm(mu)° W^{Y°} with its right and double coset minima.
 
     mod_right is the elements of Adm(mu)° with no right descent in S - Y°,
     and double_min those of them with no left descent in S - Y (module
-    docstring); full is the saturation as a sized view, and the cap holds
-    on its size |mod_right| |W_{S-Y°}|.
+    docstring); full is the saturation as a sized view, never built.
     """
     fin = adm_set.fin
     s = fin.datum.nodes
     y = tuple(sorted(set(y)))
     if not y or any(i not in s for i in y):
         raise ValueError(f"Y must be a nonempty subset of {s}")
-    what = "parahoric admissible set size"
     hit = adm_set.saturations.get(y)
     if hit is not None:
-        _check_cap(what, len(hit.full), cap)
         return hit
     eng = engine_for(fin)
     y_circ = tau_conjugate_nodes(adm_set, y)
@@ -196,13 +193,11 @@ def adm_parahoric(adm_set, y, cap=20000):
         x for x in adm_set.neutral
         if not any(eng.is_right_descent(x, i) for i in right)
     )
-    full = Saturation(mod_right, parabolic_order(eng, right))
-    _check_cap(what, len(full), cap)
     par = adm_set.saturations[y] = ParahoricAdmissible(
         adm_set=adm_set,
         y=y,
         y_circ=y_circ,
-        full=full,
+        full=Saturation(mod_right, parabolic_order(eng, right)),
         mod_right=mod_right,
         double_min=tuple(
             x for x in mod_right

@@ -335,7 +335,7 @@ def cmd_adm(args):
             "max  " + "; ".join(payload["maximal"])]
     if args.Y is not None:
         y = tuple(sorted(set(parse_ints(args.Y))))
-        par = adm_parahoric(adm_set, y, cap=args.cap)
+        par = adm_parahoric(adm_set, y)
         payload["y"] = list(par.y)
         payload["y_circ"] = list(par.y_circ)
         payload["full_size"] = len(par.full)
@@ -352,7 +352,7 @@ def cmd_adm(args):
 
 def cmd_hpoly(args):
     fin = finite_for(args)
-    y = tuple(sorted(set(parse_ints(args.Y)))) if args.Y else ()
+    y = tuple(sorted(set(parse_ints(args.Y))))
     bad = [i for i in y if i not in set(fin.datum.nodes)]
     if bad:
         raise SpecParseError(f"node {bad[0]} outside {list(fin.datum.nodes)}")
@@ -371,39 +371,52 @@ def cmd_hpoly(args):
     return payload, text, None, "ok", 0
 
 
+def coherence_rows(instances, cap, line):
+    """check_coherence over (datum label, mu text, fin, Y, a) instances.
+
+    line formats a row's text from its payload fields, mu_text, mark (ok or
+    MISMATCH) and the path and closed seconds.  Returns the payload rows,
+    the text lines, the csv rows and the status, "mismatch" unless every
+    row is equal.
+    """
+    rows, text = [], []
+    csv_rows = [("datum", "mu", "Y", "a", "h_Y", "h", "equal")]
+    for name, mu_text, fin, y, a in instances:
+        mu_parts = parse_mu_parts(mu_text)
+        rep = check_coherence(fin, mu_parts, y, a, cap=cap)
+        row = {"datum": name, "mu": [list(p) for p in mu_parts],
+               "y": list(y), "a": a, "h_y": rep.h_path, "h": rep.h_closed,
+               "equal": rep.equal}
+        rows.append(row)
+        csv_rows.append((name, mu_text, ",".join(str(i) for i in y), a,
+                         rep.h_path, rep.h_closed,
+                         "true" if rep.equal else "false"))
+        text.append(line.format(
+            mu_text=mu_text, mark="ok" if rep.equal else "MISMATCH",
+            path=rep.seconds_path, closed=rep.seconds_closed, **row))
+    status = "ok" if all(r["equal"] for r in rows) else "mismatch"
+    return rows, text, csv_rows, status
+
+
 def cmd_coherence(args):
     fin = finite_for(args)
     mu_parts = parse_mu_parts(args.mu)
+    mu_text = "+".join(",".join(str(c) for c in p) for p in mu_parts)
     ys = y_selections(fin.datum, args.Y)
     a_values = parse_span(args.a)
-    rows = []
-    csv_rows = [("datum", "mu", "Y", "a", "h_Y", "h", "equal")]
-    text = []
-    all_equal = True
-    for y in ys:
-        for a in a_values:
-            rep = check_coherence(fin, mu_parts, y, a, cap=args.cap)
-            rows.append({"y": list(y), "a": a, "h_y": rep.h_path,
-                         "h": rep.h_closed, "equal": rep.equal})
-            all_equal = all_equal and rep.equal
-            mu_text = "+".join(",".join(str(c) for c in p) for p in mu_parts)
-            csv_rows.append((fin.datum.name, mu_text,
-                             ",".join(str(i) for i in y), a,
-                             rep.h_path, rep.h_closed,
-                             "true" if rep.equal else "false"))
-            mark = "ok" if rep.equal else "MISMATCH"
-            text.append(f"Y={list(y)} a={a}: h_Y={rep.h_path} h={rep.h_closed} "
-                        f"[{mark}] ({rep.seconds_path:.2f}s path, "
-                        f"{rep.seconds_closed:.2f}s closed)")
-    proven = fin.datum.twist_order == 1
+    rows, text, csv_rows, status = coherence_rows(
+        ((fin.datum.name, mu_text, fin, y, a) for y in ys for a in a_values),
+        args.cap, "Y={y} a={a}: h_Y={h_y} h={h} [{mark}] "
+                  "({path:.2f}s path, {closed:.2f}s closed)")
+    all_equal = status == "ok"
     payload = {"datum": fin.datum.name,
                "mu": [list(p) for p in mu_parts],
-               "rows": rows, "all_equal": all_equal, "proven": proven}
-    status = "ok" if all_equal or not proven else "mismatch"
-    code = 0 if status == "ok" else 1
+               "rows": [{k: r[k] for k in ("y", "a", "h_y", "h", "equal")}
+                        for r in rows],
+               "all_equal": all_equal, "proven": True}
     text.append(("all equal" if all_equal else "mismatches found") +
-                (" (proven case)" if proven else " (report only)"))
-    return payload, text, csv_rows, status, code
+                " (proven case)")
+    return payload, text, csv_rows, status, 0 if all_equal else 1
 
 
 def cmd_kottwitz(args):
@@ -488,39 +501,26 @@ def cmd_sweep(args):
     if raw and [c.strip() for c in raw[0][:4]] == ["datum", "mu", "Y", "a"]:
         raw = raw[1:]
     fins = {}
-    rows = []
-    csv_rows = [("datum", "mu", "Y", "a", "h_Y", "h", "equal")]
-    text = []
-    code = 0
-    all_equal = True
-    for lineno, row in enumerate(raw, 1):
-        if not row or not "".join(row).strip():
-            continue
-        if len(row) < 4:
-            raise SpecParseError(f"config line {lineno}: need datum,mu,Y,a")
-        name, mu_text, y_text, a_text = (c.strip() for c in row[:4])
-        if name not in fins:
-            fins[name] = echelon_system(load_datum_arg(name), 0)
-        fin = fins[name]
-        mu_parts = parse_mu_parts(mu_text)
-        y = tuple(sorted(set(int(t) for t in re.split(r"[,\s]+", y_text) if t)))
-        a = int(a_text)
-        rep = check_coherence(fin, mu_parts, y, a, cap=args.cap)
-        rows.append({"datum": name, "mu": [list(p) for p in mu_parts],
-                     "y": list(y), "a": a, "h_y": rep.h_path,
-                     "h": rep.h_closed, "equal": rep.equal})
-        all_equal = all_equal and rep.equal
-        csv_rows.append((name, mu_text, ",".join(str(i) for i in y), a,
-                         rep.h_path, rep.h_closed,
-                         "true" if rep.equal else "false"))
-        if not rep.equal and fin.datum.twist_order == 1:
-            code = 1
-        text.append(f"{name} mu={mu_text} Y={list(y)} a={a}: "
-                    f"h_Y={rep.h_path} h={rep.h_closed} "
-                    + ("ok" if rep.equal else "MISMATCH"))
-    payload = {"rows": rows, "all_equal": all_equal}
-    status = "ok" if code == 0 else "mismatch"
-    return payload, text, csv_rows, status, code
+
+    def instances():
+        for lineno, row in enumerate(raw, 1):
+            if not row or not "".join(row).strip():
+                continue
+            if len(row) < 4:
+                raise SpecParseError(
+                    f"config line {lineno}: need datum,mu,Y,a")
+            name, mu_text, y_text, a_text = (c.strip() for c in row[:4])
+            if name not in fins:
+                fins[name] = echelon_system(load_datum_arg(name), 0)
+            y = tuple(sorted(set(
+                int(t) for t in re.split(r"[,\s]+", y_text) if t)))
+            yield name, mu_text, fins[name], y, int(a_text)
+
+    rows, text, csv_rows, status = coherence_rows(
+        instances(), args.cap,
+        "{datum} mu={mu_text} Y={y} a={a}: h_Y={h_y} h={h} {mark}")
+    payload = {"rows": rows, "all_equal": status == "ok"}
+    return payload, text, csv_rows, status, 0 if status == "ok" else 1
 
 
 # -- wiring ------------------------------------------------------------------
@@ -566,7 +566,7 @@ def build_parser():
     p.add_argument("--datum", required=True)
     p.add_argument("--mu")
     p.add_argument("--lam")
-    p.add_argument("--Y", default="")
+    p.add_argument("--Y", required=True)
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--emit-paths", action="store_true")
     p.add_argument("--special", type=int, default=0)
@@ -635,7 +635,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (LoopweylError, FileNotFoundError, ValueError) as exc:
-        # bad input; exit 1 is kept for a proven coherence mismatch
+        # bad input; exit 1 is kept for a coherence mismatch
         print(f"error: {exc}", file=sys.stderr)
         return 2
     emit(args, args.command_name, payload, text_lines, csv_rows, status,

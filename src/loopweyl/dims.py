@@ -1,9 +1,21 @@
 """Closed-form dimension counts and the coherence comparison.
 
 h_mu(datum, mu, m) is the dimension of the irreducible representation of
-the split parent group with highest weight e*m times the fundamental weight
-matching the minuscule coweight mu, where e is the twist order.  The
-comparison pits the path count for (mu, Y, a) against h_mu at m = |Y| * a.
+the split parent group with highest weight m times the fundamental weight
+matching the minuscule coweight mu.  The comparison pits the path count
+h_Y(a) for (mu, Y, a) against h_mu at the parent weight
+
+    m' = a * sum over i in Y of kappa_i * a_i^vee,
+
+where a^vee = datum.comarks are the Kac coefficients, whose sum over Y is
+the paper's |Y|, and kappa = datum.kappa is 2 at a node carrying a
+multipliable root (node 0 of A(2)_{2m}) and 1 elsewhere, as in the path
+shapes (lspaths.shape_weight).  m' is an integer, so no half-integral
+weight arises.  That h_Y(a) = h_mu(m') is the coherence conjecture of
+Pappas and Rapoport, proved by Zhu ("On the coherence conjecture of Pappas
+and Rapoport", arXiv:1104.0413) for split and twisted data alike; so a
+row where the two sides differ is a fault, and the CLI's "proven" holds
+for every row.
 """
 
 import time
@@ -72,17 +84,14 @@ def minuscule_node(datum, mu):
 
 
 def h_mu(datum, mu, m):
-    """Closed-form count for a single minuscule mu at scale m."""
+    """dim V(m varpi) of the split parent, varpi the weight of mu's node."""
     if m == 0:
         return 1
     if m < 0:
         raise ValueError("scale m must be nonnegative")
     node = minuscule_node(datum, mu)
     parent = rootdata.split_parent(datum)
-    lam = tuple(
-        datum.twist_order * m if i == node else 0 for i in parent.nodes
-    )
-    return weyl_dim(parent, lam)
+    return weyl_dim(parent, tuple(m if i == node else 0 for i in parent.nodes))
 
 
 def h_mu_sum(datum, parts, m):
@@ -139,7 +148,7 @@ class CoherenceReport:
 
 
 def check_coherence(fin, mu_parts, y, a, cap=20000):
-    """Compare the path count for (mu, Y, a) with h_mu at m = |Y| * a.
+    """Compare the path count for (mu, Y, a) with h_mu at the weight m'.
 
     mu_parts is a tuple of summands, each naming a minuscule class; the path
     side sums the dominant representatives of their coweight projections, the
@@ -156,7 +165,8 @@ def check_coherence(fin, mu_parts, y, a, cap=20000):
     t0 = time.perf_counter()
     h_path = lspaths.count_h_y(fin, lam=lam, y=y, a=a, cap=cap)
     t1 = time.perf_counter()
-    h_closed = h_mu_sum(datum, mu_parts, len(y) * a)
+    weight = a * sum(datum.kappa[i] * datum.comarks[i] for i in set(y))
+    h_closed = h_mu_sum(datum, mu_parts, weight)
     t2 = time.perf_counter()
     return CoherenceReport(
         datum=datum.name,

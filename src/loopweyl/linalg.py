@@ -100,24 +100,6 @@ def inverse(a):
     return tuple(row[n:] for row in red)
 
 
-def solve(a, b):
-    """One exact solution of A x = b, or None if inconsistent."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [list(map(Fraction, row)) + [Fraction(bv)] for row, bv in zip(a, b)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        if c < ncols:
-            x[c] = red[r][ncols]
-        elif red[r][ncols] != 0:
-            return None
-    return tuple(x)
-
-
 def nullspace(a, q=None):
     """Basis of the right nullspace, as row vectors over Q or over F_q."""
     ncols = len(a[0]) if a else 0
@@ -233,17 +215,3 @@ def reduce_mod_lattice(v, basis):
             v = [x - q * y for x, y in zip(v, row)]
     return tuple(v)
 
-
-def lattice_index(sub_basis, sup_basis):
-    """Index [sup : sub] of one full-rank lattice in another."""
-    coords = []
-    sup = mat(sup_basis)
-    for g in sub_basis:
-        c = solve(transpose(sup), g)
-        if c is None or any(x.denominator != 1 for x in c):
-            raise ValueError("sub lattice is not contained in sup lattice")
-        coords.append(c)
-    d = det(coords)
-    if d == 0:
-        raise ValueError("sub lattice is not full rank")
-    return abs(int(d)) if d.denominator == 1 else abs(d)

@@ -42,22 +42,20 @@ def kottwitz_norm_one(a):
     return _sign(a.coeff(0), a.q)
 
 
-def is_unitary(g, form=None):
-    """Check conj(g)^T * form * g = form to the working precision."""
+def is_unitary(g):
+    """Check conj(g)^T * J * g = J, J antidiagonal, to working precision."""
     n = len(g)
-    q = g[0][0].q
-    if form is None:
-        form = santidiag(q, n)
+    form = santidiag(g[0][0].q, n)
     lhs = smul(smul(stranspose(sconj(g)), form), g)
     return all((lhs[i][j] - form[i][j]).is_zero() for i in range(n) for j in range(n))
 
 
-def kottwitz_unitary(g, form=None):
+def kottwitz_unitary(g):
     """Invariant of a point of the quasi-split unitary group: +1 or -1.
 
     The value is the norm-one invariant of det(g).  Raises ValueError if g
     does not preserve the hermitian form.
     """
-    if not is_unitary(g, form):
+    if not is_unitary(g):
         raise ValueError("matrix does not preserve the hermitian form")
     return kottwitz_norm_one(sdet(g))

@@ -158,8 +158,8 @@ class PathSpace:
             self._reach_cache[key] = frozenset(out)
         return self._reach_cache[key]
 
-    def count(self, initials=None):
-        """Total over the given initial directions (default: the tops).
+    def count(self):
+        """Number of paths whose initial direction is one of the tops.
 
         F_c(y), the number of paths from y whose previous cut is c, is
         1 + sum over cuts c' > c of F_c'(z) over z in R_c'(y), the cosets
@@ -169,8 +169,6 @@ class PathSpace:
         (every cover goes to a lower position); F is then a suffix sum over
         the cuts, from the largest down, in integers.
         """
-        if initials is None:
-            initials = self.tops
         nodes = self.graph.nodes
         below = [[] for _ in nodes]
         for up, lo, val in self.graph.edges:
@@ -194,7 +192,7 @@ class PathSpace:
                 for t, r in zip(later, reach[c.denominator])
             ]
         index = {x: k for k, x in enumerate(nodes)}
-        return sum(1 + later[index[t]] for t in initials)
+        return sum(1 + later[index[t]] for t in self.tops)
 
     def paths_from(self, x, a_prev):
         yield (x,), ()
@@ -205,12 +203,10 @@ class PathSpace:
                 for dirs, cuts in self.paths_from(y, a):
                     yield (x,) + dirs, (a,) + cuts
 
-    def paths(self, initials=None):
-        if initials is None:
-            initials = self.tops
+    def paths(self):
         word = dict(zip(self.graph.nodes, self.graph.words))
         out = []
-        for t in initials:
+        for t in self.tops:
             for dirs, cuts in self.paths_from(t, Fraction(0)):
                 words = tuple(word[d] for d in dirs)
                 out.append(
@@ -257,17 +253,18 @@ def is_ls_path(space, directions, cuts):
     return True
 
 
-def count_h_y(fin, mu=None, lam=None, y=(), a=1, cap=20000, emit=False):
+def count_h_y(fin, mu=None, lam=None, *, y, a=1, cap=20000, emit=False):
     """Number of shape a*lam_Y paths with admissible initial direction.
 
-    Builds Adm(mu) and its image modulo the parahoric pair (Y, Y°), and
-    counts the paths on the affine diagram whose first direction lies in
-    that image in W/W_shape.  The graph of those directions is built once
+    Exactly one of mu, lam names the coweight; y, the nonempty node set Y,
+    is a required keyword.  Builds Adm(mu) and its image modulo the
+    parahoric pair (Y, Y°), and counts the paths on the affine diagram
+    whose first direction lies in that image in W/W_shape.  The graph of those directions is built once
     per (Adm(mu), Y), at scale 1.  With emit=True the paths themselves are
     returned alongside the count.
     """
     adm_set = admissible.adm(fin, mu=mu, lam=lam, cap=cap)
-    par = admissible.adm_parahoric(adm_set, y, cap=cap)
+    par = admissible.adm_parahoric(adm_set, y)
     datum = fin.datum
     ctx = admissible.context_for(datum)
     if par.path_graph is None:

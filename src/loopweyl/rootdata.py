@@ -474,15 +474,17 @@ def project_coweight(fin, mu):
     datum = fin.datum
     mu = tuple(int(c) for c in mu)
     if datum.twist_order == 1:
+        if fin.x != 0:
+            # mu names nodes 1..l of the diagram (dims.minuscule_node),
+            # which are fin.nodes only when node 0 is deleted
+            raise UnsupportedDatumError(
+                "split coweight model requires deleting node 0"
+            )
         letter, _, _ = kactables.parse_name(datum.name)
         if letter == "A":
             n = datum.rank + 1
             if len(mu) != n:
                 raise ValueError(f"expected mu in Z^{n}")
-            if fin.x != 0:
-                raise UnsupportedDatumError(
-                    "type A coweight model requires deleting node 0"
-                )
             total = sum(mu)
             lam = tuple(
                 sum(mu[:p]) - Fraction(p * total, n) for p in range(1, n)

@@ -139,16 +139,36 @@ def test_coherence_ramified_unitary():
     assert _GATE["calibrated"], "calibration gate must pass first"
     fin = fin_for("A(2)_2")
     mu = (1, 0, 0)
-    for a, expected in ((1, 6), (2, 15)):
-        rep = check_coherence(fin, (mu,), (0,), a)
-        assert rep.equal and rep.h_path == expected, rep
-    # the remaining vertex sets are recorded without a verdict
-    notes = []
-    for y in ((1,), (0, 1)):
-        for a in (1, 2):
-            rep = check_coherence(fin, (mu,), y, a)
-            notes.append(f"Y={list(rep.y)} a={a}: {rep.h_path}/{rep.h_closed}")
-    return "Y=[0] equal at 6 and 15; open: " + "; ".join(notes)
+    expected = {((0,), 1): 6, ((0,), 2): 15, ((1,), 1): 6, ((1,), 2): 15,
+                ((0, 1), 1): 15, ((0, 1), 2): 45}
+    for (y, a), h in expected.items():
+        rep = check_coherence(fin, (mu,), y, a)
+        assert rep.equal and rep.h_path == h, rep
+    return f"{len(expected)} instances, all equal"
+
+
+def test_coherence_weighted_by_comarks():
+    # |Y| sums the comarks a_i^vee over Y, each scaled by kappa_i, so a node
+    # of comark 2 counts twice; these rows told the weighted form from the
+    # node count e*|Y| (B(1)_3 and D(1)_4 at node 2, A(2)_3 and A(2)_5)
+    pinned = {("B(1)_3", (2,), 1): 27, ("B(1)_3", (2,), 2): 182,
+              ("D(1)_4", (2,), 1): 35, ("D(1)_4", (2,), 2): 294,
+              ("A(2)_3", (0,), 1): 4, ("A(2)_3", (0,), 2): 10,
+              ("A(2)_5", (0,), 1): 6}
+    rows = 0
+    for name, mu, ys, scales in (
+            ("B(1)_3", (1, 0, 0), None, (1, 2)),
+            ("A(2)_3", (1, 0, 0, 0), None, (1, 2)),
+            ("D(1)_4", (1, 0, 0, 0), [(2,)], (1, 2)),
+            ("A(2)_5", (1, 0, 0, 0, 0, 0), [(0,)], (1,))):
+        fin = fin_for(name)
+        for y in ys or nonempty_subsets(fin.datum.nodes):
+            for a in scales:
+                rep = check_coherence(fin, (mu,), y, a)
+                assert rep.equal, rep
+                assert pinned.pop((name, y, a), rep.h_path) == rep.h_path
+                rows += 1
+    assert rows == 2 * 15 + 2 * 7 + 2 + 1 and not pinned
 
 
 def test_coherence_gl5_hyperspecial():
@@ -166,11 +186,11 @@ def test_coherence_gl6_hyperspecial():
 
 
 def test_coherence_gl7_hyperspecial():
-    # GL_7, mu = (1,1,1,0,0,0,0), Y = {0}, a = 1; |Adm(mu)| = 5,111, and the
-    # saturation has 176,400 elements (35 right cosets of S_7), past the
-    # default cap
+    # GL_7, mu = (1,1,1,0,0,0,0), Y = {0}, a = 1; |Adm(mu)| = 5,111, within
+    # the default cap, though the saturation, never built, has 176,400
+    # elements (35 right cosets of S_7)
     rep = check_coherence(
-        fin_for("A(1)_6"), ((1, 1, 1, 0, 0, 0, 0),), (0,), 1, cap=200000)
+        fin_for("A(1)_6"), ((1, 1, 1, 0, 0, 0, 0),), (0,), 1)
     assert rep.equal and rep.h_path == hook_content(7, 3, 1) == 35, rep
 
 

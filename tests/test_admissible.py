@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from loopweyl.admissible import adm, adm_count, adm_parahoric, engine_for
 from loopweyl.errors import ResourceCapError
-from loopweyl.rootdata import echelon_system, load_affine_datum
+from loopweyl.rootdata import (FiniteRootDatum, echelon_system,
+                               load_affine_datum)
 from loopweyl.weyl import bruhat_interval, coset_min, from_word
 
 
@@ -154,10 +155,7 @@ def test_cap_holds_on_stored_sets():
     assert len(s.neutral) == 185
     with pytest.raises(ResourceCapError):
         adm(fin, mu=(2, 2, 0, 0), cap=10)
-    par = adm_parahoric(s, (0,))
-    with pytest.raises(ResourceCapError):
-        adm_parahoric(s, (0,), cap=len(par.full) - 1)
-    assert adm_parahoric(s, (0,), cap=len(par.full)) is par
+    assert adm(fin, mu=(2, 2, 0, 0), cap=185) is s
 
 
 def saturation_oracle(adm_set, y, y_circ):
@@ -219,21 +217,14 @@ def test_saturation_matches_the_multiplied_out_oracle():
 
 
 def test_cap_holds_while_building():
-    # below |W_{S-Y°}| or below |full| the filtered set is refused
-    fin = fin_for("A(1)_3")
-    s = adm(fin, mu=(2, 2, 0, 0))
-    memo = s.saturations
-    par = adm_parahoric(s, (0,))
-    size, order = len(par.full), par.full.order
-    assert 1 < order < size
-    for cap in (order - 1, size - 1):
-        memo.clear()
-        with pytest.raises(ResourceCapError) as err:
-            adm_parahoric(s, (0,), cap=cap)
-        assert err.value.what == "parahoric admissible set size"
-        assert err.value.size > cap
-    memo.clear()
-    assert len(adm_parahoric(s, (0,), cap=size).full) == size
+    # below |Adm(mu)°| the closure is refused and nothing is stored
+    fin = FiniteRootDatum(load_affine_datum("A(1)_3"), 0)
+    with pytest.raises(ResourceCapError) as err:
+        adm(fin, mu=(2, 2, 0, 0), cap=184)
+    assert err.value.what == "admissible set size"
+    assert err.value.size > 184
+    assert len(fin.adm_sets) == 0
+    assert len(adm(fin, mu=(2, 2, 0, 0), cap=185).neutral) == 185
 
 
 def coset_max(eng, x, left_gens=(), right_gens=()):

@@ -93,10 +93,14 @@ def test_exit_codes(tmp_path):
     assert run("sweep", "/nonexistent/file.csv").returncode == 2
     assert run("kottwitz", "--torus", "norm1", "--q", "3",
                "--elt", "1+u").returncode == 2
-    # bad values are input errors (2), never a coherence mismatch (1)
+    # bad values are input errors (2), never a coherence mismatch (1); mu
+    # names nodes 1..l, so a split mu needs node 0 deleted
     for argv in (("coherence", "--datum", "A(1)_1", "--mu", "1,0,0", "--Y", "0"),
                  ("coherence", "--datum", "A(1)_2", "--mu", "2,0,0", "--Y", "0"),
-                 ("adm", "--datum", "A(1)_1", "--mu", "1,0", "--Y", "5")):
+                 ("adm", "--datum", "A(1)_1", "--mu", "1,0", "--Y", "5"),
+                 ("coherence", "--datum", "C(1)_2", "--mu", "0,1", "--Y", "0",
+                  "--special", "2"),
+                 ("adm", "--datum", "C(1)_2", "--mu", "0,1", "--special", "2")):
         proc = run(*argv)
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
@@ -153,6 +157,29 @@ def test_sweep(tmp_path):
     assert doc["payload"]["all_equal"] is True
 
 
+def test_one_verdict_for_split_and_twisted_rows(tmp_path, monkeypatch, capsys):
+    from loopweyl import dims
+    from loopweyl.cli import main
+    # node 2 of D(1)_4 has comark 2, so Y = {2} weighs 2
+    doc = run_json("coherence", "--datum", "D(1)_4", "--mu", "1,0,0,0",
+                   "--Y", "2", "--a", "1..2")
+    assert doc["payload"]["all_equal"] is True
+    assert [r["h"] for r in doc["payload"]["rows"]] == [35, 294]
+    # a mismatch fails the command on twisted data as on split data
+    monkeypatch.setattr(dims, "h_mu_sum", lambda datum, parts, m: -1)
+    config = tmp_path / "twisted.csv"
+    config.write_text('A(2)_2,"1,0,0",0,1\n')
+    for argv in (["coherence", "--datum", "A(2)_2", "--mu", "1,0,0",
+                  "--Y", "0"], ["sweep", str(config)]):
+        assert main([*argv, "--format", "json"]) == 1, argv
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "mismatch"
+        assert doc["payload"]["all_equal"] is False
+    assert main(["coherence", "--datum", "A(2)_2", "--mu", "1,0,0",
+                 "--Y", "0"]) == 1
+    assert "mismatches found (proven case)" in capsys.readouterr().out
+
+
 def test_datum_file_round_trip(tmp_path):
     from loopweyl.rootdata import datum_to_json, load_affine_datum
     path = tmp_path / "su5.json"
@@ -186,6 +213,7 @@ def test_cells_text_points():
 def test_hpoly_requires_y_or_errors():
     proc = run("hpoly", "--datum", "A(1)_1", "--mu", "1,0")
     assert proc.returncode == 2
+    assert "required: --Y" in proc.stderr
 
 
 def test_golden_payloads(capsys):

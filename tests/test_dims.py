@@ -75,10 +75,12 @@ def test_h_mu_shift_invariance():
 
 
 def test_h_mu_twisted():
+    # m is the weight of the split parent SL_3 itself: Sym^m of C^3
     datum = load_affine_datum("A(2)_2")
-    assert h_mu(datum, (1, 0, 0), 1) == 6
-    assert h_mu(datum, (1, 0, 0), 2) == 15
-    assert h_mu(datum, (1, 1, 0), 1) == 6
+    assert h_mu(datum, (1, 0, 0), 1) == 3
+    assert h_mu(datum, (1, 0, 0), 2) == 6
+    assert h_mu(datum, (1, 0, 0), 4) == 15
+    assert h_mu(datum, (1, 1, 0), 2) == 6
     assert h_mu(datum, (1, 0, 0), 0) == 1
     with pytest.raises(ValueError):
         h_mu(datum, (1, 0, 0), -1)
