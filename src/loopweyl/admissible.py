@@ -33,7 +33,6 @@ saturations, keyed by Y.  A repeated call returns the stored object; adm
 still raises ResourceCapError when the stored set is larger than its cap.
 """
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -157,19 +156,6 @@ class ParahoricAdmissible:
     path_graph: object = field(default=None, init=False, repr=False)
 
 
-def parabolic_order(eng, gens):
-    """|W_gens| of a finite standard parabolic, by the heights of its roots.
-
-    The Poincare polynomial of W_gens is the product over its positive
-    roots alpha of (1 - q^(ht alpha + 1)) / (1 - q^ht alpha) (Macdonald,
-    Math. Ann. 199 (1972)); at q = 1 it is the order.
-    """
-    pos = [eng.npos[i] for i in gens]
-    sub = [[eng.a[i][j] for j in pos] for i in pos]
-    heights = [sum(root) for root, _ in rootdata.root_closure(sub)]
-    return math.prod(h + 1 for h in heights) // math.prod(heights)
-
-
 def adm_parahoric(adm_set, y):
     """Saturation W^Y Adm(mu)° W^{Y°} with its right and double coset minima.
 
@@ -197,7 +183,7 @@ def adm_parahoric(adm_set, y):
         adm_set=adm_set,
         y=y,
         y_circ=y_circ,
-        full=Saturation(mod_right, parabolic_order(eng, right)),
+        full=Saturation(mod_right, rootdata.parabolic_order(eng.a, right)),
         mod_right=mod_right,
         double_min=tuple(
             x for x in mod_right

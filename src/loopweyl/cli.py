@@ -5,6 +5,8 @@ admissible sets, path counts, coherence checks, Kottwitz invariants, Schubert
 cells, special fibers, and batch sweeps.  Output comes in three formats; the
 json format wraps a deterministic payload in a versioned envelope, with wall
 time kept outside the payload so identical inputs give identical payloads.
+schemas/output.json describes that envelope once, beside the payload schema
+of each command; output_schema(command) puts the two together.
 
 Group elements are written as ``e``, as dotted words ``s0.s1.s2``, or as
 ``*``-separated products of words, translations ``t[1/2,-1/2]``, and length
@@ -22,6 +24,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from importlib import resources
 
 from .admissible import adm, adm_count, adm_parahoric, engine_for
 from .dims import check_coherence
@@ -248,16 +251,28 @@ def emit(args, command, payload, text_lines, csv_rows=None, status="ok",
             print(line)
 
 
+def output_schema(command):
+    """The json schema of command's output: the envelope with the command
+    name put in for {command}, and the command's payload schema."""
+    doc = json.loads(
+        (resources.files("loopweyl") / "schemas" / "output.json").read_text())
+    schema = json.loads(
+        json.dumps(doc["envelope"]).replace("{command}", command))
+    schema["properties"]["payload"] = doc["payloads"][command]
+    return schema
+
+
 # -- subcommands -------------------------------------------------------------
 
 def cmd_datum(args):
     if args.action == "list":
         names = known_names()
         payload = {"names": list(names)}
-        return payload, list(names), [("name",)] + [(n,) for n in names], "ok", 0
+        return payload, list(names), [("name",)] + [(n,) for n in names], "ok"
     if not args.name:
         raise SpecParseError("datum info needs a name or a json file path")
     datum = load_datum_arg(args.name)
+    special = list(special_nodes(datum))
     payload = {
         "name": datum.name,
         "rank": datum.rank,
@@ -267,7 +282,7 @@ def cmd_datum(args):
         "marks": list(datum.marks),
         "comarks": list(datum.comarks),
         "kappa": list(datum.kappa),
-        "special": list(special_nodes(datum)),
+        "special": special,
         "su_n": datum.su_n,
     }
     text = [
@@ -279,10 +294,10 @@ def cmd_datum(args):
         f"marks       {list(datum.marks)}",
         f"comarks     {list(datum.comarks)}",
         f"kappa       {list(datum.kappa)}",
-        f"special     {list(special_nodes(datum))}",
+        f"special     {special}",
         f"su_n        {datum.su_n}",
     ]
-    return payload, text, None, "ok", 0
+    return payload, text, None, "ok"
 
 
 def cmd_weyl(args):
@@ -307,7 +322,7 @@ def cmd_weyl(args):
         payload["other"] = args.other
         payload["leq"] = eng.bruhat_leq(x, other)
         text = [str(payload["leq"]).lower()]
-    return payload, text, None, "ok", 0
+    return payload, text, None, "ok"
 
 
 def _mu_or_lam(args, fin):
@@ -347,7 +362,7 @@ def cmd_adm(args):
         if args.q:
             payload["count_q"] = adm_count(par, args.q)
             text.append(f"count at q={args.q}: {payload['count_q']}")
-    return payload, text, None, "ok", 0
+    return payload, text, None, "ok"
 
 
 def cmd_hpoly(args):
@@ -368,7 +383,7 @@ def cmd_hpoly(args):
     if paths is not None:
         payload["paths"] = [path_text(p) for p in paths]
         text.extend(payload["paths"])
-    return payload, text, None, "ok", 0
+    return payload, text, None, "ok"
 
 
 def coherence_rows(instances, cap, line):
@@ -416,7 +431,7 @@ def cmd_coherence(args):
                "all_equal": all_equal, "proven": True}
     text.append(("all equal" if all_equal else "mismatches found") +
                 " (proven case)")
-    return payload, text, csv_rows, status, 0 if all_equal else 1
+    return payload, text, csv_rows, status
 
 
 def cmd_kottwitz(args):
@@ -436,7 +451,7 @@ def cmd_kottwitz(args):
         value = kottwitz_unitary(smat(args.q, rows))
     payload = {"torus": args.torus, "q": args.q, "elt": args.elt,
                "value": value}
-    return payload, [str(value)], None, "ok", 0
+    return payload, [str(value)], None, "ok"
 
 
 def cmd_cells(args):
@@ -463,7 +478,7 @@ def cmd_cells(args):
              for chain in pts])
         payload["points"] = rendered
         text.extend(rendered)
-    return payload, text, None, "ok", 0
+    return payload, text, None, "ok"
 
 
 def cmd_fiber(args):
@@ -492,7 +507,7 @@ def cmd_fiber(args):
     if collect:
         text.append(f"spot_check {payload['spot_check']['checked']} chains, "
                     + ("all valid" if payload["spot_check"]["ok"] else "INVALID"))
-    return payload, text, None, "ok", 0
+    return payload, text, None, "ok"
 
 
 def cmd_sweep(args):
@@ -520,7 +535,7 @@ def cmd_sweep(args):
         instances(), args.cap,
         "{datum} mu={mu_text} Y={y} a={a}: h_Y={h_y} h={h} {mark}")
     payload = {"rows": rows, "all_equal": status == "ok"}
-    return payload, text, csv_rows, status, 0 if status == "ok" else 1
+    return payload, text, csv_rows, status
 
 
 # -- wiring ------------------------------------------------------------------
@@ -541,7 +556,7 @@ def build_parser():
     p.add_argument("action", choices=("info", "list"))
     p.add_argument("name", nargs="?", help="table name or a json file path")
     _common(p)
-    p.set_defaults(handler=cmd_datum, command_name="datum")
+    p.set_defaults(handler=cmd_datum)
 
     p = subs.add_parser("weyl", help="Iwahori-Weyl group arithmetic")
     p.add_argument("op", choices=("length", "word", "leq"))
@@ -550,7 +565,7 @@ def build_parser():
     p.add_argument("--other")
     p.add_argument("--special", type=int, default=0)
     _common(p)
-    p.set_defaults(handler=cmd_weyl, command_name="weyl")
+    p.set_defaults(handler=cmd_weyl)
 
     p = subs.add_parser("adm", help="admissible sets")
     p.add_argument("--datum", required=True)
@@ -560,7 +575,7 @@ def build_parser():
     p.add_argument("--q", type=int)
     p.add_argument("--special", type=int, default=0)
     _common(p)
-    p.set_defaults(handler=cmd_adm, command_name="adm")
+    p.set_defaults(handler=cmd_adm)
 
     p = subs.add_parser("hpoly", help="path counts")
     p.add_argument("--datum", required=True)
@@ -571,7 +586,7 @@ def build_parser():
     p.add_argument("--emit-paths", action="store_true")
     p.add_argument("--special", type=int, default=0)
     _common(p)
-    p.set_defaults(handler=cmd_hpoly, command_name="hpoly")
+    p.set_defaults(handler=cmd_hpoly)
 
     p = subs.add_parser("coherence", help="compare path counts with dimensions")
     p.add_argument("--datum", required=True)
@@ -581,7 +596,7 @@ def build_parser():
     p.add_argument("--a", default="1", help="multiplier or range lo..hi")
     p.add_argument("--special", type=int, default=0)
     _common(p)
-    p.set_defaults(handler=cmd_coherence, command_name="coherence")
+    p.set_defaults(handler=cmd_coherence)
 
     p = subs.add_parser("kottwitz", help="Kottwitz invariants over F_q((u))")
     p.add_argument("--torus", choices=("gm", "norm1", "un"), required=True)
@@ -590,7 +605,7 @@ def build_parser():
                    help="a series, or matrix rows separated by ';'")
     p.add_argument("--precision", type=int, default=16)
     _common(p)
-    p.set_defaults(handler=cmd_kottwitz, command_name="kottwitz")
+    p.set_defaults(handler=cmd_kottwitz)
 
     p = subs.add_parser("cells", help="Schubert cells in affine flag varieties")
     p.add_argument("--group", choices=("sl", "su3"), required=True)
@@ -599,7 +614,7 @@ def build_parser():
     p.add_argument("--word", required=True)
     p.add_argument("--count-only", action="store_true")
     _common(p)
-    p.set_defaults(handler=cmd_cells, command_name="cells")
+    p.set_defaults(handler=cmd_cells)
 
     p = subs.add_parser("fiber", help="special fibers of naive unitary models")
     p.add_argument("--n", type=int, required=True)
@@ -611,12 +626,12 @@ def build_parser():
                    help="validate this many random points as lattice chains")
     p.add_argument("--seed", type=int, default=0)
     _common(p)
-    p.set_defaults(handler=cmd_fiber, command_name="fiber")
+    p.set_defaults(handler=cmd_fiber)
 
     p = subs.add_parser("sweep", help="batch coherence checks from a csv file")
     p.add_argument("config", help="csv with columns datum,mu,Y,a")
     _common(p)
-    p.set_defaults(handler=cmd_sweep, command_name="sweep")
+    p.set_defaults(handler=cmd_sweep)
     return parser
 
 
@@ -627,10 +642,10 @@ def main(argv=None):
         parser.print_help()
         return 2
     if getattr(args, "cap", None) is None:
-        args.cap = 2_000_000 if args.command_name == "fiber" else 20000
+        args.cap = 2_000_000 if args.command == "fiber" else 20000
     t0 = time.perf_counter()
     try:
-        payload, text_lines, csv_rows, status, code = args.handler(args)
+        payload, text_lines, csv_rows, status = args.handler(args)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -638,9 +653,9 @@ def main(argv=None):
         # bad input; exit 1 is kept for a coherence mismatch
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit(args, args.command_name, payload, text_lines, csv_rows, status,
+    emit(args, args.command, payload, text_lines, csv_rows, status,
          time.perf_counter() - t0)
-    return code
+    return 0 if status == "ok" else 1
 
 
 if __name__ == "__main__":

@@ -79,7 +79,7 @@ def path_graph(ctx, shape, tops, cap=20000):
     shape = tuple(shape)
     if all(c == 0 for c in shape) or any(c < 0 for c in shape):
         raise ValueError("shape must be nonzero and dominant")
-    stab = tuple(i for i in ctx.nodes if shape[ctx.npos[i]] == 0)
+    stab = tuple(i for i in ctx.nodes if shape[i] == 0)
     graph = weyl.bruhat_interval(ctx, tops, right_quotient=stab, cap=cap)
     index = {x: k for k, x in enumerate(graph.nodes)}
     edges = []

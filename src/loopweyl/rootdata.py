@@ -12,6 +12,7 @@ diagram, in increasing node order.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -118,8 +119,28 @@ def datum_to_json(datum):
 
 
 def special_nodes(datum):
-    """Nodes with comark 1; these admit the W_0 x T realization."""
-    return tuple(i for i in datum.nodes if datum.comarks[i] == 1)
+    """Special nodes of comark 1; these admit the W_0 x T realization.
+
+    A node x is special when |W_{S-x}| is |W_{S-0}|, the order of the
+    finite Weyl group (Bourbaki, Lie groups and Lie algebras, ch. VI sec.
+    2.2).
+    """
+    orders = [parabolic_order(datum.cartan, [j for j in datum.nodes if j != i])
+              for i in datum.nodes]
+    return tuple(i for i in datum.nodes
+                 if datum.comarks[i] == 1 and orders[i] == orders[0])
+
+
+def parabolic_order(a, gens):
+    """|W_gens| of a finite standard parabolic, by the heights of its roots.
+
+    The Poincare polynomial of W_gens is the product over its positive
+    roots alpha of (1 - q^(ht alpha + 1)) / (1 - q^ht alpha) (Macdonald,
+    Math. Ann. 199 (1972)); at q = 1 it is the order.
+    """
+    sub = [[a[i][j] for j in gens] for i in gens]
+    heights = [sum(root) for root, _ in root_closure(sub)]
+    return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
 def root_closure(a):
@@ -216,7 +237,6 @@ class FiniteRootDatum:
                 f"wall of node {x}"
             )
 
-        self._w0_gens = {i: self._coroot_reflection(i) for i in self.nodes}
         orbit = self._orbit(tuple(Fraction(c) for c in self.t_star))
         self.t_basis = linalg.lattice_basis(orbit)
         if len(self.t_basis) != self.r:
@@ -295,29 +315,14 @@ class FiniteRootDatum:
     def _theta(self, v):
         return sum(v[r] * self.theta_grad[r] for r in range(self.r))
 
-    def _coroot_reflection(self, i):
-        p = self.npos[i]
-        rows = []
-        for r in range(self.r):
-            if r != p:
-                rows.append(tuple(1 if q == r else 0 for q in range(self.r)))
-            else:
-                rows.append(
-                    tuple(
-                        (1 if q == p else 0) - self.a_del[q][p]
-                        for q in range(self.r)
-                    )
-                )
-        return tuple(rows)
-
     def _orbit(self, v):
         seen = {v}
         frontier = [v]
         while frontier:
             nxt = []
             for u in frontier:
-                for m in self._w0_gens.values():
-                    w = linalg.matvec(m, u)
+                for i in self.nodes:
+                    w = self.reflect_point(i, u)
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)
@@ -355,8 +360,9 @@ class FiniteRootDatum:
         c = self.affine_value(self.x, v)
         return tuple(v[r] + c * self.psi[r] for r in range(self.r))
 
-    def alcove_normalize(self, v):
-        """Walk a point into the closed base alcove by simple reflections.
+    def _walk(self, v, nodes):
+        """Reflect v in the first wall of nodes with v on its negative side,
+        until there is none; alcove_normalize and dominant_rep walk here.
 
         Returns the end point and the nodes of the walls crossed, in order.
         """
@@ -366,7 +372,7 @@ class FiniteRootDatum:
             neg = next(
                 (
                     i
-                    for i in self.datum.nodes
+                    for i in nodes
                     if self.affine_value(i, v) < 0
                 ),
                 None,
@@ -376,6 +382,13 @@ class FiniteRootDatum:
             walls.append(neg)
             v = self.reflect_point(neg, v)
         raise UnsupportedDatumError("alcove walk did not terminate")
+
+    def alcove_normalize(self, v):
+        """Walk a point into the closed base alcove by simple reflections.
+
+        Returns the end point and the nodes of the walls crossed, in order.
+        """
+        return self._walk(v, self.datum.nodes)
 
     # -- coweight lattice --
 
@@ -393,23 +406,7 @@ class FiniteRootDatum:
 
     def dominant_rep(self, lam):
         """The dominant W_0-conjugate of lam."""
-        lam = tuple(Fraction(c) for c in lam)
-        while True:
-            neg = next(
-                (
-                    i
-                    for i in self.nodes
-                    if self.simple_root_value(i, lam) < 0
-                ),
-                None,
-            )
-            if neg is None:
-                return lam
-            p = self.npos[neg]
-            c = self.simple_root_value(neg, lam)
-            lam = tuple(
-                lam[r] - (c if r == p else 0) for r in range(self.r)
-            )
+        return self._walk(lam, self.nodes)[0]
 
     def w0_orbit(self, lam):
         """The full W_0-orbit of lam, sorted."""

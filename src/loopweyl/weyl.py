@@ -88,28 +88,18 @@ class CartanContext:
     identity, with the empty residue.
     """
 
-    def __init__(self, a, nodes=None):
+    def __init__(self, a):
         self.a = tuple(tuple(row) for row in a)
         n = len(self.a)
-        self.nodes = tuple(range(n)) if nodes is None else tuple(nodes)
-        if len(self.nodes) != n:
-            raise ValueError(
-                f"{len(self.nodes)} node labels for a {n}x{n} Cartan matrix"
-            )
-        self.npos = {i: p for p, i in enumerate(self.nodes)}
+        self.nodes = tuple(range(n))
         eye = tuple(
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
         self._id = CoxElement(eye, eye)
         self._gens = {}
-        # per node: (position p, row p of A), the data of the one-row
-        # updates in lmul and rmul
-        self._rows = {}
         for i in self.nodes:
-            p = self.npos[i]
-            root = _row_update(eye, p, self.a[p])
+            root = _row_update(eye, i, self.a[i])
             self._gens[i] = CoxElement(root, root)
-            self._rows[i] = (p, self.a[p])
         # d_i a_ij = d_j a_ji, which carries the root side to the coroot side
         self.sym = _symmetrizer(self.a)
         self.fin = None
@@ -153,7 +143,7 @@ class CartanContext:
                 f"wall Cartan matrix of {fin.datum.name} at node {fin.x} "
                 "is not integral"
             )
-        eng = cls([[int(v) for v in row] for row in a], nodes)
+        eng = cls([[int(v) for v in row] for row in a])
         eng.fin = fin
         eng._taus = {}
         eng._residues = {}
@@ -203,24 +193,23 @@ class CartanContext:
     def lmul(self, i, x):
         """s_i x by one-row updates, without a matrix product.
 
-        With p the position of i, row p of m becomes m[p] - sum_c a[p][c]
-        m[c], and each row r of minv loses minv[r][p] times a[p], since
-        (s_i x)^{-1} = x^{-1} s_i.
+        Row i of m becomes m[i] - sum_c a[i][c] m[c], and each row r of
+        minv loses minv[r][i] times a[i], since (s_i x)^{-1} = x^{-1} s_i.
         """
-        p, row = self._rows[i]
+        row = self.a[i]
         return CoxElement(
-            _row_update(x.m, p, row), _col_update(x.minv, p, row)
+            _row_update(x.m, i, row), _col_update(x.minv, i, row)
         )
 
     def rmul(self, x, i):
         """x s_i, the mirror of lmul.
 
-        Each row r of m loses m[r][p] times a[p], and row p of minv becomes
-        minv[p] - sum_c a[p][c] minv[c].
+        Each row r of m loses m[r][i] times a[i], and row i of minv becomes
+        minv[i] - sum_c a[i][c] minv[c].
         """
-        p, row = self._rows[i]
+        row = self.a[i]
         return CoxElement(
-            _col_update(x.m, p, row), _row_update(x.minv, p, row)
+            _col_update(x.m, i, row), _row_update(x.minv, i, row)
         )
 
     def reflect(self, beta, beta_co, x):
@@ -251,8 +240,7 @@ class CartanContext:
         )
 
     def _col_negative(self, m, i):
-        p = self.npos[i]
-        col = [row[p] for row in m]
+        col = [row[i] for row in m]
         neg = any(c < 0 for c in col)
         if neg and any(c > 0 for c in col):
             raise ConsistencyError(
@@ -274,17 +262,15 @@ class CartanContext:
 
     def root_coords(self, x, i):
         """Coordinates of x(alpha_i) over the simple roots."""
-        p = self.npos[i]
-        return tuple(row[p] for row in x.m)
+        return tuple(row[i] for row in x.m)
 
     def coroot_coords(self, x, i):
         """Coordinates of x(alpha_i^vee) over the simple coroots.
 
-        Column p of D m D^{-1}: entry r is d_r m[r][p] / d_p.
+        Column i of D m D^{-1}: entry r is d_r m[r][i] / d_i.
         """
-        p = self.npos[i]
         d = self.sym
-        return tuple(dr * row[p] // d[p] for dr, row in zip(d, x.m))
+        return tuple(dr * row[i] // d[i] for dr, row in zip(d, x.m))
 
     def coroot_apply_inv(self, x, c):
         """x^{-1} applied to simple-coroot coordinates c: D minv D^{-1} c."""
@@ -318,8 +304,7 @@ class CartanContext:
 
     def tau_conj_node(self, tau, i):
         """The node j with tau s_i tau^{-1} = s_j."""
-        p = self.npos[i]
-        return next(j for j, row in zip(self.nodes, tau.m) if row[p])
+        return next(j for j, row in enumerate(tau.m) if row[i])
 
     def bruhat_leq(self, v, w):
         """Extended Bruhat order: comparable only inside one Omega-class."""
@@ -527,10 +512,9 @@ def labeled_covers_down(eng, x, word, right_quotient=(), found=None):
     cols = [tuple(int(r == c) for r in range(n)) for c in range(n)]
     gammas = []
     for i in word:
-        p, row = eng._rows[i]
-        g = cols[p]
-        gammas.append((g, tuple(dr * u // d[p] for dr, u in zip(d, g))))
-        for c, coef in enumerate(row):
+        g = cols[i]
+        gammas.append((g, tuple(dr * u // d[i] for dr, u in zip(d, g))))
+        for c, coef in enumerate(eng.a[i]):
             if coef:
                 cols[c] = tuple(u - coef * v for u, v in zip(cols[c], g))
     # the roots that s_{gamma_k} must keep positive: gamma_j for j > k,

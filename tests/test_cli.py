@@ -1,16 +1,18 @@
 """End-to-end command line checks: envelopes, formats, exit codes."""
 
+import argparse
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+
+from loopweyl.cli import build_parser, output_schema
 
 CASES = {
     "datum": ["datum", "info", "A(2)_2"],
@@ -39,11 +41,6 @@ def run_json(*argv):
     return json.loads(proc.stdout)
 
 
-def schema_for(command):
-    path = resources.files("loopweyl") / "schemas" / f"{command}.json"
-    return json.loads(path.read_text())
-
-
 def test_examples():
     proc = run("datum", "info", "A(1)_2")
     assert proc.returncode == 0
@@ -64,9 +61,9 @@ def test_json_envelopes():
         assert doc["schema"] == f"loopweyl/{command}@1"
         assert doc["status"] == "ok"
         assert doc["wall_time"] >= 0
-        jsonschema.validate(doc, schema_for(command))
+        jsonschema.validate(doc, output_schema(command))
     doc = run_json("datum", "list")
-    jsonschema.validate(doc, schema_for("datum"))
+    jsonschema.validate(doc, output_schema("datum"))
     assert "A(2)_2" in doc["payload"]["names"]
 
 
@@ -122,7 +119,7 @@ def test_fiber_spot_check_reports():
     payload = doc["payload"]
     assert payload["naive_count"] == 25
     assert payload["spot_check"] == {"checked": 5, "ok": True}
-    jsonschema.validate(doc, schema_for("fiber"))
+    jsonschema.validate(doc, output_schema("fiber"))
 
 
 def test_coherence_csv():
@@ -153,7 +150,7 @@ def test_sweep(tmp_path):
     assert rows[3][1] == "1,0+0,1"
     assert all(r[6] == "true" for r in rows[1:])
     doc = json.loads(run("sweep", str(config), "--format", "json").stdout)
-    jsonschema.validate(doc, schema_for("sweep"))
+    jsonschema.validate(doc, output_schema("sweep"))
     assert doc["payload"]["all_equal"] is True
 
 
@@ -229,6 +226,27 @@ def test_golden_payloads(capsys):
         doc = json.loads(capsys.readouterr().out)
         assert json.dumps(doc["payload"], sort_keys=True) == case["payload"], \
             case["argv"]
+
+
+def test_golden_payloads_fit_their_schemas():
+    # each pinned payload, wrapped in its envelope, is valid output of its
+    # command, so every schema is checked against real payloads
+    golden = json.loads(
+        (Path(__file__).parent / "golden_payloads.json").read_text())
+    for case in golden:
+        command = case["argv"][0]
+        doc = {"schema": f"loopweyl/{command}@1", "command": command,
+               "status": "ok", "wall_time": 0.0,
+               "payload": json.loads(case["payload"])}
+        jsonschema.validate(doc, output_schema(command))
+
+
+def test_every_command_has_a_schema():
+    subs = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    assert len(subs.choices) == 9
+    for command in subs.choices:
+        jsonschema.Draft7Validator.check_schema(output_schema(command))
 
 
 def test_golden_payloads_without_asserts():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from loopweyl.errors import UnsupportedDatumError
+from loopweyl.kactables import known_names
 from loopweyl.rootdata import (AffineRootDatum, FiniteRootDatum, bt_nodes,
                                datum_from_json, datum_to_json, echelon_system,
                                load_affine_datum, project_coweight,
@@ -18,10 +19,10 @@ def fin_for(name, x=0):
 
 def test_special_nodes():
     assert special_nodes(load_affine_datum("A(1)_2")) == (0, 1, 2)
-    assert special_nodes(load_affine_datum("C(1)_2")) == (0, 1, 2)
+    assert special_nodes(load_affine_datum("C(1)_2")) == (0, 2)
     assert special_nodes(load_affine_datum("A(2)_2")) == (0,)
     assert special_nodes(load_affine_datum("A(2)_5")) == (0, 1)
-    assert special_nodes(load_affine_datum("B(1)_3")) == (0, 1, 3)
+    assert special_nodes(load_affine_datum("B(1)_3")) == (0, 1)
     assert special_nodes(load_affine_datum("D(3)_4")) == (0,)
 
 
@@ -45,10 +46,29 @@ def test_echelon_system_other_vertices():
             assert len(fin.nodes) == len(datum.nodes) - 1
     fin = echelon_system(load_affine_datum("C(1)_2"), 2)
     assert fin.x == 2
-    # the middle vertex of C(1)_2 is special but has mark 2, and the
-    # normalization needs the mark to divide every comark
+    # the middle vertex of C(1)_2 has comark 1 but is not special: its
+    # mark 2 does not divide every comark, so no realization normalizes
     with pytest.raises(UnsupportedDatumError):
         echelon_system(load_affine_datum("C(1)_2"), 1)
+
+
+def test_special_nodes_are_the_realizable_ones():
+    # a node of comark 1 is special exactly when the W_0 x T realization
+    # at it builds, on every datum of rank <= 5
+    pairs = 0
+    for name in known_names(5):
+        datum = load_affine_datum(name)
+        for x in datum.nodes:
+            if datum.comarks[x] != 1:
+                continue
+            try:
+                FiniteRootDatum(datum, x)
+                builds = True
+            except UnsupportedDatumError:
+                builds = False
+            assert (x in special_nodes(datum)) == builds, (name, x)
+            pairs += 1
+    assert pairs == 85
 
 
 def test_project_coweight_split():

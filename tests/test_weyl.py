@@ -69,10 +69,7 @@ def test_engine_matches_alcove_geometry():
         if datum.rank > 4:
             continue
         for x in special_nodes(datum):
-            try:
-                fin = echelon_system(datum, x)
-            except UnsupportedDatumError:
-                continue
+            fin = echelon_system(datum, x)
             pairs += 1
             eng = engine_for(fin)
             for w in ball(eng, datum.nodes, 2):
@@ -187,11 +184,6 @@ def matrices(x):
     return (x.m, x.minv)
 
 
-def test_node_labels_must_match_the_matrix():
-    with pytest.raises(ValueError):
-        CartanContext([[2, -2], [-2, 2]], nodes=(0, 1, 2))
-
-
 def test_the_coroot_side_needs_a_symmetrizable_matrix():
     assert CartanContext([[2, -1], [-2, 2]]).sym == (2, 1)
     assert CartanContext([[2, 0], [0, 2]]).sym == (1, 1)
@@ -210,14 +202,7 @@ def test_one_row_updates_match_the_general_product():
         datum = load_affine_datum(name)
         if datum.rank > 4:
             continue
-        fin = None
-        for x in special_nodes(datum):
-            try:
-                fin = echelon_system(datum, x)
-                break
-            except UnsupportedDatumError:
-                continue
-        eng = engine_for(fin)
+        eng = engine_for(first_fin(datum))
         ctx = context_for(datum)
         base = ball(eng, datum.nodes, 3)
         twisted = {
@@ -293,9 +278,8 @@ def test_coroot_side_follows_from_the_symmetrizer():
             eye = [[int(r == c) for c in range(n)] for r in range(n)]
             gens = {}
             for i in group.nodes:
-                p = group.npos[i]
                 g = [row[:] for row in eye]
-                g[p] = [int(p == c) - a[c][p] for c in range(n)]
+                g[i] = [int(i == c) - a[c][i] for c in range(n)]
                 gens[i] = g
             # each element of length k + 1 is x s_i for one x of length k
             coroot = {group.identity(): (eye, eye)}
@@ -318,11 +302,10 @@ def test_coroot_side_follows_from_the_symmetrizer():
                     and d[r] * x.minv[r][c] == coinv[r][c] * d[c]
                     for r in range(n) for c in range(n)), name
                 for i in group.nodes:
-                    p = group.npos[i]
                     assert group.coroot_coords(x, i) == \
-                        tuple(row[p] for row in co), name
-                    assert group.coroot_apply_inv(x, eye[p]) == \
-                        tuple(row[p] for row in coinv), name
+                        tuple(row[i] for row in co), name
+                    assert group.coroot_apply_inv(x, eye[i]) == \
+                        tuple(row[i] for row in coinv), name
                 elements += 1
     assert elements == 7888
 
@@ -369,11 +352,7 @@ COVER_NAMES = ("A(1)_3", "C(1)_3", "B(1)_3", "D(1)_4", "G(1)_2", "F(1)_4",
 
 
 def first_fin(datum):
-    for x in special_nodes(datum):
-        try:
-            return echelon_system(datum, x)
-        except UnsupportedDatumError:
-            continue
+    return echelon_system(datum, special_nodes(datum)[0])
 
 
 def test_covers_by_inversion_roots_match_the_length_oracle():
