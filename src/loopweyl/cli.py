@@ -200,10 +200,11 @@ def load_datum_arg(name):
 def finite_for(args):
     datum = load_datum_arg(args.datum)
     x = getattr(args, "special", 0)
-    if x not in special_nodes(datum):
+    special = special_nodes(datum)
+    if x not in special:
         raise SpecParseError(
             f"node {x} is not special for {datum.name}; "
-            f"choose from {special_nodes(datum)}")
+            f"choose from {list(special)}")
     return echelon_system(datum, x)
 
 

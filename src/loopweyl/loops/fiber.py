@@ -17,7 +17,12 @@ echelon form over F_q), built reduced where they are made; only perps, join
 keys and cell-point coordinates go through `linalg.rref`.  Each gram matrix
 has one nonzero entry, +-2, in every row and column, so the pairing is
 nondegenerate: for a self-dual token (j = -j mod n) a rank-n subspace has a
-rank-n perp, and is its own perp exactly when it is isotropic.
+rank-n perp, and is its own perp exactly when it is isotropic.  No gram
+pairs two top slots (the first n) or two bottom slots, so bottom rows pair
+to zero and a top row meets a bottom row through its top part alone: given
+a gram, `ustable_subspaces` tests the top parts against the bottom rows
+before any lift, then lifts the top rows one at a time, keeping a row that
+pairs to zero with itself and the rows lifted before it.
 
 The enumeration is a join over the free tokens, not a product of their
 candidate lists.  Every window token has an owner, the free token whose
@@ -185,36 +190,38 @@ def pairs_to_zero(xs, ys, gram, q):
     return True
 
 
-def is_isotropic(rows, gram, q):
-    """Whether x . gram . y^T = 0 for all rows x, y (self-duality, above)."""
-    return pairs_to_zero(rows, rows, gram, q)
-
-
-def ustable_subspaces(n, q):
+def ustable_subspaces(n, q, gram=None):
     """All u-stable n-dimensional subspaces of a member quotient.
 
     Yields reduced bases in the 2n slot coordinates; u sends slot a to slot
     n+a and slot n+a to zero.  The rows are built reduced: top rows pivot in
     the first n slots, bottom rows in the last n, and each row vanishes at
-    the pivots of the others.
+    the pivots of the others.  With a self-dual token's gram, symmetric or
+    antisymmetric, only the isotropic ones are yielded, in the same order,
+    cut off before their lifts are built: exact because the gram's top-top
+    and bottom-bottom blocks vanish.
     """
+    def paired(xs, ys):
+        return gram is None or pairs_to_zero(xs, ys, gram, q)
+
     for b in range(n, (n + 1) // 2 - 1, -1):
-        a = n - b
         for bot in subspaces(n, b, q):
-            bot_piv = pivot_columns(bot)
-            nonpiv = [c for c in range(n) if c not in bot_piv]
+            piv = pivot_columns(bot)
             bottom = tuple((0,) * n + bv for bv in bot)
+            lifts = list(itertools.product(
+                *((0,) if c in piv else range(q) for c in range(n))))
             # top rows live inside the bottom space (u-stability)
-            for topc in subspaces(b, a, q):
+            for topc in subspaces(b, n - b, q):
                 top = apply_rows(topc, bot, q)
-                for values in itertools.product(range(q), repeat=a * len(nonpiv)):
-                    rows = []
-                    for t, tv in enumerate(top):
-                        lift = [0] * n
-                        for s, c in enumerate(nonpiv):
-                            lift[c] = values[t * len(nonpiv) + s]
-                        rows.append(tv + tuple(lift))
-                    yield tuple(rows) + bottom
+                if not paired([tv + (0,) * n for tv in top], bottom):
+                    continue
+                partial = [()]
+                for tv in top:
+                    partial = [rows + (row,) for rows in partial
+                               for row in (tv + lift for lift in lifts)
+                               if paired([row], rows + (row,))]
+                for rows in partial:
+                    yield rows + bottom
 
 
 # -- the fiber --------------------------------------------------------------
@@ -271,11 +278,8 @@ def fiber_points(n, q, sharp, cap):
     subspaces, isotropic ones for a self-dual token) exceeds cap.
     """
     free, window, partner, incs, grams = fiber_conditions(n, q, sharp)
-    candidates = {i: [] for i in free}
-    for key in ustable_subspaces(n, q):
-        for i in free:
-            if (n - i) % n != i or is_isotropic(key, grams[i], q):
-                candidates[i].append(key)
+    candidates = {i: list(ustable_subspaces(
+        n, q, grams[i] if (n - i) % n == i else None)) for i in free}
     total_work = math.prod(len(candidates[i]) for i in free)
     if total_work > cap:
         raise ResourceCapError("fiber candidate combinations", total_work, cap)
@@ -366,12 +370,8 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
     collect=True the dict also carries every point as a tuple of subspace
     bases aligned with the window tokens.
 
-    The points come from `fiber_points`: each window token's member is fixed
-    by its owner among the free tokens; checks reading one owner filter its
-    candidates once (a check into a partner's perp is a vanishing pairing),
-    and checks reading two owners join the filtered lists token by token,
-    memoized by the space read of the earlier owner.  ResourceCapError is
-    raised when the product of the unfiltered candidate lists exceeds cap.
+    The points come from the owner join of `fiber_points` (module notes);
+    ResourceCapError is raised when its candidate lists' product exceeds cap.
     """
     if q not in ODD_FIELDS:
         raise UnsupportedFieldError(f"residue field size {q} not odd in {ODD_FIELDS}")

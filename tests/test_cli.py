@@ -113,6 +113,14 @@ def test_exit_codes(tmp_path):
     assert "not of affine type" in proc.stderr
 
 
+def test_special_refusal_lists_the_special_nodes():
+    # node 1 of C(1)_3 has comark 1 but is not special
+    proc = run("adm", "--datum", "C(1)_3", "--special", "1", "--mu", "0,0,1")
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: node 1 is not special for C(1)_3; "
+                           "choose from [0, 3]\n")
+
+
 def test_fiber_spot_check_reports():
     doc = run_json("fiber", "--n", "3", "--r", "1", "--q", "3", "--I", "0,1",
                    "--spot-check", "5", "--seed", "11")

@@ -12,10 +12,10 @@ from loopweyl.loops import fiber
 from loopweyl.loops.chains import validate_chain
 from loopweyl.loops.fiber import (apply_rows, enumerate_fiber, gram_matrix,
                                   in_row_space, inclusion_matrix,
-                                  is_isotropic, member_exponents,
-                                  normalize_tokens, pairs_to_zero,
-                                  perp_space, pivot_columns, rebuild_members,
-                                  space_key, ustable_subspaces)
+                                  member_exponents, normalize_tokens,
+                                  pairs_to_zero, perp_space, pivot_columns,
+                                  rebuild_members, space_key,
+                                  ustable_subspaces)
 
 # (n, q) for the invariants the enumeration relies on
 INVARIANT_CASES = ((3, 3), (3, 5), (4, 3))
@@ -81,7 +81,35 @@ def test_isotropy_is_self_duality():
             gram = gram_matrix(n, j, q)
             for key in ustable_subspaces(n, q):
                 self_dual = space_key(perp_space(key, gram, q), q) == key
-                assert is_isotropic(key, gram, q) == self_dual, (n, q, j, key)
+                isotropic = pairs_to_zero(key, key, gram, q)
+                assert isotropic == self_dual, (n, q, j, key)
+
+
+def test_gram_pairs_top_slots_only_with_bottom_slots():
+    # the zero top-top and bottom-bottom blocks make the isotropic pruning of
+    # ustable_subspaces exact: bottom rows pair to zero with each other, and
+    # a top row meets a bottom row through its top part alone; a self-dual
+    # gram is symmetric or antisymmetric, so one order of each pair suffices
+    for n in (3, 4):
+        for q in (3, 5):
+            for j in range(-n, 2 * n):
+                g = gram_matrix(n, j, q)
+                for half in (range(n), range(n, 2 * n)):
+                    assert not any(g[p][r] for p in half for r in half)
+                if (n - j) % n == j % n:
+                    gt = tuple(zip(*g))
+                    assert gt == g or gt == tuple(
+                        tuple(-x % q for x in row) for row in g), (n, q, j)
+
+
+def test_isotropic_stream_is_the_filtered_stream():
+    # same subspaces, same order, as filtering the full stream
+    for n, q in INVARIANT_CASES:
+        full = list(ustable_subspaces(n, q))
+        for j in (j for j in range(n) if (n - j) % n == j):
+            gram = gram_matrix(n, j, q)
+            expect = [k for k in full if pairs_to_zero(k, k, gram, q)]
+            assert list(ustable_subspaces(n, q, gram)) == expect, (n, q, j)
 
 
 def test_su3_fibers():
@@ -135,6 +163,18 @@ def test_su4_pi_modular_vertex():
     assert out1["y"] == [0]
 
 
+def test_su4_q5_fibers():
+    # pinned from the full-stream filter; the isotropic stream makes these
+    # fast enough for tier-1
+    for toks, naive, adm, admissible in (({2}, 937, 1, 156),
+                                         ({0}, 1681, 6, 181)):
+        out = enumerate_fiber(4, 1, 3, 5, toks)
+        assert out["naive_count"] == naive
+        assert out["adm_count"] == adm
+        assert out["admissible_points"] == admissible
+        assert not out["flat_match"]
+
+
 def test_su4_self_dual_vertex():
     out = enumerate_fiber(4, 2, 2, 3, {0})
     assert out["naive_count"] == 265
@@ -170,7 +210,7 @@ def product_join(n, q, sharp, cap):
     candidates = {i: [] for i in free}
     for key in ustable_subspaces(n, q):
         for i in free:
-            if (n - i) % n != i or is_isotropic(key, grams[i], q):
+            if (n - i) % n != i or pairs_to_zero(key, key, grams[i], q):
                 candidates[i].append(key)
     total_work = math.prod(len(candidates[i]) for i in free)
     if total_work > cap:

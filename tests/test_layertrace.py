@@ -52,7 +52,8 @@ def test_tracer_installs_and_restores():
                 "admissible.saturation.calls",
                 "admissible.saturation.full_size",
                 "lspaths.pathspace.nodes", "dims.closed_form.s",
-                "cells.open.points", "cells.closure.size", "fiber.points"):
+                "cells.open.points", "cells.closure.size", "fiber.points",
+                "fiber.subspaces.count"):
         assert metrics[key] > 0, key
     # a name patched twice (one class under two names) keeps its first original
     originals = {}
