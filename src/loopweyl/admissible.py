@@ -26,11 +26,14 @@ context_for(datum) the affine Weyl group of the datum's own Cartan matrix,
 on which path counts run.
 
 Each result is kept on the object it is built from: a finite datum keeps
-its admissible sets (fin.adm_sets), keyed by lam alone (so adm(mu=...) and
-adm(lam=...) share the set of the projection lam of mu), at most MEMO_SIZE
-of them, dropping the oldest first; an admissible set keeps its
-saturations, keyed by Y.  A repeated call returns the stored object; adm
-still raises ResourceCapError when the stored set is larger than its cap.
+one AdmissibleSet per lam (fin.adm_sets), keyed by lam alone (so mu=...
+and lam=... share the set of the projection lam of mu), at most MEMO_SIZE
+of them, dropping the oldest first.  It holds tau, the translations
+(maximal_elements) and their neutral versions with reduced words (words),
+its closure (elements, neutral) once adm has built it, and its saturations
+and path graphs, keyed by Y; lspaths.count_h_y builds a path graph without
+the closure.  A repeated call returns the stored object; adm still raises
+ResourceCapError when the stored set is larger than its cap.
 """
 
 from dataclasses import dataclass, field
@@ -52,43 +55,48 @@ def context_for(datum):
     return datum.context
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class AdmissibleSet:
+    """Adm(mu) of one lam (module docstring): words maps each t tau^{-1} to
+    its reduced word, and adm fills elements and neutral (None before)."""
+
     fin: object
     lam: tuple
     tau: object
-    elements: tuple
     maximal_elements: tuple
-    neutral: tuple
-    # the ParahoricAdmissible of each Y, built by adm_parahoric
-    saturations: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    words: dict
+    elements: tuple = None
+    neutral: tuple = None
+    saturations: dict = field(default_factory=dict, repr=False)
+    path_graphs: dict = field(default_factory=dict, repr=False)
+
+    def keep(self):
+        """Store this set in fin.adm_sets, dropping the oldest first."""
+        memo = self.fin.adm_sets
+        if self.lam not in memo:
+            if len(memo) >= MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[self.lam] = self
 
 
-def adm(fin, mu=None, lam=None, cap=20000):
-    """The mu-admissible set; pass lam directly to skip the coweight model.
-
-    The set is stored under its lam, so adm(fin, mu=mu) and adm(fin,
-    lam=lam) for the projection lam of mu return one object.
-    """
+def translations(fin, mu=None, lam=None):
+    """The stored AdmissibleSet of mu or lam, closed or not, else a new one
+    that the caller stores (keep) once its build succeeds."""
     if (mu is None) == (lam is None):
         raise ValueError("exactly one of mu, lam is required")
     if lam is None:
         lam = rootdata.project_coweight(fin, mu)
     lam = tuple(map(Fraction, lam))
-    # every stored lam passed the lattice check, so the memo comes first
-    memo = fin.adm_sets
-    hit = memo.get(lam)
+    # every stored lam passed the checks below, so the memo comes first
+    hit = fin.adm_sets.get(lam)
     if hit is not None:
-        if len(hit.neutral) > cap:
-            raise ResourceCapError(
-                "admissible set size", len(hit.neutral), cap)
         return hit
+    if len(lam) != fin.r:
+        raise ValueError(f"lam needs {fin.r} coordinates, got {len(lam)}")
     if mu is None and not fin.in_coweight_lattice(lam):
         raise ValueError("lam is not in the coweight lattice")
     eng = engine_for(fin)
-    orbit = fin.w0_orbit(lam)
-    tops = [eng.translation(v) for v in orbit]
+    tops = [eng.translation(v) for v in fin.w0_orbit(lam)]
     classes = {eng.omega_class(t) for t in tops}
     if len(classes) != 1:
         raise ConsistencyError(
@@ -97,28 +105,41 @@ def adm(fin, mu=None, lam=None, cap=20000):
         )
     tau = eng.tau_for_class(next(iter(classes)))
     tau_inv = eng.inv(tau)
-    # each neutral element with a reduced word, grown by dropped letters
     words = {}
     for t in tops:
         x = eng.twist(t, tau_inv)
-        words.setdefault(x, weyl.reduced_word(eng, x)[0])
+        word, rem = weyl.reduced_word(eng, x)
+        if rem != eng.identity():
+            raise ConsistencyError(
+                "neutral translation has a nontrivial Omega remainder")
+        words.setdefault(x, word)
+    # one W_0-orbit's translations share a length, so m is sort_key's order
+    return AdmissibleSet(
+        fin=fin, lam=lam, tau=tau, words=words,
+        maximal_elements=tuple(sorted(set(tops), key=lambda t: t.m)))
+
+
+def adm(fin, mu=None, lam=None, cap=20000):
+    """The mu-admissible set, closed; pass lam to skip the coweight model.
+
+    The set is stored under its lam, so adm(fin, mu=mu) and adm(fin,
+    lam=lam) for the projection lam of mu return one object.
+    """
+    s = translations(fin, mu=mu, lam=lam)
+    if s.neutral is not None:
+        if len(s.neutral) > cap:
+            raise ResourceCapError("admissible set size", len(s.neutral), cap)
+        return s
+    eng = engine_for(fin)
+    # each neutral element with a reduced word, grown by dropped letters
+    words = dict(s.words)
     weyl.lower_closure(eng, words, cap=cap, what="admissible set size")
     # l(x tau) = l(x), so (len(word), m) is sort_key's order on both sides
-    elements = {eng.twist(x, tau): len(w) for x, w in words.items()}
-    neutral = sorted(words, key=lambda x: (len(words[x]), x.m))
-    if len(memo) >= MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[lam] = AdmissibleSet(
-        fin=fin,
-        lam=lam,
-        tau=tau,
-        elements=tuple(sorted(elements, key=lambda x: (elements[x], x.m))),
-        maximal_elements=tuple(
-            sorted(set(tops), key=lambda x: (elements[x], x.m))
-        ),
-        neutral=tuple(neutral),
-    )
-    return memo[lam]
+    elements = {eng.twist(x, s.tau): len(w) for x, w in words.items()}
+    s.elements = tuple(sorted(elements, key=lambda x: (elements[x], x.m)))
+    s.neutral = tuple(sorted(words, key=lambda x: (len(words[x]), x.m)))
+    s.keep()
+    return s
 
 
 def tau_conjugate_nodes(adm_set, nodes):
@@ -152,8 +173,6 @@ class ParahoricAdmissible:
     full: Saturation
     mod_right: tuple
     double_min: tuple
-    # the lspaths.PathGraph of mod_right, built by count_h_y
-    path_graph: object = field(default=None, init=False, repr=False)
 
 
 def adm_parahoric(adm_set, y):

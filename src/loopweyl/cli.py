@@ -369,9 +369,6 @@ def cmd_adm(args):
 def cmd_hpoly(args):
     fin = finite_for(args)
     y = tuple(sorted(set(parse_ints(args.Y))))
-    bad = [i for i in y if i not in set(fin.datum.nodes)]
-    if bad:
-        raise SpecParseError(f"node {bad[0]} outside {list(fin.datum.nodes)}")
     kw = _mu_or_lam(args, fin)
     if args.emit_paths:
         n, paths = count_h_y(fin, y=y, a=args.a, cap=args.cap, emit=True, **kw)

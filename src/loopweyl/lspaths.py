@@ -7,18 +7,23 @@ pairing against the shape weight becomes integral at the cut.  Directions
 are minimal coset representatives in a CartanContext, so the same machinery
 counts against finite and affine diagrams.
 
-Shapes and kappa follow the normalization of the datum's own Cartan matrix,
-so count_h_y counts in the affine Weyl group of that matrix
-(admissible.context_for), not in the Iwahori-Weyl engine, whose wall matrix
-can differ from it (e.g. A(2)_{2m}).  The admissible directions cross over
-by their reduced words, which both groups share.
+The directions of h_Y are the image of the saturation W^Y Adm(mu)° W^{Y°}
+in W/W_{S-Y°}, which is the image of Adm(mu)° alone.  By the projection
+property of Bruhat order (Bjorner-Brenti, Combinatorics of Coxeter Groups,
+Prop. 2.5.1) that image is the quotient lower closure of the neutral
+translations t_{w(lam)} tau^{-1}, so count_h_y closes those |W_0 lam|
+elements and never builds Adm(mu).  It closes them in the affine Weyl
+group of the datum's own Cartan matrix (admissible.context_for), whose
+normalization shapes and kappa follow, not in the Iwahori-Weyl engine,
+whose wall matrix can differ from it (e.g. A(2)_{2m}); they cross over by
+their reduced words, which both groups share.
 
-A PathGraph is the quotient Bruhat graph of the allowed directions with
-each cover's value against one shape.  The stabiliser of a shape and its
-cover values scale with it, so one PathGraph serves every positive integer
-multiple of its shape: count_h_y builds it once per (Adm(mu), Y) at scale
-a = 1, keeps it on the saturation it is built from (par.path_graph), and
-each scale a multiplies the values by a.
+A PathGraph is the quotient Bruhat graph of the directions with each
+cover's value against one shape.  The stabiliser of a shape and its cover
+values scale with it, so one PathGraph serves every positive integer
+multiple of its shape: count_h_y builds it once per (lam, Y) at scale
+a = 1, keeps it on the AdmissibleSet of lam (path_graphs), and each scale
+a multiplies the values by a.
 
 PathSpace.count is an integer dynamic programme over the positions of the
 graph's nodes: the cosets reachable under a cut depend on the cut only
@@ -53,8 +58,9 @@ def shape_weight(datum, nodes, a):
     return tuple(out)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class PathGraph:
-    """Lower closure of the tops in W/W_stab, with cover values of shape.
+    """A lower closure in W/W_stab, with cover values of shape.
 
     A coset is kept as the root matrix of its minimum, which is what
     identifies a CoxElement, beside its reduced word, so a stored graph
@@ -63,15 +69,11 @@ class PathGraph:
     as positions in nodes.
     """
 
-    __slots__ = ("shape", "stab", "nodes", "words", "tops", "edges")
-
-    def __init__(self, shape, stab, nodes, words, tops, edges):
-        self.shape = shape
-        self.stab = stab
-        self.nodes = nodes
-        self.words = words
-        self.tops = tops
-        self.edges = edges
+    shape: tuple
+    stab: tuple
+    nodes: tuple
+    words: tuple
+    edges: tuple
 
 
 def path_graph(ctx, shape, tops, cap=20000):
@@ -86,7 +88,8 @@ def path_graph(ctx, shape, tops, cap=20000):
     for up, lo, _, beta_co in graph.edges:
         # |<shape, lo^{-1} beta^vee>| is the same at either end of the
         # cover; the lower end fixes the emitted labels
-        val = abs(linedot(shape, ctx.coroot_apply_inv(lo, beta_co)))
+        val = abs(sum(x * y for x, y in zip(
+            shape, ctx.coroot_apply_inv(lo, beta_co))))
         if val <= 0 or Fraction(val).denominator != 1:
             raise ConsistencyError(
                 f"cover value {val} is not a positive integer"
@@ -97,7 +100,6 @@ def path_graph(ctx, shape, tops, cap=20000):
         stab=stab,
         nodes=tuple(x.m for x in graph.nodes),
         words=tuple(weyl.reduced_word(ctx, x)[0] for x in graph.nodes),
-        tops=tuple(t.m for t in graph.tops),
         edges=tuple(edges),
     )
 
@@ -105,10 +107,10 @@ def path_graph(ctx, shape, tops, cap=20000):
 class PathSpace:
     """Paths of a shape whose initial direction lies below the tops.
 
-    Directions are the nodes of a PathGraph.  graph, a PathGraph of the
-    same tops for a shape of which this shape is a positive integer
-    multiple, is reused instead of rebuilt; the cap holds on it as on a
-    new one.
+    Directions are the nodes of a PathGraph, and a path may start at any
+    of them.  graph, a PathGraph of the same tops for a shape of which this
+    shape is a positive integer multiple, is reused instead of rebuilt (the
+    tops are then not read); the cap holds on it as on a new one.
     """
 
     def __init__(self, ctx, shape, tops, cap=20000, graph=None):
@@ -130,21 +132,15 @@ class PathSpace:
                     f"shape {self.shape} is not a multiple of {graph.shape}"
                 )
         self.graph = graph
-        self.stab = graph.stab
-        self.tops = graph.tops
         nodes = graph.nodes
         self.scale = scale
         self.down = {x: [] for x in nodes}
         for up, lo, val in graph.edges:
             self.down[nodes[up]].append((nodes[lo], scale * val))
         self._reach_cache = {}
-        self.cuts = self._cut_candidates()
-
-    def _cut_candidates(self):
         values = {p for outs in self.down.values() for _, p in outs}
-        return tuple(sorted(
-            {Fraction(k, p) for p in values for k in range(1, p)}
-        ))
+        self.cuts = tuple(sorted(
+            {Fraction(k, p) for p in values for k in range(1, p)}))
 
     def reachable(self, x, a):
         """Cosets reachable from x by covers whose value divides the cut a."""
@@ -159,7 +155,7 @@ class PathSpace:
         return self._reach_cache[key]
 
     def count(self):
-        """Number of paths whose initial direction is one of the tops.
+        """Number of paths, from every initial direction.
 
         F_c(y), the number of paths from y whose previous cut is c, is
         1 + sum over cuts c' > c of F_c'(z) over z in R_c'(y), the cosets
@@ -191,8 +187,7 @@ class PathSpace:
                 t + sum(f[z] for z in r)
                 for t, r in zip(later, reach[c.denominator])
             ]
-        index = {x: k for k, x in enumerate(nodes)}
-        return sum(1 + later[index[t]] for t in self.tops)
+        return sum(1 + t for t in later)
 
     def paths_from(self, x, a_prev):
         yield (x,), ()
@@ -206,7 +201,7 @@ class PathSpace:
     def paths(self):
         word = dict(zip(self.graph.nodes, self.graph.words))
         out = []
-        for t in self.tops:
+        for t in self.graph.nodes:
             for dirs, cuts in self.paths_from(t, Fraction(0)):
                 words = tuple(word[d] for d in dirs)
                 out.append(
@@ -229,15 +224,11 @@ def _positions(bits):
     return out
 
 
-def linedot(u, v):
-    return sum(x * y for x, y in zip(u, v))
-
-
 def is_ls_path(space, directions, cuts):
     """Validate a candidate path given by coset-minimum words and cuts."""
     ctx = space.ctx
     elems = [
-        weyl.coset_min(ctx, weyl.from_word(ctx, w), (), space.stab).m
+        weyl.coset_min(ctx, weyl.from_word(ctx, w), (), space.graph.stab).m
         for w in directions
     ]
     if len(cuts) != len(elems) + 1 or cuts[0] != 0 or cuts[-1] != 1:
@@ -257,34 +248,26 @@ def count_h_y(fin, mu=None, lam=None, *, y, a=1, cap=20000, emit=False):
     """Number of shape a*lam_Y paths with admissible initial direction.
 
     Exactly one of mu, lam names the coweight; y, the nonempty node set Y,
-    is a required keyword.  Builds Adm(mu) and its image modulo the
-    parahoric pair (Y, Y°), and counts the paths on the affine diagram
-    whose first direction lies in that image in W/W_shape.  The graph of those directions is built once
-    per (Adm(mu), Y), at scale 1.  With emit=True the paths themselves are
-    returned alongside the count.
+    is a required keyword.  Counts the paths on the affine diagram whose
+    first direction lies in the image of the saturation W^Y Adm(mu)°
+    W^{Y°} in W/W_shape, a graph built from the neutral translations
+    (module docstring) once per (lam, Y), at scale 1, with at most cap
+    nodes.  With emit=True the paths themselves are returned alongside the
+    count.
     """
-    adm_set = admissible.adm(fin, mu=mu, lam=lam, cap=cap)
-    par = admissible.adm_parahoric(adm_set, y)
     datum = fin.datum
+    y = tuple(sorted(set(y)))
+    if not y or any(i not in datum.nodes for i in y):
+        raise ValueError(f"Y must be a nonempty subset of {datum.nodes}")
+    s = admissible.translations(fin, mu=mu, lam=lam)
+    y_circ = admissible.tau_conjugate_nodes(s, y)
     ctx = admissible.context_for(datum)
-    if par.path_graph is None:
-        eng = admissible.engine_for(fin)
-        tops = []
-        for x in par.mod_right:
-            word, rem = weyl.reduced_word(eng, x)
-            if rem != eng.identity():
-                raise ConsistencyError(
-                    "admissible direction has a nontrivial Omega remainder"
-                )
-            tops.append(weyl.from_word(ctx, word))
-        unit = shape_weight(datum, par.y_circ, 1)
-        par.path_graph = path_graph(ctx, unit, tops, cap=cap)
-    graph = par.path_graph
+    graph = s.path_graphs.get(y)
+    if graph is None:
+        tops = [weyl.from_word(ctx, w) for w in s.words.values()]
+        graph = path_graph(ctx, shape_weight(datum, y_circ, 1), tops, cap=cap)
+        s.path_graphs[y] = graph
+        s.keep()
     space = PathSpace(
-        ctx, shape_weight(datum, par.y_circ, a), graph.tops, cap=cap,
-        graph=graph,
-    )
-    n = space.count()
-    if emit:
-        return n, space.paths()
-    return n
+        ctx, shape_weight(datum, y_circ, a), (), cap=cap, graph=graph)
+    return (space.count(), space.paths()) if emit else space.count()

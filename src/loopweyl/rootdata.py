@@ -194,8 +194,8 @@ class FiniteRootDatum:
     Carries the translation lattice T, the echelonnage root system (whose
     simple coroots generate T), the coweight lattice, and the affine wall
     functionals of the base alcove.  It keeps its Iwahori-Weyl group
-    (engine) and the admissible sets built in it (adm_sets, filled and
-    bounded by admissible.adm).
+    (engine) and the admissible sets built in it (adm_sets, keyed by lam,
+    filled by admissible.adm and lspaths.count_h_y).
     """
 
     def __init__(self, datum, x=0):

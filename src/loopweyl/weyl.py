@@ -572,7 +572,6 @@ class BruhatGraph:
 
     nodes: tuple
     edges: tuple  # (upper, lower, beta, beta_co)
-    tops: tuple
 
 
 def bruhat_interval(eng, tops, right_quotient=(), cap=20000):
@@ -588,7 +587,6 @@ def bruhat_interval(eng, tops, right_quotient=(), cap=20000):
     for t in tops:
         m = coset_min(eng, t, (), right_quotient)
         words.setdefault(m, reduced_word(eng, m)[0])
-    start = list(words)
     edges = set()
     lower_closure(eng, words, right_quotient, cap, edges=edges)
 
@@ -600,5 +598,4 @@ def bruhat_interval(eng, tops, right_quotient=(), cap=20000):
         edges=tuple(
             sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))
         ),
-        tops=tuple(sorted(start, key=key)),
     )

@@ -186,9 +186,9 @@ def test_coherence_gl6_hyperspecial():
 
 
 def test_coherence_gl7_hyperspecial():
-    # GL_7, mu = (1,1,1,0,0,0,0), Y = {0}, a = 1; |Adm(mu)| = 5,111, within
-    # the default cap, though the saturation, never built, has 176,400
-    # elements (35 right cosets of S_7)
+    # GL_7, mu = (1,1,1,0,0,0,0), Y = {0}, a = 1; the path graph closes the
+    # 35 right coset minima of the saturation (176,400 elements), not
+    # Adm(mu) (5,111)
     rep = check_coherence(
         fin_for("A(1)_6"), ((1, 1, 1, 0, 0, 0, 0),), (0,), 1)
     assert rep.equal and rep.h_path == hook_content(7, 3, 1) == 35, rep
@@ -200,6 +200,22 @@ def test_coherence_d5_vector():
     rep = check_coherence(fin_for("D(1)_5"), ((1, 0, 0, 0, 0),), (0,), 1)
     assert rep.equal and rep.h_path == h_mu(load_affine_datum("D(1)_5"),
                                            (1, 0, 0, 0, 0), 1) == 10, rep
+
+
+def test_coherence_e6_minuscule():
+    # E(1)_6, mu = varpi_1, Y = {0}, a = 1, at the default cap: h_Y = h_mu =
+    # dim V(varpi_1) of E_6
+    rep = check_coherence(fin_for("E(1)_6"), ((1, 0, 0, 0, 0, 0),), (0,), 1)
+    assert rep.equal and rep.h_path == 27, rep
+
+
+def test_coherence_e7_minuscule():
+    # E(1)_7, mu the minuscule coweight, at the default cap: Y = {0} gives
+    # h_mu = 56 at weight 1, and Y = {7} (comark 2) h_mu = 1,463 at weight 2
+    fin = fin_for("E(1)_7")
+    for y, h in (((0,), 56), ((7,), 1463)):
+        rep = check_coherence(fin, ((0, 0, 0, 0, 0, 1, 0),), y, 1)
+        assert rep.equal and rep.h_path == h, rep
 
 
 @_criterion("criterion 5: closed form vs hook-content grid")

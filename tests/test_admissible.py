@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopweyl.admissible import adm, adm_count, adm_parahoric, engine_for
+from loopweyl.admissible import (adm, adm_count, adm_parahoric, context_for,
+                                  engine_for, tau_conjugate_nodes)
 from loopweyl.errors import ResourceCapError
+from loopweyl.lspaths import count_h_y
 from loopweyl.rootdata import (FiniteRootDatum, echelon_system,
                                load_affine_datum)
-from loopweyl.weyl import bruhat_interval, coset_min, from_word
+from loopweyl.weyl import bruhat_interval, coset_min, from_word, reduced_word
 
 
 def fin_for(name, x=0):
@@ -116,14 +118,20 @@ def test_lam_input_and_cap():
     assert len(s.elements) == 3
     with pytest.raises(ValueError):
         adm(fin, lam=("1/3",))
+    # lam has one coordinate per node of the finite diagram
+    fin = fin_for("A(1)_2")
+    for lam in ((1,), (1, 0, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            adm(fin, lam=lam)
     with pytest.raises(ResourceCapError):
         adm(fin_for("A(1)_3"), mu=(2, 2, 0, 0), cap=10)
 
 
 def test_lam_off_the_lattice_raises_beside_stored_sets():
     # the memo is read before the lattice check; a lam that is not stored
-    # still meets the check, however many sets are stored
-    fin = fin_for("A(1)_2")
+    # still meets the check, however many sets are stored.  A new finite
+    # datum, so sets stored by other tests do not count
+    fin = FiniteRootDatum(load_affine_datum("A(1)_2"), 0)
     for mu in ((1, 0, 0), (1, 1, 0), (2, 1, 0)):
         adm(fin, mu=mu)
     assert len(fin.adm_sets) == 3
@@ -289,31 +297,35 @@ def closure_oracle(adm_set, y, y_circ):
     return mod_right, tuple(sorted(double, key=eng.sort_key))
 
 
+# (datum, mu) pairs on which the saturation's minima meet their oracles on
+# every nonempty Y, non-minuscule mu included
+FILTER_CASES = [
+    ("A(1)_1", (1, 0)),
+    ("A(1)_2", (1, 0, 0)),
+    ("A(1)_2", (2, 1, 0)),
+    ("A(1)_3", (1, 1, 0, 0)),
+    ("A(1)_3", (2, 1, 1, 0)),
+    ("A(1)_4", (1, 0, 0, 0, 0)),
+    ("C(1)_2", (0, 1)),
+    ("C(1)_2", (1, 1)),
+    ("C(1)_3", (0, 0, 1)),
+    ("B(1)_3", (1, 0, 0)),
+    ("D(1)_4", (1, 0, 0, 0)),
+    ("D(1)_4", (0, 0, 1, 0)),
+    ("A(2)_2", (1, 0, 0)),
+    ("A(2)_3", (1, 0, 0, 0)),
+    ("A(2)_4", (1, 0, 0, 0, 0)),
+    ("A(2)_5", (1, 0, 0, 0, 0, 0)),
+]
+
+
 def test_saturation_filter_matches_the_closure_oracle():
     # Adm(mu)^K and Adm(mu) meet W~^K alike, so the saturation's minima are
     # descent filters of the neutral set; the closure of the double coset
     # maxima must give the same minima, in order, on every nonempty Y,
     # non-minuscule mu included
-    cases = [
-        ("A(1)_1", (1, 0)),
-        ("A(1)_2", (1, 0, 0)),
-        ("A(1)_2", (2, 1, 0)),
-        ("A(1)_3", (1, 1, 0, 0)),
-        ("A(1)_3", (2, 1, 1, 0)),
-        ("A(1)_4", (1, 0, 0, 0, 0)),
-        ("C(1)_2", (0, 1)),
-        ("C(1)_2", (1, 1)),
-        ("C(1)_3", (0, 0, 1)),
-        ("B(1)_3", (1, 0, 0)),
-        ("D(1)_4", (1, 0, 0, 0)),
-        ("D(1)_4", (0, 0, 1, 0)),
-        ("A(2)_2", (1, 0, 0)),
-        ("A(2)_3", (1, 0, 0, 0)),
-        ("A(2)_4", (1, 0, 0, 0, 0)),
-        ("A(2)_5", (1, 0, 0, 0, 0, 0)),
-    ]
     triples = 0
-    for name, mu in cases:
+    for name, mu in FILTER_CASES:
         fin = fin_for(name)
         s = adm(fin, mu=mu)
         nodes = fin.datum.nodes
@@ -323,5 +335,33 @@ def test_saturation_filter_matches_the_closure_oracle():
                 mod_right, double = closure_oracle(s, y, par.y_circ)
                 assert par.mod_right == mod_right, (name, mu, y)
                 assert par.double_min == double, (name, mu, y)
+                triples += 1
+    assert triples == 216
+
+
+def test_path_graph_is_the_filtered_saturation():
+    # count_h_y closes the neutral translations in the affine Weyl group of
+    # the datum's Cartan matrix modulo W_{S-Y°}; by the projection property
+    # of Bruhat order its nodes are the saturation's right coset minima,
+    # moved there by their reduced words, and its stabiliser is S - Y°
+    triples = 0
+    for name, mu in FILTER_CASES:
+        fin = fin_for(name)
+        eng = engine_for(fin)
+        ctx = context_for(fin.datum)
+        s = adm(fin, mu=mu)
+        nodes = fin.datum.nodes
+        for k in range(1, len(nodes) + 1):
+            for y in combinations(nodes, k):
+                count_h_y(fin, mu=mu, y=y)
+                graph = s.path_graphs[y]
+                par = adm_parahoric(s, y)
+                assert tau_conjugate_nodes(s, y) == par.y_circ
+                assert graph.stab == tuple(
+                    i for i in nodes if i not in par.y_circ), (name, mu, y)
+                moved = {from_word(ctx, reduced_word(eng, x)[0]).m
+                         for x in par.mod_right}
+                assert len(graph.nodes) == len(par.mod_right)
+                assert set(graph.nodes) == moved, (name, mu, y)
                 triples += 1
     assert triples == 216

@@ -97,14 +97,22 @@ def test_exit_codes(tmp_path):
                  ("adm", "--datum", "A(1)_1", "--mu", "1,0", "--Y", "5"),
                  ("coherence", "--datum", "C(1)_2", "--mu", "0,1", "--Y", "0",
                   "--special", "2"),
-                 ("adm", "--datum", "C(1)_2", "--mu", "0,1", "--special", "2")):
+                 ("adm", "--datum", "C(1)_2", "--mu", "0,1", "--special", "2"),
+                 # lam needs one coordinate per finite node, here 2
+                 ("adm", "--datum", "A(1)_2", "--lam", "1"),
+                 ("adm", "--datum", "A(1)_2", "--lam", "1,0,0,0"),
+                 ("hpoly", "--datum", "A(1)_2", "--lam", "1", "--Y", "0"),
+                 ("hpoly", "--datum", "A(1)_2", "--lam", "1/3,2/3,5",
+                  "--Y", "0")):
         proc = run(*argv)
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-    config = tmp_path / "bad_a.csv"
-    config.write_text('datum,mu,Y,a\nA(1)_1,"1,0",0,x\n')
-    proc = run("sweep", str(config))
-    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    for name, row in (("bad_a.csv", 'A(1)_1,"1,0",0,x'),
+                      ("bad_y.csv", 'A(1)_1,"1,0",9,1')):
+        config = tmp_path / name
+        config.write_text(f"datum,mu,Y,a\n{row}\n")
+        proc = run("sweep", str(config))
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, name
     path = tmp_path / "a2.json"
     path.write_text(json.dumps({"name": "X", "cartan": [[2, -1], [-1, 2]],
                                 "twist_order": 1}))

@@ -7,13 +7,15 @@ from itertools import combinations, product
 
 import pytest
 
-from loopweyl import weyl
-from loopweyl.admissible import adm, adm_parahoric, context_for, engine_for
-from loopweyl.dims import weyl_dim
+from loopweyl import admissible, weyl
+from loopweyl.admissible import (adm, adm_parahoric, context_for, engine_for,
+                                  tau_conjugate_nodes, translations)
+from loopweyl.dims import check_coherence, weyl_dim
 from loopweyl.errors import ResourceCapError
 from loopweyl.lspaths import PathSpace, count_h_y, is_ls_path, shape_weight
-from loopweyl.rootdata import (datum_from_json, datum_to_json,
-                               echelon_system, load_affine_datum)
+from loopweyl.rootdata import (FiniteRootDatum, datum_from_json,
+                               datum_to_json, echelon_system,
+                               load_affine_datum)
 from loopweyl.weyl import (CartanContext, bruhat_interval, from_word,
                            longest_element, reduced_word)
 
@@ -98,13 +100,41 @@ def test_scaling_monotone():
 def test_cap():
     with pytest.raises(ResourceCapError):
         count_h_y(fin_for("A(1)_2"), mu=(3, 1, 0), y=(0, 1, 2), a=3, cap=10)
-    # the stored Adm(mu) and saturation of an uncapped count obey a cap too
+    # the stored path graph of an uncapped count obeys a cap too
     fin = fin_for("A(1)_2")
     n = count_h_y(fin, mu=(3, 1, 0), y=(0, 1, 2), a=3)
     with pytest.raises(ResourceCapError):
         count_h_y(fin, mu=(3, 1, 0), y=(0, 1, 2), a=3, cap=10)
     assert count_h_y(fin, mu=(3, 1, 0), y=(0, 1, 2), a=3) == n
 
+
+def test_count_h_y_checks_y_and_lam():
+    fin = fin_for("A(1)_2")
+    for y in ((), (9,), (0, 3)):
+        with pytest.raises(ValueError):
+            count_h_y(fin, mu=(1, 0, 0), y=y)
+    # off the coweight lattice, too few and too many coordinates
+    for lam in (("1/2", 0), (1,), ("1/3", "2/3", 5)):
+        with pytest.raises(ValueError):
+            count_h_y(fin, lam=lam, y=(0,))
+
+
+def test_a_coherence_row_builds_no_admissible_set(monkeypatch):
+    # the path graph closes the neutral translations directly, so no
+    # coherence row builds Adm(mu) or a saturation
+    def refuse(*args, **kwargs):
+        raise AssertionError("a coherence row built an admissible set")
+
+    monkeypatch.setattr(admissible, "adm", refuse)
+    monkeypatch.setattr(admissible, "adm_parahoric", refuse)
+    for name, mu, y in (("A(1)_2", (1, 0, 0), (0, 1)),
+                        ("C(1)_2", (0, 1), (1,)),
+                        ("A(2)_4", (1, 0, 0, 0, 0), (2,))):
+        fin = FiniteRootDatum(load_affine_datum(name), 0)
+        for a in (1, 2):
+            assert check_coherence(fin, (mu,), y, a).equal, (name, y, a)
+        # the one stored set was never closed
+        assert [s.elements for s in fin.adm_sets.values()] == [None], name
 
 
 def fresh_space(fin, mu, y, a):
@@ -117,13 +147,13 @@ def fresh_space(fin, mu, y, a):
 
 
 def test_one_path_graph_serves_every_scale(monkeypatch):
-    # count_h_y builds the context's quotient graph once per (Adm, Y) and
+    # count_h_y builds the context's quotient graph once per (lam, Y) and
     # scales its cover values; counts and emitted paths match a PathSpace
     # built from scratch at each scale
     fin = fin_for("C(1)_2")
     mu, y = (0, 1), (0, 1)
     ctx = context_for(fin.datum)
-    adm(fin, mu=mu).saturations.clear()
+    translations(fin, mu=mu).path_graphs.clear()
     built = []
     interval = weyl.bruhat_interval
 
@@ -148,21 +178,18 @@ def test_one_path_graph_serves_every_scale(monkeypatch):
 def test_cap_holds_on_a_stored_path_graph():
     fin = fin_for("A(2)_2")
     n = count_h_y(fin, mu=(1, 0, 0), y=(0, 1), a=2)
-    graph = adm_parahoric(adm(fin, mu=(1, 0, 0)), (0, 1)).path_graph
-    assert graph is not None
+    graph = translations(fin, mu=(1, 0, 0)).path_graphs[(0, 1)]
     ctx = context_for(fin.datum)
     shape = shape_weight(fin.datum, (0, 1), 2)
     with pytest.raises(ResourceCapError):
-        PathSpace(ctx, shape, graph.tops, cap=len(graph.nodes) - 1,
-                  graph=graph)
+        PathSpace(ctx, shape, (), cap=len(graph.nodes) - 1, graph=graph)
     with pytest.raises(ResourceCapError):
         count_h_y(fin, mu=(1, 0, 0), y=(0, 1), a=2, cap=len(graph.nodes) - 1)
-    space = PathSpace(ctx, shape, graph.tops, cap=len(graph.nodes),
-                      graph=graph)
+    space = PathSpace(ctx, shape, (), cap=len(graph.nodes), graph=graph)
     assert space.count() == n
     # a shape that is not a multiple of the graph's is refused
     with pytest.raises(ValueError):
-        PathSpace(ctx, (1, 1), graph.tops, graph=graph)
+        PathSpace(ctx, (1, 1), (), graph=graph)
 
 
 def count_oracle(space):
@@ -180,7 +207,7 @@ def count_oracle(space):
             memo[key] = total
         return memo[key]
 
-    return sum(count_from(t, Fraction(0)) for t in space.tops)
+    return sum(count_from(t, Fraction(0)) for t in space.graph.nodes)
 
 
 def test_integer_count_matches_the_recursive_oracle():
@@ -196,17 +223,16 @@ def test_integer_count_matches_the_recursive_oracle():
     for name, mu in cases:
         fin = fin_for(name)
         ctx = context_for(fin.datum)
-        adm_set = adm(fin, mu=mu)
         nodes = fin.datum.nodes
         for y in [c for k in range(1, len(nodes) + 1)
                   for c in combinations(nodes, k)]:
             count_h_y(fin, mu=mu, y=y)
-            par = adm_parahoric(adm_set, y)
-            graph = par.path_graph
+            s = translations(fin, mu=mu)
+            graph = s.path_graphs[y]
+            y_circ = tau_conjugate_nodes(s, y)
             for a in (1, 2, 3):
                 space = PathSpace(
-                    ctx, shape_weight(fin.datum, par.y_circ, a), graph.tops,
-                    graph=graph)
+                    ctx, shape_weight(fin.datum, y_circ, a), (), graph=graph)
                 n = space.count()
                 assert n == count_oracle(space) == len(space.paths()), \
                     (name, mu, y, a)
@@ -217,8 +243,8 @@ def test_integer_count_matches_the_recursive_oracle():
 def test_a_dropped_datum_takes_its_caches_with_it():
     # each cache lives on the object it is built from (finite data and the
     # affine group on the datum, the engine and Adm sets on the finite
-    # datum, saturations on Adm, the path graph on the saturation), so
-    # nothing keeps a datum alive once its caller drops it
+    # datum, saturations and path graphs on Adm), so nothing keeps a datum
+    # alive once its caller drops it
     datum = datum_from_json(datum_to_json(load_affine_datum("A(1)_2")))
     fin = echelon_system(datum, 0)
     engine_for(fin)

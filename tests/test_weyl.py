@@ -415,8 +415,7 @@ def interval_oracle(eng, tops, right_quotient):
         frontier = nxt
     key = eng.sort_key
     return (tuple(sorted(nodes, key=key)),
-            tuple(sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))),
-            tuple(sorted(start, key=key)))
+            tuple(sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))))
 
 
 def test_interval_quotient_matches_the_coset_min_oracle():
@@ -434,7 +433,7 @@ def test_interval_quotient_matches_the_coset_min_oracle():
         for k in range(len(nodes)):
             for quotient in itertools.combinations(nodes, k):
                 graph = bruhat_interval(eng, tops, right_quotient=quotient)
-                assert (graph.nodes, graph.edges, graph.tops) == \
+                assert (graph.nodes, graph.edges) == \
                     interval_oracle(eng, tops, quotient), (name, quotient)
                 graphs += 1
     assert graphs == 28
