@@ -3,10 +3,12 @@
 Adm(mu) is the Bruhat lower closure of the translations t_{w(lam)} over the
 finite Weyl orbit of lam; all of them share one Omega-class tau, and the
 neutral version divides tau out on the right, landing in the affine Weyl
-group.  tau has length zero and permutes the simple roots, so x tau^{+-1}
-is a permutation of the rows and columns of x's matrices (eng.twist), not
-a matrix product, and has the length of x; the closure (weyl.lower_closure)
-carries each element's reduced word and sorts by its length.
+group.  The walk of v0 + w(lam) into the base alcove is a reduced word of
+t_{w(lam)} tau^{-1} (eng.translation_word).  tau has length zero and
+permutes the simple roots, so x tau is a permutation of the rows and
+columns of x's matrices (eng.twist) and has the length of x; the closure
+(weyl.lower_closure) carries each element's reduced word, which the
+readers of lengths read (neutral_words).
 The parahoric saturation W^Y Adm(mu)° W^{Y°} by the standard
 parabolics W^Y = W_{S-Y} on the left and W^{Y°} (the tau-conjugate set) on
 the right needs no closure of its own and is never multiplied out.  For K
@@ -29,11 +31,12 @@ Each result is kept on the object it is built from: a finite datum keeps
 one AdmissibleSet per lam (fin.adm_sets), keyed by lam alone (so mu=...
 and lam=... share the set of the projection lam of mu), at most MEMO_SIZE
 of them, dropping the oldest first.  It holds tau, the translations
-(maximal_elements) and their neutral versions with reduced words (words),
-its closure (elements, neutral) once adm has built it, and its saturations
-and path graphs, keyed by Y; lspaths.count_h_y builds a path graph without
-the closure.  A repeated call returns the stored object; adm still raises
-ResourceCapError when the stored set is larger than its cap.
+(maximal_elements) and their neutral versions with walk words (words),
+its closure (elements, neutral, neutral_words) once adm has built it, and
+its saturations and path graphs, keyed by Y; lspaths.count_h_y builds a
+path graph without the closure.  A repeated call returns the stored
+object; adm still raises ResourceCapError when the stored set is larger
+than its cap.
 """
 
 from dataclasses import dataclass, field
@@ -58,7 +61,8 @@ def context_for(datum):
 @dataclass(eq=False)
 class AdmissibleSet:
     """Adm(mu) of one lam (module docstring): words maps each t tau^{-1} to
-    its reduced word, and adm fills elements and neutral (None before)."""
+    its walk word, and adm fills elements, neutral and neutral_words, a
+    reduced word of each element of neutral (None before)."""
 
     fin: object
     lam: tuple
@@ -67,6 +71,7 @@ class AdmissibleSet:
     words: dict
     elements: tuple = None
     neutral: tuple = None
+    neutral_words: dict = None
     saturations: dict = field(default_factory=dict, repr=False)
     path_graphs: dict = field(default_factory=dict, repr=False)
 
@@ -81,7 +86,8 @@ class AdmissibleSet:
 
 def translations(fin, mu=None, lam=None):
     """The stored AdmissibleSet of mu or lam, closed or not, else a new one
-    that the caller stores (keep) once its build succeeds."""
+    that the caller stores (keep) once its build succeeds; its words are
+    the walks of eng.translation_word, never stripped from elements."""
     if (mu is None) == (lam is None):
         raise ValueError("exactly one of mu, lam is required")
     if lam is None:
@@ -96,27 +102,20 @@ def translations(fin, mu=None, lam=None):
     if mu is None and not fin.in_coweight_lattice(lam):
         raise ValueError("lam is not in the coweight lattice")
     eng = engine_for(fin)
-    tops = [eng.translation(v) for v in fin.w0_orbit(lam)]
-    classes = {eng.omega_class(t) for t in tops}
-    if len(classes) != 1:
+    walks = [eng.translation_word(v) for v in fin.w0_orbit(lam)]
+    taus = {tau for _, tau in walks}
+    if len(taus) != 1:
         raise ConsistencyError(
-            f"translations of the W-orbit of {lam} lie in {len(classes)} "
+            f"translations of the W-orbit of {lam} lie in {len(taus)} "
             "Omega-classes"
         )
-    tau = eng.tau_for_class(next(iter(classes)))
-    tau_inv = eng.inv(tau)
-    words = {}
-    for t in tops:
-        x = eng.twist(t, tau_inv)
-        word, rem = weyl.reduced_word(eng, x)
-        if rem != eng.identity():
-            raise ConsistencyError(
-                "neutral translation has a nontrivial Omega remainder")
-        words.setdefault(x, word)
+    tau = taus.pop()
+    words = {weyl.from_word(eng, word): word for word, _ in walks}
     # one W_0-orbit's translations share a length, so m is sort_key's order
     return AdmissibleSet(
         fin=fin, lam=lam, tau=tau, words=words,
-        maximal_elements=tuple(sorted(set(tops), key=lambda t: t.m)))
+        maximal_elements=tuple(
+            sorted((eng.twist(x, tau) for x in words), key=lambda t: t.m)))
 
 
 def adm(fin, mu=None, lam=None, cap=20000):
@@ -138,6 +137,7 @@ def adm(fin, mu=None, lam=None, cap=20000):
     elements = {eng.twist(x, s.tau): len(w) for x, w in words.items()}
     s.elements = tuple(sorted(elements, key=lambda x: (elements[x], x.m)))
     s.neutral = tuple(sorted(words, key=lambda x: (len(words[x]), x.m)))
+    s.neutral_words = words
     s.keep()
     return s
 
@@ -214,5 +214,5 @@ def adm_parahoric(adm_set, y):
 
 def adm_count(adm_par, q):
     """Sum of q^l(w) over the double-coset minima of the saturation."""
-    eng = engine_for(adm_par.adm_set.fin)
-    return sum(q ** eng.length(x) for x in adm_par.double_min)
+    words = adm_par.adm_set.neutral_words
+    return sum(q ** len(words[x]) for x in adm_par.double_min)

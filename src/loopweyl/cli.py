@@ -481,6 +481,8 @@ def cmd_cells(args):
 
 def cmd_fiber(args):
     tokens = parse_tokens(args.I)
+    if args.spot_check < 0:
+        raise SpecParseError("--spot-check needs a count of at least 0")
     collect = args.spot_check > 0
     res = enumerate_fiber(args.n, args.r, args.n - args.r, args.q, tokens,
                           cap=args.cap, check_cells=not args.no_cells,

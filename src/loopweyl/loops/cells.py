@@ -136,15 +136,19 @@ class CellGroup:
                 out.append(t)
         return out
 
-    def check_word_reduced(self, word):
-        return _reduced_element(engine_for(self.fin), word)
 
-
-def _reduced_element(eng, word):
-    """The element of a word, which must be reduced."""
-    x = weyl.from_word(eng, word)
-    if eng.length(x) != len(word):
-        raise SpecParseError(f"word {word} is not reduced")
+def _reduced_element(fin, word):
+    """The element of a word, which must be reduced, in fin's nodes: no
+    i_k may be a left descent of s_{i_{k+1}} ... s_{i_l}."""
+    eng = engine_for(fin)
+    bad = [i for i in word if i not in eng.nodes]
+    if bad:
+        raise SpecParseError(f"generator {bad[0]} outside {list(eng.nodes)}")
+    x = eng.identity()
+    for i in reversed(word):
+        if eng.is_left_descent(i, x):
+            raise SpecParseError(f"word {word} is not reduced")
+        x = eng.lmul(i, x)
     return x
 
 
@@ -182,7 +186,7 @@ def cell_points(group, word):
     The cell grows letter by letter from the left, so the chains come in
     lexicographic order of (x_1, ..., x_l).
     """
-    group.check_word_reduced(word)
+    _reduced_element(group.fin, word)
     points = [_identity_point(group)]
     for j in word:
         points = _grow(group, points, j)
@@ -202,7 +206,7 @@ def closure_points(group, word):
     is built exactly once.  A chain met twice raises ConsistencyError.
     """
     eng = engine_for(group.fin)
-    w = group.check_word_reduced(word)
+    w = _reduced_element(group.fin, word)
     cells = {}
     out = {}
     for v in weyl.bruhat_interval(eng, [w]).nodes:
@@ -228,6 +232,6 @@ def schubert_count(fin, word, q, modulo=()):
     that set of nodes, over coset-minimal representatives.
     """
     eng = engine_for(fin)
-    w = weyl.coset_min(eng, _reduced_element(eng, word), (), tuple(modulo))
+    w = weyl.coset_min(eng, _reduced_element(fin, word), (), tuple(modulo))
     graph = weyl.bruhat_interval(eng, [w], right_quotient=tuple(modulo))
-    return sum(q ** eng.length(v) for v in graph.nodes)
+    return sum(q ** len(w) for w in graph.words)

@@ -50,12 +50,10 @@ import itertools
 import math
 import operator
 
-from ..admissible import adm, adm_count, adm_parahoric, engine_for
-from ..errors import (ConsistencyError, ResourceCapError, SpecParseError,
-                      UnsupportedFieldError)
+from ..admissible import adm, adm_count, adm_parahoric
+from ..errors import ResourceCapError, SpecParseError, UnsupportedFieldError
 from ..linalg import nullspace, rref
 from ..rootdata import bt_nodes, echelon_system, load_affine_datum
-from ..weyl import reduced_word
 from .cells import CellGroup, cell_points
 
 ODD_FIELDS = (3, 5)
@@ -401,9 +399,9 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
     mu = (1,) * r + (0,) * s
     adm_set = adm(fin, mu=mu)
     par = adm_parahoric(adm_set, y)
-    eng = engine_for(fin)
+    words = adm_set.neutral_words
     a_count = adm_count(par, q)
-    adm_points = sum(q ** eng.length(v) for v in par.mod_right)
+    adm_points = sum(q ** len(words[v]) for v in par.mod_right)
 
     window, points = fiber_points(n, q, sharp, cap)
     count = len(points)
@@ -428,11 +426,7 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
         group = CellGroup("su", n, q)
         contained = True
         for w in par.double_min:
-            word, rem = reduced_word(eng, w)
-            if eng.length(rem) or reduced_word(eng, rem)[0]:
-                raise ConsistencyError(f"reduced word of {w} leaves a remainder "
-                                       "of positive length")
-            for chain in cell_points(group, list(word)):
+            for chain in cell_points(group, list(words[w])):
                 key = tuple(_cell_member_key(chain[group.tokens.index(i)], n, i, q)
                             for i in sharp)
                 if key not in point_set:

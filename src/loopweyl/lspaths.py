@@ -63,10 +63,11 @@ class PathGraph:
     """A lower closure in W/W_stab, with cover values of shape.
 
     A coset is kept as the root matrix of its minimum, which is what
-    identifies a CoxElement, beside its reduced word, so a stored graph
-    holds no group elements.  nodes are in sort_key order, words are
-    their reduced words, and edges are (upper, lower, value) with the ends
-    as positions in nodes.
+    identifies a CoxElement, beside a reduced word of it, so a stored graph
+    holds no group elements.  nodes are in sort_key order, words are the
+    reduced words the closure reached them by (weyl.bruhat_interval), not
+    the least-descent words that paths() prints, and edges are (upper,
+    lower, value) with the ends as positions in nodes.
     """
 
     shape: tuple
@@ -99,7 +100,7 @@ def path_graph(ctx, shape, tops, cap=20000):
         shape=shape,
         stab=stab,
         nodes=tuple(x.m for x in graph.nodes),
-        words=tuple(weyl.reduced_word(ctx, x)[0] for x in graph.nodes),
+        words=graph.words,
         edges=tuple(edges),
     )
 
@@ -199,7 +200,9 @@ class PathSpace:
                     yield (x,) + dirs, (a,) + cuts
 
     def paths(self):
-        word = dict(zip(self.graph.nodes, self.graph.words))
+        """Every path, its directions as least-descent reduced words."""
+        word = {x: weyl.reduced_word(self.ctx, weyl.from_word(self.ctx, w))[0]
+                for x, w in zip(self.graph.nodes, self.graph.words)}
         out = []
         for t in self.graph.nodes:
             for dirs, cuts in self.paths_from(t, Fraction(0)):
@@ -252,7 +255,8 @@ def count_h_y(fin, mu=None, lam=None, *, y, a=1, cap=20000, emit=False):
     first direction lies in the image of the saturation W^Y Adm(mu)°
     W^{Y°} in W/W_shape, a graph built from the neutral translations
     (module docstring) once per (lam, Y), at scale 1, with at most cap
-    nodes.  With emit=True the paths themselves are returned alongside the
+    nodes, and at most cap cuts of one cover value.  With emit=True the
+    paths themselves, at most cap of them, are returned alongside the
     count.
     """
     datum = fin.datum
@@ -268,6 +272,12 @@ def count_h_y(fin, mu=None, lam=None, *, y, a=1, cap=20000, emit=False):
         graph = path_graph(ctx, shape_weight(datum, y_circ, 1), tops, cap=cap)
         s.path_graphs[y] = graph
         s.keep()
+    cuts = a * max((val for _, _, val in graph.edges), default=0) - 1
+    if cuts > cap:  # the cuts k/p, 0 < k < p, of the largest value p
+        raise ResourceCapError("path cuts", cuts, cap)
     space = PathSpace(
         ctx, shape_weight(datum, y_circ, a), (), cap=cap, graph=graph)
-    return (space.count(), space.paths()) if emit else space.count()
+    n = space.count()
+    if emit and n > cap:
+        raise ResourceCapError("emitted paths", n, cap)
+    return (n, space.paths()) if emit else n

@@ -245,12 +245,12 @@ class FiniteRootDatum:
                 f"{len(self.t_basis)}, not {self.r}"
             )
 
-        self.g = tuple(self._rescale_factor(p) for p in range(self.r))
-        if self.t_basis != linalg.lattice_basis(
-            [
-                tuple(self.g[p] if k == p else 0 for k in range(self.r))
-                for p in range(self.r)
-            ]
+        # T is spanned by rescaled simple coroots g_p e_p exactly when its
+        # Hermite basis is diag(g), with integers g_p
+        self.g = tuple(int(self.t_basis[p][p]) for p in range(self.r))
+        if self.t_basis != tuple(
+            tuple(self.g[p] if k == p else 0 for k in range(self.r))
+            for p in range(self.r)
         ):
             raise UnsupportedDatumError(
                 f"translations of {datum.name} at node {x} are not spanned "
@@ -328,15 +328,6 @@ class FiniteRootDatum:
                         nxt.append(w)
             frontier = nxt
         return sorted(seen)
-
-    def _rescale_factor(self, p):
-        e_p = tuple(1 if k == p else 0 for k in range(self.r))
-        for c in range(1, 7):
-            if linalg.in_lattice(tuple(c * v for v in e_p), self.t_basis):
-                return c
-        raise UnsupportedDatumError(
-            f"no small rescale factor for simple direction {p}"
-        )
 
     # -- root and wall evaluations --
 

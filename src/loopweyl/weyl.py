@@ -46,9 +46,9 @@ side, with phi = A^T beta^vee, so reflect forms s_beta x by rank-one
 updates, O(n^2) per matrix.  Elements are equal when their m are, so
 lower_closure forms the m of each cover first and looks it up among the
 elements found so far; only a new element costs its minv.  The dropped
-words are reduced but not the least-descent words of reduced_word, so
-they never enter its cache; bruhat_interval and admissible.adm carry them
-beside their elements and sort by (len(word), m), sort_key's order.
+words are reduced, though not reduced_word's least-descent words, and
+bruhat_interval and admissible.adm hand them on beside their elements,
+sorted by (len(word), m), sort_key's order, to the readers of lengths.
 """
 
 import math
@@ -105,7 +105,6 @@ class CartanContext:
         self.fin = None
         self._taus = {(): self._id}
         self._residues = {self._id: ()}
-        self._word_cache = {}
 
     @classmethod
     def iwahori_weyl(cls, fin):
@@ -282,16 +281,17 @@ class CartanContext:
 
     # -- translations, Omega-classes and tau representatives --
 
-    def translation(self, lam):
-        """t_lam as s_{i_1} ... s_{i_k} tau.
-
-        The i_j are the walls that v0 + lam crosses on its walk back into
-        the base alcove, and tau is the twist of lam's Omega-class.
-        """
+    def translation_word(self, lam):
+        """(word, tau) with t_lam = s_{i_1} ... s_{i_k} tau: the i_j are the
+        walls that v0 + lam crosses, each once, on its walk back into the
+        base alcove, so the word is reduced; tau twists lam's Omega-class."""
         fin = self.fin
         _, path = fin.alcove_normalize(_shift(fin.v0, lam))
         tau = self._taus[linalg.reduce_mod_lattice(lam, fin.t_basis)]
-        return from_word(self, path, tau)
+        return tuple(path), tau
+
+    def translation(self, lam):
+        return from_word(self, *self.translation_word(lam))
 
     def omega_class(self, x):
         return self._residues[reduced_word(self, x)[1]]
@@ -421,22 +421,16 @@ def reduced_word(eng, x):
     """Deterministic reduced word by least-descent stripping.
 
     Returns (word, remainder); the remainder has length zero (the identity,
-    or a tau-twist in the Iwahori-Weyl group).
+    or a tau-twist in the Iwahori-Weyl group).  Nothing is stored: where an
+    element is made by a walk or a closure, its word comes with it.
     """
-    if x in eng._word_cache:
-        return eng._word_cache[x]
     word = []
-    y = x
     while True:
-        i = next((j for j in eng.nodes if eng.is_left_descent(j, y)), None)
+        i = next((j for j in eng.nodes if eng.is_left_descent(j, x)), None)
         if i is None:
-            break
+            return tuple(word), x
         word.append(i)
-        y = eng.lmul(i, y)
-    # the stored twist, so cached words share one remainder per class
-    out = (tuple(word), eng._taus[eng._residues[y]])
-    eng._word_cache[x] = out
-    return out
+        x = eng.lmul(i, x)
 
 
 def from_word(eng, word, rem=None):
@@ -571,6 +565,7 @@ class BruhatGraph:
     """Lower closure of a set of elements, with labeled cover edges."""
 
     nodes: tuple
+    words: tuple  # a reduced word of each node
     edges: tuple  # (upper, lower, beta, beta_co)
 
 
@@ -580,8 +575,8 @@ def bruhat_interval(eng, tops, right_quotient=(), cap=20000):
     With right_quotient nonempty, nodes are the minimal representatives of
     cosets modulo the standard parabolic on those generators, ordered by the
     quotient Bruhat order; cover labels are inherited from word drops.
-    Each node carries the reduced word it was reached by, and the nodes are
-    sorted by (word length, m), which is eng.sort_key's order.
+    Each node carries the reduced word it was reached by (graph.words), and
+    the nodes are sorted by (word length, m), which is eng.sort_key's order.
     """
     words = {}
     for t in tops:
@@ -593,8 +588,10 @@ def bruhat_interval(eng, tops, right_quotient=(), cap=20000):
     def key(x):
         return (len(words[x]), x.m)
 
+    nodes = tuple(sorted(words, key=key))
     return BruhatGraph(
-        nodes=tuple(sorted(words, key=key)),
+        nodes=nodes,
+        words=tuple(words[x] for x in nodes),
         edges=tuple(
             sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))
         ),

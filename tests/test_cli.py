@@ -204,6 +204,34 @@ def test_datum_file_round_trip(tmp_path):
     assert doc["payload"]["size"] == 19
 
 
+# inputs the parser lets through, with the exit code each must give: 2 for
+# bad input, 3 for a cap
+BAD_INPUTS = [
+    (["cells", "--group", "sl", "--n", "2", "--q", "3", "--word", "9"], 2),
+    (["cells", "--group", "sl", "--n", "3", "--q", "3", "--word", "3"], 2),
+    (["cells", "--group", "su3", "--q", "3", "--word", "2"], 2),
+    (["cells", "--group", "sl", "--n", "2", "--q", "3", "--word", "0.0"], 2),
+    (["fiber", "--n", "3", "--r", "1", "--q", "3", "--I", "0",
+      "--spot-check", "-1"], 2),
+    # the cuts k/p of the largest cover value would number about 10^20
+    (["coherence", "--datum", "A(1)_2", "--mu", "1,0,0", "--Y", "0",
+      "--a", "99999999999999999999"], 3),
+    # 8,721 paths, counted before any is built
+    (["hpoly", "--datum", "A(1)_3", "--mu", "1,1,0,0", "--Y", "0",
+      "--a", "16", "--emit-paths", "--cap", "1000"], 3),
+]
+
+
+@pytest.mark.parametrize("argv, code", BAD_INPUTS,
+                         ids=[" ".join(argv[:1] + argv[-2:])
+                              for argv, _ in BAD_INPUTS])
+def test_bad_inputs_give_typed_errors(argv, code, capsys):
+    from loopweyl.cli import main
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_weyl_canonical_round_trip():
     doc = run_json("weyl", "word", "--datum", "A(1)_2", "--elt", "t[1,0]")
     canon = doc["payload"]["canonical"]

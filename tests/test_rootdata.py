@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from loopweyl import linalg
 from loopweyl.errors import UnsupportedDatumError
 from loopweyl.kactables import known_names
 from loopweyl.rootdata import (AffineRootDatum, FiniteRootDatum, bt_nodes,
@@ -69,6 +70,29 @@ def test_special_nodes_are_the_realizable_ones():
             assert (x in special_nodes(datum)) == builds, (name, x)
             pairs += 1
     assert pairs == 85
+
+
+def rescale_probe(fin, p):
+    """The least c in 1..6 with c e_p in the translation lattice T."""
+    e_p = tuple(int(k == p) for k in range(fin.r))
+    return next(c for c in range(1, 7)
+                if linalg.in_lattice(tuple(c * v for v in e_p), fin.t_basis))
+
+
+def test_coroot_rescaling_matches_the_trial_probe():
+    # g is read off the diagonal of T's Hermite basis; on every buildable
+    # (datum, special node) it is the least multiple of each simple coroot
+    # direction that lies in T
+    pairs = 0
+    for name in known_names():
+        datum = load_affine_datum(name)
+        for x in special_nodes(datum):
+            fin = echelon_system(datum, x)
+            assert fin.g == tuple(rescale_probe(fin, p)
+                                  for p in range(fin.r)), (name, x)
+            assert all(type(c) is int for c in fin.g), (name, x)
+            pairs += 1
+    assert pairs == 133
 
 
 def test_project_coweight_split():

@@ -2,12 +2,13 @@
 
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopweyl.admissible import adm, adm_parahoric, context_for, engine_for
+from loopweyl.admissible import adm, context_for, engine_for
 from loopweyl.errors import UnsupportedDatumError
 from loopweyl.kactables import known_names
 from loopweyl.rootdata import (echelon_system, load_affine_datum,
@@ -439,31 +440,64 @@ def test_interval_quotient_matches_the_coset_min_oracle():
     assert graphs == 28
 
 
-def test_word_cache_holds_only_least_descent_words():
-    # the words carried by covers are reduced but not canonical; after
-    # building admissible sets, saturations and intervals, every cached
-    # word must still be the least-descent stripping of its key
-    def strip(eng, x):
-        word = []
-        while True:
-            i = next((j for j in eng.nodes if eng.is_left_descent(j, x)),
-                     None)
-            if i is None:
-                return tuple(word), x
-            word.append(i)
-            x = eng.lmul(i, x)
+def assert_reduced_words(eng, pairs, what):
+    """Each word is a reduced word of its element: the product of its
+    letters is the element, and the element's length is the word's."""
+    n = 0
+    for x, word in pairs:
+        assert from_word(eng, word) == x, (what, word)
+        assert eng.length(x) == len(word), (what, word)
+        n += 1
+    return n
 
+
+def test_handed_over_words_are_reduced():
+    # readers take lengths and cell words from the words that the walk and
+    # the closures hand over, so each must be a reduced word of its element:
+    # the walk words of the neutral translations, the words adm keeps, and
+    # the words of every quotient interval, in the Iwahori-Weyl engine and
+    # in the datum's own Cartan group
+    checked = 0
     for name, mu in (("A(1)_3", (1, 1, 0, 0)), ("C(1)_2", (1, 1)),
-                     ("A(2)_4", (1, 0, 0, 0, 0))):
+                     ("A(2)_4", (1, 0, 0, 0, 0)), ("G(1)_2", (1, 0))):
         fin = fin_for(name)
         eng = engine_for(fin)
         s = adm(fin, mu=mu)
-        for y in ((0,), (1,), (0, 1)):
-            adm_parahoric(s, y)
-        bruhat_interval(eng, s.maximal_elements)
-        assert len(eng._word_cache) > 0
-        for x, (word, rem) in eng._word_cache.items():
-            assert (word, rem) == strip(eng, x), name
+        checked += assert_reduced_words(eng, s.words.items(), name)
+        assert set(s.neutral_words) == set(s.neutral), name
+        checked += assert_reduced_words(eng, s.neutral_words.items(), name)
+        nodes = fin.datum.nodes
+        for group in (eng, context_for(fin.datum)):
+            tops = [from_word(group, w) for w in s.words.values()]
+            for k in range(len(nodes)):
+                for quotient in itertools.combinations(nodes, k):
+                    graph = bruhat_interval(group, tops, quotient)
+                    checked += assert_reduced_words(
+                        group, zip(graph.nodes, graph.words),
+                        (name, quotient))
+    assert checked == 1496
+
+
+def test_walk_words_are_reduced_on_random_coweights():
+    # the walk of v0 + lam back into the base alcove crosses each wall
+    # between them once, so its word is a reduced word of t_lam tau^{-1},
+    # of length <lam+, 2 rho>; random coweights of every datum of rank <= 4
+    rng = random.Random(17)
+    checked = 0
+    for name in known_names(4):
+        datum = load_affine_datum(name)
+        for x in special_nodes(datum):
+            fin = echelon_system(datum, x)
+            eng = engine_for(fin)
+            for _ in range(6):
+                coef = [rng.randint(-2, 2) for _ in fin.p_basis]
+                lam = tuple(sum(c * row[k] for c, row in zip(coef, fin.p_basis))
+                            for k in range(fin.r))
+                word, _ = eng.translation_word(lam)
+                assert eng.length(from_word(eng, word)) == len(word) == \
+                    fin.translation_length(lam), (name, x, lam)
+                checked += 1
+    assert checked == 306
 
 
 # random elements of A(1)_2, C(1)_2, G(1)_2 and A(2)_4, as words of length <=
