@@ -7,8 +7,9 @@ group.  The walk of v0 + w(lam) into the base alcove is a reduced word of
 t_{w(lam)} tau^{-1} (eng.translation_word).  tau has length zero and
 permutes the simple roots, so x tau is a permutation of the rows and
 columns of x's matrices (eng.twist) and has the length of x; the closure
-(weyl.lower_closure) carries each element's reduced word, which the
-readers of lengths read (neutral_words).
+(weyl.lower_closure) grows from the walk words by subwords, without
+covers, and carries each element's reduced word, which the readers of
+lengths read (neutral_words).
 The parahoric saturation W^Y Adm(mu)° W^{Y°} by the standard
 parabolics W^Y = W_{S-Y} on the left and W^{Y°} (the tau-conjugate set) on
 the right needs no closure of its own and is never multiplied out.  For K
@@ -130,9 +131,9 @@ def adm(fin, mu=None, lam=None, cap=20000):
             raise ResourceCapError("admissible set size", len(s.neutral), cap)
         return s
     eng = engine_for(fin)
-    # each neutral element with a reduced word, grown by dropped letters
-    words = dict(s.words)
-    weyl.lower_closure(eng, words, cap=cap, what="admissible set size")
+    # each neutral element with a reduced word, grown from the walk words
+    words = weyl.lower_closure(
+        eng, s.words.values(), cap=cap, what="admissible set size")
     # l(x tau) = l(x), so (len(word), m) is sort_key's order on both sides
     elements = {eng.twist(x, s.tau): len(w) for x, w in words.items()}
     s.elements = tuple(sorted(elements, key=lambda x: (elements[x], x.m)))

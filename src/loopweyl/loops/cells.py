@@ -137,9 +137,9 @@ class CellGroup:
         return out
 
 
-def _reduced_element(fin, word):
-    """The element of a word, which must be reduced, in fin's nodes: no
-    i_k may be a left descent of s_{i_{k+1}} ... s_{i_l}."""
+def _check_reduced(fin, word):
+    """Refuse a word outside fin's nodes or not reduced: no i_k may be a
+    left descent of s_{i_{k+1}} ... s_{i_l}."""
     eng = engine_for(fin)
     bad = [i for i in word if i not in eng.nodes]
     if bad:
@@ -149,7 +149,6 @@ def _reduced_element(fin, word):
         if eng.is_left_descent(i, x):
             raise SpecParseError(f"word {word} is not reduced")
         x = eng.lmul(i, x)
-    return x
 
 
 def _set(mat, i, j, value):
@@ -186,7 +185,7 @@ def cell_points(group, word):
     The cell grows letter by letter from the left, so the chains come in
     lexicographic order of (x_1, ..., x_l).
     """
-    _reduced_element(group.fin, word)
+    _check_reduced(group.fin, word)
     points = [_identity_point(group)]
     for j in word:
         points = _grow(group, points, j)
@@ -201,20 +200,21 @@ def closure_points(group, word):
     """Chains of the closed cell of a reduced word, keyed by ``chain_key``.
 
     The closed cell of w is the disjoint union of the open cells C(v) over
-    the Bruhat interval v <= w.  Taken by length, each v other than 1 grows
-    its cell from that of v s_j, j its least right descent, so every chain
-    is built exactly once.  A chain met twice raises ConsistencyError.
+    v <= w, grown by subwords (weyl.lower_closure).  Each v other than 1
+    grows its cell from that of v s_j, j the last letter of its word, which
+    comes before it, so every chain is built exactly once.  A chain met
+    twice raises ConsistencyError.
     """
     eng = engine_for(group.fin)
-    w = _reduced_element(group.fin, word)
+    _check_reduced(group.fin, word)
     cells = {}
     out = {}
-    for v in weyl.bruhat_interval(eng, [w]).nodes:
-        j = next((i for i in eng.nodes if eng.is_right_descent(v, i)), None)
-        if j is None:
-            points = [_identity_point(group)]
-        else:
+    for v, v_word in weyl.lower_closure(eng, [word]).items():
+        if v_word:
+            j = v_word[-1]
             points = _grow(group, cells[eng.rmul(v, j)], j)
+        else:
+            points = [_identity_point(group)]
         cells[v] = points
         for _, chain in points:
             key = chain_key(chain)
@@ -229,9 +229,11 @@ def schubert_count(fin, word, q, modulo=()):
     """Number of F_q-points of a Schubert variety: sum of q^l(v) over v <= w.
 
     With modulo nonempty the count is taken in the partial flag variety for
-    that set of nodes, over coset-minimal representatives.
+    that set of nodes, over the v <= w with no right descent in modulo,
+    the coset-minimal representatives below w.
     """
     eng = engine_for(fin)
-    w = weyl.coset_min(eng, _reduced_element(fin, word), (), tuple(modulo))
-    graph = weyl.bruhat_interval(eng, [w], right_quotient=tuple(modulo))
-    return sum(q ** len(w) for w in graph.words)
+    _check_reduced(fin, word)
+    return sum(q ** len(v_word)
+               for v, v_word in weyl.lower_closure(eng, [word]).items()
+               if not any(eng.is_right_descent(v, i) for i in modulo))

@@ -6,7 +6,8 @@ action of u, compatible with the transition maps of the chain, and sent to
 itself under the perfect pairing between the members for j and -j.  The
 characteristic polynomial constraint degenerates in the special fiber (both
 sides reduce to T^n), so it imposes nothing here beyond u-nilpotency, which
-the parameterization already enforces.
+the parameterization already enforces, and the naive fiber is the same for
+every signature (r, s).
 
 Coordinates: the member for token j has basis u^{e_a} e_a with exponent -k-1
 for a < i0 and -k otherwise, j = k n + i0; a quotient vector is written in
@@ -370,6 +371,7 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
 
     The points come from the owner join of `fiber_points` (module notes);
     ResourceCapError is raised when its candidate lists' product exceeds cap.
+    Only Adm(mu), mu = (1^r, 0^s), reads the signature (module notes).
     """
     if q not in ODD_FIELDS:
         raise UnsupportedFieldError(f"residue field size {q} not odd in {ODD_FIELDS}")
@@ -381,21 +383,6 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
     datum = load_affine_datum(f"A(2)_{n - 1}")
     fin = echelon_system(datum, 0)
     y = bt_nodes(fin, order)
-    if r == 0:
-        out = {
-            "naive_count": 1,
-            "adm_count": 1,
-            "admissible_points": 1,
-            "flat_match": True,
-            "contains_admissible": True,
-            "cells_checked": False,
-            "tokens": [str(t) for t in order],
-            "window": sharp,
-            "y": sorted(y),
-        }
-        if collect:
-            out["points"] = []
-        return out
     mu = (1,) * r + (0,) * s
     adm_set = adm(fin, mu=mu)
     par = adm_parahoric(adm_set, y)

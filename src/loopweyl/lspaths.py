@@ -22,8 +22,8 @@ A PathGraph is the quotient Bruhat graph of the directions with each
 cover's value against one shape.  The stabiliser of a shape and its cover
 values scale with it, so one PathGraph serves every positive integer
 multiple of its shape: count_h_y builds it once per (lam, Y) at scale
-a = 1, keeps it on the AdmissibleSet of lam (path_graphs), and each scale
-a multiplies the values by a.
+a = 1, keeps it on the AdmissibleSet of lam (path_graphs), and the
+PathSpace of each scale a multiplies the values by a.
 
 PathSpace.count is an integer dynamic programme over the positions of the
 graph's nodes: the cosets reachable under a cut depend on the cut only
@@ -106,40 +106,30 @@ def path_graph(ctx, shape, tops, cap=20000):
 
 
 class PathSpace:
-    """Paths of a shape whose initial direction lies below the tops.
+    """Paths of the shape a * graph.shape, for a PathGraph and a positive
+    integer a.
 
-    Directions are the nodes of a PathGraph, and a path may start at any
-    of them.  graph, a PathGraph of the same tops for a shape of which this
-    shape is a positive integer multiple, is reused instead of rebuilt (the
-    tops are then not read); the cap holds on it as on a new one.
+    Directions are the nodes of the graph, and a path may start at any of
+    them.  The cover values are those of the graph times a (module
+    docstring), and the cuts are the k/p, 0 < k < p, of every scaled value
+    p.
     """
 
-    def __init__(self, ctx, shape, tops, cap=20000, graph=None):
+    def __init__(self, ctx, graph, a=1):
+        if a <= 0:
+            raise ValueError("scale a must be positive")
         self.ctx = ctx
-        self.shape = tuple(shape)
-        if graph is None:
-            graph = path_graph(ctx, self.shape, tops, cap=cap)
-            scale = 1
-        else:
-            if len(graph.nodes) > cap:
-                raise ResourceCapError(
-                    "bruhat interval nodes", len(graph.nodes), cap
-                )
-            p = next(p for p, u in enumerate(graph.shape) if u)
-            scale = self.shape[p] // graph.shape[p]
-            if scale <= 0 or \
-                    self.shape != tuple(scale * u for u in graph.shape):
-                raise ValueError(
-                    f"shape {self.shape} is not a multiple of {graph.shape}"
-                )
         self.graph = graph
-        nodes = graph.nodes
-        self.scale = scale
-        self.down = {x: [] for x in nodes}
+        self.shape = tuple(a * u for u in graph.shape)
+        # the covers below each node position, with their scaled values
+        self.below = [[] for _ in graph.nodes]
         for up, lo, val in graph.edges:
-            self.down[nodes[up]].append((nodes[lo], scale * val))
+            self.below[up].append((lo, a * val))
+        nodes = graph.nodes
+        self.down = {nodes[k]: [(nodes[lo], p) for lo, p in outs]
+                     for k, outs in enumerate(self.below)}
         self._reach_cache = {}
-        values = {p for outs in self.down.values() for _, p in outs}
+        values = {p for outs in self.below for _, p in outs}
         self.cuts = tuple(sorted(
             {Fraction(k, p) for p in values for k in range(1, p)}))
 
@@ -166,14 +156,10 @@ class PathSpace:
         (every cover goes to a lower position); F is then a suffix sum over
         the cuts, from the largest down, in integers.
         """
-        nodes = self.graph.nodes
-        below = [[] for _ in nodes]
-        for up, lo, val in self.graph.edges:
-            below[up].append((lo, self.scale * val))
         reach = {}
         for d in {c.denominator for c in self.cuts}:
             bits = []
-            for outs in below:
+            for outs in self.below:
                 b = 0
                 for lo, p in outs:
                     if p % d == 0:
@@ -181,7 +167,7 @@ class PathSpace:
                 bits.append(b)
             reach[d] = [_positions(b) for b in bits]
         # after the cut c: later[y] = sum over c' > c of F_c'(R_c'(y))
-        later = [0] * len(nodes)
+        later = [0] * len(self.below)
         for c in reversed(self.cuts):
             f = [1 + t for t in later]
             later = [
@@ -255,9 +241,10 @@ def count_h_y(fin, mu=None, lam=None, *, y, a=1, cap=20000, emit=False):
     first direction lies in the image of the saturation W^Y Adm(mu)°
     W^{Y°} in W/W_shape, a graph built from the neutral translations
     (module docstring) once per (lam, Y), at scale 1, with at most cap
-    nodes, and at most cap cuts of one cover value.  With emit=True the
-    paths themselves, at most cap of them, are returned alongside the
-    count.
+    nodes, and at most cap cuts: the bound is the sum of a * p - 1 over
+    the distinct cover values p, checked before any cut is built.  With
+    emit=True the paths themselves, at most cap of them, are returned
+    alongside the count.
     """
     datum = fin.datum
     y = tuple(sorted(set(y)))
@@ -272,11 +259,13 @@ def count_h_y(fin, mu=None, lam=None, *, y, a=1, cap=20000, emit=False):
         graph = path_graph(ctx, shape_weight(datum, y_circ, 1), tops, cap=cap)
         s.path_graphs[y] = graph
         s.keep()
-    cuts = a * max((val for _, _, val in graph.edges), default=0) - 1
-    if cuts > cap:  # the cuts k/p, 0 < k < p, of the largest value p
+    elif len(graph.nodes) > cap:
+        raise ResourceCapError("bruhat interval nodes", len(graph.nodes), cap)
+    # the cuts are the k/p, 0 < k < p, of each scaled value p
+    cuts = sum(a * p - 1 for p in {val for _, _, val in graph.edges})
+    if cuts > cap:
         raise ResourceCapError("path cuts", cuts, cap)
-    space = PathSpace(
-        ctx, shape_weight(datum, y_circ, a), (), cap=cap, graph=graph)
+    space = PathSpace(ctx, graph, a)
     n = space.count()
     if emit and n > cap:
         raise ResourceCapError("emitted paths", n, cap)

@@ -30,25 +30,31 @@ minv D^{-1}, and coroot_coords and coroot_apply_inv read them through D.
 A length-zero tau is a permutation matrix, so x tau permutes the columns
 of m and the rows of minv (twist), and l(x tau) = l(x).
 
-A Bruhat cover v = s_beta x of x comes from dropping letter k of a reduced
-word i_1 ... i_l of x, where beta = gamma_k = s_{i_1} ... s_{i_{k-1}}
+Bruhat lower sets grow by subwords (Bjorner-Brenti, Combinatorics of
+Coxeter Groups, Thm. 2.2.2): for v s_j > v the interval below v s_j is the
+one below v together with its right translate by s_j.  lower_closure grows
+the sets that adm and the cells read so, one letter of a reduced word at a
+time: x s_j, for x without the right descent s_j, costs one column update
+of x's m, which is looked up among the elements found so far; a new
+element costs its minv and gets a word, x's word followed by j.
+
+Cover graphs serve only the path counts (lspaths.path_graph).  A Bruhat
+cover v = s_beta x of x comes from dropping letter k of a reduced word
+i_1 ... i_l of x, where beta = gamma_k = s_{i_1} ... s_{i_{k-1}}
 (alpha_{i_k}) is the k-th inversion root.  The word with letter k dropped
 is reduced, and s_beta x a cover, exactly when s_{gamma_k}(gamma_j) > 0
-for every j > k (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 1
-and 4: the strong exchange property and the inversion sequence of a
-reduced word).  labeled_covers_down decides every drop on those signs,
-read off the heights of real roots, whose coordinates share one sign; it
-reflects only the true covers and returns each with its dropped word, so
-no candidate needs a reduced word of its own.  A cover lies in W^J when
-s_beta x(alpha_j) > 0 for each j in J, which is again a sign, tested
-before reflecting.  The reflection s_beta is I - beta phi^T on the root
-side, with phi = A^T beta^vee, so reflect forms s_beta x by rank-one
-updates, O(n^2) per matrix.  Elements are equal when their m are, so
-lower_closure forms the m of each cover first and looks it up among the
-elements found so far; only a new element costs its minv.  The dropped
-words are reduced, though not reduced_word's least-descent words, and
-bruhat_interval and admissible.adm hand them on beside their elements,
-sorted by (len(word), m), sort_key's order, to the readers of lengths.
+for every j > k (Bjorner-Brenti, ch. 1 and 4: the strong exchange
+property and the inversion sequence of a reduced word).
+labeled_covers_down decides every drop on those signs, read off the
+heights of real roots, whose coordinates share one sign; it reflects only
+the true covers and returns each with its dropped word, so no candidate
+needs a reduced word of its own.  A cover lies in W^J when s_beta x(alpha_j)
+> 0 for each j in J, which is again a sign, tested before reflecting.  The
+reflection s_beta is I - beta phi^T on the root side, with phi = A^T
+beta^vee, so reflect forms s_beta x by rank-one updates, O(n^2) per
+matrix.  bruhat_interval looks the m of each cover up among the nodes
+found so far and hands the dropped words on beside the nodes, sorted by
+(len(word), m), sort_key's order.
 """
 
 import math
@@ -532,32 +538,33 @@ def labeled_covers_down(eng, x, word, right_quotient=(), found=None):
     return out
 
 
-def lower_closure(eng, words, right_quotient=(), cap=20000,
-                  what="bruhat interval nodes", edges=None):
-    """Grow words, a dict from elements to reduced words, down by covers.
+def lower_closure(eng, words, cap=20000, what="bruhat interval nodes"):
+    """The Bruhat lower set below the elements of reduced words, by subwords.
 
-    The m of each cover is looked up among the elements found so far, so a
-    known cover is the stored object; a new one enters words with its
-    dropped word.  edges, if given, collects each cover as (upper, lower,
-    beta, beta_co).  Past cap elements it raises ResourceCapError(what).
+    Returns a dict from each element of the union of the intervals to a
+    reduced word: that of the element it grew from, which comes before it,
+    and one letter (module docstring).  Once the union, and with it any
+    level, passes cap elements it raises ResourceCapError(what).
     """
-    found = {x.m: x for x in words}
-    frontier = list(words)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for v, beta, beta_co, word in labeled_covers_down(
-                    eng, x, words[x], right_quotient, found):
-                if edges is not None:
-                    edges.add((x, v, beta, beta_co))
-                if v.m not in found:
-                    found[v.m] = v
-                    words[v] = word
-                    nxt.append(v)
-            if len(words) > cap:
-                raise ResourceCapError(what, len(words), cap)
-        frontier = nxt
-    return words
+    e = eng.identity()
+    found = {e.m: (e, ())}  # m -> (element, word)
+    for word in words:
+        level = {e.m: e}
+        for j in word:
+            row = eng.a[j]
+            for x in list(level.values()):
+                if eng.is_right_descent(x, j):
+                    continue
+                m = _col_update(x.m, j, row)
+                if m in level:
+                    continue
+                if m not in found:
+                    v = CoxElement(m, _row_update(x.minv, j, row))
+                    found[m] = v, found[x.m][1] + (j,)
+                    if len(found) > cap:
+                        raise ResourceCapError(what, len(found), cap)
+                level[m] = found[m][0]
+    return dict(found.values())
 
 
 @dataclass(frozen=True)
@@ -582,8 +589,20 @@ def bruhat_interval(eng, tops, right_quotient=(), cap=20000):
     for t in tops:
         m = coset_min(eng, t, (), right_quotient)
         words.setdefault(m, reduced_word(eng, m)[0])
+    found = {x.m: x for x in words}
     edges = set()
-    lower_closure(eng, words, right_quotient, cap, edges=edges)
+    stack = list(words)
+    while stack:
+        x = stack.pop()
+        for v, beta, beta_co, word in labeled_covers_down(
+                eng, x, words[x], right_quotient, found):
+            edges.add((x, v, beta, beta_co))
+            if v.m not in found:
+                found[v.m] = v
+                words[v] = word
+                stack.append(v)
+        if len(words) > cap:
+            raise ResourceCapError("bruhat interval nodes", len(words), cap)
 
     def key(x):
         return (len(words[x]), x.m)

@@ -23,7 +23,7 @@ from loopweyl.loops.fiber import enumerate_fiber
 from loopweyl.loops.kottwitz import (is_unitary, kottwitz_gm,
                                      kottwitz_norm_one, kottwitz_unitary)
 from loopweyl.loops.series import Series, smat
-from loopweyl.lspaths import PathSpace
+from loopweyl.lspaths import PathSpace, path_graph
 from loopweyl.rootdata import echelon_system, load_affine_datum
 from loopweyl.weyl import (CartanContext, bruhat_interval, from_word,
                            longest_element, reduced_word)
@@ -94,8 +94,8 @@ def test_finite_path_calibration_gate():
         for lam in product(range(9), repeat=fin.r):
             if not 1 <= sum(l * c for l, c in zip(lam, two_rho)) <= 8:
                 continue
-            assert PathSpace(ctx, lam, group).count() == weyl_dim(fin, lam), \
-                (name, lam)
+            space = PathSpace(ctx, path_graph(ctx, lam, group))
+            assert space.count() == weyl_dim(fin, lam), (name, lam)
             total += 1
     assert total >= 15
     _GATE["calibrated"] = True

@@ -339,6 +339,21 @@ def test_saturation_filter_matches_the_closure_oracle():
     assert triples == 216
 
 
+def test_adm_matches_the_cover_closure():
+    # adm grows Adm(mu)° by subwords of the walk words; the cover walk of
+    # bruhat_interval is the oracle for its elements, and each word handed
+    # over is a reduced word of its element
+    for name, mu in FILTER_CASES:
+        fin = fin_for(name)
+        eng = engine_for(fin)
+        s = adm(fin, mu=mu)
+        oracle = bruhat_interval(eng, s.words).nodes
+        assert set(s.neutral) == set(oracle), (name, mu)
+        for x, word in s.neutral_words.items():
+            assert len(word) == eng.length(x), (name, mu, word)
+            assert from_word(eng, word) == x, (name, mu, word)
+
+
 def test_path_graph_is_the_filtered_saturation():
     # count_h_y closes the neutral translations in the affine Weyl group of
     # the datum's Cartan matrix modulo W_{S-Y°}; by the projection property

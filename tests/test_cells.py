@@ -1,6 +1,6 @@
 """Schubert cells as explicit lattice chains, counted over F_q."""
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -10,7 +10,8 @@ from loopweyl.loops.cells import (CellGroup, cell_points, chain_key,
                                   closure_points, schubert_count)
 from loopweyl.loops.chains import validate_chain
 from loopweyl.loops.series import sid, smul
-from loopweyl.weyl import from_word
+from loopweyl.weyl import (bruhat_interval, coset_min, from_word,
+                           lower_closure)
 
 
 def test_cell_sizes_are_q_powers():
@@ -111,6 +112,32 @@ def test_closure_matches_subword_oracle():
             pts = closure_points(group, word)
             assert set(pts) == subword_closure_keys(group, word), (kind, word)
             assert all(chain_key(c) == k for k, c in pts.items())
+
+
+def test_subword_closures_match_the_cover_walk():
+    # closure_points and schubert_count grow [e, w] by subwords of the word;
+    # the cover walk of bruhat_interval is the oracle for its elements, and
+    # its quotient interval below the coset minimum for every count modulo
+    # a proper set of nodes
+    for kind, n, q, max_len, extra in (("sl", 2, 3, 4, []),
+                                       ("sl", 3, 2, 3, [[2, 1, 0, 2]]),
+                                       ("sl", 4, 2, 3, []),
+                                       ("su", 3, 3, 3, [])):
+        group = CellGroup(kind, n, q)
+        eng = engine_for(group.fin)
+        for word in list(reduced_words(group, max_len)) + extra:
+            w = from_word(eng, word)
+            words = lower_closure(eng, [word])
+            assert set(words) == set(bruhat_interval(eng, [w]).nodes), word
+            for x, x_word in words.items():
+                assert len(x_word) == eng.length(x), (word, x_word)
+                assert from_word(eng, x_word) == x, (word, x_word)
+            for k in range(len(group.nodes)):
+                for modulo in combinations(group.nodes, k):
+                    graph = bruhat_interval(
+                        eng, [coset_min(eng, w, (), modulo)], modulo)
+                    assert schubert_count(group.fin, word, q, modulo) == \
+                        sum(q ** len(u) for u in graph.words), (word, modulo)
 
 
 def test_closure_contains_cells():

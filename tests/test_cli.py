@@ -219,6 +219,8 @@ BAD_INPUTS = [
     # 8,721 paths, counted before any is built
     (["hpoly", "--datum", "A(1)_3", "--mu", "1,1,0,0", "--Y", "0",
       "--a", "16", "--emit-paths", "--cap", "1000"], 3),
+    # the largest cover value alone gives 899 cuts, all 900 values 404,550
+    (["hpoly", "--datum", "A(1)_1", "--mu", "900,0", "--Y", "0"], 3),
 ]
 
 

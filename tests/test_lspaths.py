@@ -12,7 +12,8 @@ from loopweyl.admissible import (adm, adm_parahoric, context_for, engine_for,
                                   tau_conjugate_nodes, translations)
 from loopweyl.dims import check_coherence, weyl_dim
 from loopweyl.errors import ResourceCapError
-from loopweyl.lspaths import PathSpace, count_h_y, is_ls_path, shape_weight
+from loopweyl.lspaths import (PathSpace, count_h_y, is_ls_path, path_graph,
+                              shape_weight)
 from loopweyl.rootdata import (FiniteRootDatum, datum_from_json,
                                datum_to_json, echelon_system,
                                load_affine_datum)
@@ -60,7 +61,7 @@ def test_finite_calibration_matches_weyl_dim():
         for lam in product(range(9), repeat=fin.r):
             if not 1 <= sum(l * c for l, c in zip(lam, two_rho_co)) <= 8:
                 continue
-            space = PathSpace(ctx, lam, group)
+            space = PathSpace(ctx, path_graph(ctx, lam, group))
             assert space.count() == weyl_dim(fin, lam), (name, lam)
             seen += 1
         assert seen >= 5
@@ -80,7 +81,7 @@ def test_emitted_paths_are_ls_paths():
         for x in par.mod_right:
             word, _ = reduced_word(eng, x)
             tops.append(from_word(ctx, word))
-        space = PathSpace(ctx, shape, tops)
+        space = PathSpace(ctx, path_graph(ctx, shape, tops))
         for p in paths:
             assert p.shape == shape
             cuts = p.cuts
@@ -143,7 +144,8 @@ def fresh_space(fin, mu, y, a):
     ctx = context_for(fin.datum)
     par = adm_parahoric(adm(fin, mu=mu), y)
     tops = [from_word(ctx, reduced_word(eng, x)[0]) for x in par.mod_right]
-    return PathSpace(ctx, shape_weight(fin.datum, par.y_circ, a), tops)
+    return PathSpace(
+        ctx, path_graph(ctx, shape_weight(fin.datum, par.y_circ, a), tops))
 
 
 def test_one_path_graph_serves_every_scale(monkeypatch):
@@ -180,16 +182,14 @@ def test_cap_holds_on_a_stored_path_graph():
     n = count_h_y(fin, mu=(1, 0, 0), y=(0, 1), a=2)
     graph = translations(fin, mu=(1, 0, 0)).path_graphs[(0, 1)]
     ctx = context_for(fin.datum)
-    shape = shape_weight(fin.datum, (0, 1), 2)
-    with pytest.raises(ResourceCapError):
-        PathSpace(ctx, shape, (), cap=len(graph.nodes) - 1, graph=graph)
     with pytest.raises(ResourceCapError):
         count_h_y(fin, mu=(1, 0, 0), y=(0, 1), a=2, cap=len(graph.nodes) - 1)
-    space = PathSpace(ctx, shape, (), cap=len(graph.nodes), graph=graph)
+    space = PathSpace(ctx, graph, 2)
+    assert space.shape == shape_weight(fin.datum, (0, 1), 2)
     assert space.count() == n
-    # a shape that is not a multiple of the graph's is refused
+    # the scale is a positive integer
     with pytest.raises(ValueError):
-        PathSpace(ctx, (1, 1), (), graph=graph)
+        PathSpace(ctx, graph, 0)
 
 
 def count_oracle(space):
@@ -231,8 +231,8 @@ def test_integer_count_matches_the_recursive_oracle():
             graph = s.path_graphs[y]
             y_circ = tau_conjugate_nodes(s, y)
             for a in (1, 2, 3):
-                space = PathSpace(
-                    ctx, shape_weight(fin.datum, y_circ, a), (), graph=graph)
+                space = PathSpace(ctx, graph, a)
+                assert space.shape == shape_weight(fin.datum, y_circ, a)
                 n = space.count()
                 assert n == count_oracle(space) == len(space.paths()), \
                     (name, mu, y, a)

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopweyl.admissible import adm, context_for, engine_for
-from loopweyl.errors import UnsupportedDatumError
+from loopweyl.errors import ResourceCapError, UnsupportedDatumError
 from loopweyl.kactables import known_names
 from loopweyl.rootdata import (echelon_system, load_affine_datum,
                                project_coweight, special_nodes)
 from loopweyl import linalg
 from loopweyl.weyl import (CartanContext, bruhat_interval, coset_min,
-                           from_word, labeled_covers_down, reduced_word)
+                           from_word, labeled_covers_down, lower_closure,
+                           reduced_word)
 
 
 def fin_for(name, x=0):
@@ -331,6 +332,29 @@ def test_a_cover_reached_twice_is_the_stored_element():
     assert again[0][0] is first
     for (v, *_), (w, *_) in zip(again[1:], covers[1:]):
         assert v is not w and matrices(v) == matrices(w)
+
+
+def test_lower_closure_cap_stops_a_level_before_the_next_word():
+    # a level lies inside the union, so a single word's interval past cap
+    # raises before a later word is read; two intervals within cap whose
+    # union passes it raise as well
+    eng = engine_for(fin_for("A(1)_2"))
+    word = (0, 1, 2, 0, 1)
+    size = len(lower_closure(eng, [word]))
+    read = []
+
+    def words():
+        for w in (word, (2, 1)):
+            read.append(w)
+            yield w
+
+    with pytest.raises(ResourceCapError) as err:
+        lower_closure(eng, words(), cap=size - 1, what="interval")
+    assert (err.value.what, err.value.size) == ("interval", size)
+    assert read == [word]
+    assert len(lower_closure(eng, [(0, 1)])) == 4
+    with pytest.raises(ResourceCapError):
+        lower_closure(eng, [(0, 1), (2, 0)], cap=5)
 
 
 def covers_oracle(eng, x):
