@@ -3,11 +3,11 @@
 Adm(mu) is the Bruhat lower closure of the translations t_{w(lam)} over the
 finite Weyl orbit of lam; all of them share one Omega-class tau, and the
 neutral version divides tau out on the right, landing in the affine Weyl
-group.  The walk of v0 + w(lam) into the base alcove is a reduced word of
-t_{w(lam)} tau^{-1} (eng.translation_word).  tau has length zero and
+group.  Stripping the root matrix of t_{w(lam)} (eng.translation) leaves
+tau and a reduced word of t_{w(lam)} tau^{-1}.  tau has length zero and
 permutes the simple roots, so x tau is a permutation of the rows and
 columns of x's matrices (eng.twist) and has the length of x; the closure
-(weyl.lower_closure) grows from the walk words by subwords, without
+(weyl.lower_closure) grows from those words by subwords, without
 covers, and carries each element's reduced word, which the readers of
 lengths read (neutral_words).
 The parahoric saturation W^Y Adm(mu)° W^{Y°} by the standard
@@ -32,7 +32,7 @@ Each result is kept on the object it is built from: a finite datum keeps
 one AdmissibleSet per lam (fin.adm_sets), keyed by lam alone (so mu=...
 and lam=... share the set of the projection lam of mu), at most MEMO_SIZE
 of them, dropping the oldest first.  It holds tau, the translations
-(maximal_elements) and their neutral versions with walk words (words),
+(maximal_elements) and their neutral versions with reduced words (words),
 its closure (elements, neutral, neutral_words) once adm has built it, and
 its saturations and path graphs, keyed by Y; lspaths.count_h_y builds a
 path graph without the closure.  A repeated call returns the stored
@@ -62,7 +62,7 @@ def context_for(datum):
 @dataclass(eq=False)
 class AdmissibleSet:
     """Adm(mu) of one lam (module docstring): words maps each t tau^{-1} to
-    its walk word, and adm fills elements, neutral and neutral_words, a
+    its reduced word, and adm fills elements, neutral and neutral_words, a
     reduced word of each element of neutral (None before)."""
 
     fin: object
@@ -87,8 +87,8 @@ class AdmissibleSet:
 
 def translations(fin, mu=None, lam=None):
     """The stored AdmissibleSet of mu or lam, closed or not, else a new one
-    that the caller stores (keep) once its build succeeds; its words are
-    the walks of eng.translation_word, never stripped from elements."""
+    that the caller stores (keep) once its build succeeds; its words are the
+    least-descent words of the translations, which strip down to tau."""
     if (mu is None) == (lam is None):
         raise ValueError("exactly one of mu, lam is required")
     if lam is None:
@@ -98,25 +98,25 @@ def translations(fin, mu=None, lam=None):
     hit = fin.adm_sets.get(lam)
     if hit is not None:
         return hit
+    # w0_orbit needs r coordinates; eng.translation rejects non-coweights
     if len(lam) != fin.r:
         raise ValueError(f"lam needs {fin.r} coordinates, got {len(lam)}")
-    if mu is None and not fin.in_coweight_lattice(lam):
-        raise ValueError("lam is not in the coweight lattice")
     eng = engine_for(fin)
-    walks = [eng.translation_word(v) for v in fin.w0_orbit(lam)]
-    taus = {tau for _, tau in walks}
+    split = {t: weyl.reduced_word(eng, t)
+             for t in map(eng.translation, fin.w0_orbit(lam))}
+    taus = {tau for _, tau in split.values()}
     if len(taus) != 1:
         raise ConsistencyError(
             f"translations of the W-orbit of {lam} lie in {len(taus)} "
             "Omega-classes"
         )
     tau = taus.pop()
-    words = {weyl.from_word(eng, word): word for word, _ in walks}
+    tau_inv = eng.inv(tau)
     # one W_0-orbit's translations share a length, so m is sort_key's order
     return AdmissibleSet(
-        fin=fin, lam=lam, tau=tau, words=words,
-        maximal_elements=tuple(
-            sorted((eng.twist(x, tau) for x in words), key=lambda t: t.m)))
+        fin=fin, lam=lam, tau=tau,
+        words={eng.twist(t, tau_inv): word for t, (word, _) in split.items()},
+        maximal_elements=tuple(sorted(split, key=lambda t: t.m)))
 
 
 def adm(fin, mu=None, lam=None, cap=20000):
@@ -131,7 +131,8 @@ def adm(fin, mu=None, lam=None, cap=20000):
             raise ResourceCapError("admissible set size", len(s.neutral), cap)
         return s
     eng = engine_for(fin)
-    # each neutral element with a reduced word, grown from the walk words
+    # each neutral element with a reduced word, grown from the words of
+    # the neutral translations
     words = weyl.lower_closure(
         eng, s.words.values(), cap=cap, what="admissible set size")
     # l(x tau) = l(x), so (len(word), m) is sort_key's order on both sides

@@ -6,12 +6,17 @@ holding its root matrix m and its inverse.  CartanContext.iwahori_weyl(fin)
 builds the Iwahori-Weyl group W~ = W_aff x| Omega of a FiniteRootDatum: its
 simple roots are the walls of the base alcove, normalized as the echelonnage
 affine simple roots, and each tau in Omega permutes those walls, so it is a
-length zero permutation matrix.  Rational arithmetic is confined to the
-boundary, where a coweight enters (translation) and where an Omega residue
-leaves (omega_class).  Reduced words, Bruhat comparison, coset minima,
-labeled covers and interval graphs are written against the engine's
-methods, so the same code serves the Iwahori-Weyl group, the affine Weyl
-group of a datum's own Cartan matrix, and the finite calibration contexts.
+length zero permutation matrix.  A translation t_lam is the matrix of
+alpha_j -> alpha_j - k_j(lam) delta (Kac, Infinite dimensional Lie algebras,
+sec. 6.5), and least-descent stripping splits it into a reduced word and
+the tau of lam's Omega-class, so translations, their words and the Omega
+table come from the one stripping that serves every other element.
+Rational arithmetic is confined to the boundary, where a coweight enters
+(translation) and where an Omega residue leaves (omega_class).  Reduced
+words, Bruhat comparison, coset minima, labeled covers and interval graphs
+are written against the engine's methods, so the same code serves the
+Iwahori-Weyl group, the affine Weyl group of a datum's own Cartan matrix,
+and the finite calibration contexts.
 
 The matrix of a simple reflection s_p is the identity except in row p,
 which is e_p - a[p].  So lmul and rmul, which do nearly all of the
@@ -108,7 +113,6 @@ class CartanContext:
             self._gens[i] = CoxElement(root, root)
         # d_i a_ij = d_j a_ji, which carries the root side to the coroot side
         self.sym = _symmetrizer(self.a)
-        self.fin = None
         self._taus = {(): self._id}
         self._residues = {self._id: ()}
 
@@ -119,9 +123,9 @@ class CartanContext:
         Node i != x has gradient fun_simple[p] and coroot g_p e_p; node x has
         gradient minus the highest echelonnage root psi and the multiple of
         -psi^vee (the comarks vector) pairing to 2 with it.  The wall matrix
-        A' pairs these.  The tau of each Omega residue is read off from the
-        walls that v0 plus the residue crosses on its walk back into the
-        base alcove.
+        A' pairs these.  The slope of wall j is its gradient over delta_x,
+        for the null root delta (translation), and the tau of each Omega
+        residue is what least-descent stripping leaves of its translation.
         """
         walls = {}
         for i in fin.nodes:
@@ -149,32 +153,14 @@ class CartanContext:
                 "is not integral"
             )
         eng = cls([[int(v) for v in row] for row in a])
-        eng.fin = fin
+        eng._delta = linalg.primitive_positive_nullvector(eng.a)
+        eng._slopes = tuple(
+            tuple(g / eng._delta[fin.x] for g in walls[j][0]) for j in nodes
+        )
         eng._taus = {}
         eng._residues = {}
-        delta = linalg.primitive_positive_nullvector(eng.a)
         for res in _omega_residues(fin):
-            # t_res = w tau with w = s_{i_1} ... s_{i_k} along the walk, and
-            # t_res shifts every wall by a constant, so w^{-1} alpha_j is
-            # alpha_sigma(j) minus a multiple of delta
-            _, path = fin.alcove_normalize(_shift(fin.v0, res))
-            sigma = []
-            for j in nodes:
-                v = [int(r == j) for r in nodes]
-                for i in path:
-                    v[i] -= sum(s * t for s, t in zip(eng.a[i], v))
-                sigma.append(next(
-                    k for k in nodes
-                    if all(
-                        (t - (r == k)) * delta[0] == (v[0] - (k == 0)) * d
-                        for r, (t, d) in enumerate(zip(v, delta))
-                    )
-                ))
-            perm = tuple(
-                tuple(int(sigma[c] == r) for c in nodes) for r in nodes
-            )
-            tinv = linalg.transpose(perm)
-            tau = CoxElement(perm, tinv)
+            tau = reduced_word(eng, eng.translation(res))[1]
             eng._taus[res] = tau
             eng._residues[tau] = res
         return eng
@@ -287,17 +273,29 @@ class CartanContext:
 
     # -- translations, Omega-classes and tau representatives --
 
-    def translation_word(self, lam):
-        """(word, tau) with t_lam = s_{i_1} ... s_{i_k} tau: the i_j are the
-        walls that v0 + lam crosses, each once, on its walk back into the
-        base alcove, so the word is reduced; tau twists lam's Omega-class."""
-        fin = self.fin
-        _, path = fin.alcove_normalize(_shift(fin.v0, lam))
-        tau = self._taus[linalg.reduce_mod_lattice(lam, fin.t_basis)]
-        return tuple(path), tau
-
     def translation(self, lam):
-        return from_word(self, *self.translation_word(lam))
+        """t_lam for a coweight lam: alpha_j -> alpha_j - k_j delta.
+
+        k_j = s_j . lam is the slope of wall j at lam, so m = I - delta k^T.
+        delta's coefficients annihilate the walls' gradients (their sum is
+        the gradient of a constant), so k^T delta = 0 and minv = I + delta
+        k^T, the matrix of t_{-lam}.  reduced_word strips t_lam along the
+        walk of v0 + lam into the base alcove, down to lam's tau.
+        """
+        r = len(self._slopes[0])
+        if len(lam) != r:
+            raise ValueError(f"lam needs {r} coordinates, got {len(lam)}")
+        k = [sum(s * c for s, c in zip(slope, lam)) for slope in self._slopes]
+        if any(Fraction(v).denominator != 1 for v in k):
+            raise ValueError(f"{tuple(lam)} is not in the coweight lattice")
+        k = [int(v) for v in k]
+        eye, d = self._id.m, self._delta
+        return CoxElement(
+            tuple(tuple(e - dr * kc for e, kc in zip(row, k))
+                  for row, dr in zip(eye, d)),
+            tuple(tuple(e + dr * kc for e, kc in zip(row, k))
+                  for row, dr in zip(eye, d)),
+        )
 
     def omega_class(self, x):
         return self._residues[reduced_word(self, x)[1]]
@@ -395,10 +393,6 @@ def _rank_one_right(m, u, f):
     return tuple(out)
 
 
-def _shift(v, lam):
-    return tuple(a + b for a, b in zip(v, lam))
-
-
 def _omega_residues(fin):
     """Canonical residues of the coweight lattice modulo translations.
 
@@ -412,7 +406,8 @@ def _omega_residues(fin):
         nxt = []
         for v in frontier:
             for row in fin.p_basis:
-                u = linalg.reduce_mod_lattice(_shift(v, row), fin.t_basis)
+                u = linalg.reduce_mod_lattice(
+                    tuple(a + b for a, b in zip(v, row)), fin.t_basis)
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
@@ -428,7 +423,7 @@ def reduced_word(eng, x):
 
     Returns (word, remainder); the remainder has length zero (the identity,
     or a tau-twist in the Iwahori-Weyl group).  Nothing is stored: where an
-    element is made by a walk or a closure, its word comes with it.
+    element is made by a closure, its word comes with it.
     """
     word = []
     while True:

@@ -340,9 +340,9 @@ def test_saturation_filter_matches_the_closure_oracle():
 
 
 def test_adm_matches_the_cover_closure():
-    # adm grows Adm(mu)° by subwords of the walk words; the cover walk of
-    # bruhat_interval is the oracle for its elements, and each word handed
-    # over is a reduced word of its element
+    # adm grows Adm(mu)° by subwords of the translations' words; the cover
+    # walk of bruhat_interval is the oracle for its elements, and each word
+    # handed over is a reduced word of its element
     for name, mu in FILTER_CASES:
         fin = fin_for(name)
         eng = engine_for(fin)

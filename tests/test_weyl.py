@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -89,8 +90,9 @@ def test_engine_matches_alcove_geometry():
                 for i in datum.nodes:
                     assert eng.is_left_descent(i, t) == \
                         (fin.affine_value(i, point) < 0), (name, x, lam)
-            for res in eng.omega_residues():
-                tau = eng.tau_for_class(res)
+            taus = [eng.tau_for_class(r) for r in eng.omega_residues()]
+            assert len(set(taus)) == len(taus), (name, x)
+            for res, tau in zip(eng.omega_residues(), taus):
                 sigma = [eng.tau_conj_node(tau, i) for i in datum.nodes]
                 assert sorted(sigma) == list(datum.nodes)
                 for i in datum.nodes:
@@ -98,6 +100,15 @@ def test_engine_matches_alcove_geometry():
                         assert eng.a[sigma[i]][sigma[j]] == eng.a[i][j], \
                             (name, x, res)
     assert pairs == 48
+
+
+@pytest.mark.parametrize("lam", [(1,), (1, 0, 0), (Fraction(1, 3), 0)])
+def test_translation_rejects_non_coweights(lam):
+    # a wrong number of coordinates, or a point whose wall slopes are not
+    # integers, is a typed error, not a truncated or missing translation
+    eng = engine_for(fin_for("A(1)_2"))
+    with pytest.raises(ValueError):
+        eng.translation(lam)
 
 
 def test_word_round_trip():
@@ -476,9 +487,9 @@ def assert_reduced_words(eng, pairs, what):
 
 
 def test_handed_over_words_are_reduced():
-    # readers take lengths and cell words from the words that the walk and
+    # readers take lengths and cell words from the words that stripping and
     # the closures hand over, so each must be a reduced word of its element:
-    # the walk words of the neutral translations, the words adm keeps, and
+    # the words of the neutral translations, the words adm keeps, and
     # the words of every quotient interval, in the Iwahori-Weyl engine and
     # in the datum's own Cartan group
     checked = 0
@@ -503,10 +514,19 @@ def test_handed_over_words_are_reduced():
 
 
 def test_walk_words_are_reduced_on_random_coweights():
-    # the walk of v0 + lam back into the base alcove crosses each wall
-    # between them once, so its word is a reduced word of t_lam tau^{-1},
-    # of length <lam+, 2 rho>; random coweights of every datum of rank <= 4
-    rng = random.Random(17)
+    # stripping t_lam follows the walk of v0 + lam back into the base
+    # alcove, which crosses each wall between them once, so its word is a
+    # reduced word of t_lam tau^{-1}, of length <lam+, 2 rho>, and what is
+    # left is the tau of lam's class; t_lam is a homomorphism in lam.
+    # Random coweights of every datum of rank <= 4, checked against the
+    # Fraction walk of rootdata
+    rng, rng_mu = random.Random(17), random.Random(18)
+
+    def coweight(fin, rng):
+        coef = [rng.randint(-2, 2) for _ in fin.p_basis]
+        return tuple(sum(c * row[k] for c, row in zip(coef, fin.p_basis))
+                     for k in range(fin.r))
+
     checked = 0
     for name in known_names(4):
         datum = load_affine_datum(name)
@@ -514,12 +534,19 @@ def test_walk_words_are_reduced_on_random_coweights():
             fin = echelon_system(datum, x)
             eng = engine_for(fin)
             for _ in range(6):
-                coef = [rng.randint(-2, 2) for _ in fin.p_basis]
-                lam = tuple(sum(c * row[k] for c, row in zip(coef, fin.p_basis))
-                            for k in range(fin.r))
-                word, _ = eng.translation_word(lam)
+                lam, mu = coweight(fin, rng), coweight(fin, rng_mu)
+                t = eng.translation(lam)
+                word, tau = reduced_word(eng, t)
+                case = (name, x, lam)
+                point = tuple(a + b for a, b in zip(fin.v0, lam))
+                assert list(word) == fin.alcove_normalize(point)[1], case
+                assert tau == eng.tau_for_class(
+                    linalg.reduce_mod_lattice(lam, fin.t_basis)), case
                 assert eng.length(from_word(eng, word)) == len(word) == \
-                    fin.translation_length(lam), (name, x, lam)
+                    fin.translation_length(lam), case
+                assert linalg.matmul(t.m, t.minv) == eng.identity().m, case
+                assert eng.mul(t, eng.translation(mu)) == eng.translation(
+                    tuple(a + b for a, b in zip(lam, mu))), (case, mu)
                 checked += 1
     assert checked == 306
 
