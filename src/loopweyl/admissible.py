@@ -98,9 +98,6 @@ def translations(fin, mu=None, lam=None):
     hit = fin.adm_sets.get(lam)
     if hit is not None:
         return hit
-    # w0_orbit needs r coordinates; eng.translation rejects non-coweights
-    if len(lam) != fin.r:
-        raise ValueError(f"lam needs {fin.r} coordinates, got {len(lam)}")
     eng = engine_for(fin)
     split = {t: weyl.reduced_word(eng, t)
              for t in map(eng.translation, fin.w0_orbit(lam))}

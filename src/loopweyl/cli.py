@@ -104,9 +104,6 @@ def parse_element(eng, fin, text):
         m = re.fullmatch(r"t\[([^\]]*)\]", factor)
         if m:
             lam = parse_fractions(m.group(1))
-            if len(lam) != fin.r:
-                raise SpecParseError(
-                    f"translation needs {fin.r} coordinates, got {len(lam)}")
             if not fin.in_coweight_lattice(lam):
                 raise SpecParseError(f"{factor} is not in the coweight lattice")
             x = eng.mul(x, eng.translation(lam))

@@ -41,9 +41,6 @@ def rref(a, q=None):
     Returns (rows, pivot column indices).  Zero rows are kept, at the bottom;
     over F_q the entries are ints in range(q).
     """
-    def reduce(row):
-        return row if q is None else [x % q for x in row]
-
     rows = [list(map(Fraction, r)) if q is None else [x % q for x in r]
             for r in a]
     nrows = len(rows)
@@ -55,12 +52,16 @@ def rref(a, q=None):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c] if q is None else pow(rows[r][c], -1, q)
-        rows[r] = reduce([x * inv for x in rows[r]])
+        prow = rows[r]
+        if prow[c] != 1:
+            inv = 1 / prow[c] if q is None else pow(prow[c], -1, q)
+            prow = rows[r] = [x * inv if q is None else x * inv % q
+                              for x in prow]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = reduce([x - f * y for x, y in zip(rows[i], rows[r])])
+            f = rows[i][c]
+            if i != r and f != 0:
+                rows[i] = ([x - f * y for x, y in zip(rows[i], prow)] if q is None
+                           else [(x - f * y) % q for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
         if r == nrows:

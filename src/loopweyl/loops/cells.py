@@ -27,7 +27,7 @@ from ..admissible import engine_for
 from ..errors import (ConsistencyError, SpecParseError, UnsupportedDatumError,
                       UnsupportedFieldError)
 from ..rootdata import echelon_system, load_affine_datum
-from .chains import standard_member
+from .chains import Lattice, canonical_columns, standard_member
 from .kottwitz import is_unitary
 from .series import Series, sdet, sid, smat, smul
 
@@ -112,29 +112,16 @@ class CellGroup:
         return self._refl[i]
 
     def step(self, i, x):
-        """The product U_i(x) n_i, built on first use and then reused."""
-        key = (i, x)
-        out = self._steps.get(key)
-        if out is None:
-            out = self._steps[key] = smul(self.unip(i, x), self._refl[i])
-        return out
-
-    # -- chain actions -----------------------------------------------------
+        """U_i(x) n_i, built on first use, checked to have determinant 1."""
+        if (i, x) not in self._steps:
+            step = smul(self.unip(i, x), self._refl[i])
+            if not (sdet(step) - 1).is_zero():
+                raise ConsistencyError(f"U_{i}({x}) n_{i} must have determinant 1")
+            self._steps[i, x] = step
+        return self._steps[i, x]
 
     def base_chain(self):
         return tuple(self._base)
-
-    def apply(self, g):
-        """The chain g . (standard chain), every member transformed."""
-        return tuple(L.transform(g) for L in self._base)
-
-    def moved_tokens(self, g):
-        """Tokens whose standard member is not fixed by g."""
-        out = []
-        for t, L in zip(self.tokens, self._base):
-            if L.transform(g).key() != L.key():
-                out.append(t)
-        return out
 
 
 def _check_reduced(fin, word):
@@ -163,15 +150,20 @@ def _grow(group, points, j):
     A point is a pair (h, chain) with chain = h . (standard chain).  Its q
     children are h U_j(x) n_j, x in F_q; the step fixes every standard
     member but the one with token j, so a child keeps its parent's other
-    members and costs one lattice transform.
+    members and costs one canonical form: the standard member has the basis
+    u^{e_c} e_c and every step has determinant 1, so g times it is spanned
+    by g's columns shifted by e_c and has determinant order sum e_c.
     """
     k = group.tokens.index(j)
-    member = group.base_chain()[k]
+    exps = [col[c].start for c, col in enumerate(group.base_chain()[k].cols)]
     out = []
     for h, chain in points:
         for x in range(group.q):
             g = smul(h, group.step(j, x))
-            out.append((g, chain[:k] + (member.transform(g),) + chain[k + 1:]))
+            cols = [[row[c].shift(e) for row in g] for c, e in enumerate(exps)]
+            child = Lattice(group.q, len(exps), tuple(
+                canonical_columns(group.q, cols, sum(exps))))
+            out.append((g, chain[:k] + (child,) + chain[k + 1:]))
     return out
 
 

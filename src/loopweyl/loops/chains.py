@@ -6,17 +6,18 @@ structure is the split form phi(e_i, e_j) = delta(i, n+1-j) on the quadratic
 extension k((u)) over k((u^2)), with duals taken via conj-transpose against
 the antidiagonal.
 
-The canonical basis is found by exact linear algebra over F_q.  Let lo be the
-least exponent among the entries and D = ord det of the first n columns with
-a nonzero determinant.  Then u^hi O^n <= L <= u^lo O^n for hi = D - (n-1) lo,
-so L is a u-stable subspace of the window u^lo O^n / u^hi O^n, of dimension
-n (hi - lo) over F_q.  Each column and its u-shifts below u^hi are rows in
-the window's coordinates, ordered by (row, exponent), and one reduced row
-echelon form reads off the basis.  SeriesPrecisionError is raised only when
-no n columns have a certified nonzero determinant, or when an entry is known
-to less than O(u^hi); exact input never raises.  Containment and duals solve
-against the triangular basis by forward substitution, which is exact because
-its pivots are monomials.
+The canonical basis is a Hermite form over O.  Let lo be the least exponent
+among the entries and D = ord det of the first n columns with a nonzero
+determinant.  Then u^hi O^n <= L <= u^lo O^n for hi = D - (n-1) lo, so the
+elimination runs in F_q[u]/u^(hi-lo), one row at a time.  In row r the
+generator with the least valuation v is made monic there, clears row r from
+the other generators and reduces it modulo u^v in the earlier pivots, and
+u^(hi-lo-v) times it joins the generators, for it stands for u^hi e_r in L.
+A row with no pivot gets u^hi e_r.
+SeriesPrecisionError is raised only when no n columns have a certified
+nonzero determinant, or when an entry is known to less than O(u^hi); exact
+input never raises.  Containment and duals solve against the triangular
+basis by forward substitution, exact as its pivots are monomials.
 
 The standard chain member for token i, 0 <= i < n, is
 
@@ -32,59 +33,87 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ..errors import SeriesPrecisionError, SpecParseError
-from ..linalg import rref
 from .series import EXACT, Series, _normal, _raw, sdet, sdot, sid
 
 
-def canonical_columns(q, cols):
+def canonical_columns(q, cols, det_ord=None):
     """Triangular canonical basis of the O-span of the given columns.
 
     Returns columns forming a lower triangular matrix with monic diagonal
     u^{a_i} and every entry below the diagonal reduced modulo the diagonal
     entry of its own row, so equal lattices produce identical output.  Extra
-    generating columns beyond n are allowed.  Column i is the first row of
-    block i in the window's reduced echelon form, or u^hi e_i when the block
-    has no pivot.
+    generating columns beyond n are allowed.  A det_ord known to the caller,
+    ord det of n of the columns, skips the search for a nonzero determinant.
     """
     n = len(cols[0])
-    for sub in combinations(cols, n):
-        d = sdet(sub)
-        if not d.is_zero():
-            break
-    else:
-        raise SeriesPrecisionError(
-            "no n columns have a certified nonzero determinant")
+    if det_ord is None:
+        for sub in combinations(cols, n):
+            d = sdet(sub)
+            if not d.is_zero():
+                break
+        else:
+            raise SeriesPrecisionError(
+                "no n columns have a certified nonzero determinant")
+        det_ord = d.ord()
     lo = min(x.start for col in cols for x in col if x.coeffs)
-    hi = d.ord() - (n - 1) * lo
+    hi = det_ord - (n - 1) * lo
     width = hi - lo
-    rows = []
+    gens = []
     for col in cols:
-        blocks = []
+        gens.append([])
         for x in col:
             if x.prec < hi:
                 raise SeriesPrecisionError(
                     f"terms below u^{hi} unknown at precision O(u^{x.prec})")
-            block = [0] * width
-            for e, c in enumerate(x.coeffs[:max(0, hi - x.start)], x.start - lo):
-                block[e] = c
-            blocks.append(block)
-        low = min((x.start for x in col if x.coeffs), default=hi)
-        for k in range(hi - low):
-            rows.append([c for b in blocks for c in [0] * k + b[:width - k]])
-    red, pivots = rref(rows, q)
-    first = {}
-    for row, p in zip(red, pivots):
-        first.setdefault(p // width, (lo + p % width, row))
+            entry = [0] * width
+            cs = x.coeffs[:max(0, hi - x.start)]
+            entry[x.start - lo:x.start - lo + len(cs)] = cs
+            gens[-1].append(entry)
+    pivots = []
+    for r in range(n):
+        k, v = None, width
+        for j, g in enumerate(gens):
+            for e in range(v):
+                if g[r][e]:
+                    k, v = j, e
+                    break
+        if k is None:  # u^hi e_r, zero in the window
+            pivots.append((width, [[0] * width] * n))
+            continue
+        piv = gens.pop(k)
+        unit = piv[r][v:]
+        inv = (_raw(q, *_normal(q, 0, unit, EXACT)).inverse(width - v).coeffs
+               if any(unit[1:]) else (pow(unit[0], -1, q),))
+        if inv != (1,):
+            piv[r:] = [_mul(x, inv, width, q) for x in piv[r:]]
+        # row r: the generators' entries vanish, earlier pivots' drop below u^v
+        for g in gens + [p for _, p in pivots]:
+            f = g[r][v:]
+            if any(f):
+                g[r] = g[r][:v] + [0] * (width - v)
+                for s in range(r + 1, n):
+                    g[s] = [(x - y) % q for x, y in
+                            zip(g[s], _mul(f, piv[s], width, q))]
+        if v:  # u^(width-v) piv: it stands for u^hi e_r, which lies in L
+            gens.append([[0] * (width - v) + x[:v] for x in piv])
+        pivots.append((v, piv))
     zero = _raw(q, 0, (), EXACT)
-    out = []
-    for i in range(n):
-        a, row = first.get(i, (hi, None))
-        col = [zero] * i + [_raw(q, a, (1,), EXACT)]
-        for r in range(i + 1, n):
-            col.append(zero if row is None else _raw(q, *_normal(
-                q, lo, row[r * width:(r + 1) * width], EXACT)))
-        out.append(tuple(col))
-    return out
+    return [tuple([zero] * i + [_raw(q, lo + v, (1,), EXACT)] + [
+        _raw(q, *_normal(q, lo, col[r], EXACT)) for r in range(i + 1, n)])
+        for i, (v, col) in enumerate(pivots)]
+
+
+def _mul(a, b, width, q):
+    """The product a b in F_q[u]/u^width, on coefficient lists."""
+    out = [0] * width
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                if i + j >= width:
+                    break
+                out[i + j] += x * y
+    return [c % q for c in out]
 
 
 @dataclass(frozen=True)

@@ -258,9 +258,11 @@ class Series:
         return _raw(self.q, *_normal(self.q, -v, h, prec))
 
     def shift(self, k):
-        """Multiply by u^k."""
-        prec = self.prec + k if self.prec < EXACT else EXACT
-        return _raw(self.q, *_normal(self.q, self.start + k, self.coeffs, prec))
+        """Multiply by u^k; the normal form only moves."""
+        if not k:
+            return self
+        return _raw(self.q, self.start + k if self.coeffs else 0, self.coeffs,
+                    self.prec + k if self.prec < EXACT else EXACT)
 
     def truncate(self, prec):
         return _raw(self.q, *_normal(self.q, self.start, self.coeffs,

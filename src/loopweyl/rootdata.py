@@ -237,7 +237,7 @@ class FiniteRootDatum:
                 f"wall of node {x}"
             )
 
-        orbit = self._orbit(tuple(Fraction(c) for c in self.t_star))
+        orbit = self._orbit(self._point(self.t_star))
         self.t_basis = linalg.lattice_basis(orbit)
         if len(self.t_basis) != self.r:
             raise UnsupportedDatumError(
@@ -312,6 +312,12 @@ class FiniteRootDatum:
 
     # -- linear algebra helpers on coroot coordinates --
 
+    def _point(self, lam):
+        """lam as Fractions; a wrong coordinate count raises ValueError."""
+        if len(lam) != self.r:
+            raise ValueError(f"lam needs {self.r} coordinates, got {len(lam)}")
+        return tuple(map(Fraction, lam))
+
     def _theta(self, v):
         return sum(v[r] * self.theta_grad[r] for r in range(self.r))
 
@@ -357,7 +363,7 @@ class FiniteRootDatum:
 
         Returns the end point and the nodes of the walls crossed, in order.
         """
-        v = tuple(Fraction(c) for c in v)
+        v = self._point(v)
         walls = []
         for _ in range(100000):
             neg = next(
@@ -385,6 +391,7 @@ class FiniteRootDatum:
 
     def pweight_coords(self, lam):
         """Coordinates of lam in the fundamental-coweight basis."""
+        lam = self._point(lam)
         return tuple(
             sum(f[r] * lam[r] for r in range(self.r)) for f in self.fun_simple
         )
@@ -393,7 +400,7 @@ class FiniteRootDatum:
         return all(c.denominator == 1 for c in map(Fraction, self.pweight_coords(lam)))
 
     def from_pweight_coords(self, mu):
-        return linalg.matvec(self.pw_mat, tuple(Fraction(c) for c in mu))
+        return linalg.matvec(self.pw_mat, self._point(mu))
 
     def dominant_rep(self, lam):
         """The dominant W_0-conjugate of lam."""
@@ -401,7 +408,7 @@ class FiniteRootDatum:
 
     def w0_orbit(self, lam):
         """The full W_0-orbit of lam, sorted."""
-        return tuple(self._orbit(tuple(Fraction(c) for c in lam)))
+        return tuple(self._orbit(self._point(lam)))
 
     def translation_length(self, lam):
         """l(t_lam) = <lam+, 2 rho> over the echelonnage system."""

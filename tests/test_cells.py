@@ -5,11 +5,12 @@ from itertools import combinations, product
 import pytest
 
 from loopweyl.admissible import engine_for
-from loopweyl.errors import SpecParseError, UnsupportedFieldError
+from loopweyl.errors import (ConsistencyError, SpecParseError,
+                             UnsupportedFieldError)
 from loopweyl.loops.cells import (CellGroup, cell_points, chain_key,
                                   closure_points, schubert_count)
 from loopweyl.loops.chains import validate_chain
-from loopweyl.loops.series import sid, smul
+from loopweyl.loops.series import sdet, sid, smat, smul
 from loopweyl.weyl import (bruhat_interval, coset_min, from_word,
                            lower_closure)
 
@@ -57,6 +58,11 @@ def test_closure_matches_schubert_count():
         assert len(pts) == schubert_count(group.fin, word, 2)
 
 
+def apply(group, g):
+    """The chain g . (standard chain), every member transformed."""
+    return tuple(L.transform(g) for L in group.base_chain())
+
+
 def subword_closure_keys(group, word):
     """Reference closed cell: every (q+1)^l keep-or-drop product, deduplicated."""
     q = group.q
@@ -68,7 +74,7 @@ def subword_closure_keys(group, word):
             for x in range(q):
                 step.append(smul(g, smul(group.unip(i, x), group.refl(i))))
         prods = step
-    return {chain_key(group.apply(g)) for g in prods}
+    return {chain_key(apply(group, g)) for g in prods}
 
 
 def reduced_words(group, max_len):
@@ -86,7 +92,7 @@ def product_cell_keys(group, word):
     for i in word:
         prods = [smul(g, smul(group.unip(i, x), group.refl(i)))
                  for g in prods for x in range(q)]
-    return [chain_key(group.apply(g)) for g in prods]
+    return [chain_key(apply(group, g)) for g in prods]
 
 
 @pytest.mark.parametrize("kind,n,q,max_len", [
@@ -161,15 +167,44 @@ def test_cell_chains_are_valid():
         assert report["ok"]
 
 
+def moved_tokens(group, g):
+    """Tokens whose standard member is not fixed by g."""
+    return [t for t, L in zip(group.tokens, group.base_chain())
+            if L.transform(g).key() != L.key()]
+
+
 def test_moved_tokens_match_node_labels():
     for kind, n, q in (("sl", 2, 3), ("sl", 3, 2), ("sl", 4, 2), ("su", 3, 3)):
         group = CellGroup(kind, n, q)
         for i in group.nodes:
-            moved = group.moved_tokens(group.refl(i))
+            moved = moved_tokens(group, group.refl(i))
             assert moved == [t for t in group.tokens if t == i], (kind, i)
             for x in range(1, q):
                 # the unipotents live in the Iwahori, fixing the whole chain
-                assert group.moved_tokens(group.unip(i, x)) == []
+                assert moved_tokens(group, group.unip(i, x)) == []
+
+
+SUPPORTED_GROUPS = [("sl", n, q) for n in (2, 3, 4) for q in (2, 3, 5)] + \
+    [("su", 3, q) for q in (3, 5)]
+
+
+@pytest.mark.parametrize("kind,n,q", SUPPORTED_GROUPS)
+def test_every_step_has_determinant_one(kind, n, q):
+    # cell children take their determinant order from det(step) = 1
+    group = CellGroup(kind, n, q)
+    for i in group.nodes:
+        for x in range(q):
+            step = group.step(i, x)
+            assert (sdet(step) - 1).is_zero(), (kind, n, q, i, x)
+            assert group.step(i, x) is step
+
+
+def test_a_step_of_determinant_other_than_one_is_refused():
+    group = CellGroup("sl", 2, 3)
+    group.unip = lambda i, x: smat(3, [[2, 0], [0, 1]])
+    with pytest.raises(ConsistencyError, match="determinant 1"):
+        group.step(1, 0)
+    assert (1, 0) not in group._steps
 
 
 def test_schubert_count_parahoric():

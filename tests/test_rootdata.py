@@ -184,3 +184,22 @@ def test_translation_length_needs_a_coweight():
     assert fin.translation_length((Fraction(1, 2),)) == 1
     with pytest.raises(ValueError, match="coweight lattice"):
         fin.translation_length((Fraction(1, 3),))
+
+
+@pytest.mark.parametrize("helper, lam", [
+    ("translation_length", (1, 0, 0)),
+    ("translation_length", (1,)),
+    ("in_coweight_lattice", (1, 0, 5)),
+    ("pweight_coords", (1,)),
+    ("from_pweight_coords", (1, 0, 0)),
+    ("dominant_rep", (1, 0, 5)),
+    ("w0_orbit", (1,)),
+    ("alcove_normalize", (0, 0, 0)),
+])
+def test_coweight_helpers_refuse_a_wrong_coordinate_count(helper, lam):
+    # A(1)_2 has r = 2; nothing is read from lam[:r] alone
+    fin = fin_for("A(1)_2")
+    with pytest.raises(ValueError, match="needs 2 coordinates"):
+        getattr(fin, helper)(lam)
+    assert fin.translation_length((1, 0)) == 4
+    assert fin.dominant_rep((0, -1)) == (1, 1)
