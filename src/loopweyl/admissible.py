@@ -183,9 +183,7 @@ def adm_parahoric(adm_set, y):
     """
     fin = adm_set.fin
     s = fin.datum.nodes
-    y = tuple(sorted(set(y)))
-    if not y or any(i not in s for i in y):
-        raise ValueError(f"Y must be a nonempty subset of {s}")
+    y = rootdata.node_set(fin.datum, y)
     hit = adm_set.saturations.get(y)
     if hit is not None:
         return hit

@@ -82,7 +82,7 @@ def tau_power(eng, k):
     residues = sorted(eng.omega_residues())
     nontrivial = [r for r in residues if any(r)]
     if not nontrivial:
-        if k % 1 == 0 and k != 0:
+        if k:
             raise SpecParseError("tau is trivial for this datum")
         return eng.identity()
     gen = eng.tau_for_class(nontrivial[0])
@@ -171,20 +171,20 @@ def parse_tokens(text):
     return out
 
 
+def parse_y(text):
+    """Nodes split by commas or whitespace; rootdata.node_set checks them."""
+    try:
+        return tuple(sorted({int(t) for t in re.split(r"[,\s]+", text) if t}))
+    except ValueError:
+        raise SpecParseError(f"expected node numbers, got {text!r}")
+
+
 def y_selections(datum, text):
-    if text.strip() == "all":
-        nodes = list(datum.nodes)
-        out = []
-        for k in range(1, len(nodes) + 1):
-            out.extend(tuple(c) for c in itertools.combinations(nodes, k))
-        return out
-    y = tuple(sorted(set(parse_ints(text))))
-    bad = [i for i in y if i not in set(datum.nodes)]
-    if bad:
-        raise SpecParseError(f"node {bad[0]} outside {list(datum.nodes)}")
-    if not y:
-        raise SpecParseError("Y must be nonempty")
-    return [y]
+    if text.strip() != "all":
+        return [parse_y(text)]
+    nodes = datum.nodes
+    return [c for k in range(1, len(nodes) + 1)
+            for c in itertools.combinations(nodes, k)]
 
 
 def load_datum_arg(name):
@@ -347,8 +347,7 @@ def cmd_adm(args):
             "lam  (" + ", ".join(str(c) for c in adm_set.lam) + ")",
             "max  " + "; ".join(payload["maximal"])]
     if args.Y is not None:
-        y = tuple(sorted(set(parse_ints(args.Y))))
-        par = adm_parahoric(adm_set, y)
+        par = adm_parahoric(adm_set, parse_y(args.Y))
         payload["y"] = list(par.y)
         payload["y_circ"] = list(par.y_circ)
         payload["full_size"] = len(par.full)
@@ -365,7 +364,7 @@ def cmd_adm(args):
 
 def cmd_hpoly(args):
     fin = finite_for(args)
-    y = tuple(sorted(set(parse_ints(args.Y))))
+    y = parse_y(args.Y)
     kw = _mu_or_lam(args, fin)
     if args.emit_paths:
         n, paths = count_h_y(fin, y=y, a=args.a, cap=args.cap, emit=True, **kw)
@@ -524,9 +523,7 @@ def cmd_sweep(args):
             name, mu_text, y_text, a_text = (c.strip() for c in row[:4])
             if name not in fins:
                 fins[name] = echelon_system(load_datum_arg(name), 0)
-            y = tuple(sorted(set(
-                int(t) for t in re.split(r"[,\s]+", y_text) if t)))
-            yield name, mu_text, fins[name], y, int(a_text)
+            yield name, mu_text, fins[name], parse_y(y_text), int(a_text)
 
     rows, text, csv_rows, status = coherence_rows(
         instances(), args.cap,

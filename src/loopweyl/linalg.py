@@ -16,10 +16,6 @@ def vec(entries):
     return tuple(Fraction(x) for x in entries)
 
 
-def mat(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def transpose(a):
     return tuple(zip(*a))
 
@@ -67,28 +63,6 @@ def rref(a, q=None):
         if r == nrows:
             break
     return tuple(tuple(row) for row in rows), tuple(pivots)
-
-
-def det(a):
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(a)
-    rows = [list(map(Fraction, r)) for r in a]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        result *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return sign * result
 
 
 def inverse(a):
@@ -192,18 +166,6 @@ def lattice_basis(gens):
 
 def _pivot_col(row):
     return next(k for k, x in enumerate(row) if x != 0)
-
-
-def in_lattice(v, basis):
-    """Membership of v in the Z-span of canonical basis rows."""
-    v = list(vec(v))
-    for row in basis:
-        p = _pivot_col(row)
-        c = v[p] / row[p]
-        if c.denominator != 1:
-            return False
-        v = [x - c * y for x, y in zip(v, row)]
-    return all(x == 0 for x in v)
 
 
 def reduce_mod_lattice(v, basis):

@@ -27,7 +27,8 @@ from ..admissible import engine_for
 from ..errors import (ConsistencyError, SpecParseError, UnsupportedDatumError,
                       UnsupportedFieldError)
 from ..rootdata import echelon_system, load_affine_datum
-from .chains import Lattice, canonical_columns, standard_member
+from .chains import (Lattice, canonical_columns, member_exponents,
+                     standard_member)
 from .kottwitz import is_unitary
 from .series import Series, sdet, sid, smat, smul
 
@@ -71,42 +72,30 @@ class CellGroup:
     def unip(self, i, x):
         """The unipotent U_i(x), x an integer parameter mod q."""
         q, n = self.q, self.n
-        if self.kind == "sl":
-            m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-            if i == 0:
-                out = smat(q, m)
-                u = Series.uniformizer(q)
-                return _set(out, n - 1, 0, Series.const(q, x) * u)
-            out = smat(q, m)
-            return _set(out, i - 1, i, Series.const(q, x))
-        half = Fraction(1, 2)
-        if i == 1:
-            return smat(q, [[1, -x, -x * x * half], [0, 1, x], [0, 0, 1]])
-        out = smat(q, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        u = Series.uniformizer(q)
-        return _set(out, 2, 0, Series.const(q, -x) * u)
+        if self.kind == "su" and i == 1:
+            return smat(q, [[1, -x, -x * x * Fraction(1, 2)], [0, 1, x],
+                            [0, 0, 1]])
+        m = [[int(a == b) for b in range(n)] for a in range(n)]
+        if i == 0:
+            m[n - 1][0] = Series.monomial(q, x if self.kind == "sl" else -x, 1)
+        else:
+            m[i - 1][i] = x
+        return smat(q, m)
 
     def _make_refl(self, i):
         q, n = self.q, self.n
-        if self.kind == "sl":
-            m = [[Series.const(q, 1 if a == b else 0) for b in range(n)]
-                 for a in range(n)]
-            if i == 0:
-                m[0][0] = m[n - 1][n - 1] = Series.const(q, 0)
-                m[0][n - 1] = -Series.monomial(q, 1, -1)
-                m[n - 1][0] = Series.uniformizer(q)
-            else:
-                m[i - 1][i - 1] = m[i][i] = Series.const(q, 0)
-                m[i - 1][i] = Series.const(q, 1)
-                m[i][i - 1] = Series.const(q, -1)
-            return tuple(tuple(row) for row in m)
-        half = Fraction(1, 2)
-        if i == 1:
-            return smat(q, [[0, 0, -half], [0, -1, 0], [-2, 0, 0]])
-        um = Series.monomial(q, 1, -1)
-        out = smat(q, [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
-        out = _set(out, 0, 2, -um)
-        return _set(out, 2, 0, Series.uniformizer(q))
+        u, um = Series.uniformizer(q), Series.monomial(q, -1, -1)
+        if self.kind == "su":
+            if i == 1:
+                return smat(q, [[0, 0, Fraction(-1, 2)], [0, -1, 0],
+                                [-2, 0, 0]])
+            return smat(q, [[0, 0, um], [0, 1, 0], [u, 0, 0]])
+        # sl: swap e_a and e_b, up above the diagonal and down below it
+        a, b, up, down = (0, n - 1, um, u) if i == 0 else (i - 1, i, 1, -1)
+        m = [[int(r == c) for c in range(n)] for r in range(n)]
+        m[a][a] = m[b][b] = 0
+        m[a][b], m[b][a] = up, down
+        return smat(q, m)
 
     def refl(self, i):
         return self._refl[i]
@@ -138,12 +127,6 @@ def _check_reduced(fin, word):
         x = eng.lmul(i, x)
 
 
-def _set(mat, i, j, value):
-    rows = [list(r) for r in mat]
-    rows[i][j] = value
-    return tuple(tuple(r) for r in rows)
-
-
 def _grow(group, points, j):
     """The points of C(v s_j) from those of C(v), for l(v s_j) = l(v) + 1.
 
@@ -155,7 +138,7 @@ def _grow(group, points, j):
     by g's columns shifted by e_c and has determinant order sum e_c.
     """
     k = group.tokens.index(j)
-    exps = [col[c].start for c, col in enumerate(group.base_chain()[k].cols)]
+    exps = member_exponents(group.n, j)
     out = []
     for h, chain in points:
         for x in range(group.q):

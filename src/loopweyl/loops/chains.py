@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from ..errors import SeriesPrecisionError, SpecParseError
-from .series import EXACT, Series, _normal, _raw, sdet, sdot, sid
+from .series import EXACT, Series, _normal, _raw, sdet, sdot, sid, smat
 
 
 def canonical_columns(q, cols, det_ord=None):
@@ -124,8 +124,7 @@ class Lattice:
 
     @staticmethod
     def from_columns(q, cols):
-        cols = [tuple(x if isinstance(x, Series) else Series.const(q, x) for x in col)
-                for col in cols]
+        cols = smat(q, cols)
         return Lattice(q, len(cols[0]), tuple(canonical_columns(q, cols)))
 
     def matrix(self):
@@ -141,11 +140,6 @@ class Lattice:
         uk = Series.monomial(self.q, 1, k)
         return Lattice(self.q, self.n,
                        tuple(tuple(x * uk for x in col) for col in self.cols))
-
-    def transform(self, g):
-        """The lattice g L for a matrix g over the series ring."""
-        cols = [[sdot(row, col) for row in g] for col in self.cols]
-        return Lattice.from_columns(self.q, cols)
 
     def coords(self, v):
         """The x with B x = v for the canonical basis B, by forward substitution."""
@@ -189,20 +183,22 @@ class Lattice:
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in rows) + "]"
 
 
-def standard_member(q, n, token):
-    """Chain member for an integer token or the extra even-rank token "m'"."""
+def member_exponents(n, token):
+    """The e_a with the standard member for token spanned by the u^{e_a} e_a."""
     if token == "m'":
         if n % 2:
             raise SpecParseError("token m' requires even rank")
         m = n // 2
-        exps = [-1] * (m - 1) + [0, -1] + [0] * (n - m - 1)
-        return Lattice.from_columns(
-            q, [[Series.monomial(q, 1, exps[j]) if i == j else 0 for i in range(n)]
-                for j in range(n)])
+        return [-1] * (m - 1) + [0, -1] + [0] * (m - 1)
     k, i = divmod(token, n)
-    exps = [-1] * i + [0] * (n - i)
+    return [-k - 1] * i + [-k] * (n - i)
+
+
+def standard_member(q, n, token):
+    """Chain member for an integer token or the extra even-rank token "m'"."""
+    exps = member_exponents(n, token)
     return Lattice.from_columns(
-        q, [[Series.monomial(q, 1, exps[j] - k) if r == j else 0 for r in range(n)]
+        q, [[Series.monomial(q, 1, exps[j]) if r == j else 0 for r in range(n)]
             for j in range(n)])
 
 

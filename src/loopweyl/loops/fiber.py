@@ -56,6 +56,8 @@ from ..errors import ResourceCapError, SpecParseError, UnsupportedFieldError
 from ..linalg import nullspace, rref
 from ..rootdata import bt_nodes, echelon_system, load_affine_datum
 from .cells import CellGroup, cell_points
+from .chains import Lattice, member_exponents
+from .series import EXACT, Series
 
 ODD_FIELDS = (3, 5)
 
@@ -99,11 +101,6 @@ def in_row_space(vec, reduced_rows, pivots, q):
 
 
 # -- chain member coordinates ----------------------------------------------
-
-def member_exponents(n, j):
-    k, i0 = divmod(j, n)
-    return [(-k - 1 if a < i0 else -k) for a in range(n)]
-
 
 def inclusion_matrix(n, i, j, q):
     """Coordinate matrix of Lambda_i/t -> Lambda_j/t for i <= j, row action."""
@@ -432,8 +429,6 @@ def rebuild_members(n, q, window, point):
     Each subspace basis is lifted to u L inside the corresponding standard
     member, padded with t times the member, and divided by u.
     """
-    from .series import EXACT, Series
-    from .chains import Lattice
     members = []
     for token, key in zip(window, point):
         exps = member_exponents(n, token)

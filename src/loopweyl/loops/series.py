@@ -15,10 +15,9 @@ constructor instead and reduced mod q once per result; an exact product of
 nonzero Laurent polynomials needs no trimming (F_q is a field), and other
 results pass through the same normalisation as user input.
 
-Exact fast paths: an exact zero operand returns the other operand from
-``+`` and an exact zero from ``*``, and a one-term factor multiplies
-coefficientwise.  A zero of finite precision is not exact and takes the
-general path, so precision tracking is unchanged for user-supplied series.
+A product with an exact-zero factor is an exact zero, whatever the other
+factor's precision; a zero of finite precision is not exact and bounds the
+product's precision as any other factor does.
 """
 
 from __future__ import annotations
@@ -145,9 +144,6 @@ class Series:
                 f"ring membership undecidable at precision O(u^{self.prec})")
         return (not self.coeffs) or self.start >= 0
 
-    def is_unit(self):
-        return bool(self.coeffs) and self.start == 0
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -164,10 +160,6 @@ class Series:
             other = self._coerce(other)
             if other is NotImplemented:
                 return other
-        if not other.coeffs and other.prec == EXACT:
-            return self
-        if not self.coeffs and self.prec == EXACT:
-            return other
         prec = min(self.prec, other.prec)
         lo = min(self.start, other.start)
         out = [0] * (max(self.start + len(self.coeffs),
@@ -211,17 +203,10 @@ class Series:
             prec = min(prec, other.prec + self.ord_lower_bound())
         if not a or not b:
             return _raw(q, 0, (), prec)
-        if len(a) == 1:
-            c = a[0]
-            out = [c * y for y in b]
-        elif len(b) == 1:
-            c = b[0]
-            out = [x * c for x in a]
-        else:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
         start = self.start + other.start
         if prec == EXACT:
             # both factors exact and nonzero: the end terms cannot vanish
@@ -379,16 +364,8 @@ def parse_series(text, q, prec=None, var="u"):
 
 def smat(q, rows):
     """Build a matrix of Series from ints, Fractions, or Series entries."""
-    out = []
-    for row in rows:
-        srow = []
-        for x in row:
-            if isinstance(x, Series):
-                srow.append(x)
-            else:
-                srow.append(Series.const(q, x))
-        out.append(tuple(srow))
-    return tuple(out)
+    return tuple(tuple(x if isinstance(x, Series) else Series.const(q, x)
+                       for x in row) for row in rows)
 
 
 def sid(q, n):

@@ -37,7 +37,7 @@ iterate is the order of the emitted paths, which the CLI's payloads pin.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import admissible, weyl
+from . import admissible, rootdata, weyl
 from .errors import ConsistencyError, ResourceCapError
 
 
@@ -247,9 +247,7 @@ def count_h_y(fin, mu=None, lam=None, *, y, a=1, cap=20000, emit=False):
     alongside the count.
     """
     datum = fin.datum
-    y = tuple(sorted(set(y)))
-    if not y or any(i not in datum.nodes for i in y):
-        raise ValueError(f"Y must be a nonempty subset of {datum.nodes}")
+    y = rootdata.node_set(datum, y)
     s = admissible.translations(fin, mu=mu, lam=lam)
     y_circ = admissible.tau_conjugate_nodes(s, y)
     ctx = admissible.context_for(datum)

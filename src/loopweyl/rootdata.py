@@ -19,8 +19,7 @@ from functools import cached_property
 from typing import Optional
 
 from . import kactables, linalg, weyl
-from .errors import (ConsistencyError, UnknownDatumError,
-                     UnsupportedDatumError)
+from .errors import UnknownDatumError, UnsupportedDatumError
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +128,14 @@ def special_nodes(datum):
               for i in datum.nodes]
     return tuple(i for i in datum.nodes
                  if datum.comarks[i] == 1 and orders[i] == orders[0])
+
+
+def node_set(datum, y):
+    """Y as a sorted tuple, refused unless a nonempty set of datum's nodes."""
+    y = tuple(sorted(set(y)))
+    if not y or any(i not in datum.nodes for i in y):
+        raise ValueError(f"Y must be a nonempty subset of {datum.nodes}")
+    return y
 
 
 def parabolic_order(a, gens):
@@ -286,9 +293,6 @@ class FiniteRootDatum:
             )
             for m, c in self.ech_pairs
         )
-        self.two_rho_fun = tuple(
-            sum(grad[r] for grad, _ in self.ech_pos) for r in range(self.r)
-        )
 
         phi = tuple(self.fun_simple[q] for q in range(self.r))
         self.pw_mat = linalg.inverse(phi)
@@ -409,17 +413,6 @@ class FiniteRootDatum:
     def w0_orbit(self, lam):
         """The full W_0-orbit of lam, sorted."""
         return tuple(self._orbit(self._point(lam)))
-
-    def translation_length(self, lam):
-        """l(t_lam) = <lam+, 2 rho> over the echelonnage system."""
-        if not self.in_coweight_lattice(lam):
-            raise ValueError(f"{tuple(lam)} is not in the coweight lattice")
-        lam = self.dominant_rep(lam)
-        val = Fraction(
-            sum(self.two_rho_fun[r] * lam[r] for r in range(self.r)))
-        if val.denominator != 1:
-            raise ConsistencyError(f"l(t_lam) = {val} is not an integer")
-        return int(val)
 
 
 def echelon_system(datum, x=0):

@@ -30,7 +30,7 @@ The coroot side needs no matrices of its own: A is symmetrizable, d_i a_ij
 = d_j a_ji for positive integers d (Kac, Infinite dimensional Lie algebras,
 ch. 2 and 4), so with D = diag(d) the coroot matrix of s_p (row p is e_p -
 (A^T)[p]) is D s_p D^{-1}, x acts on coroots by D m D^{-1} and x^{-1} by D
-minv D^{-1}, and coroot_coords and coroot_apply_inv read them through D.
+minv D^{-1}, and coroot_apply_inv reads them through D.
 
 A length-zero tau is a permutation matrix, so x tau permutes the columns
 of m and the rows of minv (twist), and l(x tau) = l(x).
@@ -56,8 +56,8 @@ the true covers and returns each with its dropped word, so no candidate
 needs a reduced word of its own.  A cover lies in W^J when s_beta x(alpha_j)
 > 0 for each j in J, which is again a sign, tested before reflecting.  The
 reflection s_beta is I - beta phi^T on the root side, with phi = A^T
-beta^vee, so reflect forms s_beta x by rank-one updates, O(n^2) per
-matrix.  bruhat_interval looks the m of each cover up among the nodes
+beta^vee, so s_beta x takes rank-one updates, O(n^2) per matrix.
+bruhat_interval looks the m of each cover up among the nodes
 found so far and hands the dropped words on beside the nodes, sorted by
 (len(word), m), sort_key's order.
 """
@@ -107,10 +107,6 @@ class CartanContext:
             tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
         )
         self._id = CoxElement(eye, eye)
-        self._gens = {}
-        for i in self.nodes:
-            root = _row_update(eye, i, self.a[i])
-            self._gens[i] = CoxElement(root, root)
         # d_i a_ij = d_j a_ji, which carries the root side to the coroot side
         self.sym = _symmetrizer(self.a)
         self._taus = {(): self._id}
@@ -170,9 +166,6 @@ class CartanContext:
     def identity(self):
         return self._id
 
-    def gen(self, i):
-        return self._gens[i]
-
     def mul(self, x, y):
         return CoxElement(
             linalg.matmul(x.m, y.m), linalg.matmul(y.minv, x.minv)
@@ -201,20 +194,6 @@ class CartanContext:
         row = self.a[i]
         return CoxElement(
             _col_update(x.m, i, row), _row_update(x.minv, i, row)
-        )
-
-    def reflect(self, beta, beta_co, x):
-        """s_beta x by rank-one updates, without a matrix product.
-
-        beta and beta_co are the root and coroot coordinates of one real
-        root.  m takes (I - beta phi^T) m, with phi_j = <alpha_j, beta^vee>,
-        and since (s_beta x)^{-1} = x^{-1} s_beta, minv takes minv (I - beta
-        phi^T).  labeled_covers_down makes the same updates, the one of
-        minv only for a cover that is a new element.
-        """
-        phi = _pairing_row(self.a, beta_co)
-        return CoxElement(
-            _rank_one_left(x.m, beta, phi), _rank_one_right(x.minv, beta, phi)
         )
 
     def twist(self, x, tau):
@@ -254,14 +233,6 @@ class CartanContext:
     def root_coords(self, x, i):
         """Coordinates of x(alpha_i) over the simple roots."""
         return tuple(row[i] for row in x.m)
-
-    def coroot_coords(self, x, i):
-        """Coordinates of x(alpha_i^vee) over the simple coroots.
-
-        Column i of D m D^{-1}: entry r is d_r m[r][i] / d_i.
-        """
-        d = self.sym
-        return tuple(dr * row[i] // d[i] for dr, row in zip(d, x.m))
 
     def coroot_apply_inv(self, x, c):
         """x^{-1} applied to simple-coroot coordinates c: D minv D^{-1} c."""
@@ -439,19 +410,6 @@ def from_word(eng, word, rem=None):
     for i in reversed(word):
         x = eng.lmul(i, x)
     return x
-
-
-def longest_element(eng, cap=100000):
-    """The longest element of a finite Coxeter engine, by greedy ascent."""
-    x = eng.identity()
-    for _ in range(cap):
-        i = next(
-            (j for j in eng.nodes if not eng.is_right_descent(x, j)), None
-        )
-        if i is None:
-            return x
-        x = eng.rmul(x, i)
-    raise ResourceCapError("longest element ascent", cap, cap)
 
 
 def bruhat_leq_cox(eng, v, w):

@@ -1,0 +1,121 @@
+"""Reference definitions that only the tests read.
+
+Each is a small, direct form of a quantity the library computes another
+way, kept beside the tests that compare the two.
+"""
+
+from fractions import Fraction
+
+from loopweyl import linalg
+from loopweyl.errors import ConsistencyError, ResourceCapError
+from loopweyl.loops.chains import Lattice
+from loopweyl.loops.series import sdot
+from loopweyl.weyl import (CoxElement, _pairing_row, _rank_one_left,
+                           _rank_one_right)
+
+
+# -- root data and Weyl groups -------------------------------------------------
+
+def translation_length(fin, lam):
+    """l(t_lam) = <lam+, 2 rho> over the echelonnage system of fin."""
+    if not fin.in_coweight_lattice(lam):
+        raise ValueError(f"{tuple(lam)} is not in the coweight lattice")
+    lam = fin.dominant_rep(lam)
+    two_rho = [sum(grad[r] for grad, _ in fin.ech_pos) for r in range(fin.r)]
+    val = Fraction(sum(two_rho[r] * lam[r] for r in range(fin.r)))
+    if val.denominator != 1:
+        raise ConsistencyError(f"l(t_lam) = {val} is not an integer")
+    return int(val)
+
+
+def longest_element(eng, cap=100000):
+    """The longest element of a finite Coxeter engine, by greedy ascent."""
+    x = eng.identity()
+    for _ in range(cap):
+        i = next(
+            (j for j in eng.nodes if not eng.is_right_descent(x, j)), None
+        )
+        if i is None:
+            return x
+        x = eng.rmul(x, i)
+    raise ResourceCapError("longest element ascent", cap, cap)
+
+
+def gen(eng, i):
+    """The simple reflection s_i."""
+    return eng.lmul(i, eng.identity())
+
+
+def coroot_coords(eng, x, i):
+    """Coordinates of x(alpha_i^vee) over the simple coroots.
+
+    Column i of D m D^{-1}: entry r is d_r m[r][i] / d_i.
+    """
+    d = eng.sym
+    return tuple(dr * row[i] // d[i] for dr, row in zip(d, x.m))
+
+
+def reflect(eng, beta, beta_co, x):
+    """s_beta x by the rank-one updates that labeled_covers_down makes.
+
+    beta and beta_co are the root and coroot coordinates of one real root.
+    m takes (I - beta phi^T) m, with phi_j = <alpha_j, beta^vee>, and since
+    (s_beta x)^{-1} = x^{-1} s_beta, minv takes minv (I - beta phi^T).
+    """
+    phi = _pairing_row(eng.a, beta_co)
+    return CoxElement(
+        _rank_one_left(x.m, beta, phi), _rank_one_right(x.minv, beta, phi)
+    )
+
+
+# -- rational linear algebra ---------------------------------------------------
+
+def mat(rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def det(a):
+    """Exact determinant by Gaussian elimination over Q."""
+    n = len(a)
+    rows = [list(map(Fraction, r)) for r in a]
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            sign = -sign
+        result *= rows[c][c]
+        inv = 1 / rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] * inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return sign * result
+
+
+def in_lattice(v, basis):
+    """Membership of v in the Z-span of canonical (Hermite) basis rows."""
+    v = list(linalg.vec(v))
+    for row in basis:
+        p = next(k for k, x in enumerate(row) if x != 0)
+        c = v[p] / row[p]
+        if c.denominator != 1:
+            return False
+        v = [x - c * y for x, y in zip(v, row)]
+    return all(x == 0 for x in v)
+
+
+# -- series and lattices -------------------------------------------------------
+
+def is_unit(s):
+    """Whether a series is a unit of F_q[[u]]."""
+    return bool(s.coeffs) and s.start == 0
+
+
+def transform(lattice, g):
+    """The lattice g L for a matrix g over the series ring."""
+    cols = [[sdot(row, col) for row in g] for col in lattice.cols]
+    return Lattice.from_columns(lattice.q, cols)

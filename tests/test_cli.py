@@ -170,6 +170,16 @@ def test_sweep(tmp_path):
     assert doc["payload"]["all_equal"] is True
 
 
+def test_sweep_reads_y_split_by_commas_or_whitespace(tmp_path, capsys):
+    from loopweyl.cli import main
+    config = tmp_path / "spaces.csv"
+    config.write_text('A(1)_2,"1,0,0",0 2,1\nA(1)_2,"1,0,0","2,0",1\n')
+    assert main(["sweep", str(config), "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [r[2] for r in rows[1:]] == ["0,2", "0,2"]
+    assert rows[1] == rows[2] and rows[1][6] == "true"
+
+
 def test_one_verdict_for_split_and_twisted_rows(tmp_path, monkeypatch, capsys):
     from loopweyl import dims
     from loopweyl.cli import main

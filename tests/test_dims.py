@@ -6,8 +6,9 @@ from math import comb
 
 import pytest
 
-from loopweyl.dims import (central_charge, h_mu, h_mu_sum, hook_content,
-                           iota_embed, minuscule_node, weyl_dim)
+from loopweyl import lspaths
+from loopweyl.dims import (central_charge, check_coherence, h_mu, h_mu_sum,
+                           hook_content, iota_embed, minuscule_node, weyl_dim)
 from loopweyl.errors import UnsupportedDatumError
 from loopweyl.rootdata import echelon_system, load_affine_datum
 
@@ -145,3 +146,18 @@ def test_iota_embed_kills_central_charge():
         iota_embed(load_affine_datum("A(2)_2"), (1,))
     with pytest.raises(ValueError):
         iota_embed(load_affine_datum("A(1)_2"), (1,))
+
+
+@pytest.mark.parametrize("name, mu, y", [
+    # E(1)_8 has no minuscule node; its path graph alone ran past 200 s
+    ("E(1)_8", (0, 0, 0, 0, 0, 0, 0, 1), (0,)),
+    ("E(1)_7", (1, 0, 0, 0, 0, 0, 0), (0,)),
+    # kappa has no entry 9: the node set is checked before it is read
+    ("A(1)_1", (1, 0), (9,)),
+])
+def test_coherence_refuses_before_counting_paths(name, mu, y, monkeypatch):
+    def count_h_y(*args, **kwargs):
+        raise AssertionError("paths counted before the row was refused")
+    monkeypatch.setattr(lspaths, "count_h_y", count_h_y)
+    with pytest.raises(ValueError):
+        check_coherence(fin_for(name), (mu,), y, 1)

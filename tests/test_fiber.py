@@ -9,12 +9,11 @@ import pytest
 from loopweyl.errors import (ResourceCapError, SpecParseError,
                              UnsupportedFieldError)
 from loopweyl.loops import fiber
-from loopweyl.loops.chains import validate_chain
+from loopweyl.loops.chains import member_exponents, validate_chain
 from loopweyl.loops.fiber import (apply_rows, enumerate_fiber, gram_matrix,
                                   in_row_space, inclusion_matrix,
-                                  member_exponents, normalize_tokens,
-                                  pairs_to_zero, perp_space, pivot_columns,
-                                  rebuild_members, space_key,
+                                  normalize_tokens, pairs_to_zero, perp_space,
+                                  pivot_columns, rebuild_members, space_key,
                                   ustable_subspaces)
 
 # (n, q) for the invariants the enumeration relies on

@@ -18,7 +18,8 @@ from loopweyl.rootdata import (FiniteRootDatum, datum_from_json,
                                datum_to_json, echelon_system,
                                load_affine_datum)
 from loopweyl.weyl import (CartanContext, bruhat_interval, from_word,
-                           longest_element, reduced_word)
+                           reduced_word)
+from oracles import longest_element
 
 
 def fin_for(name, x=0):
