@@ -44,15 +44,16 @@ from .loops.series import parse_series, smat
 # -- parsing helpers ---------------------------------------------------------
 
 _WORD_RE = re.compile(r"(?:s?\d+)(?:\.(?:s?\d+))*")
+_INT_RE = re.compile(r"\s*-?[0-9]+\s*")
 
 
 def parse_ints(text):
     if not text.strip():
         return ()
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
+    toks = text.split(",")
+    if not all(_INT_RE.fullmatch(tok) for tok in toks):
         raise SpecParseError(f"expected comma separated integers, got {text!r}")
+    return tuple(int(tok) for tok in toks)
 
 
 def parse_fractions(text):
@@ -173,10 +174,10 @@ def parse_tokens(text):
 
 def parse_y(text):
     """Nodes split by commas or whitespace; rootdata.node_set checks them."""
-    try:
-        return tuple(sorted({int(t) for t in re.split(r"[,\s]+", text) if t}))
-    except ValueError:
+    toks = [t for t in re.split(r"[,\s]+", text) if t]
+    if not all(_INT_RE.fullmatch(t) for t in toks):
         raise SpecParseError(f"expected node numbers, got {text!r}")
+    return tuple(sorted({int(t) for t in toks}))
 
 
 def y_selections(datum, text):
@@ -453,9 +454,11 @@ def cmd_cells(args):
     n = 3 if kind == "su" else args.n
     group = CellGroup(kind, n, args.q)
     word = parse_word(args.word)
+    expected = schubert_count(group.fin, word, args.q)
+    if expected > args.cap:
+        raise ResourceCapError("cells closure points", expected, args.cap)
     pts = cell_points(group, word)
     closure = closure_points(group, word)
-    expected = schubert_count(group.fin, word, args.q)
     payload = {"group": args.group, "n": n, "q": args.q,
                "word": word_text(word), "length": len(word),
                "cell_size": len(pts), "closure_size": len(closure),
@@ -481,8 +484,7 @@ def cmd_fiber(args):
         raise SpecParseError("--spot-check needs a count of at least 0")
     collect = args.spot_check > 0
     res = enumerate_fiber(args.n, args.r, args.n - args.r, args.q, tokens,
-                          cap=args.cap, check_cells=not args.no_cells,
-                          collect=collect)
+                          cap=args.cap, collect=collect)
     points = res.pop("points", [])
     payload = dict(res)
     if collect:
@@ -537,6 +539,10 @@ def cmd_sweep(args):
 def _common(sub):
     sub.add_argument("--format", choices=("text", "json", "csv"),
                      default="text")
+
+
+def _capped(sub):
+    _common(sub)
     sub.add_argument("--cap", type=int, default=None)
 
 
@@ -568,7 +574,7 @@ def build_parser():
     p.add_argument("--Y")
     p.add_argument("--q", type=int)
     p.add_argument("--special", type=int, default=0)
-    _common(p)
+    _capped(p)
     p.set_defaults(handler=cmd_adm)
 
     p = subs.add_parser("hpoly", help="path counts")
@@ -579,7 +585,7 @@ def build_parser():
     p.add_argument("--a", type=int, default=1)
     p.add_argument("--emit-paths", action="store_true")
     p.add_argument("--special", type=int, default=0)
-    _common(p)
+    _capped(p)
     p.set_defaults(handler=cmd_hpoly)
 
     p = subs.add_parser("coherence", help="compare path counts with dimensions")
@@ -589,7 +595,7 @@ def build_parser():
     p.add_argument("--Y", required=True, help="node list or 'all'")
     p.add_argument("--a", default="1", help="multiplier or range lo..hi")
     p.add_argument("--special", type=int, default=0)
-    _common(p)
+    _capped(p)
     p.set_defaults(handler=cmd_coherence)
 
     p = subs.add_parser("kottwitz", help="Kottwitz invariants over F_q((u))")
@@ -607,7 +613,7 @@ def build_parser():
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--count-only", action="store_true")
-    _common(p)
+    _capped(p)
     p.set_defaults(handler=cmd_cells)
 
     p = subs.add_parser("fiber", help="special fibers of naive unitary models")
@@ -615,16 +621,15 @@ def build_parser():
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--I", required=True, help="chain tokens, e.g. 0,2,m'")
-    p.add_argument("--no-cells", action="store_true")
     p.add_argument("--spot-check", type=int, default=0,
                    help="validate this many random points as lattice chains")
     p.add_argument("--seed", type=int, default=0)
-    _common(p)
+    _capped(p)
     p.set_defaults(handler=cmd_fiber)
 
     p = subs.add_parser("sweep", help="batch coherence checks from a csv file")
     p.add_argument("config", help="csv with columns datum,mu,Y,a")
-    _common(p)
+    _capped(p)
     p.set_defaults(handler=cmd_sweep)
     return parser
 
@@ -635,7 +640,7 @@ def main(argv=None):
     if not getattr(args, "handler", None):
         parser.print_help()
         return 2
-    if getattr(args, "cap", None) is None:
+    if getattr(args, "cap", 0) is None:
         args.cap = 2_000_000 if args.command == "fiber" else 20000
     t0 = time.perf_counter()
     try:

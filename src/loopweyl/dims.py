@@ -85,11 +85,11 @@ def minuscule_node(datum, mu):
 
 def h_mu(datum, mu, m):
     """dim V(m varpi) of the split parent, varpi the weight of mu's node."""
-    if m == 0:
-        return 1
+    node = minuscule_node(datum, mu)
     if m < 0:
         raise ValueError("scale m must be nonnegative")
-    node = minuscule_node(datum, mu)
+    if m == 0:
+        return 1
     parent = rootdata.split_parent(datum)
     return weyl_dim(parent, tuple(m if i == node else 0 for i in parent.nodes))
 
@@ -153,13 +153,14 @@ def check_coherence(fin, mu_parts, y, a, cap=20000):
     mu_parts is a tuple of summands, each naming a minuscule class; the path
     side sums the dominant representatives of their coweight projections, the
     closed side multiplies their counts.  The closed side, which refuses a
-    mu that is not minuscule, runs first: no path graph is built for it.
+    mu that is not minuscule, runs first, after the checks of Y and of
+    a > 0 (lspaths.shape_weight): no path graph is built for a refused row.
     """
     datum = fin.datum
     y = rootdata.node_set(datum, y)
     mu_parts = tuple(tuple(mu) for mu in mu_parts)
     t0 = time.perf_counter()
-    weight = a * sum(datum.kappa[i] * datum.comarks[i] for i in y)
+    weight = central_charge(datum, lspaths.shape_weight(datum, y, a))
     h_closed = h_mu_sum(datum, mu_parts, weight)
     t1 = time.perf_counter()
     parts = [fin.dominant_rep(rootdata.project_coweight(fin, mu))

@@ -15,38 +15,36 @@ the 2n slots (reductions of the basis, then u times them).
 
 Subspaces are kept as reduced bases (the nonzero rows of the reduced row
 echelon form over F_q), built reduced where they are made; only perps, join
-keys and cell-point coordinates go through `linalg.rref`.  Each gram matrix
-has one nonzero entry, +-2, in every row and column, so the pairing is
-nondegenerate: for a self-dual token (j = -j mod n) a rank-n subspace has a
-rank-n perp, and is its own perp exactly when it is isotropic.  No gram
-pairs two top slots (the first n) or two bottom slots, so bottom rows pair
-to zero and a top row meets a bottom row through its top part alone: given
-a gram, `ustable_subspaces` tests the top parts against the bottom rows
-before any lift, then lifts the top rows one at a time, keeping a row that
-pairs to zero with itself and the rows lifted before it.
+keys and cell-point coordinates go through `linalg.rref`.  Chain maps and
+pairings are slot maps, applied by moving entries: a transition map sends
+each slot to at most one slot, and a gram pairs each slot with one partner
+slot, by +-2.  So the pairing is nondegenerate: for a self-dual token
+(j = -j mod n) a rank-n subspace has a rank-n perp, and is its own perp
+exactly when it is isotropic.  No gram pairs two top slots (the first n) or
+two bottom slots, so bottom rows pair to zero and a top row meets a bottom
+row through its top part alone: given a gram, `ustable_subspaces` tests the
+top parts against the bottom rows before any lift, then lifts the top rows
+one at a time, keeping a row that pairs to zero with itself and the rows
+lifted before it.
 
 The enumeration is a join over the free tokens, not a product of their
 candidate lists.  Every window token has an owner, the free token whose
 subspace fixes it: a free token owns itself, and the partner of a free token
-i (the token -i, when it is not free) holds the perp of i's subspace.  The
-window's inclusion checks rows.M <= target then fall in two kinds.
-
-- A check reading one owner filters that owner's candidates once, before any
-  join.  When the target is a partner member perp(S), the check is the
-  vanishing pairing x.G.s^T = 0 for every image row x and every row s of S,
-  with no nullspace taken.  A perp is built only where a partner member is
-  the source of a check, only for candidates that pass the checks with a
-  free source, and at most once per (token, subspace).
-- A check reading two owners runs in a depth-first search over the free
-  tokens, in order, when the later owner is placed.  The space it reads of
-  the earlier owner (the image of the source member under M, or the target
-  subspace) keys a memo of the later owner's surviving candidates, so each
-  distinct space filters the list once.
+i (the token -i, when it is not free) holds the perp of i's subspace.  Each
+inclusion check rows.M <= target belongs to the later of its owners in the
+order of the free tokens.  A depth-first search over that order draws each
+token from its candidates filtered by its checks in one order: those reading
+only that token (free sources first, so a perp is built only for candidates
+that pass them, once per subspace), then those keyed by the image of the
+source member under M, held by the earlier owner, then those keyed by the
+earlier owner's subspace, the target.  Each filtered list is memoized by the
+keys read so far, so each distinct space filters a list once.  When the
+target is a partner member perp(S), the check is the vanishing pairing
+x.G.s^T = 0 for every image row x and every row s of S, with no nullspace.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -100,50 +98,8 @@ def in_row_space(vec, reduced_rows, pivots, q):
     return not any(x % q for x in v)
 
 
-# -- chain member coordinates ----------------------------------------------
-
-def inclusion_matrix(n, i, j, q):
-    """Coordinate matrix of Lambda_i/t -> Lambda_j/t for i <= j, row action."""
-    if i > j:
-        raise SpecParseError(f"inclusion needs i <= j, got {i} > {j}")
-    ei = member_exponents(n, i)
-    ej = member_exponents(n, j)
-    m = [[0] * (2 * n) for _ in range(2 * n)]
-    for a in range(n):
-        delta = ei[a] - ej[a]
-        if delta == 0:
-            m[a][a] = 1
-            m[n + a][n + a] = 1
-        elif delta == 1:
-            m[a][n + a] = 1
-    return [tuple(r) for r in m]
-
-
-def gram_matrix(n, j, q):
-    """Pairing of the members for -j and j, valued in F_q.
-
-    Entry (p, r): the pairing of basis slot p of the member for -j with slot
-    r of the member for j; the pairing is twice the u-coefficient of the
-    hermitian form.
-    """
-    em = member_exponents(n, -j)
-    ep = member_exponents(n, j)
-    g = [[0] * (2 * n) for _ in range(2 * n)]
-    for p in range(2 * n):
-        a = p % n
-        expa = em[a] + (1 if p >= n else 0)
-        for r in range(2 * n):
-            b = r % n
-            if a + b != n - 1:
-                continue
-            expb = ep[b] + (1 if r >= n else 0)
-            if expa + expb == 1:
-                sign = -1 if expa % 2 else 1
-                g[p][r] = 2 * sign % q
-    return tuple(tuple(r) for r in g)
-
-
 def apply_rows(rows, mat, q):
+    """The products of coordinate rows with the rows of mat."""
     width = len(mat[0])
     out = []
     for v in rows:
@@ -156,18 +112,59 @@ def apply_rows(rows, mat, q):
     return out
 
 
+# -- chain member coordinates ----------------------------------------------
+
+def inclusion_slots(n, i, j):
+    """Lambda_i/t -> Lambda_j/t for i <= j, as (source, target) slot pairs.
+
+    Basis vector a of the member for i is u^d times that of the member for
+    j, d the difference of their exponents: d = 0 keeps slots a and n+a,
+    d = 1 sends slot a to n+a, and every other slot goes to zero.
+    """
+    if i > j:
+        raise SpecParseError(f"inclusion needs i <= j, got {i} > {j}")
+    pairs = []
+    for a, (ei, ej) in enumerate(zip(member_exponents(n, i),
+                                     member_exponents(n, j))):
+        if ei == ej:
+            pairs += [(a, a), (n + a, n + a)]
+        elif ei == ej + 1:
+            pairs.append((a, n + a))
+    return tuple(pairs)
+
+
+def include(rows, slots, n):
+    """The images of coordinate rows under an inclusion's slot pairs."""
+    out = []
+    for v in rows:
+        w = [0] * (2 * n)
+        for p, r in slots:
+            w[r] = v[p]
+        out.append(tuple(w))
+    return out
+
+
+def gram_slots(n, j, q):
+    """Pairing of the members for -j and j, valued in F_q.
+
+    Entry p is (r, g): slot p of the member for -j pairs with slot r of
+    the member for j alone, by g = +-2 mod q, twice the u-coefficient of
+    the hermitian form.  Slot a or n+a pairs with slot b = n-1-a or n+b,
+    whichever makes the exponents sum to 1 (u-power 0 or 1 on b).
+    """
+    em, ep = member_exponents(n, -j), member_exponents(n, j)
+    out = []
+    for p in range(2 * n):
+        a, b = p % n, n - 1 - p % n
+        expa = em[a] + p // n
+        out.append((b + n * (1 - expa - ep[b]), (-2 if expa % 2 else 2) % q))
+    return tuple(out)
+
+
 def perp_space(rows, gram, q):
     """The reduced basis of all x with x . gram . row^T = 0 for every row."""
-    images = [tuple(sum(g * x for g, x in zip(grow, row)) % q for grow in gram)
-              for row in rows]
+    images = [tuple(g * row[r] % q for r, g in gram) for row in rows]
     return space_key(nullspace(images, q), q)
-
-
-@functools.lru_cache(maxsize=64)
-def _pairing_terms(gram):
-    """The nonzero entries (p, r, g) of a gram matrix, listed once per gram."""
-    return tuple((p, r, g) for p, grow in enumerate(gram)
-                 for r, g in enumerate(grow) if g)
 
 
 def pairs_to_zero(xs, ys, gram, q):
@@ -176,11 +173,10 @@ def pairs_to_zero(xs, ys, gram, q):
     When ys spans a space S this says each x lies in perp_space(S, gram, q),
     with no nullspace taken.
     """
-    terms = _pairing_terms(gram)
     for x in xs:
-        xg = [0] * len(gram[0])
-        for p, r, g in terms:
-            xg[r] += x[p] * g
+        xg = [0] * len(gram)
+        for c, (r, g) in zip(x, gram):
+            xg[r] = c * g
         if any(sum(map(operator.mul, xg, y)) % q for y in ys):
             return False
     return True
@@ -246,7 +242,7 @@ def normalize_tokens(n, tokens):
 
 
 def fiber_conditions(n, q, sharp):
-    """Window tokens, inclusion matrices, and duality data for free tokens."""
+    """Window tokens, inclusion slot maps, and duality data for free tokens."""
     free = list(sharp)
     window = set(free)
     partner = {}
@@ -256,12 +252,10 @@ def fiber_conditions(n, q, sharp):
             window.add(j)
             partner[j] = i
     window = sorted(window)
-    incs = []
-    for a, b in zip(window, window[1:]):
-        incs.append((a, b, inclusion_matrix(n, a, b, q)))
-    incs.append((window[-1], window[0],
-                 inclusion_matrix(n, window[-1], window[0] + n, q)))
-    grams = {i: gram_matrix(n, i, q) for i in free}
+    # consecutive members, and the last into u^-1 times the first
+    incs = [(a, b, inclusion_slots(n, a, b + n if b <= a else b))
+            for a, b in zip(window, window[1:] + window[:1])]
+    grams = {i: gram_slots(n, i, q) for i in free}
     return free, window, partner, incs, grams
 
 
@@ -301,44 +295,36 @@ def fiber_points(n, q, sharp, cap):
             pivots[space] = pivot_columns(space)
         return all(in_row_space(row, space, pivots[space], q) for row in rows)
 
-    def image(a, space, mat):
-        return apply_rows(member(a, space), mat, q)
+    def image(a, space, slots):
+        return include(member(a, space), slots, n)
 
-    single = {i: [] for i in free}
-    joined = {i: [] for i in free}
-    for a, b, mat in incs:
-        if owner[a] == owner[b]:
-            single[owner[a]].append((a, b, mat))
-        else:
-            later = max(owner[a], owner[b], key=free.index)
-            joined[later].append((a, b, mat))
-    pools = {}
-    for i in free:
-        # checks with a free source need no perp; run them first
-        single[i].sort(key=lambda c: c[0] in partner)
-        pools[i] = [s for s in candidates[i]
-                    if all(contains(b, s, image(a, s, mat))
-                           for a, b, mat in single[i])]
-        # checks keyed by an image of the earlier owner first: fewer keys
-        joined[i].sort(key=lambda c: owner[c[0]] == i)
-
+    checks = {i: [] for i in free}
+    for a, b, slots in incs:
+        checks[max(owner[a], owner[b], key=free.index)].append((a, b, slots))
+    for i, cs in checks.items():  # in the order of the module notes
+        cs.sort(key=lambda c: (owner[c[0]] != owner[c[1]],
+                               owner[c[0]] == i, c[0] in partner))
     memo = {}
 
     def narrowed(i, chosen):
-        """The candidates for i passing its join checks against chosen.
+        """The candidates for i passing its checks against chosen.
 
-        Each check reads one space of its earlier owner: the image of the
-        source member when that owner holds the source, else the owner's
-        subspace.  The filtered lists are memoized by those spaces.
+        A check reading i alone has no key; any other reads one space of
+        its earlier owner: the image of the source member when that owner
+        holds the source, else the owner's subspace.  The filtered lists
+        are memoized by those keys.
         """
-        pool, keys = pools[i], (i,)
-        for a, b, mat in joined[i]:
-            if owner[a] in chosen:
-                key = space_key(image(a, chosen[owner[a]], mat), q)
+        pool, keys = candidates[i], (i,)
+        for a, b, slots in checks[i]:
+            if owner[a] == owner[b]:
+                key = None
+                keep = lambda s: contains(b, s, image(a, s, slots))
+            elif owner[a] != i:
+                key = space_key(image(a, chosen[owner[a]], slots), q)
                 keep = lambda s: contains(b, s, key)
             else:
                 key = chosen[owner[b]]
-                keep = lambda s: contains(b, key, image(a, s, mat))
+                keep = lambda s: contains(b, key, image(a, s, slots))
             keys += (key,)
             if keys not in memo:
                 memo[keys] = list(filter(keep, pool))
@@ -357,14 +343,14 @@ def fiber_points(n, q, sharp, cap):
     return window, points
 
 
-def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
-                    collect=False):
+def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, collect=False):
     """Count the special fiber of the naive model and compare with Adm.
 
     Returns a dict with naive_count, adm_count, contains_admissible, plus the
     honest point count of the admissible locus and bookkeeping fields.  With
     collect=True the dict also carries every point as a tuple of subspace
-    bases aligned with the window tokens.
+    bases aligned with the window tokens.  For n = 3 every point of the
+    admissible cells is checked to be a point of the fiber.
 
     The points come from the owner join of `fiber_points` (module notes);
     ResourceCapError is raised when its candidate lists' product exceeds cap.
@@ -396,7 +382,7 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
         "admissible_points": adm_points,
         "flat_match": count == adm_points,
         "contains_admissible": None,
-        "cells_checked": False,
+        "cells_checked": n == 3,
         "tokens": [str(t) for t in order],
         "window": window,
         "y": sorted(y),
@@ -404,22 +390,15 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, check_cells=True,
     if collect:
         out["points"] = sorted(points)
 
-    if check_cells and n == 3:
+    if n == 3:
         free_at = [window.index(i) for i in sharp]
         point_set = {tuple(pt[k] for k in free_at) for pt in points}
         group = CellGroup("su", n, q)
-        contained = True
-        for w in par.double_min:
-            for chain in cell_points(group, list(words[w])):
-                key = tuple(_cell_member_key(chain[group.tokens.index(i)], n, i, q)
-                            for i in sharp)
-                if key not in point_set:
-                    contained = False
-                    break
-            if not contained:
-                break
-        out["contains_admissible"] = contained
-        out["cells_checked"] = True
+        out["contains_admissible"] = all(
+            tuple(_cell_member_key(chain[group.tokens.index(i)], n, i, q)
+                  for i in sharp) in point_set
+            for w in par.double_min
+            for chain in cell_points(group, list(words[w])))
     return out
 
 

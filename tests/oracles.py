@@ -119,3 +119,24 @@ def transform(lattice, g):
     """The lattice g L for a matrix g over the series ring."""
     cols = [[sdot(row, col) for row in g] for col in lattice.cols]
     return Lattice.from_columns(lattice.q, cols)
+
+
+# -- fiber chain maps ----------------------------------------------------------
+
+def inclusion_matrix(n, i, j):
+    """Coordinate matrix of Lambda_i/t -> Lambda_j/t for i <= j, row action.
+
+    Slot s*n + a of the member for token k*n + i0 is u^(e + s) e_a, with
+    e = -k-1 for a < i0 and -k otherwise.  Over the member for j it is
+    u^(e_i - e_j + s) times basis vector a, and u^2 = t vanishes.
+    """
+    def exponents(token):
+        k, i0 = divmod(token, n)
+        return [-k - 1 if a < i0 else -k for a in range(n)]
+
+    m = [[0] * (2 * n) for _ in range(2 * n)]
+    for a, (ei, ej) in enumerate(zip(exponents(i), exponents(j))):
+        for s in (0, 1):
+            if 0 <= ei - ej + s < 2:
+                m[s * n + a][(ei - ej + s) * n + a] = 1
+    return [tuple(r) for r in m]

@@ -231,6 +231,13 @@ BAD_INPUTS = [
       "--a", "16", "--emit-paths", "--cap", "1000"], 3),
     # the largest cover value alone gives 899 cuts, all 900 values 404,550
     (["hpoly", "--datum", "A(1)_1", "--mu", "900,0", "--Y", "0"], 3),
+    # integers are ASCII digits with an optional sign: int() would read
+    # these as Y = {1} and mu = (10, 0)
+    (["coherence", "--datum", "A(1)_1", "--mu", "1,0", "--Y", "0_1"], 2),
+    (["adm", "--datum", "A(1)_1", "--mu", "1_0,0"], 2),
+    # closure 160 > cap, refused before any point is grown
+    (["cells", "--group", "sl", "--n", "2", "--q", "3", "--word", "0.1.0.1",
+      "--cap", "100"], 3),
 ]
 
 
@@ -368,6 +375,21 @@ def test_weyl_leq_long_translation():
 def test_options_scoped_to_their_readers():
     assert run("coherence", "--datum", "A(1)_1", "--mu", "1,0", "--Y", "0",
                "--seed", "1").returncode == 2
+    # --cap only where a handler reads it; fiber always checks the cells
+    for argv in (("datum", "info", "A(1)_1", "--cap", "5"),
+                 ("weyl", "length", "--datum", "A(1)_1", "--elt", "s0",
+                  "--cap", "5"),
+                 ("kottwitz", "--torus", "gm", "--q", "3", "--elt", "t^2",
+                  "--cap", "5"),
+                 ("fiber", "--n", "3", "--r", "1", "--q", "3", "--I", "0",
+                  "--no-cells")):
+        proc = run(*argv)
+        assert proc.returncode == 2, argv
+        assert "unrecognized arguments" in proc.stderr, argv
+    proc = run("cells", "--group", "sl", "--n", "2", "--q", "3",
+               "--word", "0.1.0.1", "--cap", "160", "--count-only")
+    assert proc.returncode == 0, proc.stderr
+    assert "closure 160  schubert 160  ok" in proc.stdout
     proc = run("kottwitz", "--torus", "gm", "--q", "3", "--elt", "t^2",
                "--precision", "8")
     assert proc.returncode == 0, proc.stderr

@@ -67,6 +67,9 @@ def test_h_mu_split_type_a():
             mu = (1,) * r + (0,) * (n - r)
             for m in range(6):
                 assert h_mu(datum, mu, m) == hook_content(n, r, m), (n, r, m)
+    # mu is checked before the scale: m = 0 gives no 1 for a non-minuscule mu
+    with pytest.raises(ValueError):
+        h_mu(load_affine_datum("A(1)_2"), (2, 0, 0), 0)
 
 
 def test_h_mu_shift_invariance():
@@ -161,3 +164,18 @@ def test_coherence_refuses_before_counting_paths(name, mu, y, monkeypatch):
     monkeypatch.setattr(lspaths, "count_h_y", count_h_y)
     with pytest.raises(ValueError):
         check_coherence(fin_for(name), (mu,), y, 1)
+
+
+@pytest.mark.parametrize("name, mu, a", [
+    ("A(1)_1", (1, 0), 0),
+    ("A(1)_1", (1, 0), -1),
+    # not minuscule: the scale a = 0 used to give h_mu = 1 unchecked
+    ("E(1)_8", (0, 0, 0, 0, 0, 0, 0, 1), 0),
+])
+def test_coherence_refuses_a_below_one_before_counting_paths(
+        name, mu, a, monkeypatch):
+    def count_h_y(*args, **kwargs):
+        raise AssertionError("paths counted before the row was refused")
+    monkeypatch.setattr(lspaths, "count_h_y", count_h_y)
+    with pytest.raises(ValueError):
+        check_coherence(fin_for(name), (mu,), (0,), a)

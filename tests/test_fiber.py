@@ -10,11 +10,12 @@ from loopweyl.errors import (ResourceCapError, SpecParseError,
                              UnsupportedFieldError)
 from loopweyl.loops import fiber
 from loopweyl.loops.chains import member_exponents, validate_chain
-from loopweyl.loops.fiber import (apply_rows, enumerate_fiber, gram_matrix,
-                                  in_row_space, inclusion_matrix,
+from loopweyl.loops.fiber import (apply_rows, enumerate_fiber, gram_slots,
+                                  in_row_space, include, inclusion_slots,
                                   normalize_tokens, pairs_to_zero, perp_space,
                                   pivot_columns, rebuild_members, space_key,
                                   ustable_subspaces)
+from oracles import inclusion_matrix
 
 # (n, q) for the invariants the enumeration relies on
 INVARIANT_CASES = ((3, 3), (3, 5), (4, 3))
@@ -61,23 +62,22 @@ def test_ustable_subspaces_are_built_reduced():
 
 
 def test_gram_matrices_are_monomial():
-    # one nonzero entry per row and column: nondegenerate over F_q
+    # one (r, +-2) entry per slot, the r a permutation of the slots: one
+    # nonzero entry per row and column, so nondegenerate over F_q
     for n in (3, 4):
         for q in (3, 5):
             for j in range(-n, 2 * n):
-                g = gram_matrix(n, j, q)
+                g = gram_slots(n, j, q)
                 assert len(g) == 2 * n
-                for line in list(g) + list(zip(*g)):
-                    assert len(line) == 2 * n
-                    assert sum(1 for x in line if x) == 1
-                    assert all(x in (0, 2 % q, -2 % q) for x in line)
+                assert sorted(r for r, _ in g) == list(range(2 * n))
+                assert all(x in (2 % q, -2 % q) for _, x in g)
 
 
 def test_isotropy_is_self_duality():
     # the old filter, computing and reducing the perp, is the oracle
     for n, q in INVARIANT_CASES:
         for j in (j for j in range(n) if (n - j) % n == j):
-            gram = gram_matrix(n, j, q)
+            gram = gram_slots(n, j, q)
             for key in ustable_subspaces(n, q):
                 self_dual = space_key(perp_space(key, gram, q), q) == key
                 isotropic = pairs_to_zero(key, key, gram, q)
@@ -92,13 +92,13 @@ def test_gram_pairs_top_slots_only_with_bottom_slots():
     for n in (3, 4):
         for q in (3, 5):
             for j in range(-n, 2 * n):
-                g = gram_matrix(n, j, q)
-                for half in (range(n), range(n, 2 * n)):
-                    assert not any(g[p][r] for p in half for r in half)
+                g = gram_slots(n, j, q)
+                assert all((p < n) != (r < n) for p, (r, _) in enumerate(g))
                 if (n - j) % n == j % n:
-                    gt = tuple(zip(*g))
-                    assert gt == g or gt == tuple(
-                        tuple(-x % q for x in row) for row in g), (n, q, j)
+                    # entry (p, r) is x; the transpose has x at (r, p)
+                    assert any(all(g[r] == (p, sign * x % q)
+                                   for p, (r, x) in enumerate(g))
+                               for sign in (1, -1)), (n, q, j)
 
 
 def test_isotropic_stream_is_the_filtered_stream():
@@ -106,7 +106,7 @@ def test_isotropic_stream_is_the_filtered_stream():
     for n, q in INVARIANT_CASES:
         full = list(ustable_subspaces(n, q))
         for j in (j for j in range(n) if (n - j) % n == j):
-            gram = gram_matrix(n, j, q)
+            gram = gram_slots(n, j, q)
             expect = [k for k in full if pairs_to_zero(k, k, gram, q)]
             assert list(ustable_subspaces(n, q, gram)) == expect, (n, q, j)
 
@@ -195,18 +195,33 @@ def test_cap_and_rejections():
 
 
 def test_inclusion_matrix_rejects_descending_tokens():
-    assert inclusion_matrix(3, 0, 1, 3)
+    # the slot map of Lambda_i/t -> Lambda_j/t exists for i <= j only
+    assert inclusion_slots(3, 0, 1)
     with pytest.raises(SpecParseError):
-        inclusion_matrix(3, 2, 1, 3)
+        inclusion_slots(3, 2, 1)
+
+
+def test_inclusion_slots_move_rows_as_the_dense_matrices_do():
+    # every step the fiber's window takes, the wrap to window[0] + n included
+    for n in (3, 4):
+        basis = [tuple(int(c == p) for c in range(2 * n))
+                 for p in range(2 * n)]
+        for i in range(-n, 2 * n):
+            for j in range(i, i + n + 1):
+                assert include(basis, inclusion_slots(n, i, j), n) == \
+                    inclusion_matrix(n, i, j), (n, i, j)
 
 
 def product_join(n, q, sharp, cap):
     """Slow oracle for `fiber.fiber_points`: test every candidate product.
 
     Every combination of the free tokens' candidate lists is checked against
-    every inclusion, with the partner members computed as perps.
+    every inclusion, with the partner members computed as perps and the
+    inclusions as dense matrices from `oracles`, not the fiber's slot maps.
     """
-    free, window, partner, incs, grams = fiber.fiber_conditions(n, q, sharp)
+    free, window, partner, _, grams = fiber.fiber_conditions(n, q, sharp)
+    incs = [(a, b, inclusion_matrix(n, a, b + n if b <= a else b))
+            for a, b in zip(window, window[1:] + window[:1])]
     candidates = {i: [] for i in free}
     for key in ustable_subspaces(n, q):
         for i in free:
@@ -275,7 +290,7 @@ def test_pairing_is_membership_in_the_perp(n, q):
     # vectors pairing to zero with the space are exactly the perp's span
     vectors = list(itertools.product(range(q), repeat=2 * n))
     for j in range(n):
-        gram = gram_matrix(n, j, q)
+        gram = gram_slots(n, j, q)
         for space in ustable_subspaces(n, q):
             perp = perp_space(space, gram, q)
             pivots = pivot_columns(perp)
