@@ -76,18 +76,10 @@ class AdmissibleSet:
     saturations: dict = field(default_factory=dict, repr=False)
     path_graphs: dict = field(default_factory=dict, repr=False)
 
-    def keep(self):
-        """Store this set in fin.adm_sets, dropping the oldest first."""
-        memo = self.fin.adm_sets
-        if self.lam not in memo:
-            if len(memo) >= MEMO_SIZE:
-                del memo[next(iter(memo))]
-            memo[self.lam] = self
-
 
 def translations(fin, mu=None, lam=None):
-    """The stored AdmissibleSet of mu or lam, closed or not, else a new one
-    that the caller stores (keep) once its build succeeds; its words are the
+    """The stored AdmissibleSet of mu or lam, closed or not, else a new one,
+    stored in fin.adm_sets (the oldest dropped first); its words are the
     least-descent words of the translations, which strip down to tau."""
     if (mu is None) == (lam is None):
         raise ValueError("exactly one of mu, lam is required")
@@ -95,7 +87,8 @@ def translations(fin, mu=None, lam=None):
         lam = rootdata.project_coweight(fin, mu)
     lam = tuple(map(Fraction, lam))
     # every stored lam passed the checks below, so the memo comes first
-    hit = fin.adm_sets.get(lam)
+    memo = fin.adm_sets
+    hit = memo.get(lam)
     if hit is not None:
         return hit
     eng = engine_for(fin)
@@ -109,11 +102,14 @@ def translations(fin, mu=None, lam=None):
         )
     tau = taus.pop()
     tau_inv = eng.inv(tau)
+    if len(memo) >= MEMO_SIZE:
+        del memo[next(iter(memo))]
     # one W_0-orbit's translations share a length, so m is sort_key's order
-    return AdmissibleSet(
+    memo[lam] = AdmissibleSet(
         fin=fin, lam=lam, tau=tau,
         words={eng.twist(t, tau_inv): word for t, (word, _) in split.items()},
         maximal_elements=tuple(sorted(split, key=lambda t: t.m)))
+    return memo[lam]
 
 
 def adm(fin, mu=None, lam=None, cap=20000):
@@ -137,7 +133,6 @@ def adm(fin, mu=None, lam=None, cap=20000):
     s.elements = tuple(sorted(elements, key=lambda x: (elements[x], x.m)))
     s.neutral = tuple(sorted(words, key=lambda x: (len(words[x]), x.m)))
     s.neutral_words = words
-    s.keep()
     return s
 
 

@@ -11,6 +11,14 @@ of each command; output_schema(command) puts the two together.
 Group elements are written as ``e``, as dotted words ``s0.s1.s2``, or as
 ``*``-separated products of words, translations ``t[1/2,-1/2]``, and length
 zero elements ``tau``, ``tau^k``, ``tau[1/2]``.
+
+Every number a user types, in an option, a list, a word, an element or a
+sweep file, is read by one of two rules: an integer is ``-?[0-9]+``
+(read_int) and a rational ``-?[0-9]+(/[0-9]+)?`` (read_rational, the form
+the payloads print), with surrounding whitespace allowed.  So ``1_0``,
+``1.5`` and non-ASCII digits are refused, not read as numbers.  Every
+refusal leaves main by one path, the parser's own among them: one
+``error: `` line on stderr and exit 2, or exit 3 for a cap.
 """
 
 from __future__ import annotations
@@ -43,36 +51,38 @@ from .loops.series import parse_series, smat
 
 # -- parsing helpers ---------------------------------------------------------
 
-_WORD_RE = re.compile(r"(?:s?\d+)(?:\.(?:s?\d+))*")
-_INT_RE = re.compile(r"\s*-?[0-9]+\s*")
+_INT_RE = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
+_RATIONAL_RE = re.compile(r"\s*(-?[0-9]+)(?:/([0-9]+))?\s*", re.ASCII)
+_WORD_RE = re.compile(r"s?[0-9]+(?:\.s?[0-9]+)*")
+
+
+def read_int(text, what="an integer"):
+    """The one integer reader (module docstring)."""
+    if not _INT_RE.fullmatch(text):
+        raise SpecParseError(f"expected {what}, got {text!r}")
+    return int(text)
+
+
+def read_rational(text, what="a rational"):
+    """The one rational reader (module docstring), denominator nonzero."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if not m or m.group(2) and not int(m.group(2)):
+        raise SpecParseError(f"expected {what}, got {text!r}")
+    return Fraction(int(m.group(1)), int(m.group(2) or 1))
 
 
 def parse_ints(text):
-    if not text.strip():
-        return ()
-    toks = text.split(",")
-    if not all(_INT_RE.fullmatch(tok) for tok in toks):
-        raise SpecParseError(f"expected comma separated integers, got {text!r}")
-    return tuple(int(tok) for tok in toks)
+    return tuple(map(read_int, text.split(","))) if text.strip() else ()
 
 
 def parse_fractions(text):
-    try:
-        return tuple(Fraction(tok.strip()) for tok in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise SpecParseError(f"expected comma separated rationals, got {text!r}")
+    return tuple(map(read_rational, text.split(",")))
 
 
 def parse_word(text):
-    out = []
-    for tok in text.split("."):
-        tok = tok.strip()
-        if tok.startswith("s"):
-            tok = tok[1:]
-        if not tok.isdigit():
-            raise SpecParseError(f"bad generator {tok!r} in word {text!r}")
-        out.append(int(tok))
-    return out
+    """A dotted word such as s0.s1.s2 (the s optional) as node numbers."""
+    return [read_int(tok.strip().removeprefix("s"), "a generator")
+            for tok in text.split(".")]
 
 
 def word_text(word):
@@ -116,9 +126,10 @@ def parse_element(eng, fin, text):
                 raise SpecParseError(f"{factor} is not a fundamental group class")
             x = eng.mul(x, eng.tau_for_class(res))
             continue
-        m = re.fullmatch(r"tau(?:\^(-?\d+))?", factor)
+        m = re.fullmatch(r"tau(?:\^(.*))?", factor)
         if m:
-            x = eng.mul(x, tau_power(eng, int(m.group(1) or 1)))
+            k = 1 if m.group(1) is None else read_int(m.group(1), "a power")
+            x = eng.mul(x, tau_power(eng, k))
             continue
         if _WORD_RE.fullmatch(factor):
             nodes = set(fin.datum.nodes)
@@ -135,21 +146,17 @@ def parse_element(eng, fin, text):
 def element_text(eng, x):
     word, rem = reduced_word(eng, x)
     res = eng.omega_class(rem)
-    parts = []
-    if word:
-        parts.append(".".join(f"s{i}" for i in word))
+    parts = [word_text(word)] if word else []
     if any(res):
         parts.append("tau[" + ",".join(str(c) for c in res) + "]")
-    return "*".join(parts) if parts else "e"
+    return "*".join(parts) or "e"
 
 
 def parse_span(text):
     """An a value or inclusive range: ``2`` or ``1..3``."""
-    m = re.fullmatch(r"(\d+)(?:\.\.(\d+))?", text.strip())
-    if not m:
-        raise SpecParseError(f"expected an integer or lo..hi range, got {text!r}")
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) else lo
+    lo, dots, hi = text.partition("..")
+    lo = read_int(lo, "an integer or lo..hi range")
+    hi = read_int(hi, "an integer or lo..hi range") if dots else lo
     if lo < 1 or hi < lo:
         raise SpecParseError(f"bad range {text!r}")
     return list(range(lo, hi + 1))
@@ -160,24 +167,14 @@ def parse_mu_parts(text):
 
 
 def parse_tokens(text):
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if tok == "m'":
-            out.append(tok)
-        elif tok.lstrip("-").isdigit():
-            out.append(int(tok))
-        else:
-            raise SpecParseError(f"bad chain token {tok!r}")
-    return out
+    return [tok.strip() if tok.strip() == "m'"
+            else read_int(tok, "a chain token") for tok in text.split(",")]
 
 
 def parse_y(text):
     """Nodes split by commas or whitespace; rootdata.node_set checks them."""
     toks = [t for t in re.split(r"[,\s]+", text) if t]
-    if not all(_INT_RE.fullmatch(t) for t in toks):
-        raise SpecParseError(f"expected node numbers, got {text!r}")
-    return tuple(sorted({int(t) for t in toks}))
+    return tuple(sorted({read_int(t, "a node number") for t in toks}))
 
 
 def y_selections(datum, text):
@@ -197,13 +194,12 @@ def load_datum_arg(name):
 
 def finite_for(args):
     datum = load_datum_arg(args.datum)
-    x = getattr(args, "special", 0)
     special = special_nodes(datum)
-    if x not in special:
+    if args.special not in special:
         raise SpecParseError(
-            f"node {x} is not special for {datum.name}; "
+            f"node {args.special} is not special for {datum.name}; "
             f"choose from {list(special)}")
-    return echelon_system(datum, x)
+    return echelon_system(datum, args.special)
 
 
 def plain(value):
@@ -284,18 +280,8 @@ def cmd_datum(args):
         "special": special,
         "su_n": datum.su_n,
     }
-    text = [
-        f"name        {datum.name}",
-        f"rank        {datum.rank}",
-        f"nodes       {list(datum.nodes)}",
-        f"twist_order {datum.twist_order}",
-        "cartan      " + " / ".join(str(list(r)) for r in datum.cartan),
-        f"marks       {list(datum.marks)}",
-        f"comarks     {list(datum.comarks)}",
-        f"kappa       {list(datum.kappa)}",
-        f"special     {special}",
-        f"su_n        {datum.su_n}",
-    ]
+    text = [f"{k:<12}" + (" / ".join(map(str, v)) if k == "cartan" else str(v))
+            for k, v in payload.items()]
     return payload, text, None, "ok"
 
 
@@ -324,21 +310,18 @@ def cmd_weyl(args):
     return payload, text, None, "ok"
 
 
-def _mu_or_lam(args, fin):
-    if (args.mu is None) == (args.lam is None):
-        raise SpecParseError("exactly one of --mu, --lam is required")
-    if args.mu is not None:
-        return {"mu": parse_ints(args.mu)}
-    return {"lam": parse_fractions(args.lam)}
+def _mu_or_lam(args):
+    """--mu or --lam, whichever was given (the parser requires one)."""
+    return {"mu": args.mu} if args.mu is not None else {"lam": args.lam}
 
 
 def cmd_adm(args):
     fin = finite_for(args)
     eng = engine_for(fin)
-    adm_set = adm(fin, cap=args.cap, **_mu_or_lam(args, fin))
+    adm_set = adm(fin, cap=args.cap, **_mu_or_lam(args))
     payload = {
         "datum": fin.datum.name,
-        "mu": None if args.mu is None else list(parse_ints(args.mu)),
+        "mu": None if args.mu is None else list(args.mu),
         "lam": list(adm_set.lam),
         "size": len(adm_set.elements),
         "maximal": sorted(element_text(eng, t) for t in adm_set.maximal_elements),
@@ -348,7 +331,7 @@ def cmd_adm(args):
             "lam  (" + ", ".join(str(c) for c in adm_set.lam) + ")",
             "max  " + "; ".join(payload["maximal"])]
     if args.Y is not None:
-        par = adm_parahoric(adm_set, parse_y(args.Y))
+        par = adm_parahoric(adm_set, args.Y)
         payload["y"] = list(par.y)
         payload["y_circ"] = list(par.y_circ)
         payload["full_size"] = len(par.full)
@@ -365,14 +348,12 @@ def cmd_adm(args):
 
 def cmd_hpoly(args):
     fin = finite_for(args)
-    y = parse_y(args.Y)
-    kw = _mu_or_lam(args, fin)
-    if args.emit_paths:
-        n, paths = count_h_y(fin, y=y, a=args.a, cap=args.cap, emit=True, **kw)
-    else:
-        n = count_h_y(fin, y=y, a=args.a, cap=args.cap, **kw)
-        paths = None
-    payload = {"datum": fin.datum.name, "y": list(y), "a": args.a, "count": n}
+    kw = _mu_or_lam(args)
+    out = count_h_y(fin, y=args.Y, a=args.a, cap=args.cap,
+                    emit=args.emit_paths, **kw)
+    n, paths = out if args.emit_paths else (out, None)
+    payload = {"datum": fin.datum.name, "y": list(args.Y), "a": args.a,
+               "count": n}
     payload.update({k: list(v) for k, v in kw.items()})
     text = [f"count {n}"]
     if paths is not None:
@@ -382,17 +363,18 @@ def cmd_hpoly(args):
 
 
 def coherence_rows(instances, cap, line):
-    """check_coherence over (datum label, mu text, fin, Y, a) instances.
+    """check_coherence over (datum label, mu parts, fin, Y, a) instances.
 
-    line formats a row's text from its payload fields, mu_text, mark (ok or
+    line formats a row's text from its payload fields, mu_text (the parts
+    written as 1,0+0,1), mark (ok or
     MISMATCH) and the path and closed seconds.  Returns the payload rows,
     the text lines, the csv rows and the status, "mismatch" unless every
     row is equal.
     """
     rows, text = [], []
     csv_rows = [("datum", "mu", "Y", "a", "h_Y", "h", "equal")]
-    for name, mu_text, fin, y, a in instances:
-        mu_parts = parse_mu_parts(mu_text)
+    for name, mu_parts, fin, y, a in instances:
+        mu_text = "+".join(",".join(map(str, p)) for p in mu_parts)
         rep = check_coherence(fin, mu_parts, y, a, cap=cap)
         row = {"datum": name, "mu": [list(p) for p in mu_parts],
                "y": list(y), "a": a, "h_y": rep.h_path, "h": rep.h_closed,
@@ -410,17 +392,14 @@ def coherence_rows(instances, cap, line):
 
 def cmd_coherence(args):
     fin = finite_for(args)
-    mu_parts = parse_mu_parts(args.mu)
-    mu_text = "+".join(",".join(str(c) for c in p) for p in mu_parts)
     ys = y_selections(fin.datum, args.Y)
-    a_values = parse_span(args.a)
     rows, text, csv_rows, status = coherence_rows(
-        ((fin.datum.name, mu_text, fin, y, a) for y in ys for a in a_values),
+        ((fin.datum.name, args.mu, fin, y, a) for y in ys for a in args.a),
         args.cap, "Y={y} a={a}: h_Y={h_y} h={h} [{mark}] "
                   "({path:.2f}s path, {closed:.2f}s closed)")
     all_equal = status == "ok"
     payload = {"datum": fin.datum.name,
-               "mu": [list(p) for p in mu_parts],
+               "mu": [list(p) for p in args.mu],
                "rows": [{k: r[k] for k in ("y", "a", "h_y", "h", "equal")}
                         for r in rows],
                "all_equal": all_equal, "proven": True}
@@ -453,7 +432,7 @@ def cmd_cells(args):
     kind = "su" if args.group == "su3" else "sl"
     n = 3 if kind == "su" else args.n
     group = CellGroup(kind, n, args.q)
-    word = parse_word(args.word)
+    word = args.word
     expected = schubert_count(group.fin, word, args.q)
     if expected > args.cap:
         raise ResourceCapError("cells closure points", expected, args.cap)
@@ -479,7 +458,7 @@ def cmd_cells(args):
 
 
 def cmd_fiber(args):
-    tokens = parse_tokens(args.I)
+    tokens = args.I
     if args.spot_check < 0:
         raise SpecParseError("--spot-check needs a count of at least 0")
     collect = args.spot_check > 0
@@ -525,7 +504,8 @@ def cmd_sweep(args):
             name, mu_text, y_text, a_text = (c.strip() for c in row[:4])
             if name not in fins:
                 fins[name] = echelon_system(load_datum_arg(name), 0)
-            yield name, mu_text, fins[name], parse_y(y_text), int(a_text)
+            yield (name, parse_mu_parts(mu_text), fins[name], parse_y(y_text),
+                   read_int(a_text, "an a value"))
 
     rows, text, csv_rows, status = coherence_rows(
         instances(), args.cap,
@@ -536,18 +516,36 @@ def cmd_sweep(args):
 
 # -- wiring ------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses with SpecParseError, which main reports like any bad input."""
+
+    def error(self, message):
+        raise SpecParseError(message)
+
+
 def _common(sub):
     sub.add_argument("--format", choices=("text", "json", "csv"),
                      default="text")
 
 
-def _capped(sub):
+def _capped(sub, cap=20000):
     _common(sub)
-    sub.add_argument("--cap", type=int, default=None)
+    sub.add_argument("--cap", type=read_int, default=cap)
+
+
+def _datum(sub):
+    sub.add_argument("--datum", required=True)
+    sub.add_argument("--special", type=read_int, default=0)
+
+
+def _mu_lam(sub):
+    group = sub.add_mutually_exclusive_group(required=True)
+    group.add_argument("--mu", type=parse_ints)
+    group.add_argument("--lam", type=parse_fractions)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loopweyl",
         description="combinatorics of twisted loop groups, in exact arithmetic")
     subs = parser.add_subparsers(dest="command")
@@ -560,71 +558,67 @@ def build_parser():
 
     p = subs.add_parser("weyl", help="Iwahori-Weyl group arithmetic")
     p.add_argument("op", choices=("length", "word", "leq"))
-    p.add_argument("--datum", required=True)
+    _datum(p)
     p.add_argument("--elt", required=True)
     p.add_argument("--other")
-    p.add_argument("--special", type=int, default=0)
     _common(p)
     p.set_defaults(handler=cmd_weyl)
 
     p = subs.add_parser("adm", help="admissible sets")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--mu")
-    p.add_argument("--lam")
-    p.add_argument("--Y")
-    p.add_argument("--q", type=int)
-    p.add_argument("--special", type=int, default=0)
+    _datum(p)
+    _mu_lam(p)
+    p.add_argument("--Y", type=parse_y)
+    p.add_argument("--q", type=read_int)
     _capped(p)
     p.set_defaults(handler=cmd_adm)
 
     p = subs.add_parser("hpoly", help="path counts")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--mu")
-    p.add_argument("--lam")
-    p.add_argument("--Y", required=True)
-    p.add_argument("--a", type=int, default=1)
+    _datum(p)
+    _mu_lam(p)
+    p.add_argument("--Y", type=parse_y, required=True)
+    p.add_argument("--a", type=read_int, default=1)
     p.add_argument("--emit-paths", action="store_true")
-    p.add_argument("--special", type=int, default=0)
     _capped(p)
     p.set_defaults(handler=cmd_hpoly)
 
     p = subs.add_parser("coherence", help="compare path counts with dimensions")
-    p.add_argument("--datum", required=True)
-    p.add_argument("--mu", required=True,
+    _datum(p)
+    p.add_argument("--mu", type=parse_mu_parts, required=True,
                    help="coweight parts, e.g. 1,0 or 1,0+0,1")
     p.add_argument("--Y", required=True, help="node list or 'all'")
-    p.add_argument("--a", default="1", help="multiplier or range lo..hi")
-    p.add_argument("--special", type=int, default=0)
+    p.add_argument("--a", type=parse_span, default="1",
+                   help="multiplier or range lo..hi")
     _capped(p)
     p.set_defaults(handler=cmd_coherence)
 
     p = subs.add_parser("kottwitz", help="Kottwitz invariants over F_q((u))")
     p.add_argument("--torus", choices=("gm", "norm1", "un"), required=True)
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=read_int, required=True)
     p.add_argument("--elt", required=True,
                    help="a series, or matrix rows separated by ';'")
-    p.add_argument("--precision", type=int, default=16)
+    p.add_argument("--precision", type=read_int, default=16)
     _common(p)
     p.set_defaults(handler=cmd_kottwitz)
 
     p = subs.add_parser("cells", help="Schubert cells in affine flag varieties")
     p.add_argument("--group", choices=("sl", "su3"), required=True)
-    p.add_argument("--n", type=int, default=2, help="matrix size for sl")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--word", required=True)
+    p.add_argument("--n", type=read_int, default=2, help="matrix size for sl")
+    p.add_argument("--q", type=read_int, required=True)
+    p.add_argument("--word", type=parse_word, required=True)
     p.add_argument("--count-only", action="store_true")
     _capped(p)
     p.set_defaults(handler=cmd_cells)
 
     p = subs.add_parser("fiber", help="special fibers of naive unitary models")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--I", required=True, help="chain tokens, e.g. 0,2,m'")
-    p.add_argument("--spot-check", type=int, default=0,
+    p.add_argument("--n", type=read_int, required=True)
+    p.add_argument("--r", type=read_int, required=True)
+    p.add_argument("--q", type=read_int, required=True)
+    p.add_argument("--I", type=parse_tokens, required=True,
+                   help="chain tokens, e.g. 0,2,m'")
+    p.add_argument("--spot-check", type=read_int, default=0,
                    help="validate this many random points as lattice chains")
-    p.add_argument("--seed", type=int, default=0)
-    _capped(p)
+    p.add_argument("--seed", type=read_int, default=0)
+    _capped(p, 2_000_000)
     p.set_defaults(handler=cmd_fiber)
 
     p = subs.add_parser("sweep", help="batch coherence checks from a csv file")
@@ -636,19 +630,17 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "handler", None):
-        parser.print_help()
-        return 2
-    if getattr(args, "cap", 0) is None:
-        args.cap = 2_000_000 if args.command == "fiber" else 20000
     t0 = time.perf_counter()
     try:
+        args = parser.parse_args(argv)
+        if not hasattr(args, "handler"):
+            parser.print_help()
+            return 2
         payload, text_lines, csv_rows, status = args.handler(args)
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (LoopweylError, FileNotFoundError, ValueError) as exc:
+    except (LoopweylError, OSError, ValueError) as exc:
         # bad input; exit 1 is kept for a coherence mismatch
         print(f"error: {exc}", file=sys.stderr)
         return 2

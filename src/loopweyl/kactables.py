@@ -11,12 +11,12 @@ import re
 
 from .errors import SpecParseError, UnknownDatumError
 
-_NAME_RE = re.compile(r"^([A-G])\((\d)\)_(\d+)$")
+_NAME_RE = re.compile(r"([A-G])\(([0-9])\)_([0-9]+)")
 
 
 def parse_name(name):
     """Split a label like "C(1)_2" into (letter, twist, subscript)."""
-    m = _NAME_RE.match(name)
+    m = _NAME_RE.fullmatch(name)
     if not m:
         raise UnknownDatumError(f"cannot parse datum name: {name!r}")
     return m.group(1), int(m.group(2)), int(m.group(3))
@@ -175,6 +175,12 @@ def known_names(max_rank=8):
     return sorted(set(names))
 
 
+def _is_int(v):
+    # json reads true as True, an int equal to 1, and 2.0 as a float equal
+    # to 2; neither is an integer of the interchange form
+    return type(v) is int
+
+
 def datum_dict_from_json(text):
     """Parse the JSON interchange form; returns a plain dict of fields."""
     try:
@@ -186,14 +192,18 @@ def datum_dict_from_json(text):
     for key in ("name", "cartan", "twist_order"):
         if key not in obj:
             raise SpecParseError(f"root datum JSON missing field {key!r}")
+    if not isinstance(obj["name"], str):
+        raise SpecParseError("name must be a string")
     cartan = obj["cartan"]
-    n = len(cartan)
-    if n == 0 or any(len(row) != n for row in cartan):
+    if not isinstance(cartan, list) or not cartan or any(
+            not isinstance(row, list) or len(row) != len(cartan)
+            for row in cartan):
         raise SpecParseError("cartan must be a nonempty square matrix")
+    n = len(cartan)
     for i in range(n):
         for j in range(n):
             v = cartan[i][j]
-            if not isinstance(v, int):
+            if not _is_int(v):
                 raise SpecParseError("cartan entries must be integers")
             if i == j and v != 2:
                 raise SpecParseError("cartan diagonal entries must equal 2")
@@ -201,11 +211,12 @@ def datum_dict_from_json(text):
                 raise SpecParseError("cartan off-diagonal entries must be <= 0")
             if i != j and (v == 0) != (cartan[j][i] == 0):
                 raise SpecParseError("cartan zero pattern must be symmetric")
-    if obj["twist_order"] not in (1, 2, 3):
+    if not _is_int(obj["twist_order"]) or obj["twist_order"] not in (1, 2, 3):
         raise SpecParseError("twist_order must be 1, 2 or 3")
     kappa = obj.get("kappa")
     if kappa is not None:
-        if len(kappa) != n or any(v not in (1, 2) for v in kappa):
+        if not isinstance(kappa, list) or len(kappa) != n or any(
+                not _is_int(v) or v not in (1, 2) for v in kappa):
             raise SpecParseError("kappa must list 1s and 2s, one per node")
     return {
         "name": obj["name"],

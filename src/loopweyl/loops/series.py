@@ -317,7 +317,7 @@ def parse_series(text, q, prec=None, var="u"):
         raise SpecParseError("empty series spec")
     big_o = None
     import re
-    m = re.search(r"\+?O\(" + re.escape(var) + r"\^(-?\d+)\)$", s)
+    m = re.search(r"\+?O\(" + re.escape(var) + r"\^(-?[0-9]+)\)\Z", s)
     if m:
         big_o = int(m.group(1))
         s = s[:m.start()]
@@ -328,8 +328,8 @@ def parse_series(text, q, prec=None, var="u"):
         return out
     term_re = re.compile(
         r"([+-]?)"
-        r"(?:(\d+(?:/\d+)?)(?:\*)?)?"
-        r"(?:" + re.escape(var) + r"(?:\^(-?\d+))?)?")
+        r"(?:([0-9]+(?:/[0-9]+)?)(?:\*)?)?"
+        r"(?:" + re.escape(var) + r"(?:\^(-?[0-9]+))?)?")
     pos = 0
     any_term = False
     while pos < len(s):
@@ -343,8 +343,10 @@ def parse_series(text, q, prec=None, var="u"):
         if coeff_text is None:
             coeff = 1
         elif "/" in coeff_text:
-            num, den = coeff_text.split("/")
-            coeff = fq(Fraction(int(num), int(den)), q)
+            num, den = map(int, coeff_text.split("/"))
+            if not den:
+                raise SpecParseError(f"zero denominator in {text!r}")
+            coeff = fq(Fraction(num, den), q)
         else:
             coeff = int(coeff_text)
         exponent = 0

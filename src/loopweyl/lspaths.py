@@ -256,7 +256,6 @@ def count_h_y(fin, mu=None, lam=None, *, y, a=1, cap=20000, emit=False):
         tops = [weyl.from_word(ctx, w) for w in s.words.values()]
         graph = path_graph(ctx, shape_weight(datum, y_circ, 1), tops, cap=cap)
         s.path_graphs[y] = graph
-        s.keep()
     elif len(graph.nodes) > cap:
         raise ResourceCapError("bruhat interval nodes", len(graph.nodes), cap)
     # the cuts are the k/p, 0 < k < p, of each scaled value p

@@ -282,14 +282,22 @@ class CartanContext:
         return next(j for j, row in enumerate(tau.m) if row[i])
 
     def bruhat_leq(self, v, w):
-        """Extended Bruhat order: comparable only inside one Omega-class."""
-        cv = self.omega_class(v)
-        if cv != self.omega_class(w):
-            return False
-        tau_inv = self.inv(self._taus[cv])
-        return bruhat_leq_cox(
-            self, self.twist(v, tau_inv), self.twist(w, tau_inv)
-        )
+        """Extended Bruhat order, by descent lifting.
+
+        Each step strips a left descent s of w: v <= w iff sv <= sw when s
+        is also a left descent of v, and iff v <= sw otherwise.  Left
+        multiplication leaves the tau on the right alone, so the final
+        v == w also compares the Omega-classes, which must agree.
+        """
+        lv, lw = self.length(v), self.length(w)
+        while lv < lw:
+            i = next(j for j in self.nodes if self.is_left_descent(j, w))
+            w = self.lmul(i, w)
+            lw -= 1
+            if self.is_left_descent(i, v):
+                v = self.lmul(i, v)
+                lv -= 1
+        return v == w
 
 
 # perfbench/layertrace.py patches mul, length and the descent tests through
@@ -410,23 +418,6 @@ def from_word(eng, word, rem=None):
     for i in reversed(word):
         x = eng.lmul(i, x)
     return x
-
-
-def bruhat_leq_cox(eng, v, w):
-    """Bruhat order inside one Coxeter group, by descent lifting.
-
-    Each step strips a left descent s of w: v <= w iff sv <= sw when s is
-    also a left descent of v, and iff v <= sw otherwise.
-    """
-    lv, lw = eng.length(v), eng.length(w)
-    while lv < lw:
-        i = next(j for j in eng.nodes if eng.is_left_descent(j, w))
-        w = eng.lmul(i, w)
-        lw -= 1
-        if eng.is_left_descent(i, v):
-            v = eng.lmul(i, v)
-            lv -= 1
-    return v == w
 
 
 def coset_min(eng, x, left_gens=(), right_gens=()):

@@ -225,13 +225,14 @@ def test_saturation_matches_the_multiplied_out_oracle():
 
 
 def test_cap_holds_while_building():
-    # below |Adm(mu)°| the closure is refused and nothing is stored
+    # below |Adm(mu)°| the closure is refused, and the set stays stored
+    # unclosed for the next call to close
     fin = FiniteRootDatum(load_affine_datum("A(1)_3"), 0)
     with pytest.raises(ResourceCapError) as err:
         adm(fin, mu=(2, 2, 0, 0), cap=184)
     assert err.value.what == "admissible set size"
     assert err.value.size > 184
-    assert len(fin.adm_sets) == 0
+    assert [s.neutral for s in fin.adm_sets.values()] == [None]
     assert len(adm(fin, mu=(2, 2, 0, 0), cap=185).neutral) == 185
 
 

@@ -214,8 +214,25 @@ def test_datum_file_round_trip(tmp_path):
     assert doc["payload"]["size"] == 19
 
 
-# inputs the parser lets through, with the exit code each must give: 2 for
-# bad input, 3 for a cap
+# files that BAD_INPUTS names, written to the directory the test runs in
+BAD_FILES = {
+    # int() would read the a column as 10
+    "a_column.csv": 'datum,mu,Y,a\nA(1)_1,"1,0",0,1_0\n',
+    # json reads true as True, which equals 1
+    "bool_kappa.json": json.dumps(
+        {"name": "A(1)_1", "cartan": [[2, -2], [-2, 2]], "twist_order": 1,
+         "kappa": [True, True]}),
+    "bool_twist.json": json.dumps(
+        {"name": "A(1)_1", "cartan": [[2, -2], [-2, 2]], "twist_order": True}),
+    # fields of the wrong json type, refused before anything indexes them
+    "number_name.json": json.dumps(
+        {"name": 5, "cartan": [[2, -2], [-2, 2]], "twist_order": 1}),
+    "number_cartan.json": json.dumps(
+        {"name": "A(1)_1", "cartan": 5, "twist_order": 1}),
+}
+
+# bad inputs, with the exit code each must give: 2 for bad input, 3 for a
+# cap; the parser's own refusals leave main the same way
 BAD_INPUTS = [
     (["cells", "--group", "sl", "--n", "2", "--q", "3", "--word", "9"], 2),
     (["cells", "--group", "sl", "--n", "3", "--q", "3", "--word", "3"], 2),
@@ -238,17 +255,54 @@ BAD_INPUTS = [
     # closure 160 > cap, refused before any point is grown
     (["cells", "--group", "sl", "--n", "2", "--q", "3", "--word", "0.1.0.1",
       "--cap", "100"], 3),
+    # every number is -?[0-9]+ or -?[0-9]+/[0-9]+: no underscores, no
+    # decimals and no non-ASCII digits, in options, words, elements, names,
+    # series, chain tokens and sweep files
+    (["hpoly", "--datum", "A(1)_1", "--mu", "1,0", "--Y", "0", "--a", "1_0"], 2),
+    (["coherence", "--datum", "A(1)_1", "--mu", "1,0", "--Y", "0",
+      "--a", "\u0661"], 2),
+    (["weyl", "length", "--datum", "A(1)_2", "--elt", "s\u0661.s0"], 2),
+    (["weyl", "word", "--datum", "A(1)_2", "--elt", "tau^\u0662"], 2),
+    (["datum", "info", "A(\u0661)_\u0662"], 2),
+    (["kottwitz", "--torus", "gm", "--q", "3", "--elt", "t^\u0663"], 2),
+    (["adm", "--datum", "A(1)_1", "--lam", "\u0661/2"], 2),
+    (["adm", "--datum", "A(1)_1", "--lam", "1.5"], 2),
+    (["fiber", "--n", "3", "--r", "1", "--q", "3", "--I", "\u0660"], 2),
+    (["fiber", "--n", "3", "--r", "1", "--q", "3", "--I", "0",
+      "--spot-check", "\u0661"], 2),
+    (["sweep", "a_column.csv"], 2),
+    (["datum", "info", "bool_kappa.json"], 2),
+    (["datum", "info", "bool_twist.json"], 2),
+    (["datum", "info", "number_name.json"], 2),
+    (["datum", "info", "number_cartan.json"], 2),
+    # a zero denominator is refused, not raised as ZeroDivisionError
+    (["kottwitz", "--torus", "norm1", "--q", "3", "--elt", "1/0"], 2),
+    (["fiber", "--n", "3", "--r", "1", "--q", "3", "--I", "0", "--no-cells"],
+     2),
 ]
 
 
 @pytest.mark.parametrize("argv, code", BAD_INPUTS,
                          ids=[" ".join(argv[:1] + argv[-2:])
                               for argv, _ in BAD_INPUTS])
-def test_bad_inputs_give_typed_errors(argv, code, capsys):
+def test_bad_inputs_give_typed_errors(argv, code, capsys, tmp_path,
+                                      monkeypatch):
     from loopweyl.cli import main
+    monkeypatch.chdir(tmp_path)
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
     assert main(argv) == code
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exits_zero(capsys):
+    from loopweyl.cli import main
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: loopweyl" in capsys.readouterr().out
 
 
 def test_weyl_canonical_round_trip():

@@ -13,7 +13,8 @@ def test_parse_name():
     assert parse_name("A(1)_4") == ("A", 1, 4)
     assert parse_name("A(2)_5") == ("A", 2, 5)
     assert parse_name("D(3)_4") == ("D", 3, 4)
-    for bad in ("A_4", "H(1)_2", "A(1)0", ""):
+    # digits are ASCII, and the whole label must match
+    for bad in ("A_4", "H(1)_2", "A(1)0", "", "A(\u0661)_\u0662", "A(1)_1\n"):
         with pytest.raises(UnknownDatumError):
             parse_name(bad)
     with pytest.raises(UnknownDatumError):

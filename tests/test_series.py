@@ -58,7 +58,8 @@ def test_parse_round_trip():
     for _ in range(40):
         s = rand_series(rng)
         assert parse_series(s.to_text(), 3) == s
-    for bad in ("", "u^", "1 +* u", "x + 1", "1 ** u"):
+    for bad in ("", "u^", "1 +* u", "x + 1", "1 ** u", "u^\u0663", "1/0",
+                "1 + O(u^3)\n"):
         with pytest.raises(SpecParseError):
             parse_series(bad, 3)
 
