@@ -77,10 +77,16 @@ class AdmissibleSet:
     path_graphs: dict = field(default_factory=dict, repr=False)
 
 
-def translations(fin, mu=None, lam=None):
+def translations(fin, mu=None, lam=None, cap=20000):
     """The stored AdmissibleSet of mu or lam, closed or not, else a new one,
     stored in fin.adm_sets (the oldest dropped first); its words are the
-    least-descent words of the translations, which strip down to tau."""
+    least-descent words of the translations, which strip down to tau.
+
+    A new set is refused (ResourceCapError) when |W_0 lam| = |W_0| /
+    |W_stab| passes cap, before the orbit is listed; stab is the nodes
+    where lam's dominant conjugate has alpha_i = 0.  Adm(mu), and the
+    coset graph of lspaths, hold one element per translation.
+    """
     if (mu is None) == (lam is None):
         raise ValueError("exactly one of mu, lam is required")
     if lam is None:
@@ -91,6 +97,16 @@ def translations(fin, mu=None, lam=None):
     hit = memo.get(lam)
     if hit is not None:
         return hit
+    if not fin.in_coweight_lattice(lam):
+        raise ValueError(
+            f"({', '.join(map(str, lam))}) is not in the coweight lattice")
+    dom = fin.dominant_rep(lam)
+    stab = [p for p, i in enumerate(fin.nodes)
+            if not fin.simple_root_value(i, dom)]
+    size = (rootdata.parabolic_order(fin.a_del, range(fin.r))
+            // rootdata.parabolic_order(fin.a_del, stab))
+    if size > cap:
+        raise ResourceCapError("W_0-orbit of lam", size, cap)
     eng = engine_for(fin)
     split = {t: weyl.reduced_word(eng, t)
              for t in map(eng.translation, fin.w0_orbit(lam))}
@@ -118,7 +134,7 @@ def adm(fin, mu=None, lam=None, cap=20000):
     The set is stored under its lam, so adm(fin, mu=mu) and adm(fin,
     lam=lam) for the projection lam of mu return one object.
     """
-    s = translations(fin, mu=mu, lam=lam)
+    s = translations(fin, mu=mu, lam=lam, cap=cap)
     if s.neutral is not None:
         if len(s.neutral) > cap:
             raise ResourceCapError("admissible set size", len(s.neutral), cap)

@@ -89,18 +89,13 @@ def word_text(word):
     return ".".join(f"s{i}" for i in word) if word else "e"
 
 
-def tau_power(eng, k):
-    residues = sorted(eng.omega_residues())
-    nontrivial = [r for r in residues if any(r)]
-    if not nontrivial:
-        if k:
-            raise SpecParseError("tau is trivial for this datum")
-        return eng.identity()
-    gen = eng.tau_for_class(nontrivial[0])
-    out = eng.identity()
-    for _ in range(k % len(residues)):
-        out = eng.mul(out, gen)
-    return out
+def tau_power(eng, fin, k):
+    """tau^k: the tau of k r0 mod g, r0 the least nonzero Omega residue."""
+    res = eng.omega_residues()  # sorted, so res[0] is the zero class
+    if len(res) == 1 and k:
+        raise SpecParseError("tau is trivial for this datum")
+    r0 = res[1] if len(res) > 1 else res[0]
+    return eng.tau_for_class(tuple(k * c % g for c, g in zip(r0, fin.g)))
 
 
 def parse_element(eng, fin, text):
@@ -129,7 +124,7 @@ def parse_element(eng, fin, text):
         m = re.fullmatch(r"tau(?:\^(.*))?", factor)
         if m:
             k = 1 if m.group(1) is None else read_int(m.group(1), "a power")
-            x = eng.mul(x, tau_power(eng, k))
+            x = eng.mul(x, tau_power(eng, fin, k))
             continue
         if _WORD_RE.fullmatch(factor):
             nodes = set(fin.datum.nodes)
@@ -490,22 +485,27 @@ def cmd_fiber(args):
 def cmd_sweep(args):
     with open(args.config) as fh:
         raw = list(csv.reader(fh))
-    if raw and [c.strip() for c in raw[0][:4]] == ["datum", "mu", "Y", "a"]:
-        raw = raw[1:]
+    # a header row is skipped, but counts as line 1
+    skip = int(bool(raw) and [c.strip() for c in raw[0][:4]]
+               == ["datum", "mu", "Y", "a"])
     fins = {}
 
     def instances():
-        for lineno, row in enumerate(raw, 1):
+        for lineno, row in enumerate(raw[skip:], skip + 1):
             if not row or not "".join(row).strip():
                 continue
             if len(row) < 4:
                 raise SpecParseError(
                     f"config line {lineno}: need datum,mu,Y,a")
             name, mu_text, y_text, a_text = (c.strip() for c in row[:4])
-            if name not in fins:
-                fins[name] = echelon_system(load_datum_arg(name), 0)
-            yield (name, parse_mu_parts(mu_text), fins[name], parse_y(y_text),
-                   read_int(a_text, "an a value"))
+            try:
+                if name not in fins:
+                    fins[name] = echelon_system(load_datum_arg(name), 0)
+                row = (name, parse_mu_parts(mu_text), fins[name],
+                       parse_y(y_text), read_int(a_text, "an a value"))
+            except SpecParseError as exc:
+                raise SpecParseError(f"config line {lineno}: {exc}") from None
+            yield row
 
     rows, text, csv_rows, status = coherence_rows(
         instances(), args.cap,
@@ -517,7 +517,19 @@ def cmd_sweep(args):
 # -- wiring ------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Refuses with SpecParseError, which main reports like any bad input."""
+    """Refuses with SpecParseError, which main reports like any bad input,
+    naming the option of a bad value.  No option starts with a digit, so
+    -<digit>... is a value (argparse alone takes -1/2 for an option)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[0-9]")
+
+    def _get_value(self, action, text):
+        try:
+            return super()._get_value(action, text)
+        except SpecParseError as exc:
+            raise argparse.ArgumentError(action, str(exc)) from None
 
     def error(self, message):
         raise SpecParseError(message)

@@ -1,11 +1,11 @@
-"""Exact linear algebra over Fraction, over F_q and over integer lattices.
+"""Exact linear algebra over Fraction and over F_q.
 
 Vectors are tuples, matrices are tuples of row tuples.  Everything returns
 new immutable values; Fractions keep all arithmetic exact.  `rref` and
 `nullspace` work over F_q instead when given a prime q, with entries as ints
-in range(q): one Gauss-Jordan serves both fields.  The lattice helpers work
-with Z-spans of rational vectors via an integer Hermite normal form after
-clearing denominators.
+in range(q): one Gauss-Jordan serves both fields.  There are no lattice
+helpers: the one lattice the library reduces by, the translation lattice
+T, is diagonal, and rootdata.FiniteRootDatum reads it by a gcd rule.
 """
 
 import math
@@ -111,70 +111,3 @@ def primitive_positive_nullvector(a):
     if not all(x > 0 for x in ints):
         raise ValueError("null vector is not strictly positive")
     return tuple(ints)
-
-
-def _hnf_int(rows):
-    """Row Hermite normal form of an integer matrix.
-
-    Returns echelon rows with positive pivots and entries above each pivot
-    reduced into [0, pivot).  Zero rows are dropped.
-    """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return ()
-    ncols = len(work[0])
-    basis = []
-    for col in range(ncols):
-        while True:
-            nz = [r for r in work if r[col] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda r: abs(r[col]))
-            a, b = nz[0], nz[1]
-            q = b[col] // a[col]
-            for k in range(ncols):
-                b[k] -= q * a[k]
-            work = [r for r in work if any(r)]
-        nz = [r for r in work if r[col] != 0]
-        if nz:
-            piv = nz[0]
-            work.remove(piv)
-            if piv[col] < 0:
-                piv = [-x for x in piv]
-            basis.append(piv)
-    for i in reversed(range(len(basis))):
-        pcol = next(k for k, x in enumerate(basis[i]) if x != 0)
-        p = basis[i][pcol]
-        for j in range(i):
-            q = basis[j][pcol] // p
-            if q:
-                for k in range(ncols):
-                    basis[j][k] -= q * basis[i][k]
-    return tuple(tuple(r) for r in basis)
-
-
-def lattice_basis(gens):
-    """Canonical (HNF) basis of the Z-span of rational vectors."""
-    gens = [vec(g) for g in gens]
-    gens = [g for g in gens if any(g)]
-    if not gens:
-        return ()
-    denom = math.lcm(*(x.denominator for g in gens for x in g))
-    h = _hnf_int([[int(x * denom) for x in g] for g in gens])
-    return tuple(tuple(Fraction(x, denom) for x in row) for row in h)
-
-
-def _pivot_col(row):
-    return next(k for k, x in enumerate(row) if x != 0)
-
-
-def reduce_mod_lattice(v, basis):
-    """Canonical residue of v modulo a full-rank lattice basis (HNF rows)."""
-    v = list(vec(v))
-    for row in basis:
-        p = _pivot_col(row)
-        q = v[p] // row[p]
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    return tuple(v)
-

@@ -248,7 +248,7 @@ def count_h_y(fin, mu=None, lam=None, *, y, a=1, cap=20000, emit=False):
     """
     datum = fin.datum
     y = rootdata.node_set(datum, y)
-    s = admissible.translations(fin, mu=mu, lam=lam)
+    s = admissible.translations(fin, mu=mu, lam=lam, cap=cap)
     y_circ = admissible.tau_conjugate_nodes(s, y)
     ctx = admissible.context_for(datum)
     graph = s.path_graphs.get(y)

@@ -199,10 +199,13 @@ class FiniteRootDatum:
     """Realization of an affine datum with a special node deleted.
 
     Carries the translation lattice T, the echelonnage root system (whose
-    simple coroots generate T), the coweight lattice, and the affine wall
-    functionals of the base alcove.  It keeps its Iwahori-Weyl group
-    (engine) and the admissible sets built in it (adm_sets, keyed by lam,
-    filled by admissible.adm and lspaths.count_h_y).
+    simple coroots g_p e_p generate T), the coweight lattice (pw_mat, whose
+    columns are the fundamental coweights), and the affine wall functionals
+    of the base alcove.  T is read by a gcd rule, with no Hermite form, and
+    a datum whose T is not diagonal, or not of rank r, is refused.  It
+    keeps its Iwahori-Weyl group (engine) and the admissible sets built in
+    it (adm_sets, keyed by lam, filled by admissible.adm and
+    lspaths.count_h_y).
     """
 
     def __init__(self, datum, x=0):
@@ -244,32 +247,32 @@ class FiniteRootDatum:
                 f"wall of node {x}"
             )
 
+        # T is spanned by W_0 t*, whose points are joined by simple
+        # reflections, and s_p moves v by alpha_p(v) e_p.  So T = Z t* + sum
+        # h_p Z e_p, h_p the gcd of alpha_p over the orbit, and some h_p = 0
+        # leaves T of rank below r.  Otherwise t*_p has order o_p = h_p /
+        # g_p mod h_p, with g_p = gcd(h_p, t*_p), and T = sum g_p Z e_p
+        # exactly when the cyclic group of t* mod sum h_p Z e_p is the
+        # product of its projections: when the o_p are pairwise coprime
         orbit = self._orbit(self._point(self.t_star))
-        self.t_basis = linalg.lattice_basis(orbit)
-        if len(self.t_basis) != self.r:
+        h = [math.gcd(*(int(self.simple_root_value(i, v)) for v in orbit))
+             for i in self.nodes]
+        if not all(h):
+            rank = sum(map(bool, h)) + any(
+                c for c, hp in zip(self.t_star, h) if not hp)
             raise UnsupportedDatumError(
                 f"translations of {datum.name} at node {x} span rank "
-                f"{len(self.t_basis)}, not {self.r}"
+                f"{rank}, not {self.r}"
             )
-
-        # T is spanned by rescaled simple coroots g_p e_p exactly when its
-        # Hermite basis is diag(g), with integers g_p
-        self.g = tuple(int(self.t_basis[p][p]) for p in range(self.r))
-        if self.t_basis != tuple(
-            tuple(self.g[p] if k == p else 0 for k in range(self.r))
-            for p in range(self.r)
-        ):
+        self.g = tuple(map(math.gcd, h, self.t_star))
+        orders = [hp // gp for hp, gp in zip(h, self.g)]
+        if math.prod(orders) != math.lcm(*orders):
             raise UnsupportedDatumError(
                 f"translations of {datum.name} at node {x} are not spanned "
                 f"by rescaled simple coroots"
             )
-        ech = [
-            [
-                Fraction(self.g[p] * self.a_del[p][q], self.g[q])
-                for q in range(self.r)
-            ]
-            for p in range(self.r)
-        ]
+        ech = [[Fraction(self.g[p] * self.a_del[p][q], self.g[q])
+                for q in range(self.r)] for p in range(self.r)]
         if any(c.denominator != 1 for row in ech for c in row):
             raise UnsupportedDatumError(
                 f"echelonnage Cartan matrix of {datum.name} at node {x} "
@@ -283,20 +286,7 @@ class FiniteRootDatum:
             tuple(Fraction(self.a_del[r][q], self.g[q]) for r in range(self.r))
             for q in range(self.r)
         )
-        self.ech_pos = tuple(
-            (
-                tuple(
-                    sum(m[q] * self.fun_simple[q][r] for q in range(self.r))
-                    for r in range(self.r)
-                ),
-                tuple(c[q] * self.g[q] for q in range(self.r)),
-            )
-            for m, c in self.ech_pairs
-        )
-
-        phi = tuple(self.fun_simple[q] for q in range(self.r))
-        self.pw_mat = linalg.inverse(phi)
-        self.p_basis = linalg.lattice_basis(linalg.transpose(self.pw_mat))
+        self.pw_mat = linalg.inverse(self.fun_simple)
 
         dmat = linalg.inverse(linalg.transpose(self.a_del))
         p_sum = tuple(sum(row) for row in dmat)
@@ -370,14 +360,7 @@ class FiniteRootDatum:
         v = self._point(v)
         walls = []
         for _ in range(100000):
-            neg = next(
-                (
-                    i
-                    for i in nodes
-                    if self.affine_value(i, v) < 0
-                ),
-                None,
-            )
+            neg = next((i for i in nodes if self.affine_value(i, v) < 0), None)
             if neg is None:
                 return v, walls
             walls.append(neg)
@@ -395,13 +378,10 @@ class FiniteRootDatum:
 
     def pweight_coords(self, lam):
         """Coordinates of lam in the fundamental-coweight basis."""
-        lam = self._point(lam)
-        return tuple(
-            sum(f[r] * lam[r] for r in range(self.r)) for f in self.fun_simple
-        )
+        return linalg.matvec(self.fun_simple, self._point(lam))
 
     def in_coweight_lattice(self, lam):
-        return all(c.denominator == 1 for c in map(Fraction, self.pweight_coords(lam)))
+        return all(c.denominator == 1 for c in self.pweight_coords(lam))
 
     def from_pweight_coords(self, mu):
         return linalg.matvec(self.pw_mat, self._point(mu))

@@ -130,7 +130,9 @@ class CartanContext:
                 fin.fun_simple[p],
                 tuple(fin.g[p] if k == p else 0 for k in range(fin.r)),
             )
-        top, _ = fin.ech_pos[-1]
+        # the gradient of the highest echelonnage root, the last of ech_pairs
+        top = linalg.matvec(linalg.transpose(fin.fun_simple),
+                            fin.ech_pairs[-1][0])
         c = 2 / Fraction(sum(t * s for t, s in zip(top, fin.psi)))
         walls[fin.x] = (
             tuple(-t for t in top), tuple(-c * s for s in fin.psi)
@@ -375,18 +377,18 @@ def _rank_one_right(m, u, f):
 def _omega_residues(fin):
     """Canonical residues of the coweight lattice modulo translations.
 
-    The quotient is a finite group, so closing {0} under adding the coweight
-    basis rows already reaches every class.
+    T = sum g_p Z e_p (rootdata.FiniteRootDatum), so a class is read
+    coordinatewise mod g.  The quotient is a finite group, so closing {0}
+    under adding the fundamental coweights, the columns of pw_mat, already
+    reaches every class.
     """
-    zero = tuple(Fraction(0) for _ in range(fin.r))
-    seen = {zero}
-    frontier = [zero]
+    seen = {tuple(Fraction(0) for _ in range(fin.r))}
+    frontier = list(seen)
     while frontier:
         nxt = []
         for v in frontier:
-            for row in fin.p_basis:
-                u = linalg.reduce_mod_lattice(
-                    tuple(a + b for a, b in zip(v, row)), fin.t_basis)
+            for col in zip(*fin.pw_mat):
+                u = tuple((a + b) % g for a, b, g in zip(v, col, fin.g))
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
@@ -472,8 +474,11 @@ def labeled_covers_down(eng, x, word, right_quotient=(), found=None):
     for k, (g, gco) in enumerate(gammas):
         phi = _pairing_row(eng.a, gco)
         h = keep[k][1]
-        if all(hy > sum(f * u for f, u in zip(phi, y) if u) * h
-               for y, hy in keep[k + 1:]):
+        for j in range(k + 1, len(keep)):
+            y, hy = keep[j]
+            if hy <= sum(f * u for f, u in zip(phi, y) if u) * h:
+                break
+        else:
             m = _rank_one_left(x.m, g, phi)
             v = found.get(m) if found else None
             if v is None:

@@ -4,6 +4,7 @@ Each is a small, direct form of a quantity the library computes another
 way, kept beside the tests that compare the two.
 """
 
+import math
 from fractions import Fraction
 
 from loopweyl import linalg
@@ -21,7 +22,9 @@ def translation_length(fin, lam):
     if not fin.in_coweight_lattice(lam):
         raise ValueError(f"{tuple(lam)} is not in the coweight lattice")
     lam = fin.dominant_rep(lam)
-    two_rho = [sum(grad[r] for grad, _ in fin.ech_pos) for r in range(fin.r)]
+    # the gradient of the echelonnage root m is sum_q m_q fun_simple[q]
+    two_rho = [sum(c * f[r] for m, _ in fin.ech_pairs
+                   for c, f in zip(m, fin.fun_simple)) for r in range(fin.r)]
     val = Fraction(sum(two_rho[r] * lam[r] for r in range(fin.r)))
     if val.denominator != 1:
         raise ConsistencyError(f"l(t_lam) = {val} is not an integer")
@@ -94,6 +97,61 @@ def det(a):
                 f = rows[i][c] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return sign * result
+
+
+def _hnf_int(rows):
+    """Row Hermite normal form of an integer matrix.
+
+    Returns echelon rows with positive pivots and entries above each pivot
+    reduced into [0, pivot).  Zero rows are dropped.
+    """
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return ()
+    ncols = len(work[0])
+    basis = []
+    for col in range(ncols):
+        while True:
+            nz = [r for r in work if r[col] != 0]
+            if len(nz) <= 1:
+                break
+            nz.sort(key=lambda r: abs(r[col]))
+            a, b = nz[0], nz[1]
+            q = b[col] // a[col]
+            for k in range(ncols):
+                b[k] -= q * a[k]
+            work = [r for r in work if any(r)]
+        nz = [r for r in work if r[col] != 0]
+        if nz:
+            piv = nz[0]
+            work.remove(piv)
+            if piv[col] < 0:
+                piv = [-x for x in piv]
+            basis.append(piv)
+    for i in reversed(range(len(basis))):
+        pcol = next(k for k, x in enumerate(basis[i]) if x != 0)
+        p = basis[i][pcol]
+        for j in range(i):
+            q = basis[j][pcol] // p
+            if q:
+                for k in range(ncols):
+                    basis[j][k] -= q * basis[i][k]
+    return tuple(tuple(r) for r in basis)
+
+
+def lattice_basis(gens):
+    """Canonical (Hermite) basis of the Z-span of rational vectors.
+
+    The reference for the translation lattice T, which the library reads
+    off its diagonal by a gcd rule instead.
+    """
+    gens = [linalg.vec(g) for g in gens]
+    gens = [g for g in gens if any(g)]
+    if not gens:
+        return ()
+    denom = math.lcm(*(x.denominator for g in gens for x in g))
+    h = _hnf_int([[int(x * denom) for x in g] for g in gens])
+    return tuple(tuple(Fraction(x, denom) for x in row) for row in h)
 
 
 def in_lattice(v, basis):

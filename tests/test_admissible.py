@@ -1,18 +1,22 @@
 """Admissible sets and their parahoric saturations."""
 
 import functools
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopweyl import linalg
 from loopweyl.admissible import (adm, adm_count, adm_parahoric, context_for,
-                                  engine_for, tau_conjugate_nodes)
+                                  engine_for, tau_conjugate_nodes,
+                                  translations)
 from loopweyl.errors import ResourceCapError
+from loopweyl.kactables import known_names
 from loopweyl.lspaths import count_h_y
 from loopweyl.rootdata import (FiniteRootDatum, echelon_system,
-                               load_affine_datum)
+                               load_affine_datum, special_nodes)
 from loopweyl.weyl import bruhat_interval, coset_min, from_word, reduced_word
 
 
@@ -164,6 +168,34 @@ def test_cap_holds_on_stored_sets():
     with pytest.raises(ResourceCapError):
         adm(fin, mu=(2, 2, 0, 0), cap=10)
     assert adm(fin, mu=(2, 2, 0, 0), cap=185) is s
+
+
+def test_orbit_bound_is_the_listed_orbit_size():
+    # translations refuses lam when |W_0| / |W_stab| passes cap, before it
+    # lists the orbit; that quotient is the size of the listed orbit.
+    # Random coweights of every datum of rank <= 3, on new finite data so
+    # no stored set answers first
+    rng = random.Random(23)
+    checked = 0
+    for name in known_names(3):
+        datum = load_affine_datum(name)
+        if datum.rank > 3:
+            continue
+        for x in special_nodes(datum):
+            fin = FiniteRootDatum(datum, x)
+            for _ in range(3):
+                lam = linalg.matvec(
+                    fin.pw_mat, [rng.randint(-1, 1) for _ in range(fin.r)])
+                n = len(fin.w0_orbit(lam))
+                fin.adm_sets.clear()
+                with pytest.raises(ResourceCapError) as err:
+                    translations(fin, lam=lam, cap=n - 1)
+                assert (err.value.what, err.value.size) == \
+                    ("W_0-orbit of lam", n), (name, x, lam)
+                assert len(translations(fin, lam=lam, cap=n)
+                           .maximal_elements) == n
+                checked += 1
+    assert checked == 75
 
 
 def saturation_oracle(adm_set, y, y_circ):

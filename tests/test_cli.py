@@ -297,6 +297,56 @@ def test_bad_inputs_give_typed_errors(argv, code, capsys, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_signed_values_are_values(capsys):
+    # a token -<digit>... is a value, written apart or with =, wherever
+    # argparse alone would read -1/2 or -1,0 as an unknown option
+    from loopweyl.cli import main
+    payloads = []
+    for opt in (["--lam", "-1/2"], ["--lam=-1/2"], ["--mu", "-1,0"],
+                ["--mu=-1,0"]):
+        assert main(["adm", "--datum", "A(1)_1", *opt, "--format", "json"]) \
+            == 0, opt
+        payloads.append(json.loads(capsys.readouterr().out)["payload"])
+    assert payloads[0] == payloads[1] and payloads[2] == payloads[3]
+    assert {p["size"] for p in payloads} == {3}
+    assert {tuple(p["lam"]) for p in payloads} == {("-1/2",)}
+    # --I -1,0 reaches the chain token check
+    assert main(["fiber", "--n", "3", "--r", "1", "--q", "3",
+                 "--I", "-1,0"]) == 2
+    assert "expected one argument" not in capsys.readouterr().err
+
+
+def test_refusals_name_the_option_or_the_line(capsys, tmp_path):
+    from loopweyl.cli import main
+    assert main(["hpoly", "--datum", "A(1)_1", "--mu", "1,0", "--Y", "0",
+                 "--a", "1_0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: argument --a: expected an integer, got '1_0'\n"
+    # line numbers count the header row
+    for text, line in ((BAD_FILES["a_column.csv"], 2),
+                       ('A(1)_1,"1,0",0,1\n\nA(1)_1,"1,0",0,x\n', 3)):
+        config = tmp_path / "rows.csv"
+        config.write_text(text)
+        assert main(["sweep", str(config)]) == 2
+        bad = text.strip().rsplit(",", 1)[1]
+        assert capsys.readouterr().err == \
+            f"error: config line {line}: expected an a value, got {bad!r}\n"
+
+
+def test_e8_orbits_past_the_cap_are_refused_before_listing(capsys):
+    # |W_0 lam| = |W(E_8)| / |W_stab| for each fundamental coweight, read
+    # before the orbit (up to 483,840 points) is listed
+    from loopweyl.cli import main
+    sizes = (240, 6720, 60480, 241920, 483840, 69120, 2160, 17280)
+    for i, size in enumerate(sizes):
+        mu = ",".join("1" if k == i else "0" for k in range(8))
+        for cmd in (["hpoly", "--Y", "0"], ["adm"]):
+            assert main([*cmd, "--datum", "E(1)_8", "--mu", mu,
+                         "--cap", "10"]) == 3, (cmd, mu)
+            assert capsys.readouterr().err == \
+                f"error: W_0-orbit of lam exceeded cap: {size} > 10\n"
+
+
 def test_help_exits_zero(capsys):
     from loopweyl.cli import main
     with pytest.raises(SystemExit) as exc:

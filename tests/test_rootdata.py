@@ -12,7 +12,7 @@ from loopweyl.rootdata import (AffineRootDatum, FiniteRootDatum, bt_nodes,
                                datum_from_json, datum_to_json, echelon_system,
                                load_affine_datum, project_coweight,
                                special_nodes, split_parent)
-from oracles import in_lattice, translation_length
+from oracles import in_lattice, lattice_basis, translation_length
 
 
 def fin_for(name, x=0):
@@ -73,23 +73,27 @@ def test_special_nodes_are_the_realizable_ones():
     assert pairs == 85
 
 
-def rescale_probe(fin, p):
-    """The least c in 1..6 with c e_p in the translation lattice T."""
-    e_p = tuple(int(k == p) for k in range(fin.r))
+def rescale_probe(t_basis, p):
+    """The least c in 1..6 with c e_p in the lattice of Hermite rows t_basis."""
+    e_p = tuple(int(k == p) for k in range(len(t_basis)))
     return next(c for c in range(1, 7)
-                if in_lattice(tuple(c * v for v in e_p), fin.t_basis))
+                if in_lattice(tuple(c * v for v in e_p), t_basis))
 
 
 def test_coroot_rescaling_matches_the_trial_probe():
-    # g is read off the diagonal of T's Hermite basis; on every buildable
-    # (datum, special node) it is the least multiple of each simple coroot
-    # direction that lies in T
+    # g comes from the gcd rule, with no Hermite form; on every buildable
+    # (datum, special node) the Hermite basis of the span of W_0 t* is
+    # diag(g), and g_p is the least multiple of e_p that lies in T
     pairs = 0
     for name in known_names():
         datum = load_affine_datum(name)
         for x in special_nodes(datum):
             fin = echelon_system(datum, x)
-            assert fin.g == tuple(rescale_probe(fin, p)
+            t_basis = lattice_basis(fin.w0_orbit(fin.t_star))
+            assert t_basis == tuple(
+                tuple(fin.g[p] if k == p else 0 for k in range(fin.r))
+                for p in range(fin.r)), (name, x)
+            assert fin.g == tuple(rescale_probe(t_basis, p)
                                   for p in range(fin.r)), (name, x)
             assert all(type(c) is int for c in fin.g), (name, x)
             pairs += 1

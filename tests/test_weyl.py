@@ -18,7 +18,8 @@ from loopweyl import linalg
 from loopweyl.weyl import (CartanContext, bruhat_interval, coset_min,
                            from_word, labeled_covers_down, lower_closure,
                            reduced_word)
-from oracles import coroot_coords, gen, reflect, translation_length
+from oracles import (coroot_coords, gen, in_lattice, lattice_basis, reflect,
+                     translation_length)
 
 
 def fin_for(name, x=0):
@@ -84,7 +85,7 @@ def test_engine_matches_alcove_geometry():
                 for i in datum.nodes:
                     assert eng.is_left_descent(i, w) == \
                         (fin.affine_value(i, point) < 0), (name, x, i)
-            for lam in fin.p_basis:
+            for lam in zip(*fin.pw_mat):
                 t = eng.translation(lam)
                 assert eng.length(t) == translation_length(fin, lam)
                 point = tuple(a + b for a, b in zip(fin.v0, lam))
@@ -524,9 +525,9 @@ def test_walk_words_are_reduced_on_random_coweights():
     rng, rng_mu = random.Random(17), random.Random(18)
 
     def coweight(fin, rng):
-        coef = [rng.randint(-2, 2) for _ in fin.p_basis]
-        return tuple(sum(c * row[k] for c, row in zip(coef, fin.p_basis))
-                     for k in range(fin.r))
+        # a random sum of fundamental coweights, the columns of pw_mat
+        coef = [rng.randint(-2, 2) for _ in range(fin.r)]
+        return linalg.matvec(fin.pw_mat, coef)
 
     checked = 0
     for name in known_names(4):
@@ -534,6 +535,7 @@ def test_walk_words_are_reduced_on_random_coweights():
         for x in special_nodes(datum):
             fin = echelon_system(datum, x)
             eng = engine_for(fin)
+            t_basis = lattice_basis(fin.w0_orbit(fin.t_star))
             for _ in range(6):
                 lam, mu = coweight(fin, rng), coweight(fin, rng_mu)
                 t = eng.translation(lam)
@@ -541,8 +543,10 @@ def test_walk_words_are_reduced_on_random_coweights():
                 case = (name, x, lam)
                 point = tuple(a + b for a, b in zip(fin.v0, lam))
                 assert list(word) == fin.alcove_normalize(point)[1], case
-                assert tau == eng.tau_for_class(
-                    linalg.reduce_mod_lattice(lam, fin.t_basis)), case
+                # tau is the tau of lam's class: lam - res lies in T
+                res = eng.omega_class(tau)
+                assert in_lattice(
+                    tuple(a - b for a, b in zip(lam, res)), t_basis), case
                 assert eng.length(from_word(eng, word)) == len(word) == \
                     translation_length(fin, lam), case
                 assert linalg.matmul(t.m, t.minv) == eng.identity().m, case
