@@ -162,14 +162,22 @@ def cartan_matrix(name):
     raise UnknownDatumError(f"unknown datum name: {name}")
 
 
+# the exceptional labels and their ranks (one less than their nodes)
+_EXCEPTIONAL_RANKS = {"E(1)_6": 6, "E(1)_7": 7, "E(1)_8": 8, "F(1)_4": 4,
+                      "G(1)_2": 2, "E(2)_6": 4, "D(3)_4": 2}
+
+
 def known_names(max_rank=8):
-    """All supported labels with at most max_rank + 1 nodes, sorted."""
-    names = ["A(1)_1", "F(1)_4", "G(1)_2", "A(2)_2", "E(2)_6", "D(3)_4"]
+    """Supported labels with at most max_rank + 1 nodes, sorted: the
+    exceptional ones of rank <= max_rank, and the classical families from
+    their least rank up, where A(2)_s stops at s < 2 max_rank and D(2)_s at
+    s <= max_rank, one node short."""
+    names = ["A(1)_1", "A(2)_2"]
+    names += [n for n, r in _EXCEPTIONAL_RANKS.items() if r <= max_rank]
     names += [f"A(1)_{l}" for l in range(2, max_rank + 1)]
     names += [f"B(1)_{l}" for l in range(3, max_rank + 1)]
     names += [f"C(1)_{l}" for l in range(2, max_rank + 1)]
     names += [f"D(1)_{l}" for l in range(4, max_rank + 1)]
-    names += [f"E(1)_{l}" for l in (6, 7, 8)]
     names += [f"A(2)_{s}" for s in range(3, 2 * max_rank)]
     names += [f"D(2)_{s}" for s in range(3, max_rank + 1)]
     return sorted(set(names))

@@ -3,27 +3,27 @@
 A path datum is a strictly decreasing sequence of cosets in W/W_shape
 together with rational cut points 0 = a_0 < a_1 < ... < a_s = 1; between
 consecutive directions there must be a chain of cover reflections whose
-pairing against the shape weight becomes integral at the cut.  Directions
-are minimal coset representatives in a CartanContext, so the same machinery
-counts against finite and affine diagrams.
+pairing against the shape weight becomes integral at the cut.  A coset x
+W_shape is the weight x shape of the orbit W shape, and its cover graph is
+a weyl.PathGraph built from words by weyl.bruhat_interval, so the same
+machinery counts against finite and affine diagrams.
 
 The directions of h_Y are the image of the saturation W^Y Adm(mu)° W^{Y°}
 in W/W_{S-Y°}, which is the image of Adm(mu)° alone.  By the projection
 property of Bruhat order (Bjorner-Brenti, Combinatorics of Coxeter Groups,
 Prop. 2.5.1) that image is the quotient lower closure of the neutral
-translations t_{w(lam)} tau^{-1}, so count_h_y closes those |W_0 lam|
-elements and never builds Adm(mu).  It closes them in the affine Weyl
-group of the datum's own Cartan matrix (admissible.context_for), whose
+translations t_{w(lam)} tau^{-1}, so count_h_y closes the cosets of those
+|W_0 lam| elements and never builds Adm(mu).  It closes them in the affine
+Weyl group of the datum's own Cartan matrix (admissible.context_for), whose
 normalization shapes and kappa follow, not in the Iwahori-Weyl engine,
 whose wall matrix can differ from it (e.g. A(2)_{2m}); they cross over by
-their reduced words, which both groups share.
+their reduced words, which both groups share, and no element is built.
 
-A PathGraph is the quotient Bruhat graph of the directions with each
-cover's value against one shape.  The stabiliser of a shape and its cover
-values scale with it, so one PathGraph serves every positive integer
-multiple of its shape: count_h_y builds it once per (lam, Y) at scale
-a = 1, keeps it on the AdmissibleSet of lam (path_graphs), and the
-PathSpace of each scale a multiplies the values by a.
+A PathGraph holds each cover's value against one shape.  The stabiliser of
+a shape and its cover values scale with it, so one PathGraph serves every
+positive integer multiple of its shape: count_h_y builds it once per (lam,
+Y) at scale a = 1, keeps it on the AdmissibleSet of lam (path_graphs), and
+the PathSpace of each scale a multiplies the values by a.
 
 PathSpace.count is an integer dynamic programme over the positions of the
 graph's nodes: the cosets reachable under a cut depend on the cut only
@@ -31,14 +31,17 @@ through its denominator, so they are one bitset per node and denominator,
 and the count is a suffix sum over the cuts, with no recursion and no
 Fraction-keyed memo.  paths() and is_ls_path walk the per-cut reachable
 sets instead (PathSpace.reachable), because the order in which those sets
-iterate is the order of the emitted paths, which the CLI's payloads pin.
+iterate is the order of the emitted paths, which the CLI's payloads pin:
+they hold the root matrices m of the coset minima, built from the words
+on that path only, and take tops and covers in (word length, m) order.
 """
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import admissible, rootdata, weyl
-from .errors import ConsistencyError, ResourceCapError
+from .errors import ResourceCapError
 
 
 @dataclass(frozen=True)
@@ -56,53 +59,6 @@ def shape_weight(datum, nodes, a):
     for i in nodes:
         out[i] = a * datum.kappa[i]
     return tuple(out)
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class PathGraph:
-    """A lower closure in W/W_stab, with cover values of shape.
-
-    A coset is kept as the root matrix of its minimum, which is what
-    identifies a CoxElement, beside a reduced word of it, so a stored graph
-    holds no group elements.  nodes are in sort_key order, words are the
-    reduced words the closure reached them by (weyl.bruhat_interval), not
-    the least-descent words that paths() prints, and edges are (upper,
-    lower, value) with the ends as positions in nodes.
-    """
-
-    shape: tuple
-    stab: tuple
-    nodes: tuple
-    words: tuple
-    edges: tuple
-
-
-def path_graph(ctx, shape, tops, cap=20000):
-    """The PathGraph of the cosets below the tops, for a dominant shape."""
-    shape = tuple(shape)
-    if all(c == 0 for c in shape) or any(c < 0 for c in shape):
-        raise ValueError("shape must be nonzero and dominant")
-    stab = tuple(i for i in ctx.nodes if shape[i] == 0)
-    graph = weyl.bruhat_interval(ctx, tops, right_quotient=stab, cap=cap)
-    index = {x: k for k, x in enumerate(graph.nodes)}
-    edges = []
-    for up, lo, _, beta_co in graph.edges:
-        # |<shape, lo^{-1} beta^vee>| is the same at either end of the
-        # cover; the lower end fixes the emitted labels
-        val = abs(sum(x * y for x, y in zip(
-            shape, ctx.coroot_apply_inv(lo, beta_co))))
-        if val <= 0 or Fraction(val).denominator != 1:
-            raise ConsistencyError(
-                f"cover value {val} is not a positive integer"
-            )
-        edges.append((index[up], index[lo], int(val)))
-    return PathGraph(
-        shape=shape,
-        stab=stab,
-        nodes=tuple(x.m for x in graph.nodes),
-        words=graph.words,
-        edges=tuple(edges),
-    )
 
 
 class PathSpace:
@@ -125,16 +81,32 @@ class PathSpace:
         self.below = [[] for _ in graph.nodes]
         for up, lo, val in graph.edges:
             self.below[up].append((lo, a * val))
-        nodes = graph.nodes
-        self.down = {nodes[k]: [(nodes[lo], p) for lo, p in outs]
-                     for k, outs in enumerate(self.below)}
         self._reach_cache = {}
         values = {p for outs in self.below for _, p in outs}
         self.cuts = tuple(sorted(
             {Fraction(k, p) for p in values for k in range(1, p)}))
 
+    @functools.cached_property
+    def matrices(self):
+        """The root matrix m of each node's coset minimum, from its word;
+        only the emit path reads them (module docstring)."""
+        return [weyl.from_word(self.ctx, w).m for w in self.graph.words]
+
+    def emit_key(self, k):
+        """The (word length, m) order of node positions on the emit path."""
+        return len(self.graph.words[k]), self.matrices[k]
+
+    @functools.cached_property
+    def down(self):
+        """The covers below each coset, keyed by m, in emit_key order."""
+        ms = self.matrices
+        return {ms[k]: [(ms[lo], p) for lo, p in
+                        sorted(outs, key=lambda e: self.emit_key(e[0]))]
+                for k, outs in enumerate(self.below)}
+
     def reachable(self, x, a):
-        """Cosets reachable from x by covers whose value divides the cut a."""
+        """Cosets, as m, reachable from the coset m = x by covers whose value
+        divides the cut a."""
         key = (x, a)
         if key not in self._reach_cache:
             out = set()
@@ -187,11 +159,12 @@ class PathSpace:
 
     def paths(self):
         """Every path, its directions as least-descent reduced words."""
-        word = {x: weyl.reduced_word(self.ctx, weyl.from_word(self.ctx, w))[0]
-                for x, w in zip(self.graph.nodes, self.graph.words)}
+        ms = self.matrices
+        word = {m: weyl.orbit_word(self.ctx, nu)
+                for m, nu in zip(ms, self.graph.nodes)}
         out = []
-        for t in self.graph.nodes:
-            for dirs, cuts in self.paths_from(t, Fraction(0)):
+        for k in sorted(range(len(ms)), key=self.emit_key):
+            for dirs, cuts in self.paths_from(ms[k], Fraction(0)):
                 words = tuple(word[d] for d in dirs)
                 out.append(
                     LSPath(
@@ -214,21 +187,21 @@ def _positions(bits):
 
 
 def is_ls_path(space, directions, cuts):
-    """Validate a candidate path given by coset-minimum words and cuts."""
-    ctx = space.ctx
-    elems = [
-        weyl.coset_min(ctx, weyl.from_word(ctx, w), (), space.graph.stab).m
-        for w in directions
-    ]
-    if len(cuts) != len(elems) + 1 or cuts[0] != 0 or cuts[-1] != 1:
+    """Validate a candidate path given by words of its directions and cuts."""
+    graph = space.graph
+    index = {nu: k for k, nu in enumerate(graph.nodes)}
+    ks = [index.get(weyl.orbit_point(space.ctx, w, graph.shape))
+          for w in directions]
+    if len(cuts) != len(ks) + 1 or cuts[0] != 0 or cuts[-1] != 1:
         return False
     if any(Fraction(a) >= Fraction(b) for a, b in zip(cuts, cuts[1:])):
         return False
-    if elems[0] not in space.graph.nodes:
+    if None in ks:
         return False
-    for t in range(len(elems) - 1):
+    ms = space.matrices
+    for t in range(len(ks) - 1):
         a = Fraction(cuts[t + 1])
-        if elems[t + 1] not in space.reachable(elems[t], a):
+        if ms[ks[t + 1]] not in space.reachable(ms[ks[t]], a):
             return False
     return True
 
@@ -253,8 +226,8 @@ def count_h_y(fin, mu=None, lam=None, *, y, a=1, cap=20000, emit=False):
     ctx = admissible.context_for(datum)
     graph = s.path_graphs.get(y)
     if graph is None:
-        tops = [weyl.from_word(ctx, w) for w in s.words.values()]
-        graph = path_graph(ctx, shape_weight(datum, y_circ, 1), tops, cap=cap)
+        graph = weyl.bruhat_interval(ctx, shape_weight(datum, y_circ, 1),
+                                     s.words.values(), cap=cap)
         s.path_graphs[y] = graph
     elif len(graph.nodes) > cap:
         raise ResourceCapError("bruhat interval nodes", len(graph.nodes), cap)

@@ -13,10 +13,10 @@ the tau of lam's Omega-class, so translations, their words and the Omega
 table come from the one stripping that serves every other element.
 Rational arithmetic is confined to the boundary, where a coweight enters
 (translation) and where an Omega residue leaves (omega_class).  Reduced
-words, Bruhat comparison, coset minima, labeled covers and interval graphs
-are written against the engine's methods, so the same code serves the
-Iwahori-Weyl group, the affine Weyl group of a datum's own Cartan matrix,
-and the finite calibration contexts.
+words, Bruhat comparison and coset minima are written against the
+engine's methods, and the cover graphs against its Cartan matrix, so the
+same code serves the Iwahori-Weyl group, the affine Weyl group of a
+datum's own Cartan matrix, and the finite calibration contexts.
 
 The matrix of a simple reflection s_p is the identity except in row p,
 which is e_p - a[p].  So lmul and rmul, which do nearly all of the
@@ -28,9 +28,8 @@ O(n^3) product.
 
 The coroot side needs no matrices of its own: A is symmetrizable, d_i a_ij
 = d_j a_ji for positive integers d (Kac, Infinite dimensional Lie algebras,
-ch. 2 and 4), so with D = diag(d) the coroot matrix of s_p (row p is e_p -
-(A^T)[p]) is D s_p D^{-1}, x acts on coroots by D m D^{-1} and x^{-1} by D
-minv D^{-1}, and coroot_apply_inv reads them through D.
+ch. 2 and 4), so the coroot of a real root beta = w(alpha_i) is D beta /
+d_i, and <alpha_j, beta^vee> = d_j <beta, alpha_j^vee> / d_i.
 
 A length-zero tau is a permutation matrix, so x tau permutes the columns
 of m and the rows of minv (twist), and l(x tau) = l(x).
@@ -43,28 +42,33 @@ time: x s_j, for x without the right descent s_j, costs one column update
 of x's m, which is looked up among the elements found so far; a new
 element costs its minv and gets a word, x's word followed by j.
 
-Cover graphs serve only the path counts (lspaths.path_graph).  A Bruhat
-cover v = s_beta x of x comes from dropping letter k of a reduced word
-i_1 ... i_l of x, where beta = gamma_k = s_{i_1} ... s_{i_{k-1}}
-(alpha_{i_k}) is the k-th inversion root.  The word with letter k dropped
-is reduced, and s_beta x a cover, exactly when s_{gamma_k}(gamma_j) > 0
-for every j > k (Bjorner-Brenti, ch. 1 and 4: the strong exchange
-property and the inversion sequence of a reduced word).
-labeled_covers_down decides every drop on those signs, read off the
-heights of real roots, whose coordinates share one sign; it reflects only
-the true covers and returns each with its dropped word, so no candidate
-needs a reduced word of its own.  A cover lies in W^J when s_beta x(alpha_j)
-> 0 for each j in J, which is again a sign, tested before reflecting.  The
-reflection s_beta is I - beta phi^T on the root side, with phi = A^T
-beta^vee, so s_beta x takes rank-one updates, O(n^2) per matrix.
-bruhat_interval looks the m of each cover up among the nodes
-found so far and hands the dropped words on beside the nodes, sorted by
-(len(word), m), sort_key's order.
+Cover graphs serve only the path counts (lspaths), and live on the orbit
+W shape of a dominant weight (Littelmann, "Paths and root operators in
+representation theory", Ann. Math. 142 (1995)).  The coset x W_J, J the
+stabiliser of the shape, is the weight nu = x shape, n integers nu_j =
+<nu, alpha_j^vee>, with no matrix: s_i nu has coordinates nu_j - nu_i a_ji
+(orbit_point), and s_i is a left descent of the coset minimum exactly when
+nu_i < 0, so stripping the least such i gives the least-descent word that
+reduced_word gives the coset minimum (orbit_word).  A Bruhat cover v =
+s_beta x of x comes from dropping letter k of a reduced word i_1 ... i_l
+of x, where beta = gamma_k = s_{i_1} ... s_{i_{k-1}} (alpha_{i_k}) is the
+k-th inversion root.  The word with letter k dropped is reduced, and
+s_beta x a cover, exactly when s_{gamma_k}(gamma_j) > 0 for every j > k
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 1 and 4: the strong
+exchange property and the inversion sequence of a reduced word); the cover
+lies in W^J when s_beta x(alpha_j) > 0 for each j in J as well.  These are
+signs of heights of real roots, whose coordinates share one sign, and the
+roots are columns of the one product s_{i_1} ... s_{i_l} that
+labeled_covers_down forms along the word.  A true cover is the weight
+nu - <nu, beta^vee> beta, O(n), with value |<nu, beta^vee>|, and comes
+with its dropped word.  bruhat_interval walks the covers from the tops'
+words into a PathGraph, keyed by weights.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import ConsistencyError, ResourceCapError, UnsupportedDatumError
@@ -232,18 +236,6 @@ class CartanContext:
     def sort_key(self, x):
         return (self.length(x), x.m)
 
-    def root_coords(self, x, i):
-        """Coordinates of x(alpha_i) over the simple roots."""
-        return tuple(row[i] for row in x.m)
-
-    def coroot_apply_inv(self, x, c):
-        """x^{-1} applied to simple-coroot coordinates c: D minv D^{-1} c."""
-        d = self.sym
-        lcm = math.lcm(*d)
-        u = [v * (lcm // dj) for v, dj in zip(c, d)]
-        return tuple(dr * sum(a * b for a, b in zip(row, u)) // lcm
-                     for dr, row in zip(d, x.minv))
-
     # -- translations, Omega-classes and tau representatives --
 
     def translation(self, lam):
@@ -344,36 +336,6 @@ def _col_update(m, p, ap):
     )
 
 
-def _pairing_row(a, beta_co):
-    """phi = A^T beta^vee, so that <v, beta^vee> = phi . v for a root v."""
-    phi = [0] * len(a)
-    for b, row in zip(beta_co, a):
-        if b:
-            phi = [f + b * u for f, u in zip(phi, row)]
-    return phi
-
-
-def _rank_one_left(m, u, f):
-    """(I - u f^T) M: row r loses u[r] times the row f^T M."""
-    fm = [0] * len(m[0])
-    for c, row in zip(f, m):
-        if c:
-            fm = [s + c * v for s, v in zip(fm, row)]
-    return tuple(
-        tuple(v - ur * w for v, w in zip(row, fm)) if ur else row
-        for row, ur in zip(m, u)
-    )
-
-
-def _rank_one_right(m, u, f):
-    """M (I - u f^T): row r loses (M u)[r] times f."""
-    out = []
-    for row in m:
-        c = sum(v * w for v, w in zip(row, u) if w)
-        out.append(tuple(v - c * w for v, w in zip(row, f)) if c else row)
-    return tuple(out)
-
-
 def _omega_residues(fin):
     """Canonical residues of the coweight lattice modulo translations.
 
@@ -438,52 +400,85 @@ def coset_min(eng, x, left_gens=(), right_gens=()):
             return x
 
 
-def labeled_covers_down(eng, x, word, right_quotient=(), found=None):
-    """Covers v <| x with reflection labels and reduced words.
+def orbit_point(eng, word, shape):
+    """s_{w_1} ... s_{w_l} shape for a word w, as a weight in the
+    coordinates nu_j = <nu, alpha_j^vee>: s_i nu has nu_j - nu_i a_ji."""
+    nu = list(shape)
+    for i in reversed(word):
+        c = nu[i]
+        if c:
+            nu = [v - c * row[i] for v, row in zip(nu, eng.a)]
+    return tuple(nu)
 
-    Returns a list of (v, beta, beta_co, v_word): beta is the positive root
-    with x = s_beta v, in root and coroot coordinates, and v_word is word,
-    any reduced word of x, with the dropped letter removed (v keeps x's
-    remainder).  With right_quotient J, x must lie in W^J, and only the
-    covers in W^J are returned.  Each drop is decided by the sign tests of
-    the module docstring.  found maps the m of elements already built to
-    the elements: a cover whose m is there comes back as the stored
-    object, and only a new one gets its minv.
+
+def orbit_word(eng, nu):
+    """The least-descent reduced word of the minimum of the coset x W_J
+    with x shape = nu: strip the least i with nu_i < 0 (module docstring).
+    It is the word reduced_word gives the coset minimum."""
+    word = []
+    while True:
+        i = next((j for j, c in enumerate(nu) if c < 0), None)
+        if i is None:
+            return tuple(word)
+        word.append(i)
+        nu = [v - nu[i] * row[i] for v, row in zip(nu, eng.a)]
+
+
+def labeled_covers_down(eng, nu, word, stab=()):
+    """The covers of one coset of the orbit graph, with their values.
+
+    nu = x shape is a weight of the orbit, word a reduced word of the
+    minimum x of its coset x W_J, J = stab the stabiliser of the shape.
+    Returns a list of (lower, value, lower_word): lower is s_beta nu for a
+    cover s_beta x -> x in W^J, value is <lower, beta^vee> = -<nu,
+    beta^vee> > 0, and lower_word is word with the dropped letter removed.
+    Each drop is decided by the sign tests of the module docstring.
     """
-    n = len(eng.a)
-    d = eng.sym
+    a, d = eng.a, eng.sym
+    n = len(a)
+    # <nu, beta^vee> = sum_b d_b g_b nu_b / d_i for beta = g = w(alpha_i)
+    dnu = [db * v for db, v in zip(d, nu)]
     # columns of the root matrix of s_{i_1} ... s_{i_{k-1}}, whose column
     # i_k is gamma_k; right multiplication by s_p makes column c lose
-    # a[p][c] times column p.  gamma_k^vee is D gamma_k / d_{i_k}
+    # a[p][c] times column p.  Once the word is read they are x's columns.
+    # The roots that s_{gamma_k} must keep positive are gamma_j for j > k,
+    # then x(alpha_j) for j in J, kept with their heights: a real root is
+    # positive iff its height h is, and s_g(y) = y - <y, g^vee> g has
+    # height h(y) - <y, g^vee> h(g)
     cols = [tuple(int(r == c) for r in range(n)) for c in range(n)]
-    gammas = []
+    keep = []
     for i in word:
         g = cols[i]
-        gammas.append((g, tuple(dr * u // d[i] for dr, u in zip(d, g))))
-        for c, coef in enumerate(eng.a[i]):
+        keep.append((g, sum(g)))
+        for c, coef in enumerate(a[i]):
             if coef:
                 cols[c] = tuple(u - coef * v for u, v in zip(cols[c], g))
-    # the roots that s_{gamma_k} must keep positive: gamma_j for j > k,
-    # then x(alpha_j) for j in J.  A real root is positive iff its height
-    # h is, and s_g(y) = y - <y, g^vee> g has height h(y) - <y, g^vee> h(g)
-    keep = [(g, sum(g)) for g, _ in gammas]
-    for j in right_quotient:
-        y = eng.root_coords(x, j)
-        keep.append((y, sum(y)))
+    keep += [(cols[j], sum(cols[j])) for j in stab]
     out = []
-    for k, (g, gco) in enumerate(gammas):
-        phi = _pairing_row(eng.a, gco)
-        h = keep[k][1]
-        for j in range(k + 1, len(keep)):
+    for k, i in enumerate(word):
+        g, h = keep[k]
+        # <gamma_{k+1}, gamma_k^vee> = -a[i_k][i_{k+1}] by W-invariance, so
+        # the next root of the word needs no pairing row
+        first = k + 1
+        if first < len(word):
+            if keep[first][1] + a[i][word[first]] * h <= 0:
+                continue
+            first += 1
+        # beta = gamma_k as a weight, <beta, alpha_j^vee> = (A g)_j, and
+        # <alpha_j, beta^vee> = d_j (A g)_j / d_i by the symmetrizer
+        bw = [sum(map(mul, row, g)) for row in a]
+        phi = [dj * b // d[i] for dj, b in zip(d, bw)]
+        for j in range(first, len(keep)):
             y, hy = keep[j]
-            if hy <= sum(f * u for f, u in zip(phi, y) if u) * h:
+            if hy <= sum(map(mul, phi, y)) * h:
                 break
         else:
-            m = _rank_one_left(x.m, g, phi)
-            v = found.get(m) if found else None
-            if v is None:
-                v = CoxElement(m, _rank_one_right(x.minv, g, phi))
-            out.append((v, g, gco, word[:k] + word[k + 1:]))
+            p = -sum(map(mul, g, dnu)) // d[i]
+            if p <= 0:
+                raise ConsistencyError(
+                    f"cover value {p} is not a positive integer")
+            out.append((tuple(v + p * b for v, b in zip(nu, bw)), p,
+                        word[:k] + word[k + 1:]))
     return out
 
 
@@ -516,51 +511,54 @@ def lower_closure(eng, words, cap=20000, what="bruhat interval nodes"):
     return dict(found.values())
 
 
-@dataclass(frozen=True)
-class BruhatGraph:
-    """Lower closure of a set of elements, with labeled cover edges."""
+@dataclass(frozen=True, eq=False, slots=True)
+class PathGraph:
+    """The quotient Bruhat graph below some cosets of W/W_J, on the orbit
+    W shape (module docstring).
 
-    nodes: tuple
-    words: tuple  # a reduced word of each node
-    edges: tuple  # (upper, lower, beta, beta_co)
-
-
-def bruhat_interval(eng, tops, right_quotient=(), cap=20000):
-    """Lower-closure graph of coset minima below the given elements.
-
-    With right_quotient nonempty, nodes are the minimal representatives of
-    cosets modulo the standard parabolic on those generators, ordered by the
-    quotient Bruhat order; cover labels are inherited from word drops.
-    Each node carries the reduced word it was reached by (graph.words), and
-    the nodes are sorted by (word length, m), which is eng.sort_key's order.
+    stab is J, the nodes where the dominant shape vanishes.  nodes are the
+    weights nu = x shape of the cosets, in (len(word), nu) order, words a
+    reduced word of each coset minimum, the one the walk reached it by (not
+    always orbit_word's), and edges are (upper, lower, value) with the ends
+    as positions in nodes and value |<nu, beta^vee>| at either end.
     """
+
+    shape: tuple
+    stab: tuple
+    nodes: tuple
+    words: tuple
+    edges: tuple
+
+
+def bruhat_interval(eng, shape, tops, cap=20000):
+    """The PathGraph of the cosets below the tops, words of elements of
+    eng, for a nonzero dominant shape, with at most cap nodes."""
+    shape = tuple(shape)
+    if all(c == 0 for c in shape) or any(c < 0 for c in shape):
+        raise ValueError("shape must be nonzero and dominant")
+    stab = tuple(i for i in eng.nodes if shape[i] == 0)
     words = {}
-    for t in tops:
-        m = coset_min(eng, t, (), right_quotient)
-        words.setdefault(m, reduced_word(eng, m)[0])
-    found = {x.m: x for x in words}
-    edges = set()
+    for top in tops:
+        nu = orbit_point(eng, top, shape)
+        if nu not in words:
+            words[nu] = orbit_word(eng, nu)
+    edges = []
     stack = list(words)
     while stack:
-        x = stack.pop()
-        for v, beta, beta_co, word in labeled_covers_down(
-                eng, x, words[x], right_quotient, found):
-            edges.add((x, v, beta, beta_co))
-            if v.m not in found:
-                found[v.m] = v
-                words[v] = word
-                stack.append(v)
+        nu = stack.pop()
+        for lower, p, word in labeled_covers_down(eng, nu, words[nu], stab):
+            edges.append((nu, lower, p))
+            if lower not in words:
+                words[lower] = word
+                stack.append(lower)
         if len(words) > cap:
             raise ResourceCapError("bruhat interval nodes", len(words), cap)
-
-    def key(x):
-        return (len(words[x]), x.m)
-
-    nodes = tuple(sorted(words, key=key))
-    return BruhatGraph(
-        nodes=nodes,
-        words=tuple(words[x] for x in nodes),
-        edges=tuple(
-            sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))
-        ),
+    nodes = sorted(words, key=lambda nu: (len(words[nu]), nu))
+    index = {nu: k for k, nu in enumerate(nodes)}
+    return PathGraph(
+        shape=shape,
+        stab=stab,
+        nodes=tuple(nodes),
+        words=tuple(words[nu] for nu in nodes),
+        edges=tuple((index[up], index[lo], p) for up, lo, p in edges),
     )

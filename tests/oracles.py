@@ -11,8 +11,7 @@ from loopweyl import linalg
 from loopweyl.errors import ConsistencyError, ResourceCapError
 from loopweyl.loops.chains import Lattice
 from loopweyl.loops.series import sdot
-from loopweyl.weyl import (CoxElement, _pairing_row, _rank_one_left,
-                           _rank_one_right)
+from loopweyl.weyl import coset_min, from_word, reduced_word
 
 
 # -- root data and Weyl groups -------------------------------------------------
@@ -58,17 +57,52 @@ def coroot_coords(eng, x, i):
     return tuple(dr * row[i] // d[i] for dr, row in zip(d, x.m))
 
 
-def reflect(eng, beta, beta_co, x):
-    """s_beta x by the rank-one updates that labeled_covers_down makes.
+def orbit_weight(eng, x, shape):
+    """The weight x shape, nu_j = <shape, x^{-1} alpha_j^vee>, read off the
+    matrix of x^{-1}: it acts on coroots by D minv D^{-1}."""
+    d = eng.sym
+    return tuple(
+        sum(s * di * row[j] for s, di, row in zip(shape, d, x.minv)) // d[j]
+        for j in range(len(d)))
 
-    beta and beta_co are the root and coroot coordinates of one real root.
-    m takes (I - beta phi^T) m, with phi_j = <alpha_j, beta^vee>, and since
-    (s_beta x)^{-1} = x^{-1} s_beta, minv takes minv (I - beta phi^T).
-    """
-    phi = _pairing_row(eng.a, beta_co)
-    return CoxElement(
-        _rank_one_left(x.m, beta, phi), _rank_one_right(x.minv, beta, phi)
-    )
+
+def covers_oracle(eng, x):
+    """Every word drop of x's reduced word, kept when its length is l - 1,
+    with the inversion root beta in root and coroot coordinates (slow)."""
+    word, rem = reduced_word(eng, x)
+    pre = eng.identity()
+    out = set()
+    for k, i in enumerate(word):
+        beta = tuple(row[i] for row in pre.m)
+        beta_co = coroot_coords(eng, pre, i)
+        pre = eng.rmul(pre, i)
+        v = from_word(eng, word[:k] + word[k + 1:], rem)
+        if eng.length(v) == len(word) - 1:
+            out.add((v, beta, beta_co))
+    return out
+
+
+def interval_oracle(eng, tops, right_quotient):
+    """The quotient Bruhat graph below the tops, elements of eng: nodes
+    and (upper, lower, beta, beta_co) edges, by coset minima of every cover
+    and a length check, in eng.sort_key order."""
+    start = {coset_min(eng, t, (), right_quotient) for t in tops}
+    nodes, edges, frontier = set(start), set(), list(start)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for v, beta, beta_co in covers_oracle(eng, x):
+                v = coset_min(eng, v, (), right_quotient)
+                if eng.length(v) != eng.length(x) - 1:
+                    continue
+                edges.add((x, v, beta, beta_co))
+                if v not in nodes:
+                    nodes.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    key = eng.sort_key
+    return (tuple(sorted(nodes, key=key)),
+            tuple(sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))))
 
 
 # -- rational linear algebra ---------------------------------------------------

@@ -23,7 +23,7 @@ from loopweyl.loops.fiber import enumerate_fiber
 from loopweyl.loops.kottwitz import (is_unitary, kottwitz_gm,
                                      kottwitz_norm_one, kottwitz_unitary)
 from loopweyl.loops.series import Series, smat
-from loopweyl.lspaths import PathSpace, path_graph
+from loopweyl.lspaths import PathSpace
 from loopweyl.rootdata import echelon_system, load_affine_datum
 from loopweyl.weyl import (CartanContext, bruhat_interval, from_word,
                            reduced_word)
@@ -88,14 +88,14 @@ def test_finite_path_calibration_gate():
     for name in ("A(1)_2", "C(1)_2"):
         fin = fin_for(name)
         ctx = CartanContext(fin.ech_cartan)
-        group = bruhat_interval(ctx, (longest_element(ctx),)).nodes
+        top = reduced_word(ctx, longest_element(ctx))[0]
         two_rho = [
             sum(co[i] for _, co in fin.ech_pairs) for i in range(fin.r)
         ]
         for lam in product(range(9), repeat=fin.r):
             if not 1 <= sum(l * c for l, c in zip(lam, two_rho)) <= 8:
                 continue
-            space = PathSpace(ctx, path_graph(ctx, lam, group))
+            space = PathSpace(ctx, bruhat_interval(ctx, lam, [top]))
             assert space.count() == weyl_dim(fin, lam), (name, lam)
             total += 1
     assert total >= 15

@@ -18,6 +18,7 @@ from loopweyl.lspaths import count_h_y
 from loopweyl.rootdata import (FiniteRootDatum, echelon_system,
                                load_affine_datum, special_nodes)
 from loopweyl.weyl import bruhat_interval, coset_min, from_word, reduced_word
+from oracles import orbit_weight
 
 
 def fin_for(name, x=0):
@@ -179,8 +180,6 @@ def test_orbit_bound_is_the_listed_orbit_size():
     checked = 0
     for name in known_names(3):
         datum = load_affine_datum(name)
-        if datum.rank > 3:
-            continue
         for x in special_nodes(datum):
             fin = FiniteRootDatum(datum, x)
             for _ in range(3):
@@ -325,7 +324,11 @@ def closure_oracle(adm_set, y, y_circ):
     tau_inv = eng.inv(adm_set.tau)
     maxima = [coset_max(eng, eng.twist(t, tau_inv), left, right)
               for t in adm_set.maximal_elements]
-    mod_right = bruhat_interval(eng, maxima, right_quotient=right).nodes
+    shape = tuple(0 if i in right else 1 for i in nodes)
+    graph = bruhat_interval(
+        eng, shape, [reduced_word(eng, x)[0] for x in maxima])
+    mod_right = tuple(sorted((from_word(eng, w) for w in graph.words),
+                             key=eng.sort_key))
     double = {coset_min(eng, x, left, right) for x in mod_right}
     return mod_right, tuple(sorted(double, key=eng.sort_key))
 
@@ -374,14 +377,18 @@ def test_saturation_filter_matches_the_closure_oracle():
 
 def test_adm_matches_the_cover_closure():
     # adm grows Adm(mu)° by subwords of the translations' words; the cover
-    # walk of bruhat_interval is the oracle for its elements, and each word
-    # handed over is a reduced word of its element
+    # walk of bruhat_interval on the orbit of a regular shape is the oracle
+    # for its elements, as weights, and each word handed over is a reduced
+    # word of its element
     for name, mu in FILTER_CASES:
         fin = fin_for(name)
         eng = engine_for(fin)
         s = adm(fin, mu=mu)
-        oracle = bruhat_interval(eng, s.words).nodes
-        assert set(s.neutral) == set(oracle), (name, mu)
+        shape = (1,) * len(fin.datum.nodes)
+        oracle = bruhat_interval(eng, shape, s.words.values()).nodes
+        assert len(s.neutral) == len(oracle), (name, mu)
+        assert {orbit_weight(eng, x, shape) for x in s.neutral} == \
+            set(oracle), (name, mu)
         for x, word in s.neutral_words.items():
             assert len(word) == eng.length(x), (name, mu, word)
             assert from_word(eng, word) == x, (name, mu, word)
@@ -390,8 +397,9 @@ def test_adm_matches_the_cover_closure():
 def test_path_graph_is_the_filtered_saturation():
     # count_h_y closes the neutral translations in the affine Weyl group of
     # the datum's Cartan matrix modulo W_{S-Y°}; by the projection property
-    # of Bruhat order its nodes are the saturation's right coset minima,
-    # moved there by their reduced words, and its stabiliser is S - Y°
+    # of Bruhat order its nodes are the weights of the saturation's right
+    # coset minima, moved there by their reduced words, and its stabiliser
+    # is S - Y°
     triples = 0
     for name, mu in FILTER_CASES:
         fin = fin_for(name)
@@ -407,8 +415,9 @@ def test_path_graph_is_the_filtered_saturation():
                 assert tau_conjugate_nodes(s, y) == par.y_circ
                 assert graph.stab == tuple(
                     i for i in nodes if i not in par.y_circ), (name, mu, y)
-                moved = {from_word(ctx, reduced_word(eng, x)[0]).m
-                         for x in par.mod_right}
+                moved = {orbit_weight(ctx, from_word(
+                    ctx, reduced_word(eng, x)[0]), graph.shape)
+                    for x in par.mod_right}
                 assert len(graph.nodes) == len(par.mod_right)
                 assert set(graph.nodes) == moved, (name, mu, y)
                 triples += 1

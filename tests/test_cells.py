@@ -11,9 +11,8 @@ from loopweyl.loops.cells import (CellGroup, cell_points, chain_key,
                                   closure_points, schubert_count)
 from loopweyl.loops.chains import validate_chain
 from loopweyl.loops.series import sdet, sid, smat, smul
-from loopweyl.weyl import (bruhat_interval, coset_min, from_word,
-                           lower_closure)
-from oracles import transform
+from loopweyl.weyl import bruhat_interval, from_word, lower_closure
+from oracles import orbit_weight, transform
 
 
 def test_cell_sizes_are_q_powers():
@@ -123,9 +122,9 @@ def test_closure_matches_subword_oracle():
 
 def test_subword_closures_match_the_cover_walk():
     # closure_points and schubert_count grow [e, w] by subwords of the word;
-    # the cover walk of bruhat_interval is the oracle for its elements, and
-    # its quotient interval below the coset minimum for every count modulo
-    # a proper set of nodes
+    # the cover walk of bruhat_interval on the orbit of a regular shape is
+    # the oracle for its elements, as weights, and on the orbit of a shape
+    # vanishing on a proper set of nodes for every count modulo that set
     for kind, n, q, max_len, extra in (("sl", 2, 3, 4, []),
                                        ("sl", 3, 2, 3, [[2, 1, 0, 2]]),
                                        ("sl", 4, 2, 3, []),
@@ -133,16 +132,17 @@ def test_subword_closures_match_the_cover_walk():
         group = CellGroup(kind, n, q)
         eng = engine_for(group.fin)
         for word in list(reduced_words(group, max_len)) + extra:
-            w = from_word(eng, word)
             words = lower_closure(eng, [word])
-            assert set(words) == set(bruhat_interval(eng, [w]).nodes), word
+            shape = (1,) * len(group.nodes)
+            assert {orbit_weight(eng, x, shape) for x in words} == \
+                set(bruhat_interval(eng, shape, [word]).nodes), word
             for x, x_word in words.items():
                 assert len(x_word) == eng.length(x), (word, x_word)
                 assert from_word(eng, x_word) == x, (word, x_word)
             for k in range(len(group.nodes)):
                 for modulo in combinations(group.nodes, k):
-                    graph = bruhat_interval(
-                        eng, [coset_min(eng, w, (), modulo)], modulo)
+                    graph = bruhat_interval(eng, tuple(
+                        0 if i in modulo else 1 for i in group.nodes), [word])
                     assert schubert_count(group.fin, word, q, modulo) == \
                         sum(q ** len(u) for u in graph.words), (word, modulo)
 

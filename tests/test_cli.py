@@ -1,6 +1,7 @@
 """End-to-end command line checks: envelopes, formats, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopweyl.cli import build_parser, output_schema
 
@@ -501,3 +504,99 @@ def test_options_scoped_to_their_readers():
     proc = run("fiber", "--n", "3", "--r", "1", "--q", "3", "--I", "0",
                "--spot-check", "2", "--seed", "5")
     assert proc.returncode == 0, proc.stderr
+
+
+# small data only, so that every argv the fuzz draws runs in well under a
+# second under --cap <= 3000: each label with its number of nodes and of mu
+# coordinates (lam has one fewer than the nodes)
+FUZZ_LABELS = {"A(1)_1": (2, 2), "A(1)_2": (3, 3), "A(1)_3": (4, 4),
+               "C(1)_2": (3, 2), "G(1)_2": (3, 2), "A(2)_2": (2, 3),
+               "A(2)_3": (3, 4), "A(2)_4": (3, 5)}
+small = st.integers(-2, 3)
+
+
+def joined(elements, sep=",", min_size=0, max_size=5):
+    return st.lists(elements, min_size=min_size, max_size=max_size).map(
+        lambda parts: sep.join(map(str, parts)))
+
+
+def sized(elements, n):
+    return joined(elements, min_size=n, max_size=n)
+
+
+element = joined(st.one_of(
+    st.just("e"), st.just("tau"), st.just("tau^-1"), st.just("s9"),
+    st.lists(st.integers(0, 4), min_size=1, max_size=4).map(
+        lambda w: ".".join(f"s{i}" for i in w)),
+    joined(small, max_size=4).map(lambda v: f"t[{v}]"),
+    joined(st.integers(0, 2), max_size=3).map(lambda v: f"tau[{v}]")),
+    sep="*", max_size=3)
+
+
+@st.composite
+def fuzz_argv(draw):
+    """argv for hpoly, coherence, adm or weyl, mostly well formed: each
+    value is drawn from a bad set one time in five."""
+    def value(good, bad):
+        return draw(draw(st.sampled_from((good, good, good, good, bad))))
+
+    command = draw(st.sampled_from(("hpoly", "coherence", "adm", "weyl")))
+    label = draw(st.sampled_from(sorted(FUZZ_LABELS)))
+    n, k = FUZZ_LABELS[label]
+    mu = value(sized(small, k), joined(small))
+    y = value(joined(st.integers(0, n - 1), min_size=1, max_size=n),
+              joined(st.integers(-1, 5)))
+    argv = [command]
+    if command == "weyl":
+        op = draw(st.sampled_from(("length", "word", "leq")))
+        argv += [op, "--elt", draw(element)]
+        if op == "leq" and value(st.just(True), st.just(False)):
+            argv += ["--other", draw(element)]
+    argv += ["--datum", label]
+    if value(st.just(False), st.just(True)):
+        argv += ["--special", str(draw(st.integers(-1, 4)))]
+    if command == "coherence":
+        # the proven cases need minuscule parts
+        mu = value(sized(st.integers(0, 1), k), st.just(mu))
+        argv += ["--mu=" + draw(joined(st.just(mu), sep="+", min_size=1,
+                                       max_size=2)),
+                 "--Y", draw(st.sampled_from(("all", y))),
+                 "--a", value(st.sampled_from(("1", "2", "1..2")),
+                              st.sampled_from(("0", "2..1", "x")))]
+    elif command in ("hpoly", "adm"):
+        if value(st.just(True), st.just(False)):
+            argv += ["--mu=" + mu]
+        else:
+            argv += ["--lam=" + value(
+                sized(st.sampled_from(("0", "1", "-1", "1/2", "2/3")), n - 1),
+                joined(st.sampled_from(("0", "1", "1/0", ""))))]
+        if command == "hpoly" or draw(st.booleans()):
+            argv += ["--Y", y]
+        if command == "hpoly":
+            argv += ["--a", str(value(st.integers(1, 3), st.integers(-1, 0)))]
+            if draw(st.booleans()):
+                argv += ["--emit-paths"]
+        elif draw(st.booleans()):
+            argv += ["--q", str(value(st.integers(2, 4), st.integers(-1, 1)))]
+    if command != "weyl":
+        argv += ["--cap", str(draw(st.integers(1, 3000)))]
+    return argv + ["--format", draw(st.sampled_from(("text", "json", "csv")))]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(fuzz_argv())
+def test_fuzzed_argv_exit_by_the_one_path(argv):
+    # whatever is typed, main returns 0 (ok), 1 (a coherence mismatch), 2
+    # (bad input) or 3 (a cap), with one error line exactly when it
+    # refuses, and a json answer fits its command's schema
+    from loopweyl.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    errors = [line for line in err.getvalue().splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == (code in (2, 3)), (argv, err.getvalue())
+    if code == 0 and argv[-1] == "json":
+        jsonschema.validate(json.loads(out.getvalue()),
+                            output_schema(argv[0]))

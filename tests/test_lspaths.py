@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,13 +13,11 @@ from loopweyl.admissible import (adm, adm_parahoric, context_for, engine_for,
                                   tau_conjugate_nodes, translations)
 from loopweyl.dims import check_coherence, weyl_dim
 from loopweyl.errors import ResourceCapError
-from loopweyl.lspaths import (PathSpace, count_h_y, is_ls_path, path_graph,
-                              shape_weight)
+from loopweyl.lspaths import PathSpace, count_h_y, is_ls_path, shape_weight
 from loopweyl.rootdata import (FiniteRootDatum, datum_from_json,
                                datum_to_json, echelon_system,
                                load_affine_datum)
-from loopweyl.weyl import (CartanContext, bruhat_interval, from_word,
-                           reduced_word)
+from loopweyl.weyl import CartanContext, bruhat_interval, reduced_word
 from oracles import longest_element
 
 
@@ -54,7 +53,7 @@ def test_finite_calibration_matches_weyl_dim():
     for name in ("A(1)_2", "C(1)_2"):
         fin = fin_for(name)
         ctx = CartanContext(fin.ech_cartan)
-        group = bruhat_interval(ctx, (longest_element(ctx),)).nodes
+        top = reduced_word(ctx, longest_element(ctx))[0]
         two_rho_co = [
             sum(co[i] for _, co in fin.ech_pairs) for i in range(fin.r)
         ]
@@ -62,7 +61,7 @@ def test_finite_calibration_matches_weyl_dim():
         for lam in product(range(9), repeat=fin.r):
             if not 1 <= sum(l * c for l, c in zip(lam, two_rho_co)) <= 8:
                 continue
-            space = PathSpace(ctx, path_graph(ctx, lam, group))
+            space = PathSpace(ctx, bruhat_interval(ctx, lam, [top]))
             assert space.count() == weyl_dim(fin, lam), (name, lam)
             seen += 1
         assert seen >= 5
@@ -78,11 +77,8 @@ def test_emitted_paths_are_ls_paths():
         assert len({p for p in paths}) == n
         par = adm_parahoric(adm(fin, mu=(1, 0, 0)), y)
         shape = shape_weight(fin.datum, par.y_circ, a)
-        tops = []
-        for x in par.mod_right:
-            word, _ = reduced_word(eng, x)
-            tops.append(from_word(ctx, word))
-        space = PathSpace(ctx, path_graph(ctx, shape, tops))
+        tops = [reduced_word(eng, x)[0] for x in par.mod_right]
+        space = PathSpace(ctx, bruhat_interval(ctx, shape, tops))
         for p in paths:
             assert p.shape == shape
             cuts = p.cuts
@@ -144,9 +140,9 @@ def fresh_space(fin, mu, y, a):
     eng = engine_for(fin)
     ctx = context_for(fin.datum)
     par = adm_parahoric(adm(fin, mu=mu), y)
-    tops = [from_word(ctx, reduced_word(eng, x)[0]) for x in par.mod_right]
-    return PathSpace(
-        ctx, path_graph(ctx, shape_weight(fin.datum, par.y_circ, a), tops))
+    tops = [reduced_word(eng, x)[0] for x in par.mod_right]
+    return PathSpace(ctx, bruhat_interval(
+        ctx, shape_weight(fin.datum, par.y_circ, a), tops))
 
 
 def test_one_path_graph_serves_every_scale(monkeypatch):
@@ -193,8 +189,37 @@ def test_cap_holds_on_a_stored_path_graph():
         PathSpace(ctx, graph, 0)
 
 
+# (datum, mu) rows of the Y = S cross-check, non-minuscule mu included
+REGULAR_CASES = [
+    ("A(1)_4", (1, 0, 0, 0, 0)), ("A(1)_4", (2, 1, 0, 0, 0)),
+    ("C(1)_2", (0, 1)), ("C(1)_2", (1, 1)), ("C(1)_3", (0, 0, 1)),
+    ("A(2)_2", (2, 0, 0)), ("A(2)_3", (1, 0, 0, 0)),
+    ("A(2)_4", (1, 0, 0, 0, 0)), ("A(2)_5", (1, 0, 0, 0, 0, 0)),
+    ("D(1)_5", (1, 0, 0, 0, 0)), ("D(1)_5", (0, 0, 0, 1, 0)),
+]
+
+
+def test_the_regular_orbit_graph_is_the_admissible_set():
+    # at Y = S the shape is regular, so the orbit graph that count_h_y
+    # walks by covers in the affine Weyl group of the datum's Cartan matrix
+    # has one node per element of Adm(mu)°, which adm grows by subwords in
+    # the Iwahori-Weyl engine: two closure algorithms in two groups must
+    # give the same size and the same number of elements of each length
+    for name, mu in REGULAR_CASES:
+        fin = fin_for(name)
+        nodes = fin.datum.nodes
+        count_h_y(fin, mu=mu, y=nodes)
+        s = adm(fin, mu=mu)
+        graph = s.path_graphs[nodes]
+        assert graph.stab == (), (name, mu)
+        assert len(graph.nodes) == len(s.neutral), (name, mu)
+        assert Counter(map(len, graph.words)) == \
+            Counter(map(len, s.neutral_words.values())), (name, mu)
+
+
 def count_oracle(space):
-    """The recursive count over (direction, previous cut), memoized."""
+    """The recursive count over (direction, previous cut), memoized; the
+    directions are the root matrices that reachable reads."""
     memo = {}
 
     def count_from(x, a_prev):
@@ -208,7 +233,7 @@ def count_oracle(space):
             memo[key] = total
         return memo[key]
 
-    return sum(count_from(t, Fraction(0)) for t in space.graph.nodes)
+    return sum(count_from(t, Fraction(0)) for t in space.matrices)
 
 
 def test_integer_count_matches_the_recursive_oracle():

@@ -56,9 +56,9 @@ def test_echelon_system_other_vertices():
 
 def test_special_nodes_are_the_realizable_ones():
     # a node of comark 1 is special exactly when the W_0 x T realization
-    # at it builds, on every datum of rank <= 5
+    # at it builds, on every datum of rank <= 5 and on the E(1) diagrams
     pairs = 0
-    for name in known_names(5):
+    for name in known_names(5) + ["E(1)_6", "E(1)_7", "E(1)_8"]:
         datum = load_affine_datum(name)
         for x in datum.nodes:
             if datum.comarks[x] != 1:

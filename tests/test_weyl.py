@@ -4,6 +4,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -17,8 +18,9 @@ from loopweyl.rootdata import (echelon_system, load_affine_datum,
 from loopweyl import linalg
 from loopweyl.weyl import (CartanContext, bruhat_interval, coset_min,
                            from_word, labeled_covers_down, lower_closure,
-                           reduced_word)
-from oracles import (coroot_coords, gen, in_lattice, lattice_basis, reflect,
+                           orbit_point, orbit_word, reduced_word)
+from oracles import (coroot_coords, covers_oracle, gen, in_lattice,
+                     interval_oracle, lattice_basis, orbit_weight,
                      translation_length)
 
 
@@ -181,16 +183,24 @@ def test_coset_min_is_invariant():
             assert coset_min(eng, eng.rmul(x, i), right_gens=right) == m
 
 
+def regular_shape(eng):
+    """A dominant weight with no zero coordinate, so W_J = 1."""
+    return tuple(i + 1 for i in eng.nodes)
+
+
 def test_bruhat_interval_agrees_with_leq():
     fin = fin_for("A(1)_2")
     eng = engine_for(fin)
+    shape = regular_shape(eng)
     elements = ball(eng, fin.datum.nodes, 4)
     for word in ((0, 1), (0, 1, 2), (2, 1, 0, 2)):
         top = from_word(eng, list(word))
-        graph = bruhat_interval(eng, [top])
-        expected = {v for v in elements if eng.bruhat_leq(v, top)}
+        graph = bruhat_interval(eng, shape, [word])
+        expected = {orbit_weight(eng, v, shape)
+                    for v in elements if eng.bruhat_leq(v, top)}
         assert set(graph.nodes) == expected
-        for a, b, *_ in graph.edges:
+        for up, lo, _ in graph.edges:
+            a, b = (from_word(eng, graph.words[k]) for k in (up, lo))
             assert eng.length(a) == eng.length(b) + 1
             assert eng.bruhat_leq(b, a)
 
@@ -234,44 +244,6 @@ def test_one_row_updates_match_the_general_product():
                     assert matrices(group.rmul(w, i)) == \
                         matrices(group.mul(w, s_i)), (name, i)
     assert engines == 2 * 24
-
-
-def test_rank_one_reflection_matches_the_word_drop_product():
-    # dropping letter k of the reduced word of x leaves pre[k] suf[k+1],
-    # which labeled_covers_down forms as s_beta x by rank-one updates
-    # (oracles.reflect); the general product is the oracle, in both
-    # matrices, on every drop of the radius-4 ball of the Iwahori-Weyl
-    # engine (tau-twisted elements included) and of the affine Weyl group
-    # of the datum's own Cartan matrix
-    drops = 0
-    for name in ("A(1)_2", "A(1)_4", "C(1)_3", "G(1)_2", "B(1)_3", "D(1)_4",
-                 "A(2)_3", "A(2)_4", "A(2)_5"):
-        fin = fin_for(name)
-        eng = engine_for(fin)
-        ctx = context_for(fin.datum)
-        twisted = {
-            eng.mul(w, eng.tau_for_class(res))
-            for w in ball(eng, fin.datum.nodes, 4)
-            for res in eng.omega_residues()
-        }
-        for group, elements in ((eng, twisted),
-                                (ctx, ball(ctx, ctx.nodes, 4))):
-            for x in elements:
-                word, rem = reduced_word(group, x)
-                pre = [group.identity()]
-                for i in word:
-                    pre.append(group.rmul(pre[-1], i))
-                suf = [rem]
-                for i in reversed(word):
-                    suf.append(group.lmul(i, suf[-1]))
-                suf.reverse()
-                for k, i in enumerate(word):
-                    v = reflect(group, group.root_coords(pre[k], i),
-                                coroot_coords(group, pre[k], i), x)
-                    assert matrices(v) == \
-                        matrices(group.mul(pre[k], suf[k + 1])), (name, k)
-                    drops += 1
-    assert drops == 7076
 
 
 def test_coroot_side_follows_from_the_symmetrizer():
@@ -319,32 +291,8 @@ def test_coroot_side_follows_from_the_symmetrizer():
                 for i in group.nodes:
                     assert coroot_coords(group, x, i) == \
                         tuple(row[i] for row in co), name
-                    assert group.coroot_apply_inv(x, eye[i]) == \
-                        tuple(row[i] for row in coinv), name
                 elements += 1
-    assert elements == 7888
-
-
-def test_a_cover_reached_twice_is_the_stored_element():
-    # a closure forms the m of each cover and looks it up among the
-    # elements found so far; a known m comes back as the stored object
-    fin = fin_for("A(1)_2")
-    eng = engine_for(fin)
-    top = from_word(eng, [0, 1, 2, 0, 1])
-    graph = bruhat_interval(eng, [top])
-    stored = {x.m: x for x in graph.nodes}
-    into = {}
-    for _, lo, *_ in graph.edges:
-        assert lo is stored[lo.m]
-        into[lo.m] = into.get(lo.m, 0) + 1
-    assert max(into.values()) > 1
-    word = reduced_word(eng, top)[0]
-    covers = labeled_covers_down(eng, top, word)
-    first = covers[0][0]
-    again = labeled_covers_down(eng, top, word, (), {first.m: first})
-    assert again[0][0] is first
-    for (v, *_), (w, *_) in zip(again[1:], covers[1:]):
-        assert v is not w and matrices(v) == matrices(w)
+    assert elements == 5078
 
 
 def test_lower_closure_cap_stops_a_level_before_the_next_word():
@@ -370,21 +318,6 @@ def test_lower_closure_cap_stops_a_level_before_the_next_word():
         lower_closure(eng, [(0, 1), (2, 0)], cap=5)
 
 
-def covers_oracle(eng, x):
-    """Every word drop reflected, kept when its length is l - 1 (slow)."""
-    word, _ = reduced_word(eng, x)
-    pre = eng.identity()
-    out = set()
-    for i in word:
-        beta = eng.root_coords(pre, i)
-        beta_co = coroot_coords(eng, pre, i)
-        pre = eng.rmul(pre, i)
-        v = reflect(eng, beta, beta_co, x)
-        if eng.length(v) == len(word) - 1:
-            out.add((v, beta, beta_co))
-    return out
-
-
 COVER_NAMES = ("A(1)_3", "C(1)_3", "B(1)_3", "D(1)_4", "G(1)_2", "F(1)_4",
                "A(2)_2", "A(2)_3", "A(2)_5", "D(2)_3", "E(2)_6", "D(3)_4")
 
@@ -395,84 +328,81 @@ def first_fin(datum):
 
 def test_covers_by_inversion_roots_match_the_length_oracle():
     # labeled_covers_down decides each word drop by the signs of
-    # s_{gamma_k}(gamma_j), j > k; reflecting every drop and keeping those
-    # of length l - 1 is the oracle, on the radius-5 balls of the
-    # Iwahori-Weyl engine (each element twisted by a tau, cycling through
-    # Omega) and of the affine Weyl group of the datum's own Cartan matrix
+    # s_{gamma_k}(gamma_j), j > k, and forms each cover as a weight of the
+    # orbit of a regular shape; reflecting every drop and keeping those of
+    # length l - 1 is the oracle, its weights read off the matrices, on the
+    # radius-5 balls of the Iwahori-Weyl engine and of the affine Weyl group
+    # of the datum's own Cartan matrix
     elements = carried = 0
     for name in COVER_NAMES:
         datum = load_affine_datum(name)
-        eng = engine_for(first_fin(datum))
-        ctx = context_for(datum)
-        taus = [eng.tau_for_class(res) for res in eng.omega_residues()]
-        base = sorted(ball(eng, datum.nodes, 5), key=eng.sort_key)
-        twisted = []
-        for k, w in enumerate(base):
-            tau = taus[k % len(taus)]
-            x = eng.twist(w, tau)
-            assert matrices(x) == matrices(eng.mul(w, tau)), name
-            twisted.append(x)
-        for group, group_elements in ((eng, twisted),
-                                      (ctx, ball(ctx, ctx.nodes, 5))):
-            for x in group_elements:
-                word, rem = reduced_word(group, x)
-                covers = labeled_covers_down(group, x, word)
-                assert {c[:3] for c in covers} == covers_oracle(group, x), \
-                    name
-                assert len(covers) == len({c[0] for c in covers})
-                for v, _, _, v_word in covers:
-                    assert len(v_word) == len(word) - 1
-                    assert from_word(group, v_word, rem) == v
-                    # a carried word need not be reduced_word's, and serves
-                    # as well
-                    if v_word != reduced_word(group, v)[0]:
-                        assert {c[:3] for c in labeled_covers_down(
-                            group, v, v_word)} == covers_oracle(group, v), \
-                            name
+        for group in (engine_for(first_fin(datum)), context_for(datum)):
+            shape = regular_shape(group)
+
+            def check(x, word):
+                nu = orbit_point(group, word, shape)
+                assert nu == orbit_weight(group, x, shape), name
+                covers = labeled_covers_down(group, nu, word)
+                oracle = {orbit_weight(group, v, shape): beta_co
+                          for v, _, beta_co in covers_oracle(group, x)}
+                assert {c[0] for c in covers} == set(oracle), name
+                assert len(covers) == len(oracle), name
+                for lower, p, v_word in covers:
+                    assert p == sum(map(mul, oracle[lower], lower)) > 0
+                    v = from_word(group, v_word)
+                    assert len(v_word) == len(word) - 1 == group.length(v)
+                    assert orbit_weight(group, v, shape) == lower, name
+                return covers
+
+            for x in ball(group, group.nodes, 5):
+                word = reduced_word(group, x)[0]
+                assert orbit_word(group, orbit_point(group, word, shape)) \
+                    == word, name
+                for lower, _, v_word in check(x, word):
+                    # a carried word need not be the least-descent word,
+                    # and serves as well
+                    if v_word != orbit_word(group, lower):
+                        check(from_word(group, v_word), v_word)
                         carried += 1
                 elements += 1
     assert elements == 2420
     assert carried == 892
 
 
-def interval_oracle(eng, tops, right_quotient):
-    """bruhat_interval by coset minima of every cover and a length check."""
-    start = {coset_min(eng, t, (), right_quotient) for t in tops}
-    nodes, edges, frontier = set(start), set(), list(start)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for v, beta, beta_co in covers_oracle(eng, x):
-                v = coset_min(eng, v, (), right_quotient)
-                if eng.length(v) != eng.length(x) - 1:
-                    continue
-                edges.add((x, v, beta, beta_co))
-                if v not in nodes:
-                    nodes.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    key = eng.sort_key
-    return (tuple(sorted(nodes, key=key)),
-            tuple(sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))))
-
-
 def test_interval_quotient_matches_the_coset_min_oracle():
-    # covers into W^J are kept by the signs of s_beta x(alpha_j), j in J;
-    # projecting every cover to its coset minimum and keeping those of
-    # length l - 1 is the oracle, for every proper J and twisted tops
+    # the orbit walk keeps a cover in W^J by the signs of s_beta x(alpha_j),
+    # j in J; projecting every cover of the element oracle to its coset
+    # minimum and keeping those of length l - 1 is the oracle: the same
+    # nodes as weights, in (length, weight) order, the same edges and
+    # values, and each word a reduced word of its coset minimum, for every
+    # proper J
     graphs = 0
     for name, word in (("A(1)_2", (0, 1, 2, 0, 1)), ("C(1)_2", (0, 1, 2, 1)),
                        ("A(2)_3", (0, 1, 2, 1, 0)), ("G(1)_2", (0, 1, 2, 1))):
         fin = fin_for(name)
         eng = engine_for(fin)
         nodes = fin.datum.nodes
-        top = from_word(eng, list(word))
-        tops = [top, eng.lmul(word[-1], top)]
+        words = [word, (word[-1],) + word]
+        tops = [from_word(eng, w) for w in words]
         for k in range(len(nodes)):
             for quotient in itertools.combinations(nodes, k):
-                graph = bruhat_interval(eng, tops, right_quotient=quotient)
-                assert (graph.nodes, graph.edges) == \
-                    interval_oracle(eng, tops, quotient), (name, quotient)
+                shape = tuple(0 if i in quotient else i + 1 for i in nodes)
+                graph = bruhat_interval(eng, shape, words)
+                assert graph.stab == quotient
+                elements, edges = interval_oracle(eng, tops, quotient)
+                nu = {x: orbit_weight(eng, x, shape) for x in elements}
+                case = (name, quotient)
+                assert graph.nodes == tuple(sorted(
+                    nu.values(), key=lambda v: (len(orbit_word(eng, v)), v)))
+                assert len(graph.edges) == len(edges), case
+                assert {(graph.nodes[up], graph.nodes[lo], p)
+                        for up, lo, p in graph.edges} == {
+                    (nu[x], nu[v], sum(map(mul, beta_co, nu[v])))
+                    for x, v, _, beta_co in edges}, case
+                element = {nu[x]: x for x in elements}
+                for v, w in zip(graph.nodes, graph.words):
+                    assert from_word(eng, w) == element[v], case
+                    assert len(w) == eng.length(element[v]), case
                 graphs += 1
     assert graphs == 28
 
@@ -492,8 +422,9 @@ def test_handed_over_words_are_reduced():
     # readers take lengths and cell words from the words that stripping and
     # the closures hand over, so each must be a reduced word of its element:
     # the words of the neutral translations, the words adm keeps, and
-    # the words of every quotient interval, in the Iwahori-Weyl engine and
-    # in the datum's own Cartan group
+    # the words of every quotient interval of the orbit walk, each that of
+    # the coset minimum of its weight, in the Iwahori-Weyl engine and in
+    # the datum's own Cartan group
     checked = 0
     for name, mu in (("A(1)_3", (1, 1, 0, 0)), ("C(1)_2", (1, 1)),
                      ("A(2)_4", (1, 0, 0, 0, 0)), ("G(1)_2", (1, 0))):
@@ -505,13 +436,16 @@ def test_handed_over_words_are_reduced():
         checked += assert_reduced_words(eng, s.neutral_words.items(), name)
         nodes = fin.datum.nodes
         for group in (eng, context_for(fin.datum)):
-            tops = [from_word(group, w) for w in s.words.values()]
             for k in range(len(nodes)):
                 for quotient in itertools.combinations(nodes, k):
-                    graph = bruhat_interval(group, tops, quotient)
+                    shape = tuple(0 if i in quotient else 1 for i in nodes)
+                    graph = bruhat_interval(group, shape, s.words.values())
+                    elements = [from_word(group, w) for w in graph.words]
+                    for x, nu in zip(elements, graph.nodes):
+                        assert coset_min(group, x, (), quotient) == x
+                        assert orbit_weight(group, x, shape) == nu
                     checked += assert_reduced_words(
-                        group, zip(graph.nodes, graph.words),
-                        (name, quotient))
+                        group, zip(elements, graph.words), (name, quotient))
     assert checked == 1496
 
 
@@ -553,7 +487,7 @@ def test_walk_words_are_reduced_on_random_coweights():
                 assert eng.mul(t, eng.translation(mu)) == eng.translation(
                     tuple(a + b for a, b in zip(lam, mu))), (case, mu)
                 checked += 1
-    assert checked == 306
+    assert checked == 270
 
 
 # random elements of A(1)_2, C(1)_2, G(1)_2 and A(2)_4, as words of length <=
