@@ -16,6 +16,8 @@ i_1 ... i_l, the chains
 over F_q^l, grows one letter at a time, and each new chain differs from its
 parent in one member only.  The closed cell of w is the disjoint union of
 the open cells C(v), v <= w, each grown from the cell one letter shorter.
+Growth works in F_q windows with no Series: matrices keep exact entries, and
+each new member comes out of one window elimination.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from ..admissible import engine_for
 from ..errors import (ConsistencyError, SpecParseError, UnsupportedDatumError,
                       UnsupportedFieldError)
 from ..rootdata import echelon_system, load_affine_datum
-from .chains import (Lattice, canonical_columns, member_exponents,
-                     standard_member)
+from .chains import Lattice, hermite_window, member_exponents, standard_member
 from .kottwitz import is_unitary
-from .series import Series, sdet, sid, smat, smul
+from .series import EXACT, Series, _normal, sdet, smat, smul
 
 
 class CellGroup:
@@ -97,17 +98,25 @@ class CellGroup:
         m[a][b], m[b][a] = up, down
         return smat(q, m)
 
-    def refl(self, i):
-        return self._refl[i]
-
     def step(self, i, x):
-        """U_i(x) n_i, built on first use, checked to have determinant 1."""
+        """U_i(x) n_i, built on first use, checked to have determinant 1 and
+        monomial entries (n_i is monomial); step_terms gives its columns."""
         if (i, x) not in self._steps:
             step = smul(self.unip(i, x), self._refl[i])
             if not (sdet(step) - 1).is_zero():
                 raise ConsistencyError(f"U_{i}({x}) n_{i} must have determinant 1")
-            self._steps[i, x] = step
-        return self._steps[i, x]
+            if any(len(y.coeffs) > 1 for row in step for y in row):
+                raise ConsistencyError(f"U_{i}({x}) n_{i} has a non-monomial entry")
+            self._steps[i, x] = step, [
+                [(r, row[c].coeffs[0], row[c].start)
+                 for r, row in enumerate(step) if row[c].coeffs]
+                for c in range(self.n)]
+        return self._steps[i, x][0]
+
+    def step_terms(self, i, x):
+        """The columns of step(i, x) as terms (row, coefficient, exponent)."""
+        self.step(i, x)
+        return self._steps[i, x][1]
 
     def base_chain(self):
         return tuple(self._base)
@@ -130,28 +139,59 @@ def _check_reduced(fin, word):
 def _grow(group, points, j):
     """The points of C(v s_j) from those of C(v), for l(v s_j) = l(v) + 1.
 
-    A point is a pair (h, chain) with chain = h . (standard chain).  Its q
-    children are h U_j(x) n_j, x in F_q; the step fixes every standard
-    member but the one with token j, so a child keeps its parent's other
-    members and costs one canonical form: the standard member has the basis
+    A point is a pair (h, chain) with chain = h . (standard chain), h kept
+    as n columns of exact entries (start, coeffs), None for zero.  Its q
+    children are g = h U_j(x) n_j, x in F_q, each column of g a sum of
+    scaled, shifted columns of h.  The step fixes every standard member but
+    the one with token j, so a child keeps its parent's other members and
+    costs one window elimination: the standard member has the basis
     u^{e_c} e_c and every step has determinant 1, so g times it is spanned
     by g's columns shifted by e_c and has determinant order sum e_c.
     """
+    q, n = group.q, group.n
     k = group.tokens.index(j)
-    exps = member_exponents(group.n, j)
+    exps = member_exponents(n, j)
+    steps = [group.step_terms(j, x) for x in range(q)]
     out = []
     for h, chain in points:
-        for x in range(group.q):
-            g = smul(h, group.step(j, x))
-            cols = [[row[c].shift(e) for row in g] for c, e in enumerate(exps)]
-            child = Lattice(group.q, len(exps), tuple(
-                canonical_columns(group.q, cols, sum(exps))))
+        for terms in steps:
+            g = [_column(q, h, t) for t in terms]
+            lo = min(x[0] + e for col, e in zip(g, exps) for x in col if x)
+            width = sum(exps) - n * lo
+            gens = [[{a: c for a, c in enumerate(x[1], x[0] + e - lo)
+                      if c and a < width} if x else {} for x in col]
+                    for col, e in zip(g, exps)]
+            child = Lattice(q, n, hermite_window(q, gens, lo, width))
             out.append((g, chain[:k] + (child,) + chain[k + 1:]))
     return out
 
 
+def _column(q, h, terms):
+    """The column sum of a u^e h_r over the terms (r, a, e) of a step."""
+    if len(terms) == 1:
+        (r, a, e), = terms
+        return [x and (x[0] + e, x[1] if a == 1 else
+                       tuple(a * c % q for c in x[1])) for x in h[r]]
+    col = []
+    for s in range(len(h)):
+        parts = [(x[0] + e, x[1], a) for r, a, e in terms
+                 for x in (h[r][s],) if x]
+        if len(parts) > 1:
+            lo = min(p[0] for p in parts)
+            acc = [0] * (max(p[0] + len(p[1]) for p in parts) - lo)
+            for start, cs, a in parts:
+                for i, c in enumerate(cs, start - lo):
+                    acc[i] += a * c
+            start, cs, _ = _normal(q, lo, acc, EXACT)
+            parts = [(start, cs, 1)] if cs else []
+        col.append((parts[0][0], tuple(parts[0][2] * c % q for c in parts[0][1]))
+                   if parts else None)
+    return col
+
+
 def _identity_point(group):
-    return (sid(group.q, group.n), group.base_chain())
+    return ([[(0, (1,)) if r == c else None for r in range(group.n)]
+             for c in range(group.n)], group.base_chain())
 
 
 def cell_points(group, word):

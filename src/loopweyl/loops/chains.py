@@ -9,11 +9,13 @@ the antidiagonal.
 The canonical basis is a Hermite form over O.  Let lo be the least exponent
 among the entries and D = ord det of the first n columns with a nonzero
 determinant.  Then u^hi O^n <= L <= u^lo O^n for hi = D - (n-1) lo, so the
-elimination runs in F_q[u]/u^(hi-lo), one row at a time.  In row r the
-generator with the least valuation v is made monic there, clears row r from
-the other generators and reduces it modulo u^v in the earlier pivots, and
-u^(hi-lo-v) times it joins the generators, for it stands for u^hi e_r in L.
-A row with no pivot gets u^hi e_r.
+elimination runs in the window F_q[u]/u^(hi-lo) on sparse rows, one row at a
+time.  In row r the generator with the least valuation v is made monic
+there, clears row r from the other generators and reduces it modulo u^v in
+the earlier pivots, and u^(hi-lo-v) times it joins the generators, for it
+stands for u^hi e_r in L.  A row with no pivot gets u^hi e_r.  A Lattice
+stores the exact entries this returns, which are its key, and builds Series
+columns from them only on demand.
 SeriesPrecisionError is raised only when no n columns have a certified
 nonzero determinant, or when an entry is known to less than O(u^hi); exact
 input never raises.  Containment and duals solve against the triangular
@@ -30,10 +32,11 @@ extended periodically by u^-1 in steps of n; for even n = 2m the extra token
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from ..errors import SeriesPrecisionError, SpecParseError
-from .series import EXACT, Series, _normal, _raw, sdet, sdot, sid, smat
+from .series import EXACT, _raw, sdet, sdot, sid, smat, unit_inverse
 
 
 def canonical_columns(q, cols, det_ord=None):
@@ -57,7 +60,6 @@ def canonical_columns(q, cols, det_ord=None):
         det_ord = d.ord()
     lo = min(x.start for col in cols for x in col if x.coeffs)
     hi = det_ord - (n - 1) * lo
-    width = hi - lo
     gens = []
     for col in cols:
         gens.append([])
@@ -65,81 +67,91 @@ def canonical_columns(q, cols, det_ord=None):
             if x.prec < hi:
                 raise SeriesPrecisionError(
                     f"terms below u^{hi} unknown at precision O(u^{x.prec})")
-            entry = [0] * width
-            cs = x.coeffs[:max(0, hi - x.start)]
-            entry[x.start - lo:x.start - lo + len(cs)] = cs
-            gens[-1].append(entry)
+            gens[-1].append({x.start - lo + i: c for i, c in
+                             enumerate(x.coeffs[:max(0, hi - x.start)]) if c})
+    return list(Lattice(q, n, hermite_window(q, gens, lo, hi - lo)).cols)
+
+
+def hermite_window(q, gens, lo, width):
+    """The entries (start, coeffs) of the canonical basis, column by column,
+    zero as (0, ()), of the span of generators of n rows in F_q[u]/u^width,
+    each row a dict {k: c} of nonzero coefficients of u^(lo+k), used up."""
+    n = len(gens[0])
     pivots = []
     for r in range(n):
         k, v = None, width
         for j, g in enumerate(gens):
-            for e in range(v):
-                if g[r][e]:
-                    k, v = j, e
-                    break
+            if g[r] and min(g[r]) < v:
+                k, v = j, min(g[r])
         if k is None:  # u^hi e_r, zero in the window
-            pivots.append((width, [[0] * width] * n))
+            pivots.append((width, [{}] * n))
             continue
         piv = gens.pop(k)
-        unit = piv[r][v:]
-        inv = (_raw(q, *_normal(q, 0, unit, EXACT)).inverse(width - v).coeffs
-               if any(unit[1:]) else (pow(unit[0], -1, q),))
-        if inv != (1,):
-            piv[r:] = [_mul(x, inv, width, q) for x in piv[r:]]
+        if len(piv[r]) > 1:  # a unit other than a constant: its series inverse
+            inv = unit_inverse(q, [piv[r].get(e, 0) for e in range(v, width)])
+            piv[r:] = [_mul(x, dict(enumerate(inv)), width, q) for x in piv[r:]]
+        elif piv[r][v] != 1:
+            c = pow(piv[r][v], -1, q)
+            piv[r:] = [{e: y * c % q for e, y in x.items()} for x in piv[r:]]
         # row r: the generators' entries vanish, earlier pivots' drop below u^v
         for g in gens + [p for _, p in pivots]:
-            f = g[r][v:]
-            if any(f):
-                g[r] = g[r][:v] + [0] * (width - v)
+            if g[r] and max(g[r]) >= v:
+                f = {e - v: -c for e, c in g[r].items() if e >= v}
+                g[r] = {e: c for e, c in g[r].items() if e < v}
                 for s in range(r + 1, n):
-                    g[s] = [(x - y) % q for x, y in
-                            zip(g[s], _mul(f, piv[s], width, q))]
+                    if piv[s]:
+                        g[s] = _mul(f, piv[s], width, q, g[s])
         if v:  # u^(width-v) piv: it stands for u^hi e_r, which lies in L
-            gens.append([[0] * (width - v) + x[:v] for x in piv])
+            gens.append([{e + width - v: c for e, c in x.items() if e < v}
+                         for x in piv])
         pivots.append((v, piv))
-    zero = _raw(q, 0, (), EXACT)
-    return [tuple([zero] * i + [_raw(q, lo + v, (1,), EXACT)] + [
-        _raw(q, *_normal(q, lo, col[r], EXACT)) for r in range(i + 1, n)])
-        for i, (v, col) in enumerate(pivots)]
+    out = []
+    for i, (v, col) in enumerate(pivots):
+        out += [(0, ())] * i + [(lo + v, (1,))] + [
+            (lo + min(x), tuple(x.get(e, 0) for e in range(min(x), max(x) + 1)))
+            if x else (0, ()) for x in col[i + 1:]]
+    return tuple(out)
 
 
-def _mul(a, b, width, q):
-    """The product a b in F_q[u]/u^width, on coefficient lists."""
-    out = [0] * width
-    terms = [(j, y) for j, y in enumerate(b) if y]
-    for i, x in enumerate(a):
-        if x:
-            for j, y in terms:
-                if i + j >= width:
-                    break
-                out[i + j] += x * y
-    return [c % q for c in out]
+def _mul(a, b, width, q, acc=()):
+    """acc + a b in F_q[u]/u^width, on dicts {exponent: coefficient}."""
+    out = dict(acc)
+    for i, x in a.items():
+        for j, y in b.items():
+            if i + j < width:
+                out[i + j] = out.get(i + j, 0) + x * y
+    return {e: c % q for e, c in out.items() if c % q}
 
 
 @dataclass(frozen=True)
 class Lattice:
+    """A lattice by its key: the exact entries (start, coeffs) of its
+    canonical basis, column by column."""
     q: int
     n: int
-    cols: tuple
+    entries: tuple
 
     @staticmethod
     def from_columns(q, cols):
-        cols = smat(q, cols)
-        return Lattice(q, len(cols[0]), tuple(canonical_columns(q, cols)))
+        # by name through canonical_columns, the layer perfbench traces
+        cols = canonical_columns(q, smat(q, cols))
+        return Lattice(q, len(cols), tuple((x.start, x.coeffs)
+                                           for col in cols for x in col))
 
-    def matrix(self):
-        """Basis matrix with generators as columns."""
-        return tuple(tuple(self.cols[j][i] for j in range(self.n))
-                     for i in range(self.n))
+    @cached_property
+    def cols(self):
+        """The canonical basis columns as exact Series, built on first use."""
+        q, n, e = self.q, self.n, self.entries
+        return tuple(tuple(_raw(q, s, c, EXACT) for s, c in e[j * n:j * n + n])
+                     for j in range(n))
 
     def det_ord(self):
-        return sum(self.cols[i][i].ord() for i in range(self.n))
+        return sum(self.entries[i * (self.n + 1)][0] for i in range(self.n))
 
     def scale(self, k):
         """The lattice u^k L."""
-        uk = Series.monomial(self.q, 1, k)
-        return Lattice(self.q, self.n,
-                       tuple(tuple(x * uk for x in col) for col in self.cols))
+        return Lattice(self.q, self.n, tuple(
+            (s + k, c) if c else (s, c) for s, c in self.entries))
 
     def coords(self, v):
         """The x with B x = v for the canonical basis B, by forward substitution."""
@@ -176,10 +188,10 @@ class Lattice:
 
     def key(self):
         """Hashable fingerprint: the exact canonical entries."""
-        return tuple((x.start, x.coeffs) for col in self.cols for x in col)
+        return self.entries
 
     def __str__(self):
-        rows = self.matrix()
+        rows = zip(*self.cols)
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in rows) + "]"
 
 
@@ -196,10 +208,9 @@ def member_exponents(n, token):
 
 def standard_member(q, n, token):
     """Chain member for an integer token or the extra even-rank token "m'"."""
-    exps = member_exponents(n, token)
-    return Lattice.from_columns(
-        q, [[Series.monomial(q, 1, exps[j]) if r == j else 0 for r in range(n)]
-            for j in range(n)])
+    exps = member_exponents(n, token)  # the diagonal basis is canonical
+    return Lattice(q, n, tuple((exps[j], (1,)) if r == j else (0, ())
+                               for j in range(n) for r in range(n)))
 
 
 def token_value(token, n):

@@ -431,16 +431,16 @@ def _cell_member_key(lattice, n, token, q):
     """
     exps = member_exponents(n, token)
     rows = []
-    mat = lattice.matrix()
     for col in range(n):
         for power in (1, 2):
             slots = [0] * (2 * n)
             for a in range(n):
-                f = mat[a][col]
-                if not f.is_zero() and f.ord() < exps[a] - power:
+                start, cs = lattice.entries[col * n + a]
+                e = exps[a] - power - start
+                if cs and e > 0:  # an entry below u^(e_a - power)
                     return None
-                slots[a] = f.coeff(exps[a] - power) % q
-                slots[n + a] = f.coeff(exps[a] - power + 1) % q
+                slots[a] = cs[e] if 0 <= e < len(cs) else 0
+                slots[n + a] = cs[e + 1] if 0 <= e + 1 < len(cs) else 0
             rows.append(tuple(slots))
     key = space_key(rows, q)
     if len(key) != n:

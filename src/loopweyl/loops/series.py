@@ -232,14 +232,7 @@ class Series:
             raise SeriesPrecisionError("inverse has no certified coefficients")
         g = [self.coeff(v + k) if v + k < self.start + len(self.coeffs) else 0
              for k in range(rel)]
-        g0inv = pow(g[0], -1, self.q)
-        h = [g0inv]
-        for k in range(1, rel):
-            acc = 0
-            for j in range(1, k + 1):
-                if j < len(g):
-                    acc += g[j] * h[k - j]
-            h.append(-g0inv * acc % self.q)
+        h = unit_inverse(self.q, g)
         return _raw(self.q, *_normal(self.q, -v, h, prec))
 
     def shift(self, k):
@@ -287,6 +280,14 @@ class Series:
 
     def __repr__(self):
         return f"Series({self.q}, {self.to_text()!r})"
+
+
+def unit_inverse(q, g):
+    """The coefficients of 1 / g mod u^len(g), g those of a unit."""
+    h = [pow(g[0], -1, q)]
+    for k in range(1, len(g)):
+        h.append(-h[0] * sum(g[j] * h[k - j] for j in range(1, k + 1)) % q)
+    return h
 
 
 _new = object.__new__

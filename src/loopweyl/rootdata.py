@@ -436,8 +436,9 @@ def project_coweight(fin, mu):
     For split type A the input is Z^n modulo the diagonal; for other split
     types it lists fundamental-coweight coordinates on nodes 1..l.  For the
     twisted A(2) families the input is Z^n for the associated unitary group
-    of size n.  Other twisted types have no implemented model; pass lam
-    directly to the consumers instead.
+    of size n, and every permutation of it has the same image.  Other
+    twisted types have no implemented model; pass lam directly to the
+    consumers instead.
     """
     datum = fin.datum
     mu = tuple(int(c) for c in mu)
@@ -468,6 +469,7 @@ def project_coweight(fin, mu):
         if len(mu) != n:
             raise ValueError(f"expected mu in Z^{n}")
         m = n // 2
+        mu = sorted(mu, reverse=True)  # projecting commutes with W^sigma only
         two_nu = tuple(mu[i] - mu[n - 1 - i] for i in range(m))
         if _su_model(fin) == "b2":
             d1, d2 = Fraction(two_nu[0], 2), Fraction(two_nu[1], 2)

@@ -9,9 +9,10 @@ from fractions import Fraction
 
 from loopweyl import linalg
 from loopweyl.errors import ConsistencyError, ResourceCapError
-from loopweyl.loops.chains import Lattice
-from loopweyl.loops.series import sdot
-from loopweyl.weyl import coset_min, from_word, reduced_word
+from loopweyl.admissible import engine_for
+from loopweyl.loops.chains import Lattice, canonical_columns, member_exponents
+from loopweyl.loops.series import sdot, sid, smul
+from loopweyl.weyl import coset_min, from_word, lower_closure, reduced_word
 
 
 # -- root data and Weyl groups -------------------------------------------------
@@ -211,6 +212,50 @@ def transform(lattice, g):
     """The lattice g L for a matrix g over the series ring."""
     cols = [[sdot(row, col) for row in g] for col in lattice.cols]
     return Lattice.from_columns(lattice.q, cols)
+
+
+# -- Schubert cells ------------------------------------------------------------
+
+def reflection(group, i):
+    """n_i of a cells.CellGroup: the step U_i(0) n_i, as U_i(0) = 1."""
+    return group.step(i, 0)
+
+
+def series_grow(group, points, j):
+    """Reference for cells._grow on Series: g = h U_j(x) n_j by smul, and
+    the moved member's key read off canonical_columns.  A point is a pair
+    (h, keys), keys the chain's member keys."""
+    k = group.tokens.index(j)
+    exps = member_exponents(group.n, j)
+    out = []
+    for h, keys in points:
+        for x in range(group.q):
+            g = smul(h, group.step(j, x))
+            cols = canonical_columns(group.q, [[row[c].shift(e) for row in g]
+                                               for c, e in enumerate(exps)],
+                                     sum(exps))
+            key = tuple((y.start, y.coeffs) for col in cols for y in col)
+            out.append((g, keys[:k] + (key,) + keys[k + 1:]))
+    return out
+
+
+def series_cells(group, word, closed):
+    """Chain keys of the open cell of word, or of its closed cell when
+    closed, in the order of cells.cell_points and cells.closure_points."""
+    base = [(sid(group.q, group.n),
+             tuple(L.key() for L in group.base_chain()))]
+    if not closed:
+        points = base
+        for j in word:
+            points = series_grow(group, points, j)
+        return [keys for _, keys in points]
+    eng = engine_for(group.fin)
+    cells, out = {}, []
+    for v, v_word in lower_closure(eng, [word]).items():
+        cells[v] = (series_grow(group, cells[eng.rmul(v, v_word[-1])],
+                                v_word[-1]) if v_word else base)
+        out += [keys for _, keys in cells[v]]
+    return out
 
 
 # -- fiber chain maps ----------------------------------------------------------

@@ -9,10 +9,10 @@ from loopweyl.errors import (ConsistencyError, SpecParseError,
                              UnsupportedFieldError)
 from loopweyl.loops.cells import (CellGroup, cell_points, chain_key,
                                   closure_points, schubert_count)
-from loopweyl.loops.chains import validate_chain
-from loopweyl.loops.series import sdet, sid, smat, smul
+from loopweyl.loops.chains import Lattice, validate_chain
+from loopweyl.loops.series import Series, sdet, sid, smat, smul
 from loopweyl.weyl import bruhat_interval, from_word, lower_closure
-from oracles import orbit_weight, transform
+from oracles import orbit_weight, reflection, series_cells, transform
 
 
 def test_cell_sizes_are_q_powers():
@@ -72,7 +72,8 @@ def subword_closure_keys(group, word):
         for g in prods:
             step.append(g)
             for x in range(q):
-                step.append(smul(g, smul(group.unip(i, x), group.refl(i))))
+                step.append(smul(g, smul(group.unip(i, x),
+                                         reflection(group, i))))
         prods = step
     return {chain_key(apply(group, g)) for g in prods}
 
@@ -90,7 +91,7 @@ def product_cell_keys(group, word):
     q = group.q
     prods = [sid(q, group.n)]
     for i in word:
-        prods = [smul(g, smul(group.unip(i, x), group.refl(i)))
+        prods = [smul(g, smul(group.unip(i, x), reflection(group, i)))
                  for g in prods for x in range(q)]
     return [chain_key(apply(group, g)) for g in prods]
 
@@ -118,6 +119,41 @@ def test_closure_matches_subword_oracle():
             pts = closure_points(group, word)
             assert set(pts) == subword_closure_keys(group, word), (kind, word)
             assert all(chain_key(c) == k for k, c in pts.items())
+
+
+ORACLE_GROUPS = ([("sl", 2, q, 4) for q in (2, 3, 5)] +
+                 [("sl", n, q, 3) for n in (3, 4) for q in (2, 3)] +
+                 [("su", 3, q, 3) for q in (3, 5)])
+
+
+@pytest.mark.parametrize("kind,n,q,max_len", ORACLE_GROUPS)
+def test_window_cells_match_the_series_reference(kind, n, q, max_len):
+    # the window path (column terms on h, one window elimination) gives the
+    # keys of the Series path (h step by smul, then canonical_columns)
+    group = CellGroup(kind, n, q)
+    for word in reduced_words(group, max_len):
+        assert [chain_key(c) for c in cell_points(group, word)] == \
+            series_cells(group, word, closed=False), word
+        assert list(closure_points(group, word)) == \
+            series_cells(group, word, closed=True), word
+    member = cell_points(group, [0, 1])[-1][group.tokens.index(1)]
+    assert Lattice.from_columns(q, member.cols).key() == member.key()
+
+
+def test_the_grow_path_builds_no_series_products(monkeypatch):
+    group = CellGroup("sl", 3, 3)
+    for i in group.nodes:  # steps are built once per group, on first use
+        for x in range(group.q):
+            group.step(i, x)
+    calls = []
+    for name in ("loopweyl.loops.series.smul", "loopweyl.loops.cells.smul",
+                 "loopweyl.loops.series.Series.__mul__",
+                 "loopweyl.loops.series.Series.__rmul__"):
+        monkeypatch.setattr(name, lambda *a: calls.append(a))
+    assert len(cell_points(group, [0, 1, 2])) == 27
+    assert len(closure_points(group, [0, 1, 2])) == \
+        schubert_count(group.fin, [0, 1, 2], 3)
+    assert calls == []
 
 
 def test_subword_closures_match_the_cover_walk():
@@ -178,7 +214,7 @@ def test_moved_tokens_match_node_labels():
     for kind, n, q in (("sl", 2, 3), ("sl", 3, 2), ("sl", 4, 2), ("su", 3, 3)):
         group = CellGroup(kind, n, q)
         for i in group.nodes:
-            moved = moved_tokens(group, group.refl(i))
+            moved = moved_tokens(group, reflection(group, i))
             assert moved == [t for t in group.tokens if t == i], (kind, i)
             for x in range(1, q):
                 # the unipotents live in the Iwahori, fixing the whole chain
@@ -204,6 +240,15 @@ def test_a_step_of_determinant_other_than_one_is_refused():
     group = CellGroup("sl", 2, 3)
     group.unip = lambda i, x: smat(3, [[2, 0], [0, 1]])
     with pytest.raises(ConsistencyError, match="determinant 1"):
+        group.step(1, 0)
+    assert (1, 0) not in group._steps
+
+
+def test_a_step_entry_that_is_not_a_monomial_is_refused():
+    group = CellGroup("sl", 2, 3)
+    u = Series.uniformizer(3)
+    group.unip = lambda i, x: smat(3, [[1, 1 + u], [0, 1]])
+    with pytest.raises(ConsistencyError, match="non-monomial"):
         group.step(1, 0)
     assert (1, 0) not in group._steps
 

@@ -147,7 +147,7 @@ def check_against_oracle(q, cols):
         assert out == series_elimination(q, cols)
         return True
     except SeriesPrecisionError:
-        L = Lattice(q, len(out), tuple(out))
+        L = Lattice.from_columns(q, out)
         assert all(L.contains_vector(c) for c in cols)
         assert L.det_ord() == sdet(cols).ord()
         return False
@@ -409,7 +409,7 @@ def test_deep_lattice_reduces():
     L = Lattice.from_columns(q, cols)
     assert L.det_ord() == 401
     assert all(L.contains_vector(c) for c in cols)
-    assert L == Lattice(q, 3, tuple(canonical_columns(q, cols, 401)))
+    assert list(L.cols) == canonical_columns(q, cols, 401)
 
 
 def test_deep_lattice_with_a_non_monomial_pivot_unit():

@@ -206,6 +206,25 @@ def test_one_verdict_for_split_and_twisted_rows(tmp_path, monkeypatch, capsys):
     assert "mismatches found (proven case)" in capsys.readouterr().out
 
 
+def test_unitary_mu_is_read_up_to_permutation(capsys):
+    # projecting to the inertia coinvariants commutes with W^sigma only, so
+    # both representatives of one class must give the same lam, h_Y and Adm
+    from loopweyl.cli import main
+
+    def payload(*argv):
+        assert main([*argv, "--format", "json"]) == 0, argv
+        return json.loads(capsys.readouterr().out)["payload"]
+
+    for datum, mus, h in (("A(2)_4", ("0,0,1,0,0", "1,0,0,0,0"), 15),
+                          ("A(2)_2", ("1,0,1", "1,1,0"), 6)):
+        for mu in mus:
+            rows = payload("coherence", "--datum", datum, f"--mu={mu}",
+                           "--Y", "0", "--a", "1")["rows"]
+            assert [(r["h_y"], r["h"]) for r in rows] == [(h, h)], (datum, mu)
+    assert [payload("adm", "--datum", "A(2)_2", f"--mu={mu}")["size"]
+            for mu in ("1,0,1", "1,1,0")] == [5, 5]
+
+
 def test_datum_file_round_trip(tmp_path):
     from loopweyl.rootdata import datum_to_json, load_affine_datum
     path = tmp_path / "su5.json"

@@ -111,6 +111,7 @@ def test_project_coweight_split():
 def test_project_coweight_su():
     assert project_coweight(fin_for("A(2)_2"), (1, 0, 0)) == (Fraction(1),)
     assert project_coweight(fin_for("A(2)_2"), (1, 1, 0)) == (Fraction(1),)
+    assert project_coweight(fin_for("A(2)_2"), (1, 0, 1)) == (Fraction(1),)
     assert project_coweight(fin_for("A(2)_3"), (1, 0, 0, 0)) == (Fraction(1),
                                                                  Fraction(1))
     with pytest.raises(ValueError):

@@ -164,8 +164,8 @@ def test_matrix_helpers():
             except SeriesPrecisionError:
                 continue
             inv = tuple(zip(*(L.coords(e) for e in sid(q, n))))
-            assert smul(L.matrix(), inv) == sid(q, n)
-            assert smul(inv, L.matrix()) == sid(q, n)
+            assert smul(tuple(zip(*L.cols)), inv) == sid(q, n)
+            assert smul(inv, tuple(zip(*L.cols))) == sid(q, n)
             done += 1
     assert done > 20
 
