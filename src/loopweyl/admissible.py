@@ -120,7 +120,8 @@ def translations(fin, mu=None, lam=None, cap=20000):
     tau_inv = eng.inv(tau)
     if len(memo) >= MEMO_SIZE:
         del memo[next(iter(memo))]
-    # one W_0-orbit's translations share a length, so m is sort_key's order
+    # one W_0-orbit's translations share a length, so m alone gives the
+    # (length, m) order
     memo[lam] = AdmissibleSet(
         fin=fin, lam=lam, tau=tau,
         words={eng.twist(t, tau_inv): word for t, (word, _) in split.items()},
@@ -144,7 +145,7 @@ def adm(fin, mu=None, lam=None, cap=20000):
     # the neutral translations
     words = weyl.lower_closure(
         eng, s.words.values(), cap=cap, what="admissible set size")
-    # l(x tau) = l(x), so (len(word), m) is sort_key's order on both sides
+    # l(x tau) = l(x), so both sort in (length, m) order by (len(word), m)
     elements = {eng.twist(x, s.tau): len(w) for x, w in words.items()}
     s.elements = tuple(sorted(elements, key=lambda x: (elements[x], x.m)))
     s.neutral = tuple(sorted(words, key=lambda x: (len(words[x]), x.m)))

@@ -18,6 +18,14 @@ parent in one member only.  The closed cell of w is the disjoint union of
 the open cells C(v), v <= w, each grown from the cell one letter shorter.
 Growth works in F_q windows with no Series: matrices keep exact entries, and
 each new member comes out of one window elimination.
+
+The cells of one group thus form a prefix tree of reduced words, and a
+group keeps the cells it grows as points (h, chain), keyed by word: a cell
+is grown by one step from the stored cell of its word less the last letter,
+and the open cells and closures of one group share them.  The store holds
+at most MEMO_POINTS points, or the one cell last grown if that is larger,
+dropping the oldest words first; a cell whose prefixes were dropped is
+regrown from its longest stored prefix.
 """
 
 from __future__ import annotations
@@ -32,6 +40,10 @@ from ..rootdata import echelon_system, load_affine_datum
 from .chains import Lattice, hermite_window, member_exponents, standard_member
 from .kottwitz import is_unitary
 from .series import EXACT, Series, _normal, sdet, smat, smul
+
+# the most cell points a group keeps (module docstring): the cells
+# command's default --cap, so the closure of one default command fits
+MEMO_POINTS = 20000
 
 
 class CellGroup:
@@ -62,6 +74,8 @@ class CellGroup:
         self._base = [standard_member(q, n, t) for t in self.tokens]
         self._refl = {i: self._make_refl(i) for i in self.nodes}
         self._steps = {}
+        self._cells = {}  # reduced word -> points (h, chain), oldest first
+        self._stored = 0  # points in self._cells
         for i, m in self._refl.items():
             if not (sdet(m) - 1).is_zero():
                 raise ConsistencyError(f"n_{i} must have determinant 1")
@@ -194,17 +208,32 @@ def _identity_point(group):
              for c in range(group.n)], group.base_chain())
 
 
+def _cell(group, word):
+    """The points of the open cell of a reduced word (a tuple), grown from
+    the cell of its longest stored prefix, each longer prefix stored."""
+    cells = group._cells
+    k = len(word)
+    while k and word[:k] not in cells:
+        k -= 1
+    points = cells[word[:k]] if k else [_identity_point(group)]
+    for k in range(k, len(word)):
+        points = _grow(group, points, word[k])
+        while cells and group._stored + len(points) > MEMO_POINTS:
+            group._stored -= len(cells.pop(next(iter(cells))))
+        cells[word[:k + 1]] = points
+        group._stored += len(points)
+    return points
+
+
 def cell_points(group, word):
     """The chains of the open cell of a reduced word, one per parameter tuple.
 
     The cell grows letter by letter from the left, so the chains come in
-    lexicographic order of (x_1, ..., x_l).
+    lexicographic order of (x_1, ..., x_l).  The group keeps it under the
+    word (module docstring), so a later call grows nothing.
     """
     _check_reduced(group.fin, word)
-    points = [_identity_point(group)]
-    for j in word:
-        points = _grow(group, points, j)
-    return [chain for _, chain in points]
+    return [chain for _, chain in _cell(group, tuple(word))]
 
 
 def chain_key(chain):
@@ -215,23 +244,15 @@ def closure_points(group, word):
     """Chains of the closed cell of a reduced word, keyed by ``chain_key``.
 
     The closed cell of w is the disjoint union of the open cells C(v) over
-    v <= w, grown by subwords (weyl.lower_closure).  Each v other than 1
-    grows its cell from that of v s_j, j the last letter of its word, which
-    comes before it, so every chain is built exactly once.  A chain met
-    twice raises ConsistencyError.
+    v <= w, grown by subwords (weyl.lower_closure).  The word of each v
+    other than 1 is that of v s_j, which comes before it, and one letter
+    j, so each cell is grown once from the group's stored cells (module
+    docstring).  A chain met twice raises ConsistencyError.
     """
-    eng = engine_for(group.fin)
     _check_reduced(group.fin, word)
-    cells = {}
     out = {}
-    for v, v_word in weyl.lower_closure(eng, [word]).items():
-        if v_word:
-            j = v_word[-1]
-            points = _grow(group, cells[eng.rmul(v, j)], j)
-        else:
-            points = [_identity_point(group)]
-        cells[v] = points
-        for _, chain in points:
+    for v_word in weyl.lower_closure(engine_for(group.fin), [word]).values():
+        for _, chain in _cell(group, v_word):
             key = chain_key(chain)
             if key in out:
                 raise ConsistencyError(

@@ -233,9 +233,6 @@ class CartanContext:
     def length(self, x):
         return len(reduced_word(self, x)[0])
 
-    def sort_key(self, x):
-        return (self.length(x), x.m)
-
     # -- translations, Omega-classes and tau representatives --
 
     def translation(self, lam):

@@ -83,10 +83,15 @@ def covers_oracle(eng, x):
     return out
 
 
+def sort_key(eng):
+    """The key of the (length, m) order on elements of eng."""
+    return lambda x: (eng.length(x), x.m)
+
+
 def interval_oracle(eng, tops, right_quotient):
     """The quotient Bruhat graph below the tops, elements of eng: nodes
     and (upper, lower, beta, beta_co) edges, by coset minima of every cover
-    and a length check, in eng.sort_key order."""
+    and a length check, in sort_key order."""
     start = {coset_min(eng, t, (), right_quotient) for t in tops}
     nodes, edges, frontier = set(start), set(), list(start)
     while frontier:
@@ -101,7 +106,7 @@ def interval_oracle(eng, tops, right_quotient):
                     nodes.add(v)
                     nxt.append(v)
         frontier = nxt
-    key = eng.sort_key
+    key = sort_key(eng)
     return (tuple(sorted(nodes, key=key)),
             tuple(sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))))
 

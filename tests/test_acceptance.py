@@ -27,7 +27,7 @@ from loopweyl.lspaths import PathSpace
 from loopweyl.rootdata import echelon_system, load_affine_datum
 from loopweyl.weyl import (CartanContext, bruhat_interval, from_word,
                            reduced_word)
-from oracles import gen, longest_element
+from oracles import gen, longest_element, sort_key
 
 _GATE = {"calibrated": False}
 
@@ -269,7 +269,7 @@ def _sl2_window_partition(group, bound):
     covered = set()
     total = cells_in = 0
     for w in sorted(ball(eng, group.fin.datum.nodes, 2 * bound + 1),
-                    key=eng.sort_key):
+                    key=sort_key(eng)):
         word = list(reduced_word(eng, w)[0])
         keys = [
             tuple(L.key() for L in ch) for ch in cell_points(group, word)
@@ -382,7 +382,7 @@ def test_structural_properties():
     # Bruhat recursion vs the subword oracle on an affine rank-2 ball
     fin = fin_for("A(1)_2")
     eng = engine_for(fin)
-    elems = sorted(ball(eng, fin.datum.nodes, 4), key=eng.sort_key)
+    elems = sorted(ball(eng, fin.datum.nodes, 4), key=sort_key(eng))
     pairs = 0
     for w in elems:
         word = reduced_word(eng, w)[0]

@@ -18,7 +18,7 @@ from loopweyl.lspaths import count_h_y
 from loopweyl.rootdata import (FiniteRootDatum, echelon_system,
                                load_affine_datum, special_nodes)
 from loopweyl.weyl import bruhat_interval, coset_min, from_word, reduced_word
-from oracles import orbit_weight
+from oracles import orbit_weight, sort_key
 
 
 def fin_for(name, x=0):
@@ -216,8 +216,8 @@ def saturation_oracle(adm_set, y, y_circ):
         frontier = nxt
     mod_right = {coset_min(eng, x, (), right) for x in full}
     double = {coset_min(eng, x, left, right) for x in full}
-    return (full, tuple(sorted(mod_right, key=eng.sort_key)),
-            tuple(sorted(double, key=eng.sort_key)))
+    return (full, tuple(sorted(mod_right, key=sort_key(eng))),
+            tuple(sorted(double, key=sort_key(eng))))
 
 
 def test_saturation_matches_the_multiplied_out_oracle():
@@ -328,9 +328,9 @@ def closure_oracle(adm_set, y, y_circ):
     graph = bruhat_interval(
         eng, shape, [reduced_word(eng, x)[0] for x in maxima])
     mod_right = tuple(sorted((from_word(eng, w) for w in graph.words),
-                             key=eng.sort_key))
+                             key=sort_key(eng)))
     double = {coset_min(eng, x, left, right) for x in mod_right}
-    return mod_right, tuple(sorted(double, key=eng.sort_key))
+    return mod_right, tuple(sorted(double, key=sort_key(eng)))
 
 
 # (datum, mu) pairs on which the saturation's minima meet their oracles on

@@ -1,5 +1,6 @@
 """Schubert cells as explicit lattice chains, counted over F_q."""
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from loopweyl.admissible import engine_for
 from loopweyl.errors import (ConsistencyError, SpecParseError,
                              UnsupportedFieldError)
+from loopweyl.loops import cells
 from loopweyl.loops.cells import (CellGroup, cell_points, chain_key,
                                   closure_points, schubert_count)
 from loopweyl.loops.chains import Lattice, validate_chain
@@ -138,6 +140,75 @@ def test_window_cells_match_the_series_reference(kind, n, q, max_len):
             series_cells(group, word, closed=True), word
     member = cell_points(group, [0, 1])[-1][group.tokens.index(1)]
     assert Lattice.from_columns(q, member.cols).key() == member.key()
+
+
+def memo_calls(group, calls):
+    """The result of each (closed, word) call on group, as a list of
+    (key, chain) pairs, each returned list or dict cleared after it is read."""
+    out = []
+    for closed, word in calls:
+        got = (closure_points if closed else cell_points)(group, list(word))
+        out.append(list(got.items()) if closed else
+                   [(chain_key(c), c) for c in got])
+        got.clear()
+    return out
+
+
+@pytest.mark.parametrize("kind,n,q", sorted({g[:3] for g in ORACLE_GROUPS}))
+def test_the_cell_memo_is_invisible(kind, n, q):
+    # the cells a group keeps do not change any result, nor its order, in
+    # whatever order closures and open cells of prefixes come
+    words = [tuple(w) for w in reduced_words(CellGroup(kind, n, q), 3)]
+    fresh = {}
+    for closed in (False, True):
+        for word in words:
+            fresh[closed, word], = memo_calls(CellGroup(kind, n, q),
+                                              [(closed, word)])
+    rng = random.Random(f"{kind}{n}{q}")
+    shuffled = [(closed, w) for closed in (False, True) for w in words] * 2
+    rng.shuffle(shuffled)
+    for first in (True, False):  # closures of long words first, or open cells
+        calls = ([(first, w) for w in reversed(words)] +
+                 [(not first, w) for w in words] + shuffled)
+        got = memo_calls(CellGroup(kind, n, q), calls)
+        for call, result in zip(calls, got):
+            assert result == fresh[call], (kind, n, q, call)
+
+
+@pytest.mark.parametrize("kind", ["sl", "su"])
+def test_a_cell_and_its_closure_grow_each_cell_once(kind, monkeypatch):
+    grows = []
+    grow = cells._grow
+    monkeypatch.setattr(cells, "_grow", lambda *a: grows.append(1) or grow(*a))
+    probe = CellGroup(kind, 3, 3)
+    eng = engine_for(probe.fin)
+    for word in reduced_words(probe, 3):
+        if len(word) == 3:
+            group = CellGroup(kind, 3, 3)
+            grows.clear()
+            cell_points(group, word)
+            closure_points(group, word)
+            assert len(grows) == len(lower_closure(eng, [word])) - 1, word
+
+
+def test_the_cell_memo_stays_within_its_budget(monkeypatch):
+    monkeypatch.setattr(cells, "MEMO_POINTS", 10)
+    group = CellGroup("sl", 2, 3)
+    words = [tuple(w) for w in reduced_words(group, 4)]
+    calls = [(closed, w) for w in words for closed in (False, True)]
+    for call in calls + calls[::-1]:
+        assert memo_calls(group, [call]) == \
+            memo_calls(CellGroup("sl", 2, 3), [call]), call
+        stored = [len(points) for points in group._cells.values()]
+        assert group._stored == sum(stored) <= 10 + sum(stored[-1:]), call
+
+
+def test_a_chain_met_twice_in_a_closure_is_refused():
+    group = CellGroup("sl", 2, 3)
+    cell_points(group, [0])
+    group._cells[1,] = group._cells[0,]  # a stored cell under a wrong word
+    with pytest.raises(ConsistencyError, match="occurs twice"):
+        closure_points(group, [0, 1])
 
 
 def test_the_grow_path_builds_no_series_products(monkeypatch):

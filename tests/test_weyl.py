@@ -21,7 +21,7 @@ from loopweyl.weyl import (CartanContext, bruhat_interval, coset_min,
                            orbit_point, orbit_word, reduced_word)
 from oracles import (coroot_coords, covers_oracle, gen, in_lattice,
                      interval_oracle, lattice_basis, orbit_weight,
-                     translation_length)
+                     sort_key, translation_length)
 
 
 def fin_for(name, x=0):
@@ -129,7 +129,7 @@ def test_word_round_trip():
 def test_bruhat_leq_matches_subwords():
     fin = fin_for("A(1)_2")
     eng = engine_for(fin)
-    elements = sorted(ball(eng, fin.datum.nodes, 4), key=eng.sort_key)
+    elements = sorted(ball(eng, fin.datum.nodes, 4), key=sort_key(eng))
     for w in elements:
         word, rem = reduced_word(eng, w)
         below = set()
