@@ -428,11 +428,11 @@ def cmd_cells(args):
     n = 3 if kind == "su" else args.n
     group = CellGroup(kind, n, args.q)
     word = args.word
-    expected = schubert_count(group.fin, word, args.q)
+    expected = schubert_count(group.fin, word, args.q, cap=args.cap)
     if expected > args.cap:
         raise ResourceCapError("cells closure points", expected, args.cap)
     pts = cell_points(group, word)
-    closure = closure_points(group, word)
+    closure = closure_points(group, word, args.cap)
     payload = {"group": args.group, "n": n, "q": args.q,
                "word": word_text(word), "length": len(word),
                "cell_size": len(pts), "closure_size": len(closure),

@@ -16,8 +16,8 @@ i_1 ... i_l, the chains
 over F_q^l, grows one letter at a time, and each new chain differs from its
 parent in one member only.  The closed cell of w is the disjoint union of
 the open cells C(v), v <= w, each grown from the cell one letter shorter.
-Growth works in F_q windows with no Series: matrices keep exact entries, and
-each new member comes out of one window elimination.
+Growth works with no Series: matrices keep exact entries (start, coeffs),
+the one format of chains.span, and each new member comes out of one span.
 
 The cells of one group thus form a prefix tree of reduced words, and a
 group keeps the cells it grows as points (h, chain), keyed by word: a cell
@@ -37,9 +37,9 @@ from ..admissible import engine_for
 from ..errors import (ConsistencyError, SpecParseError, UnsupportedDatumError,
                       UnsupportedFieldError)
 from ..rootdata import echelon_system, load_affine_datum
-from .chains import Lattice, hermite_window, member_exponents, standard_member
+from .chains import entry, member_exponents, span, standard_member
 from .kottwitz import is_unitary
-from .series import EXACT, Series, _normal, sdet, smat, smul
+from .series import Series, sdet, smat, smul
 
 # the most cell points a group keeps (module docstring): the cells
 # command's default --cap, so the closure of one default command fits
@@ -154,28 +154,25 @@ def _grow(group, points, j):
     """The points of C(v s_j) from those of C(v), for l(v s_j) = l(v) + 1.
 
     A point is a pair (h, chain) with chain = h . (standard chain), h kept
-    as n columns of exact entries (start, coeffs), None for zero.  Its q
-    children are g = h U_j(x) n_j, x in F_q, each column of g a sum of
-    scaled, shifted columns of h.  The step fixes every standard member but
-    the one with token j, so a child keeps its parent's other members and
-    costs one window elimination: the standard member has the basis
+    as n columns of exact entries (start, coeffs), the format of
+    chains.span.  Its q children are g = h U_j(x) n_j, x in F_q, each column
+    of g a sum of scaled, shifted columns of h.  The step fixes every
+    standard member but the one with token j, so a child keeps its parent's
+    other members and costs one span: the standard member has the basis
     u^{e_c} e_c and every step has determinant 1, so g times it is spanned
     by g's columns shifted by e_c and has determinant order sum e_c.
     """
     q, n = group.q, group.n
     k = group.tokens.index(j)
     exps = member_exponents(n, j)
+    det_ord = sum(exps)
     steps = [group.step_terms(j, x) for x in range(q)]
     out = []
     for h, chain in points:
         for terms in steps:
             g = [_column(q, h, t) for t in terms]
-            lo = min(x[0] + e for col, e in zip(g, exps) for x in col if x)
-            width = sum(exps) - n * lo
-            gens = [[{a: c for a, c in enumerate(x[1], x[0] + e - lo)
-                      if c and a < width} if x else {} for x in col]
-                    for col, e in zip(g, exps)]
-            child = Lattice(q, n, hermite_window(q, gens, lo, width))
+            child = span(q, n, [[(s + e, cs) for s, cs in col] if e else col
+                                for col, e in zip(g, exps)], det_ord)
             out.append((g, chain[:k] + (child,) + chain[k + 1:]))
     return out
 
@@ -184,27 +181,21 @@ def _column(q, h, terms):
     """The column sum of a u^e h_r over the terms (r, a, e) of a step."""
     if len(terms) == 1:
         (r, a, e), = terms
-        return [x and (x[0] + e, x[1] if a == 1 else
-                       tuple(a * c % q for c in x[1])) for x in h[r]]
+        return [(x[0] + e, x[1] if a == 1 else tuple(a * c % q for c in x[1]))
+                if x[1] else x for x in h[r]]
     col = []
     for s in range(len(h)):
-        parts = [(x[0] + e, x[1], a) for r, a, e in terms
-                 for x in (h[r][s],) if x]
-        if len(parts) > 1:
-            lo = min(p[0] for p in parts)
-            acc = [0] * (max(p[0] + len(p[1]) for p in parts) - lo)
-            for start, cs, a in parts:
-                for i, c in enumerate(cs, start - lo):
-                    acc[i] += a * c
-            start, cs, _ = _normal(q, lo, acc, EXACT)
-            parts = [(start, cs, 1)] if cs else []
-        col.append((parts[0][0], tuple(parts[0][2] * c % q for c in parts[0][1]))
-                   if parts else None)
+        acc = {}
+        for r, a, e in terms:
+            start, cs = h[r][s]
+            for k, c in enumerate(cs, start + e):
+                acc[k] = acc.get(k, 0) + a * c
+        col.append(entry({k: c % q for k, c in acc.items() if c % q}))
     return col
 
 
 def _identity_point(group):
-    return ([[(0, (1,)) if r == c else None for r in range(group.n)]
+    return ([[(0, (1,)) if r == c else (0, ()) for r in range(group.n)]
              for c in range(group.n)], group.base_chain())
 
 
@@ -240,18 +231,19 @@ def chain_key(chain):
     return tuple(L.key() for L in chain)
 
 
-def closure_points(group, word):
+def closure_points(group, word, cap=20000):
     """Chains of the closed cell of a reduced word, keyed by ``chain_key``.
 
     The closed cell of w is the disjoint union of the open cells C(v) over
-    v <= w, grown by subwords (weyl.lower_closure).  The word of each v
-    other than 1 is that of v s_j, which comes before it, and one letter
-    j, so each cell is grown once from the group's stored cells (module
-    docstring).  A chain met twice raises ConsistencyError.
+    the at most cap v <= w, grown by subwords (weyl.lower_closure).  The
+    word of each v other than 1 is that of v s_j, which comes before it,
+    and one letter j, so each cell is grown once from the group's stored
+    cells (module docstring).  A chain met twice raises ConsistencyError.
     """
     _check_reduced(group.fin, word)
     out = {}
-    for v_word in weyl.lower_closure(engine_for(group.fin), [word]).values():
+    eng = engine_for(group.fin)
+    for v_word in weyl.lower_closure(eng, [word], cap).values():
         for _, chain in _cell(group, v_word):
             key = chain_key(chain)
             if key in out:
@@ -261,8 +253,9 @@ def closure_points(group, word):
     return out
 
 
-def schubert_count(fin, word, q, modulo=()):
-    """Number of F_q-points of a Schubert variety: sum of q^l(v) over v <= w.
+def schubert_count(fin, word, q, modulo=(), cap=20000):
+    """Number of F_q-points of a Schubert variety: sum of q^l(v) over v <= w,
+    a lower set of at most cap elements.
 
     With modulo nonempty the count is taken in the partial flag variety for
     that set of nodes, over the v <= w with no right descent in modulo,
@@ -271,5 +264,5 @@ def schubert_count(fin, word, q, modulo=()):
     eng = engine_for(fin)
     _check_reduced(fin, word)
     return sum(q ** len(v_word)
-               for v, v_word in weyl.lower_closure(eng, [word]).items()
+               for v, v_word in weyl.lower_closure(eng, [word], cap).items()
                if not any(eng.is_right_descent(v, i) for i in modulo))

@@ -6,20 +6,22 @@ structure is the split form phi(e_i, e_j) = delta(i, n+1-j) on the quadratic
 extension k((u)) over k((u^2)), with duals taken via conj-transpose against
 the antidiagonal.
 
-The canonical basis is a Hermite form over O.  Let lo be the least exponent
-among the entries and D = ord det of the first n columns with a nonzero
-determinant.  Then u^hi O^n <= L <= u^lo O^n for hi = D - (n-1) lo, so the
-elimination runs in the window F_q[u]/u^(hi-lo) on sparse rows, one row at a
-time.  In row r the generator with the least valuation v is made monic
-there, clears row r from the other generators and reduces it modulo u^v in
-the earlier pivots, and u^(hi-lo-v) times it joins the generators, for it
-stands for u^hi e_r in L.  A row with no pivot gets u^hi e_r.  A Lattice
-stores the exact entries this returns, which are its key, and builds Series
-columns from them only on demand.
-SeriesPrecisionError is raised only when no n columns have a certified
-nonzero determinant, or when an entry is known to less than O(u^hi); exact
-input never raises.  Containment and duals solve against the triangular
-basis by forward substitution, exact as its pivots are monomials.
+The canonical basis is a Hermite form over O, and `span` is the one door to
+it, from columns of exact entries (start, coeffs): the normal form of a
+Series, zero as (0, ()).  Let lo be the least exponent among the entries and
+D = ord det of n columns with a nonzero determinant, which the cells and the
+fiber know and `canonical_columns` finds for Series columns.  Then
+u^hi O^n <= L <= u^lo O^n for hi = D - (n-1) lo, so the elimination runs in
+the window F_q[u]/u^(hi-lo) on sparse rows, one row at a time.  In row r the
+generator with the least valuation v is made monic there, clears row r from
+the other generators and reduces it modulo u^v in the earlier pivots, and
+u^(hi-lo-v) times it joins the generators, for it stands for u^hi e_r in L.
+A row with no pivot gets u^hi e_r.  A Lattice stores the exact entries this
+returns, which are its key, and builds Series columns from them only on
+demand.  SeriesPrecisionError is raised only when no n Series columns have a
+certified nonzero determinant, or when an entry is known to less than
+O(u^hi); exact input never raises.  Containment and duals solve against the
+triangular basis by forward substitution, exact as its pivots are monomials.
 
 The standard chain member for token i, 0 <= i < n, is
 
@@ -39,43 +41,47 @@ from ..errors import SeriesPrecisionError, SpecParseError
 from .series import EXACT, _raw, sdet, sdot, sid, smat, unit_inverse
 
 
-def canonical_columns(q, cols, det_ord=None):
-    """Triangular canonical basis of the O-span of the given columns.
+def canonical_columns(q, cols):
+    """Triangular canonical basis of the O-span of the given Series columns.
 
     Returns columns forming a lower triangular matrix with monic diagonal
     u^{a_i} and every entry below the diagonal reduced modulo the diagonal
     entry of its own row, so equal lattices produce identical output.  Extra
-    generating columns beyond n are allowed.  A det_ord known to the caller,
-    ord det of n of the columns, skips the search for a nonzero determinant.
+    generating columns beyond n are allowed.  The columns' first n with a
+    certified nonzero determinant give its order to span.
     """
     n = len(cols[0])
-    if det_ord is None:
-        for sub in combinations(cols, n):
-            d = sdet(sub)
-            if not d.is_zero():
-                break
-        else:
-            raise SeriesPrecisionError(
-                "no n columns have a certified nonzero determinant")
-        det_ord = d.ord()
-    lo = min(x.start for col in cols for x in col if x.coeffs)
+    for sub in combinations(cols, n):
+        d = sdet(sub)
+        if not d.is_zero():
+            break
+    else:
+        raise SeriesPrecisionError(
+            "no n columns have a certified nonzero determinant")
+    return list(span(q, n, [[(x.start, x.coeffs) for x in c] for c in cols],
+                     d.ord(), min(x.prec for col in cols for x in col)).cols)
+
+
+def span(q, n, cols, det_ord, prec=EXACT):
+    """The Lattice spanned by columns of n exact entries (start, coeffs),
+    det_ord the order of a nonzero n-column determinant (module docstring).
+    prec, the least precision of Series entries, must reach u^hi, else
+    SeriesPrecisionError is raised."""
+    lo = min(s for col in cols for s, cs in col if cs)
     hi = det_ord - (n - 1) * lo
-    gens = []
-    for col in cols:
-        gens.append([])
-        for x in col:
-            if x.prec < hi:
-                raise SeriesPrecisionError(
-                    f"terms below u^{hi} unknown at precision O(u^{x.prec})")
-            gens[-1].append({x.start - lo + i: c for i, c in
-                             enumerate(x.coeffs[:max(0, hi - x.start)]) if c})
-    return list(Lattice(q, n, hermite_window(q, gens, lo, hi - lo)).cols)
+    if prec < hi:
+        raise SeriesPrecisionError(
+            f"terms below u^{hi} unknown at precision O(u^{prec})")
+    width = hi - lo
+    return Lattice(q, n, hermite_window(q, [
+        [{k: c for k, c in enumerate(cs, s - lo) if c and k < width}
+         if cs else {} for s, cs in col] for col in cols], lo, width))
 
 
 def hermite_window(q, gens, lo, width):
-    """The entries (start, coeffs) of the canonical basis, column by column,
-    zero as (0, ()), of the span of generators of n rows in F_q[u]/u^width,
-    each row a dict {k: c} of nonzero coefficients of u^(lo+k), used up."""
+    """The entries of the canonical basis, column by column, of the span of
+    generators of n rows in F_q[u]/u^width, each row a dict {k: c} of
+    nonzero coefficients of u^(lo+k), used up."""
     n = len(gens[0])
     pivots = []
     for r in range(n):
@@ -107,10 +113,18 @@ def hermite_window(q, gens, lo, width):
         pivots.append((v, piv))
     out = []
     for i, (v, col) in enumerate(pivots):
-        out += [(0, ())] * i + [(lo + v, (1,))] + [
-            (lo + min(x), tuple(x.get(e, 0) for e in range(min(x), max(x) + 1)))
-            if x else (0, ()) for x in col[i + 1:]]
+        out += [(0, ())] * i + [(lo + v, (1,))] + [entry(x, lo)
+                                                   for x in col[i + 1:]]
     return tuple(out)
+
+
+def entry(terms, lo=0):
+    """The exact entry (start, coeffs) of the sum of c u^(lo+k) over a dict
+    {k: c} of nonzero coefficients, zero as (0, ())."""
+    if not terms:
+        return 0, ()
+    a = min(terms)
+    return lo + a, tuple(terms.get(k, 0) for k in range(a, max(terms) + 1))
 
 
 def _mul(a, b, width, q, acc=()):
@@ -189,10 +203,6 @@ class Lattice:
     def key(self):
         """Hashable fingerprint: the exact canonical entries."""
         return self.entries
-
-    def __str__(self):
-        rows = zip(*self.cols)
-        return "[" + "; ".join(", ".join(str(x) for x in row) for row in rows) + "]"
 
 
 def member_exponents(n, token):

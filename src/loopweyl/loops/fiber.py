@@ -54,8 +54,7 @@ from ..errors import ResourceCapError, SpecParseError, UnsupportedFieldError
 from ..linalg import nullspace, rref
 from ..rootdata import bt_nodes, echelon_system, load_affine_datum
 from .cells import CellGroup, cell_points
-from .chains import Lattice, member_exponents
-from .series import EXACT, Series
+from .chains import entry, member_exponents, span
 
 ODD_FIELDS = (3, 5)
 
@@ -406,20 +405,17 @@ def rebuild_members(n, q, window, point):
     """Lattice chain of a collected fiber point, one lattice per window token.
 
     Each subspace basis is lifted to u L inside the corresponding standard
-    member, padded with t times the member, and divided by u.
+    member, padded with t times the member, and divided by u.  The member
+    has determinant order sum e_a and [member : u L] = n.
     """
     members = []
     for token, key in zip(window, point):
         exps = member_exponents(n, token)
-        cols = []
-        for row in key:
-            cols.append([Series(q, exps[a], (row[a] % q, row[n + a] % q), EXACT)
-                         for a in range(n)])
-        for a in range(n):
-            col = [Series.zero(q)] * n
-            col[a] = Series.monomial(q, 1, exps[a] + 2)
-            cols.append(col)
-        members.append(Lattice.from_columns(q, cols).scale(-1))
+        cols = [[entry({k: c for k, c in enumerate((row[a], row[n + a])) if c},
+                       exps[a]) for a in range(n)] for row in key]
+        cols += [[(exps[a] + 2, (1,)) if r == a else (0, ()) for r in range(n)]
+                 for a in range(n)]
+        members.append(span(q, n, cols, sum(exps) + n).scale(-1))
     return members
 
 

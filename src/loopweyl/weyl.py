@@ -479,7 +479,7 @@ def labeled_covers_down(eng, nu, word, stab=()):
     return out
 
 
-def lower_closure(eng, words, cap=20000, what="bruhat interval nodes"):
+def lower_closure(eng, words, cap=20000, what="Bruhat lower set elements"):
     """The Bruhat lower set below the elements of reduced words, by subwords.
 
     Returns a dict from each element of the union of the intervals to a

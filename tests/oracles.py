@@ -11,7 +11,7 @@ from loopweyl import linalg
 from loopweyl.errors import ConsistencyError, ResourceCapError
 from loopweyl.admissible import engine_for
 from loopweyl.loops.chains import Lattice, canonical_columns, member_exponents
-from loopweyl.loops.series import sdot, sid, smul
+from loopweyl.loops.series import EXACT, Series, sdot, sid, smul
 from loopweyl.weyl import coset_min, from_word, lower_closure, reduced_word
 
 
@@ -237,8 +237,7 @@ def series_grow(group, points, j):
         for x in range(group.q):
             g = smul(h, group.step(j, x))
             cols = canonical_columns(group.q, [[row[c].shift(e) for row in g]
-                                               for c, e in enumerate(exps)],
-                                     sum(exps))
+                                               for c, e in enumerate(exps)])
             key = tuple((y.start, y.coeffs) for col in cols for y in col)
             out.append((g, keys[:k] + (key,) + keys[k + 1:]))
     return out
@@ -264,6 +263,23 @@ def series_cells(group, word, closed):
 
 
 # -- fiber chain maps ----------------------------------------------------------
+
+def series_members(n, q, window, point):
+    """Reference for fiber.rebuild_members on Series: each subspace basis
+    lifted to u L in its standard member, padded with t times the member,
+    put through Lattice.from_columns and divided by u."""
+    members = []
+    for token, key in zip(window, point):
+        exps = member_exponents(n, token)
+        cols = [[Series(q, exps[a], (row[a], row[n + a]), EXACT)
+                 for a in range(n)] for row in key]
+        for a in range(n):
+            col = [Series.zero(q)] * n
+            col[a] = Series.monomial(q, 1, exps[a] + 2)
+            cols.append(col)
+        members.append(Lattice.from_columns(q, cols).scale(-1))
+    return members
+
 
 def inclusion_matrix(n, i, j):
     """Coordinate matrix of Lambda_i/t -> Lambda_j/t for i <= j, row action.

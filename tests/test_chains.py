@@ -1,7 +1,9 @@
 """Canonical lattice bases and almost-self-dual chain diagnostics."""
 
+import ast
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 
 from loopweyl.errors import SeriesPrecisionError, SpecParseError
 from loopweyl.linalg import rref
-from loopweyl.loops.chains import (Lattice, canonical_columns, standard_member,
-                                   token_value, validate_chain)
+from loopweyl.loops import chains
+from loopweyl.loops.chains import (Lattice, canonical_columns, span,
+                                   standard_member, token_value, validate_chain)
 from loopweyl.loops.series import (EXACT, Series, _normal, _raw, sdet, sdot,
                                    smul)
 from oracles import transform
@@ -135,6 +138,11 @@ def window_reduction(q, cols):
                 q, lo, row[r * width:(r + 1) * width], EXACT)))
         out.append(tuple(col))
     return out
+
+
+def exact_entries(cols):
+    """Exact Series columns as the (start, coeffs) columns span reads."""
+    return [[(x.start, x.coeffs) for x in col] for col in cols]
 
 
 def check_against_oracle(q, cols):
@@ -376,9 +384,22 @@ def test_row_elimination_matches_the_window_reference(case):
         assert out == series_elimination(q, cols)
     except SeriesPrecisionError:
         pass
-    # a known determinant order skips the search and changes nothing
-    assert canonical_columns(q, cols[:n], sdet(cols[:n]).ord()) == \
-        canonical_columns(q, cols[:n])
+    # span, given the order of one nonzero n-column determinant, is the
+    # lattice canonical_columns finds by its determinant search
+    assert span(q, n, exact_entries(cols), sdet(cols[:n]).ord()) == \
+        Lattice.from_columns(q, cols)
+
+
+def test_span_is_the_one_caller_of_hermite_window():
+    callers = []
+    for path in sorted(Path(chains.__file__).parents[1].rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [(path.name, fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.Call) and "hermite_window"
+                            in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None))]
+    assert callers == [("chains.py", "span")]
 
 
 def deep_lattice(q, k):
@@ -409,7 +430,7 @@ def test_deep_lattice_reduces():
     L = Lattice.from_columns(q, cols)
     assert L.det_ord() == 401
     assert all(L.contains_vector(c) for c in cols)
-    assert list(L.cols) == canonical_columns(q, cols, 401)
+    assert span(q, 3, exact_entries(cols), 401) == L
 
 
 def test_deep_lattice_with_a_non_monomial_pivot_unit():

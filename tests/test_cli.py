@@ -251,6 +251,7 @@ BAD_FILES = {
         {"name": 5, "cartan": [[2, -2], [-2, 2]], "twist_order": 1}),
     "number_cartan.json": json.dumps(
         {"name": "A(1)_1", "cartan": 5, "twist_order": 1}),
+    "short_row.csv": 'datum,mu,Y,a\nA(1)_1,"1,0",0\n',
 }
 
 # bad inputs, with the exit code each must give: 2 for bad input, 3 for a
@@ -301,6 +302,14 @@ BAD_INPUTS = [
     (["kottwitz", "--torus", "norm1", "--q", "3", "--elt", "1/0"], 2),
     (["fiber", "--n", "3", "--r", "1", "--q", "3", "--I", "0", "--no-cells"],
      2),
+    (["kottwitz", "--torus", "un", "--q", "3", "--elt", "1,0;0"], 2),
+    (["weyl", "word", "--datum", "G(1)_2", "--elt", "tau"], 2),
+    (["weyl", "word", "--datum", "A(1)_2", "--elt", "t[1/2,0]"], 2),
+    (["coherence", "--datum", "A(1)_1", "--mu", "1,0", "--Y", "0",
+      "--a", "3..1"], 2),
+    (["datum", "info"], 2),
+    (["weyl", "leq", "--datum", "A(1)_1", "--elt", "s0"], 2),
+    (["sweep", "short_row.csv"], 2),
 ]
 
 
@@ -317,6 +326,37 @@ def test_bad_inputs_give_typed_errors(argv, code, capsys, tmp_path,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# values a command prints, each known apart from the command
+PRINTED = [
+    # diag(1, -1, 1) is unitary, of Kottwitz sign -1
+    (["kottwitz", "--torus", "un", "--q", "3", "--elt", "1,0,0;0,-1,0;0,0,1"],
+     "-1"),
+    # Omega has length 0; t[1/2] is s0 tau, whose canonical text reads back
+    (["weyl", "length", "--datum", "A(1)_1", "--elt", "tau[1/2]"], "0"),
+    (["weyl", "word", "--datum", "A(1)_1", "--elt", "t[1/2]"], "s0*tau[1/2]"),
+    (["weyl", "word", "--datum", "A(1)_1", "--elt", "s0*tau[1/2]"],
+     "s0*tau[1/2]"),
+]
+
+
+@pytest.mark.parametrize("argv, text", PRINTED,
+                         ids=[" ".join(argv[:1] + argv[-2:])
+                              for argv, _ in PRINTED])
+def test_printed_values(argv, text, capsys):
+    from loopweyl.cli import main
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text + "\n"
+
+
+def test_cells_refusal_reports_the_given_cap(capsys):
+    # [e, s0 s1 s0 s1] has 9 elements: --cap bounds the lower set too
+    from loopweyl.cli import main
+    assert main(["cells", "--group", "sl", "--n", "2", "--q", "3", "--word",
+                 "0.1.0.1", "--cap", "5", "--count-only"]) == 3
+    assert capsys.readouterr().err == \
+        "error: Bruhat lower set elements exceeded cap: 6 > 5\n"
 
 
 def test_signed_values_are_values(capsys):

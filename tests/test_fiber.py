@@ -15,7 +15,7 @@ from loopweyl.loops.fiber import (apply_rows, enumerate_fiber, gram_slots,
                                   normalize_tokens, pairs_to_zero, perp_space,
                                   pivot_columns, rebuild_members, space_key,
                                   ustable_subspaces)
-from oracles import inclusion_matrix
+from oracles import inclusion_matrix, series_members
 
 # (n, q) for the invariants the enumeration relies on
 INVARIANT_CASES = ((3, 3), (3, 5), (4, 3))
@@ -262,6 +262,14 @@ def test_join_matches_product_oracle(monkeypatch, n, r, q, toks):
         expect = enumerate_fiber(n, r, n - r, q, toks, collect=True)
     assert len(expect["points"]) == expect["naive_count"] > 0
     assert out == expect
+
+
+@pytest.mark.parametrize("n,r,q,toks", ORACLE_CASES)
+def test_rebuilt_members_match_the_series_reference(n, r, q, toks):
+    out = enumerate_fiber(n, r, n - r, q, toks, collect=True)
+    for point in out["points"]:
+        assert rebuild_members(n, q, out["window"], point) == \
+            series_members(n, q, out["window"], point), point
 
 
 def test_join_keeps_the_cap_on_unfiltered_candidates():

@@ -88,6 +88,26 @@ def test_emitted_paths_are_ls_paths():
             assert is_ls_path(space, p.directions, cuts)
 
 
+# changes that each break the LS path ((0,), ()), (0, 1/2, 1) of A(2)_2,
+# shape 2 Lambda_0, below s1 s0
+BROKEN_PATHS = [
+    (((0,), ()), (0, 1)),  # one cut too few
+    (((0,), ()), (0, 1, 1)),  # cuts not increasing
+    (((0, 1, 0), ()), (0, Fraction(1, 2), 1)),  # a direction off the graph
+    (((), (0,)), (0, Fraction(1, 2), 1)),  # the second not reached
+]
+
+
+@pytest.mark.parametrize("directions, cuts", BROKEN_PATHS)
+def test_is_ls_path_rejects(directions, cuts):
+    fin = fin_for("A(2)_2")
+    ctx = context_for(fin.datum)
+    shape = shape_weight(fin.datum, (0,), 2)
+    space = PathSpace(ctx, bruhat_interval(ctx, shape, [(1, 0)]))
+    assert is_ls_path(space, ((0,), ()), (0, Fraction(1, 2), 1))
+    assert not is_ls_path(space, directions, cuts)
+
+
 def test_scaling_monotone():
     fin = fin_for("C(1)_2")
     values = [count_h_y(fin, mu=(0, 1), y=(1,), a=a) for a in (1, 2, 3)]
