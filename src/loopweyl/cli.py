@@ -311,6 +311,11 @@ def _mu_or_lam(args):
 
 
 def cmd_adm(args):
+    if args.q is not None:
+        if args.Y is None:
+            raise SpecParseError("--q needs --Y")
+        if args.q < 2:
+            raise SpecParseError(f"argument --q: {args.q} is less than 2")
     fin = finite_for(args)
     eng = engine_for(fin)
     adm_set = adm(fin, cap=args.cap, **_mu_or_lam(args))
@@ -335,7 +340,7 @@ def cmd_adm(args):
         text.append(f"Y {list(par.y)}  Y_circ {list(par.y_circ)}")
         text.append(f"full {payload['full_size']}  mod_right {payload['mod_right_size']}")
         text.append("double_min " + "; ".join(payload["double_min"]))
-        if args.q:
+        if args.q is not None:
             payload["count_q"] = adm_count(par, args.q)
             text.append(f"count at q={args.q}: {payload['count_q']}")
     return payload, text, None, "ok"

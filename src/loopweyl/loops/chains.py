@@ -8,20 +8,21 @@ the antidiagonal.
 
 The canonical basis is a Hermite form over O, and `span` is the one door to
 it, from columns of exact entries (start, coeffs): the normal form of a
-Series, zero as (0, ()).  Let lo be the least exponent among the entries and
-D = ord det of n columns with a nonzero determinant, which the cells and the
-fiber know and `canonical_columns` finds for Series columns.  Then
+Series, zero as (0, ()); `canonical_columns` is its name for the perfbench
+tracer.  Let lo be the least exponent among the entries and D = ord det of n
+columns with a nonzero determinant, which the cells, the fiber and the dual
+know and `Lattice.from_columns`, the one door from Series, finds.  Then
 u^hi O^n <= L <= u^lo O^n for hi = D - (n-1) lo, so the elimination runs in
 the window F_q[u]/u^(hi-lo) on sparse rows, one row at a time.  In row r the
 generator with the least valuation v is made monic there, clears row r from
 the other generators and reduces it modulo u^v in the earlier pivots, and
 u^(hi-lo-v) times it joins the generators, for it stands for u^hi e_r in L.
 A row with no pivot gets u^hi e_r.  A Lattice stores the exact entries this
-returns, which are its key, and builds Series columns from them only on
-demand.  SeriesPrecisionError is raised only when no n Series columns have a
+returns, its key, and computes in them: B^-1 is exact by forward
+substitution on B's monic monomial pivots, so the dual is one more span.
+SeriesPrecisionError is raised only when no n Series columns have a
 certified nonzero determinant, or when an entry is known to less than
-O(u^hi); exact input never raises.  Containment and duals solve against the
-triangular basis by forward substitution, exact as its pivots are monomials.
+O(u^hi); exact input never raises.
 
 The standard chain member for token i, 0 <= i < n, is
 
@@ -38,28 +39,7 @@ from functools import cached_property
 from itertools import combinations
 
 from ..errors import SeriesPrecisionError, SpecParseError
-from .series import EXACT, _raw, sdet, sdot, sid, smat, unit_inverse
-
-
-def canonical_columns(q, cols):
-    """Triangular canonical basis of the O-span of the given Series columns.
-
-    Returns columns forming a lower triangular matrix with monic diagonal
-    u^{a_i} and every entry below the diagonal reduced modulo the diagonal
-    entry of its own row, so equal lattices produce identical output.  Extra
-    generating columns beyond n are allowed.  The columns' first n with a
-    certified nonzero determinant give its order to span.
-    """
-    n = len(cols[0])
-    for sub in combinations(cols, n):
-        d = sdet(sub)
-        if not d.is_zero():
-            break
-    else:
-        raise SeriesPrecisionError(
-            "no n columns have a certified nonzero determinant")
-    return list(span(q, n, [[(x.start, x.coeffs) for x in c] for c in cols],
-                     d.ord(), min(x.prec for col in cols for x in col)).cols)
+from .series import EXACT, _raw, sdet, smat, unit_inverse
 
 
 def span(q, n, cols, det_ord, prec=EXACT):
@@ -76,6 +56,10 @@ def span(q, n, cols, det_ord, prec=EXACT):
     return Lattice(q, n, hermite_window(q, [
         [{k: c for k, c in enumerate(cs, s - lo) if c and k < width}
          if cs else {} for s, cs in col] for col in cols], lo, width))
+
+
+# perfbench/layertrace.py patches this name, and so every binding of span
+canonical_columns = span
 
 
 def hermite_window(q, gens, lo, width):
@@ -140,17 +124,25 @@ def _mul(a, b, width, q, acc=()):
 @dataclass(frozen=True)
 class Lattice:
     """A lattice by its key: the exact entries (start, coeffs) of its
-    canonical basis, column by column."""
+    canonical basis, column by column, in which it also computes."""
     q: int
     n: int
     entries: tuple
 
     @staticmethod
     def from_columns(q, cols):
-        # by name through canonical_columns, the layer perfbench traces
-        cols = canonical_columns(q, smat(q, cols))
-        return Lattice(q, len(cols), tuple((x.start, x.coeffs)
-                                           for col in cols for x in col))
+        """The lattice spanned by columns of Series (ints and Fractions
+        allowed), extra generators included: the one door from Series.  The
+        first n columns with a certified nonzero determinant give its order."""
+        cols = smat(q, cols)
+        n = len(cols[0])
+        d = next((d for d in map(sdet, combinations(cols, n))
+                  if not d.is_zero()), None)
+        if d is None:
+            raise SeriesPrecisionError(
+                "no n columns have a certified nonzero determinant")
+        return span(q, n, [[(x.start, x.coeffs) for x in col] for col in cols],
+                    d.ord(), min(x.prec for col in cols for x in col))
 
     @cached_property
     def cols(self):
@@ -168,21 +160,26 @@ class Lattice:
             (s + k, c) if c else (s, c) for s, c in self.entries))
 
     def coords(self, v):
-        """The x with B x = v for the canonical basis B, by forward substitution."""
-        x = []
-        for r, col in enumerate(self.cols):
-            acc = v[r]
-            if r:
-                acc = acc - sdot([c[r] for c in self.cols[:r]], x)
-            x.append(acc.shift(-col[r].start))
-        return x
+        """The x with B x = v for the canonical basis B, v and x columns of
+        exact entries: forward substitution on B's monic monomial pivots."""
+        q, n, e = self.q, self.n, self.entries
+        x = [{k: c for k, c in enumerate(cs, s) if c} for s, cs in v]
+        for j in range(n):
+            a = e[j * n + j][0]
+            x[j] = {k - a: c for k, c in x[j].items()}
+            for r in range(j + 1, n):
+                s, cs = e[j * n + r]
+                x[r] = _mul({k: -c for k, c in enumerate(cs, s)}, x[j],
+                            EXACT, q, x[r])
+        return [entry(t) for t in x]
 
     def contains(self, other):
         """Certified test for other <= self."""
-        return all(self.contains_vector(col) for col in other.cols)
+        n, e = other.n, other.entries
+        return all(self.contains_vector(e[j * n:j * n + n]) for j in range(n))
 
     def contains_vector(self, v):
-        return all(x.in_ring() for x in self.coords(v))
+        return all(s >= 0 for s, cs in self.coords(v) if cs)
 
     def colength(self, other):
         """Index [self : other] for other <= self."""
@@ -192,13 +189,16 @@ class Lattice:
         """All w with phi(w, L) integral, phi the antidiagonal hermitian form.
 
         The dual basis is J conj(B^-1)^T, J the antidiagonal: its column k is
-        row k of B^-1, conjugated and read backwards.
+        row k of B^-1, conjugated (u -> -u negates the odd-exponent terms)
+        and read backwards.  Its determinant has order -det_ord.
         """
-        n = self.n
-        inv = [self.coords(e) for e in sid(self.q, n)]
-        return Lattice.from_columns(
-            self.q, [[inv[n - 1 - i][k].conj() for i in range(n)]
-                     for k in range(n)])
+        q, n = self.q, self.n
+        inv = [self.coords([(0, (1,)) if r == k else (0, ()) for r in range(n)])
+               for k in range(n)]
+        return span(q, n, [[
+            (s, tuple(-c % q if (s + t) % 2 else c for t, c in enumerate(cs)))
+            for s, cs in (inv[n - 1 - i][k] for i in range(n))]
+            for k in range(n)], -self.det_ord())
 
     def key(self):
         """Hashable fingerprint: the exact canonical entries."""

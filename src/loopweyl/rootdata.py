@@ -249,21 +249,15 @@ class FiniteRootDatum:
 
         # T is spanned by W_0 t*, whose points are joined by simple
         # reflections, and s_p moves v by alpha_p(v) e_p.  So T = Z t* + sum
-        # h_p Z e_p, h_p the gcd of alpha_p over the orbit, and some h_p = 0
-        # leaves T of rank below r.  Otherwise t*_p has order o_p = h_p /
-        # g_p mod h_p, with g_p = gcd(h_p, t*_p), and T = sum g_p Z e_p
-        # exactly when the cyclic group of t* mod sum h_p Z e_p is the
-        # product of its projections: when the o_p are pairwise coprime
+        # h_p Z e_p, h_p the gcd of alpha_p over the orbit, and every h_p > 0
+        # as W_0 t* spans V: deleting a special node leaves a connected
+        # finite diagram, W_0 acts irreducibly on V, and t* != 0.  t*_p has
+        # order o_p = h_p / g_p mod h_p, g_p = gcd(h_p, t*_p), and T = sum
+        # g_p Z e_p exactly when the cyclic group of t* mod sum h_p Z e_p is
+        # the product of its projections: when the o_p are pairwise coprime
         orbit = self._orbit(self._point(self.t_star))
         h = [math.gcd(*(int(self.simple_root_value(i, v)) for v in orbit))
              for i in self.nodes]
-        if not all(h):
-            rank = sum(map(bool, h)) + any(
-                c for c, hp in zip(self.t_star, h) if not hp)
-            raise UnsupportedDatumError(
-                f"translations of {datum.name} at node {x} span rank "
-                f"{rank}, not {self.r}"
-            )
         self.g = tuple(map(math.gcd, h, self.t_star))
         orders = [hp // gp for hp, gp in zip(h, self.g)]
         if math.prod(orders) != math.lcm(*orders):

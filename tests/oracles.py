@@ -10,7 +10,7 @@ from fractions import Fraction
 from loopweyl import linalg
 from loopweyl.errors import ConsistencyError, ResourceCapError
 from loopweyl.admissible import engine_for
-from loopweyl.loops.chains import Lattice, canonical_columns, member_exponents
+from loopweyl.loops.chains import Lattice, member_exponents
 from loopweyl.loops.series import EXACT, Series, sdot, sid, smul
 from loopweyl.weyl import coset_min, from_word, lower_closure, reduced_word
 
@@ -219,6 +219,29 @@ def transform(lattice, g):
     return Lattice.from_columns(lattice.q, cols)
 
 
+def series_coords(lattice, v):
+    """Reference for Lattice.coords on Series: the x with B x = v, B the
+    canonical basis, by forward substitution."""
+    x = []
+    for r, col in enumerate(lattice.cols):
+        acc = v[r]
+        if r:
+            acc = acc - sdot([c[r] for c in lattice.cols[:r]], x)
+        x.append(acc.shift(-col[r].start))
+    return x
+
+
+def series_dual(lattice):
+    """Reference for Lattice.hermitian_dual on Series: row k of B^-1, by
+    series_coords, conjugated and read backwards is column k of the dual
+    basis, put through Lattice.from_columns."""
+    n = lattice.n
+    inv = [series_coords(lattice, e) for e in sid(lattice.q, n)]
+    return Lattice.from_columns(
+        lattice.q, [[inv[n - 1 - i][k].conj() for i in range(n)]
+                    for k in range(n)])
+
+
 # -- Schubert cells ------------------------------------------------------------
 
 def reflection(group, i):
@@ -228,7 +251,7 @@ def reflection(group, i):
 
 def series_grow(group, points, j):
     """Reference for cells._grow on Series: g = h U_j(x) n_j by smul, and
-    the moved member's key read off canonical_columns.  A point is a pair
+    the moved member's key read off Lattice.from_columns.  A point is a pair
     (h, keys), keys the chain's member keys."""
     k = group.tokens.index(j)
     exps = member_exponents(group.n, j)
@@ -236,8 +259,9 @@ def series_grow(group, points, j):
     for h, keys in points:
         for x in range(group.q):
             g = smul(h, group.step(j, x))
-            cols = canonical_columns(group.q, [[row[c].shift(e) for row in g]
-                                               for c, e in enumerate(exps)])
+            cols = Lattice.from_columns(group.q, [
+                [row[c].shift(e) for row in g]
+                for c, e in enumerate(exps)]).cols
             key = tuple((y.start, y.coeffs) for col in cols for y in col)
             out.append((g, keys[:k] + (key,) + keys[k + 1:]))
     return out

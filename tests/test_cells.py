@@ -15,6 +15,7 @@ from loopweyl.loops.chains import Lattice, validate_chain
 from loopweyl.loops.series import Series, sdet, sid, smat, smul
 from loopweyl.weyl import bruhat_interval, from_word, lower_closure
 from oracles import orbit_weight, reflection, series_cells, transform
+from test_layertrace import load_layertrace
 
 
 def test_cell_sizes_are_q_powers():
@@ -131,7 +132,7 @@ ORACLE_GROUPS = ([("sl", 2, q, 4) for q in (2, 3, 5)] +
 @pytest.mark.parametrize("kind,n,q,max_len", ORACLE_GROUPS)
 def test_window_cells_match_the_series_reference(kind, n, q, max_len):
     # the window path (column terms on h, one window elimination) gives the
-    # keys of the Series path (h step by smul, then canonical_columns)
+    # keys of the Series path (h step by smul, then from_columns)
     group = CellGroup(kind, n, q)
     for word in reduced_words(group, max_len):
         assert [chain_key(c) for c in cell_points(group, word)] == \
@@ -225,6 +226,22 @@ def test_the_grow_path_builds_no_series_products(monkeypatch):
     assert len(closure_points(group, [0, 1, 2])) == \
         schubert_count(group.fin, [0, 1, 2], 3)
     assert calls == []
+
+
+def test_the_tracer_counts_one_canonical_form_per_grown_child():
+    # the tracer patches chains.canonical_columns, the name of span, so it
+    # counts each span of the grow path: q children of the one point of
+    # C(s0), and q of each of those q
+    tracer = load_layertrace().Tracer()
+    try:
+        tracer.install()
+        group = cells.CellGroup("sl", 2, 2)
+        before = tracer.metrics()["chains.canonical.calls"]
+        assert len(cells.cell_points(group, [0, 1])) == 4
+        grown = tracer.metrics()["chains.canonical.calls"] - before
+    finally:
+        tracer.restore()
+    assert grown == 6
 
 
 def test_subword_closures_match_the_cover_walk():

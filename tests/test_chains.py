@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from loopweyl.errors import SeriesPrecisionError, SpecParseError
 from loopweyl.linalg import rref
-from loopweyl.loops import chains
-from loopweyl.loops.chains import (Lattice, canonical_columns, span,
-                                   standard_member, token_value, validate_chain)
+from loopweyl.loops import chains, series
+from loopweyl.loops.cells import CellGroup, cell_points
+from loopweyl.loops.chains import (Lattice, span, standard_member, token_value,
+                                   validate_chain)
+from loopweyl.loops.fiber import enumerate_fiber, rebuild_members
 from loopweyl.loops.series import (EXACT, Series, _normal, _raw, sdet, sdot,
-                                   smul)
-from oracles import transform
+                                   sid, smul)
+from oracles import series_coords, series_dual, transform
 
 
 def poly(q, rng, lo=0, hi=3):
@@ -149,14 +151,14 @@ def check_against_oracle(q, cols):
     """Equal to the window reference, and to the Series oracle where it
     certifies; else the same lattice volume and every input column inside.
     Returns whether the Series oracle certified."""
-    out = canonical_columns(q, cols)
+    out = list(Lattice.from_columns(q, cols).cols)
     assert out == window_reduction(q, cols)
     try:
         assert out == series_elimination(q, cols)
         return True
     except SeriesPrecisionError:
         L = Lattice.from_columns(q, out)
-        assert all(L.contains_vector(c) for c in cols)
+        assert all(L.contains_vector(c) for c in exact_entries(cols))
         assert L.det_ord() == sdet(cols).ord()
         return False
 
@@ -378,14 +380,14 @@ def exact_lattice(draw):
 def test_row_elimination_matches_the_window_reference(case):
     q, cols = case
     n = len(cols[0])
-    out = canonical_columns(q, cols)
+    out = list(Lattice.from_columns(q, cols).cols)
     assert out == window_reduction(q, cols)
     try:
         assert out == series_elimination(q, cols)
     except SeriesPrecisionError:
         pass
     # span, given the order of one nonzero n-column determinant, is the
-    # lattice canonical_columns finds by its determinant search
+    # lattice from_columns finds by its determinant search
     assert span(q, n, exact_entries(cols), sdet(cols[:n]).ord()) == \
         Lattice.from_columns(q, cols)
 
@@ -416,7 +418,7 @@ def test_second_pivot_from_the_u_hi_generator():
     cols = [[Series(q, 1, (1, 2), EXACT), Series.const(q, 2)],
             [Series(q, 3, (1, 2) + (0,) * 14 + (2, 1), EXACT),
              Series.monomial(q, 2, 2)]]
-    out = canonical_columns(q, cols)
+    out = list(Lattice.from_columns(q, cols).cols)
     assert out == window_reduction(q, cols)
     assert [col[i].start for i, col in enumerate(out)] == [1, 18]
 
@@ -425,11 +427,12 @@ def test_deep_lattice_reduces():
     # the window took ~24 s at k = 200, its cube (n (hi - lo))^3 growing
     q = 3
     cols = deep_lattice(q, 18)
-    assert canonical_columns(q, cols) == window_reduction(q, cols)
+    assert list(Lattice.from_columns(q, cols).cols) == \
+        window_reduction(q, cols)
     cols = deep_lattice(q, 200)
     L = Lattice.from_columns(q, cols)
     assert L.det_ord() == 401
-    assert all(L.contains_vector(c) for c in cols)
+    assert all(L.contains_vector(c) for c in exact_entries(cols))
     assert span(q, 3, exact_entries(cols), 401) == L
 
 
@@ -441,7 +444,7 @@ def test_deep_lattice_with_a_non_monomial_pivot_unit():
         series_elimination(q, cols)
     L = Lattice.from_columns(q, cols)
     assert L.det_ord() == 19
-    assert all(L.contains_vector(c) for c in cols)
+    assert all(L.contains_vector(c) for c in exact_entries(cols))
     # the first column is (u, 2u / (1 + 2u)) modulo u^18 in its second row
     assert L.cols[0][0] == u
     assert (L.cols[0][1] * (1 + 2 * u) - 2 * u).ord() >= 18
@@ -450,19 +453,20 @@ def test_deep_lattice_with_a_non_monomial_pivot_unit():
 def test_canonical_failure_modes():
     q = 3
     with pytest.raises(SeriesPrecisionError):
-        canonical_columns(q, [[Series.one(q), Series.zero(q)],
-                              [Series.one(q), Series.zero(q)]])
+        Lattice.from_columns(q, [[Series.one(q), Series.zero(q)],
+                                 [Series.one(q), Series.zero(q)]])
     fuzzy = Series(q, 0, (), 2)  # O(u^2): order unknown
     with pytest.raises(SeriesPrecisionError):
-        canonical_columns(q, [[fuzzy, Series.zero(q)],
-                              [Series.zero(q), Series.one(q)]])
+        Lattice.from_columns(q, [[fuzzy, Series.zero(q)],
+                                 [Series.zero(q), Series.one(q)]])
     # det u^3 puts u^3 O^2 inside the span, so entries must be known to O(u^3)
     u3 = Series.monomial(q, 1, 3)
     with pytest.raises(SeriesPrecisionError):
-        canonical_columns(q, [[Series.one(q), Series(q, 0, (1, 1), 2)],
-                              [Series.zero(q), u3]])
-    assert canonical_columns(q, [[Series.one(q), Series(q, 0, (1, 1, 2), 3)],
-                                 [Series.zero(q), u3]]) == \
+        Lattice.from_columns(q, [[Series.one(q), Series(q, 0, (1, 1), 2)],
+                                 [Series.zero(q), u3]])
+    assert list(Lattice.from_columns(
+        q, [[Series.one(q), Series(q, 0, (1, 1, 2), 3)],
+            [Series.zero(q), u3]]).cols) == \
         [(Series.one(q), Series(q, 0, (1, 1, 2), EXACT)), (Series.zero(q), u3)]
 
 
@@ -470,8 +474,63 @@ def test_contains_vector():
     q = 3
     L = standard_member(q, 3, 1)
     u = Series.uniformizer(q)
-    assert L.contains_vector((u.inverse(), Series.one(q), Series.zero(q)))
-    assert not L.contains_vector((Series.zero(q), u.inverse(), Series.zero(q)))
+    inside, outside = exact_entries([
+        (u.inverse(), Series.one(q), Series.zero(q)),
+        (Series.zero(q), u.inverse(), Series.zero(q))])
+    assert L.contains_vector(inside)
+    assert not L.contains_vector(outside)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(exact_lattice())
+def test_entries_arithmetic_matches_the_series_reference(case):
+    # coords and hermitian_dual on exact entries against the forward
+    # substitution over Series and the dual through from_columns
+    q, cols = case
+    L = Lattice.from_columns(q, cols)
+    vectors = cols + list(sid(q, len(cols[0])))
+    for v, entries in zip(vectors, exact_entries(vectors)):
+        x = series_coords(L, v)
+        assert L.coords(entries) == exact_entries([x])[0]
+        assert L.contains_vector(entries) == all(y.in_ring() for y in x)
+    assert L.hermitian_dual() == series_dual(L)
+
+
+def record_series(monkeypatch):
+    """The name of every Series built or multiplied from here on."""
+    calls = []
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((Series, "__init__"), (Series, "__mul__"),
+                        (Series, "__rmul__"), (series, "_raw"),
+                        (chains, "_raw"), (chains, "sdet")):
+        monkeypatch.setattr(owner, name, wrap(name, getattr(owner, name)))
+    return calls
+
+
+def test_validate_chain_builds_no_series(monkeypatch):
+    q = 3
+    cases = [([standard_member(q, n, t) for t in tokens], tokens)
+             for n, tokens in ((2, [0, 1]), (3, [0, 1, 2]), (5, [0, 2]),
+                               (4, [0, 1, 2, 3]), (4, [0, 1, "m'", 3]))]
+    rng = random.Random(7)
+    for n, r, toks in ((3, 1, {0, 1}), (4, 1, {2}), (4, 2, {0})):
+        out = enumerate_fiber(n, r, n - r, q, toks, collect=True)
+        cases += [(rebuild_members(n, q, out["window"], point), out["window"])
+                  for point in rng.sample(out["points"], 6)]
+    group = CellGroup("su", 3, q)
+    cases += [(list(chain), group.tokens) for word in ([0, 1], [1, 0, 1])
+              for chain in cell_points(group, word)]
+    calls = record_series(monkeypatch)
+    reports = [validate_chain(members, tokens=tokens)
+               for members, tokens in cases]
+    assert calls == []
+    assert all(report["ok"] for report in reports)
 
 
 def test_validate_standard_chains():

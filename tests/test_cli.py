@@ -310,6 +310,10 @@ BAD_INPUTS = [
     (["datum", "info"], 2),
     (["weyl", "leq", "--datum", "A(1)_1", "--elt", "s0"], 2),
     (["sweep", "short_row.csv"], 2),
+    # count_q is a count of points over F_q, and needs the parahoric Y
+    (["adm", "--datum", "A(1)_1", "--mu", "1,0", "--Y", "0", "--q", "0"], 2),
+    (["adm", "--datum", "A(1)_1", "--mu", "1,0", "--Y", "0", "--q", "-3"], 2),
+    (["adm", "--datum", "A(1)_1", "--mu", "1,0", "--q", "3"], 2),
 ]
 
 
