@@ -360,3 +360,13 @@ def test_rejections():
         schubert_count(group.fin, [1, 1], 3)
     with pytest.raises(SpecParseError):
         CellGroup("xx", 2, 3)
+
+
+@pytest.mark.parametrize("q", [1, 4, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unsupported_field_sizes_are_refused(n, q):
+    # only F_2, F_3 and F_5 are supported, for sl as for su
+    with pytest.raises(UnsupportedFieldError):
+        CellGroup("sl", n, q)
+    with pytest.raises(UnsupportedFieldError):
+        CellGroup("su", 3, q)

@@ -261,6 +261,8 @@ BAD_INPUTS = [
     (["cells", "--group", "sl", "--n", "3", "--q", "3", "--word", "3"], 2),
     (["cells", "--group", "su3", "--q", "3", "--word", "2"], 2),
     (["cells", "--group", "sl", "--n", "2", "--q", "3", "--word", "0.0"], 2),
+    # F_7 is not a supported residue field
+    (["cells", "--group", "sl", "--n", "2", "--q", "7", "--word", "0"], 2),
     (["fiber", "--n", "3", "--r", "1", "--q", "3", "--I", "0",
       "--spot-check", "-1"], 2),
     # the cuts k/p of the largest cover value would number about 10^20
