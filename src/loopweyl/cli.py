@@ -18,7 +18,9 @@ sweep file, is read by one of two rules: an integer is ``-?[0-9]+``
 the payloads print), with surrounding whitespace allowed.  So ``1_0``,
 ``1.5`` and non-ASCII digits are refused, not read as numbers.  Every
 refusal leaves main by one path, the parser's own among them: one
-``error: `` line on stderr and exit 2, or exit 3 for a cap.
+``error: `` line on stderr and exit 2, or exit 3 for a cap.  Options are
+read by their full names only, and a stdout whose reader has gone exits
+141 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import argparse
 import csv
 import itertools
 import json
+import os
 import random
 import re
 import sys
@@ -46,7 +49,7 @@ from .loops.cells import CellGroup, cell_points, closure_points, schubert_count
 from .loops.chains import validate_chain
 from .loops.fiber import enumerate_fiber, rebuild_members
 from .loops.kottwitz import kottwitz_gm, kottwitz_norm_one, kottwitz_unitary
-from .loops.series import parse_series, smat
+from .loops.series import parse_series, smat, to_text
 
 
 # -- parsing helpers ---------------------------------------------------------
@@ -447,10 +450,12 @@ def cmd_cells(args):
             f"closure {len(closure)}  schubert {expected}  "
             + ("ok" if payload["closure_matches_schubert"] else "MISMATCH")]
     if not args.count_only:
+        # a member by the columns of its canonical basis, "|" between them
         rendered = sorted(
-            ["; ".join(f"{tok}:" + "|".join(",".join(x.to_text() for x in col)
-                                            for col in member.cols)
-                       for tok, member in zip(group.tokens, chain))
+            ["; ".join(f"{tok}:" + "|".join(
+                ",".join(to_text(*x) for x in member.entries[j:j + n])
+                for j in range(0, n * n, n))
+                for tok, member in zip(group.tokens, chain))
              for chain in pts])
         payload["points"] = rendered
         text.extend(rendered)
@@ -524,10 +529,11 @@ def cmd_sweep(args):
 class _Parser(argparse.ArgumentParser):
     """Refuses with SpecParseError, which main reports like any bad input,
     naming the option of a bad value.  No option starts with a digit, so
-    -<digit>... is a value (argparse alone takes -1/2 for an option)."""
+    -<digit>... is a value (argparse alone takes -1/2 for an option), and
+    an option is read by its full name only, never --c for --cap."""
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"-[0-9]")
 
     def _get_value(self, action, text):
@@ -646,6 +652,18 @@ def build_parser():
 
 
 def main(argv=None):
+    # a closed stdout: what is left for it goes to os.devnull, as the Python
+    # signal docs advise, and the exit code is 141 (128 + SIGPIPE)
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
+
+
+def _main(argv):
     parser = build_parser()
     t0 = time.perf_counter()
     try:

@@ -16,8 +16,11 @@ i_1 ... i_l, the chains
 over F_q^l, grows one letter at a time, and each new chain differs from its
 parent in one member only.  The closed cell of w is the disjoint union of
 the open cells C(v), v <= w, each grown from the cell one letter shorter.
-Growth works with no Series: matrices keep exact entries (start, coeffs),
-the one format of chains.span, and each new member comes out of one span.
+No Series is built: a step U_i(x) n_i is a list of columns of terms (row,
+coefficient, exponent), the product h of the steps so far keeps exact
+entries (start, coeffs), the one format of chains.span, and each new member
+comes out of one span.  The tests check every step against the Series
+product of U_i(x) and n_i, of determinant 1 and, for su, unitary.
 
 The cells of one group thus form a prefix tree of reduced words, and a
 group keeps the cells it grows as points (h, chain), keyed by word: a cell
@@ -30,16 +33,13 @@ regrown from its longest stored prefix.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .. import weyl
 from ..admissible import engine_for
 from ..errors import (ConsistencyError, SpecParseError, UnsupportedDatumError,
                       UnsupportedFieldError)
 from ..rootdata import echelon_system, load_affine_datum
 from .chains import entry, member_exponents, span, standard_member
-from .kottwitz import is_unitary
-from .series import Series, sdet, smat, smul
+from .series import check_field
 
 # the most cell points a group keeps (module docstring): the cells
 # command's default --cap, so the closure of one default command fits
@@ -50,9 +50,8 @@ class CellGroup:
     """A loop group in matrix form together with its affine root datum."""
 
     def __init__(self, kind, n, q):
-        self.kind = kind
-        self.n = n
-        self.q = q
+        check_field(q)
+        self.kind, self.n, self.q = kind, n, q
         if kind == "sl":
             if not 2 <= n <= 4:
                 raise UnsupportedDatumError("matrix model covers sl of rank 2..4")
@@ -72,65 +71,35 @@ class CellGroup:
         self.fin = echelon_system(self.datum, 0)
         self.nodes = list(self.datum.nodes)
         self._base = [standard_member(q, n, t) for t in self.tokens]
-        self._refl = {i: self._make_refl(i) for i in self.nodes}
         self._steps = {}
         self._cells = {}  # reduced word -> points (h, chain), oldest first
         self._stored = 0  # points in self._cells
-        for i, m in self._refl.items():
-            if not (sdet(m) - 1).is_zero():
-                raise ConsistencyError(f"n_{i} must have determinant 1")
-            if self.hermitian and not is_unitary(m):
-                raise ConsistencyError(f"n_{i} must be unitary")
-
-    # -- generator matrices ------------------------------------------------
-
-    def unip(self, i, x):
-        """The unipotent U_i(x), x an integer parameter mod q."""
-        q, n = self.q, self.n
-        if self.kind == "su" and i == 1:
-            return smat(q, [[1, -x, -x * x * Fraction(1, 2)], [0, 1, x],
-                            [0, 0, 1]])
-        m = [[int(a == b) for b in range(n)] for a in range(n)]
-        if i == 0:
-            m[n - 1][0] = Series.monomial(q, x if self.kind == "sl" else -x, 1)
-        else:
-            m[i - 1][i] = x
-        return smat(q, m)
-
-    def _make_refl(self, i):
-        q, n = self.q, self.n
-        u, um = Series.uniformizer(q), Series.monomial(q, -1, -1)
-        if self.kind == "su":
-            if i == 1:
-                return smat(q, [[0, 0, Fraction(-1, 2)], [0, -1, 0],
-                                [-2, 0, 0]])
-            return smat(q, [[0, 0, um], [0, 1, 0], [u, 0, 0]])
-        # sl: swap e_a and e_b, up above the diagonal and down below it
-        a, b, up, down = (0, n - 1, um, u) if i == 0 else (i - 1, i, 1, -1)
-        m = [[int(r == c) for c in range(n)] for r in range(n)]
-        m[a][a] = m[b][b] = 0
-        m[a][b], m[b][a] = up, down
-        return smat(q, m)
-
-    def step(self, i, x):
-        """U_i(x) n_i, built on first use, checked to have determinant 1 and
-        monomial entries (n_i is monomial); step_terms gives its columns."""
-        if (i, x) not in self._steps:
-            step = smul(self.unip(i, x), self._refl[i])
-            if not (sdet(step) - 1).is_zero():
-                raise ConsistencyError(f"U_{i}({x}) n_{i} must have determinant 1")
-            if any(len(y.coeffs) > 1 for row in step for y in row):
-                raise ConsistencyError(f"U_{i}({x}) n_{i} has a non-monomial entry")
-            self._steps[i, x] = step, [
-                [(r, row[c].coeffs[0], row[c].start)
-                 for r, row in enumerate(step) if row[c].coeffs]
-                for c in range(self.n)]
-        return self._steps[i, x][0]
 
     def step_terms(self, i, x):
-        """The columns of step(i, x) as terms (row, coefficient, exponent)."""
-        self.step(i, x)
-        return self._steps[i, x][1]
+        """The columns of the step U_i(x) n_i, x an integer mod q, as terms
+        (row, coefficient, exponent), built on first use.  U_i(x) is the
+        identity and at most three more terms, and n_i has one term a u^e in
+        each column c, at row r: column c of the step is a u^e times column
+        r of U_i(x)."""
+        if (i, x) not in self._steps:
+            q, n = self.q, self.n
+            unip = [[(r, 1, 0)] for r in range(n)]  # the columns of U_i(x)
+            refl = [(r, 1, 0) for r in range(n)]  # n_i, a term per column
+            if i == 0:  # n_0 swaps e_1 and e_n, by -u^-1 and u
+                unip[0].append((n - 1, -x if self.kind == "su" else x, 1))
+                refl[0], refl[n - 1] = (n - 1, 1, 1), (0, -1, -1)
+            elif self.kind == "su":  # node 1 of su_3, q odd
+                half = pow(2, -1, q)
+                unip[1].insert(0, (0, -x, 0))
+                unip[2][:0] = [(0, -x * x * half, 0), (1, x, 0)]
+                refl = [(2, -2, 0), (1, -1, 0), (0, -half, 0)]
+            else:  # n_i swaps e_i and e_(i+1), by 1 and -1
+                unip[i].insert(0, (i - 1, x, 0))
+                refl[i - 1], refl[i] = (i, -1, 0), (i - 1, 1, 0)
+            self._steps[i, x] = [[(s, a * b % q, e + f)
+                                  for s, b, f in unip[r] if a * b % q]
+                                 for r, a, e in refl]
+        return self._steps[i, x]
 
     def base_chain(self):
         return tuple(self._base)

@@ -7,22 +7,19 @@ extension k((u)) over k((u^2)), with duals taken via conj-transpose against
 the antidiagonal.
 
 The canonical basis is a Hermite form over O, and `span` is the one door to
-it, from columns of exact entries (start, coeffs): the normal form of a
-Series, zero as (0, ()); `canonical_columns` is its name for the perfbench
-tracer.  Let lo be the least exponent among the entries and D = ord det of n
-columns with a nonzero determinant, which the cells, the fiber and the dual
-know and `Lattice.from_columns`, the one door from Series, finds.  Then
-u^hi O^n <= L <= u^lo O^n for hi = D - (n-1) lo, so the elimination runs in
-the window F_q[u]/u^(hi-lo) on sparse rows, one row at a time.  In row r the
-generator with the least valuation v is made monic there, clears row r from
-the other generators and reduces it modulo u^v in the earlier pivots, and
-u^(hi-lo-v) times it joins the generators, for it stands for u^hi e_r in L.
-A row with no pivot gets u^hi e_r.  A Lattice stores the exact entries this
-returns, its key, and computes in them: B^-1 is exact by forward
-substitution on B's monic monomial pivots, so the dual is one more span.
-SeriesPrecisionError is raised only when no n Series columns have a
-certified nonzero determinant, or when an entry is known to less than
-O(u^hi); exact input never raises.
+it, from columns of exact entries (start, coeffs): the sum of c_k u^(start+k),
+zero as (0, ()); `canonical_columns` is its name for the perfbench tracer.
+Let lo be the least exponent among the entries and D = ord det of n columns
+with a nonzero determinant, which every caller knows: the cells, the fiber
+and the dual.  Then u^hi O^n <= L <= u^lo O^n for hi = D - (n-1) lo, so the
+elimination runs in the window F_q[u]/u^(hi-lo) on sparse rows, one row at a
+time.  In row r the generator with the least valuation v is made monic
+there, clears row r from the other generators and reduces it modulo u^v in
+the earlier pivots, and u^(hi-lo-v) times it joins the generators, for it
+stands for u^hi e_r in L.  A row with no pivot gets u^hi e_r.  A Lattice
+stores the exact entries this returns, its key, and computes in them: B^-1
+is exact by forward substitution on B's monic monomial pivots, so the dual
+is one more span.
 
 The standard chain member for token i, 0 <= i < n, is
 
@@ -35,24 +32,16 @@ extended periodically by u^-1 in steps of n; for even n = 2m the extra token
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
 
-from ..errors import SeriesPrecisionError, SpecParseError
-from .series import EXACT, _raw, sdet, smat, unit_inverse
+from ..errors import SpecParseError
+from .series import EXACT, unit_inverse
 
 
-def span(q, n, cols, det_ord, prec=EXACT):
+def span(q, n, cols, det_ord):
     """The Lattice spanned by columns of n exact entries (start, coeffs),
-    det_ord the order of a nonzero n-column determinant (module docstring).
-    prec, the least precision of Series entries, must reach u^hi, else
-    SeriesPrecisionError is raised."""
+    det_ord the order of a nonzero n-column determinant (module docstring)."""
     lo = min(s for col in cols for s, cs in col if cs)
-    hi = det_ord - (n - 1) * lo
-    if prec < hi:
-        raise SeriesPrecisionError(
-            f"terms below u^{hi} unknown at precision O(u^{prec})")
-    width = hi - lo
+    width = det_ord - n * lo
     return Lattice(q, n, hermite_window(q, [
         [{k: c for k, c in enumerate(cs, s - lo) if c and k < width}
          if cs else {} for s, cs in col] for col in cols], lo, width))
@@ -128,28 +117,6 @@ class Lattice:
     q: int
     n: int
     entries: tuple
-
-    @staticmethod
-    def from_columns(q, cols):
-        """The lattice spanned by columns of Series (ints and Fractions
-        allowed), extra generators included: the one door from Series.  The
-        first n columns with a certified nonzero determinant give its order."""
-        cols = smat(q, cols)
-        n = len(cols[0])
-        d = next((d for d in map(sdet, combinations(cols, n))
-                  if not d.is_zero()), None)
-        if d is None:
-            raise SeriesPrecisionError(
-                "no n columns have a certified nonzero determinant")
-        return span(q, n, [[(x.start, x.coeffs) for x in col] for col in cols],
-                    d.ord(), min(x.prec for col in cols for x in col))
-
-    @cached_property
-    def cols(self):
-        """The canonical basis columns as exact Series, built on first use."""
-        q, n, e = self.q, self.n, self.entries
-        return tuple(tuple(_raw(q, s, c, EXACT) for s, c in e[j * n:j * n + n])
-                     for j in range(n))
 
     def det_ord(self):
         return sum(self.entries[i * (self.n + 1)][0] for i in range(self.n))

@@ -137,13 +137,6 @@ class Series:
             return 0
         return self.coeffs[exponent - self.start]
 
-    def in_ring(self):
-        """Membership in F_q[[u]], certified at the working precision."""
-        if self.prec < 0:
-            raise SeriesPrecisionError(
-                f"ring membership undecidable at precision O(u^{self.prec})")
-        return (not self.coeffs) or self.start >= 0
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other):
@@ -235,13 +228,6 @@ class Series:
         h = unit_inverse(self.q, g)
         return _raw(self.q, *_normal(self.q, -v, h, prec))
 
-    def shift(self, k):
-        """Multiply by u^k; the normal form only moves."""
-        if not k:
-            return self
-        return _raw(self.q, self.start + k if self.coeffs else 0, self.coeffs,
-                    self.prec + k if self.prec < EXACT else EXACT)
-
     def truncate(self, prec):
         return _raw(self.q, *_normal(self.q, self.start, self.coeffs,
                                      min(self.prec, prec)))
@@ -256,30 +242,32 @@ class Series:
     # -- text --------------------------------------------------------------
 
     def to_text(self, var="u"):
-        if not self.coeffs:
-            body = "0"
-        else:
-            terms = []
-            for i, c in enumerate(self.coeffs):
-                if c == 0:
-                    continue
-                e = self.start + i
-                if e == 0:
-                    terms.append(str(c))
-                elif c == 1:
-                    terms.append(f"{var}^{e}" if e != 1 else var)
-                else:
-                    terms.append(f"{c}*{var}^{e}" if e != 1 else f"{c}*{var}")
-            body = " + ".join(terms)
-        if self.prec < EXACT:
-            body += f" + O({var}^{self.prec})"
-        return body
+        return to_text(self.start, self.coeffs, self.prec, var)
 
     def __str__(self):
         return self.to_text()
 
     def __repr__(self):
         return f"Series({self.q}, {self.to_text()!r})"
+
+
+def to_text(start, coeffs, prec=EXACT, var="u"):
+    """The text of the series sum c_k var^(start+k) + O(var^prec), which
+    parse_series reads back."""
+    terms = []
+    for e, c in enumerate(coeffs, start):
+        if c == 0:
+            continue
+        if e == 0:
+            terms.append(str(c))
+        elif c == 1:
+            terms.append(f"{var}^{e}" if e != 1 else var)
+        else:
+            terms.append(f"{c}*{var}^{e}" if e != 1 else f"{c}*{var}")
+    body = " + ".join(terms) or "0"
+    if prec < EXACT:
+        body += f" + O({var}^{prec})"
+    return body
 
 
 def unit_inverse(q, g):
@@ -369,11 +357,6 @@ def smat(q, rows):
     """Build a matrix of Series from ints, Fractions, or Series entries."""
     return tuple(tuple(x if isinstance(x, Series) else Series.const(q, x)
                        for x in row) for row in rows)
-
-
-def sid(q, n):
-    return tuple(tuple(Series.const(q, 1 if i == j else 0) for j in range(n))
-                 for i in range(n))
 
 
 def santidiag(q, n):

@@ -6,12 +6,15 @@ way, kept beside the tests that compare the two.
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from loopweyl import linalg
-from loopweyl.errors import ConsistencyError, ResourceCapError
+from loopweyl.errors import (ConsistencyError, ResourceCapError,
+                             SeriesPrecisionError)
 from loopweyl.admissible import engine_for
-from loopweyl.loops.chains import Lattice, member_exponents
-from loopweyl.loops.series import EXACT, Series, sdot, sid, smul
+from loopweyl.loops.chains import member_exponents, span
+from loopweyl.loops.series import (EXACT, Series, _raw, sdet, sdot, smat,
+                                   smul)
 from loopweyl.weyl import coset_min, from_word, lower_closure, reduced_word
 
 
@@ -208,61 +211,151 @@ def in_lattice(v, basis):
 
 # -- series and lattices -------------------------------------------------------
 
+def sid(q, n):
+    """The n x n identity matrix over Series."""
+    return tuple(tuple(Series.const(q, 1 if i == j else 0) for j in range(n))
+                 for i in range(n))
+
+
+def shift(x, k):
+    """The series u^k x; the normal form only moves."""
+    return _raw(x.q, x.start + k if x.coeffs else 0, x.coeffs,
+                x.prec + k if x.prec < EXACT else EXACT)
+
+
+def in_ring(x):
+    """Membership of a series in F_q[[u]], certified at its precision."""
+    if x.prec < 0:
+        raise SeriesPrecisionError(
+            f"ring membership undecidable at precision O(u^{x.prec})")
+    return (not x.coeffs) or x.start >= 0
+
+
 def is_unit(s):
     """Whether a series is a unit of F_q[[u]]."""
     return bool(s.coeffs) and s.start == 0
 
 
+def from_columns(q, cols):
+    """The lattice spanned by columns of Series (ints and Fractions
+    allowed), extra generators included, through chains.span.  The first n
+    columns with a certified nonzero determinant give its order D, and with
+    lo the least exponent every entry must be known to O(u^hi), hi = D -
+    (n-1) lo; else SeriesPrecisionError."""
+    cols = smat(q, cols)
+    n = len(cols[0])
+    d = next((d for d in map(sdet, combinations(cols, n))
+              if not d.is_zero()), None)
+    if d is None:
+        raise SeriesPrecisionError(
+            "no n columns have a certified nonzero determinant")
+    hi = d.ord() - (n - 1) * min(x.start for col in cols for x in col
+                                 if x.coeffs)
+    prec = min(x.prec for col in cols for x in col)
+    if prec < hi:
+        raise SeriesPrecisionError(
+            f"terms below u^{hi} unknown at precision O(u^{prec})")
+    return span(q, n, [[(x.start, x.coeffs) for x in col] for col in cols],
+                d.ord())
+
+
+def series_cols(lattice):
+    """The canonical basis columns of a lattice as exact Series."""
+    q, n, e = lattice.q, lattice.n, lattice.entries
+    return tuple(tuple(Series(q, s, c, EXACT) for s, c in e[j * n:j * n + n])
+                 for j in range(n))
+
+
 def transform(lattice, g):
     """The lattice g L for a matrix g over the series ring."""
-    cols = [[sdot(row, col) for row in g] for col in lattice.cols]
-    return Lattice.from_columns(lattice.q, cols)
+    cols = [[sdot(row, col) for row in g] for col in series_cols(lattice)]
+    return from_columns(lattice.q, cols)
 
 
 def series_coords(lattice, v):
     """Reference for Lattice.coords on Series: the x with B x = v, B the
     canonical basis, by forward substitution."""
+    basis = series_cols(lattice)
     x = []
-    for r, col in enumerate(lattice.cols):
+    for r, col in enumerate(basis):
         acc = v[r]
         if r:
-            acc = acc - sdot([c[r] for c in lattice.cols[:r]], x)
-        x.append(acc.shift(-col[r].start))
+            acc = acc - sdot([c[r] for c in basis[:r]], x)
+        x.append(shift(acc, -col[r].start))
     return x
 
 
 def series_dual(lattice):
     """Reference for Lattice.hermitian_dual on Series: row k of B^-1, by
     series_coords, conjugated and read backwards is column k of the dual
-    basis, put through Lattice.from_columns."""
+    basis, put through from_columns."""
     n = lattice.n
     inv = [series_coords(lattice, e) for e in sid(lattice.q, n)]
-    return Lattice.from_columns(
+    return from_columns(
         lattice.q, [[inv[n - 1 - i][k].conj() for i in range(n)]
                     for k in range(n)])
 
 
 # -- Schubert cells ------------------------------------------------------------
 
-def reflection(group, i):
-    """n_i of a cells.CellGroup: the step U_i(0) n_i, as U_i(0) = 1."""
-    return group.step(i, 0)
+def series_unip(group, i, x):
+    """The unipotent U_i(x) of a cells.CellGroup over Series, x an integer
+    parameter mod q."""
+    q, n = group.q, group.n
+    if group.kind == "su" and i == 1:
+        return smat(q, [[1, -x, -x * x * Fraction(1, 2)], [0, 1, x],
+                        [0, 0, 1]])
+    m = [[int(a == b) for b in range(n)] for a in range(n)]
+    if i == 0:
+        m[n - 1][0] = Series.monomial(q, x if group.kind == "sl" else -x, 1)
+    else:
+        m[i - 1][i] = x
+    return smat(q, m)
+
+
+def series_refl(group, i):
+    """The reflection representative n_i of a cells.CellGroup over Series."""
+    q, n = group.q, group.n
+    u, um = Series.uniformizer(q), Series.monomial(q, -1, -1)
+    if group.kind == "su":
+        if i == 1:
+            return smat(q, [[0, 0, Fraction(-1, 2)], [0, -1, 0], [-2, 0, 0]])
+        return smat(q, [[0, 0, um], [0, 1, 0], [u, 0, 0]])
+    # sl: swap e_a and e_b, up above the diagonal and down below it
+    a, b, up, down = (0, n - 1, um, u) if i == 0 else (i - 1, i, 1, -1)
+    m = [[int(r == c) for c in range(n)] for r in range(n)]
+    m[a][a] = m[b][b] = 0
+    m[a][b], m[b][a] = up, down
+    return smat(q, m)
+
+
+def series_step(group, i, x):
+    """The step U_i(x) n_i of a cells.CellGroup, a product over Series."""
+    return smul(series_unip(group, i, x), series_refl(group, i))
+
+
+def step_terms_of(step):
+    """The columns of a matrix over Series as the terms (row, coefficient,
+    exponent) of CellGroup.step_terms; each entry must be a monomial."""
+    assert all(len(y.coeffs) <= 1 for row in step for y in row)
+    return [[(r, row[c].coeffs[0], row[c].start)
+             for r, row in enumerate(step) if row[c].coeffs]
+            for c in range(len(step))]
 
 
 def series_grow(group, points, j):
     """Reference for cells._grow on Series: g = h U_j(x) n_j by smul, and
-    the moved member's key read off Lattice.from_columns.  A point is a pair
+    the moved member's key read off from_columns.  A point is a pair
     (h, keys), keys the chain's member keys."""
     k = group.tokens.index(j)
     exps = member_exponents(group.n, j)
+    steps = [series_step(group, j, x) for x in range(group.q)]
     out = []
     for h, keys in points:
-        for x in range(group.q):
-            g = smul(h, group.step(j, x))
-            cols = Lattice.from_columns(group.q, [
-                [row[c].shift(e) for row in g]
-                for c, e in enumerate(exps)]).cols
-            key = tuple((y.start, y.coeffs) for col in cols for y in col)
+        for step in steps:
+            g = smul(h, step)
+            key = from_columns(group.q, [[shift(row[c], e) for row in g]
+                                         for c, e in enumerate(exps)]).key()
             out.append((g, keys[:k] + (key,) + keys[k + 1:]))
     return out
 
@@ -291,7 +384,7 @@ def series_cells(group, word, closed):
 def series_members(n, q, window, point):
     """Reference for fiber.rebuild_members on Series: each subspace basis
     lifted to u L in its standard member, padded with t times the member,
-    put through Lattice.from_columns and divided by u."""
+    put through from_columns and divided by u."""
     members = []
     for token, key in zip(window, point):
         exps = member_exponents(n, token)
@@ -301,7 +394,7 @@ def series_members(n, q, window, point):
             col = [Series.zero(q)] * n
             col[a] = Series.monomial(q, 1, exps[a] + 2)
             cols.append(col)
-        members.append(Lattice.from_columns(q, cols).scale(-1))
+        members.append(from_columns(q, cols).scale(-1))
     return members
 
 

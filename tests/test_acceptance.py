@@ -18,7 +18,6 @@ from loopweyl.dims import (central_charge, check_coherence, h_mu, hook_content,
 from loopweyl.kactables import known_names
 from loopweyl.loops.cells import (CellGroup, cell_points, closure_points,
                                   schubert_count)
-from loopweyl.loops.chains import Lattice
 from loopweyl.loops.fiber import enumerate_fiber
 from loopweyl.loops.kottwitz import (is_unitary, kottwitz_gm,
                                      kottwitz_norm_one, kottwitz_unitary)
@@ -27,7 +26,8 @@ from loopweyl.lspaths import PathSpace
 from loopweyl.rootdata import echelon_system, load_affine_datum
 from loopweyl.weyl import (CartanContext, bruhat_interval, from_word,
                            reduced_word)
-from oracles import gen, longest_element, sort_key
+from oracles import (from_columns, gen, longest_element, series_cols,
+                     sort_key)
 
 _GATE = {"calibrated": False}
 
@@ -248,7 +248,7 @@ def _sl2_window_partition(group, bound):
             for e, c in enumerate(coeffs):
                 if c:
                     x = x + Series.monomial(q, c, e - bound)
-            lats.append(Lattice.from_columns(q, [
+            lats.append(from_columns(q, [
                 (Series.monomial(q, 1, a0), x),
                 (Series.zero(q), Series.monomial(q, 1, -a0)),
             ]))
@@ -256,14 +256,14 @@ def _sl2_window_partition(group, bound):
     uinv = Series.monomial(q, 1, -1)
     flags = set()
     for L in lats:
-        c0, c1 = L.cols
+        c0, c1 = series_cols(L)
         lines = [
             tuple(uinv * (a + Series.const(q, t) * b) for a, b in zip(c0, c1))
             for t in range(q)
         ]
         lines.append(tuple(uinv * b for b in c1))
         for v in lines:
-            flags.add((L.key(), Lattice.from_columns(q, [c0, c1, v]).key()))
+            flags.add((L.key(), from_columns(q, [c0, c1, v]).key()))
     assert len(flags) == (q + 1) * len(lats)
     eng = engine_for(group.fin)
     covered = set()

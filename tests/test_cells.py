@@ -11,10 +11,14 @@ from loopweyl.errors import (ConsistencyError, SpecParseError,
 from loopweyl.loops import cells
 from loopweyl.loops.cells import (CellGroup, cell_points, chain_key,
                                   closure_points, schubert_count)
-from loopweyl.loops.chains import Lattice, validate_chain
-from loopweyl.loops.series import Series, sdet, sid, smat, smul
+from loopweyl.loops.chains import validate_chain
+from loopweyl.loops.kottwitz import is_unitary
+from loopweyl.loops.series import sdet, smul
 from loopweyl.weyl import bruhat_interval, from_word, lower_closure
-from oracles import orbit_weight, reflection, series_cells, transform
+from oracles import (from_columns, orbit_weight, series_cells, series_cols,
+                     series_refl, series_step, series_unip, sid, step_terms_of,
+                     transform)
+from test_chains import record_series
 from test_layertrace import load_layertrace
 
 
@@ -71,13 +75,8 @@ def subword_closure_keys(group, word):
     q = group.q
     prods = [sid(q, group.n)]
     for i in word:
-        step = []
-        for g in prods:
-            step.append(g)
-            for x in range(q):
-                step.append(smul(g, smul(group.unip(i, x),
-                                         reflection(group, i))))
-        prods = step
+        steps = [series_step(group, i, x) for x in range(q)]
+        prods = [h for g in prods for h in [g] + [smul(g, s) for s in steps]]
     return {chain_key(apply(group, g)) for g in prods}
 
 
@@ -94,8 +93,8 @@ def product_cell_keys(group, word):
     q = group.q
     prods = [sid(q, group.n)]
     for i in word:
-        prods = [smul(g, smul(group.unip(i, x), reflection(group, i)))
-                 for g in prods for x in range(q)]
+        steps = [series_step(group, i, x) for x in range(q)]
+        prods = [smul(g, s) for g in prods for s in steps]
     return [chain_key(apply(group, g)) for g in prods]
 
 
@@ -132,7 +131,7 @@ ORACLE_GROUPS = ([("sl", 2, q, 4) for q in (2, 3, 5)] +
 @pytest.mark.parametrize("kind,n,q,max_len", ORACLE_GROUPS)
 def test_window_cells_match_the_series_reference(kind, n, q, max_len):
     # the window path (column terms on h, one window elimination) gives the
-    # keys of the Series path (h step by smul, then from_columns)
+    # keys of the Series path (h step by smul, then oracles.from_columns)
     group = CellGroup(kind, n, q)
     for word in reduced_words(group, max_len):
         assert [chain_key(c) for c in cell_points(group, word)] == \
@@ -140,7 +139,7 @@ def test_window_cells_match_the_series_reference(kind, n, q, max_len):
         assert list(closure_points(group, word)) == \
             series_cells(group, word, closed=True), word
     member = cell_points(group, [0, 1])[-1][group.tokens.index(1)]
-    assert Lattice.from_columns(q, member.cols).key() == member.key()
+    assert from_columns(q, series_cols(member)).key() == member.key()
 
 
 def memo_calls(group, calls):
@@ -213,18 +212,13 @@ def test_a_chain_met_twice_in_a_closure_is_refused():
 
 
 def test_the_grow_path_builds_no_series_products(monkeypatch):
-    group = CellGroup("sl", 3, 3)
-    for i in group.nodes:  # steps are built once per group, on first use
-        for x in range(group.q):
-            group.step(i, x)
-    calls = []
-    for name in ("loopweyl.loops.series.smul", "loopweyl.loops.cells.smul",
-                 "loopweyl.loops.series.Series.__mul__",
-                 "loopweyl.loops.series.Series.__rmul__"):
-        monkeypatch.setattr(name, lambda *a: calls.append(a))
-    assert len(cell_points(group, [0, 1, 2])) == 27
-    assert len(closure_points(group, [0, 1, 2])) == \
-        schubert_count(group.fin, [0, 1, 2], 3)
+    # neither a group, nor its steps, nor its cells build or multiply a Series
+    calls = record_series(monkeypatch)
+    for kind, word in (("sl", [0, 1, 2]), ("su", [0, 1, 0])):
+        group = CellGroup(kind, 3, 3)
+        assert len(cell_points(group, word)) == 27
+        assert len(closure_points(group, word)) == \
+            schubert_count(group.fin, word, 3)
     assert calls == []
 
 
@@ -302,11 +296,11 @@ def test_moved_tokens_match_node_labels():
     for kind, n, q in (("sl", 2, 3), ("sl", 3, 2), ("sl", 4, 2), ("su", 3, 3)):
         group = CellGroup(kind, n, q)
         for i in group.nodes:
-            moved = moved_tokens(group, reflection(group, i))
+            moved = moved_tokens(group, series_refl(group, i))
             assert moved == [t for t in group.tokens if t == i], (kind, i)
             for x in range(1, q):
                 # the unipotents live in the Iwahori, fixing the whole chain
-                assert moved_tokens(group, group.unip(i, x)) == []
+                assert moved_tokens(group, series_unip(group, i, x)) == []
 
 
 SUPPORTED_GROUPS = [("sl", n, q) for n in (2, 3, 4) for q in (2, 3, 5)] + \
@@ -315,30 +309,21 @@ SUPPORTED_GROUPS = [("sl", n, q) for n in (2, 3, 4) for q in (2, 3, 5)] + \
 
 @pytest.mark.parametrize("kind,n,q", SUPPORTED_GROUPS)
 def test_every_step_has_determinant_one(kind, n, q):
-    # cell children take their determinant order from det(step) = 1
+    # the column terms of each step are those of the Series product
+    # U_i(x) n_i, which has determinant 1 (cell children take their
+    # determinant order from it) and, in su, is unitary, as are U_i(x)
+    # and n_i
     group = CellGroup(kind, n, q)
     for i in group.nodes:
         for x in range(q):
-            step = group.step(i, x)
-            assert (sdet(step) - 1).is_zero(), (kind, n, q, i, x)
-            assert group.step(i, x) is step
-
-
-def test_a_step_of_determinant_other_than_one_is_refused():
-    group = CellGroup("sl", 2, 3)
-    group.unip = lambda i, x: smat(3, [[2, 0], [0, 1]])
-    with pytest.raises(ConsistencyError, match="determinant 1"):
-        group.step(1, 0)
-    assert (1, 0) not in group._steps
-
-
-def test_a_step_entry_that_is_not_a_monomial_is_refused():
-    group = CellGroup("sl", 2, 3)
-    u = Series.uniformizer(3)
-    group.unip = lambda i, x: smat(3, [[1, 1 + u], [0, 1]])
-    with pytest.raises(ConsistencyError, match="non-monomial"):
-        group.step(1, 0)
-    assert (1, 0) not in group._steps
+            step = series_step(group, i, x)
+            assert group.step_terms(i, x) == step_terms_of(step), (i, x)
+            assert group.step_terms(i, x) is group.step_terms(i, x)
+            assert (sdet(step) - 1).is_zero(), (i, x)
+            if kind == "su":
+                for g in (series_unip(group, i, x), series_refl(group, i),
+                          step):
+                    assert is_unitary(g), (i, x)
 
 
 def test_schubert_count_parahoric():

@@ -13,12 +13,13 @@ from loopweyl.errors import SeriesPrecisionError, SpecParseError
 from loopweyl.linalg import rref
 from loopweyl.loops import chains, series
 from loopweyl.loops.cells import CellGroup, cell_points
-from loopweyl.loops.chains import (Lattice, span, standard_member, token_value,
+from loopweyl.loops.chains import (span, standard_member, token_value,
                                    validate_chain)
 from loopweyl.loops.fiber import enumerate_fiber, rebuild_members
 from loopweyl.loops.series import (EXACT, Series, _normal, _raw, sdet, sdot,
-                                   sid, smul)
-from oracles import series_coords, series_dual, transform
+                                   smul)
+from oracles import (from_columns, in_ring, series_coords, series_cols,
+                     series_dual, shift, sid, transform)
 
 
 def poly(q, rng, lo=0, hi=3):
@@ -63,18 +64,18 @@ def series_elimination(q, cols):
         pivot = work[i][i]
         a = pivot.ord()
         pivots.append(a)
-        unit_inv = pivot.shift(-a).inverse()
+        unit_inv = shift(pivot, -a).inverse()
         work[i] = [x * unit_inv for x in work[i]]
         for jj in range(len(work)):
             x = work[jj][i]
             if jj == i or x.is_zero():
                 continue
             if jj > i:
-                factor = x.shift(-a)
-                if not factor.in_ring():
+                factor = shift(x, -a)
+                if not in_ring(factor):
                     raise SeriesPrecisionError("pivot selection lost minimality")
             else:
-                factor = (x - _below(x, a)).shift(-a)
+                factor = shift(x - _below(x, a), -a)
             work[jj] = [work[jj][r] - factor * work[i][r] for r in range(n)]
     work = work[:n]
     for j in range(n):
@@ -151,13 +152,13 @@ def check_against_oracle(q, cols):
     """Equal to the window reference, and to the Series oracle where it
     certifies; else the same lattice volume and every input column inside.
     Returns whether the Series oracle certified."""
-    out = list(Lattice.from_columns(q, cols).cols)
+    out = list(series_cols(from_columns(q, cols)))
     assert out == window_reduction(q, cols)
     try:
         assert out == series_elimination(q, cols)
         return True
     except SeriesPrecisionError:
-        L = Lattice.from_columns(q, out)
+        L = from_columns(q, out)
         assert all(L.contains_vector(c) for c in exact_entries(cols))
         assert L.det_ord() == sdet(cols).ord()
         return False
@@ -233,7 +234,7 @@ def test_canonical_uniqueness():
     rng = random.Random(37)
     for _ in range(15):
         L = standard_member(q, 3, rng.randrange(3))
-        cols = [list(c) for c in L.cols]
+        cols = [list(c) for c in series_cols(L)]
         # elementary column operations over the series ring
         for _ in range(6):
             j, k = rng.sample(range(3), 2)
@@ -242,18 +243,18 @@ def test_canonical_uniqueness():
         unit = Series(q, 0, (1, rng.randrange(q)), EXACT)
         cols[0] = [x * unit for x in cols[0]]
         rng.shuffle(cols)
-        assert Lattice.from_columns(q, cols) == L
+        assert from_columns(q, cols) == L
         # redundant generators are eliminated away
         extra = [x + y for x, y in zip(cols[0], cols[1])]
-        assert Lattice.from_columns(q, cols + [extra]) == L
+        assert from_columns(q, cols + [extra]) == L
 
 
 def test_key_separates_deep_entries():
     # the two lattices differ only in an entry u^12 of the first column
     q = 3
     u12, u20 = Series.monomial(q, 1, 12), Series.monomial(q, 1, 20)
-    L = Lattice.from_columns(q, [[Series.one(q), u12], [Series.zero(q), u20]])
-    M = Lattice.from_columns(q, [[Series.one(q), Series.zero(q)],
+    L = from_columns(q, [[Series.one(q), u12], [Series.zero(q), u20]])
+    M = from_columns(q, [[Series.one(q), Series.zero(q)],
                                  [Series.zero(q), u20]])
     assert not L.contains(M) and not M.contains(L)
     assert L != M
@@ -312,8 +313,8 @@ def act(q, cols, g):
 def test_canonical_form_invariant_under_gl_n_o(case):
     q, cols, g = case
     moved = act(q, cols, g)
-    L = Lattice.from_columns(q, cols)
-    M = Lattice.from_columns(q, moved)
+    L = from_columns(q, cols)
+    M = from_columns(q, moved)
     assert M == L
     assert M.key() == L.key()
 
@@ -336,7 +337,7 @@ def test_oracle_on_random_exact_lattices():
                  (rng.randrange(-2, 3) for _ in range(n))] for _ in range(n)]
         if rng.random() < 0.4:
             k, deep = rng.randrange(n), rng.randrange(17, 20)
-            cols[k] = [x.shift(deep) for x in cols[k]]
+            cols[k] = [shift(x, deep) for x in cols[k]]
         if sdet(cols).is_zero():
             continue
         if check_against_oracle(q, cols):
@@ -380,16 +381,16 @@ def exact_lattice(draw):
 def test_row_elimination_matches_the_window_reference(case):
     q, cols = case
     n = len(cols[0])
-    out = list(Lattice.from_columns(q, cols).cols)
+    out = list(series_cols(from_columns(q, cols)))
     assert out == window_reduction(q, cols)
     try:
         assert out == series_elimination(q, cols)
     except SeriesPrecisionError:
         pass
     # span, given the order of one nonzero n-column determinant, is the
-    # lattice from_columns finds by its determinant search
+    # lattice oracles.from_columns finds by its determinant search
     assert span(q, n, exact_entries(cols), sdet(cols[:n]).ord()) == \
-        Lattice.from_columns(q, cols)
+        from_columns(q, cols)
 
 
 def test_span_is_the_one_caller_of_hermite_window():
@@ -402,6 +403,36 @@ def test_span_is_the_one_caller_of_hermite_window():
                             in (getattr(node.func, "id", None),
                                 getattr(node.func, "attr", None))]
     assert callers == [("chains.py", "span")]
+
+
+# the modules where a Series is typed or printed: the kottwitz command
+SERIES_MODULES = {"loops/series.py", "loops/kottwitz.py", "loops/__init__.py",
+                  "cli.py"}
+
+
+def test_series_stays_where_a_user_types_one():
+    # elsewhere in src/ only EXACT, unit_inverse and check_field come from
+    # loops.series: lattices, cells and fibers compute on exact entries
+    root = Path(chains.__file__).parents[1]
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        package = ["loopweyl", *name.split("/")[:-1]]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [(name, a.name) for a in node.names
+                          if a.name.startswith("loopweyl.loops.series")]
+            elif isinstance(node, ast.ImportFrom):
+                base = package[:len(package) - node.level + 1] \
+                    if node.level else []
+                module = ".".join(base + (node.module or "").split("."))
+                found += [(name, a.name) for a in node.names
+                          if module.strip(".") == "loopweyl.loops.series" or
+                          (module.strip(".") == "loopweyl.loops" and
+                           a.name == "series")]
+    assert {n for n, _ in found} >= {"loops/chains.py", "loops/cells.py"}
+    assert [(n, a) for n, a in found if n not in SERIES_MODULES and a not in
+            ("EXACT", "unit_inverse", "check_field")] == []
 
 
 def deep_lattice(q, k):
@@ -418,7 +449,7 @@ def test_second_pivot_from_the_u_hi_generator():
     cols = [[Series(q, 1, (1, 2), EXACT), Series.const(q, 2)],
             [Series(q, 3, (1, 2) + (0,) * 14 + (2, 1), EXACT),
              Series.monomial(q, 2, 2)]]
-    out = list(Lattice.from_columns(q, cols).cols)
+    out = list(series_cols(from_columns(q, cols)))
     assert out == window_reduction(q, cols)
     assert [col[i].start for i, col in enumerate(out)] == [1, 18]
 
@@ -427,10 +458,10 @@ def test_deep_lattice_reduces():
     # the window took ~24 s at k = 200, its cube (n (hi - lo))^3 growing
     q = 3
     cols = deep_lattice(q, 18)
-    assert list(Lattice.from_columns(q, cols).cols) == \
+    assert list(series_cols(from_columns(q, cols))) == \
         window_reduction(q, cols)
     cols = deep_lattice(q, 200)
-    L = Lattice.from_columns(q, cols)
+    L = from_columns(q, cols)
     assert L.det_ord() == 401
     assert all(L.contains_vector(c) for c in exact_entries(cols))
     assert span(q, 3, exact_entries(cols), 401) == L
@@ -442,31 +473,31 @@ def test_deep_lattice_with_a_non_monomial_pivot_unit():
     cols = [[u + 2 * u * u, 2 * u], [Series.zero(q), Series.monomial(q, 1, 18)]]
     with pytest.raises(SeriesPrecisionError):
         series_elimination(q, cols)
-    L = Lattice.from_columns(q, cols)
+    L = from_columns(q, cols)
     assert L.det_ord() == 19
     assert all(L.contains_vector(c) for c in exact_entries(cols))
     # the first column is (u, 2u / (1 + 2u)) modulo u^18 in its second row
-    assert L.cols[0][0] == u
-    assert (L.cols[0][1] * (1 + 2 * u) - 2 * u).ord() >= 18
+    assert series_cols(L)[0][0] == u
+    assert (series_cols(L)[0][1] * (1 + 2 * u) - 2 * u).ord() >= 18
 
 
 def test_canonical_failure_modes():
     q = 3
     with pytest.raises(SeriesPrecisionError):
-        Lattice.from_columns(q, [[Series.one(q), Series.zero(q)],
+        from_columns(q, [[Series.one(q), Series.zero(q)],
                                  [Series.one(q), Series.zero(q)]])
     fuzzy = Series(q, 0, (), 2)  # O(u^2): order unknown
     with pytest.raises(SeriesPrecisionError):
-        Lattice.from_columns(q, [[fuzzy, Series.zero(q)],
+        from_columns(q, [[fuzzy, Series.zero(q)],
                                  [Series.zero(q), Series.one(q)]])
     # det u^3 puts u^3 O^2 inside the span, so entries must be known to O(u^3)
     u3 = Series.monomial(q, 1, 3)
     with pytest.raises(SeriesPrecisionError):
-        Lattice.from_columns(q, [[Series.one(q), Series(q, 0, (1, 1), 2)],
+        from_columns(q, [[Series.one(q), Series(q, 0, (1, 1), 2)],
                                  [Series.zero(q), u3]])
-    assert list(Lattice.from_columns(
+    assert list(series_cols(from_columns(
         q, [[Series.one(q), Series(q, 0, (1, 1, 2), 3)],
-            [Series.zero(q), u3]]).cols) == \
+            [Series.zero(q), u3]]))) == \
         [(Series.one(q), Series(q, 0, (1, 1, 2), EXACT)), (Series.zero(q), u3)]
 
 
@@ -485,14 +516,14 @@ def test_contains_vector():
 @given(exact_lattice())
 def test_entries_arithmetic_matches_the_series_reference(case):
     # coords and hermitian_dual on exact entries against the forward
-    # substitution over Series and the dual through from_columns
+    # substitution over Series and the dual through oracles.from_columns
     q, cols = case
-    L = Lattice.from_columns(q, cols)
+    L = from_columns(q, cols)
     vectors = cols + list(sid(q, len(cols[0])))
     for v, entries in zip(vectors, exact_entries(vectors)):
         x = series_coords(L, v)
         assert L.coords(entries) == exact_entries([x])[0]
-        assert L.contains_vector(entries) == all(y.in_ring() for y in x)
+        assert L.contains_vector(entries) == all(in_ring(y) for y in x)
     assert L.hermitian_dual() == series_dual(L)
 
 
@@ -507,8 +538,7 @@ def record_series(monkeypatch):
         return wrapper
 
     for owner, name in ((Series, "__init__"), (Series, "__mul__"),
-                        (Series, "__rmul__"), (series, "_raw"),
-                        (chains, "_raw"), (chains, "sdet")):
+                        (Series, "__rmul__"), (series, "_raw")):
         monkeypatch.setattr(owner, name, wrap(name, getattr(owner, name)))
     return calls
 

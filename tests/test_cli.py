@@ -316,6 +316,11 @@ BAD_INPUTS = [
     (["adm", "--datum", "A(1)_1", "--mu", "1,0", "--Y", "0", "--q", "0"], 2),
     (["adm", "--datum", "A(1)_1", "--mu", "1,0", "--Y", "0", "--q", "-3"], 2),
     (["adm", "--datum", "A(1)_1", "--mu", "1,0", "--q", "3"], 2),
+    # options are read by their full names only: argparse alone reads --c
+    # as --cap and --form as --format, and refuses --s as ambiguous
+    (["adm", "--datum", "A(1)_1", "--mu", "1,0", "--c", "1"], 2),
+    (["adm", "--datum", "A(1)_1", "--mu", "1,0", "--form", "json"], 2),
+    (["fiber", "--n", "3", "--r", "1", "--q", "3", "--I", "0", "--s", "2"], 2),
 ]
 
 
@@ -399,6 +404,24 @@ def test_refusals_name_the_option_or_the_line(capsys, tmp_path):
         bad = text.strip().rsplit(",", 1)[1]
         assert capsys.readouterr().err == \
             f"error: config line {line}: expected an a value, got {bad!r}\n"
+
+
+def test_a_closed_stdout_exits_as_on_sigpipe():
+    # the reader of stdout is gone before the command writes: exit 141
+    # (128 + SIGPIPE), not 1, the coherence mismatch code, and no traceback
+    for argv in (["datum", "list"],
+                 ["adm", "--datum", "A(1)_1", "--mu", "1,0", "--format",
+                  "json"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "loopweyl", *argv],
+                                  stdout=write, stderr=subprocess.PIPE,
+                                  timeout=120)
+        finally:
+            os.close(write)
+        assert proc.returncode == 141, (argv, proc.stderr)
+        assert proc.stderr == b"", argv
 
 
 def test_e8_orbits_past_the_cap_are_refused_before_listing(capsys):

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from loopweyl.errors import (SeriesPrecisionError, SpecParseError,
                              UnsupportedFieldError)
-from loopweyl.loops.chains import Lattice
 from loopweyl.loops.series import (EXACT, SUPPORTED_Q, Series, fq, parse_series,
-                                   santidiag, sdet, sid, smat, smul, stranspose)
-from oracles import is_unit
+                                   santidiag, sdet, smat, smul, stranspose)
+from oracles import from_columns, in_ring, is_unit, series_cols, shift, sid
 from test_chains import exact_entries
 
 
@@ -80,7 +79,7 @@ def test_ring_axioms():
     for _ in range(20):
         a, b = rand_series(rng, exact=True), rand_series(rng, exact=True)
         assert (a * b).prec == EXACT
-        assert a.shift(2) == a * Series.monomial(3, 1, 2)
+        assert shift(a, 2) == a * Series.monomial(3, 1, 2)
 
 
 def test_inverse():
@@ -117,14 +116,14 @@ def test_precision_refusals():
     with pytest.raises(SeriesPrecisionError):
         parse_series("1 + O(u^4)", 3).coeff(4)
     with pytest.raises(SeriesPrecisionError):
-        parse_series("u^-2 + O(u^-1)", 3).in_ring()
+        in_ring(parse_series("u^-2 + O(u^-1)", 3))
     assert parse_series("O(u^3)", 3).is_zero()
     assert parse_series("O(u^3)", 3).ord_lower_bound() == 3
 
 
 def test_ring_membership_and_units():
-    assert parse_series("1 + u", 3).in_ring()
-    assert not parse_series("u^-1 + 1", 3).in_ring()
+    assert in_ring(parse_series("1 + u", 3))
+    assert not in_ring(parse_series("u^-1 + 1", 3))
     assert is_unit(parse_series("2 + u", 3))
     assert not is_unit(parse_series("u + u^2", 3))
     assert not is_unit(Series.zero(3))
@@ -161,13 +160,14 @@ def test_matrix_helpers():
                             tuple(rng.randrange(q) for _ in range(4)), EXACT)
                      for _ in range(n)] for _ in range(n)]
             try:
-                L = Lattice.from_columns(q, cols)
+                L = from_columns(q, cols)
             except SeriesPrecisionError:
                 continue
             inv = tuple(zip(*([Series(q, s, c, EXACT) for s, c in L.coords(e)]
                               for e in exact_entries(sid(q, n)))))
-            assert smul(tuple(zip(*L.cols)), inv) == sid(q, n)
-            assert smul(inv, tuple(zip(*L.cols))) == sid(q, n)
+            basis = tuple(zip(*series_cols(L)))
+            assert smul(basis, inv) == sid(q, n)
+            assert smul(inv, basis) == sid(q, n)
             done += 1
     assert done > 20
 
@@ -224,7 +224,7 @@ def test_exact_ring_laws(abc):
 def test_results_are_normalised(abc):
     a, b, c = abc
     for x in (a + b, b + c, a - b, c - a, a * b, b * c, -a, -c, a.conj(),
-              a.truncate(2), b.shift(-2)):
+              a.truncate(2), shift(b, -2)):
         assert type(x.coeffs) is tuple
         assert x == rebuilt(x)
 
