@@ -21,26 +21,49 @@ each slot to at most one slot, and a gram pairs each slot with one partner
 slot, by +-2.  So the pairing is nondegenerate: for a self-dual token
 (j = -j mod n) a rank-n subspace has a rank-n perp, and is its own perp
 exactly when it is isotropic.  No gram pairs two top slots (the first n) or
-two bottom slots, so bottom rows pair to zero and a top row meets a bottom
-row through its top part alone: given a gram, `ustable_subspaces` tests the
-top parts against the bottom rows before any lift, then lifts the top rows
-one at a time, keeping a row that pairs to zero with itself and the rows
-lifted before it.
+two bottom slots.
+
+A form is slot-sparse like a gram: each slot pairs with at most one slot.
+Given a form that is symmetric or antisymmetric and pairs no two bottom
+slots, `ustable_subspaces` yields only the subspaces on which it vanishes:
+bottom rows pair to zero and a top row meets a bottom row through its top
+part alone, so it tests the top parts against the bottom rows before any
+lift, then lifts the top rows one at a time, keeping a row that pairs to
+zero with itself and the rows lifted before it.  A self-dual token's gram is
+such a form, and so is the form of the inclusion of a free token i into its
+partner -i: rows.M <= perp(S) for S the subspace of i says
+include(s).G_i.s'^T = 0 for s, s' in S, and the form x -> include(x).G_i
+(`inclusion_form`) is symmetric with a vanishing bottom-bottom block, though
+its top-top block does not vanish.
 
 The enumeration is a join over the free tokens, not a product of their
 candidate lists.  Every window token has an owner, the free token whose
 subspace fixes it: a free token owns itself, and the partner of a free token
 i (the token -i, when it is not free) holds the perp of i's subspace.  Each
 inclusion check rows.M <= target belongs to the later of its owners in the
-order of the free tokens.  A depth-first search over that order draws each
-token from its candidates filtered by its checks in one order: those reading
-only that token (free sources first, so a perp is built only for candidates
-that pass them, once per subspace), then those keyed by the image of the
-source member under M, held by the earlier owner, then those keyed by the
-earlier owner's subspace, the target.  Each filtered list is memoized by the
-keys read so far, so each distinct space filters a list once.  When the
-target is a partner member perp(S), the check is the vanishing pairing
-x.G.s^T = 0 for every image row x and every row s of S, with no nullspace.
+order of the free tokens.  A check reading one token is made in that
+token's stream where it can be: the wrap of a one-token window is
+multiplication by u, implied by u-stability, and is dropped, and the
+inclusion of i into its partner is passed to `ustable_subspaces` as its
+form.  A depth-first search over the order of the free tokens draws each
+token from its candidates filtered by its other checks in one order: one
+reading only that token (the partner into i, whose perp is built once per
+subspace), then those keyed by the image of the source member under M,
+held by the earlier owner, then those keyed by the earlier owner's
+subspace, the target.  Each filtered list is memoized by the keys read so
+far, so each distinct space filters a list once.  When the target is a
+partner member perp(S), the check is the vanishing pairing x.G.s^T = 0 for
+every image row x and every row s of S, with no nullspace.
+
+The join reads only (n, q, free tokens), so its answer is kept once per
+such key: finitely many, as n is 3 or 4, q is 3 or 5 and the free tokens
+lie in 0..n-1.  The candidate lists are not kept (SU_4 at q = 5 has
+527,931 u-stable subspaces).  The cap bounds the product of the unfolded
+candidate lists, checked before the join and again on every kept answer:
+the isotropic stream of a self-dual token, and for any other token all
+u-stable subspaces, sum_b [n, b]_q [b, n-b]_q q^((n-b)^2) of them (a
+b-dimensional bottom, an (n-b)-dimensional top inside it and a lift in the
+other n-b bottom slots for each top row), counted without being built.
 """
 
 from __future__ import annotations
@@ -57,6 +80,9 @@ from .cells import CellGroup, cell_points
 from .chains import entry, member_exponents, span
 
 ODD_FIELDS = (3, 5)
+
+# join answers (total_work, window, points) by (n, q, free tokens)
+_JOINS = {}
 
 
 # -- subspaces of F_q^n, as reduced bases ---------------------------------
@@ -166,34 +192,64 @@ def perp_space(rows, gram, q):
     return space_key(nullspace(images, q), q)
 
 
-def pairs_to_zero(xs, ys, gram, q):
-    """Whether x . gram . y^T = 0 for every x in xs and every y in ys.
+def inclusion_form(n, slots, gram):
+    """The form x -> include(x) . gram, slot-sparse as a gram is.
 
-    When ys spans a space S this says each x lies in perp_space(S, gram, q),
-    with no nullspace taken.
+    Entry p is the gram's entry for the slot that slots send p to, and
+    (0, 0) when they send p to zero.
+    """
+    form = [(0, 0)] * (2 * n)
+    for p, r in slots:
+        form[p] = gram[r]
+    return tuple(form)
+
+
+def pairs_to_zero(xs, ys, form, q):
+    """Whether x . form . y^T = 0 for every x in xs and every y in ys.
+
+    When ys spans a space S and form is a gram this says each x lies in
+    perp_space(S, form, q), with no nullspace taken.
     """
     for x in xs:
-        xg = [0] * len(gram)
-        for c, (r, g) in zip(x, gram):
-            xg[r] = c * g
+        xg = [0] * len(form)
+        for c, (r, g) in zip(x, form):
+            if g:
+                xg[r] += c * g
         if any(sum(map(operator.mul, xg, y)) % q for y in ys):
             return False
     return True
 
 
-def ustable_subspaces(n, q, gram=None):
+def gaussian_binomial(n, k, q):
+    """The number of k-dimensional subspaces of F_q^n."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def ustable_count(n, q):
+    """The number of subspaces `ustable_subspaces(n, q)` yields (module notes)."""
+    return sum(gaussian_binomial(n, b, q) * gaussian_binomial(b, n - b, q)
+               * q ** ((n - b) ** 2) for b in range((n + 1) // 2, n + 1))
+
+
+def ustable_subspaces(n, q, form=None):
     """All u-stable n-dimensional subspaces of a member quotient.
 
     Yields reduced bases in the 2n slot coordinates; u sends slot a to slot
     n+a and slot n+a to zero.  The rows are built reduced: top rows pivot in
     the first n slots, bottom rows in the last n, and each row vanishes at
-    the pivots of the others.  With a self-dual token's gram, symmetric or
-    antisymmetric, only the isotropic ones are yielded, in the same order,
-    cut off before their lifts are built: exact because the gram's top-top
-    and bottom-bottom blocks vanish.
+    the pivots of the others.  With a form, symmetric or antisymmetric,
+    only the subspaces it vanishes on are yielded, in the same order, cut
+    off before their lifts are built: exact because the form's bottom-bottom
+    block vanishes (module notes).  The forms in use are a self-dual token's
+    gram (the isotropic subspaces) and the form of a free token's inclusion
+    into its partner (`inclusion_form`).
     """
     def paired(xs, ys):
-        return gram is None or pairs_to_zero(xs, ys, gram, q)
+        return form is None or pairs_to_zero(xs, ys, form, q)
 
     for b in range(n, (n + 1) // 2 - 1, -1):
         for bot in subspaces(n, b, q):
@@ -261,19 +317,45 @@ def fiber_conditions(n, q, sharp):
 def fiber_points(n, q, sharp, cap):
     """The points of the naive fiber for the free tokens sharp.
 
-    Returns the window tokens and the points, each a tuple of reduced bases
-    aligned with the window, found by the owner join of the module notes.
-    Raises ResourceCapError when the product of the candidate lists (u-stable
-    subspaces, isotropic ones for a self-dual token) exceeds cap.
+    Returns the window tokens and a tuple of the points, each a tuple of
+    reduced bases aligned with the window, found by the owner join of the
+    module notes and kept once per (n, q, sharp).  Raises ResourceCapError
+    when the product of the candidate lists (u-stable subspaces, isotropic
+    ones for a self-dual token) exceeds cap, on kept answers too.
     """
+    key = (n, q, tuple(sharp))
+    if key not in _JOINS:
+        _JOINS[key] = owner_join(n, q, sharp, cap)
+    total_work, window, points = _JOINS[key]
+    if total_work > cap:
+        raise ResourceCapError("fiber candidate combinations", total_work, cap)
+    return list(window), points
+
+
+def owner_join(n, q, sharp, cap):
+    """(total_work, window, points) of `fiber_points`, computed."""
     free, window, partner, incs, grams = fiber_conditions(n, q, sharp)
-    candidates = {i: list(ustable_subspaces(
-        n, q, grams[i] if (n - i) % n == i else None)) for i in free}
-    total_work = math.prod(len(candidates[i]) for i in free)
+    forms = {i: grams[i] for i in free if (n - i) % n == i}
+    candidates = {i: list(ustable_subspaces(n, q, form))
+                  for i, form in forms.items()}
+    total_work = math.prod(len(candidates[i]) if i in candidates
+                           else ustable_count(n, q) for i in free)
     if total_work > cap:
         raise ResourceCapError("fiber candidate combinations", total_work, cap)
 
     owner = {j: partner.get(j, j) for j in window}
+    checks = {i: [] for i in free}
+    for a, b, slots in incs:
+        if partner.get(b) == a:
+            forms[a] = inclusion_form(n, slots, grams[a])
+        elif a != b:  # a one-token window's wrap is u
+            checks[max(owner[a], owner[b], key=free.index)].append(
+                (a, b, slots))
+    for i, cs in checks.items():  # in the order of the module notes
+        cs.sort(key=lambda c: (owner[c[0]] != owner[c[1]], owner[c[0]] == i))
+    for i in free:
+        if i not in candidates:
+            candidates[i] = list(ustable_subspaces(n, q, forms.get(i)))
     perps = {}
 
     def member(j, space):
@@ -297,12 +379,6 @@ def fiber_points(n, q, sharp, cap):
     def image(a, space, slots):
         return include(member(a, space), slots, n)
 
-    checks = {i: [] for i in free}
-    for a, b, slots in incs:
-        checks[max(owner[a], owner[b], key=free.index)].append((a, b, slots))
-    for i, cs in checks.items():  # in the order of the module notes
-        cs.sort(key=lambda c: (owner[c[0]] != owner[c[1]],
-                               owner[c[0]] == i, c[0] in partner))
     memo = {}
 
     def narrowed(i, chosen):
@@ -339,7 +415,7 @@ def fiber_points(n, q, sharp, cap):
             continue
         i = free[len(chosen)]
         stack.extend({**chosen, i: space} for space in narrowed(i, chosen))
-    return window, points
+    return total_work, tuple(window), tuple(points)
 
 
 def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, collect=False):
@@ -351,12 +427,15 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, collect=False):
     bases aligned with the window tokens.  For n = 3 every point of the
     admissible cells is checked to be a point of the fiber.
 
-    The points come from the owner join of `fiber_points` (module notes);
-    ResourceCapError is raised when its candidate lists' product exceeds cap.
+    The points come from the owner join of `fiber_points` (module notes),
+    kept once per (n, q, free tokens); ResourceCapError is raised when its
+    candidate lists' product exceeds cap.
     Only Adm(mu), mu = (1^r, 0^s), reads the signature (module notes).
     """
     if q not in ODD_FIELDS:
-        raise UnsupportedFieldError(f"residue field size {q} not odd in {ODD_FIELDS}")
+        raise UnsupportedFieldError(
+            f"unsupported residue field size {q}: the fiber supports "
+            f"{' and '.join(map(str, ODD_FIELDS))}")
     if n not in (3, 4):
         raise SpecParseError("enumeration covers rank 3 and 4")
     if r + s != n or r < 0 or s < 0:

@@ -265,6 +265,8 @@ BAD_INPUTS = [
     (["cells", "--group", "sl", "--n", "2", "--q", "7", "--word", "0"], 2),
     (["fiber", "--n", "3", "--r", "1", "--q", "3", "--I", "0",
       "--spot-check", "-1"], 2),
+    # F_7 is odd but not a field the fiber supports
+    (["fiber", "--n", "3", "--r", "1", "--q", "7", "--I", "0"], 2),
     # the cuts k/p of the largest cover value would number about 10^20
     (["coherence", "--datum", "A(1)_2", "--mu", "1,0,0", "--Y", "0",
       "--a", "99999999999999999999"], 3),

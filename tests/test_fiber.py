@@ -11,14 +11,34 @@ from loopweyl.errors import (ResourceCapError, SpecParseError,
 from loopweyl.loops import fiber
 from loopweyl.loops.chains import member_exponents, validate_chain
 from loopweyl.loops.fiber import (apply_rows, enumerate_fiber, gram_slots,
-                                  in_row_space, include, inclusion_slots,
-                                  normalize_tokens, pairs_to_zero, perp_space,
-                                  pivot_columns, rebuild_members, space_key,
+                                  in_row_space, include, inclusion_form,
+                                  inclusion_slots, normalize_tokens,
+                                  pairs_to_zero, perp_space, pivot_columns,
+                                  rebuild_members, space_key, ustable_count,
                                   ustable_subspaces)
 from oracles import inclusion_matrix, series_members
 
 # (n, q) for the invariants the enumeration relies on
 INVARIANT_CASES = ((3, 3), (3, 5), (4, 3))
+
+# every token set the enumeration takes, by rank
+TOKEN_SETS = {3: ({0}, {1}, {0, 1}),
+              4: ({0}, {2}, {0, 2}, {2, "m'"}, {0, 2, "m'"})}
+
+
+def partner_inclusions():
+    """(n, q, i, target, slots, gram) for each inclusion of a free token i
+    into its adjacent partner, in every window the enumeration builds."""
+    out = set()
+    for n, token_sets in TOKEN_SETS.items():
+        for q in (3, 5):
+            for toks in token_sets:
+                _, sharp = normalize_tokens(n, toks)
+                _, window, partner, incs, grams = fiber.fiber_conditions(
+                    n, q, sharp)
+                out |= {(n, q, a, b + n if b <= a else b, slots, grams[a])
+                        for a, b, slots in incs if partner.get(b) == a}
+    return sorted(out)
 
 
 def test_member_exponents():
@@ -59,6 +79,13 @@ def test_ustable_subspaces_are_built_reduced():
         for key in keys:
             assert len(key) == n
             assert space_key(key, q) == key
+
+
+def test_ustable_count_is_the_length_of_the_stream():
+    for n, q in INVARIANT_CASES:
+        assert ustable_count(n, q) == len(list(ustable_subspaces(n, q)))
+    assert [ustable_count(n, q) for n in (3, 4) for q in (3, 5)] == \
+        [157, 931, 12_091, 527_931]
 
 
 def test_gram_matrices_are_monomial():
@@ -109,6 +136,48 @@ def test_isotropic_stream_is_the_filtered_stream():
             gram = gram_slots(n, j, q)
             expect = [k for k in full if pairs_to_zero(k, k, gram, q)]
             assert list(ustable_subspaces(n, q, gram)) == expect, (n, q, j)
+
+
+def test_partner_inclusions_fold_into_the_stream():
+    # the folded stream is the full stream filtered by the join's old check,
+    # the image of s in the partner member perp(s), in the same order
+    cases = partner_inclusions()
+    assert {(n, i) for n, _, i, *_ in cases} == {(3, 1)}
+    for n, q, i, _, slots, gram in cases:
+        full = list(ustable_subspaces(n, q))
+        expect = [s for s in full
+                  if pairs_to_zero(include(s, slots, n), s, gram, q)]
+        assert 0 < len(expect) < len(full)
+        folded = ustable_subspaces(n, q, inclusion_form(n, slots, gram))
+        assert list(folded) == expect, (n, q, i)
+
+
+def test_inclusion_forms_are_symmetric_with_zero_bottom_block():
+    # by brute force over dense matrices: F = M.G with M the inclusion from
+    # `oracles` and G the gram; the stream's prune needs F symmetric and its
+    # bottom-bottom block zero, and reads the top-top block, which is not
+    rng = random.Random(7)
+    for n, q, i, target, slots, gram in partner_inclusions():
+        m = inclusion_matrix(n, i, target)
+        g = [[x if c == r else 0 for c in range(2 * n)] for r, x in gram]
+        f = [[sum(m[p][t] * g[t][r] for t in range(2 * n)) % q
+              for r in range(2 * n)] for p in range(2 * n)]
+        assert all(f[p][r] == f[r][p] for p in range(2 * n)
+                   for r in range(2 * n)), (n, q, i)
+        assert not any(f[p][r] for p in range(n, 2 * n)
+                       for r in range(n, 2 * n)), (n, q, i)
+        assert any(f[p][r] for p in range(n) for r in range(n)), (n, q, i)
+        form = inclusion_form(n, slots, gram)
+        assert form == inclusion_form(n, slots, gram_slots(n, i, q))
+        for _ in range(200):
+            x, y = ([rng.randrange(q) for _ in range(2 * n)]
+                    for _ in range(2))
+            value = sum(x[p] * f[p][r] * y[r] for p in range(2 * n)
+                        for r in range(2 * n)) % q
+            assert pairs_to_zero([x], [y], form, q) == (value == 0)
+    # a slot sent to zero is the entry (0, 0), which must not overwrite what
+    # an earlier slot paired with slot 0
+    assert not pairs_to_zero([(1, 1)], [(1, 0)], ((0, 1), (0, 0)), 3)
 
 
 def test_su3_fibers():
@@ -188,6 +257,10 @@ def test_cap_and_rejections():
         enumerate_fiber(4, 1, 3, 3, {0, 2, "m'"})
     with pytest.raises(UnsupportedFieldError):
         enumerate_fiber(3, 1, 2, 2, {0})
+    # 7 is odd, and still not a field the fiber supports
+    with pytest.raises(UnsupportedFieldError,
+                       match="unsupported residue field size 7: .* 3 and 5"):
+        enumerate_fiber(3, 1, 2, 7, {0})
     with pytest.raises(SpecParseError):
         enumerate_fiber(3, 1, 1, 3, {0})
     with pytest.raises(SpecParseError):
@@ -309,3 +382,48 @@ def test_pairing_is_membership_in_the_perp(n, q):
             assert pairs_to_zero(paired, space, gram, q)
             outside = next(x for x in vectors if x not in paired)
             assert not pairs_to_zero(paired[:3] + [outside], space, gram, q)
+
+
+@pytest.mark.parametrize("q", (3, 5))
+@pytest.mark.parametrize("toks", TOKEN_SETS[3], ids=str)
+def test_kept_join_serves_every_signature(q, toks):
+    # the join reads (n, q, tokens) only, so one kept answer serves every r
+    _, sharp = normalize_tokens(3, toks)
+    window, expect = product_join(3, q, sharp, cap=10 ** 6)
+    for r in range(4):
+        out = enumerate_fiber(3, r, 3 - r, q, toks, collect=True)
+        assert out["window"] == window
+        assert out["points"] == sorted(expect), r
+
+
+def test_kept_join_repeats_and_keeps_the_cap():
+    fiber._JOINS.clear()
+    first = enumerate_fiber(4, 2, 2, 3, {0}, collect=True)
+    assert (4, 3, (0,)) in fiber._JOINS
+    assert enumerate_fiber(4, 2, 2, 3, {0}, collect=True) == first
+    assert fiber.fiber_points(4, 3, [0], 265) == \
+        fiber.fiber_points(4, 3, [0], 265)
+    # refused on a kept answer as on a new one, with the same size
+    with pytest.raises(ResourceCapError) as err:
+        fiber.fiber_points(4, 3, [0], 264)
+    assert err.value.size == 265
+    fiber._JOINS.clear()
+    with pytest.raises(ResourceCapError) as err:
+        fiber.fiber_points(4, 3, [0], 264)
+    assert err.value.size == 265
+    assert (4, 3, (0,)) not in fiber._JOINS
+
+
+def test_enumerate_fiber_calls_fiber_points_by_name(monkeypatch):
+    # the oracle test swaps `fiber.fiber_points`; a kept answer must not
+    # bypass the swap
+    enumerate_fiber(3, 1, 2, 3, {0})
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return product_join(*args)
+
+    monkeypatch.setattr(fiber, "fiber_points", spy)
+    assert enumerate_fiber(3, 1, 2, 3, {0})["naive_count"] == 13
+    assert calls == [(3, 3, [0], 2_000_000)]
