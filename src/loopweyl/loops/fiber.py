@@ -55,13 +55,9 @@ far, so each distinct space filters a list once.  When the target is a
 partner member perp(S), the check is the vanishing pairing x.G.s^T = 0 for
 every image row x and every row s of S, with no nullspace.
 
-The join reads only (n, q, free tokens), so its answer is kept once per
-such key: finitely many, as n is 3 or 4, q is 3 or 5 and the free tokens
-lie in 0..n-1.  The candidate lists are not kept (SU_4 at q = 5 has
-527,931 u-stable subspaces).  The cap bounds the product of the unfolded
-candidate lists, checked before the join and again on every kept answer:
-the isotropic stream of a self-dual token, and for any other token all
-u-stable subspaces, sum_b [n, b]_q [b, n-b]_q q^((n-b)^2) of them (a
+The cap bounds the product of the unfolded candidate lists, checked before
+the join: the isotropic stream of a self-dual token, and for any other token
+all u-stable subspaces, sum_b [n, b]_q [b, n-b]_q q^((n-b)^2) of them (a
 b-dimensional bottom, an (n-b)-dimensional top inside it and a lift in the
 other n-b bottom slots for each top row), counted without being built.
 """
@@ -80,10 +76,6 @@ from .cells import CellGroup, cell_points
 from .chains import entry, member_exponents, span
 
 ODD_FIELDS = (3, 5)
-
-# join answers (total_work, window, points) by (n, q, free tokens)
-_JOINS = {}
-
 
 # -- subspaces of F_q^n, as reduced bases ---------------------------------
 
@@ -317,23 +309,11 @@ def fiber_conditions(n, q, sharp):
 def fiber_points(n, q, sharp, cap):
     """The points of the naive fiber for the free tokens sharp.
 
-    Returns the window tokens and a tuple of the points, each a tuple of
-    reduced bases aligned with the window, found by the owner join of the
-    module notes and kept once per (n, q, sharp).  Raises ResourceCapError
-    when the product of the candidate lists (u-stable subspaces, isotropic
-    ones for a self-dual token) exceeds cap, on kept answers too.
+    Returns the window tokens and the points, each a tuple of reduced bases
+    aligned with the window, found by the owner join of the module notes.
+    Raises ResourceCapError when the product of the candidate lists (u-stable
+    subspaces, isotropic ones for a self-dual token) exceeds cap.
     """
-    key = (n, q, tuple(sharp))
-    if key not in _JOINS:
-        _JOINS[key] = owner_join(n, q, sharp, cap)
-    total_work, window, points = _JOINS[key]
-    if total_work > cap:
-        raise ResourceCapError("fiber candidate combinations", total_work, cap)
-    return list(window), points
-
-
-def owner_join(n, q, sharp, cap):
-    """(total_work, window, points) of `fiber_points`, computed."""
     free, window, partner, incs, grams = fiber_conditions(n, q, sharp)
     forms = {i: grams[i] for i in free if (n - i) % n == i}
     candidates = {i: list(ustable_subspaces(n, q, form))
@@ -415,7 +395,7 @@ def owner_join(n, q, sharp, cap):
             continue
         i = free[len(chosen)]
         stack.extend({**chosen, i: space} for space in narrowed(i, chosen))
-    return total_work, tuple(window), tuple(points)
+    return window, points
 
 
 def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, collect=False):
@@ -427,9 +407,8 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, collect=False):
     bases aligned with the window tokens.  For n = 3 every point of the
     admissible cells is checked to be a point of the fiber.
 
-    The points come from the owner join of `fiber_points` (module notes),
-    kept once per (n, q, free tokens); ResourceCapError is raised when its
-    candidate lists' product exceeds cap.
+    The points come from the owner join of `fiber_points` (module notes);
+    ResourceCapError is raised when its candidate lists' product exceeds cap.
     Only Adm(mu), mu = (1^r, 0^s), reads the signature (module notes).
     """
     if q not in ODD_FIELDS:

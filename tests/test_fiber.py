@@ -386,44 +386,11 @@ def test_pairing_is_membership_in_the_perp(n, q):
 
 @pytest.mark.parametrize("q", (3, 5))
 @pytest.mark.parametrize("toks", TOKEN_SETS[3], ids=str)
-def test_kept_join_serves_every_signature(q, toks):
-    # the join reads (n, q, tokens) only, so one kept answer serves every r
+def test_every_signature_gets_the_join_points(q, toks):
+    # the join reads (n, q, tokens) only, the same points for every r
     _, sharp = normalize_tokens(3, toks)
     window, expect = product_join(3, q, sharp, cap=10 ** 6)
     for r in range(4):
         out = enumerate_fiber(3, r, 3 - r, q, toks, collect=True)
         assert out["window"] == window
         assert out["points"] == sorted(expect), r
-
-
-def test_kept_join_repeats_and_keeps_the_cap():
-    fiber._JOINS.clear()
-    first = enumerate_fiber(4, 2, 2, 3, {0}, collect=True)
-    assert (4, 3, (0,)) in fiber._JOINS
-    assert enumerate_fiber(4, 2, 2, 3, {0}, collect=True) == first
-    assert fiber.fiber_points(4, 3, [0], 265) == \
-        fiber.fiber_points(4, 3, [0], 265)
-    # refused on a kept answer as on a new one, with the same size
-    with pytest.raises(ResourceCapError) as err:
-        fiber.fiber_points(4, 3, [0], 264)
-    assert err.value.size == 265
-    fiber._JOINS.clear()
-    with pytest.raises(ResourceCapError) as err:
-        fiber.fiber_points(4, 3, [0], 264)
-    assert err.value.size == 265
-    assert (4, 3, (0,)) not in fiber._JOINS
-
-
-def test_enumerate_fiber_calls_fiber_points_by_name(monkeypatch):
-    # the oracle test swaps `fiber.fiber_points`; a kept answer must not
-    # bypass the swap
-    enumerate_fiber(3, 1, 2, 3, {0})
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return product_join(*args)
-
-    monkeypatch.setattr(fiber, "fiber_points", spy)
-    assert enumerate_fiber(3, 1, 2, 3, {0})["naive_count"] == 13
-    assert calls == [(3, 3, [0], 2_000_000)]

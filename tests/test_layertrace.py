@@ -41,8 +41,6 @@ def test_tracer_installs_and_restores():
         assert len(cells.cell_points(group, [0, 1])) == 4
         assert len(cells.closure_points(group, [0, 1])) == \
             cells.schubert_count(group.fin, [0, 1], 2)
-        # a cleared join memo, so the fiber's subspaces are enumerated
-        fiber._JOINS.clear()
         assert fiber.enumerate_fiber(3, 1, 2, 3, {0})["naive_count"] == 13
         metrics = tracer.metrics()
     finally:
