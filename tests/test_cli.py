@@ -550,7 +550,7 @@ def test_golden_payloads_under_other_hash_seeds():
     cases = [case for case in golden
              if "--emit-paths" in case["argv"]
              or (case["argv"][0] == "adm" and "--Y" in case["argv"])]
-    assert len(cases) == 6
+    assert len(cases) == 8
     argvs = json.dumps([case["argv"] for case in cases])
     for seed in ("0", "4242"):
         proc = subprocess.run(
