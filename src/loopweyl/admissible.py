@@ -4,12 +4,11 @@ Adm(mu) is the Bruhat lower closure of the translations t_{w(lam)} over the
 finite Weyl orbit of lam; all of them share one Omega-class tau, and the
 neutral version divides tau out on the right, landing in the affine Weyl
 group.  Stripping the root matrix of t_{w(lam)} (eng.translation) leaves
-tau and a reduced word of t_{w(lam)} tau^{-1}.  tau has length zero and
-permutes the simple roots, so x tau is a permutation of the rows and
-columns of x's matrices (eng.twist) and has the length of x; the closure
-(weyl.lower_closure) grows from those words by subwords, without
-covers, and carries each element's reduced word, which the readers of
-lengths read (neutral_words).
+tau and a reduced word of t_{w(lam)} tau^{-1}.  tau has length zero, so
+x tau has the length of x, and Adm(mu) is the neutral set times tau.  The
+closure (weyl.lower_closure) grows the neutral set from those words by
+subwords, on the weights x^{-1} rho, and carries each element's reduced
+word, which the readers of lengths read (elements).
 The parahoric saturation W^Y Adm(mu)° W^{Y°} by the standard
 parabolics W^Y = W_{S-Y} on the left and W^{Y°} (the tau-conjugate set) on
 the right needs no closure of its own and is never multiplied out.  For K
@@ -19,8 +18,9 @@ affine Deligne-Lusztig varieties", arXiv:1408.5838, sec. 6; Haines-He,
 "Vertexwise criteria for admissibility of alcoves", arXiv:1411.5450).  So
 the saturation's right coset minima are the elements of Adm(mu)° with no
 right descent in S - Y°, its double coset minima those with no left
-descent in S - Y either, both in the neutral set's (length, m) order, and
-the saturation is those right minima times W^{Y°}, kept as a sized view.
+descent in S - Y either, both read off weights (weyl module docstring) in
+the closure's order, and the saturation is those right minima times
+W^{Y°}, kept as a sized view.
 Both minima are subsets of Adm(mu)°, so the cap of adm, on |Adm(mu)°|,
 bounds everything a saturation builds; the saturation has no cap of its
 own.
@@ -32,8 +32,8 @@ Each result is kept on the object it is built from: a finite datum keeps
 one AdmissibleSet per lam (fin.adm_sets), keyed by lam alone (so mu=...
 and lam=... share the set of the projection lam of mu), at most MEMO_SIZE
 of them, dropping the oldest first.  It holds tau, the translations
-(maximal_elements) and their neutral versions with reduced words (words),
-its closure (elements, neutral, neutral_words) once adm has built it, and
+(maximal_elements) and the reduced words of their neutral versions
+(words), its closure (elements) once adm has built it, and
 its saturations and path graphs, keyed by Y; lspaths.count_h_y builds a
 path graph without the closure.  A repeated call returns the stored
 object; adm still raises ResourceCapError when the stored set is larger
@@ -61,18 +61,16 @@ def context_for(datum):
 
 @dataclass(eq=False)
 class AdmissibleSet:
-    """Adm(mu) of one lam (module docstring): words maps each t tau^{-1} to
-    its reduced word, and adm fills elements, neutral and neutral_words, a
-    reduced word of each element of neutral (None before)."""
+    """Adm(mu) of one lam (module docstring): words holds a reduced word of
+    each t tau^{-1}, and adm fills elements, a dict from the weight x^{-1}
+    rho of each x in Adm(mu)° to a reduced word of x (None before)."""
 
     fin: object
     lam: tuple
     tau: object
     maximal_elements: tuple
-    words: dict
-    elements: tuple = None
-    neutral: tuple = None
-    neutral_words: dict = None
+    words: tuple
+    elements: dict = None
     saturations: dict = field(default_factory=dict, repr=False)
     path_graphs: dict = field(default_factory=dict, repr=False)
 
@@ -117,14 +115,11 @@ def translations(fin, mu=None, lam=None, cap=20000):
             "Omega-classes"
         )
     tau = taus.pop()
-    tau_inv = eng.inv(tau)
     if len(memo) >= MEMO_SIZE:
         del memo[next(iter(memo))]
-    # one W_0-orbit's translations share a length, so m alone gives the
-    # (length, m) order
     memo[lam] = AdmissibleSet(
         fin=fin, lam=lam, tau=tau,
-        words={eng.twist(t, tau_inv): word for t, (word, _) in split.items()},
+        words=tuple(word for word, _ in split.values()),
         maximal_elements=tuple(sorted(split, key=lambda t: t.m)))
     return memo[lam]
 
@@ -136,20 +131,12 @@ def adm(fin, mu=None, lam=None, cap=20000):
     lam=lam) for the projection lam of mu return one object.
     """
     s = translations(fin, mu=mu, lam=lam, cap=cap)
-    if s.neutral is not None:
-        if len(s.neutral) > cap:
-            raise ResourceCapError("admissible set size", len(s.neutral), cap)
+    if s.elements is not None:
+        if len(s.elements) > cap:
+            raise ResourceCapError("admissible set size", len(s.elements), cap)
         return s
-    eng = engine_for(fin)
-    # each neutral element with a reduced word, grown from the words of
-    # the neutral translations
-    words = weyl.lower_closure(
-        eng, s.words.values(), cap=cap, what="admissible set size")
-    # l(x tau) = l(x), so both sort in (length, m) order by (len(word), m)
-    elements = {eng.twist(x, s.tau): len(w) for x, w in words.items()}
-    s.elements = tuple(sorted(elements, key=lambda x: (elements[x], x.m)))
-    s.neutral = tuple(sorted(words, key=lambda x: (len(words[x]), x.m)))
-    s.neutral_words = words
+    s.elements = weyl.lower_closure(
+        engine_for(fin), s.words, cap=cap, what="admissible set size")
     return s
 
 
@@ -163,7 +150,7 @@ def tau_conjugate_nodes(adm_set, nodes):
 
 @dataclass(frozen=True)
 class Saturation:
-    """The saturation as m u over m in mod_right and u in W_{S-Y°}.
+    """The saturation as x u over x in mod_right and u in W_{S-Y°}.
 
     It is a union of right cosets of W_{S-Y°}, so its size is |mod_right|
     times |W_{S-Y°}| (order); it is never multiplied out.
@@ -189,8 +176,9 @@ class ParahoricAdmissible:
 def adm_parahoric(adm_set, y):
     """Saturation W^Y Adm(mu)° W^{Y°} with its right and double coset minima.
 
-    mod_right is the elements of Adm(mu)° with no right descent in S - Y°,
-    and double_min those of them with no left descent in S - Y (module
+    mod_right holds the weights x^{-1} rho, keys of adm_set.elements, of
+    the x in Adm(mu)° with no right descent in S - Y°, and double_min those
+    of them with no left descent in S - Y, read off x rho (module
     docstring); full is the saturation as a sized view, never built.
     """
     fin = adm_set.fin
@@ -203,25 +191,25 @@ def adm_parahoric(adm_set, y):
     y_circ = tau_conjugate_nodes(adm_set, y)
     left = tuple(i for i in s if i not in y)
     right = tuple(i for i in s if i not in y_circ)
-    mod_right = tuple(
-        x for x in adm_set.neutral
-        if not any(eng.is_right_descent(x, i) for i in right)
-    )
+    elements = adm_set.elements
+    mod_right = tuple(nu for nu in elements if all(nu[i] > 0 for i in right))
+    double_min = mod_right
+    if left:
+        x_rho = {nu: weyl.rho_point(eng, elements[nu]) for nu in mod_right}
+        double_min = tuple(nu for nu in mod_right
+                           if all(x_rho[nu][i] > 0 for i in left))
     par = adm_set.saturations[y] = ParahoricAdmissible(
         adm_set=adm_set,
         y=y,
         y_circ=y_circ,
         full=Saturation(mod_right, rootdata.parabolic_order(eng.a, right)),
         mod_right=mod_right,
-        double_min=tuple(
-            x for x in mod_right
-            if not any(eng.is_left_descent(i, x) for i in left)
-        ),
+        double_min=double_min,
     )
     return par
 
 
 def adm_count(adm_par, q):
     """Sum of q^l(w) over the double-coset minima of the saturation."""
-    words = adm_par.adm_set.neutral_words
-    return sum(q ** len(words[x]) for x in adm_par.double_min)
+    words = adm_par.adm_set.elements
+    return sum(q ** len(words[nu]) for nu in adm_par.double_min)

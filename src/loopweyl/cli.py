@@ -44,7 +44,7 @@ from .kactables import known_names
 from .lspaths import count_h_y
 from .rootdata import (datum_from_json, echelon_system, load_affine_datum,
                        special_nodes)
-from .weyl import from_word, reduced_word
+from .weyl import from_word, orbit_word, reduced_word, rho_point
 from .loops.cells import CellGroup, cell_points, closure_points, schubert_count
 from .loops.chains import validate_chain
 from .loops.fiber import enumerate_fiber, rebuild_members
@@ -339,7 +339,9 @@ def cmd_adm(args):
         payload["y_circ"] = list(par.y_circ)
         payload["full_size"] = len(par.full)
         payload["mod_right_size"] = len(par.mod_right)
-        payload["double_min"] = sorted(element_text(eng, w) for w in par.double_min)
+        payload["double_min"] = sorted(
+            word_text(orbit_word(eng, rho_point(eng, adm_set.elements[nu])))
+            for nu in par.double_min)
         text.append(f"Y {list(par.y)}  Y_circ {list(par.y_circ)}")
         text.append(f"full {payload['full_size']}  mod_right {payload['mod_right_size']}")
         text.append("double_min " + "; ".join(payload["double_min"]))

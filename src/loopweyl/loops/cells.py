@@ -106,17 +106,14 @@ class CellGroup:
 
 
 def _check_reduced(fin, word):
-    """Refuse a word outside fin's nodes or not reduced: no i_k may be a
-    left descent of s_{i_{k+1}} ... s_{i_l}."""
+    """Refuse a word outside fin's nodes or not reduced: a word is reduced
+    when it is as long as the least-descent word of its element."""
     eng = engine_for(fin)
     bad = [i for i in word if i not in eng.nodes]
     if bad:
         raise SpecParseError(f"generator {bad[0]} outside {list(eng.nodes)}")
-    x = eng.identity()
-    for i in reversed(word):
-        if eng.is_left_descent(i, x):
-            raise SpecParseError(f"word {word} is not reduced")
-        x = eng.lmul(i, x)
+    if len(weyl.orbit_word(eng, weyl.rho_point(eng, word))) != len(word):
+        raise SpecParseError(f"word {word} is not reduced")
 
 
 def _grow(group, points, j):
@@ -228,10 +225,11 @@ def schubert_count(fin, word, q, modulo=(), cap=20000):
 
     With modulo nonempty the count is taken in the partial flag variety for
     that set of nodes, over the v <= w with no right descent in modulo,
-    the coset-minimal representatives below w.
+    the coset-minimal representatives below w, read off the weights v^{-1}
+    rho (weyl module docstring).
     """
     eng = engine_for(fin)
     _check_reduced(fin, word)
     return sum(q ** len(v_word)
-               for v, v_word in weyl.lower_closure(eng, [word], cap).items()
-               if not any(eng.is_right_descent(v, i) for i in modulo))
+               for nu, v_word in weyl.lower_closure(eng, [word], cap).items()
+               if all(nu[i] > 0 for i in modulo))

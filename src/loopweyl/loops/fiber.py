@@ -426,7 +426,7 @@ def enumerate_fiber(n, r, s, q, tokens, cap=2_000_000, collect=False):
     mu = (1,) * r + (0,) * s
     adm_set = adm(fin, mu=mu)
     par = adm_parahoric(adm_set, y)
-    words = adm_set.neutral_words
+    words = adm_set.elements
     a_count = adm_count(par, q)
     adm_points = sum(q ** len(words[v]) for v in par.mod_right)
 

@@ -227,7 +227,7 @@ def count_h_y(fin, mu=None, lam=None, *, y, a=1, cap=20000, emit=False):
     graph = s.path_graphs.get(y)
     if graph is None:
         graph = weyl.bruhat_interval(ctx, shape_weight(datum, y_circ, 1),
-                                     s.words.values(), cap=cap)
+                                     s.words, cap=cap)
         s.path_graphs[y] = graph
     elif len(graph.nodes) > cap:
         raise ResourceCapError("bruhat interval nodes", len(graph.nodes), cap)

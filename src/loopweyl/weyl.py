@@ -31,16 +31,24 @@ The coroot side needs no matrices of its own: A is symmetrizable, d_i a_ij
 ch. 2 and 4), so the coroot of a real root beta = w(alpha_i) is D beta /
 d_i, and <alpha_j, beta^vee> = d_j <beta, alpha_j^vee> / d_i.
 
-A length-zero tau is a permutation matrix, so x tau permutes the columns
-of m and the rows of minv (twist), and l(x tau) = l(x).
+A length-zero tau is a permutation matrix, so l(x tau) = l(x).
 
 Bruhat lower sets grow by subwords (Bjorner-Brenti, Combinatorics of
 Coxeter Groups, Thm. 2.2.2): for v s_j > v the interval below v s_j is the
 one below v together with its right translate by s_j.  lower_closure grows
 the sets that adm and the cells read so, one letter of a reduced word at a
-time: x s_j, for x without the right descent s_j, costs one column update
-of x's m, which is looked up among the elements found so far; a new
-element costs its minv and gets a word, x's word followed by j.
+time, on weights rather than matrices.  Weights are written in the
+coordinates nu_j = <nu, alpha_j^vee>, and rho = (1, ..., 1) pairs
+positively with every positive real coroot, so W acts freely on it
+(Casselman, "Machine calculations in Weyl groups", Invent. Math. 116
+(1994)).  An element x is kept as its weight nu = x^{-1} rho: x s_j has
+the weight s_j nu, an O(n) update (orbit_point), and nu_j = <rho,
+x(alpha_j^vee)> is negative exactly when s_j is a right descent of x.  A
+zero coordinate puts the weight on a wall, which no Coxeter group of a
+Cartan matrix reaches, and raises ConsistencyError.  Dually (x rho)_i < 0
+exactly when s_i is a left descent of x (rho_point), and orbit_word strips
+x rho to the least-descent word of x.  A new element gets a word, that of
+the element it grew from followed by j.
 
 Cover graphs serve only the path counts (lspaths), and live on the orbit
 W shape of a dominant weight (Littelmann, "Paths and root operators in
@@ -200,19 +208,6 @@ class CartanContext:
         row = self.a[i]
         return CoxElement(
             _col_update(x.m, i, row), _row_update(x.minv, i, row)
-        )
-
-    def twist(self, x, tau):
-        """x tau for a length-zero tau, by permuting rows and columns.
-
-        tau permutes the simple roots, alpha_c to alpha_{sigma(c)}, so
-        column c of m tau is column sigma(c) of m and row c of tau^{-1}
-        minv is row sigma(c) of minv.
-        """
-        sigma = [row.index(1) for row in tau.minv]
-        return CoxElement(
-            tuple(tuple(row[s] for s in sigma) for row in x.m),
-            tuple(x.minv[s] for s in sigma),
         )
 
     def _col_negative(self, m, i):
@@ -479,33 +474,41 @@ def labeled_covers_down(eng, nu, word, stab=()):
     return out
 
 
+def rho_point(eng, word):
+    """x rho for the element x of a word (module docstring): s_i is a left
+    descent of x exactly when (x rho)_i < 0."""
+    return orbit_point(eng, word, (1,) * len(eng.a))
+
+
 def lower_closure(eng, words, cap=20000, what="Bruhat lower set elements"):
     """The Bruhat lower set below the elements of reduced words, by subwords.
 
-    Returns a dict from each element of the union of the intervals to a
-    reduced word: that of the element it grew from, which comes before it,
-    and one letter (module docstring).  Once the union, and with it any
-    level, passes cap elements it raises ResourceCapError(what).
+    Returns a dict from the weight x^{-1} rho of each element x of the union
+    of the intervals to a reduced word of x: that of the element it grew
+    from, which comes before it, and one letter (module docstring).  Once
+    the union, and with it any level, passes cap elements it raises
+    ResourceCapError(what).
     """
-    e = eng.identity()
-    found = {e.m: (e, ())}  # m -> (element, word)
+    rho = rho_point(eng, ())
+    found = {rho: ()}
     for word in words:
-        level = {e.m: e}
+        level = {rho: None}  # the lower set of the prefix read, in order
         for j in word:
-            row = eng.a[j]
-            for x in list(level.values()):
-                if eng.is_right_descent(x, j):
+            col = [row[j] for row in eng.a]
+            for nu in list(level):
+                c = nu[j]
+                if c < 0:
                     continue
-                m = _col_update(x.m, j, row)
-                if m in level:
-                    continue
-                if m not in found:
-                    v = CoxElement(m, _row_update(x.minv, j, row))
-                    found[m] = v, found[x.m][1] + (j,)
+                if c == 0:
+                    raise ConsistencyError(
+                        f"weight {nu} lies on wall {j}: not a regular orbit")
+                v = tuple(u - c * b for u, b in zip(nu, col))
+                if v not in found:
+                    found[v] = found[nu] + (j,)
                     if len(found) > cap:
                         raise ResourceCapError(what, len(found), cap)
-                level[m] = found[m][0]
-    return dict(found.values())
+                level[v] = None
+    return found
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -4,6 +4,7 @@ Each is a small, direct form of a quantity the library computes another
 way, kept beside the tests that compare the two.
 """
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -112,6 +113,78 @@ def interval_oracle(eng, tops, right_quotient):
     key = sort_key(eng)
     return (tuple(sorted(nodes, key=key)),
             tuple(sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))))
+
+
+# -- permissible sets ----------------------------------------------------------
+#
+# x = w tau is mu-permissible when x(a) - a lies in Conv(W_0 lam) for every
+# vertex a of the base alcove (Kottwitz-Rapoport, Manuscripta Math. 102
+# (2000)); w tau with tau the Omega-class of t_lam keeps x = t_lam modulo
+# W_aff.  An element acts on the apartment V by the affine reflections of
+# rootdata, and is kept as its images of the vertices, which determine it.
+
+@functools.lru_cache(maxsize=None)
+def alcove_vertices(fin):
+    """The vertex a_j of the base alcove on every wall but wall j, for j
+    over the diagram nodes."""
+    nodes = fin.datum.nodes
+    zero = (Fraction(0),) * fin.r
+    units = [tuple(Fraction(int(k == p)) for k in range(fin.r))
+             for p in range(fin.r)]
+    out = []
+    for j in nodes:
+        rows = [i for i in nodes if i != j]
+        base = [fin.affine_value(i, zero) for i in rows]
+        grad = [[fin.affine_value(i, u) - b for u in units]
+                for i, b in zip(rows, base)]
+        out.append(tuple(linalg.matvec(linalg.inverse(grad),
+                                       [-b for b in base])))
+    return tuple(out)
+
+
+def act(fin, word, points):
+    """s_{w_1} ... s_{w_l} applied to each point, by reflect_point."""
+    for i in reversed(word):
+        points = [fin.reflect_point(i, p) for p in points]
+    return tuple(points)
+
+
+def tau_images(fin, lam):
+    """tau a over the vertices a, tau the Omega-class of t_lam: the walk of
+    v0 + lam into the base alcove crosses walls w_1, ..., w_l, so
+    s_{w_l} ... s_{w_1} t_lam fixes the base alcove and is tau."""
+    _, walls = fin.alcove_normalize(tuple(v + c for v, c in zip(fin.v0, lam)))
+    shifted = [tuple(a + c for a, c in zip(p, lam))
+               for p in alcove_vertices(fin)]
+    return act(fin, walls[::-1], shifted)
+
+
+def permissible(fin, lam, images):
+    """Whether the element with these vertex images is lam-permissible:
+    v lies in Conv(W_0 lam) when lam_dom - dominant_rep(v) has nonnegative
+    simple-coroot coordinates."""
+    dom = fin.dominant_rep(lam)
+    return all(
+        all(c >= d for c, d in zip(dom, fin.dominant_rep(
+            tuple(y - v for y, v in zip(image, a)))))
+        for image, a in zip(images, alcove_vertices(fin)))
+
+
+def perm_ball(fin, lam, radius):
+    """The vertex images of the lam-permissible w tau with l(w) <= radius,
+    over the ball of W_aff tau in its Cayley graph (one s_i per step)."""
+    start = tau_images(fin, lam)
+    seen, frontier = {start}, [start]
+    for _ in range(radius):
+        nxt = []
+        for x in frontier:
+            for i in fin.datum.nodes:
+                y = tuple(fin.reflect_point(i, p) for p in x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return {x for x in seen if permissible(fin, lam, x)}
 
 
 # -- rational linear algebra ---------------------------------------------------
@@ -372,7 +445,8 @@ def series_cells(group, word, closed):
         return [keys for _, keys in points]
     eng = engine_for(group.fin)
     cells, out = {}, []
-    for v, v_word in lower_closure(eng, [word]).items():
+    for v_word in lower_closure(eng, [word]).values():
+        v = from_word(eng, v_word)
         cells[v] = (series_grow(group, cells[eng.rmul(v, v_word[-1])],
                                 v_word[-1]) if v_word else base)
         out += [keys for _, keys in cells[v]]

@@ -8,21 +8,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopweyl import linalg
+from loopweyl import linalg, weyl
 from loopweyl.admissible import (adm, adm_count, adm_parahoric, context_for,
                                   engine_for, tau_conjugate_nodes,
                                   translations)
 from loopweyl.errors import ResourceCapError
 from loopweyl.kactables import known_names
+from loopweyl.loops.cells import CellGroup, closure_points, schubert_count
 from loopweyl.lspaths import count_h_y
 from loopweyl.rootdata import (FiniteRootDatum, echelon_system,
                                load_affine_datum, special_nodes)
 from loopweyl.weyl import bruhat_interval, coset_min, from_word, reduced_word
-from oracles import orbit_weight, sort_key
+from oracles import (act, orbit_weight, perm_ball, permissible, sort_key,
+                     tau_images)
 
 
 def fin_for(name, x=0):
     return echelon_system(load_affine_datum(name), x)
+
+
+def elements_of(adm_set, weights=None):
+    """Elements of Adm(mu)° rebuilt from their words: those of the given
+    weights, in order, or all of them."""
+    eng = engine_for(adm_set.fin)
+    words = adm_set.elements
+    return [from_word(eng, words[nu])
+            for nu in (words if weights is None else weights)]
 
 
 def test_sizes():
@@ -40,7 +51,6 @@ def test_sizes():
     for name, mu, size in cases:
         s = adm(fin_for(name), mu=mu)
         assert len(s.elements) == size, name
-        assert len(s.neutral) == size
 
 
 def test_structure():
@@ -51,14 +61,17 @@ def test_structure():
         s = adm(fin, mu=mu)
         cls = eng.omega_class(s.tau)
         tops = set(s.maximal_elements)
-        assert tops <= set(s.elements)
+        # Adm(mu) is the neutral set times tau
+        elements = {eng.mul(x, s.tau) for x in elements_of(s)}
+        assert len(elements) == len(s.elements)
+        assert tops <= elements
         lengths = {eng.length(t) for t in tops}
         assert len(lengths) == 1
-        for x in s.elements:
+        for x in elements:
             assert eng.omega_class(x) == cls
             assert any(eng.bruhat_leq(x, t) for t in tops), name
         # downward closure inside the omega class
-        for x in s.elements:
+        for x in elements:
             for t in tops:
                 if eng.bruhat_leq(x, t):
                     break
@@ -92,29 +105,32 @@ def test_minimality_conventions():
                         ("C(1)_2", (0, 1), (1,))):
         fin = fin_for(name)
         eng = engine_for(fin)
-        par = adm_parahoric(adm(fin, mu=mu), y)
+        s = adm(fin, mu=mu)
+        par = adm_parahoric(s, y)
         nodes = set(fin.datum.nodes)
         right = nodes - set(par.y_circ)
         left = nodes - set(par.y)
-        for m in par.mod_right:
+        mod_right = elements_of(s, par.mod_right)
+        for m in mod_right:
             assert all(eng.length(eng.rmul(m, i)) > eng.length(m) for i in right)
-        for d in par.double_min:
+        for d in elements_of(s, par.double_min):
             assert all(eng.length(eng.rmul(d, i)) > eng.length(d) for i in right)
             assert all(eng.length(eng.lmul(i, d)) > eng.length(d) for i in left)
         assert set(par.double_min) <= set(par.mod_right)
         # the saturation holds the neutral set: the right coset minima of
         # its elements lie in mod_right
         assert {coset_min(eng, x, (), tuple(right))
-                for x in adm(fin, mu=mu).neutral} <= set(par.mod_right)
+                for x in elements_of(s)} <= set(mod_right)
 
 
 def test_count_polynomial_is_length_generating():
     fin = fin_for("A(1)_2")
     eng = engine_for(fin)
-    par = adm_parahoric(adm(fin, mu=(1, 0, 0)), (0, 1, 2))
+    s = adm(fin, mu=(1, 0, 0))
+    par = adm_parahoric(s, (0, 1, 2))
     for q in (2, 3, 5):
-        assert adm_count(par, q) == sum(q ** eng.length(d)
-                                        for d in par.double_min)
+        assert adm_count(par, q) == sum(
+            q ** eng.length(d) for d in elements_of(s, par.double_min))
 
 
 def test_lam_input_and_cap():
@@ -165,10 +181,43 @@ def test_cap_holds_on_stored_sets():
     # a cap fails loudly whether or not the set was built before
     fin = fin_for("A(1)_3")
     s = adm(fin, mu=(2, 2, 0, 0))
-    assert len(s.neutral) == 185
+    assert len(s.elements) == 185
     with pytest.raises(ResourceCapError):
         adm(fin, mu=(2, 2, 0, 0), cap=10)
     assert adm(fin, mu=(2, 2, 0, 0), cap=185) is s
+
+
+def test_closures_and_saturations_build_no_group_elements(monkeypatch):
+    # once the translations are stripped, Adm(mu)°, its saturations and
+    # the Schubert closures walk weights: with CoxElement refused they
+    # still give the values of test_parahoric_values and the cell counts
+    cases = [("A(1)_2", (1, 0, 0), (0, 1), (10, 5, 3, 13)),
+             ("C(1)_2", (0, 1), (1,), (20, 5, 2, 4)),
+             ("A(2)_2", (1, 0, 0), (0,), (6, 3, 2, 4))]
+    # new finite data, so adm closes each set under the patch
+    fins = [FiniteRootDatum(load_affine_datum(name), 0) for name, *_ in cases]
+    for fin, (_, mu, _, _) in zip(fins, cases):
+        translations(fin, mu=mu)
+    groups = [CellGroup("sl", 3, 2), CellGroup("su", 3, 3)]
+    words = ([0, 1, 2, 0], [1, 0, 1])
+    # counted before the patch, which also builds the groups' engines
+    modulo = [schubert_count(group.fin, word, group.q, modulo=(0,))
+              for group, word in zip(groups, words)]
+
+    def refuse(self, m, minv):
+        raise AssertionError("a CoxElement was built")
+
+    monkeypatch.setattr(weyl.CoxElement, "__init__", refuse)
+    for fin, (name, mu, y, values) in zip(fins, cases):
+        par = adm_parahoric(adm(fin, mu=mu), y)
+        assert (len(par.full), len(par.mod_right), len(par.double_min),
+                adm_count(par, 3)) == values, name
+    for group, word, count in zip(groups, words, modulo):
+        assert len(closure_points(group, word)) == \
+            schubert_count(group.fin, word, group.q)
+        assert schubert_count(group.fin, word, group.q, (0,)) == count
+    with pytest.raises(AssertionError, match="CoxElement"):
+        weyl.CoxElement((), ())
 
 
 def test_orbit_bound_is_the_listed_orbit_size():
@@ -203,7 +252,7 @@ def saturation_oracle(adm_set, y, y_circ):
     nodes = adm_set.fin.datum.nodes
     left = tuple(i for i in nodes if i not in y)
     right = tuple(i for i in nodes if i not in y_circ)
-    full = set(adm_set.neutral)
+    full = set(elements_of(adm_set))
     frontier = list(full)
     while frontier:
         nxt = []
@@ -218,6 +267,12 @@ def saturation_oracle(adm_set, y, y_circ):
     double = {coset_min(eng, x, left, right) for x in full}
     return (full, tuple(sorted(mod_right, key=sort_key(eng))),
             tuple(sorted(double, key=sort_key(eng))))
+
+
+def sorted_elements(adm_set, weights):
+    """The elements of the weights, in the oracles' (length, m) order."""
+    return tuple(sorted(elements_of(adm_set, weights),
+                        key=sort_key(engine_for(adm_set.fin))))
 
 
 def test_saturation_matches_the_multiplied_out_oracle():
@@ -249,8 +304,10 @@ def test_saturation_matches_the_multiplied_out_oracle():
                 par = adm_parahoric(s, y)
                 full, mod_right, double = saturation_oracle(s, y, par.y_circ)
                 assert len(par.full) == len(full), (name, mu, y)
-                assert par.mod_right == mod_right, (name, mu, y)
-                assert par.double_min == double, (name, mu, y)
+                assert sorted_elements(s, par.mod_right) == mod_right, \
+                    (name, mu, y)
+                assert sorted_elements(s, par.double_min) == double, \
+                    (name, mu, y)
                 triples += 1
     assert triples == 100
 
@@ -263,8 +320,8 @@ def test_cap_holds_while_building():
         adm(fin, mu=(2, 2, 0, 0), cap=184)
     assert err.value.what == "admissible set size"
     assert err.value.size > 184
-    assert [s.neutral for s in fin.adm_sets.values()] == [None]
-    assert len(adm(fin, mu=(2, 2, 0, 0), cap=185).neutral) == 185
+    assert [s.elements for s in fin.adm_sets.values()] == [None]
+    assert len(adm(fin, mu=(2, 2, 0, 0), cap=185).elements) == 185
 
 
 def coset_max(eng, x, left_gens=(), right_gens=()):
@@ -322,7 +379,7 @@ def closure_oracle(adm_set, y, y_circ):
     left = tuple(i for i in nodes if i not in y)
     right = tuple(i for i in nodes if i not in y_circ)
     tau_inv = eng.inv(adm_set.tau)
-    maxima = [coset_max(eng, eng.twist(t, tau_inv), left, right)
+    maxima = [coset_max(eng, eng.mul(t, tau_inv), left, right)
               for t in adm_set.maximal_elements]
     shape = tuple(0 if i in right else 1 for i in nodes)
     graph = bruhat_interval(
@@ -358,8 +415,8 @@ FILTER_CASES = [
 def test_saturation_filter_matches_the_closure_oracle():
     # Adm(mu)^K and Adm(mu) meet W~^K alike, so the saturation's minima are
     # descent filters of the neutral set; the closure of the double coset
-    # maxima must give the same minima, in order, on every nonempty Y,
-    # non-minuscule mu included
+    # maxima must give the same minima on every nonempty Y, non-minuscule
+    # mu included
     triples = 0
     for name, mu in FILTER_CASES:
         fin = fin_for(name)
@@ -369,8 +426,10 @@ def test_saturation_filter_matches_the_closure_oracle():
             for y in combinations(nodes, k):
                 par = adm_parahoric(s, y)
                 mod_right, double = closure_oracle(s, y, par.y_circ)
-                assert par.mod_right == mod_right, (name, mu, y)
-                assert par.double_min == double, (name, mu, y)
+                assert sorted_elements(s, par.mod_right) == mod_right, \
+                    (name, mu, y)
+                assert sorted_elements(s, par.double_min) == double, \
+                    (name, mu, y)
                 triples += 1
     assert triples == 216
 
@@ -378,20 +437,22 @@ def test_saturation_filter_matches_the_closure_oracle():
 def test_adm_matches_the_cover_closure():
     # adm grows Adm(mu)° by subwords of the translations' words; the cover
     # walk of bruhat_interval on the orbit of a regular shape is the oracle
-    # for its elements, as weights, and each word handed over is a reduced
-    # word of its element
+    # for its elements, as weights, each word handed over is a reduced word
+    # of its element, and each element x is keyed by x^{-1} rho, read off
+    # the root matrix of x^{-1}
     for name, mu in FILTER_CASES:
         fin = fin_for(name)
         eng = engine_for(fin)
         s = adm(fin, mu=mu)
         shape = (1,) * len(fin.datum.nodes)
-        oracle = bruhat_interval(eng, shape, s.words.values()).nodes
-        assert len(s.neutral) == len(oracle), (name, mu)
-        assert {orbit_weight(eng, x, shape) for x in s.neutral} == \
+        oracle = bruhat_interval(eng, shape, s.words).nodes
+        assert len(s.elements) == len(oracle), (name, mu)
+        assert {orbit_weight(eng, x, shape) for x in elements_of(s)} == \
             set(oracle), (name, mu)
-        for x, word in s.neutral_words.items():
+        for nu, word in s.elements.items():
+            x = from_word(eng, word)
             assert len(word) == eng.length(x), (name, mu, word)
-            assert from_word(eng, word) == x, (name, mu, word)
+            assert orbit_weight(eng, eng.inv(x), shape) == nu, (name, mu, word)
 
 
 def test_path_graph_is_the_filtered_saturation():
@@ -417,8 +478,46 @@ def test_path_graph_is_the_filtered_saturation():
                     i for i in nodes if i not in par.y_circ), (name, mu, y)
                 moved = {orbit_weight(ctx, from_word(
                     ctx, reduced_word(eng, x)[0]), graph.shape)
-                    for x in par.mod_right}
+                    for x in elements_of(s, par.mod_right)}
                 assert len(graph.nodes) == len(par.mod_right)
                 assert set(graph.nodes) == moved, (name, mu, y)
                 triples += 1
     assert triples == 216
+
+
+def adm_images(fin, adm_set):
+    """The vertex images of the elements x = w tau of Adm(mu), w read off
+    the words adm keeps (oracles.act)."""
+    start = tau_images(fin, adm_set.lam)
+    return {act(fin, w, start) for w in adm_set.elements.values()}
+
+
+def test_admissible_elements_are_permissible():
+    # Adm(mu) lies in Perm(mu) for every mu, on every FILTER_CASES row
+    for name, mu in FILTER_CASES:
+        fin = fin_for(name)
+        s = adm(fin, mu=mu)
+        images = adm_images(fin, s)
+        assert len(images) == len(s.elements), (name, mu)
+        assert all(permissible(fin, s.lam, x) for x in images), (name, mu)
+
+
+# Perm(mu) = Adm(mu) for minuscule mu in GL_n and GSp_2n (Kottwitz-
+# Rapoport); rows with no such theorem are pinned as measured
+PERM_IS_ADM = [("A(1)_1", (1, 0)), ("A(1)_2", (1, 0, 0)),
+               ("A(1)_2", (1, 1, 0)), ("A(1)_3", (1, 0, 0, 0)),
+               ("A(1)_3", (1, 1, 0, 0)), ("A(1)_3", (1, 1, 1, 0)),
+               ("C(1)_2", (0, 1))]
+PERM_IS_ADM_MEASURED = [("A(1)_2", (2, 1, 0)), ("C(1)_2", (1, 1)),
+                        ("G(1)_2", (1, 0)), ("A(2)_2", (1, 0, 0)),
+                        ("A(2)_3", (1, 0, 0, 0)), ("A(2)_4", (1, 0, 0, 0, 0))]
+
+
+def test_permissible_is_admissible_for_minuscule_gl_and_gsp4():
+    # Perm(mu) is enumerated on the ball of w tau with l(w) <= l(t_lam) + 1,
+    # one letter past every element of Adm(mu), with no closure
+    for name, mu in PERM_IS_ADM + PERM_IS_ADM_MEASURED:
+        fin = fin_for(name)
+        s = adm(fin, mu=mu)
+        radius = len(s.words[0]) + 1
+        assert perm_ball(fin, s.lam, radius) == adm_images(fin, s), (name, mu)

@@ -252,11 +252,13 @@ def test_subword_closures_match_the_cover_walk():
         for word in list(reduced_words(group, max_len)) + extra:
             words = lower_closure(eng, [word])
             shape = (1,) * len(group.nodes)
-            assert {orbit_weight(eng, x, shape) for x in words} == \
+            elements = [from_word(eng, w) for w in words.values()]
+            assert {orbit_weight(eng, x, shape) for x in elements} == \
                 set(bruhat_interval(eng, shape, [word]).nodes), word
-            for x, x_word in words.items():
+            for x, (nu, x_word) in zip(elements, words.items()):
                 assert len(x_word) == eng.length(x), (word, x_word)
-                assert from_word(eng, x_word) == x, (word, x_word)
+                assert orbit_weight(eng, eng.inv(x), shape) == nu, \
+                    (word, x_word)
             for k in range(len(group.nodes)):
                 for modulo in combinations(group.nodes, k):
                     graph = bruhat_interval(eng, tuple(

@@ -17,7 +17,8 @@ from loopweyl.lspaths import PathSpace, count_h_y, is_ls_path, shape_weight
 from loopweyl.rootdata import (FiniteRootDatum, datum_from_json,
                                datum_to_json, echelon_system,
                                load_affine_datum)
-from loopweyl.weyl import CartanContext, bruhat_interval, reduced_word
+from loopweyl.weyl import (CartanContext, bruhat_interval, from_word,
+                           reduced_word)
 from oracles import longest_element
 
 
@@ -75,9 +76,11 @@ def test_emitted_paths_are_ls_paths():
         n, paths = count_h_y(fin, mu=(1, 0, 0), y=y, a=a, emit=True)
         assert len(paths) == n
         assert len({p for p in paths}) == n
-        par = adm_parahoric(adm(fin, mu=(1, 0, 0)), y)
+        s = adm(fin, mu=(1, 0, 0))
+        par = adm_parahoric(s, y)
         shape = shape_weight(fin.datum, par.y_circ, a)
-        tops = [reduced_word(eng, x)[0] for x in par.mod_right]
+        tops = [reduced_word(eng, from_word(eng, s.elements[nu]))[0]
+                for nu in par.mod_right]
         space = PathSpace(ctx, bruhat_interval(ctx, shape, tops))
         for p in paths:
             assert p.shape == shape
@@ -159,8 +162,10 @@ def fresh_space(fin, mu, y, a):
     """A PathSpace over the saturation's image, built without the memo."""
     eng = engine_for(fin)
     ctx = context_for(fin.datum)
-    par = adm_parahoric(adm(fin, mu=mu), y)
-    tops = [reduced_word(eng, x)[0] for x in par.mod_right]
+    s = adm(fin, mu=mu)
+    par = adm_parahoric(s, y)
+    tops = [reduced_word(eng, from_word(eng, s.elements[nu]))[0]
+            for nu in par.mod_right]
     return PathSpace(ctx, bruhat_interval(
         ctx, shape_weight(fin.datum, par.y_circ, a), tops))
 
@@ -232,9 +237,9 @@ def test_the_regular_orbit_graph_is_the_admissible_set():
         s = adm(fin, mu=mu)
         graph = s.path_graphs[nodes]
         assert graph.stab == (), (name, mu)
-        assert len(graph.nodes) == len(s.neutral), (name, mu)
+        assert len(graph.nodes) == len(s.elements), (name, mu)
         assert Counter(map(len, graph.words)) == \
-            Counter(map(len, s.neutral_words.values())), (name, mu)
+            Counter(map(len, s.elements.values())), (name, mu)
 
 
 def count_oracle(space):

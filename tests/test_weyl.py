@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopweyl.admissible import adm, context_for, engine_for
-from loopweyl.errors import ResourceCapError, UnsupportedDatumError
+from loopweyl.errors import (ConsistencyError, ResourceCapError,
+                             UnsupportedDatumError)
 from loopweyl.kactables import known_names
 from loopweyl.rootdata import (echelon_system, load_affine_datum,
                                project_coweight, special_nodes)
@@ -295,6 +296,16 @@ def test_coroot_side_follows_from_the_symmetrizer():
     assert elements == 5078
 
 
+def test_a_weight_on_a_wall_is_refused():
+    # rho pairs positively with every real coroot of a Cartan matrix, so
+    # the closure never meets a wall; with a_11 = 1 the matrix is none,
+    # s_1 rho = (2, 0) lies on wall 1, and reading s_1 again is refused
+    eng = CartanContext([[2, -1], [-1, 1]])
+    assert lower_closure(eng, [(1,)]) == {(1, 1): (), (2, 0): (1,)}
+    with pytest.raises(ConsistencyError, match="wall 1"):
+        lower_closure(eng, [(1, 1)])
+
+
 def test_lower_closure_cap_stops_a_level_before_the_next_word():
     # a level lies inside the union, so a single word's interval past cap
     # raises before a later word is read; two intervals within cap whose
@@ -431,15 +442,25 @@ def test_handed_over_words_are_reduced():
         fin = fin_for(name)
         eng = engine_for(fin)
         s = adm(fin, mu=mu)
-        checked += assert_reduced_words(eng, s.words.items(), name)
-        assert set(s.neutral_words) == set(s.neutral), name
-        checked += assert_reduced_words(eng, s.neutral_words.items(), name)
         nodes = fin.datum.nodes
+        # the words of the neutral translations t tau^{-1}
+        tau_inv = eng.inv(s.tau)
+        neutral = [from_word(eng, w) for w in s.words]
+        assert set(neutral) == {eng.mul(t, tau_inv)
+                                for t in s.maximal_elements}, name
+        checked += assert_reduced_words(eng, zip(neutral, s.words), name)
+        # the words adm keeps, each under the weight x^{-1} rho of its x
+        elements = [from_word(eng, w) for w in s.elements.values()]
+        rho = (1,) * len(nodes)
+        assert [orbit_weight(eng, eng.inv(x), rho) for x in elements] == \
+            list(s.elements), name
+        checked += assert_reduced_words(
+            eng, zip(elements, s.elements.values()), name)
         for group in (eng, context_for(fin.datum)):
             for k in range(len(nodes)):
                 for quotient in itertools.combinations(nodes, k):
                     shape = tuple(0 if i in quotient else 1 for i in nodes)
-                    graph = bruhat_interval(group, shape, s.words.values())
+                    graph = bruhat_interval(group, shape, s.words)
                     elements = [from_word(group, w) for w in graph.words]
                     for x, nu in zip(elements, graph.nodes):
                         assert coset_min(group, x, (), quotient) == x
