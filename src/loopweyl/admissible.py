@@ -3,12 +3,14 @@
 Adm(mu) is the Bruhat lower closure of the translations t_{w(lam)} over the
 finite Weyl orbit of lam; all of them share one Omega-class tau, and the
 neutral version divides tau out on the right, landing in the affine Weyl
-group.  Stripping the root matrix of t_{w(lam)} (eng.translation) leaves
-tau and a reduced word of t_{w(lam)} tau^{-1}.  tau has length zero, so
-x tau has the length of x, and Adm(mu) is the neutral set times tau.  The
-closure (weyl.lower_closure) grows the neutral set from those words by
-subwords, on the weights x^{-1} rho, and carries each element's reduced
-word, which the readers of lengths read (elements).
+group.  The orbit is walked on the integer slopes k of the walls, s_p
+sending k to k - k_p a[p], and t_{w(lam)} rho = 1 + k_i c / d_i is stripped
+to the word of t_{w(lam)} tau^{-1} (weyl module docstring), with no root
+matrix.  tau has length zero, so x tau has the length of x, and Adm(mu) is
+the neutral set times tau.  The closure (weyl.lower_closure) grows the
+neutral set from those words by subwords, on the weights x^{-1} rho, and
+carries each element's reduced word, which the readers of lengths read
+(elements).
 The parahoric saturation W^Y Adm(mu)° W^{Y°} by the standard
 parabolics W^Y = W_{S-Y} on the left and W^{Y°} (the tau-conjugate set) on
 the right needs no closure of its own and is never multiplied out.  For K
@@ -31,15 +33,15 @@ on which path counts run.
 Each result is kept on the object it is built from: a finite datum keeps
 one AdmissibleSet per lam (fin.adm_sets), keyed by lam alone (so mu=...
 and lam=... share the set of the projection lam of mu), at most MEMO_SIZE
-of them, dropping the oldest first.  It holds tau, the translations
-(maximal_elements) and the reduced words of their neutral versions
-(words), its closure (elements) once adm has built it, and
-its saturations and path graphs, keyed by Y; lspaths.count_h_y builds a
-path graph without the closure.  A repeated call returns the stored
-object; adm still raises ResourceCapError when the stored set is larger
-than its cap.
+of them, dropping the oldest first.  It holds tau, the reduced words of
+the neutral translations (words), its closure (elements) once adm has
+built it, and its saturations and path graphs, keyed by Y;
+lspaths.count_h_y builds a path graph without the closure.  A repeated
+call returns the stored object; adm still raises ResourceCapError when the
+stored set is larger than its cap.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -68,7 +70,6 @@ class AdmissibleSet:
     fin: object
     lam: tuple
     tau: object
-    maximal_elements: tuple
     words: tuple
     elements: dict = None
     saturations: dict = field(default_factory=dict, repr=False)
@@ -78,11 +79,11 @@ class AdmissibleSet:
 def translations(fin, mu=None, lam=None, cap=20000):
     """The stored AdmissibleSet of mu or lam, closed or not, else a new one,
     stored in fin.adm_sets (the oldest dropped first); its words are the
-    least-descent words of the translations, which strip down to tau.
+    least-descent words of the neutral translations, walked on slopes.
 
     A new set is refused (ResourceCapError) when |W_0 lam| = |W_0| /
     |W_stab| passes cap, before the orbit is listed; stab is the nodes
-    where lam's dominant conjugate has alpha_i = 0.  Adm(mu), and the
+    where the slopes of lam's dominant conjugate vanish.  Adm(mu), and the
     coset graph of lspaths, hold one element per translation.
     """
     if (mu is None) == (lam is None):
@@ -98,29 +99,32 @@ def translations(fin, mu=None, lam=None, cap=20000):
     if not fin.in_coweight_lattice(lam):
         raise ValueError(
             f"({', '.join(map(str, lam))}) is not in the coweight lattice")
-    dom = fin.dominant_rep(lam)
-    stab = [p for p, i in enumerate(fin.nodes)
-            if not fin.simple_root_value(i, dom)]
-    size = (rootdata.parabolic_order(fin.a_del, range(fin.r))
-            // rootdata.parabolic_order(fin.a_del, stab))
+    eng = engine_for(fin)
+    nodes = fin.nodes
+    dom = k = eng.slopes(lam)
+    while (i := next((i for i in nodes if dom[i] < 0), None)) is not None:
+        dom = tuple(v - dom[i] * b for v, b in zip(dom, eng.a[i]))
+    stab = [p for p, i in enumerate(nodes) if not dom[i]]
+    size = fin.w0_order // rootdata.parabolic_order(fin.a_del, stab)
     if size > cap:
         raise ResourceCapError("W_0-orbit of lam", size, cap)
-    eng = engine_for(fin)
-    split = {t: weyl.reduced_word(eng, t)
-             for t in map(eng.translation, fin.w0_orbit(lam))}
-    taus = {tau for _, tau in split.values()}
-    if len(taus) != 1:
-        raise ConsistencyError(
-            f"translations of the W-orbit of {lam} lie in {len(taus)} "
-            "Omega-classes"
-        )
-    tau = taus.pop()
+    orbit = weyl.coweight_orbit(eng.a, k, nodes)
+    # w lam = delta_x pw_mat k' for its finite slopes k': den pw_mat k' sorts
+    # as w lam does, and w lam - lam must lie in T = sum g_p Z e_p
+    den = math.lcm(*(c.denominator for row in fin.pw_mat for c in row))
+    pw = [[int(c * den) for c in row] for row in fin.pw_mat]
+    key = {v: tuple(sum(c * v[i] for c, i in zip(row, nodes)) for row in pw)
+           for v in orbit}
+    if any(eng._delta[fin.x] * (u - u0) % (den * g) for w in key.values()
+           for u, u0, g in zip(w, key[k], fin.g)):
+        raise ConsistencyError(f"the W-orbit of {lam} meets two Omega-classes")
     if len(memo) >= MEMO_SIZE:
         del memo[next(iter(memo))]
     memo[lam] = AdmissibleSet(
-        fin=fin, lam=lam, tau=tau,
-        words=tuple(word for word, _ in split.values()),
-        maximal_elements=tuple(sorted(split, key=lambda t: t.m)))
+        fin=fin, lam=lam,
+        tau=eng.tau_for_class(tuple(c % g for c, g in zip(lam, fin.g))),
+        words=tuple(weyl.orbit_word(eng, weyl.translation_rho(eng, v))
+                    for v in sorted(orbit, key=key.get)))
     return memo[lam]
 
 

@@ -141,9 +141,8 @@ def parse_element(eng, fin, text):
     return x
 
 
-def element_text(eng, x):
-    word, rem = reduced_word(eng, x)
-    res = eng.omega_class(rem)
+def element_text(word, res):
+    """The canonical text of a reduced word times the tau of residue res."""
     parts = [word_text(word)] if word else []
     if any(res):
         parts.append("tau[" + ",".join(str(c) for c in res) + "]")
@@ -287,14 +286,14 @@ def cmd_weyl(args):
     fin = finite_for(args)
     eng = engine_for(fin)
     x = parse_element(eng, fin, args.elt)
+    word, rem = reduced_word(eng, x)
+    res = eng.omega_class(rem)
     payload = {"datum": fin.datum.name, "special": args.special,
-               "elt": args.elt, "canonical": element_text(eng, x),
-               "length": eng.length(x)}
+               "elt": args.elt, "canonical": element_text(word, res),
+               "length": len(word)}
     if args.op == "length":
-        text = [str(eng.length(x))]
+        text = [str(len(word))]
     elif args.op == "word":
-        word, rem = reduced_word(eng, x)
-        res = eng.omega_class(rem)
         payload["word"] = list(word)
         payload["tau"] = list(res) if any(res) else None
         text = [payload["canonical"]]
@@ -322,13 +321,14 @@ def cmd_adm(args):
     fin = finite_for(args)
     eng = engine_for(fin)
     adm_set = adm(fin, cap=args.cap, **_mu_or_lam(args))
+    res = eng.omega_class(adm_set.tau)
     payload = {
         "datum": fin.datum.name,
         "mu": None if args.mu is None else list(args.mu),
         "lam": list(adm_set.lam),
         "size": len(adm_set.elements),
-        "maximal": sorted(element_text(eng, t) for t in adm_set.maximal_elements),
-        "tau": list(eng.omega_class(adm_set.tau)),
+        "maximal": sorted(element_text(w, res) for w in adm_set.words),
+        "tau": list(res),
     }
     text = [f"size {payload['size']}",
             "lam  (" + ", ".join(str(c) for c in adm_set.lam) + ")",

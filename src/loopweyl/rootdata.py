@@ -145,8 +145,12 @@ def parabolic_order(a, gens):
     roots alpha of (1 - q^(ht alpha + 1)) / (1 - q^ht alpha) (Macdonald,
     Math. Ann. 199 (1972)); at q = 1 it is the order.
     """
-    sub = [[a[i][j] for j in gens] for i in gens]
-    heights = [sum(root) for root, _ in root_closure(sub)]
+    return _order(root_closure([[a[i][j] for j in gens] for i in gens]))
+
+
+def _order(pairs):
+    """|W| from the (root, coroot) pairs of root_closure (parabolic_order)."""
+    heights = [sum(root) for root, _ in pairs]
     return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
@@ -255,9 +259,9 @@ class FiniteRootDatum:
         # order o_p = h_p / g_p mod h_p, g_p = gcd(h_p, t*_p), and T = sum
         # g_p Z e_p exactly when the cyclic group of t* mod sum h_p Z e_p is
         # the product of its projections: when the o_p are pairwise coprime
-        orbit = self._orbit(self._point(self.t_star))
-        h = [math.gcd(*(int(self.simple_root_value(i, v)) for v in orbit))
-             for i in self.nodes]
+        orbit = weyl.coweight_orbit(self.a_del, linalg.matvec(
+            linalg.transpose(self.a_del), self.t_star), range(self.r))
+        h = [math.gcd(*(v[p] for v in orbit)) for p in range(self.r)]
         self.g = tuple(map(math.gcd, h, self.t_star))
         orders = [hp // gp for hp, gp in zip(h, self.g)]
         if math.prod(orders) != math.lcm(*orders):
@@ -294,6 +298,11 @@ class FiniteRootDatum:
         self.adm_sets = {}
 
     @cached_property
+    def w0_order(self):
+        """|W_0|, from the echelonnage roots (W_0 of a_del) listed at set-up."""
+        return _order(self.ech_pairs)
+
+    @cached_property
     def engine(self):
         """The Iwahori-Weyl group of this realization (a CartanContext)."""
         return weyl.CartanContext.iwahori_weyl(self)
@@ -308,20 +317,6 @@ class FiniteRootDatum:
 
     def _theta(self, v):
         return sum(v[r] * self.theta_grad[r] for r in range(self.r))
-
-    def _orbit(self, v):
-        seen = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for i in self.nodes:
-                    w = self.reflect_point(i, u)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        return sorted(seen)
 
     # -- root and wall evaluations --
 
@@ -383,10 +378,6 @@ class FiniteRootDatum:
     def dominant_rep(self, lam):
         """The dominant W_0-conjugate of lam."""
         return self._walk(lam, self.nodes)[0]
-
-    def w0_orbit(self, lam):
-        """The full W_0-orbit of lam, sorted."""
-        return tuple(self._orbit(self._point(lam)))
 
 
 def echelon_system(datum, x=0):

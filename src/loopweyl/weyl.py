@@ -6,13 +6,13 @@ holding its root matrix m and its inverse.  CartanContext.iwahori_weyl(fin)
 builds the Iwahori-Weyl group W~ = W_aff x| Omega of a FiniteRootDatum: its
 simple roots are the walls of the base alcove, normalized as the echelonnage
 affine simple roots, and each tau in Omega permutes those walls, so it is a
-length zero permutation matrix.  A translation t_lam is the matrix of
-alpha_j -> alpha_j - k_j(lam) delta (Kac, Infinite dimensional Lie algebras,
-sec. 6.5), and least-descent stripping splits it into a reduced word and
-the tau of lam's Omega-class, so translations, their words and the Omega
-table come from the one stripping that serves every other element.
+length zero permutation matrix.  A translation t_lam sends alpha_j to
+alpha_j - k_j delta for the integer slopes k_j = s_j . lam of the walls at
+the coweight lam (slopes; Kac, Infinite dimensional Lie algebras, sec.
+6.5).  Its root matrix (translation) is stripped only for the Omega table
+and the parser; the words of translations are read off weights (below).
 Rational arithmetic is confined to the boundary, where a coweight enters
-(translation) and where an Omega residue leaves (omega_class).  Reduced
+(slopes) and where an Omega residue leaves (omega_class).  Reduced
 words, Bruhat comparison and coset minima are written against the
 engine's methods, and the cover graphs against its Cartan matrix, so the
 same code serves the Iwahori-Weyl group, the affine Weyl group of a
@@ -49,6 +49,14 @@ Cartan matrix reaches, and raises ConsistencyError.  Dually (x rho)_i < 0
 exactly when s_i is a left descent of x (rho_point), and orbit_word strips
 x rho to the least-descent word of x.  A new element gets a word, that of
 the element it grew from followed by j.
+
+Translations need no matrix either.  A finite s_p moves lam by -delta_x k_p
+times the coroot of wall p, which pairs to a_pj with wall j, so it sends
+the slopes k to k - k_p a[p] (coweight_orbit).  t_lam^{-1} sends alpha_i to
+alpha_i + k_i delta, whose coroot is alpha_i^vee + k_i D delta / d_i
+(above), so (t_lam rho)_i = 1 + k_i c / d_i, c = sum_j d_j delta_j
+(translation_rho).  tau rho = rho, so t_lam rho is x rho for x = t_lam
+tau^{-1}, which orbit_word strips in O(l n).
 
 Cover graphs serve only the path counts (lspaths), and live on the orbit
 W shape of a dominant weight (Littelmann, "Paths and root operators in
@@ -132,7 +140,7 @@ class CartanContext:
         gradient minus the highest echelonnage root psi and the multiple of
         -psi^vee (the comarks vector) pairing to 2 with it.  The wall matrix
         A' pairs these.  The slope of wall j is its gradient over delta_x,
-        for the null root delta (translation), and the tau of each Omega
+        for the null root delta (slopes), and the tau of each Omega
         residue is what least-descent stripping leaves of its translation.
         """
         walls = {}
@@ -230,22 +238,25 @@ class CartanContext:
 
     # -- translations, Omega-classes and tau representatives --
 
-    def translation(self, lam):
-        """t_lam for a coweight lam: alpha_j -> alpha_j - k_j delta.
-
-        k_j = s_j . lam is the slope of wall j at lam, so m = I - delta k^T.
-        delta's coefficients annihilate the walls' gradients (their sum is
-        the gradient of a constant), so k^T delta = 0 and minv = I + delta
-        k^T, the matrix of t_{-lam}.  reduced_word strips t_lam along the
-        walk of v0 + lam into the base alcove, down to lam's tau.
-        """
+    def slopes(self, lam):
+        """The integer slopes k_j = s_j . lam of the walls at a coweight."""
         r = len(self._slopes[0])
         if len(lam) != r:
             raise ValueError(f"lam needs {r} coordinates, got {len(lam)}")
         k = [sum(s * c for s, c in zip(slope, lam)) for slope in self._slopes]
         if any(Fraction(v).denominator != 1 for v in k):
             raise ValueError(f"{tuple(lam)} is not in the coweight lattice")
-        k = [int(v) for v in k]
+        return tuple(map(int, k))
+
+    def translation(self, lam):
+        """t_lam as a root matrix, m = I - delta k^T for the slopes k of lam.
+
+        delta's coefficients annihilate the walls' gradients (their sum is
+        the gradient of a constant), so k^T delta = 0 and minv = I + delta
+        k^T, the matrix of t_{-lam}.  reduced_word strips t_lam along the
+        walk of v0 + lam into the base alcove, down to lam's tau.
+        """
+        k = self.slopes(lam)
         eye, d = self._id.m, self._delta
         return CoxElement(
             tuple(tuple(e - dr * kc for e, kc in zip(row, k))
@@ -474,10 +485,32 @@ def labeled_covers_down(eng, nu, word, stab=()):
     return out
 
 
+def coweight_orbit(a, v, nodes):
+    """The orbit of v under the s_i, i in nodes, breadth first, on
+    coordinates that s_i sends to v_j - v_i a_ij (slopes, or root values)."""
+    orbit, seen = [tuple(v)], {tuple(v)}
+    for u in orbit:  # the new points are appended as the walk goes
+        new = {tuple(c - u[i] * b for c, b in zip(u, a[i]))
+               for i in nodes if u[i]} - seen
+        seen |= new
+        orbit += new
+    return orbit
+
+
 def rho_point(eng, word):
     """x rho for the element x of a word (module docstring): s_i is a left
     descent of x exactly when (x rho)_i < 0."""
     return orbit_point(eng, word, (1,) * len(eng.a))
+
+
+def translation_rho(eng, k):
+    """t rho, 1 + k_i c / d_i for the translation t of slopes k (module
+    docstring); ConsistencyError unless it is regular and integral."""
+    c = sum(map(mul, eng.sym, eng._delta))
+    nu = [divmod(d + ki * c, d) for ki, d in zip(k, eng.sym)]
+    if any(r or not q for q, r in nu):
+        raise ConsistencyError(f"t rho of slopes {k}: not regular integral")
+    return tuple(q for q, _ in nu)
 
 
 def lower_closure(eng, words, cap=20000, what="Bruhat lower set elements"):

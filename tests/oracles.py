@@ -35,6 +35,30 @@ def translation_length(fin, lam):
     return int(val)
 
 
+def w0_orbit(fin, lam):
+    """The full W_0-orbit of lam, sorted, by the Fraction reflections of
+    fin; a wrong coordinate count raises ValueError."""
+    seen = frontier = {fin.dominant_rep(lam)}
+    while frontier:
+        frontier = {fin.reflect_point(i, u)
+                    for u in frontier for i in fin.nodes} - seen
+        seen = seen | frontier
+    return tuple(sorted(seen))
+
+
+def translation_split(eng, fin, lam):
+    """The translations t_{w lam}, w in W_0, as root matrices, in the order
+    of the sorted orbit, each mapped to the least-descent word that
+    reduced_word strips from it, and the tau they all strip down to."""
+    split = {t: reduced_word(eng, t)
+             for t in map(eng.translation, w0_orbit(fin, lam))}
+    taus = {tau for _, tau in split.values()}
+    if len(taus) != 1:
+        raise ConsistencyError(f"the translations of {lam} strip to "
+                               f"{len(taus)} Omega-classes")
+    return {t: word for t, (word, _) in split.items()}, taus.pop()
+
+
 def longest_element(eng, cap=100000):
     """The longest element of a finite Coxeter engine, by greedy ascent."""
     x = eng.identity()

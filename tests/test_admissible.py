@@ -12,7 +12,7 @@ from loopweyl import linalg, weyl
 from loopweyl.admissible import (adm, adm_count, adm_parahoric, context_for,
                                   engine_for, tau_conjugate_nodes,
                                   translations)
-from loopweyl.errors import ResourceCapError
+from loopweyl.errors import ConsistencyError, ResourceCapError
 from loopweyl.kactables import known_names
 from loopweyl.loops.cells import CellGroup, closure_points, schubert_count
 from loopweyl.lspaths import count_h_y
@@ -20,7 +20,7 @@ from loopweyl.rootdata import (FiniteRootDatum, echelon_system,
                                load_affine_datum, special_nodes)
 from loopweyl.weyl import bruhat_interval, coset_min, from_word, reduced_word
 from oracles import (act, orbit_weight, perm_ball, permissible, sort_key,
-                     tau_images)
+                     tau_images, translation_split, w0_orbit)
 
 
 def fin_for(name, x=0):
@@ -60,7 +60,7 @@ def test_structure():
         eng = engine_for(fin)
         s = adm(fin, mu=mu)
         cls = eng.omega_class(s.tau)
-        tops = set(s.maximal_elements)
+        tops = set(translation_split(eng, fin, s.lam)[0])
         # Adm(mu) is the neutral set times tau
         elements = {eng.mul(x, s.tau) for x in elements_of(s)}
         assert len(elements) == len(s.elements)
@@ -75,7 +75,7 @@ def test_structure():
             for t in tops:
                 if eng.bruhat_leq(x, t):
                     break
-        assert {eng.translation(v) for v in fin.w0_orbit(s.lam)} == tops
+        assert {eng.translation(v) for v in w0_orbit(fin, s.lam)} == tops
 
 
 def test_parahoric_values():
@@ -188,8 +188,8 @@ def test_cap_holds_on_stored_sets():
 
 
 def test_closures_and_saturations_build_no_group_elements(monkeypatch):
-    # once the translations are stripped, Adm(mu)°, its saturations and
-    # the Schubert closures walk weights: with CoxElement refused they
+    # Adm(mu)°, its saturations and the Schubert closures walk weights,
+    # as the translations walk slopes: with CoxElement refused they
     # still give the values of test_parahoric_values and the cell counts
     cases = [("A(1)_2", (1, 0, 0), (0, 1), (10, 5, 3, 13)),
              ("C(1)_2", (0, 1), (1,), (20, 5, 2, 4)),
@@ -234,16 +234,78 @@ def test_orbit_bound_is_the_listed_orbit_size():
             for _ in range(3):
                 lam = linalg.matvec(
                     fin.pw_mat, [rng.randint(-1, 1) for _ in range(fin.r)])
-                n = len(fin.w0_orbit(lam))
+                n = len(w0_orbit(fin, lam))
                 fin.adm_sets.clear()
                 with pytest.raises(ResourceCapError) as err:
                     translations(fin, lam=lam, cap=n - 1)
                 assert (err.value.what, err.value.size) == \
                     ("W_0-orbit of lam", n), (name, x, lam)
-                assert len(translations(fin, lam=lam, cap=n)
-                           .maximal_elements) == n
+                assert len(translations(fin, lam=lam, cap=n).words) == n
                 checked += 1
     assert checked == 75
+
+
+def fundamental_coweights(fin, bound):
+    """The fundamental coweights of fin with |W_0 lam| <= bound."""
+    for p in range(fin.r):
+        lam = tuple(row[p] for row in fin.pw_mat)
+        if len(w0_orbit(fin, lam)) <= bound:
+            yield lam
+
+
+def test_translations_match_the_root_matrix_split():
+    # the slope walk gives, in the order of the sorted orbit, the words
+    # that stripping the root matrices of the t_{w lam} gives, and their
+    # tau.  Every datum of rank <= 5 at node 0, on new finite data so no
+    # stored set answers first
+    checked = 0
+    for name in known_names(5):
+        fin = FiniteRootDatum(load_affine_datum(name), 0)
+        eng = engine_for(fin)
+        for lam in fundamental_coweights(fin, 300):
+            words, tau = translation_split(eng, fin, lam)
+            s = translations(fin, lam=lam)
+            assert s.words == tuple(words.values()), (name, lam)
+            assert s.tau == tau, (name, lam)
+            checked += 1
+    assert checked == 95
+
+
+def test_translations_build_no_group_elements(monkeypatch):
+    # with root matrices, their stripping and CoxElement refused,
+    # translations still lists the words and tau of the split
+    fins = [FiniteRootDatum(load_affine_datum(name), 0)
+            for name in ("A(1)_3", "C(1)_3", "A(2)_5", "G(1)_2")]
+    # the engines' tau tables are stripped from root matrices, and the
+    # oracle's splits too, before the patch
+    cases = [(fin, lam, translation_split(engine_for(fin), fin, lam))
+             for fin in fins for lam in fundamental_coweights(fin, 300)]
+
+    def refuse(*args):
+        raise AssertionError("the root-matrix path was taken")
+
+    monkeypatch.setattr(weyl.CoxElement, "__init__", refuse)
+    monkeypatch.setattr(weyl, "reduced_word", refuse)
+    for fin, lam, (words, tau) in cases:
+        monkeypatch.setattr(engine_for(fin), "translation", refuse)
+        s = translations(fin, lam=lam)
+        assert (s.words, s.tau) == (tuple(words.values()), tau), lam
+    assert len(cases) == 11
+
+
+@pytest.mark.parametrize("attr, value", [("sym", (2, 1)), ("_delta", (1, 0))])
+def test_irregular_translation_weights_are_refused(monkeypatch, attr, value):
+    # t rho = 1 + k_i c / d_i for the slopes k(lam) = (-1, 1) of A(1)_1 at
+    # lam = 1/2: d = (2, 1) makes (t rho)_0 = -1/2, delta = (1, 0) puts t
+    # rho on wall 0; either is a broken datum, refused
+    fin = FiniteRootDatum(load_affine_datum("A(1)_1"), 0)
+    monkeypatch.setattr(engine_for(fin), attr, value)
+    with pytest.raises(ConsistencyError, match="not regular integral"):
+        translations(fin, lam=("1/2",))
+    assert not fin.adm_sets
+    with pytest.raises(ValueError,
+                       match=r"^\(1/3\) is not in the coweight lattice$"):
+        translations(fin, lam=("1/3",))
 
 
 def saturation_oracle(adm_set, y, y_circ):
@@ -379,8 +441,8 @@ def closure_oracle(adm_set, y, y_circ):
     left = tuple(i for i in nodes if i not in y)
     right = tuple(i for i in nodes if i not in y_circ)
     tau_inv = eng.inv(adm_set.tau)
-    maxima = [coset_max(eng, eng.mul(t, tau_inv), left, right)
-              for t in adm_set.maximal_elements]
+    tops = translation_split(eng, adm_set.fin, adm_set.lam)[0]
+    maxima = [coset_max(eng, eng.mul(t, tau_inv), left, right) for t in tops]
     shape = tuple(0 if i in right else 1 for i in nodes)
     graph = bruhat_interval(
         eng, shape, [reduced_word(eng, x)[0] for x in maxima])

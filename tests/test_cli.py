@@ -440,6 +440,16 @@ def test_e8_orbits_past_the_cap_are_refused_before_listing(capsys):
                 f"error: W_0-orbit of lam exceeded cap: {size} > 10\n"
 
 
+def test_long_translations_reach_the_closure_cap(capsys):
+    # |W_0 lam| = 1,152 passes the orbit bound, and the translations' words
+    # (up to 638 letters) come from weights, so the refusal is the closure's
+    from loopweyl.cli import main
+    assert main(["adm", "--datum", "F(1)_4", "--mu", "7,7,7,1", "--Y", "0",
+                 "--q", "3", "--cap", "3000"]) == 3
+    assert capsys.readouterr().err == \
+        "error: admissible set size exceeded cap: 3001 > 3000\n"
+
+
 def test_help_exits_zero(capsys):
     from loopweyl.cli import main
     with pytest.raises(SystemExit) as exc:

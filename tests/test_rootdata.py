@@ -12,7 +12,7 @@ from loopweyl.rootdata import (AffineRootDatum, FiniteRootDatum, bt_nodes,
                                datum_from_json, datum_to_json, echelon_system,
                                load_affine_datum, project_coweight,
                                special_nodes, split_parent)
-from oracles import in_lattice, lattice_basis, translation_length
+from oracles import in_lattice, lattice_basis, translation_length, w0_orbit
 
 
 def fin_for(name, x=0):
@@ -89,7 +89,7 @@ def test_coroot_rescaling_matches_the_trial_probe():
         datum = load_affine_datum(name)
         for x in special_nodes(datum):
             fin = echelon_system(datum, x)
-            t_basis = lattice_basis(fin.w0_orbit(fin.t_star))
+            t_basis = lattice_basis(w0_orbit(fin, fin.t_star))
             assert t_basis == tuple(
                 tuple(fin.g[p] if k == p else 0 for k in range(fin.r))
                 for p in range(fin.r)), (name, x)
@@ -205,8 +205,9 @@ def test_translation_length_needs_a_coweight():
 def test_coweight_helpers_refuse_a_wrong_coordinate_count(helper, lam):
     # A(1)_2 has r = 2; nothing is read from lam[:r] alone
     fin = fin_for("A(1)_2")
-    call = (functools.partial(translation_length, fin)
-            if helper == "translation_length" else getattr(fin, helper))
+    oracle = {"translation_length": translation_length, "w0_orbit": w0_orbit}
+    call = (functools.partial(oracle[helper], fin) if helper in oracle
+            else getattr(fin, helper))
     with pytest.raises(ValueError, match="needs 2 coordinates"):
         call(lam)
     assert translation_length(fin, (1, 0)) == 4
