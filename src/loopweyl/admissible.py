@@ -35,10 +35,10 @@ one AdmissibleSet per lam (fin.adm_sets), keyed by lam alone (so mu=...
 and lam=... share the set of the projection lam of mu), at most MEMO_SIZE
 of them, dropping the oldest first.  It holds tau, the reduced words of
 the neutral translations (words), its closure (elements) once adm has
-built it, and its saturations and path graphs, keyed by Y;
-lspaths.count_h_y builds a path graph without the closure.  A repeated
-call returns the stored object; adm still raises ResourceCapError when the
-stored set is larger than its cap.
+built it, and its path graphs, keyed by Y; lspaths.count_h_y builds a
+path graph without the closure.  A repeated call returns the stored object;
+adm still raises ResourceCapError when the stored set is larger than its
+cap.  A saturation is one filter over the closure and is not stored.
 """
 
 import math
@@ -72,7 +72,6 @@ class AdmissibleSet:
     tau: object
     words: tuple
     elements: dict = None
-    saturations: dict = field(default_factory=dict, repr=False)
     path_graphs: dict = field(default_factory=dict, repr=False)
 
 
@@ -139,8 +138,9 @@ def adm(fin, mu=None, lam=None, cap=20000):
         if len(s.elements) > cap:
             raise ResourceCapError("admissible set size", len(s.elements), cap)
         return s
-    s.elements = weyl.lower_closure(
-        engine_for(fin), s.words, cap=cap, what="admissible set size")
+    eng = engine_for(fin)
+    s.elements = weyl.lower_closure(eng, s.words, weyl.rho_point(eng, ()),
+                                    cap=cap, what="admissible set size")
     return s
 
 
@@ -167,7 +167,7 @@ class Saturation:
         return len(self.mod_right) * self.order
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class ParahoricAdmissible:
     adm_set: object
     y: tuple
@@ -188,9 +188,6 @@ def adm_parahoric(adm_set, y):
     fin = adm_set.fin
     s = fin.datum.nodes
     y = rootdata.node_set(fin.datum, y)
-    hit = adm_set.saturations.get(y)
-    if hit is not None:
-        return hit
     eng = engine_for(fin)
     y_circ = tau_conjugate_nodes(adm_set, y)
     left = tuple(i for i in s if i not in y)
@@ -202,7 +199,7 @@ def adm_parahoric(adm_set, y):
         x_rho = {nu: weyl.rho_point(eng, elements[nu]) for nu in mod_right}
         double_min = tuple(nu for nu in mod_right
                            if all(x_rho[nu][i] > 0 for i in left))
-    par = adm_set.saturations[y] = ParahoricAdmissible(
+    return ParahoricAdmissible(
         adm_set=adm_set,
         y=y,
         y_circ=y_circ,
@@ -210,7 +207,6 @@ def adm_parahoric(adm_set, y):
         mod_right=mod_right,
         double_min=double_min,
     )
-    return par
 
 
 def adm_count(adm_par, q):

@@ -209,7 +209,8 @@ def closure_points(group, word, cap=20000):
     _check_reduced(group.fin, word)
     out = {}
     eng = engine_for(group.fin)
-    for v_word in weyl.lower_closure(eng, [word], cap).values():
+    rho = weyl.rho_point(eng, ())
+    for v_word in weyl.lower_closure(eng, [word], rho, cap).values():
         for _, chain in _cell(group, v_word):
             key = chain_key(chain)
             if key in out:
@@ -230,6 +231,6 @@ def schubert_count(fin, word, q, modulo=(), cap=20000):
     """
     eng = engine_for(fin)
     _check_reduced(fin, word)
-    return sum(q ** len(v_word)
-               for nu, v_word in weyl.lower_closure(eng, [word], cap).items()
+    closure = weyl.lower_closure(eng, [word], weyl.rho_point(eng, ()), cap)
+    return sum(q ** len(v_word) for nu, v_word in closure.items()
                if all(nu[i] > 0 for i in modulo))

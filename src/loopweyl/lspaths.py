@@ -13,11 +13,12 @@ in W/W_{S-Y°}, which is the image of Adm(mu)° alone.  By the projection
 property of Bruhat order (Bjorner-Brenti, Combinatorics of Coxeter Groups,
 Prop. 2.5.1) that image is the quotient lower closure of the neutral
 translations t_{w(lam)} tau^{-1}, so count_h_y closes the cosets of those
-|W_0 lam| elements and never builds Adm(mu).  It closes them in the affine
-Weyl group of the datum's own Cartan matrix (admissible.context_for), whose
-normalization shapes and kappa follow, not in the Iwahori-Weyl engine,
-whose wall matrix can differ from it (e.g. A(2)_{2m}); they cross over by
-their reduced words, which both groups share, and no element is built.
+|W_0 lam| elements (weyl.lower_closure) and never builds Adm(mu).  It
+closes them in the affine Weyl group of the datum's own Cartan matrix
+(admissible.context_for), whose normalization shapes and kappa follow, not
+in the Iwahori-Weyl engine, whose wall matrix can differ from it (e.g.
+A(2)_{2m}); they cross over by their reduced words, which both groups
+share, and no element is built.
 
 A PathGraph holds each cover's value against one shape.  The stabiliser of
 a shape and its cover values scale with it, so one PathGraph serves every

@@ -29,7 +29,7 @@ O(n^3) product.
 The coroot side needs no matrices of its own: A is symmetrizable, d_i a_ij
 = d_j a_ji for positive integers d (Kac, Infinite dimensional Lie algebras,
 ch. 2 and 4), so the coroot of a real root beta = w(alpha_i) is D beta /
-d_i, and <alpha_j, beta^vee> = d_j <beta, alpha_j^vee> / d_i.
+d_i.
 
 A length-zero tau is a permutation matrix, so l(x tau) = l(x).
 
@@ -61,24 +61,22 @@ tau^{-1}, which orbit_word strips in O(l n).
 Cover graphs serve only the path counts (lspaths), and live on the orbit
 W shape of a dominant weight (Littelmann, "Paths and root operators in
 representation theory", Ann. Math. 142 (1995)).  The coset x W_J, J the
-stabiliser of the shape, is the weight nu = x shape, n integers nu_j =
-<nu, alpha_j^vee>, with no matrix: s_i nu has coordinates nu_j - nu_i a_ji
-(orbit_point), and s_i is a left descent of the coset minimum exactly when
-nu_i < 0, so stripping the least such i gives the least-descent word that
-reduced_word gives the coset minimum (orbit_word).  A Bruhat cover v =
-s_beta x of x comes from dropping letter k of a reduced word i_1 ... i_l
-of x, where beta = gamma_k = s_{i_1} ... s_{i_{k-1}} (alpha_{i_k}) is the
-k-th inversion root.  The word with letter k dropped is reduced, and
-s_beta x a cover, exactly when s_{gamma_k}(gamma_j) > 0 for every j > k
-(Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 1 and 4: the strong
-exchange property and the inversion sequence of a reduced word); the cover
-lies in W^J when s_beta x(alpha_j) > 0 for each j in J as well.  These are
-signs of heights of real roots, whose coordinates share one sign, and the
-roots are columns of the one product s_{i_1} ... s_{i_l} that
-labeled_covers_down forms along the word.  A true cover is the weight
-nu - <nu, beta^vee> beta, O(n), with value |<nu, beta^vee>|, and comes
-with its dropped word.  bruhat_interval walks the covers from the tops'
-words into a PathGraph, keyed by weights.
+stabiliser of the shape, is the weight nu = x shape: s_i nu has
+coordinates nu_j - nu_i a_ji (orbit_point), s_i keeps the coset exactly
+when nu_i = 0, and is a left descent of its minimum exactly when nu_i < 0,
+so stripping the least such i gives the least-descent word of the minimum
+(orbit_word).  So lower_closure, read on the reversed words of the tops
+with the shape in place of rho, keys each y = x^{-1} by y^{-1} shape = x
+shape, skips the zero coordinates, and stores the reverse of a reduced
+word of each coset minimum.  The Bruhat covers of a minimum x are among
+the s_beta x for beta in its left inversion set N(x), and W^J is graded by
+length (Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm. 2.5.5), so
+s_beta x W_J is a cover exactly when its minimum has length l(x) - 1.  For
+x = s_j y > y, N(x) = {alpha_j} u s_j N(y) (ibid., ch. 1), and pairings are
+W-invariant, so the candidates (s_beta nu, <s_beta nu, beta^vee>) of nu
+are (mu, mu_j) for mu = s_j nu and (s_j lower, p) for each candidate
+(lower, p) of mu (labeled_covers_down).  bruhat_interval carries them from
+one length to the next and keeps the covers as the edges of a PathGraph.
 """
 
 import math
@@ -418,71 +416,32 @@ def orbit_word(eng, nu):
     """The least-descent reduced word of the minimum of the coset x W_J
     with x shape = nu: strip the least i with nu_i < 0 (module docstring).
     It is the word reduced_word gives the coset minimum."""
+    # s_i moves only the coordinates j with a_ji != 0, i among them
+    cols = [[(j, row[i]) for j, row in enumerate(eng.a) if row[i]]
+            for i in range(len(nu))]
+    nu = list(nu)
+    neg = {j for j, c in enumerate(nu) if c < 0}
     word = []
-    while True:
-        i = next((j for j, c in enumerate(nu) if c < 0), None)
-        if i is None:
-            return tuple(word)
+    while neg:
+        i = min(neg)
         word.append(i)
-        nu = [v - nu[i] * row[i] for v, row in zip(nu, eng.a)]
+        c = nu[i]
+        for j, b in cols[i]:
+            nu[j] -= c * b
+            (neg.add if nu[j] < 0 else neg.discard)(j)
+    return tuple(word)
 
 
-def labeled_covers_down(eng, nu, word, stab=()):
-    """The covers of one coset of the orbit graph, with their values.
-
-    nu = x shape is a weight of the orbit, word a reduced word of the
-    minimum x of its coset x W_J, J = stab the stabiliser of the shape.
-    Returns a list of (lower, value, lower_word): lower is s_beta nu for a
-    cover s_beta x -> x in W^J, value is <lower, beta^vee> = -<nu,
-    beta^vee> > 0, and lower_word is word with the dropped letter removed.
-    Each drop is decided by the sign tests of the module docstring.
-    """
-    a, d = eng.a, eng.sym
-    n = len(a)
-    # <nu, beta^vee> = sum_b d_b g_b nu_b / d_i for beta = g = w(alpha_i)
-    dnu = [db * v for db, v in zip(d, nu)]
-    # columns of the root matrix of s_{i_1} ... s_{i_{k-1}}, whose column
-    # i_k is gamma_k; right multiplication by s_p makes column c lose
-    # a[p][c] times column p.  Once the word is read they are x's columns.
-    # The roots that s_{gamma_k} must keep positive are gamma_j for j > k,
-    # then x(alpha_j) for j in J, kept with their heights: a real root is
-    # positive iff its height h is, and s_g(y) = y - <y, g^vee> g has
-    # height h(y) - <y, g^vee> h(g)
-    cols = [tuple(int(r == c) for r in range(n)) for c in range(n)]
-    keep = []
-    for i in word:
-        g = cols[i]
-        keep.append((g, sum(g)))
-        for c, coef in enumerate(a[i]):
-            if coef:
-                cols[c] = tuple(u - coef * v for u, v in zip(cols[c], g))
-    keep += [(cols[j], sum(cols[j])) for j in stab]
-    out = []
-    for k, i in enumerate(word):
-        g, h = keep[k]
-        # <gamma_{k+1}, gamma_k^vee> = -a[i_k][i_{k+1}] by W-invariance, so
-        # the next root of the word needs no pairing row
-        first = k + 1
-        if first < len(word):
-            if keep[first][1] + a[i][word[first]] * h <= 0:
-                continue
-            first += 1
-        # beta = gamma_k as a weight, <beta, alpha_j^vee> = (A g)_j, and
-        # <alpha_j, beta^vee> = d_j (A g)_j / d_i by the symmetrizer
-        bw = [sum(map(mul, row, g)) for row in a]
-        phi = [dj * b // d[i] for dj, b in zip(d, bw)]
-        for j in range(first, len(keep)):
-            y, hy = keep[j]
-            if hy <= sum(map(mul, phi, y)) * h:
-                break
-        else:
-            p = -sum(map(mul, g, dnu)) // d[i]
-            if p <= 0:
-                raise ConsistencyError(
-                    f"cover value {p} is not a positive integer")
-            out.append((tuple(v + p * b for v, b in zip(nu, bw)), p,
-                        word[:k] + word[k + 1:]))
-    return out
+def labeled_covers_down(eng, nu, j, below):
+    """The cover candidates (s_beta nu, <s_beta nu, beta^vee>), beta in
+    N(x), of the coset nu = x shape whose minimum is x = s_j y, from below,
+    the candidates of the level under nu's, which holds mu = s_j nu = y
+    shape (module docstring)."""
+    col = [row[j] for row in eng.a]
+    mu = tuple(v - nu[j] * b for v, b in zip(nu, col))
+    return [(mu, mu[j])] + [
+        (tuple(v - lo[j] * b for v, b in zip(lo, col)), p)
+        for lo, p in below[mu]]
 
 
 def coweight_orbit(a, v, nodes):
@@ -513,28 +472,35 @@ def translation_rho(eng, k):
     return tuple(q for q, _ in nu)
 
 
-def lower_closure(eng, words, cap=20000, what="Bruhat lower set elements"):
+def lower_closure(eng, words, shape, cap=20000,
+                  what="Bruhat lower set elements"):
     """The Bruhat lower set below the elements of reduced words, by subwords.
 
-    Returns a dict from the weight x^{-1} rho of each element x of the union
-    of the intervals to a reduced word of x: that of the element it grew
-    from, which comes before it, and one letter (module docstring).  Once
-    the union, and with it any level, passes cap elements it raises
+    Returns a dict from the weight x^{-1} shape of each element x of the
+    union of the intervals, for a dominant shape, to a reduced word of x:
+    that of the element it grew from, which comes before it, and one letter
+    (module docstring).  With shape rho the keys are the elements; with a
+    shape vanishing on J they are the cosets W_J x, keyed and worded by
+    their minima, and a zero coordinate, which keeps the coset, is skipped.
+    A word whose element is already in the set adds nothing and is skipped.
+    Once the union, and with it any level, passes cap elements it raises
     ResourceCapError(what).
     """
-    rho = rho_point(eng, ())
-    found = {rho: ()}
+    regular = all(shape)
+    found = {shape: ()}
     for word in words:
-        level = {rho: None}  # the lower set of the prefix read, in order
+        if orbit_point(eng, word[::-1], shape) in found:
+            continue
+        level = {shape: None}  # the lower set of the prefix read, in order
         for j in word:
             col = [row[j] for row in eng.a]
             for nu in list(level):
                 c = nu[j]
-                if c < 0:
-                    continue
-                if c == 0:
+                if c == 0 and regular:
                     raise ConsistencyError(
                         f"weight {nu} lies on wall {j}: not a regular orbit")
+                if c <= 0:
+                    continue
                 v = tuple(u - c * b for u, b in zip(nu, col))
                 if v not in found:
                     found[v] = found[nu] + (j,)
@@ -551,9 +517,10 @@ class PathGraph:
 
     stab is J, the nodes where the dominant shape vanishes.  nodes are the
     weights nu = x shape of the cosets, in (len(word), nu) order, words a
-    reduced word of each coset minimum, the one the walk reached it by (not
-    always orbit_word's), and edges are (upper, lower, value) with the ends
-    as positions in nodes and value |<nu, beta^vee>| at either end.
+    reduced word of each coset minimum, the reverse of the one the closure
+    grew (not always orbit_word's), and edges are (upper, lower, value)
+    with the ends as positions in nodes and value |<nu, beta^vee>| at
+    either end.
     """
 
     shape: tuple
@@ -569,29 +536,28 @@ def bruhat_interval(eng, shape, tops, cap=20000):
     shape = tuple(shape)
     if all(c == 0 for c in shape) or any(c < 0 for c in shape):
         raise ValueError("shape must be nonzero and dominant")
-    stab = tuple(i for i in eng.nodes if shape[i] == 0)
-    words = {}
-    for top in tops:
-        nu = orbit_point(eng, top, shape)
-        if nu not in words:
-            words[nu] = orbit_word(eng, nu)
-    edges = []
-    stack = list(words)
-    while stack:
-        nu = stack.pop()
-        for lower, p, word in labeled_covers_down(eng, nu, words[nu], stab):
-            edges.append((nu, lower, p))
-            if lower not in words:
-                words[lower] = word
-                stack.append(lower)
-        if len(words) > cap:
-            raise ResourceCapError("bruhat interval nodes", len(words), cap)
-    nodes = sorted(words, key=lambda nu: (len(words[nu]), nu))
+    # x shape is the key of x^{-1}, whose words are the reversed ones
+    found = lower_closure(eng, [top[::-1] for top in tops], shape, cap,
+                          "bruhat interval nodes")
+    nodes = sorted(found, key=lambda nu: (len(found[nu]), nu))
     index = {nu: k for k, nu in enumerate(nodes)}
+    edges = []
+    # the candidates of the last two lengths; the identity coset has none
+    below, level, length = {}, {shape: []}, 0
+    for nu in nodes[1:]:
+        word = found[nu]
+        if len(word) > length:
+            below, level, length = level, {}, len(word)
+        # the reversed word of nu starts with the letter it grew by last
+        level[nu] = labeled_covers_down(eng, nu, word[-1], below)
+        edges += ((index[nu], index[lo], p) for lo, p in level[nu]
+                  if len(found[lo]) == length - 1)
+    if any(p <= 0 for *_, p in edges):
+        raise ConsistencyError("a cover value is not a positive integer")
     return PathGraph(
         shape=shape,
-        stab=stab,
+        stab=tuple(i for i in eng.nodes if shape[i] == 0),
         nodes=tuple(nodes),
-        words=tuple(words[nu] for nu in nodes),
-        edges=tuple((index[up], index[lo], p) for up, lo, p in edges),
+        words=tuple(found[nu][::-1] for nu in nodes),
+        edges=tuple(edges),
     )

@@ -95,9 +95,9 @@ def orbit_weight(eng, x, shape):
         for j in range(len(d)))
 
 
-def covers_oracle(eng, x):
-    """Every word drop of x's reduced word, kept when its length is l - 1,
-    with the inversion root beta in root and coroot coordinates (slow)."""
+def inversions_oracle(eng, x):
+    """Every word drop of x's reduced word, s_beta x for the inversion root
+    beta, with beta in root and coroot coordinates (slow)."""
     word, rem = reduced_word(eng, x)
     pre = eng.identity()
     out = set()
@@ -105,10 +105,15 @@ def covers_oracle(eng, x):
         beta = tuple(row[i] for row in pre.m)
         beta_co = coroot_coords(eng, pre, i)
         pre = eng.rmul(pre, i)
-        v = from_word(eng, word[:k] + word[k + 1:], rem)
-        if eng.length(v) == len(word) - 1:
-            out.add((v, beta, beta_co))
+        out.add((from_word(eng, word[:k] + word[k + 1:], rem), beta, beta_co))
     return out
+
+
+def covers_oracle(eng, x):
+    """The drops of inversions_oracle whose length is l - 1 (slow)."""
+    n = eng.length(x) - 1
+    return {drop for drop in inversions_oracle(eng, x)
+            if eng.length(drop[0]) == n}
 
 
 def sort_key(eng):
@@ -469,7 +474,7 @@ def series_cells(group, word, closed):
         return [keys for _, keys in points]
     eng = engine_for(group.fin)
     cells, out = {}, []
-    for v_word in lower_closure(eng, [word]).values():
+    for v_word in lower_closure(eng, [word], (1,) * len(eng.a)).values():
         v = from_word(eng, v_word)
         cells[v] = (series_grow(group, cells[eng.rmul(v, v_word[-1])],
                                 v_word[-1]) if v_word else base)

@@ -19,8 +19,9 @@ from loopweyl.lspaths import count_h_y
 from loopweyl.rootdata import (FiniteRootDatum, echelon_system,
                                load_affine_datum, special_nodes)
 from loopweyl.weyl import bruhat_interval, coset_min, from_word, reduced_word
-from oracles import (act, orbit_weight, perm_ball, permissible, sort_key,
-                     tau_images, translation_split, w0_orbit)
+from oracles import (act, interval_oracle, orbit_weight, perm_ball,
+                     permissible, sort_key, tau_images, translation_split,
+                     w0_orbit)
 
 
 def fin_for(name, x=0):
@@ -168,13 +169,14 @@ def test_repeated_calls_return_the_stored_sets():
     assert adm(fin, mu=(1, 0, 0)) is s
     # the set is stored under its lam, so the lam call shares it
     assert adm(fin, lam=s.lam) is s
+    # a saturation is not stored: a repeated call recomputes an equal one
     par = adm_parahoric(s, (0, 1))
-    assert adm_parahoric(s, (1, 0)) is par
+    assert adm_parahoric(s, (1, 0)) == par
     # two Y on one Adm(mu) are two saturations
     other = adm_parahoric(s, (0, 1, 2))
-    assert other is not par
+    assert other != par
     assert (len(par.full), len(other.full)) == (10, 7)
-    assert adm_parahoric(s, (0, 1, 2)) is other
+    assert adm_parahoric(s, (0, 1, 2)) == other
 
 
 def test_cap_holds_on_stored_sets():
@@ -188,16 +190,19 @@ def test_cap_holds_on_stored_sets():
 
 
 def test_closures_and_saturations_build_no_group_elements(monkeypatch):
-    # Adm(mu)°, its saturations and the Schubert closures walk weights,
-    # as the translations walk slopes: with CoxElement refused they
-    # still give the values of test_parahoric_values and the cell counts
-    cases = [("A(1)_2", (1, 0, 0), (0, 1), (10, 5, 3, 13)),
-             ("C(1)_2", (0, 1), (1,), (20, 5, 2, 4)),
-             ("A(2)_2", (1, 0, 0), (0,), (6, 3, 2, 4))]
-    # new finite data, so adm closes each set under the patch
+    # Adm(mu)°, its saturations, the path graphs and the Schubert closures
+    # walk weights, as the translations walk slopes: with CoxElement
+    # refused they still give the values of test_parahoric_values, h_Y at
+    # a = 1 and 2, and the cell counts
+    cases = [("A(1)_2", (1, 0, 0), (0, 1), (10, 5, 3, 13), (6, 15)),
+             ("C(1)_2", (0, 1), (1,), (20, 5, 2, 4), (5, 14)),
+             ("A(2)_2", (1, 0, 0), (0,), (6, 3, 2, 4), (6, 15))]
+    # new finite data, so adm closes each set and count_h_y builds each
+    # path graph under the patch
     fins = [FiniteRootDatum(load_affine_datum(name), 0) for name, *_ in cases]
-    for fin, (_, mu, _, _) in zip(fins, cases):
+    for fin, (_, mu, *_) in zip(fins, cases):
         translations(fin, mu=mu)
+        context_for(fin.datum)
     groups = [CellGroup("sl", 3, 2), CellGroup("su", 3, 3)]
     words = ([0, 1, 2, 0], [1, 0, 1])
     # counted before the patch, which also builds the groups' engines
@@ -208,10 +213,12 @@ def test_closures_and_saturations_build_no_group_elements(monkeypatch):
         raise AssertionError("a CoxElement was built")
 
     monkeypatch.setattr(weyl.CoxElement, "__init__", refuse)
-    for fin, (name, mu, y, values) in zip(fins, cases):
+    for fin, (name, mu, y, values, h_y) in zip(fins, cases):
         par = adm_parahoric(adm(fin, mu=mu), y)
         assert (len(par.full), len(par.mod_right), len(par.double_min),
                 adm_count(par, 3)) == values, name
+        assert tuple(count_h_y(fin, mu=mu, y=y, a=a) for a in (1, 2)) == \
+            h_y, name
     for group, word, count in zip(groups, words, modulo):
         assert len(closure_points(group, word)) == \
             schubert_count(group.fin, word, group.q)
@@ -497,20 +504,20 @@ def test_saturation_filter_matches_the_closure_oracle():
 
 
 def test_adm_matches_the_cover_closure():
-    # adm grows Adm(mu)° by subwords of the translations' words; the cover
-    # walk of bruhat_interval on the orbit of a regular shape is the oracle
-    # for its elements, as weights, each word handed over is a reduced word
-    # of its element, and each element x is keyed by x^{-1} rho, read off
-    # the root matrix of x^{-1}
+    # adm grows Adm(mu)° by subwords of the translations' words; the
+    # element cover walk of interval_oracle below the same tops is the
+    # oracle for its elements, each word handed over is a reduced word of
+    # its element, and each element x is keyed by x^{-1} rho, read off the
+    # root matrix of x^{-1}
     for name, mu in FILTER_CASES:
         fin = fin_for(name)
         eng = engine_for(fin)
         s = adm(fin, mu=mu)
         shape = (1,) * len(fin.datum.nodes)
-        oracle = bruhat_interval(eng, shape, s.words).nodes
+        oracle = interval_oracle(eng, [from_word(eng, w) for w in s.words],
+                                 ())[0]
         assert len(s.elements) == len(oracle), (name, mu)
-        assert {orbit_weight(eng, x, shape) for x in elements_of(s)} == \
-            set(oracle), (name, mu)
+        assert set(elements_of(s)) == set(oracle), (name, mu)
         for nu, word in s.elements.items():
             x = from_word(eng, word)
             assert len(word) == eng.length(x), (name, mu, word)

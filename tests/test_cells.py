@@ -14,10 +14,10 @@ from loopweyl.loops.cells import (CellGroup, cell_points, chain_key,
 from loopweyl.loops.chains import validate_chain
 from loopweyl.loops.kottwitz import is_unitary
 from loopweyl.loops.series import sdet, smul
-from loopweyl.weyl import bruhat_interval, from_word, lower_closure
-from oracles import (from_columns, orbit_weight, series_cells, series_cols,
-                     series_refl, series_step, series_unip, sid, step_terms_of,
-                     transform)
+from loopweyl.weyl import from_word, lower_closure
+from oracles import (from_columns, interval_oracle, orbit_weight,
+                     series_cells, series_cols, series_refl, series_step,
+                     series_unip, sid, step_terms_of, transform)
 from test_chains import record_series
 from test_layertrace import load_layertrace
 
@@ -182,13 +182,14 @@ def test_a_cell_and_its_closure_grow_each_cell_once(kind, monkeypatch):
     monkeypatch.setattr(cells, "_grow", lambda *a: grows.append(1) or grow(*a))
     probe = CellGroup(kind, 3, 3)
     eng = engine_for(probe.fin)
+    rho = (1,) * len(probe.nodes)
     for word in reduced_words(probe, 3):
         if len(word) == 3:
             group = CellGroup(kind, 3, 3)
             grows.clear()
             cell_points(group, word)
             closure_points(group, word)
-            assert len(grows) == len(lower_closure(eng, [word])) - 1, word
+            assert len(grows) == len(lower_closure(eng, [word], rho)) - 1, word
 
 
 def test_the_cell_memo_stays_within_its_budget(monkeypatch):
@@ -240,31 +241,31 @@ def test_the_tracer_counts_one_canonical_form_per_grown_child():
 
 def test_subword_closures_match_the_cover_walk():
     # closure_points and schubert_count grow [e, w] by subwords of the word;
-    # the cover walk of bruhat_interval on the orbit of a regular shape is
-    # the oracle for its elements, as weights, and on the orbit of a shape
-    # vanishing on a proper set of nodes for every count modulo that set
+    # the element cover walk of interval_oracle below w is the oracle for
+    # its elements, and its coset minima modulo a proper set of nodes for
+    # every count modulo that set
     for kind, n, q, max_len, extra in (("sl", 2, 3, 4, []),
                                        ("sl", 3, 2, 3, [[2, 1, 0, 2]]),
                                        ("sl", 4, 2, 3, []),
                                        ("su", 3, 3, 3, [])):
         group = CellGroup(kind, n, q)
         eng = engine_for(group.fin)
+        shape = (1,) * len(group.nodes)
         for word in list(reduced_words(group, max_len)) + extra:
-            words = lower_closure(eng, [word])
-            shape = (1,) * len(group.nodes)
+            words = lower_closure(eng, [word], shape)
+            top = [from_word(eng, word)]
             elements = [from_word(eng, w) for w in words.values()]
-            assert {orbit_weight(eng, x, shape) for x in elements} == \
-                set(bruhat_interval(eng, shape, [word]).nodes), word
+            assert set(elements) == set(interval_oracle(eng, top, ())[0]), \
+                word
             for x, (nu, x_word) in zip(elements, words.items()):
                 assert len(x_word) == eng.length(x), (word, x_word)
                 assert orbit_weight(eng, eng.inv(x), shape) == nu, \
                     (word, x_word)
             for k in range(len(group.nodes)):
                 for modulo in combinations(group.nodes, k):
-                    graph = bruhat_interval(eng, tuple(
-                        0 if i in modulo else 1 for i in group.nodes), [word])
+                    minima = interval_oracle(eng, top, modulo)[0]
                     assert schubert_count(group.fin, word, q, modulo) == \
-                        sum(q ** len(u) for u in graph.words), (word, modulo)
+                        sum(q ** eng.length(x) for x in minima), (word, modulo)
 
 
 def test_closure_contains_cells():

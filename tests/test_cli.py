@@ -450,6 +450,16 @@ def test_long_translations_reach_the_closure_cap(capsys):
         "error: admissible set size exceeded cap: 3001 > 3000\n"
 
 
+def test_a_long_path_graph_refuses_at_the_first_node_past_the_cap(capsys):
+    # the path graph's nodes come from the closure, which refuses as soon
+    # as the union passes cap, as adm's does
+    from loopweyl.cli import main
+    assert main(["hpoly", "--datum", "F(1)_4", "--mu=-1,-1,5,5", "--Y", "1,4",
+                 "--a", "5", "--cap", "3000"]) == 3
+    assert capsys.readouterr().err == \
+        "error: bruhat interval nodes exceeded cap: 3001 > 3000\n"
+
+
 def test_help_exits_zero(capsys):
     from loopweyl.cli import main
     with pytest.raises(SystemExit) as exc:

@@ -294,7 +294,7 @@ def test_integer_count_matches_the_recursive_oracle():
 def test_a_dropped_datum_takes_its_caches_with_it():
     # each cache lives on the object it is built from (finite data and the
     # affine group on the datum, the engine and Adm sets on the finite
-    # datum, saturations and path graphs on Adm), so nothing keeps a datum
+    # datum, path graphs on Adm), so nothing keeps a datum
     # alive once its caller drops it
     datum = datum_from_json(datum_to_json(load_affine_datum("A(1)_2")))
     fin = echelon_system(datum, 0)

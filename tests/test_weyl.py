@@ -21,9 +21,9 @@ from loopweyl.weyl import (CartanContext, bruhat_interval, coset_min,
                            from_word, labeled_covers_down, lower_closure,
                            orbit_point, orbit_word, reduced_word)
 from oracles import (coroot_coords, covers_oracle, gen, in_lattice,
-                     interval_oracle, lattice_basis, orbit_weight,
-                     sort_key, translation_length, translation_split,
-                     w0_orbit)
+                     interval_oracle, inversions_oracle, lattice_basis,
+                     orbit_weight, sort_key, translation_length,
+                     translation_split, w0_orbit)
 
 
 def fin_for(name, x=0):
@@ -302,9 +302,50 @@ def test_a_weight_on_a_wall_is_refused():
     # the closure never meets a wall; with a_11 = 1 the matrix is none,
     # s_1 rho = (2, 0) lies on wall 1, and reading s_1 again is refused
     eng = CartanContext([[2, -1], [-1, 1]])
-    assert lower_closure(eng, [(1,)]) == {(1, 1): (), (2, 0): (1,)}
+    assert lower_closure(eng, [(1,)], (1, 1)) == {(1, 1): (), (2, 0): (1,)}
     with pytest.raises(ConsistencyError, match="wall 1"):
-        lower_closure(eng, [(1, 1)])
+        lower_closure(eng, [(1, 1)], (1, 1))
+
+
+def test_a_shape_with_zeros_closes_cosets():
+    # with a shape vanishing on J the keys are the weights x^{-1} shape of
+    # the cosets W_J x, and a zero coordinate, a letter that keeps the
+    # coset, is skipped, not refused: in A(1)_2 with J = {0}, [e, s_0 s_1]
+    # meets the cosets of e and s_1, and [e, s_1 s_0 s_1] those of e, s_1
+    # and s_1 s_0.  Below x, the keys are the weights z shape of the
+    # minima z of the cosets z W_J below x^{-1} (interval_oracle), each
+    # stored with the reverse of a reduced word of z
+    eng = engine_for(fin_for("A(1)_2"))
+    shape = (0, 1, 1)
+    assert lower_closure(eng, [(0, 1)], shape) == {
+        shape: (), (1, -1, 2): (1,)}
+    assert list(lower_closure(eng, [(1, 0, 1)], shape).values()) == [
+        (), (1,), (1, 0)]
+    cosets = 0
+    for x in ball(eng, eng.nodes, 4):
+        closed = lower_closure(eng, [reduced_word(eng, x)[0]], shape)
+        minima = interval_oracle(eng, [eng.inv(x)], (0,))[0]
+        assert len(closed) == len(minima)
+        for z in minima:
+            word = closed[orbit_weight(eng, z, shape)][::-1]
+            assert from_word(eng, word) == z
+            assert len(word) == eng.length(z)
+        cosets += len(closed)
+    assert cosets == 171
+
+
+def test_a_word_already_in_the_set_is_skipped():
+    # the set is a union of lower intervals, so a word whose element is in
+    # it adds nothing and is not read: (0, 0), not reduced and with the
+    # element e, would add s_0 rho if its letters were read
+    eng = engine_for(fin_for("A(1)_2"))
+    rho = (1, 1, 1)
+    assert lower_closure(eng, [(1,), (0, 0)], rho) == \
+        lower_closure(eng, [(1,)], rho)
+    assert lower_closure(eng, [(0, 0)], rho) == {rho: ()}
+    words = [(0, 1, 2), (0, 1), (2,), (0, 1, 2)]
+    assert list(lower_closure(eng, words, rho).items()) == \
+        list(lower_closure(eng, words[:1], rho).items())
 
 
 def test_lower_closure_cap_stops_a_level_before_the_next_word():
@@ -312,8 +353,9 @@ def test_lower_closure_cap_stops_a_level_before_the_next_word():
     # raises before a later word is read; two intervals within cap whose
     # union passes it raise as well
     eng = engine_for(fin_for("A(1)_2"))
+    rho = (1, 1, 1)
     word = (0, 1, 2, 0, 1)
-    size = len(lower_closure(eng, [word]))
+    size = len(lower_closure(eng, [word], rho))
     read = []
 
     def words():
@@ -322,12 +364,12 @@ def test_lower_closure_cap_stops_a_level_before_the_next_word():
             yield w
 
     with pytest.raises(ResourceCapError) as err:
-        lower_closure(eng, words(), cap=size - 1, what="interval")
+        lower_closure(eng, words(), rho, cap=size - 1, what="interval")
     assert (err.value.what, err.value.size) == ("interval", size)
     assert read == [word]
-    assert len(lower_closure(eng, [(0, 1)])) == 4
+    assert len(lower_closure(eng, [(0, 1)], rho)) == 4
     with pytest.raises(ResourceCapError):
-        lower_closure(eng, [(0, 1), (2, 0)], cap=5)
+        lower_closure(eng, [(0, 1), (2, 0)], rho, cap=5)
 
 
 COVER_NAMES = ("A(1)_3", "C(1)_3", "B(1)_3", "D(1)_4", "G(1)_2", "F(1)_4",
@@ -339,46 +381,42 @@ def first_fin(datum):
 
 
 def test_covers_by_inversion_roots_match_the_length_oracle():
-    # labeled_covers_down decides each word drop by the signs of
-    # s_{gamma_k}(gamma_j), j > k, and forms each cover as a weight of the
-    # orbit of a regular shape; reflecting every drop and keeping those of
-    # length l - 1 is the oracle, its weights read off the matrices, on the
-    # radius-5 balls of the Iwahori-Weyl engine and of the affine Weyl group
-    # of the datum's own Cartan matrix
-    elements = carried = 0
+    # labeled_covers_down carries the candidates of x = s_j y from those of
+    # y, N(x) = {alpha_j} u s_j N(y).  Every word drop of x's reduced word
+    # is s_beta x for one inversion root beta, and is the oracle: each
+    # candidate (lower, p) is s_beta nu, nu = x shape, with p = <lower,
+    # beta^vee> > 0, one for each drop, and keeping the candidates whose
+    # coset minimum has length l - 1 keeps the drops of length l - 1, with
+    # the weights read off the matrices, on the radius-5 balls of the
+    # Iwahori-Weyl engine and of the affine Weyl group of the datum's own
+    # Cartan matrix
+    elements = candidates = cover_count = 0
     for name in COVER_NAMES:
         datum = load_affine_datum(name)
         for group in (engine_for(first_fin(datum)), context_for(datum)):
             shape = regular_shape(group)
-
-            def check(x, word):
-                nu = orbit_point(group, word, shape)
-                assert nu == orbit_weight(group, x, shape), name
-                covers = labeled_covers_down(group, nu, word)
-                oracle = {orbit_weight(group, v, shape): beta_co
-                          for v, _, beta_co in covers_oracle(group, x)}
-                assert {c[0] for c in covers} == set(oracle), name
-                assert len(covers) == len(oracle), name
-                for lower, p, v_word in covers:
-                    assert p == sum(map(mul, oracle[lower], lower)) > 0
-                    v = from_word(group, v_word)
-                    assert len(v_word) == len(word) - 1 == group.length(v)
-                    assert orbit_weight(group, v, shape) == lower, name
-                return covers
-
-            for x in ball(group, group.nodes, 5):
-                word = reduced_word(group, x)[0]
-                assert orbit_word(group, orbit_point(group, word, shape)) \
-                    == word, name
-                for lower, _, v_word in check(x, word):
-                    # a carried word need not be the least-descent word,
-                    # and serves as well
-                    if v_word != orbit_word(group, lower):
-                        check(from_word(group, v_word), v_word)
-                        carried += 1
+            carried = {}
+            words = (reduced_word(group, x)[0]
+                     for x in ball(group, group.nodes, 5))
+            for word in sorted(words, key=len):
+                x = from_word(group, word)
+                nu = orbit_weight(group, x, shape)
+                assert nu == orbit_point(group, word, shape), name
+                carried[nu] = labeled_covers_down(
+                    group, nu, word[0], carried) if word else []
+                drops = {orbit_weight(group, v, shape): beta_co
+                         for v, _, beta_co in inversions_oracle(group, x)}
+                assert len(carried[nu]) == len(drops) == len(word), name
+                for lower, p in carried[nu]:
+                    assert p == sum(map(mul, drops[lower], lower)) > 0, name
+                covers = {lower for lower, _ in carried[nu]
+                          if len(orbit_word(group, lower)) == len(word) - 1}
+                assert covers == {orbit_weight(group, v, shape)
+                                  for v, _, _ in covers_oracle(group, x)}
                 elements += 1
-    assert elements == 2420
-    assert carried == 892
+                candidates += len(carried[nu])
+                cover_count += len(covers)
+    assert (elements, candidates, cover_count) == (2420, 9568, 8082)
 
 
 def test_interval_quotient_matches_the_coset_min_oracle():
