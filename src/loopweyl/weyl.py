@@ -482,14 +482,14 @@ def lower_closure(eng, words, shape, cap=20000,
     (module docstring).  With shape rho the keys are the elements; with a
     shape vanishing on J they are the cosets W_J x, keyed and worded by
     their minima, and a zero coordinate, which keeps the coset, is skipped.
-    A word whose element is already in the set adds nothing and is skipped.
-    Once the union, and with it any level, passes cap elements it raises
+    A later word whose element is already in the set adds nothing and is
+    skipped (the first can be in it only as e).  Once the union, and with it any level, passes cap elements it raises
     ResourceCapError(what).
     """
     regular = all(shape)
     found = {shape: ()}
-    for word in words:
-        if orbit_point(eng, word[::-1], shape) in found:
+    for k, word in enumerate(words):
+        if k and orbit_point(eng, word[::-1], shape) in found:
             continue
         level = {shape: None}  # the lower set of the prefix read, in order
         for j in word:

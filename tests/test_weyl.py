@@ -16,7 +16,7 @@ from loopweyl.errors import (ConsistencyError, ResourceCapError,
 from loopweyl.kactables import known_names
 from loopweyl.rootdata import (echelon_system, load_affine_datum,
                                project_coweight, special_nodes)
-from loopweyl import linalg
+from loopweyl import linalg, weyl
 from loopweyl.weyl import (CartanContext, bruhat_interval, coset_min,
                            from_word, labeled_covers_down, lower_closure,
                            orbit_point, orbit_word, reduced_word)
@@ -334,18 +334,31 @@ def test_a_shape_with_zeros_closes_cosets():
     assert cosets == 171
 
 
-def test_a_word_already_in_the_set_is_skipped():
-    # the set is a union of lower intervals, so a word whose element is in
-    # it adds nothing and is not read: (0, 0), not reduced and with the
-    # element e, would add s_0 rho if its letters were read
+def test_a_word_already_in_the_set_is_skipped(monkeypatch):
+    # the set is a union of lower intervals, so a later word whose element
+    # is in it adds nothing and its letters are not read; the first word is
+    # read without the test
     eng = engine_for(fin_for("A(1)_2"))
     rho = (1, 1, 1)
-    assert lower_closure(eng, [(1,), (0, 0)], rho) == \
-        lower_closure(eng, [(1,)], rho)
-    assert lower_closure(eng, [(0, 0)], rho) == {rho: ()}
-    words = [(0, 1, 2), (0, 1), (2,), (0, 1, 2)]
-    assert list(lower_closure(eng, words, rho).items()) == \
-        list(lower_closure(eng, words[:1], rho).items())
+    read = []
+
+    class Watched(tuple):
+        def __iter__(self):
+            read.append(self[:])
+            return super().__iter__()
+
+    words = [(0, 1, 2), (0, 1), (2,), (1, 2, 0), (0, 1, 2)]
+    closure = lower_closure(eng, map(Watched, words), rho)
+    assert read == [(0, 1, 2), (1, 2, 0)]
+    assert list(closure.items()) == \
+        list(lower_closure(eng, [words[0], words[3]], rho).items())
+    points = []
+    monkeypatch.setattr(weyl, "orbit_point",
+                        lambda *args: points.append(args) or (0, 0, 0))
+    read.clear()
+    assert lower_closure(eng, [Watched((0, 1, 2))], rho) == \
+        lower_closure(eng, [(0, 1, 2)], rho)
+    assert (read, points) == ([(0, 1, 2)], [])
 
 
 def test_lower_closure_cap_stops_a_level_before_the_next_word():
@@ -402,6 +415,7 @@ def test_covers_by_inversion_roots_match_the_length_oracle():
                 x = from_word(group, word)
                 nu = orbit_weight(group, x, shape)
                 assert nu == orbit_point(group, word, shape), name
+                assert orbit_word(group, nu) == word, name
                 carried[nu] = labeled_covers_down(
                     group, nu, word[0], carried) if word else []
                 drops = {orbit_weight(group, v, shape): beta_co
