@@ -35,7 +35,7 @@ one AdmissibleSet per lam (fin.adm_sets), keyed by lam alone (so mu=...
 and lam=... share the set of the projection lam of mu), at most MEMO_SIZE
 of them, dropping the oldest first.  It holds tau, the reduced words of
 the neutral translations (words), its closure (elements) once adm has
-built it, and its path graphs, keyed by Y; lspaths.count_h_y builds a
+built it, and its path graphs, keyed by Y; lspaths.count_paths builds a
 path graph without the closure.  A repeated call returns the stored object;
 adm still raises ResourceCapError when the stored set is larger than its
 cap.  A saturation is one filter over the closure and is not stored.

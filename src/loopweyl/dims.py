@@ -18,11 +18,12 @@ row where the two sides differ is a fault, and the CLI's "proven" holds
 for every row.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import kactables, lspaths, rootdata
+from . import admissible, kactables, lspaths, rootdata
 from .errors import ConsistencyError, UnsupportedDatumError
 
 
@@ -37,15 +38,15 @@ def weyl_dim(fin, lam):
     lam = tuple(int(c) for c in lam)
     if len(lam) != fin.r or any(c < 0 for c in lam):
         raise ValueError("expected dominant fundamental-weight coordinates")
-    out = Fraction(1)
+    num = den = 1
     for _, coroot in fin.ech_pairs:
-        num = sum((l + 1) * c for l, c in zip(lam, coroot))
-        den = sum(coroot)
-        out *= Fraction(num, den)
-    if out.denominator != 1 or out <= 0:
+        num *= sum((l + 1) * c for l, c in zip(lam, coroot))
+        den *= sum(coroot)
+    out, rem = divmod(num, den)
+    if rem or out <= 0:
         raise ConsistencyError(
-            f"Weyl dimension {out} is not a positive integer")
-    return int(out)
+            f"Weyl dimension {Fraction(num, den)} is not a positive integer")
+    return out
 
 
 def _type_a_level(mu):
@@ -96,23 +97,23 @@ def h_mu(datum, mu, m):
 
 def h_mu_sum(datum, parts, m):
     """Product of h_mu over the parts of a sum decomposition."""
-    out = 1
-    for mu in parts:
-        out *= h_mu(datum, mu, m)
-    return out
+    return math.prod(h_mu(datum, mu, m) for mu in parts)
 
 
 def hook_content(n, r, m):
     """prod_{i<=r, j<=n-r} (i+j+m-1)/(i+j-1); the type A closed form."""
     if not 0 < r < n or m < 0 or m != int(m):
         raise ValueError("need 0 < r < n and an integer m >= 0")
-    out = Fraction(1)
+    m, num, den = int(m), 1, 1
     for i in range(1, r + 1):
         for j in range(1, n - r + 1):
-            out *= Fraction(i + j + m - 1, i + j - 1)
-    if out.denominator != 1:
-        raise ConsistencyError(f"hook-content product {out} is not an integer")
-    return int(out)
+            num *= i + j + m - 1
+            den *= i + j - 1
+    out, rem = divmod(num, den)
+    if rem:
+        raise ConsistencyError(
+            f"hook-content product {Fraction(num, den)} is not an integer")
+    return out
 
 
 def central_charge(datum, weights):
@@ -155,6 +156,9 @@ def check_coherence(fin, mu_parts, y, a, cap=20000):
     closed side multiplies their counts.  The closed side, which refuses a
     mu that is not minuscule, runs first, after the checks of Y and of
     a > 0 (lspaths.shape_weight): no path graph is built for a refused row.
+    fin.coherence_sets keeps the AdmissibleSet of each accepted mu_parts (at
+    most admissible.MEMO_SIZE, the oldest dropped first), so a repeated row
+    builds no Fraction: no projection, lattice check or dominant walk.
     """
     datum = fin.datum
     y = rootdata.node_set(datum, y)
@@ -163,10 +167,16 @@ def check_coherence(fin, mu_parts, y, a, cap=20000):
     weight = central_charge(datum, lspaths.shape_weight(datum, y, a))
     h_closed = h_mu_sum(datum, mu_parts, weight)
     t1 = time.perf_counter()
-    parts = [fin.dominant_rep(rootdata.project_coweight(fin, mu))
-             for mu in mu_parts]
-    lam = tuple(map(sum, zip(*parts)))
-    h_path = lspaths.count_h_y(fin, lam=lam, y=y, a=a, cap=cap)
+    s = fin.coherence_sets.get(mu_parts)
+    if s is None:
+        parts = [fin.dominant_rep(rootdata.project_coweight(fin, mu))
+                 for mu in mu_parts]
+        s = admissible.translations(
+            fin, lam=tuple(map(sum, zip(*parts))), cap=cap)
+        if len(fin.coherence_sets) >= admissible.MEMO_SIZE:
+            del fin.coherence_sets[next(iter(fin.coherence_sets))]
+        fin.coherence_sets[mu_parts] = s
+    h_path = lspaths.count_paths(s, y, a, cap)
     t2 = time.perf_counter()
     return CoherenceReport(
         datum=datum.name,

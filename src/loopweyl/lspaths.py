@@ -12,7 +12,7 @@ The directions of h_Y are the image of the saturation W^Y Adm(mu)° W^{Y°}
 in W/W_{S-Y°}, which is the image of Adm(mu)° alone.  By the projection
 property of Bruhat order (Bjorner-Brenti, Combinatorics of Coxeter Groups,
 Prop. 2.5.1) that image is the quotient lower closure of the neutral
-translations t_{w(lam)} tau^{-1}, so count_h_y closes the cosets of those
+translations t_{w(lam)} tau^{-1}, so count_paths closes the cosets of those
 |W_0 lam| elements (weyl.lower_closure) and never builds Adm(mu).  It
 closes them in the affine Weyl group of the datum's own Cartan matrix
 (admissible.context_for), whose normalization shapes and kappa follow, not
@@ -22,22 +22,24 @@ share, and no element is built.
 
 A PathGraph holds each cover's value against one shape.  The stabiliser of
 a shape and its cover values scale with it, so one PathGraph serves every
-positive integer multiple of its shape: count_h_y builds it once per (lam,
+positive integer multiple of its shape: count_paths builds it once per (lam,
 Y) at scale a = 1, keeps it on the AdmissibleSet of lam (path_graphs), and
 the PathSpace of each scale a multiplies the values by a.
 
-PathSpace.count is an integer dynamic programme over the positions of the
-graph's nodes: the cosets reachable under a cut depend on the cut only
-through its denominator, so they are one bitset per node and denominator,
-and the count is a suffix sum over the cuts, with no recursion and no
-Fraction-keyed memo.  paths() and is_ls_path walk the per-cut reachable
-sets instead (PathSpace.reachable), because the order in which those sets
-iterate is the order of the emitted paths, which the CLI's payloads pin:
-they hold the root matrices m of the coset minima, built from the words
-on that path only, and take tops and covers in (word length, m) order.
+A PathSpace keeps its cuts as reduced integer pairs (k, d) (cut_pairs),
+and counts by an integer walk over them: the cosets reachable under a cut
+depend on it only through d, so they are one bitset per node and d, and
+from f = 1 each cut, from the largest down, adds f over a node's reach to
+f at the node; no Fraction is built.  paths() and is_ls_path walk the
+per-cut reachable sets instead (PathSpace.reachable, on the Fraction
+cuts), because the order in which those sets iterate is the order of the
+emitted paths, which the CLI's payloads pin: they hold the root matrices
+m of the coset minima, built from the words on that path only, and take
+tops and covers in (word length, m) order.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,9 +85,12 @@ class PathSpace:
         for up, lo, val in graph.edges:
             self.below[up].append((lo, a * val))
         self._reach_cache = {}
-        values = {p for outs in self.below for _, p in outs}
-        self.cuts = tuple(sorted(
-            {Fraction(k, p) for p in values for k in range(1, p)}))
+        self.cut_pairs = cut_pairs({p for outs in self.below for _, p in outs})
+
+    @functools.cached_property
+    def cuts(self):
+        """The cuts as Fractions, increasing; only the path walks read them."""
+        return tuple(Fraction(k, d) for k, d in self.cut_pairs)
 
     @functools.cached_property
     def matrices(self):
@@ -118,19 +123,14 @@ class PathSpace:
             self._reach_cache[key] = frozenset(out)
         return self._reach_cache[key]
 
-    def count(self):
-        """Number of paths, from every initial direction.
-
-        F_c(y), the number of paths from y whose previous cut is c, is
-        1 + sum over cuts c' > c of F_c'(z) over z in R_c'(y), the cosets
-        reachable from y by covers whose value the cut c' makes integral.
-        R_c' depends on c' only through its denominator d, so it is one
-        bitset per node and d, built bottom-up over the node positions
-        (every cover goes to a lower position); F is then a suffix sum over
-        the cuts, from the largest down, in integers.
-        """
+    def node_counts(self):
+        """The number of paths from each initial direction, by position:
+        f(y) = 1 + the sum over cuts c of f_c(z) over the z that y reaches
+        by covers whose value c makes integral, f_c counting the paths
+        whose previous cut is c (module docstring).  The reach of d is built
+        bottom-up over the positions (every cover goes to a lower one)."""
         reach = {}
-        for d in {c.denominator for c in self.cuts}:
+        for d in {d for _, d in self.cut_pairs}:
             bits = []
             for outs in self.below:
                 b = 0
@@ -139,15 +139,15 @@ class PathSpace:
                         b |= bits[lo] | (1 << lo)
                 bits.append(b)
             reach[d] = [_positions(b) for b in bits]
-        # after the cut c: later[y] = sum over c' > c of F_c'(R_c'(y))
-        later = [0] * len(self.below)
-        for c in reversed(self.cuts):
-            f = [1 + t for t in later]
-            later = [
-                t + sum(f[z] for z in r)
-                for t, r in zip(later, reach[c.denominator])
-            ]
-        return sum(1 + t for t in later)
+        f = [1] * len(self.below)
+        for _, d in reversed(self.cut_pairs):
+            f = [v + sum([f[z] for z in r]) if r else v
+                 for v, r in zip(f, reach[d])]
+        return f
+
+    def count(self):
+        """Number of paths, from every initial direction."""
+        return sum(self.node_counts())
 
     def paths_from(self, x, a_prev):
         yield (x,), ()
@@ -166,15 +166,17 @@ class PathSpace:
         out = []
         for k in sorted(range(len(ms)), key=self.emit_key):
             for dirs, cuts in self.paths_from(ms[k], Fraction(0)):
-                words = tuple(word[d] for d in dirs)
-                out.append(
-                    LSPath(
-                        shape=self.shape,
-                        directions=words,
-                        cuts=(Fraction(0),) + cuts + (Fraction(1),),
-                    )
-                )
+                out.append(LSPath(self.shape, tuple(word[d] for d in dirs),
+                                  (Fraction(0),) + cuts + (Fraction(1),)))
         return out
+
+
+def cut_pairs(values):
+    """The cuts k/p, 0 < k < p, of the positive integer values p as reduced
+    pairs (k, d), increasing: sorted by the integer k L/d, L = lcm(values)."""
+    big = math.lcm(*values)
+    keys = sorted({k * (big // p) for p in values for k in range(1, p)})
+    return [(n // g, big // g) for n in keys for g in [math.gcd(n, big)]]
 
 
 def _positions(bits):
@@ -208,21 +210,26 @@ def is_ls_path(space, directions, cuts):
 
 
 def count_h_y(fin, mu=None, lam=None, *, y, a=1, cap=20000, emit=False):
-    """Number of shape a*lam_Y paths with admissible initial direction.
+    """count_paths on the AdmissibleSet of mu or lam, exactly one given
+    (admissible.translations, which refuses more than cap translations);
+    y, the nonempty node set Y, is a required keyword."""
+    y = rootdata.node_set(fin.datum, y)
+    s = admissible.translations(fin, mu=mu, lam=lam, cap=cap)
+    return count_paths(s, y, a, cap, emit)
 
-    Exactly one of mu, lam names the coweight; y, the nonempty node set Y,
-    is a required keyword.  Counts the paths on the affine diagram whose
-    first direction lies in the image of the saturation W^Y Adm(mu)°
-    W^{Y°} in W/W_shape, a graph built from the neutral translations
+
+def count_paths(s, y, a=1, cap=20000, emit=False):
+    """Number of shape a*lam_Y paths whose first direction lies in the
+    image of the saturation W^Y Adm(mu)° W^{Y°} in W/W_shape, for the
+    AdmissibleSet s of lam, on a graph built from its neutral translations
     (module docstring) once per (lam, Y), at scale 1, with at most cap
-    nodes, and at most cap cuts: the bound is the sum of a * p - 1 over
-    the distinct cover values p, checked before any cut is built.  With
+    nodes, and at most cap cuts: the bound is the sum of a * p - 1 over the
+    distinct cover values p, checked before any cut is built.  With
     emit=True the paths themselves, at most cap of them, are returned
     alongside the count.
     """
-    datum = fin.datum
+    datum = s.fin.datum
     y = rootdata.node_set(datum, y)
-    s = admissible.translations(fin, mu=mu, lam=lam, cap=cap)
     y_circ = admissible.tau_conjugate_nodes(s, y)
     ctx = admissible.context_for(datum)
     graph = s.path_graphs.get(y)

@@ -207,9 +207,10 @@ class FiniteRootDatum:
     columns are the fundamental coweights), and the affine wall functionals
     of the base alcove.  T is read by a gcd rule, with no Hermite form, and
     a datum whose T is not diagonal, or not of rank r, is refused.  It
-    keeps its Iwahori-Weyl group (engine) and the admissible sets built in
-    it (adm_sets, keyed by lam, filled by admissible.adm and
-    lspaths.count_h_y).
+    keeps its Iwahori-Weyl group (engine), the admissible sets built in it
+    (adm_sets, keyed by lam, filled by admissible.adm and
+    lspaths.count_paths), and the admissible set of each coherence row's mu
+    parts (coherence_sets, filled by dims.check_coherence).
     """
 
     def __init__(self, datum, x=0):
@@ -296,6 +297,7 @@ class FiniteRootDatum:
                 f"interior"
             )
         self.adm_sets = {}
+        self.coherence_sets = {}
 
     @cached_property
     def w0_order(self):

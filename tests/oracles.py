@@ -35,6 +35,27 @@ def translation_length(fin, lam):
     return int(val)
 
 
+def weyl_dim_oracle(fin, lam):
+    """The Weyl dimension of the dominant fundamental-weight coordinates
+    lam, as a product of Fractions over the positive echelonnage coroots."""
+    out = Fraction(1)
+    for _, coroot in fin.ech_pairs:
+        out *= Fraction(sum((l + 1) * c for l, c in zip(lam, coroot)),
+                        sum(coroot))
+    if out.denominator != 1:
+        raise ConsistencyError(f"Weyl dimension {out} is not an integer")
+    return int(out)
+
+
+def hook_content_oracle(n, r, m):
+    """prod_{i<=r, j<=n-r} (i+j+m-1)/(i+j-1) as a product of Fractions."""
+    out = math.prod(Fraction(i + j + m - 1, i + j - 1)
+                    for i in range(1, r + 1) for j in range(1, n - r + 1))
+    if out.denominator != 1:
+        raise ConsistencyError(f"hook-content product {out} is not an integer")
+    return int(out)
+
+
 def w0_orbit(fin, lam):
     """The full W_0-orbit of lam, sorted, by the Fraction reflections of
     fin; a wrong coordinate count raises ValueError."""
@@ -142,6 +163,40 @@ def interval_oracle(eng, tops, right_quotient):
     key = sort_key(eng)
     return (tuple(sorted(nodes, key=key)),
             tuple(sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))))
+
+
+def demazure_atoms(a, shape, words):
+    """The size of the Demazure atom pibar_{i_1} ... pibar_{i_k} e^shape
+    for each reduced word (i_1, ..., i_k) of a coset minimum, pibar_i =
+    pi_i - 1 with pi_i the Demazure operator (Lascoux-Schutzenberger,
+    "Keys and standard bases"): by Littelmann, the number of LS paths of
+    that shape whose initial direction is the coset.
+
+    A character is a dict from weights nu, in the coordinates nu_j =
+    <nu, alpha_j^vee>, to multiplicities; alpha_i is column i of the
+    Cartan matrix a, and delta, which no alpha_j^vee sees, is dropped.
+    """
+    alpha = [tuple(row[i] for row in a) for i in range(len(a))]
+
+    def pibar(i, nu):
+        # pi_i e^nu - e^nu by the sign of n = <nu, alpha_i^vee>
+        n = nu[i]
+        steps = [(-k, 1) for k in range(1, n + 1)] if n >= 0 else \
+            [(k, -1) for k in range(-n)]
+        return [(tuple(c + k * b for c, b in zip(nu, alpha[i])), sign)
+                for k, sign in steps]
+
+    @functools.lru_cache(maxsize=None)
+    def character(word):
+        if not word:
+            return {tuple(shape): 1}
+        out = {}
+        for nu, m in character(word[1:]).items():
+            for mu, sign in pibar(word[0], nu):
+                out[mu] = out.get(mu, 0) + sign * m
+        return {mu: m for mu, m in out.items() if m}
+
+    return [sum(character(tuple(w)).values()) for w in words]
 
 
 # -- permissible sets ----------------------------------------------------------

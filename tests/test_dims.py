@@ -3,14 +3,18 @@
 import random
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopweyl import lspaths
 from loopweyl.dims import (central_charge, check_coherence, h_mu, h_mu_sum,
                            hook_content, iota_embed, minuscule_node, weyl_dim)
-from loopweyl.errors import UnsupportedDatumError
+from loopweyl.errors import ConsistencyError, UnsupportedDatumError
 from loopweyl.rootdata import echelon_system, load_affine_datum
+from oracles import hook_content_oracle, weyl_dim_oracle
 
 
 def fin_for(name, x=0):
@@ -46,6 +50,36 @@ def test_weyl_dim_dual_symmetry():
     for _ in range(20):
         lam = tuple(rng.randrange(4) for _ in range(fin.r))
         assert weyl_dim(fin, lam) == weyl_dim(fin, lam[::-1])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.sampled_from(("A(1)_2", "B(1)_3", "C(1)_3", "G(1)_2", "F(1)_4")),
+       st.lists(st.integers(0, 6), min_size=4, max_size=4))
+def test_weyl_dim_matches_the_fraction_product(name, coords):
+    fin = fin_for(name)
+    lam = tuple(coords[:fin.r])
+    assert weyl_dim(fin, lam) == weyl_dim_oracle(fin, lam)
+
+
+def test_a_non_integral_weyl_product_is_refused():
+    # one positive coroot (1, 1) at lam = (1, 0): the product is 3/2
+    fin = SimpleNamespace(r=2, ech_pairs=(((1, 1), (1, 1)),))
+    assert weyl_dim(fin, (1, 1)) == 2
+    with pytest.raises(ConsistencyError):
+        weyl_dim(fin, (1, 0))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.integers(2, 9), st.integers(1, 8), st.integers(0, 8))
+def test_hook_content_matches_the_product_oracles(n, r, m):
+    r = 1 + (r - 1) % (n - 1)
+    h = hook_content(n, r, m)
+    assert h == hook_content_oracle(n, r, m) == hook_content(n, n - r, m)
+    if r == 1:
+        assert h == comb(n - 1 + m, m)
+    # MacMahon's box count is symmetric in its three sides r, n - r, m
+    if m:
+        assert h == hook_content(r + m, r, n - r)
 
 
 def test_hook_content():
@@ -159,9 +193,9 @@ def test_iota_embed_kills_central_charge():
     ("A(1)_1", (1, 0), (9,)),
 ])
 def test_coherence_refuses_before_counting_paths(name, mu, y, monkeypatch):
-    def count_h_y(*args, **kwargs):
+    def count_paths(*args, **kwargs):
         raise AssertionError("paths counted before the row was refused")
-    monkeypatch.setattr(lspaths, "count_h_y", count_h_y)
+    monkeypatch.setattr(lspaths, "count_paths", count_paths)
     with pytest.raises(ValueError):
         check_coherence(fin_for(name), (mu,), y, 1)
 
@@ -174,8 +208,8 @@ def test_coherence_refuses_before_counting_paths(name, mu, y, monkeypatch):
 ])
 def test_coherence_refuses_a_below_one_before_counting_paths(
         name, mu, a, monkeypatch):
-    def count_h_y(*args, **kwargs):
+    def count_paths(*args, **kwargs):
         raise AssertionError("paths counted before the row was refused")
-    monkeypatch.setattr(lspaths, "count_h_y", count_h_y)
+    monkeypatch.setattr(lspaths, "count_paths", count_paths)
     with pytest.raises(ValueError):
         check_coherence(fin_for(name), (mu,), (0,), a)

@@ -1,25 +1,30 @@
 """Rational-structure path counts on affine diagrams."""
 
 import gc
+import math
 import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopweyl import admissible, weyl
 from loopweyl.admissible import (adm, adm_parahoric, context_for, engine_for,
                                   tau_conjugate_nodes, translations)
 from loopweyl.dims import check_coherence, weyl_dim
 from loopweyl.errors import ResourceCapError
-from loopweyl.lspaths import PathSpace, count_h_y, is_ls_path, shape_weight
+from loopweyl.lspaths import (PathSpace, count_h_y, cut_pairs, is_ls_path,
+                              shape_weight)
 from loopweyl.rootdata import (FiniteRootDatum, datum_from_json,
                                datum_to_json, echelon_system,
                                load_affine_datum)
 from loopweyl.weyl import (CartanContext, bruhat_interval, from_word,
                            reduced_word)
-from oracles import longest_element
+from oracles import (demazure_atoms, interval_oracle, longest_element,
+                     orbit_weight)
 
 
 def fin_for(name, x=0):
@@ -284,6 +289,10 @@ def test_integer_count_matches_the_recursive_oracle():
             for a in (1, 2, 3):
                 space = PathSpace(ctx, graph, a)
                 assert space.shape == shape_weight(fin.datum, y_circ, a)
+                # the integer cut order is the order of the Fraction cuts
+                assert space.cuts == tuple(sorted(
+                    {Fraction(k, a * p) for _, _, p in graph.edges
+                     for k in range(1, a * p)})), (name, mu, y, a)
                 n = space.count()
                 assert n == count_oracle(space) == len(space.paths()), \
                     (name, mu, y, a)
@@ -306,3 +315,103 @@ def test_a_dropped_datum_takes_its_caches_with_it():
     del datum, fin
     gc.collect()
     assert ref() is None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.sets(st.integers(1, 60), max_size=6))
+def test_cut_pairs_sort_as_fractions(values):
+    pairs = cut_pairs(values)
+    assert all(math.gcd(k, d) == 1 for k, d in pairs)
+    assert [Fraction(k, d) for k, d in pairs] == sorted(
+        {Fraction(k, p) for p in values for k in range(1, p)})
+
+
+def _all_y(nodes):
+    return [c for k in range(1, len(nodes) + 1)
+            for c in combinations(nodes, k)]
+
+
+# every coherence row of the acceptance suite: (datum, mu, Y list, None for
+# every Y); E(1)_7 at Y = {7} is left out, as interval_oracle takes about
+# 9 s on its graph
+ATOM_ROWS = [
+    *((f"A(1)_{n - 1}", (1,) * r + (0,) * (n - r), None)
+      for n in (2, 3, 4) for r in range(1, n)),
+    ("C(1)_2", (0, 1), None), ("A(2)_2", (1, 0, 0), None),
+    ("B(1)_3", (1, 0, 0), None), ("A(2)_3", (1, 0, 0, 0), None),
+    ("D(1)_4", (1, 0, 0, 0), [(2,)]),
+    ("A(2)_5", (1, 0, 0, 0, 0, 0), [(0,)]),
+    ("A(1)_4", (1, 1, 0, 0, 0), [(0,)]),
+    ("A(1)_5", (1, 1, 1, 0, 0, 0), [(0,)]),
+    ("A(1)_6", (1, 1, 1, 0, 0, 0, 0), [(0,)]),
+    ("D(1)_5", (1, 0, 0, 0, 0), [(0,)]),
+    ("E(1)_6", (1, 0, 0, 0, 0, 0), [(0,)]),
+    ("E(1)_7", (0, 0, 0, 0, 0, 1, 0), [(0,)]),
+]
+
+
+def test_per_node_counts_are_demazure_atoms():
+    # the paths whose initial direction is the coset u are the Demazure
+    # atom at u (Littelmann), so node_counts must match the atom sizes at
+    # every node; the oracle reads only the Cartan matrix, the shape and a
+    # reduced word of each coset minimum that interval_oracle finds
+    rows = 0
+    for name, mu, ys in ATOM_ROWS:
+        fin = fin_for(name)
+        ctx = context_for(fin.datum)
+        s = translations(fin, mu=mu)
+        tops = [from_word(ctx, w) for w in s.words]
+        for y in ys or _all_y(fin.datum.nodes):
+            count_h_y(fin, mu=mu, y=y)
+            graph = s.path_graphs[y]
+            nodes, _ = interval_oracle(ctx, tops, graph.stab)
+            index = {nu: k for k, nu in enumerate(graph.nodes)}
+            at = [index[orbit_weight(ctx, x, graph.shape)] for x in nodes]
+            assert sorted(at) == list(range(len(graph.nodes))), (name, y)
+            words = [reduced_word(ctx, x)[0] for x in nodes]
+            for a in (1, 2):
+                space = PathSpace(ctx, graph, a)
+                f = space.node_counts()
+                assert demazure_atoms(ctx.a, space.shape, words) == \
+                    [f[k] for k in at], (name, mu, y, a)
+            rows += 1
+    assert rows == 124 // 2 + 7 + 3 + 15 + 7 + 2 + 6
+
+
+def test_a_warm_row_builds_no_fraction(monkeypatch):
+    # projection, lattice check and dominant walk run once per (datum, mu
+    # parts); a second row on the same path graph at another scale runs on
+    # integers only, from the closed form to the count
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    for name, mu, y in (("A(1)_3", (1, 1, 0, 0), (0, 1, 2)),
+                        ("C(1)_2", (0, 1), (1,)),
+                        ("A(2)_4", (1, 0, 0, 0, 0), (2,))):
+        fin = FiniteRootDatum(load_affine_datum(name), 0)
+        assert check_coherence(fin, (mu,), y, 1).equal
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        assert check_coherence(fin, (mu,), y, 2).equal
+        assert made == [], name
+        Fraction(1, 2)
+        assert made == [(1, 2)]
+        monkeypatch.undo()
+        made.clear()
+        assert list(fin.coherence_sets) == [(mu,)]
+
+
+def test_a_refused_mu_is_refused_again_and_not_stored():
+    fin = FiniteRootDatum(load_affine_datum("A(1)_2"), 0)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            check_coherence(fin, ((2, 0, 0),), (0,), 1)
+        # |W_0 lam| = 3 translations pass a cap of 2
+        with pytest.raises(ResourceCapError):
+            check_coherence(fin, ((1, 0, 0),), (0,), 1, cap=2)
+        assert fin.coherence_sets == {} and fin.adm_sets == {}
+    assert check_coherence(fin, ((1, 0, 0),), (0,), 1).equal
+    assert list(fin.coherence_sets) == [((1, 0, 0),)]
