@@ -20,13 +20,6 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def matmul(a, b):
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def matvec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 

@@ -33,9 +33,11 @@ from f = 1 each cut, from the largest down, adds f over a node's reach to
 f at the node; no Fraction is built.  paths() and is_ls_path walk the
 per-cut reachable sets instead (PathSpace.reachable, on the Fraction
 cuts), because the order in which those sets iterate is the order of the
-emitted paths, which the CLI's payloads pin: they hold the root matrices
-m of the coset minima, built from the words on that path only, and take
-tops and covers in (word length, m) order.
+emitted paths, which the CLI's payloads pin.  Those sets hold each coset
+minimum as its root matrix m, column j the root x(alpha_j), and take tops
+and covers in (word length, m) order; root_matrix builds m from the
+minimum's word on that path only, and nothing else in the package builds
+a root matrix, as the group elements are weights (weyl module docstring).
 """
 
 import functools
@@ -96,7 +98,7 @@ class PathSpace:
     def matrices(self):
         """The root matrix m of each node's coset minimum, from its word;
         only the emit path reads them (module docstring)."""
-        return [weyl.from_word(self.ctx, w).m for w in self.graph.words]
+        return [root_matrix(self.ctx.a, w) for w in self.graph.words]
 
     def emit_key(self, k):
         """The (word length, m) order of node positions on the emit path."""
@@ -177,6 +179,21 @@ def cut_pairs(values):
     big = math.lcm(*values)
     keys = sorted({k * (big // p) for p in values for k in range(1, p)})
     return [(n // g, big // g) for n in keys for g in [math.gcd(n, big)]]
+
+
+def root_matrix(a, word):
+    """The root matrix of s_{w_1} ... s_{w_l} for the Cartan matrix a, the
+    key of the emit order (module docstring): s_i M changes only row i of
+    M, to M[i] - sum_c a[i][c] M[c]."""
+    n = len(a)
+    m = [tuple(int(r == c) for c in range(n)) for r in range(n)]
+    for i in reversed(word):
+        row = m[i]
+        for c, coef in enumerate(a[i]):
+            if coef:
+                row = tuple(u - coef * v for u, v in zip(row, m[c]))
+        m[i] = row
+    return tuple(m)
 
 
 def _positions(bits):

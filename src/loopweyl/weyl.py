@@ -1,62 +1,59 @@
 """Iwahori-Weyl groups and generic Bruhat-order machinery.
 
-One engine class, CartanContext, realizes the Coxeter group of a generalized
-Cartan matrix in its integer root representation; an element is a CoxElement
-holding its root matrix m and its inverse.  CartanContext.iwahori_weyl(fin)
-builds the Iwahori-Weyl group W~ = W_aff x| Omega of a FiniteRootDatum: its
-simple roots are the walls of the base alcove, normalized as the echelonnage
-affine simple roots, and each tau in Omega permutes those walls, so it is a
-length zero permutation matrix.  A translation t_lam sends alpha_j to
-alpha_j - k_j delta for the integer slopes k_j = s_j . lam of the walls at
-the coweight lam (slopes; Kac, Infinite dimensional Lie algebras, sec.
-6.5).  Its root matrix (translation) is stripped only for the Omega table
-and the parser; the words of translations are read off weights (below).
-Rational arithmetic is confined to the boundary, where a coweight enters
-(slopes) and where an Omega residue leaves (omega_class).  Reduced
-words, Bruhat comparison and coset minima are written against the
-engine's methods, and the cover graphs against its Cartan matrix, so the
-same code serves the Iwahori-Weyl group, the affine Weyl group of a
-datum's own Cartan matrix, and the finite calibration contexts.
+One engine class, CartanContext, realizes the Coxeter group W of a
+generalized Cartan matrix on weights.  CartanContext.iwahori_weyl(fin)
+builds the Iwahori-Weyl group W~ = W_aff x| Omega of a FiniteRootDatum:
+its simple roots are the walls of the base alcove, normalized as the
+echelonnage affine simple roots, and each tau in Omega permutes those
+walls.  A translation t_lam sends alpha_j to alpha_j - k_j delta for the
+integer slopes k_j = s_j . lam of the walls at the coweight lam (slopes;
+Kac, Infinite dimensional Lie algebras, sec. 6.5).  Rational arithmetic is
+confined to the boundary, where a coweight enters (slopes) and where an
+Omega residue leaves (omega_class).  Reduced words, Bruhat comparison and
+coset minima are written against the engine's methods, and the cover
+graphs against its Cartan matrix, so the same code serves the Iwahori-Weyl
+group, the affine Weyl group of a datum's own Cartan matrix, and the
+finite calibration contexts.
 
-The matrix of a simple reflection s_p is the identity except in row p,
-which is e_p - a[p].  So lmul and rmul, which do nearly all of the
-multiplying, are row and column updates: s_p M changes only row p of M, to
-M[p] - sum_c a[p][c] M[c], and M s_p subtracts M[r][p] a[p][c] from each
-entry (r, c).  Since (s_p x)^{-1} = x^{-1} s_p, minv takes the mirrored
-update, and both matrices of an element cost O(n^2).  mul is the general
-O(n^3) product.
+Weights are written in the coordinates nu_j = <nu, alpha_j^vee>, and rho =
+(1, ..., 1) pairs positively with every positive real coroot, so W acts
+freely on it (Casselman, "Machine calculations in Weyl groups", Invent.
+Math. 116 (1994)).  An element x = w tau, w in W and tau of length zero, is
+the pair (x rho, res): tau rho = rho, so x rho = w rho determines w, and
+the Omega residue res determines tau (a plain context has only the empty
+residue).  s_i x has the weight s_i (x rho), an O(n) update (orbit_point),
+and (x rho)_i < 0 exactly when s_i is a left descent of x (rho_point), so
+orbit_word strips x rho to the least-descent word of w.  tau permutes the
+nodes, tau s_i tau^{-1} = s_{tau(i)} (tau_conj_node), and so acts on a
+weight by moving its coordinates, (tau nu)_{tau(j)} = nu_j.  Hence x s_i =
+w s_{tau(i)} tau, and for y = v sigma, x y = w (tau v tau^{-1}) tau sigma
+has the weight w tau(v rho) and the sum of the residues mod g: the right
+side goes through the word of w, in O(l n).
 
 The coroot side needs no matrices of its own: A is symmetrizable, d_i a_ij
 = d_j a_ji for positive integers d (Kac, Infinite dimensional Lie algebras,
 ch. 2 and 4), so the coroot of a real root beta = w(alpha_i) is D beta /
 d_i.
 
-A length-zero tau is a permutation matrix, so l(x tau) = l(x).
-
 Bruhat lower sets grow by subwords (Bjorner-Brenti, Combinatorics of
 Coxeter Groups, Thm. 2.2.2): for v s_j > v the interval below v s_j is the
 one below v together with its right translate by s_j.  lower_closure grows
 the sets that adm and the cells read so, one letter of a reduced word at a
-time, on weights rather than matrices.  Weights are written in the
-coordinates nu_j = <nu, alpha_j^vee>, and rho = (1, ..., 1) pairs
-positively with every positive real coroot, so W acts freely on it
-(Casselman, "Machine calculations in Weyl groups", Invent. Math. 116
-(1994)).  An element x is kept as its weight nu = x^{-1} rho: x s_j has
-the weight s_j nu, an O(n) update (orbit_point), and nu_j = <rho,
-x(alpha_j^vee)> is negative exactly when s_j is a right descent of x.  A
-zero coordinate puts the weight on a wall, which no Coxeter group of a
-Cartan matrix reaches, and raises ConsistencyError.  Dually (x rho)_i < 0
-exactly when s_i is a left descent of x (rho_point), and orbit_word strips
-x rho to the least-descent word of x.  A new element gets a word, that of
-the element it grew from followed by j.
+time, keying each element x by its weight nu = x^{-1} rho: x s_j has the
+weight s_j nu, and nu_j = <rho, x(alpha_j^vee)> is negative exactly when
+s_j is a right descent of x.  A zero coordinate puts the weight on a wall,
+which no Coxeter group of a Cartan matrix reaches, and raises
+ConsistencyError.  A new element gets a word, that of the element it grew
+from followed by j.
 
-Translations need no matrix either.  A finite s_p moves lam by -delta_x k_p
-times the coroot of wall p, which pairs to a_pj with wall j, so it sends
-the slopes k to k - k_p a[p] (coweight_orbit).  t_lam^{-1} sends alpha_i to
-alpha_i + k_i delta, whose coroot is alpha_i^vee + k_i D delta / d_i
-(above), so (t_lam rho)_i = 1 + k_i c / d_i, c = sum_j d_j delta_j
-(translation_rho).  tau rho = rho, so t_lam rho is x rho for x = t_lam
-tau^{-1}, which orbit_word strips in O(l n).
+Translations are read off weights too.  A finite s_p moves lam by -delta_x
+k_p times the coroot of wall p, which pairs to a_pj with wall j, so it
+sends the slopes k to k - k_p a[p] (coweight_orbit).  t_lam^{-1} sends
+alpha_i to alpha_i + k_i delta, whose coroot is alpha_i^vee + k_i D delta /
+d_i (above), so (t_lam rho)_i = 1 + k_i c / d_i, c = sum_j d_j delta_j
+(translation_rho), and t_lam is the pair (t_lam rho, lam mod g)
+(translation).  Each tau is read off the translation of its residue: t_res
+= w tau, so tau(alpha_j) = w^{-1}(alpha_j - k_j delta), a simple root.
 
 Cover graphs serve only the path counts (lspaths), and live on the orbit
 W shape of a dominant weight (Littelmann, "Paths and root operators in
@@ -88,47 +85,25 @@ from . import linalg
 from .errors import ConsistencyError, ResourceCapError, UnsupportedDatumError
 
 
-class CoxElement:
-    """Group element: its root matrix m, which decides equality, and minv."""
-
-    __slots__ = ("m", "minv", "_hash")
-
-    def __init__(self, m, minv):
-        self.m = m
-        self.minv = minv
-        self._hash = hash(m)
-
-    def __eq__(self, other):
-        return isinstance(other, CoxElement) and self.m == other.m
-
-    def __hash__(self):
-        return self._hash
-
-
 class CartanContext:
-    """Coxeter group of a square GCM, in its root representation.
+    """Coxeter group of a square GCM, on weights.
 
-    Generator i sends alpha_j to alpha_j - a_ij alpha_i (root side) and
-    alpha_j^vee to alpha_j^vee - a_ji alpha_i^vee (coroot side).  Real roots
-    of affine or finite GCMs have coordinate vectors of a single sign, so
-    column-sign inspection decides descents.  Length-zero elements other
-    than the identity (the Omega of an Iwahori-Weyl group) are kept in a
-    table keyed by their Omega residue; a plain context has only the
-    identity, with the empty residue.
+    Generator i sends alpha_j to alpha_j - a_ij alpha_i.  An element is
+    the pair (x rho, res) of the module docstring, so elements hash and
+    compare as tuples.  The length-zero elements (the Omega of an
+    Iwahori-Weyl group) are kept by residue with the node permutation of
+    each; a plain context has only the identity, with the empty residue.
     """
 
     def __init__(self, a):
         self.a = tuple(tuple(row) for row in a)
-        n = len(self.a)
-        self.nodes = tuple(range(n))
-        eye = tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        )
-        self._id = CoxElement(eye, eye)
+        self.nodes = tuple(range(len(self.a)))
         # d_i a_ij = d_j a_ji, which carries the root side to the coroot side
         self.sym = _symmetrizer(self.a)
-        self._taus = {(): self._id}
-        self._residues = {self._id: ()}
+        self._rho = (1,) * len(self.a)
+        self._g = ()
+        self._id = (self._rho, ())
+        self._perm = {(): self.nodes}
 
     @classmethod
     def iwahori_weyl(cls, fin):
@@ -138,8 +113,8 @@ class CartanContext:
         gradient minus the highest echelonnage root psi and the multiple of
         -psi^vee (the comarks vector) pairing to 2 with it.  The wall matrix
         A' pairs these.  The slope of wall j is its gradient over delta_x,
-        for the null root delta (slopes), and the tau of each Omega
-        residue is what least-descent stripping leaves of its translation.
+        for the null root delta (slopes), and the node permutation of each
+        Omega residue is read off its translation (module docstring).
         """
         walls = {}
         for i in fin.nodes:
@@ -173,13 +148,30 @@ class CartanContext:
         eng._slopes = tuple(
             tuple(g / eng._delta[fin.x] for g in walls[j][0]) for j in nodes
         )
-        eng._taus = {}
-        eng._residues = {}
-        for res in _omega_residues(fin):
-            tau = reduced_word(eng, eng.translation(res))[1]
-            eng._taus[res] = tau
-            eng._residues[tau] = res
+        eng._g = fin.g
+        residues = _omega_residues(fin)
+        eng._perm = {res: eng._omega_perm(res) for res in residues}
+        eng._id = (eng._rho, residues[0])
         return eng
+
+    def _omega_perm(self, res):
+        """tau(j) over the nodes j for the tau of res: t_res = w tau sends
+        alpha_j to alpha_j - k_j delta, so tau(alpha_j) = w^{-1}(alpha_j -
+        k_j delta), and w^{-1} applies the letters of w first to last."""
+        k = self.slopes(res)
+        word = orbit_word(self, translation_rho(self, k))
+        perm = []
+        for j in self.nodes:
+            beta = [int(i == j) - k[j] * d for i, d in enumerate(self._delta)]
+            for i in word:
+                beta[i] -= sum(map(mul, self.a[i], beta))
+            image = [i for i, b in enumerate(beta) if b]
+            if len(image) != 1 or beta[image[0]] != 1:
+                raise ConsistencyError(
+                    f"the tau of {res} sends alpha_{j} to {beta}, "
+                    "not a simple root")
+            perm.append(image[0])
+        return tuple(perm)
 
     # -- group operations --
 
@@ -187,52 +179,38 @@ class CartanContext:
         return self._id
 
     def mul(self, x, y):
-        return CoxElement(
-            linalg.matmul(x.m, y.m), linalg.matmul(y.minv, x.minv)
-        )
-
-    def inv(self, x):
-        return CoxElement(x.minv, x.m)
+        """x y = w tau(v rho) with the residues added (module docstring)."""
+        (nu, res), (mu, res_y) = x, y
+        moved = [0] * len(mu)
+        for j, c in zip(self._perm[res], mu):
+            moved[j] = c
+        return (orbit_point(self, orbit_word(self, nu), moved),
+                tuple((r + s) % g for r, s, g in zip(res, res_y, self._g)))
 
     def lmul(self, i, x):
-        """s_i x by one-row updates, without a matrix product.
-
-        Row i of m becomes m[i] - sum_c a[i][c] m[c], and each row r of
-        minv loses minv[r][i] times a[i], since (s_i x)^{-1} = x^{-1} s_i.
-        """
-        row = self.a[i]
-        return CoxElement(
-            _row_update(x.m, i, row), _col_update(x.minv, i, row)
-        )
+        """s_i x: s_i moves the weight, nu_j - nu_i a_ji."""
+        nu, res = x
+        c = nu[i]
+        return tuple(v - c * row[i] for v, row in zip(nu, self.a)), res
 
     def rmul(self, x, i):
-        """x s_i, the mirror of lmul.
-
-        Each row r of m loses m[r][i] times a[i], and row i of minv becomes
-        minv[i] - sum_c a[i][c] minv[c].
-        """
-        row = self.a[i]
-        return CoxElement(
-            _col_update(x.m, i, row), _row_update(x.minv, i, row)
-        )
-
-    def _col_negative(self, m, i):
-        col = [row[i] for row in m]
-        neg = any(c < 0 for c in col)
-        if neg and any(c > 0 for c in col):
-            raise ConsistencyError(
-                f"root column {i} has mixed signs: not a real root"
-            )
-        return neg
+        """x s_i = w s_{tau(i)} tau, through the word of w."""
+        nu, res = x
+        word = orbit_word(self, nu) + (self._perm[res][i],)
+        return orbit_point(self, word, self._rho), res
 
     def is_left_descent(self, i, x):
-        return self._col_negative(x.minv, i)
+        return x[0][i] < 0
 
     def is_right_descent(self, x, i):
-        return self._col_negative(x.m, i)
+        """s_{tau(i)} is a right descent of w, so a left descent of
+        w^{-1}: read off w^{-1} rho."""
+        nu, res = x
+        inv = orbit_point(self, orbit_word(self, nu)[::-1], self._rho)
+        return inv[self._perm[res][i]] < 0
 
     def length(self, x):
-        return len(reduced_word(self, x)[0])
+        return len(orbit_word(self, x[0]))
 
     # -- translations, Omega-classes and tau representatives --
 
@@ -247,34 +225,24 @@ class CartanContext:
         return tuple(map(int, k))
 
     def translation(self, lam):
-        """t_lam as a root matrix, m = I - delta k^T for the slopes k of lam.
-
-        delta's coefficients annihilate the walls' gradients (their sum is
-        the gradient of a constant), so k^T delta = 0 and minv = I + delta
-        k^T, the matrix of t_{-lam}.  reduced_word strips t_lam along the
-        walk of v0 + lam into the base alcove, down to lam's tau.
-        """
-        k = self.slopes(lam)
-        eye, d = self._id.m, self._delta
-        return CoxElement(
-            tuple(tuple(e - dr * kc for e, kc in zip(row, k))
-                  for row, dr in zip(eye, d)),
-            tuple(tuple(e + dr * kc for e, kc in zip(row, k))
-                  for row, dr in zip(eye, d)),
-        )
+        """t_lam, the pair (t_lam rho, lam mod g) (module docstring)."""
+        return (translation_rho(self, self.slopes(lam)),
+                tuple(Fraction(c) % g for c, g in zip(lam, self._g)))
 
     def omega_class(self, x):
-        return self._residues[reduced_word(self, x)[1]]
+        return x[1]
 
     def omega_residues(self):
-        return tuple(sorted(self._taus))
+        return tuple(sorted(self._perm))
 
     def tau_for_class(self, res):
-        return self._taus[res]
+        if res not in self._perm:
+            raise KeyError(f"{res} is not an Omega residue")
+        return self._rho, res
 
     def tau_conj_node(self, tau, i):
         """The node j with tau s_i tau^{-1} = s_j."""
-        return next(j for j, row in enumerate(tau.m) if row[i])
+        return self._perm[tau[1]][i]
 
     def bruhat_leq(self, v, w):
         """Extended Bruhat order, by descent lifting.
@@ -320,23 +288,6 @@ def _symmetrizer(a):
     return tuple(int(v * lcm) for v in d)
 
 
-def _row_update(m, p, ap):
-    """(I - e_p ap) M: row p becomes M[p] - sum_c ap[c] M[c]."""
-    new = m[p]
-    for c, coef in enumerate(ap):
-        if coef:
-            new = tuple(u - coef * v for u, v in zip(new, m[c]))
-    return m[:p] + (new,) + m[p + 1:]
-
-
-def _col_update(m, p, ap):
-    """M (I - e_p ap): each row r loses M[r][p] times ap."""
-    return tuple(
-        tuple(u - row[p] * v for u, v in zip(row, ap)) if row[p] else row
-        for row in m
-    )
-
-
 def _omega_residues(fin):
     """Canonical residues of the coweight lattice modulo translations.
 
@@ -363,26 +314,15 @@ def _omega_residues(fin):
 
 
 def reduced_word(eng, x):
-    """Deterministic reduced word by least-descent stripping.
-
-    Returns (word, remainder); the remainder has length zero (the identity,
-    or a tau-twist in the Iwahori-Weyl group).  Nothing is stored: where an
-    element is made by a closure, its word comes with it.
-    """
-    word = []
-    while True:
-        i = next((j for j in eng.nodes if eng.is_left_descent(j, x)), None)
-        if i is None:
-            return tuple(word), x
-        word.append(i)
-        x = eng.lmul(i, x)
+    """The least-descent reduced word of x and the tau it leaves, x = word
+    tau: orbit_word strips x rho (module docstring)."""
+    return orbit_word(eng, x[0]), eng.tau_for_class(x[1])
 
 
 def from_word(eng, word, rem=None):
-    x = eng.identity() if rem is None else rem
-    for i in reversed(word):
-        x = eng.lmul(i, x)
-    return x
+    """s_{w_1} ... s_{w_l} rem, rem the identity if not given."""
+    nu, res = eng.identity() if rem is None else rem
+    return orbit_point(eng, word, nu), res
 
 
 def coset_min(eng, x, left_gens=(), right_gens=()):

@@ -67,29 +67,203 @@ def w0_orbit(fin, lam):
     return tuple(sorted(seen))
 
 
+# -- the root-matrix engine ----------------------------------------------------
+#
+# weyl.CartanContext keeps an element x = w tau as its weight x rho and its
+# Omega residue.  The reference here keeps its integer root matrix m, column
+# j the root x(alpha_j), and the matrix minv of x^{-1}: the generator s_p is
+# the identity except in row p, which is e_p - a[p], so s_p M changes only
+# row p of M, to M[p] - sum_c a[p][c] M[c], and M s_p subtracts M[r][p]
+# a[p][c] from each entry (r, c).  Real roots of affine or finite GCMs have
+# coordinate vectors of a single sign, so the sign of column i decides
+# whether s_i is a descent.  t_lam has m = I - delta k^T for the slopes k of
+# lam, and each tau is what least-descent stripping leaves of the
+# translation of its residue, a permutation matrix.
+
+
+def matmul(a, b):
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+class CoxElement:
+    """Group element: its root matrix m, which decides equality, and minv."""
+
+    __slots__ = ("m", "minv", "_hash")
+
+    def __init__(self, m, minv):
+        self.m = m
+        self.minv = minv
+        self._hash = hash(m)
+
+    def __eq__(self, other):
+        return isinstance(other, CoxElement) and self.m == other.m
+
+    def __hash__(self):
+        return self._hash
+
+
+def _row_update(m, p, ap):
+    """(I - e_p ap) M: row p becomes M[p] - sum_c ap[c] M[c]."""
+    new = m[p]
+    for c, coef in enumerate(ap):
+        if coef:
+            new = tuple(u - coef * v for u, v in zip(new, m[c]))
+    return m[:p] + (new,) + m[p + 1:]
+
+
+def _col_update(m, p, ap):
+    """M (I - e_p ap): each row r loses M[r][p] times ap."""
+    return tuple(
+        tuple(u - row[p] * v for u, v in zip(row, ap)) if row[p] else row
+        for row in m
+    )
+
+
+def strip(meng, x):
+    """(word, tau) with x = word tau, by least-descent stripping of root
+    matrices; tau has length zero."""
+    word = []
+    while True:
+        i = next((j for j in meng.nodes if meng.is_left_descent(j, x)), None)
+        if i is None:
+            return tuple(word), x
+        word.append(i)
+        x = meng.lmul(i, x)
+
+
+class MatrixEngine:
+    """The group of a weyl.CartanContext on root matrices (above), with the
+    same Cartan matrix, symmetrizer, slopes and Omega residues."""
+
+    def __init__(self, ctx):
+        self.a, self.nodes, self.sym = ctx.a, ctx.nodes, ctx.sym
+        eye = tuple(tuple(int(i == j) for j in self.nodes) for i in self.nodes)
+        self._id = CoxElement(eye, eye)
+        self._taus = {(): self._id}
+        if hasattr(ctx, "_slopes"):  # an Iwahori-Weyl group
+            self._delta, self.slopes = ctx._delta, ctx.slopes
+            self._taus = {res: strip(self, self.translation(res))[1]
+                          for res in ctx.omega_residues()}
+        self._residues = {tau: res for res, tau in self._taus.items()}
+
+    def identity(self):
+        return self._id
+
+    def mul(self, x, y):
+        return CoxElement(matmul(x.m, y.m), matmul(y.minv, x.minv))
+
+    def inv(self, x):
+        return CoxElement(x.minv, x.m)
+
+    def lmul(self, i, x):
+        return CoxElement(_row_update(x.m, i, self.a[i]),
+                          _col_update(x.minv, i, self.a[i]))
+
+    def rmul(self, x, i):
+        return CoxElement(_col_update(x.m, i, self.a[i]),
+                          _row_update(x.minv, i, self.a[i]))
+
+    def from_word(self, word, rem=None):
+        x = self._id if rem is None else rem
+        for i in reversed(word):
+            x = self.lmul(i, x)
+        return x
+
+    @staticmethod
+    def _col_negative(m, i):
+        col = [row[i] for row in m]
+        neg = any(c < 0 for c in col)
+        if neg and any(c > 0 for c in col):
+            raise ConsistencyError(
+                f"root column {i} has mixed signs: not a real root")
+        return neg
+
+    def is_left_descent(self, i, x):
+        return self._col_negative(x.minv, i)
+
+    def is_right_descent(self, x, i):
+        return self._col_negative(x.m, i)
+
+    def length(self, x):
+        return len(strip(self, x)[0])
+
+    def translation(self, lam):
+        """t_lam, m = I - delta k^T; k^T delta = 0, so minv = I + delta k^T."""
+        k, eye = self.slopes(lam), self._id.m
+        return CoxElement(
+            tuple(tuple(e - dr * kc for e, kc in zip(row, k))
+                  for row, dr in zip(eye, self._delta)),
+            tuple(tuple(e + dr * kc for e, kc in zip(row, k))
+                  for row, dr in zip(eye, self._delta)))
+
+    def omega_class(self, x):
+        return self._residues[strip(self, x)[1]]
+
+    def omega_residues(self):
+        return tuple(sorted(self._taus))
+
+    def tau_for_class(self, res):
+        return self._taus[res]
+
+    def tau_conj_node(self, tau, i):
+        """The node j with tau s_i tau^{-1} = s_j: tau(alpha_i) = alpha_j."""
+        return next(j for j, row in enumerate(tau.m) if row[i])
+
+    def bruhat_leq(self, v, w):
+        """Extended Bruhat order by descent lifting (weyl.CartanContext)."""
+        lv, lw = self.length(v), self.length(w)
+        while lv < lw:
+            i = next(j for j in self.nodes if self.is_left_descent(j, w))
+            w = self.lmul(i, w)
+            lw -= 1
+            if self.is_left_descent(i, v):
+                v = self.lmul(i, v)
+                lv -= 1
+        return v == w
+
+
+@functools.lru_cache(maxsize=None)
+def matrix_engine(ctx):
+    """The MatrixEngine of a weight engine, one per engine."""
+    return MatrixEngine(ctx)
+
+
+def as_matrix(ctx, x):
+    """The root matrix of an element of a weight engine, from its word and
+    the tau of its residue."""
+    meng = matrix_engine(ctx)
+    return meng.from_word(reduced_word(ctx, x)[0],
+                          meng.tau_for_class(ctx.omega_class(x)))
+
+
 def translation_split(eng, fin, lam):
-    """The translations t_{w lam}, w in W_0, as root matrices, in the order
-    of the sorted orbit, each mapped to the least-descent word that
-    reduced_word strips from it, and the tau they all strip down to."""
-    split = {t: reduced_word(eng, t)
-             for t in map(eng.translation, w0_orbit(fin, lam))}
-    taus = {tau for _, tau in split.values()}
+    """The least-descent words that stripping the root matrices of the
+    translations t_{w lam}, w in W_0, leaves, in the order of the sorted
+    orbit, and the Omega residue of the tau they all strip down to."""
+    meng = matrix_engine(eng)
+    split = [strip(meng, meng.translation(v)) for v in w0_orbit(fin, lam)]
+    taus = {tau for _, tau in split}
     if len(taus) != 1:
         raise ConsistencyError(f"the translations of {lam} strip to "
                                f"{len(taus)} Omega-classes")
-    return {t: word for t, (word, _) in split.items()}, taus.pop()
+    return tuple(word for word, _ in split), meng.omega_class(taus.pop())
 
 
-def longest_element(eng, cap=100000):
-    """The longest element of a finite Coxeter engine, by greedy ascent."""
-    x = eng.identity()
+def longest_word(ctx, cap=100000):
+    """A reduced word of the longest element of a finite Coxeter group, by
+    greedy ascent on root matrices."""
+    meng = matrix_engine(ctx)
+    x = meng.identity()
     for _ in range(cap):
         i = next(
-            (j for j in eng.nodes if not eng.is_right_descent(x, j)), None
+            (j for j in meng.nodes if not meng.is_right_descent(x, j)), None
         )
         if i is None:
-            return x
-        x = eng.rmul(x, i)
+            return strip(meng, x)[0]
+        x = meng.rmul(x, i)
     raise ResourceCapError("longest element ascent", cap, cap)
 
 
@@ -98,69 +272,76 @@ def gen(eng, i):
     return eng.lmul(i, eng.identity())
 
 
-def coroot_coords(eng, x, i):
-    """Coordinates of x(alpha_i^vee) over the simple coroots.
-
-    Column i of D m D^{-1}: entry r is d_r m[r][i] / d_i.
-    """
-    d = eng.sym
+def coroot_coords(meng, x, i):
+    """Coordinates of x(alpha_i^vee) over the simple coroots, for a root
+    matrix x: column i of D m D^{-1}, entry r is d_r m[r][i] / d_i."""
+    d = meng.sym
     return tuple(dr * row[i] // d[i] for dr, row in zip(d, x.m))
 
 
-def orbit_weight(eng, x, shape):
+def orbit_weight(meng, x, shape):
     """The weight x shape, nu_j = <shape, x^{-1} alpha_j^vee>, read off the
-    matrix of x^{-1}: it acts on coroots by D minv D^{-1}."""
-    d = eng.sym
+    root matrix of x^{-1}: it acts on coroots by D minv D^{-1}."""
+    d = meng.sym
     return tuple(
         sum(s * di * row[j] for s, di, row in zip(shape, d, x.minv)) // d[j]
         for j in range(len(d)))
 
 
-def inversions_oracle(eng, x):
+def inversions_oracle(meng, x):
     """Every word drop of x's reduced word, s_beta x for the inversion root
-    beta, with beta in root and coroot coordinates (slow)."""
-    word, rem = reduced_word(eng, x)
-    pre = eng.identity()
+    beta, with beta in root and coroot coordinates, on root matrices
+    (slow)."""
+    word, rem = strip(meng, x)
+    pre = meng.identity()
     out = set()
     for k, i in enumerate(word):
         beta = tuple(row[i] for row in pre.m)
-        beta_co = coroot_coords(eng, pre, i)
-        pre = eng.rmul(pre, i)
-        out.add((from_word(eng, word[:k] + word[k + 1:], rem), beta, beta_co))
+        beta_co = coroot_coords(meng, pre, i)
+        pre = meng.rmul(pre, i)
+        out.add((meng.from_word(word[:k] + word[k + 1:], rem), beta, beta_co))
     return out
 
 
-def covers_oracle(eng, x):
+def covers_oracle(meng, x):
     """The drops of inversions_oracle whose length is l - 1 (slow)."""
-    n = eng.length(x) - 1
-    return {drop for drop in inversions_oracle(eng, x)
-            if eng.length(drop[0]) == n}
+    n = meng.length(x) - 1
+    return {drop for drop in inversions_oracle(meng, x)
+            if meng.length(drop[0]) == n}
 
 
-def sort_key(eng):
-    """The key of the (length, m) order on elements of eng."""
-    return lambda x: (eng.length(x), x.m)
+def sort_key(ctx):
+    """The key of the (length, m) order on the elements of a weight engine,
+    m the root matrix of the element."""
+    meng = matrix_engine(ctx)
+
+    def key(x):
+        m = as_matrix(ctx, x)
+        return meng.length(m), m.m
+    return key
 
 
-def interval_oracle(eng, tops, right_quotient):
-    """The quotient Bruhat graph below the tops, elements of eng: nodes
-    and (upper, lower, beta, beta_co) edges, by coset minima of every cover
-    and a length check, in sort_key order."""
-    start = {coset_min(eng, t, (), right_quotient) for t in tops}
+def interval_oracle(meng, tops, right_quotient):
+    """The quotient Bruhat graph below the tops, root matrices: nodes and
+    (upper, lower, beta, beta_co) edges, by coset minima of every cover
+    and a length check, in (length, m) order."""
+    start = {coset_min(meng, t, (), right_quotient) for t in tops}
     nodes, edges, frontier = set(start), set(), list(start)
     while frontier:
         nxt = []
         for x in frontier:
-            for v, beta, beta_co in covers_oracle(eng, x):
-                v = coset_min(eng, v, (), right_quotient)
-                if eng.length(v) != eng.length(x) - 1:
+            for v, beta, beta_co in covers_oracle(meng, x):
+                v = coset_min(meng, v, (), right_quotient)
+                if meng.length(v) != meng.length(x) - 1:
                     continue
                 edges.add((x, v, beta, beta_co))
                 if v not in nodes:
                     nodes.add(v)
                     nxt.append(v)
         frontier = nxt
-    key = sort_key(eng)
+
+    def key(x):
+        return meng.length(x), x.m
     return (tuple(sorted(nodes, key=key)),
             tuple(sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))))
 

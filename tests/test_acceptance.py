@@ -26,8 +26,8 @@ from loopweyl.lspaths import PathSpace
 from loopweyl.rootdata import echelon_system, load_affine_datum
 from loopweyl.weyl import (CartanContext, bruhat_interval, from_word,
                            reduced_word)
-from oracles import (from_columns, gen, longest_element, series_cols,
-                     sort_key)
+from oracles import (from_columns, gen, longest_word, matrix_engine,
+                     series_cols, sort_key)
 
 _GATE = {"calibrated": False}
 
@@ -88,7 +88,7 @@ def test_finite_path_calibration_gate():
     for name in ("A(1)_2", "C(1)_2"):
         fin = fin_for(name)
         ctx = CartanContext(fin.ech_cartan)
-        top = reduced_word(ctx, longest_element(ctx))[0]
+        top = longest_word(ctx)
         two_rho = [
             sum(co[i] for _, co in fin.ech_pairs) for i in range(fin.r)
         ]
@@ -395,19 +395,22 @@ def test_structural_properties():
             assert eng.bruhat_leq(v, w) == (v in subs), (v, w)
             pairs += 1
 
-    # length-zero twists permute the simple reflections
+    # length-zero twists permute the simple reflections: the permutation
+    # of the weight engine is tau s_i tau^{-1} on root matrices
     twisted = 0
     for name in ("A(1)_1", "A(1)_2", "A(1)_3", "C(1)_2", "A(2)_2", "A(2)_3",
                  "A(2)_4", "A(2)_5", "B(1)_3", "D(2)_3", "D(3)_4"):
         fin = fin_for(name)
         eng = engine_for(fin)
+        meng = matrix_engine(eng)
         for res in eng.omega_residues():
             tau = eng.tau_for_class(res)
             image = [eng.tau_conj_node(tau, i) for i in fin.datum.nodes]
             assert sorted(image) == list(fin.datum.nodes), name
+            m = meng.tau_for_class(res)
             for i, j in zip(fin.datum.nodes, image):
-                lhs = eng.mul(eng.mul(tau, gen(eng, i)), eng.inv(tau))
-                assert lhs == gen(eng, j), (name, res, i)
+                lhs = meng.mul(meng.mul(m, gen(meng, i)), meng.inv(m))
+                assert lhs == gen(meng, j), (name, res, i)
             twisted += 1
 
     # the level-zero lift of any finite weight has no central charge

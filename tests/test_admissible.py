@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopweyl import linalg, weyl
+from loopweyl import linalg, lspaths, weyl
 from loopweyl.admissible import (adm, adm_count, adm_parahoric, context_for,
                                   engine_for, tau_conjugate_nodes,
                                   translations)
@@ -19,9 +19,10 @@ from loopweyl.lspaths import count_h_y
 from loopweyl.rootdata import (FiniteRootDatum, echelon_system,
                                load_affine_datum, special_nodes)
 from loopweyl.weyl import bruhat_interval, coset_min, from_word, reduced_word
-from oracles import (act, interval_oracle, orbit_weight, perm_ball,
-                     permissible, sort_key, tau_images, translation_split,
-                     w0_orbit)
+import oracles
+from oracles import (act, interval_oracle, matrix_engine, orbit_weight,
+                     perm_ball, permissible, sort_key, tau_images,
+                     translation_split, w0_orbit)
 
 
 def fin_for(name, x=0):
@@ -61,7 +62,8 @@ def test_structure():
         eng = engine_for(fin)
         s = adm(fin, mu=mu)
         cls = eng.omega_class(s.tau)
-        tops = set(translation_split(eng, fin, s.lam)[0])
+        tops = {from_word(eng, w, s.tau)
+                for w in translation_split(eng, fin, s.lam)[0]}
         # Adm(mu) is the neutral set times tau
         elements = {eng.mul(x, s.tau) for x in elements_of(s)}
         assert len(elements) == len(s.elements)
@@ -191,9 +193,10 @@ def test_cap_holds_on_stored_sets():
 
 def test_closures_and_saturations_build_no_group_elements(monkeypatch):
     # Adm(mu)°, its saturations, the path graphs and the Schubert closures
-    # walk weights, as the translations walk slopes: with CoxElement
-    # refused they still give the values of test_parahoric_values, h_Y at
-    # a = 1 and 2, and the cell counts
+    # walk weights, as the translations walk slopes: with the emit order's
+    # root matrices and the oracles' CoxElement refused they still give the
+    # values of test_parahoric_values, h_Y at a = 1 and 2, and the cell
+    # counts
     cases = [("A(1)_2", (1, 0, 0), (0, 1), (10, 5, 3, 13), (6, 15)),
              ("C(1)_2", (0, 1), (1,), (20, 5, 2, 4), (5, 14)),
              ("A(2)_2", (1, 0, 0), (0,), (6, 3, 2, 4), (6, 15))]
@@ -209,10 +212,11 @@ def test_closures_and_saturations_build_no_group_elements(monkeypatch):
     modulo = [schubert_count(group.fin, word, group.q, modulo=(0,))
               for group, word in zip(groups, words)]
 
-    def refuse(self, m, minv):
-        raise AssertionError("a CoxElement was built")
+    def refuse(*args):
+        raise AssertionError("a root matrix was built")
 
-    monkeypatch.setattr(weyl.CoxElement, "__init__", refuse)
+    monkeypatch.setattr(oracles.CoxElement, "__init__", refuse)
+    monkeypatch.setattr(lspaths, "root_matrix", refuse)
     for fin, (name, mu, y, values, h_y) in zip(fins, cases):
         par = adm_parahoric(adm(fin, mu=mu), y)
         assert (len(par.full), len(par.mod_right), len(par.double_min),
@@ -223,8 +227,11 @@ def test_closures_and_saturations_build_no_group_elements(monkeypatch):
         assert len(closure_points(group, word)) == \
             schubert_count(group.fin, word, group.q)
         assert schubert_count(group.fin, word, group.q, (0,)) == count
-    with pytest.raises(AssertionError, match="CoxElement"):
-        weyl.CoxElement((), ())
+    with pytest.raises(AssertionError, match="root matrix"):
+        oracles.CoxElement((), ())
+    # while the emitted paths, ordered by root matrices, are refused
+    with pytest.raises(AssertionError, match="root matrix"):
+        count_h_y(fins[0], mu=cases[0][1], y=cases[0][2], emit=True)
 
 
 def test_orbit_bound_is_the_listed_orbit_size():
@@ -270,33 +277,35 @@ def test_translations_match_the_root_matrix_split():
         fin = FiniteRootDatum(load_affine_datum(name), 0)
         eng = engine_for(fin)
         for lam in fundamental_coweights(fin, 300):
-            words, tau = translation_split(eng, fin, lam)
+            words, res = translation_split(eng, fin, lam)
             s = translations(fin, lam=lam)
-            assert s.words == tuple(words.values()), (name, lam)
-            assert s.tau == tau, (name, lam)
+            assert s.words == words, (name, lam)
+            assert eng.omega_class(s.tau) == res, (name, lam)
             checked += 1
     assert checked == 95
 
 
 def test_translations_build_no_group_elements(monkeypatch):
-    # with root matrices, their stripping and CoxElement refused,
+    # with the emit order's root matrices and the oracles' CoxElement
+    # refused, and the engine's translation and reduced_word too,
     # translations still lists the words and tau of the split
     fins = [FiniteRootDatum(load_affine_datum(name), 0)
             for name in ("A(1)_3", "C(1)_3", "A(2)_5", "G(1)_2")]
-    # the engines' tau tables are stripped from root matrices, and the
-    # oracle's splits too, before the patch
+    # the oracles' splits strip root matrices, before the patch
     cases = [(fin, lam, translation_split(engine_for(fin), fin, lam))
              for fin in fins for lam in fundamental_coweights(fin, 300)]
 
     def refuse(*args):
         raise AssertionError("the root-matrix path was taken")
 
-    monkeypatch.setattr(weyl.CoxElement, "__init__", refuse)
+    monkeypatch.setattr(oracles.CoxElement, "__init__", refuse)
+    monkeypatch.setattr(lspaths, "root_matrix", refuse)
     monkeypatch.setattr(weyl, "reduced_word", refuse)
-    for fin, lam, (words, tau) in cases:
-        monkeypatch.setattr(engine_for(fin), "translation", refuse)
+    for fin, lam, (words, res) in cases:
+        eng = engine_for(fin)
+        monkeypatch.setattr(eng, "translation", refuse)
         s = translations(fin, lam=lam)
-        assert (s.words, s.tau) == (tuple(words.values()), tau), lam
+        assert (s.words, eng.omega_class(s.tau)) == (words, res), lam
     assert len(cases) == 11
 
 
@@ -447,9 +456,8 @@ def closure_oracle(adm_set, y, y_circ):
     nodes = adm_set.fin.datum.nodes
     left = tuple(i for i in nodes if i not in y)
     right = tuple(i for i in nodes if i not in y_circ)
-    tau_inv = eng.inv(adm_set.tau)
-    tops = translation_split(eng, adm_set.fin, adm_set.lam)[0]
-    maxima = [coset_max(eng, eng.mul(t, tau_inv), left, right) for t in tops]
+    words = translation_split(eng, adm_set.fin, adm_set.lam)[0]
+    maxima = [coset_max(eng, from_word(eng, w), left, right) for w in words]
     shape = tuple(0 if i in right else 1 for i in nodes)
     graph = bruhat_interval(
         eng, shape, [reduced_word(eng, x)[0] for x in maxima])
@@ -511,17 +519,18 @@ def test_adm_matches_the_cover_closure():
     # root matrix of x^{-1}
     for name, mu in FILTER_CASES:
         fin = fin_for(name)
-        eng = engine_for(fin)
+        meng = matrix_engine(engine_for(fin))
         s = adm(fin, mu=mu)
         shape = (1,) * len(fin.datum.nodes)
-        oracle = interval_oracle(eng, [from_word(eng, w) for w in s.words],
+        oracle = interval_oracle(meng, [meng.from_word(w) for w in s.words],
                                  ())[0]
         assert len(s.elements) == len(oracle), (name, mu)
-        assert set(elements_of(s)) == set(oracle), (name, mu)
-        for nu, word in s.elements.items():
-            x = from_word(eng, word)
-            assert len(word) == eng.length(x), (name, mu, word)
-            assert orbit_weight(eng, eng.inv(x), shape) == nu, (name, mu, word)
+        elements = [meng.from_word(w) for w in s.elements.values()]
+        assert set(elements) == set(oracle), (name, mu)
+        for (nu, word), x in zip(s.elements.items(), elements):
+            assert len(word) == meng.length(x), (name, mu, word)
+            assert orbit_weight(meng, meng.inv(x), shape) == nu, \
+                (name, mu, word)
 
 
 def test_path_graph_is_the_filtered_saturation():
@@ -534,7 +543,7 @@ def test_path_graph_is_the_filtered_saturation():
     for name, mu in FILTER_CASES:
         fin = fin_for(name)
         eng = engine_for(fin)
-        ctx = context_for(fin.datum)
+        ctx = matrix_engine(context_for(fin.datum))
         s = adm(fin, mu=mu)
         nodes = fin.datum.nodes
         for k in range(1, len(nodes) + 1):
@@ -545,8 +554,8 @@ def test_path_graph_is_the_filtered_saturation():
                 assert tau_conjugate_nodes(s, y) == par.y_circ
                 assert graph.stab == tuple(
                     i for i in nodes if i not in par.y_circ), (name, mu, y)
-                moved = {orbit_weight(ctx, from_word(
-                    ctx, reduced_word(eng, x)[0]), graph.shape)
+                moved = {orbit_weight(ctx, ctx.from_word(
+                    reduced_word(eng, x)[0]), graph.shape)
                     for x in elements_of(s, par.mod_right)}
                 assert len(graph.nodes) == len(par.mod_right)
                 assert set(graph.nodes) == moved, (name, mu, y)

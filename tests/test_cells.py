@@ -15,8 +15,8 @@ from loopweyl.loops.chains import validate_chain
 from loopweyl.loops.kottwitz import is_unitary
 from loopweyl.loops.series import sdet, smul
 from loopweyl.weyl import from_word, lower_closure
-from oracles import (from_columns, interval_oracle, orbit_weight,
-                     series_cells, series_cols, series_refl, series_step,
+from oracles import (from_columns, interval_oracle, matrix_engine,
+                     orbit_weight, series_cells, series_cols, series_refl, series_step,
                      series_unip, sid, step_terms_of, transform)
 from test_chains import record_series
 from test_layertrace import load_layertrace
@@ -250,22 +250,24 @@ def test_subword_closures_match_the_cover_walk():
                                        ("su", 3, 3, 3, [])):
         group = CellGroup(kind, n, q)
         eng = engine_for(group.fin)
+        meng = matrix_engine(eng)
         shape = (1,) * len(group.nodes)
         for word in list(reduced_words(group, max_len)) + extra:
             words = lower_closure(eng, [word], shape)
-            top = [from_word(eng, word)]
-            elements = [from_word(eng, w) for w in words.values()]
-            assert set(elements) == set(interval_oracle(eng, top, ())[0]), \
+            top = [meng.from_word(word)]
+            elements = [meng.from_word(w) for w in words.values()]
+            assert set(elements) == set(interval_oracle(meng, top, ())[0]), \
                 word
             for x, (nu, x_word) in zip(elements, words.items()):
-                assert len(x_word) == eng.length(x), (word, x_word)
-                assert orbit_weight(eng, eng.inv(x), shape) == nu, \
+                assert len(x_word) == meng.length(x), (word, x_word)
+                assert orbit_weight(meng, meng.inv(x), shape) == nu, \
                     (word, x_word)
             for k in range(len(group.nodes)):
                 for modulo in combinations(group.nodes, k):
-                    minima = interval_oracle(eng, top, modulo)[0]
+                    minima = interval_oracle(meng, top, modulo)[0]
                     assert schubert_count(group.fin, word, q, modulo) == \
-                        sum(q ** eng.length(x) for x in minima), (word, modulo)
+                        sum(q ** meng.length(x) for x in minima), \
+                        (word, modulo)
 
 
 def test_closure_contains_cells():

@@ -1,17 +1,19 @@
 """Rational-structure path counts on affine diagrams."""
 
+import ast
 import gc
 import math
 import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopweyl import admissible, weyl
+from loopweyl import admissible, lspaths, weyl
 from loopweyl.admissible import (adm, adm_parahoric, context_for, engine_for,
                                   tau_conjugate_nodes, translations)
 from loopweyl.dims import check_coherence, weyl_dim
@@ -23,8 +25,8 @@ from loopweyl.rootdata import (FiniteRootDatum, datum_from_json,
                                load_affine_datum)
 from loopweyl.weyl import (CartanContext, bruhat_interval, from_word,
                            reduced_word)
-from oracles import (demazure_atoms, interval_oracle, longest_element,
-                     orbit_weight)
+from oracles import (demazure_atoms, interval_oracle, longest_word,
+                     matrix_engine, orbit_weight, strip)
 
 
 def fin_for(name, x=0):
@@ -59,7 +61,7 @@ def test_finite_calibration_matches_weyl_dim():
     for name in ("A(1)_2", "C(1)_2"):
         fin = fin_for(name)
         ctx = CartanContext(fin.ech_cartan)
-        top = reduced_word(ctx, longest_element(ctx))[0]
+        top = longest_word(ctx)
         two_rho_co = [
             sum(co[i] for _, co in fin.ech_pairs) for i in range(fin.r)
         ]
@@ -359,16 +361,17 @@ def test_per_node_counts_are_demazure_atoms():
     for name, mu, ys in ATOM_ROWS:
         fin = fin_for(name)
         ctx = context_for(fin.datum)
+        meng = matrix_engine(ctx)
         s = translations(fin, mu=mu)
-        tops = [from_word(ctx, w) for w in s.words]
+        tops = [meng.from_word(w) for w in s.words]
         for y in ys or _all_y(fin.datum.nodes):
             count_h_y(fin, mu=mu, y=y)
             graph = s.path_graphs[y]
-            nodes, _ = interval_oracle(ctx, tops, graph.stab)
+            nodes, _ = interval_oracle(meng, tops, graph.stab)
             index = {nu: k for k, nu in enumerate(graph.nodes)}
-            at = [index[orbit_weight(ctx, x, graph.shape)] for x in nodes]
+            at = [index[orbit_weight(meng, x, graph.shape)] for x in nodes]
             assert sorted(at) == list(range(len(graph.nodes))), (name, y)
-            words = [reduced_word(ctx, x)[0] for x in nodes]
+            words = [strip(meng, x)[0] for x in nodes]
             for a in (1, 2):
                 space = PathSpace(ctx, graph, a)
                 f = space.node_counts()
@@ -415,3 +418,36 @@ def test_a_refused_mu_is_refused_again_and_not_stored():
         assert fin.coherence_sets == {} and fin.adm_sets == {}
     assert check_coherence(fin, ((1, 0, 0),), (0,), 1).equal
     assert list(fin.coherence_sets) == [((1, 0, 0),)]
+
+
+# what a root-matrix engine is made of: its element class, the matrix
+# product, the one-row and one-column updates, and the inverse matrix
+MATRIX_NAMES = {"CoxElement", "matmul", "_row_update", "_col_update", "minv"}
+
+
+def test_root_matrix_is_the_one_root_matrix_in_src():
+    # group elements are weights, so the emit order's root_matrix is the
+    # only code in src/ that builds a root matrix: nothing there defines,
+    # imports or reads a name of MATRIX_NAMES or an attribute m, and
+    # root_matrix is defined once, in lspaths, and called only by
+    # PathSpace.matrices
+    root = Path(lspaths.__file__).parent
+    named, defs, callers = [], [], []
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            ident = getattr(node, "id", None) or getattr(node, "name", None) \
+                or getattr(node, "attr", None)
+            if ident in MATRIX_NAMES or \
+                    isinstance(node, ast.Attribute) and node.attr == "m":
+                named.append((name, ident))
+            if isinstance(node, ast.FunctionDef):
+                defs += [name] if node.name == "root_matrix" else []
+                callers += [(name, node.name) for call in ast.walk(node)
+                            if isinstance(call, ast.Call) and "root_matrix"
+                            in (getattr(call.func, "id", None),
+                                getattr(call.func, "attr", None))]
+    assert named == []
+    assert defs == ["lspaths.py"]
+    assert callers == [("lspaths.py", "matrices")]

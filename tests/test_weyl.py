@@ -20,10 +20,10 @@ from loopweyl import linalg, weyl
 from loopweyl.weyl import (CartanContext, bruhat_interval, coset_min,
                            from_word, labeled_covers_down, lower_closure,
                            orbit_point, orbit_word, reduced_word)
-from oracles import (coroot_coords, covers_oracle, gen, in_lattice,
+from oracles import (as_matrix, coroot_coords, covers_oracle, gen, in_lattice,
                      interval_oracle, inversions_oracle, lattice_basis,
-                     orbit_weight, sort_key, translation_length,
-                     translation_split, w0_orbit)
+                     matmul, matrix_engine, orbit_weight, sort_key, strip,
+                     translation_length, translation_split, w0_orbit)
 
 
 def fin_for(name, x=0):
@@ -146,18 +146,84 @@ def test_bruhat_leq_matches_subwords():
 
 
 def test_tau_conjugation_permutes_generators():
+    # tau s_i = s_j tau for j = tau_conj_node(tau, i), in the weight engine
+    # and in the root-matrix engine
     for name in ("A(1)_2", "A(1)_3", "A(2)_5"):
         fin = fin_for(name)
-        eng = engine_for(fin)
         nodes = fin.datum.nodes
-        for res in eng.omega_residues():
-            tau = eng.tau_for_class(res)
-            image = [eng.tau_conj_node(tau, i) for i in nodes]
-            assert sorted(image) == sorted(nodes), (name, res)
-            for i in nodes:
-                s = from_word(eng, [i])
-                conj = eng.mul(eng.mul(tau, s), eng.inv(tau))
-                assert conj == from_word(eng, [eng.tau_conj_node(tau, i)])
+        for group in (engine_for(fin), matrix_engine(engine_for(fin))):
+            for res in group.omega_residues():
+                tau = group.tau_for_class(res)
+                image = [group.tau_conj_node(tau, i) for i in nodes]
+                assert sorted(image) == sorted(nodes), (name, res)
+                for i, j in zip(nodes, image):
+                    assert group.mul(tau, gen(group, i)) == \
+                        group.mul(gen(group, j), tau), (name, res, i)
+
+
+def test_weight_engine_matches_the_root_matrix_engine():
+    # the weight engine against the root-matrix engine of the oracles, on
+    # every datum of rank <= 4 at each special node: each word of length <=
+    # 2 times each tau is built in both, and the two agree on reduced words,
+    # lengths, both descents, Omega classes and the node permutations of
+    # the taus; on the products of the words of length <= 1 by generators
+    # on either side, on random products, and on Bruhat order below them
+    rng = random.Random(37)
+    pairs = 0
+    for name in known_names():
+        datum = load_affine_datum(name)
+        if datum.rank > 4:
+            continue
+        nodes = datum.nodes
+        for x in special_nodes(datum):
+            eng = engine_for(echelon_system(datum, x))
+            meng = matrix_engine(eng)
+            assert meng.omega_residues() == eng.omega_residues()
+
+            def split(y, m):
+                # both sides of one element: (word, residue) twice
+                return ((reduced_word(eng, y)[0], eng.omega_class(y)),
+                        (strip(meng, m)[0], meng.omega_class(m)))
+
+            words = [()] + [(i,) for i in nodes] + \
+                [(i, j) for i in nodes for j in nodes]
+            both = [(from_word(eng, w, eng.tau_for_class(res)),
+                     meng.from_word(w, meng.tau_for_class(res)))
+                    for res in eng.omega_residues() for w in words]
+            for y, m in both:
+                word_res, matrix_word_res = split(y, m)
+                assert word_res == matrix_word_res, (name, x)
+                assert eng.length(y) == meng.length(m) == len(word_res[0])
+                tau, matrix_tau = reduced_word(eng, y)[1], strip(meng, m)[1]
+                for i in nodes:
+                    assert eng.is_left_descent(i, y) == \
+                        meng.is_left_descent(i, m), (name, x, i)
+                    assert eng.is_right_descent(y, i) == \
+                        meng.is_right_descent(m, i), (name, x, i)
+                    assert eng.tau_conj_node(tau, i) == \
+                        meng.tau_conj_node(matrix_tau, i), (name, x, i)
+            short = [pair for pair, w in zip(both, itertools.cycle(words))
+                     if len(w) <= 1]
+            for (y, m), i in itertools.product(short, nodes):
+                for p, q in ((eng.lmul(i, y), meng.lmul(i, m)),
+                             (eng.rmul(y, i), meng.rmul(m, i))):
+                    word_res, matrix_word_res = split(p, q)
+                    assert word_res == matrix_word_res, (name, x, i)
+            for (y, m), (z, n) in (rng.sample(both, 2) for _ in range(30)):
+                p, q = eng.mul(y, z), meng.mul(m, n)
+                word_res, matrix_word_res = split(p, q)
+                assert word_res == matrix_word_res, (name, x)
+                # a random subword of the product, and the factors
+                word, tau = reduced_word(eng, p)
+                keep = [k for k in word if rng.random() < 0.5]
+                below = (from_word(eng, keep, tau),
+                         meng.from_word(keep, strip(meng, q)[1]))
+                for (u, v), (uu, vv) in ((below, (p, q)), ((p, q), below),
+                                         ((y, m), (p, q)), ((p, q), (z, n))):
+                    assert eng.bruhat_leq(u, uu) == meng.bruhat_leq(v, vv)
+                assert eng.bruhat_leq(below[0], p)
+            pairs += 1
+    assert pairs == 48
 
 
 def test_omega_class_of_translations():
@@ -193,12 +259,13 @@ def regular_shape(eng):
 def test_bruhat_interval_agrees_with_leq():
     fin = fin_for("A(1)_2")
     eng = engine_for(fin)
+    meng = matrix_engine(eng)
     shape = regular_shape(eng)
     elements = ball(eng, fin.datum.nodes, 4)
     for word in ((0, 1), (0, 1, 2), (2, 1, 0, 2)):
         top = from_word(eng, list(word))
         graph = bruhat_interval(eng, shape, [word])
-        expected = {orbit_weight(eng, v, shape)
+        expected = {orbit_weight(meng, as_matrix(eng, v), shape)
                     for v in elements if eng.bruhat_leq(v, top)}
         assert set(graph.nodes) == expected
         for up, lo, _ in graph.edges:
@@ -220,10 +287,12 @@ def test_the_coroot_side_needs_a_symmetrizable_matrix():
 
 
 def test_one_row_updates_match_the_general_product():
-    # lmul and rmul update one row or column of each matrix; the general
-    # product by the generator's matrices is the oracle, on every datum of
-    # rank <= 4, in the Iwahori-Weyl engine (tau-twisted elements included)
-    # and in the affine Weyl group of the datum's own Cartan matrix
+    # lmul and rmul are the products by a generator: on root matrices they
+    # update one row or column of each matrix, and the general matrix
+    # product is the oracle; on weights lmul reflects the weight and rmul
+    # goes through the word, and mul is the check.  Every datum of rank <=
+    # 4, in the Iwahori-Weyl engine (tau-twisted elements included) and in
+    # the affine Weyl group of the datum's own Cartan matrix
     engines = 0
     for name in known_names():
         datum = load_affine_datum(name)
@@ -231,26 +300,28 @@ def test_one_row_updates_match_the_general_product():
             continue
         eng = engine_for(first_fin(datum))
         ctx = context_for(datum)
-        base = ball(eng, datum.nodes, 3)
-        twisted = {
-            eng.mul(w, eng.tau_for_class(res))
-            for w in base for res in eng.omega_residues()
-        }
-        for group, elements in ((eng, twisted), (ctx, ball(ctx, ctx.nodes, 3))):
+        for group, key in ((eng, tuple), (ctx, tuple),
+                           (matrix_engine(eng), matrices),
+                           (matrix_engine(ctx), matrices)):
+            elements = {
+                group.mul(w, group.tau_for_class(res))
+                for w in ball(group, group.nodes, 3)
+                for res in group.omega_residues()
+            }
             engines += 1
             for w in elements:
                 for i in group.nodes:
                     s_i = gen(group, i)
-                    assert matrices(group.lmul(i, w)) == \
-                        matrices(group.mul(s_i, w)), (name, i)
-                    assert matrices(group.rmul(w, i)) == \
-                        matrices(group.mul(w, s_i)), (name, i)
-    assert engines == 2 * 24
+                    assert key(group.lmul(i, w)) == \
+                        key(group.mul(s_i, w)), (name, i)
+                    assert key(group.rmul(w, i)) == \
+                        key(group.mul(w, s_i)), (name, i)
+    assert engines == 4 * 24
 
 
 def test_coroot_side_follows_from_the_symmetrizer():
-    # an element keeps no coroot matrices: x acts on coroots by D m D^{-1}
-    # and x^{-1} by D minv D^{-1}.  The oracle multiplies the coroot
+    # a root matrix needs no coroot matrices: x acts on coroots by D m
+    # D^{-1} and x^{-1} by D minv D^{-1}.  The oracle multiplies the coroot
     # matrices of the generators (row p is e_p - (A^T)[p]) along the
     # breadth-first walk that reaches each element, on the radius-4 balls
     # of the Iwahori-Weyl engine and of the affine Weyl group of the
@@ -259,7 +330,8 @@ def test_coroot_side_follows_from_the_symmetrizer():
     for name in known_names(5):
         datum = load_affine_datum(name)
         fin = first_fin(datum)
-        for group in (engine_for(fin), context_for(datum)):
+        for group in (matrix_engine(engine_for(fin)),
+                      matrix_engine(context_for(datum))):
             a, d = group.a, group.sym
             n = len(a)
             assert all(d[i] * a[i][j] == d[j] * a[j][i]
@@ -281,8 +353,8 @@ def test_coroot_side_follows_from_the_symmetrizer():
                         if y not in coroot and \
                                 not group.is_right_descent(x, i):
                             co, coinv = coroot[x]
-                            coroot[y] = (linalg.matmul(co, gens[i]),
-                                         linalg.matmul(gens[i], coinv))
+                            coroot[y] = (matmul(co, gens[i]),
+                                         matmul(gens[i], coinv))
                             nxt.append(y)
                 frontier = nxt
             for x, (co, coinv) in coroot.items():
@@ -321,15 +393,16 @@ def test_a_shape_with_zeros_closes_cosets():
         shape: (), (1, -1, 2): (1,)}
     assert list(lower_closure(eng, [(1, 0, 1)], shape).values()) == [
         (), (1,), (1, 0)]
+    meng = matrix_engine(eng)
     cosets = 0
     for x in ball(eng, eng.nodes, 4):
         closed = lower_closure(eng, [reduced_word(eng, x)[0]], shape)
-        minima = interval_oracle(eng, [eng.inv(x)], (0,))[0]
+        minima = interval_oracle(meng, [meng.inv(as_matrix(eng, x))], (0,))[0]
         assert len(closed) == len(minima)
         for z in minima:
-            word = closed[orbit_weight(eng, z, shape)][::-1]
-            assert from_word(eng, word) == z
-            assert len(word) == eng.length(z)
+            word = closed[orbit_weight(meng, z, shape)][::-1]
+            assert meng.from_word(word) == z
+            assert len(word) == meng.length(z)
         cosets += len(closed)
     assert cosets == 171
 
@@ -407,26 +480,27 @@ def test_covers_by_inversion_roots_match_the_length_oracle():
     for name in COVER_NAMES:
         datum = load_affine_datum(name)
         for group in (engine_for(first_fin(datum)), context_for(datum)):
+            meng = matrix_engine(group)
             shape = regular_shape(group)
             carried = {}
             words = (reduced_word(group, x)[0]
                      for x in ball(group, group.nodes, 5))
             for word in sorted(words, key=len):
-                x = from_word(group, word)
-                nu = orbit_weight(group, x, shape)
+                x = meng.from_word(word)
+                nu = orbit_weight(meng, x, shape)
                 assert nu == orbit_point(group, word, shape), name
                 assert orbit_word(group, nu) == word, name
                 carried[nu] = labeled_covers_down(
                     group, nu, word[0], carried) if word else []
-                drops = {orbit_weight(group, v, shape): beta_co
-                         for v, _, beta_co in inversions_oracle(group, x)}
+                drops = {orbit_weight(meng, v, shape): beta_co
+                         for v, _, beta_co in inversions_oracle(meng, x)}
                 assert len(carried[nu]) == len(drops) == len(word), name
                 for lower, p in carried[nu]:
                     assert p == sum(map(mul, drops[lower], lower)) > 0, name
                 covers = {lower for lower, _ in carried[nu]
                           if len(orbit_word(group, lower)) == len(word) - 1}
-                assert covers == {orbit_weight(group, v, shape)
-                                  for v, _, _ in covers_oracle(group, x)}
+                assert covers == {orbit_weight(meng, v, shape)
+                                  for v, _, _ in covers_oracle(meng, x)}
                 elements += 1
                 candidates += len(carried[nu])
                 cover_count += len(covers)
@@ -445,16 +519,17 @@ def test_interval_quotient_matches_the_coset_min_oracle():
                        ("A(2)_3", (0, 1, 2, 1, 0)), ("G(1)_2", (0, 1, 2, 1))):
         fin = fin_for(name)
         eng = engine_for(fin)
+        meng = matrix_engine(eng)
         nodes = fin.datum.nodes
         words = [word, (word[-1],) + word]
-        tops = [from_word(eng, w) for w in words]
+        tops = [meng.from_word(w) for w in words]
         for k in range(len(nodes)):
             for quotient in itertools.combinations(nodes, k):
                 shape = tuple(0 if i in quotient else i + 1 for i in nodes)
                 graph = bruhat_interval(eng, shape, words)
                 assert graph.stab == quotient
-                elements, edges = interval_oracle(eng, tops, quotient)
-                nu = {x: orbit_weight(eng, x, shape) for x in elements}
+                elements, edges = interval_oracle(meng, tops, quotient)
+                nu = {x: orbit_weight(meng, x, shape) for x in elements}
                 case = (name, quotient)
                 assert graph.nodes == tuple(sorted(
                     nu.values(), key=lambda v: (len(orbit_word(eng, v)), v)))
@@ -465,8 +540,8 @@ def test_interval_quotient_matches_the_coset_min_oracle():
                     for x, v, _, beta_co in edges}, case
                 element = {nu[x]: x for x in elements}
                 for v, w in zip(graph.nodes, graph.words):
-                    assert from_word(eng, w) == element[v], case
-                    assert len(w) == eng.length(element[v]), case
+                    assert meng.from_word(w) == element[v], case
+                    assert len(w) == meng.length(element[v]), case
                 graphs += 1
     assert graphs == 28
 
@@ -496,18 +571,19 @@ def test_handed_over_words_are_reduced():
         eng = engine_for(fin)
         s = adm(fin, mu=mu)
         nodes = fin.datum.nodes
-        # the words of the neutral translations t tau^{-1}
-        tau_inv = eng.inv(s.tau)
+        # the words of the neutral translations t tau^{-1}, against the
+        # words stripped from their root matrices
         neutral = [from_word(eng, w) for w in s.words]
         assert set(neutral) == {
-            eng.mul(t, tau_inv)
-            for t in translation_split(eng, fin, s.lam)[0]}, name
+            from_word(eng, w)
+            for w in translation_split(eng, fin, s.lam)[0]}, name
         checked += assert_reduced_words(eng, zip(neutral, s.words), name)
         # the words adm keeps, each under the weight x^{-1} rho of its x
+        meng = matrix_engine(eng)
         elements = [from_word(eng, w) for w in s.elements.values()]
         rho = (1,) * len(nodes)
-        assert [orbit_weight(eng, eng.inv(x), rho) for x in elements] == \
-            list(s.elements), name
+        assert [orbit_weight(meng, meng.inv(meng.from_word(w)), rho)
+                for w in s.elements.values()] == list(s.elements), name
         checked += assert_reduced_words(
             eng, zip(elements, s.elements.values()), name)
         for group in (eng, context_for(fin.datum)):
@@ -516,9 +592,11 @@ def test_handed_over_words_are_reduced():
                     shape = tuple(0 if i in quotient else 1 for i in nodes)
                     graph = bruhat_interval(group, shape, s.words)
                     elements = [from_word(group, w) for w in graph.words]
-                    for x, nu in zip(elements, graph.nodes):
+                    meng = matrix_engine(group)
+                    for x, w, nu in zip(elements, graph.words, graph.nodes):
                         assert coset_min(group, x, (), quotient) == x
-                        assert orbit_weight(group, x, shape) == nu
+                        assert orbit_weight(meng, meng.from_word(w),
+                                            shape) == nu
                     checked += assert_reduced_words(
                         group, zip(elements, graph.words), (name, quotient))
     assert checked == 1496
@@ -528,7 +606,8 @@ def test_walk_words_are_reduced_on_random_coweights():
     # stripping t_lam follows the walk of v0 + lam back into the base
     # alcove, which crosses each wall between them once, so its word is a
     # reduced word of t_lam tau^{-1}, of length <lam+, 2 rho>, and what is
-    # left is the tau of lam's class; t_lam is a homomorphism in lam.
+    # left is the tau of lam's class; t_lam is a homomorphism in lam, and
+    # its root matrix, inverted by minv, strips to the same word and tau.
     # Random coweights of every datum of rank <= 4, checked against the
     # Fraction walk of rootdata
     rng, rng_mu = random.Random(17), random.Random(18)
@@ -558,7 +637,10 @@ def test_walk_words_are_reduced_on_random_coweights():
                     tuple(a - b for a, b in zip(lam, res)), t_basis), case
                 assert eng.length(from_word(eng, word)) == len(word) == \
                     translation_length(fin, lam), case
-                assert linalg.matmul(t.m, t.minv) == eng.identity().m, case
+                meng = matrix_engine(eng)
+                m = meng.translation(lam)
+                assert matmul(m.m, m.minv) == meng.identity().m, case
+                assert strip(meng, m) == (word, meng.tau_for_class(res)), case
                 assert eng.mul(t, eng.translation(mu)) == eng.translation(
                     tuple(a + b for a, b in zip(lam, mu))), (case, mu)
                 checked += 1
