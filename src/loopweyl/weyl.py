@@ -151,7 +151,7 @@ class CartanContext:
         eng._g = fin.g
         residues = _omega_residues(fin)
         eng._perm = {res: eng._omega_perm(res) for res in residues}
-        eng._id = (eng._rho, residues[0])
+        eng._id = (eng._rho, residues[0])  # the zero residue sorts first
         return eng
 
     def _omega_perm(self, res):
