@@ -42,7 +42,6 @@ cap.  A saturation is one filter over the closure and is not stored.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import rootdata, weyl
@@ -61,18 +60,20 @@ def context_for(datum):
     return datum.context
 
 
-@dataclass(eq=False)
 class AdmissibleSet:
     """Adm(mu) of one lam (module docstring): words holds a reduced word of
     each t tau^{-1}, and adm fills elements, a dict from the weight x^{-1}
     rho of each x in Adm(mu)° to a reduced word of x (None before)."""
 
-    fin: object
-    lam: tuple
-    tau: object
-    words: tuple
-    elements: dict = None
-    path_graphs: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("fin", "lam", "tau", "words", "elements", "path_graphs")
+
+    def __init__(self, fin, lam, tau, words):
+        self.fin = fin
+        self.lam = lam
+        self.tau = tau
+        self.words = words
+        self.elements = None
+        self.path_graphs = {}
 
 
 def translations(fin, mu=None, lam=None, cap=20000):
@@ -152,7 +153,6 @@ def tau_conjugate_nodes(adm_set, nodes):
     )
 
 
-@dataclass(frozen=True)
 class Saturation:
     """The saturation as x u over x in mod_right and u in W_{S-Y°}.
 
@@ -160,21 +160,37 @@ class Saturation:
     times |W_{S-Y°}| (order); it is never multiplied out.
     """
 
-    mod_right: tuple
-    order: int
+    __slots__ = ("mod_right", "order")
+
+    def __init__(self, mod_right, order):
+        self.mod_right = mod_right
+        self.order = order
+
+    def __eq__(self, other):
+        if other.__class__ is not Saturation:
+            return NotImplemented
+        return (self.mod_right, self.order) == (other.mod_right, other.order)
 
     def __len__(self):
         return len(self.mod_right) * self.order
 
 
-@dataclass(frozen=True)
 class ParahoricAdmissible:
-    adm_set: object
-    y: tuple
-    y_circ: tuple
-    full: Saturation
-    mod_right: tuple
-    double_min: tuple
+    __slots__ = ("adm_set", "y", "y_circ", "full", "mod_right", "double_min")
+
+    def __init__(self, adm_set, y, y_circ, full, mod_right, double_min):
+        self.adm_set = adm_set
+        self.y = y
+        self.y_circ = y_circ
+        self.full = full
+        self.mod_right = mod_right
+        self.double_min = double_min
+
+    def __eq__(self, other):
+        if other.__class__ is not ParahoricAdmissible:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k)
+                   for k in self.__slots__)
 
 
 def adm_parahoric(adm_set, y):

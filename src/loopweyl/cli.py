@@ -23,8 +23,6 @@ read by their full names only, and a stdout whose reader has gone exits
 141 with nothing on stderr.
 """
 
-from __future__ import annotations
-
 import argparse
 import csv
 import itertools
@@ -35,7 +33,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
 
 from .admissible import adm, adm_count, adm_parahoric, engine_for
 from .dims import check_coherence
@@ -246,8 +243,9 @@ def emit(args, command, payload, text_lines, csv_rows=None, status="ok",
 def output_schema(command):
     """The json schema of command's output: the envelope with the command
     name put in for {command}, and the command's payload schema."""
-    doc = json.loads(
-        (resources.files("loopweyl") / "schemas" / "output.json").read_text())
+    path = os.path.join(os.path.dirname(__file__), "schemas", "output.json")
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
     schema = json.loads(
         json.dumps(doc["envelope"]).replace("{command}", command))
     schema["properties"]["payload"] = doc["payloads"][command]

@@ -20,7 +20,6 @@ for every row.
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import admissible, kactables, lspaths, rootdata
@@ -135,17 +134,21 @@ def iota_embed(datum, weights):
     return (head,) + tuple(weights)
 
 
-@dataclass(frozen=True)
 class CoherenceReport:
-    datum: str
-    mu: tuple
-    y: tuple
-    a: int
-    h_path: int
-    h_closed: int
-    equal: bool
-    seconds_path: float
-    seconds_closed: float
+    __slots__ = ("datum", "mu", "y", "a", "h_path", "h_closed", "equal",
+                 "seconds_path", "seconds_closed")
+
+    def __init__(self, datum, mu, y, a, h_path, h_closed, equal,
+                 seconds_path, seconds_closed):
+        self.datum = datum
+        self.mu = mu
+        self.y = y
+        self.a = a
+        self.h_path = h_path
+        self.h_closed = h_closed
+        self.equal = equal
+        self.seconds_path = seconds_path
+        self.seconds_closed = seconds_closed
 
 
 def check_coherence(fin, mu_parts, y, a, cap=20000):

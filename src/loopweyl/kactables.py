@@ -6,7 +6,6 @@ a_ij = <alpha_j, alpha_i^vee>, so row i lists the values of all simple roots
 on the i-th simple coroot.
 """
 
-import json
 import re
 
 from .errors import SpecParseError, UnknownDatumError
@@ -191,6 +190,7 @@ def _is_int(v):
 
 def datum_dict_from_json(text):
     """Parse the JSON interchange form; returns a plain dict of fields."""
+    import json
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

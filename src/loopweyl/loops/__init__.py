@@ -1,16 +1,15 @@
-"""Loop group side: series arithmetic, lattice chains, cells, and fibers."""
+"""Loop group side: series arithmetic, lattice chains, cells, and fibers.
 
-from .cells import CellGroup, cell_points, closure_points, schubert_count
-from .chains import Lattice, standard_member, validate_chain
-from .fiber import enumerate_fiber
-from .kottwitz import (is_unitary, kottwitz_gm, kottwitz_norm_one,
-                       kottwitz_unitary)
-from .series import EXACT, Series, parse_series
+Every name in __all__, and each submodule, loads on first use (PEP 562),
+so `from loopweyl.loops import Series` loads the series layer alone.
+"""
 
-__all__ = [
-    "CellGroup", "cell_points", "closure_points", "schubert_count",
-    "Lattice", "standard_member", "validate_chain",
-    "enumerate_fiber",
-    "is_unitary", "kottwitz_gm", "kottwitz_norm_one", "kottwitz_unitary",
-    "EXACT", "Series", "parse_series",
-]
+from .. import _lazy
+
+__all__, __getattr__ = _lazy(__name__, {
+    "cells": "CellGroup cell_points closure_points schubert_count",
+    "chains": "Lattice standard_member validate_chain",
+    "fiber": "enumerate_fiber",
+    "kottwitz": "is_unitary kottwitz_gm kottwitz_norm_one kottwitz_unitary",
+    "series": "EXACT Series parse_series",
+})

@@ -31,8 +31,6 @@ dropping the oldest words first; a cell whose prefixes were dropped is
 regrown from its longest stored prefix.
 """
 
-from __future__ import annotations
-
 from .. import weyl
 from ..admissible import engine_for
 from ..errors import (ConsistencyError, SpecParseError, UnsupportedDatumError,

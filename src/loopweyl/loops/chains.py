@@ -29,10 +29,6 @@ extended periodically by u^-1 in steps of n; for even n = 2m the extra token
 "m'" replaces u^-1 e_m by e_m and e_{m+1} by u^-1 e_{m+1} in the member for m.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
 from ..errors import SpecParseError
 from .series import EXACT, unit_inverse
 
@@ -110,13 +106,25 @@ def _mul(a, b, width, q, acc=()):
     return {e: c % q for e, c in out.items() if c % q}
 
 
-@dataclass(frozen=True)
 class Lattice:
     """A lattice by its key: the exact entries (start, coeffs) of its
     canonical basis, column by column, in which it also computes."""
-    q: int
-    n: int
-    entries: tuple
+
+    __slots__ = ("q", "n", "entries")
+
+    def __init__(self, q, n, entries):
+        self.q = q
+        self.n = n
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not Lattice:
+            return NotImplemented
+        return (self.q, self.n, self.entries) == (other.q, other.n,
+                                                  other.entries)
+
+    def __hash__(self):
+        return hash((self.q, self.n, self.entries))
 
     def det_ord(self):
         return sum(self.entries[i * (self.n + 1)][0] for i in range(self.n))

@@ -62,8 +62,6 @@ b-dimensional bottom, an (n-b)-dimensional top inside it and a lift in the
 other n-b bottom slots for each top row), counted without being built.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator

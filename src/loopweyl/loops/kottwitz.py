@@ -7,8 +7,6 @@ group with respect to the antidiagonal hermitian form (invariant in {+1, -1},
 the norm-one invariant of the determinant).
 """
 
-from __future__ import annotations
-
 from .series import Series, santidiag, sconj, sdet, smul, stranspose
 
 

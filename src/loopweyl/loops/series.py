@@ -20,8 +20,6 @@ factor's precision; a zero of finite precision is not exact and bounds the
 product's precision as any other factor does.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from ..errors import SeriesPrecisionError, SpecParseError, UnsupportedFieldError

@@ -42,18 +42,31 @@ a root matrix, as the group elements are weights (weyl module docstring).
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import admissible, rootdata, weyl
 from .errors import ResourceCapError
 
 
-@dataclass(frozen=True)
 class LSPath:
-    shape: tuple
-    directions: tuple  # reduced words of the coset minima, decreasing
-    cuts: tuple  # 0 = a_0 < a_1 < ... < a_s = 1
+    """An LS path of the given shape: directions are reduced words of the
+    coset minima, decreasing, and cuts are 0 = a_0 < a_1 < ... < a_s = 1."""
+
+    __slots__ = ("shape", "directions", "cuts")
+
+    def __init__(self, shape, directions, cuts):
+        self.shape = shape
+        self.directions = directions
+        self.cuts = cuts
+
+    def __eq__(self, other):
+        if other.__class__ is not LSPath:
+            return NotImplemented
+        return (self.shape, self.directions, self.cuts) == (
+            other.shape, other.directions, other.cuts)
+
+    def __hash__(self):
+        return hash((self.shape, self.directions, self.cuts))
 
 
 def shape_weight(datum, nodes, a):

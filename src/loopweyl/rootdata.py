@@ -11,28 +11,29 @@ All vectors over V are tuples in simple-coroot coordinates of the deleted
 diagram, in increasing node order.
 """
 
-import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 from . import kactables, linalg, weyl
 from .errors import UnknownDatumError, UnsupportedDatumError
 
 
-@dataclass(frozen=True, eq=False)
 class AffineRootDatum:
-    name: str
-    cartan: tuple
-    twist_order: int
-    marks: tuple
-    comarks: tuple
-    kappa: tuple
-    su_n: Optional[int]
-    # the FiniteRootDatum of each special node, built by echelon_system
-    fins: dict = field(default_factory=dict, init=False, repr=False)
+    """The data of the module docstring; su_n is the n of the unitary group
+    of an A(2) datum, else None (kactables.cartan_matrix)."""
+
+    def __init__(self, name, cartan, twist_order, marks, comarks, kappa,
+                 su_n):
+        self.name = name
+        self.cartan = cartan
+        self.twist_order = twist_order
+        self.marks = marks
+        self.comarks = comarks
+        self.kappa = kappa
+        self.su_n = su_n
+        # the FiniteRootDatum of each special node, built by echelon_system
+        self.fins = {}
 
     @cached_property
     def context(self):
@@ -106,6 +107,7 @@ def datum_from_json(text):
 
 def datum_to_json(datum):
     """Serialize a datum to its JSON interchange form."""
+    import json
     return json.dumps(
         {
             "name": datum.name,

@@ -77,7 +77,6 @@ one length to the next and keeps the covers as the edges of a PathGraph.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -450,7 +449,6 @@ def lower_closure(eng, words, shape, cap=20000,
     return found
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class PathGraph:
     """The quotient Bruhat graph below some cosets of W/W_J, on the orbit
     W shape (module docstring).
@@ -463,11 +461,14 @@ class PathGraph:
     either end.
     """
 
-    shape: tuple
-    stab: tuple
-    nodes: tuple
-    words: tuple
-    edges: tuple
+    __slots__ = ("shape", "stab", "nodes", "words", "edges")
+
+    def __init__(self, shape, stab, nodes, words, edges):
+        self.shape = shape
+        self.stab = stab
+        self.nodes = nodes
+        self.words = words
+        self.edges = edges
 
 
 def bruhat_interval(eng, shape, tops, cap=20000):

@@ -178,6 +178,10 @@ def test_repeated_calls_return_the_stored_sets():
     other = adm_parahoric(s, (0, 1, 2))
     assert other != par
     assert (len(par.full), len(other.full)) == (10, 7)
+    # a saturation is |mod_right| cosets of W_{S-Y°}, each of size order
+    for p in (par, other):
+        assert p.full.mod_right == p.mod_right
+        assert len(p.full) == len(p.mod_right) * p.full.order
     assert adm_parahoric(s, (0, 1, 2)) == other
 
 

@@ -172,8 +172,12 @@ def test_standard_members():
             assert L.det_ord() == -j
         # periodicity: the token j + n member is u^-1 times the token j member
         for j in range(n):
-            assert standard_member(q, n, j + n) == \
-                standard_member(q, n, j).scale(-1)
+            shifted = standard_member(q, n, j).scale(-1)
+            assert standard_member(q, n, j + n) == shifted
+            assert hash(standard_member(q, n, j + n)) == hash(shifted)
+        assert len({standard_member(q, n, j) for j in range(2 * n)} |
+                   {standard_member(q, n, j).scale(-1)
+                    for j in range(n)}) == 2 * n
     Lm = standard_member(3, 4, "m'")
     assert Lm.det_ord() == -2
     assert Lm != standard_member(3, 4, 2)

@@ -521,7 +521,9 @@ def test_golden_payloads_fit_their_schemas():
         jsonschema.validate(doc, output_schema(command))
 
 
-def test_every_command_has_a_schema():
+def test_every_command_has_a_schema(tmp_path, monkeypatch):
+    # the schema file is found beside cli.py, whatever the working directory
+    monkeypatch.chdir(tmp_path)
     subs = next(action for action in build_parser()._actions
                 if isinstance(action, argparse._SubParsersAction))
     assert len(subs.choices) == 9

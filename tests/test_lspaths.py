@@ -18,8 +18,8 @@ from loopweyl.admissible import (adm, adm_parahoric, context_for, engine_for,
                                   tau_conjugate_nodes, translations)
 from loopweyl.dims import check_coherence, weyl_dim
 from loopweyl.errors import ResourceCapError
-from loopweyl.lspaths import (PathSpace, count_h_y, cut_pairs, is_ls_path,
-                              shape_weight)
+from loopweyl.lspaths import (LSPath, PathSpace, count_h_y, cut_pairs,
+                              is_ls_path, shape_weight)
 from loopweyl.rootdata import (FiniteRootDatum, datum_from_json,
                                datum_to_json, echelon_system,
                                load_affine_datum)
@@ -83,6 +83,10 @@ def test_emitted_paths_are_ls_paths():
         n, paths = count_h_y(fin, mu=(1, 0, 0), y=y, a=a, emit=True)
         assert len(paths) == n
         assert len({p for p in paths}) == n
+        # a path is its value: an equal path is equal and hashes equal
+        again = [LSPath(p.shape, p.directions, p.cuts) for p in paths]
+        assert again == paths and set(again) == set(paths)
+        assert [hash(p) for p in again] == [hash(p) for p in paths]
         s = adm(fin, mu=(1, 0, 0))
         par = adm_parahoric(s, y)
         shape = shape_weight(fin.datum, par.y_circ, a)

@@ -159,6 +159,17 @@ def test_json_round_trip():
             assert getattr(rt, field) == getattr(d, field), (name, field)
 
 
+def test_each_datum_keeps_its_own_echelon_systems():
+    # fins is filled by echelon_system, so two data never share it
+    a, b = load_affine_datum("A(1)_2"), load_affine_datum("C(1)_2")
+    c = datum_from_json(datum_to_json(a))
+    d = datum_from_json(datum_to_json(a))
+    assert len({id(x.fins) for x in (a, b, c, d)}) == 4
+    fin = echelon_system(c, 0)
+    assert c.fins == {0: fin} and fin not in d.fins.values()
+    assert echelon_system(c, 0) is fin and echelon_system(d, 0) is not fin
+
+
 def test_json_rejects_garbage():
     with pytest.raises(Exception):
         datum_from_json("{\"name\": \"X\"}")
