@@ -20,24 +20,30 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 HEAVY = {"dataclasses", "inspect", "json", "typing"}
 
+SUBMODULES = [f"loopweyl.{name}" for name in (
+    "admissible", "dims", "errors", "kactables", "linalg", "lspaths",
+    "rootdata", "weyl")] + [f"loopweyl.loops.{name}" for name in (
+        "cells", "chains", "fiber", "kottwitz", "series")]
+
+
+def fresh(code):
+    """The standard output of code run in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys; sys.path.insert(0, {str(SRC)!r}); {code}"],
+        check=True, capture_output=True, text=True, timeout=60).stdout
+
 
 def loaded_after(statement):
     """The modules that statement loads in a fresh interpreter."""
-    probe = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
-             f"before = set(sys.modules); {statement}; "
-             "print(*sorted(set(sys.modules) - before))")
-    out = subprocess.run([sys.executable, "-S", "-c", probe], check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    return set(out.split())
-
-
-def ours(modules):
-    return {m for m in modules if m.split(".")[0] == "loopweyl"}
+    return set(fresh(f"before = set(sys.modules); {statement}; "
+                     "print(*set(sys.modules) - before)").split())
 
 
 def test_bare_import_loads_only_the_packages():
     new = loaded_after("import loopweyl, loopweyl.loops")
-    assert ours(new) == {"loopweyl", "loopweyl.loops"}
+    assert {m for m in new if m.startswith("loopweyl")} == \
+        {"loopweyl", "loopweyl.loops"}
     assert not new & HEAVY
 
 
@@ -61,6 +67,12 @@ def test_cli_loads_no_introspection():
                       "importlib.resources"}
 
 
+def test_submodules_resolve_after_a_bare_import():
+    names = ", ".join(f"{m}.__name__" for m in SUBMODULES)
+    out = fresh(f"import loopweyl, loopweyl.loops; print({names})")
+    assert out.split() == SUBMODULES
+
+
 def home_module(package, name, value):
     """The submodule of package that defines value: its __module__, or for
     a constant the first submodule that binds it."""
@@ -75,9 +87,10 @@ def home_module(package, name, value):
 @pytest.mark.parametrize("package", [loopweyl, loopweyl.loops],
                          ids=lambda p: p.__name__)
 def test_every_export_is_its_home_modules_object(package):
-    names = [n for n in package.__all__ if n != "__version__"]
     assert len(set(package.__all__)) == len(package.__all__)
-    for name in names:
+    for name in package.__all__:
+        if name == "__version__":
+            continue
         value = getattr(package, name)
         home = home_module(package, name, value)
         assert home.startswith(package.__name__ + "."), name
@@ -86,26 +99,6 @@ def test_every_export_is_its_home_modules_object(package):
     exec(f"from {package.__name__} import *", scope)
     for name in package.__all__:
         assert scope[name] is getattr(package, name), name
-
-
-def test_submodules_resolve_after_a_bare_import():
-    code = ("import loopweyl, loopweyl.loops; "
-            "print(loopweyl.rootdata.__name__, loopweyl.weyl.__name__, "
-            "loopweyl.linalg.__name__, loopweyl.loops.series.__name__, "
-            "loopweyl.loops.fiber.__name__)")
-    out = subprocess.run(
-        [sys.executable, "-S", "-c",
-         f"import sys; sys.path.insert(0, {str(SRC)!r}); {code}"],
-        check=True, capture_output=True, text=True, timeout=60).stdout
-    assert out.split() == ["loopweyl.rootdata", "loopweyl.weyl",
-                           "loopweyl.linalg", "loopweyl.loops.series",
-                           "loopweyl.loops.fiber"]
-    for name in ("admissible", "dims", "errors", "kactables", "linalg",
-                 "lspaths", "rootdata", "weyl"):
-        assert getattr(loopweyl, name) is sys.modules[f"loopweyl.{name}"]
-    for name in ("cells", "chains", "fiber", "kottwitz", "series"):
-        assert getattr(loopweyl.loops, name) is \
-            sys.modules[f"loopweyl.loops.{name}"]
 
 
 @pytest.mark.parametrize("package", [loopweyl, loopweyl.loops],
