@@ -79,7 +79,8 @@ class AdmissibleSet:
 def translations(fin, mu=None, lam=None, cap=20000):
     """The stored AdmissibleSet of mu or lam, closed or not, else a new one,
     stored in fin.adm_sets (the oldest dropped first); its words are the
-    least-descent words of the neutral translations, walked on slopes.
+    least-descent words of the neutral translations, walked on slopes,
+    which refuse a lam off the coweight lattice (ValueError).
 
     A new set is refused (ResourceCapError) when |W_0 lam| = |W_0| /
     |W_stab| passes cap, before the orbit is listed; stab is the nodes
@@ -96,9 +97,6 @@ def translations(fin, mu=None, lam=None, cap=20000):
     hit = memo.get(lam)
     if hit is not None:
         return hit
-    if not fin.in_coweight_lattice(lam):
-        raise ValueError(
-            f"({', '.join(map(str, lam))}) is not in the coweight lattice")
     eng = engine_for(fin)
     nodes = fin.nodes
     dom = k = eng.slopes(lam)

@@ -110,9 +110,13 @@ def parse_element(eng, fin, text):
         m = re.fullmatch(r"t\[([^\]]*)\]", factor)
         if m:
             lam = parse_fractions(m.group(1))
-            if not fin.in_coweight_lattice(lam):
-                raise SpecParseError(f"{factor} is not in the coweight lattice")
-            x = eng.mul(x, eng.translation(lam))
+            try:
+                x = eng.mul(x, eng.translation(lam))
+            except ValueError:
+                if len(lam) != fin.r:  # the count's own refusal
+                    raise
+                raise SpecParseError(
+                    f"{factor} is not in the coweight lattice") from None
             continue
         m = re.fullmatch(r"tau\[([^\]]*)\]", factor)
         if m:

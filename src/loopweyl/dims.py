@@ -22,7 +22,7 @@ import math
 import time
 from fractions import Fraction
 
-from . import admissible, kactables, lspaths, rootdata
+from . import admissible, lspaths, rootdata
 from .errors import ConsistencyError, UnsupportedDatumError
 
 
@@ -58,22 +58,20 @@ def _type_a_level(mu):
 
 
 def minuscule_node(datum, mu):
-    """The fundamental-coweight node named by a minuscule mu."""
-    letter, _, _ = kactables.parse_name(datum.name)
-    if datum.su_n is not None or (datum.twist_order == 1 and letter == "A"):
-        n = datum.su_n if datum.su_n is not None else datum.rank + 1
-        if len(mu) != n:
-            raise ValueError(f"expected mu in Z^{n}")
+    """The fundamental-coweight node named by a minuscule mu, in the
+    datum's coweight model (rootdata.AffineRootDatum.model)."""
+    kind, n = datum.model
+    if kind is None:
+        raise UnsupportedDatumError(
+            f"no minuscule coweight model for {datum.name}")
+    if len(mu) != n:
+        raise ValueError(f"expected {n} coordinates" if kind == "pw"
+                         else f"expected mu in Z^{n}")
+    if kind != "pw":
         r = _type_a_level(mu)
         if r is None or not 0 < r < n:
             raise ValueError(f"mu {tuple(mu)} is not minuscule")
         return r
-    if datum.twist_order != 1:
-        raise UnsupportedDatumError(
-            f"no minuscule coweight model for {datum.name}"
-        )
-    if len(mu) != datum.rank:
-        raise ValueError(f"expected {datum.rank} coordinates")
     hot = [i + 1 for i, c in enumerate(mu) if c != 0]
     if len(hot) != 1 or mu[hot[0] - 1] != 1:
         raise ValueError(f"mu {tuple(mu)} is not a fundamental coweight")

@@ -130,34 +130,30 @@ def _twisted_d4():
 
 
 def cartan_matrix(name):
-    """Return (matrix, twist_order, su_n) for a Kac label.
-
-    su_n is the size of the associated unramified-to-ramified unitary group
-    for the A(2) families (including the alias A(2)_3 = D(2)_3), else None.
-    """
+    """Return (matrix, twist_order) for a Kac label."""
     letter, twist, sub = parse_name(name)
     if twist == 1:
-        return _untwisted(letter, sub), 1, None
+        return _untwisted(letter, sub), 1
     if twist == 2 and letter == "A":
         if sub < 2:
             raise UnknownDatumError(f"A(2)_{sub}: subscript must be >= 2")
-        if sub == 3:
-            return _twisted_d(2), 2, 4
+        if sub == 3:  # the alias of D(2)_3
+            return _twisted_d(2), 2
         if sub % 2 == 0:
-            return _twisted_a_even(sub // 2), 2, sub + 1
-        return _twisted_a_odd((sub + 1) // 2), 2, sub + 1
+            return _twisted_a_even(sub // 2), 2
+        return _twisted_a_odd((sub + 1) // 2), 2
     if twist == 2 and letter == "D":
         if sub < 3:
             raise UnknownDatumError(f"D(2)_{sub}: subscript must be >= 3")
-        return _twisted_d(sub - 1), 2, None
+        return _twisted_d(sub - 1), 2
     if twist == 2 and letter == "E":
         if sub != 6:
             raise UnknownDatumError(f"E(2)_{sub}: subscript must be 6")
-        return _twisted_e6(), 2, None
+        return _twisted_e6(), 2
     if twist == 3 and letter == "D":
         if sub != 4:
             raise UnknownDatumError(f"D(3)_{sub}: subscript must be 4")
-        return _twisted_d4(), 3, None
+        return _twisted_d4(), 3
     raise UnknownDatumError(f"unknown datum name: {name}")
 
 

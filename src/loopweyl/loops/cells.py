@@ -36,8 +36,8 @@ from ..admissible import engine_for
 from ..errors import (ConsistencyError, SpecParseError, UnsupportedDatumError,
                       UnsupportedFieldError)
 from ..rootdata import echelon_system, load_affine_datum
-from .chains import entry, member_exponents, span, standard_member
-from .series import check_field
+from .chains import (check_field, entry, member_exponents, span,
+                     standard_member)
 
 # the most cell points a group keeps (module docstring): the cells
 # command's default --cap, so the closure of one default command fits

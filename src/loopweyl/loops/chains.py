@@ -29,8 +29,14 @@ extended periodically by u^-1 in steps of n; for even n = 2m the extra token
 "m'" replaces u^-1 e_m by e_m and e_{m+1} by u^-1 e_{m+1} in the member for m.
 """
 
-from ..errors import SpecParseError
-from .series import EXACT, unit_inverse
+from ..errors import SpecParseError, UnsupportedFieldError
+
+SUPPORTED_Q = (2, 3, 5)
+
+
+def check_field(q):
+    if q not in SUPPORTED_Q:
+        raise UnsupportedFieldError(f"unsupported field size {q}: expected one of {SUPPORTED_Q}")
 
 
 def span(q, n, cols, det_ord):
@@ -96,6 +102,14 @@ def entry(terms, lo=0):
     return lo + a, tuple(terms.get(k, 0) for k in range(a, max(terms) + 1))
 
 
+def unit_inverse(q, g):
+    """The coefficients of 1 / g mod u^len(g), g those of a unit."""
+    h = [pow(g[0], -1, q)]
+    for k in range(1, len(g)):
+        h.append(-h[0] * sum(g[j] * h[k - j] for j in range(1, k + 1)) % q)
+    return h
+
+
 def _mul(a, b, width, q, acc=()):
     """acc + a b in F_q[u]/u^width, on dicts {exponent: coefficient}."""
     out = dict(acc)
@@ -145,7 +159,7 @@ class Lattice:
             for r in range(j + 1, n):
                 s, cs = e[j * n + r]
                 x[r] = _mul({k: -c for k, c in enumerate(cs, s)}, x[j],
-                            EXACT, q, x[r])
+                            float("inf"), q, x[r])
         return [entry(t) for t in x]
 
     def contains(self, other):

@@ -23,19 +23,13 @@ product's precision as any other factor does.
 from fractions import Fraction
 
 from ..errors import SeriesPrecisionError, SpecParseError, UnsupportedFieldError
-
-SUPPORTED_Q = (2, 3, 5)
+from .chains import check_field, unit_inverse
 
 # precision sentinel for series known exactly (Laurent polynomials)
 EXACT = 10 ** 9
 
 # default absolute output precision when inverting an exact series
 DEFAULT_PREC = 16
-
-
-def check_field(q):
-    if q not in SUPPORTED_Q:
-        raise UnsupportedFieldError(f"unsupported field size {q}: expected one of {SUPPORTED_Q}")
 
 
 def fq(value, q):
@@ -266,14 +260,6 @@ def to_text(start, coeffs, prec=EXACT, var="u"):
     if prec < EXACT:
         body += f" + O({var}^{prec})"
     return body
-
-
-def unit_inverse(q, g):
-    """The coefficients of 1 / g mod u^len(g), g those of a unit."""
-    h = [pow(g[0], -1, q)]
-    for k in range(1, len(g)):
-        h.append(-h[0] * sum(g[j] * h[k - j] for j in range(1, k + 1)) % q)
-    return h
 
 
 _new = object.__new__

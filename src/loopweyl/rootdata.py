@@ -20,20 +20,41 @@ from .errors import UnknownDatumError, UnsupportedDatumError
 
 
 class AffineRootDatum:
-    """The data of the module docstring; su_n is the n of the unitary group
-    of an A(2) datum, else None (kactables.cartan_matrix)."""
+    """The data of the module docstring and its coweight model."""
 
-    def __init__(self, name, cartan, twist_order, marks, comarks, kappa,
-                 su_n):
+    def __init__(self, name, cartan, twist_order, marks, comarks, kappa):
         self.name = name
         self.cartan = cartan
         self.twist_order = twist_order
         self.marks = marks
         self.comarks = comarks
         self.kappa = kappa
-        self.su_n = su_n
         # the FiniteRootDatum of each special node, built by echelon_system
         self.fins = {}
+
+    @cached_property
+    def model(self):
+        """How mu names a coweight, the one reading of name and twist:
+        ("u", n) for A(2)_s, mu in Z^n for U_n, n = s + 1 (D(2)_3 has none);
+        ("gl", n) for split type A, mu in Z^n for GL_n; ("pw", rank) for the
+        other split types, fundamental-coweight coordinates; else (None,
+        None).  A name that does not parse raises UnknownDatumError."""
+        letter, twist, sub = kactables.parse_name(self.name)
+        if letter == "A" and twist == 2:
+            return "u", sub + 1
+        if self.twist_order != 1:
+            return None, None
+        return ("gl", self.rank + 1) if letter == "A" else ("pw", self.rank)
+
+    @property
+    def su_n(self):
+        """The n of the U_n model, else None (also for a name that does
+        not parse)."""
+        try:
+            kind, n = self.model
+        except UnknownDatumError:
+            return None
+        return n if kind == "u" else None
 
     @cached_property
     def context(self):
@@ -49,7 +70,7 @@ class AffineRootDatum:
         return len(self.cartan) - 1
 
 
-def _build_datum(name, cartan, twist_order, su_n, kappa=None):
+def _build_datum(name, cartan, twist_order, kappa=None):
     a = tuple(tuple(row) for row in cartan)
     marks = linalg.primitive_positive_nullvector(a)
     comarks = linalg.primitive_positive_nullvector(linalg.transpose(a))
@@ -67,7 +88,6 @@ def _build_datum(name, cartan, twist_order, su_n, kappa=None):
         marks=tuple(marks),
         comarks=tuple(comarks),
         kappa=tuple(kappa),
-        su_n=su_n,
     )
 
 
@@ -77,26 +97,16 @@ _DATUM_CACHE = {}
 def load_affine_datum(name):
     """Load a datum by Kac label, e.g. "C(1)_2" or "A(2)_2"."""
     if name not in _DATUM_CACHE:
-        cartan, twist, su_n = kactables.cartan_matrix(name)
-        _DATUM_CACHE[name] = _build_datum(name, cartan, twist, su_n)
+        _DATUM_CACHE[name] = _build_datum(name, *kactables.cartan_matrix(name))
     return _DATUM_CACHE[name]
 
 
 def datum_from_json(text):
     """Build a datum from its JSON interchange form."""
     fields = kactables.datum_dict_from_json(text)
-    su_n = None
     try:
-        letter, twist, sub = kactables.parse_name(fields["name"])
-        if letter == "A" and twist == 2:
-            su_n = sub + 1
-    except UnknownDatumError:
-        pass
-    try:
-        return _build_datum(
-            fields["name"], fields["cartan"], fields["twist_order"], su_n,
-            kappa=fields["kappa"],
-        )
+        return _build_datum(fields["name"], fields["cartan"],
+                            fields["twist_order"], kappa=fields["kappa"])
     except ValueError as exc:
         # a GCM is affine and indecomposable exactly when a strictly
         # positive vector spans its nullspace (Kac, Thm 4.3)
@@ -206,9 +216,10 @@ class FiniteRootDatum:
 
     Carries the translation lattice T, the echelonnage root system (whose
     simple coroots g_p e_p generate T), the coweight lattice (pw_mat, whose
-    columns are the fundamental coweights), and the affine wall functionals
-    of the base alcove.  T is read by a gcd rule, with no Hermite form, and
-    a datum whose T is not diagonal, or not of rank r, is refused.  It
+    columns are the fundamental coweights; its engine's slopes test it),
+    and the affine wall functionals of the base alcove.  T is read by a gcd
+    rule, with no Hermite form, and a datum whose T is not diagonal, or not
+    of rank r, is refused.  It
     keeps its Iwahori-Weyl group (engine), the admissible sets built in it
     (adm_sets, keyed by lam, filled by admissible.adm and
     lspaths.count_paths), and the admissible set of each coherence row's mu
@@ -289,8 +300,9 @@ class FiniteRootDatum:
         )
         self.pw_mat = linalg.inverse(self.fun_simple)
 
-        dmat = linalg.inverse(linalg.transpose(self.a_del))
-        p_sum = tuple(sum(row) for row in dmat)
+        # the row sums of a_del^-T = pw_mat diag(g)^-1 (fun_simple above)
+        p_sum = tuple(sum(c / g for c, g in zip(row, self.g))
+                      for row in self.pw_mat)
         t = Fraction(1, self.a_x * (sum(self.theta_coef) + 1))
         self.v0 = tuple(t * c for c in p_sum)
         if any(self.affine_value(i, self.v0) <= 0 for i in datum.nodes):
@@ -369,13 +381,6 @@ class FiniteRootDatum:
 
     # -- coweight lattice --
 
-    def pweight_coords(self, lam):
-        """Coordinates of lam in the fundamental-coweight basis."""
-        return linalg.matvec(self.fun_simple, self._point(lam))
-
-    def in_coweight_lattice(self, lam):
-        return all(c.denominator == 1 for c in self.pweight_coords(lam))
-
     def from_pweight_coords(self, mu):
         return linalg.matvec(self.pw_mat, self._point(mu))
 
@@ -395,83 +400,67 @@ def echelon_system(datum, x=0):
 
 
 def _su_model(fin):
-    """Distinguish the B_2-shaped n=4 alias from the C_m-shaped families."""
-    n = fin.datum.su_n
-    if n is None:
+    """The n of the U_n model (AffineRootDatum.model) at node 0; n = 4 is
+    the B_2-shaped alias A(2)_3, the others are C_m-shaped."""
+    kind, n = fin.datum.model
+    if kind != "u":
         raise UnsupportedDatumError(
-            f"{fin.datum.name} has no unitary coweight model"
-        )
+            f"{fin.datum.name} has no unitary coweight model")
     if fin.x != 0:
         raise UnsupportedDatumError(
-            "unitary coweight model requires deleting node 0"
-        )
-    return "b2" if n == 4 else "cm"
+            "unitary coweight model requires deleting node 0")
+    return n
 
 
 def _su_e_to_coroot(fin, v):
-    if _su_model(fin) == "b2":
+    if _su_model(fin) == 4:
         return (Fraction(v[0]), Fraction(v[0] + v[1], 2))
-    acc = Fraction(0)
-    out = []
-    for c in v:
-        acc += c
-        out.append(acc)
-    return tuple(out)
+    return tuple(Fraction(sum(v[:p])) for p in range(1, len(v) + 1))
 
 
 def project_coweight(fin, mu):
     """Image of a geometric cocharacter mu in the coweight lattice of V.
 
-    For split type A the input is Z^n modulo the diagonal; for other split
-    types it lists fundamental-coweight coordinates on nodes 1..l.  For the
-    twisted A(2) families the input is Z^n for the associated unitary group
-    of size n, and every permutation of it has the same image.  Other
-    twisted types have no implemented model; pass lam directly to the
-    consumers instead.
+    mu is read in the datum's model (AffineRootDatum.model).  A GL_n image
+    has fundamental-coweight coordinates mu_p - mu_{p+1}, so only a U_n
+    image, the same for every permutation of mu, can miss the lattice,
+    which the engine's slopes decide.  Other twisted types have no model;
+    pass lam directly to the consumers instead.
     """
     datum = fin.datum
     mu = tuple(int(c) for c in mu)
-    if datum.twist_order == 1:
-        if fin.x != 0:
-            # mu names nodes 1..l of the diagram (dims.minuscule_node),
-            # which are fin.nodes only when node 0 is deleted
-            raise UnsupportedDatumError(
-                "split coweight model requires deleting node 0"
-            )
-        letter, _, _ = kactables.parse_name(datum.name)
-        if letter == "A":
-            n = datum.rank + 1
-            if len(mu) != n:
-                raise ValueError(f"expected mu in Z^{n}")
-            total = sum(mu)
-            lam = tuple(
-                sum(mu[:p]) - Fraction(p * total, n) for p in range(1, n)
-            )
-        else:
-            if len(mu) != fin.r:
-                raise ValueError(
-                    f"expected {fin.r} fundamental-coweight coordinates"
-                )
-            lam = fin.from_pweight_coords(mu)
-    elif datum.su_n is not None:
-        n = datum.su_n
-        if len(mu) != n:
-            raise ValueError(f"expected mu in Z^{n}")
-        m = n // 2
-        mu = sorted(mu, reverse=True)  # projecting commutes with W^sigma only
-        two_nu = tuple(mu[i] - mu[n - 1 - i] for i in range(m))
-        if _su_model(fin) == "b2":
-            d1, d2 = Fraction(two_nu[0], 2), Fraction(two_nu[1], 2)
-            v = (2 * (d1 + d2), 2 * (d1 - d2))
-        else:
-            v = tuple(Fraction(c) for c in two_nu)
-        lam = _su_e_to_coroot(fin, v)
-    else:
+    kind, n = datum.model
+    if kind is None:
         raise UnsupportedDatumError(
-            f"no coweight model for {datum.name}; supply lam directly"
+            f"no coweight model for {datum.name}; supply lam directly")
+    if kind != "u" and fin.x != 0:
+        # mu names nodes 1..l of the diagram (dims.minuscule_node),
+        # which are fin.nodes only when node 0 is deleted
+        raise UnsupportedDatumError(
+            "split coweight model requires deleting node 0")
+    if len(mu) != n:
+        raise ValueError(f"expected {n} fundamental-coweight coordinates"
+                         if kind == "pw" else f"expected mu in Z^{n}")
+    if kind == "gl":
+        total = sum(mu)
+        return tuple(
+            sum(mu[:p]) - Fraction(p * total, n) for p in range(1, n)
         )
-    if not fin.in_coweight_lattice(lam):
-        raise ValueError("mu does not project into the coweight lattice")
+    if kind == "pw":
+        return fin.from_pweight_coords(mu)
+    m = n // 2
+    mu = sorted(mu, reverse=True)  # projecting commutes with W^sigma only
+    two_nu = [mu[i] - mu[n - 1 - i] for i in range(m)]
+    if n == 4:  # the B_2-shaped alias: e-coordinates nu_1 + nu_2, nu_1 - nu_2
+        two_nu = [two_nu[0] + two_nu[1], two_nu[0] - two_nu[1]]
+    lam = _su_e_to_coroot(fin, two_nu)
+    try:
+        fin.engine.slopes(lam)
+    except ValueError:
+        if len(lam) != fin.r:  # the count's own refusal
+            raise
+        raise ValueError(
+            "mu does not project into the coweight lattice") from None
     return lam
 
 
@@ -479,7 +468,7 @@ def project_coweight(fin, mu):
 
 
 def _su_vertex_point(fin, token):
-    n = fin.datum.su_n
+    n = _su_model(fin)
     m = n // 2
     if token == "m'":
         if n % 2 == 1:
@@ -521,11 +510,11 @@ def bt_nodes(fin, tokens):
 
 
 def split_parent(datum):
-    """The finite datum of the split form whose dimensions enter h_mu."""
-    if datum.twist_order == 1:
-        return echelon_system(datum, 0)
-    if datum.su_n is not None:
-        return echelon_system(load_affine_datum(f"A(1)_{datum.su_n - 1}"), 0)
-    raise UnsupportedDatumError(
-        f"no split parent model for {datum.name}"
-    )
+    """The finite datum of the split form whose dimensions enter h_mu: the
+    datum's own at node 0, or GL_n's for a U_n model."""
+    kind, n = datum.model
+    if kind == "u":
+        datum = load_affine_datum(f"A(1)_{n - 1}")
+    elif kind is None:
+        raise UnsupportedDatumError(f"no split parent model for {datum.name}")
+    return echelon_system(datum, 0)

@@ -214,13 +214,17 @@ class CartanContext:
     # -- translations, Omega-classes and tau representatives --
 
     def slopes(self, lam):
-        """The integer slopes k_j = s_j . lam of the walls at a coweight."""
+        """The integer slopes k_j = s_j . lam of the walls at a coweight,
+        the one coweight lattice test: the finite slopes are the
+        fundamental-coweight coordinates over delta_x, which is 1 at every
+        special node of the Kac tables."""
         r = len(self._slopes[0])
         if len(lam) != r:
             raise ValueError(f"lam needs {r} coordinates, got {len(lam)}")
         k = [sum(s * c for s, c in zip(slope, lam)) for slope in self._slopes]
         if any(Fraction(v).denominator != 1 for v in k):
-            raise ValueError(f"{tuple(lam)} is not in the coweight lattice")
+            raise ValueError(
+                f"({', '.join(map(str, lam))}) is not in the coweight lattice")
         return tuple(map(int, k))
 
     def translation(self, lam):

@@ -21,9 +21,21 @@ from loopweyl.weyl import coset_min, from_word, lower_closure, reduced_word
 
 # -- root data and Weyl groups -------------------------------------------------
 
+def pweight_coords(fin, lam):
+    """Coordinates of lam in the fundamental-coweight basis, fun_simple lam;
+    a wrong coordinate count raises ValueError."""
+    return linalg.matvec(fin.fun_simple, fin._point(lam))
+
+
+def in_coweight_lattice(fin, lam):
+    """Whether lam is a coweight: its fundamental-coweight coordinates are
+    integers.  The Fraction reference for weyl.CartanContext.slopes."""
+    return all(c.denominator == 1 for c in pweight_coords(fin, lam))
+
+
 def translation_length(fin, lam):
     """l(t_lam) = <lam+, 2 rho> over the echelonnage system of fin."""
-    if not fin.in_coweight_lattice(lam):
+    if not in_coweight_lattice(fin, lam):
         raise ValueError(f"{tuple(lam)} is not in the coweight lattice")
     lam = fin.dominant_rep(lam)
     # the gradient of the echelonnage root m is sum_q m_q fun_simple[q]
@@ -323,16 +335,19 @@ def sort_key(ctx):
 
 def interval_oracle(meng, tops, right_quotient):
     """The quotient Bruhat graph below the tops, root matrices: nodes and
-    (upper, lower, beta, beta_co) edges, by coset minima of every cover
-    and a length check, in (length, m) order."""
+    (upper, lower, beta, beta_co) edges, by coset minima of every word drop
+    and a length check, in (length, m) order.  A drop v of x has l(v) <=
+    l(x) - 1, so a minimum of length l(x) - 1 is that of a cover; each
+    length is stripped once per call."""
+    length = functools.lru_cache(maxsize=None)(meng.length)
     start = {coset_min(meng, t, (), right_quotient) for t in tops}
     nodes, edges, frontier = set(start), set(), list(start)
     while frontier:
         nxt = []
         for x in frontier:
-            for v, beta, beta_co in covers_oracle(meng, x):
+            for v, beta, beta_co in inversions_oracle(meng, x):
                 v = coset_min(meng, v, (), right_quotient)
-                if meng.length(v) != meng.length(x) - 1:
+                if length(v) != length(x) - 1:
                     continue
                 edges.add((x, v, beta, beta_co))
                 if v not in nodes:
@@ -341,7 +356,7 @@ def interval_oracle(meng, tops, right_quotient):
         frontier = nxt
 
     def key(x):
-        return meng.length(x), x.m
+        return length(x), x.m
     return (tuple(sorted(nodes, key=key)),
             tuple(sorted(edges, key=lambda e: (key(e[0]), key(e[1]), e[2]))))
 

@@ -338,8 +338,7 @@ def _all_y(nodes):
 
 
 # every coherence row of the acceptance suite: (datum, mu, Y list, None for
-# every Y); E(1)_7 at Y = {7} is left out, as interval_oracle takes about
-# 9 s on its graph
+# every Y)
 ATOM_ROWS = [
     *((f"A(1)_{n - 1}", (1,) * r + (0,) * (n - r), None)
       for n in (2, 3, 4) for r in range(1, n)),
@@ -352,7 +351,7 @@ ATOM_ROWS = [
     ("A(1)_6", (1, 1, 1, 0, 0, 0, 0), [(0,)]),
     ("D(1)_5", (1, 0, 0, 0, 0), [(0,)]),
     ("E(1)_6", (1, 0, 0, 0, 0, 0), [(0,)]),
-    ("E(1)_7", (0, 0, 0, 0, 0, 1, 0), [(0,)]),
+    ("E(1)_7", (0, 0, 0, 0, 0, 1, 0), [(0,), (7,)]),
 ]
 
 
@@ -382,7 +381,7 @@ def test_per_node_counts_are_demazure_atoms():
                 assert demazure_atoms(ctx.a, space.shape, words) == \
                     [f[k] for k in at], (name, mu, y, a)
             rows += 1
-    assert rows == 124 // 2 + 7 + 3 + 15 + 7 + 2 + 6
+    assert rows == 124 // 2 + 7 + 3 + 15 + 7 + 2 + 7
 
 
 def test_a_warm_row_builds_no_fraction(monkeypatch):

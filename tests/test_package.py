@@ -57,7 +57,15 @@ def test_coherence_loads_no_loop_side_and_no_dataclasses():
 def test_fiber_loads_no_path_counts():
     new = loaded_after("import loopweyl.loops.fiber")
     assert "loopweyl.loops.fiber" in new
-    assert not new & {"loopweyl.dims", "loopweyl.lspaths"}
+    assert not new & {"loopweyl.dims", "loopweyl.lspaths",
+                      "loopweyl.loops.series"}
+
+
+def test_cells_load_no_series():
+    # lattices and cells compute on exact entries, not on Series
+    new = loaded_after("import loopweyl.loops.cells")
+    assert "loopweyl.loops.chains" in new
+    assert "loopweyl.loops.series" not in new
 
 
 def test_cli_loads_no_introspection():

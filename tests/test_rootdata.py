@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from loopweyl.errors import UnsupportedDatumError
+from loopweyl.dims import h_mu
+from loopweyl.errors import UnknownDatumError, UnsupportedDatumError
 from loopweyl.kactables import known_names
 from loopweyl.rootdata import (AffineRootDatum, FiniteRootDatum, bt_nodes,
                                datum_from_json, datum_to_json, echelon_system,
                                load_affine_datum, project_coweight,
                                special_nodes, split_parent)
-from oracles import in_lattice, lattice_basis, translation_length, w0_orbit
+from oracles import (in_coweight_lattice, in_lattice, lattice_basis,
+                     pweight_coords, translation_length, w0_orbit)
 
 
 def fin_for(name, x=0):
@@ -118,6 +120,32 @@ def test_project_coweight_su():
         project_coweight(fin_for("A(2)_2"), (1, 0))
 
 
+def test_coweight_model_refusals_keep_their_texts():
+    # the label names the model: A(2)_4 over the D(3)_4 matrix reads U_5,
+    # and the slopes refuse an image that misses this matrix's coweights
+    cartan = [list(row) for row in load_affine_datum("D(3)_4").cartan]
+    odd = datum_from_json(json.dumps(
+        {"name": "A(2)_4", "cartan": cartan, "twist_order": 2}))
+    assert odd.model == ("u", 5) and odd.su_n == 5
+    fin = echelon_system(odd, 0)
+    with pytest.raises(ValueError, match=r"^mu does not project into the "
+                       r"coweight lattice$"):
+        project_coweight(fin, (1, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match=r"^expected mu in Z\^5$"):
+        project_coweight(fin, (1, 0))
+    with pytest.raises(ValueError, match=r"^expected 2 fundamental-coweight "
+                       r"coordinates$"):
+        project_coweight(fin_for("C(1)_2"), (1, 0, 0))
+    # a name that does not parse names no model
+    unnamed = datum_from_json(json.dumps(
+        {"name": "X", "cartan": [[2, -2], [-2, 2]], "twist_order": 1}))
+    assert unnamed.su_n is None
+    for call in (lambda: project_coweight(echelon_system(unnamed, 0), (1, 0)),
+                 lambda: h_mu(unnamed, (1, 0), 1)):
+        with pytest.raises(UnknownDatumError, match="cannot parse datum name"):
+            call()
+
+
 def test_project_coweight_unsupported():
     for name in ("D(2)_4", "E(2)_6", "D(3)_4"):
         with pytest.raises(UnsupportedDatumError):
@@ -190,7 +218,7 @@ def test_inconsistent_marks_are_a_typed_error():
     # comarks that do not match the marks break the x-wall normalization
     d = load_affine_datum("A(1)_1")
     bad = AffineRootDatum(d.name, d.cartan, d.twist_order, (1, 1), (1, 2),
-                          d.kappa, d.su_n)
+                          d.kappa)
     with pytest.raises(UnsupportedDatumError, match="normalize the wall"):
         FiniteRootDatum(bad, 0)
 
@@ -216,7 +244,9 @@ def test_translation_length_needs_a_coweight():
 def test_coweight_helpers_refuse_a_wrong_coordinate_count(helper, lam):
     # A(1)_2 has r = 2; nothing is read from lam[:r] alone
     fin = fin_for("A(1)_2")
-    oracle = {"translation_length": translation_length, "w0_orbit": w0_orbit}
+    oracle = {"translation_length": translation_length, "w0_orbit": w0_orbit,
+              "in_coweight_lattice": in_coweight_lattice,
+              "pweight_coords": pweight_coords}
     call = (functools.partial(oracle[helper], fin) if helper in oracle
             else getattr(fin, helper))
     with pytest.raises(ValueError, match="needs 2 coordinates"):

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from loopweyl.errors import (SeriesPrecisionError, SpecParseError,
                              UnsupportedFieldError)
-from loopweyl.loops.series import (EXACT, SUPPORTED_Q, Series, fq, parse_series,
-                                   santidiag, sdet, smat, smul, stranspose)
+from loopweyl.loops.chains import SUPPORTED_Q
+from loopweyl.loops.series import (EXACT, Series, fq, parse_series, santidiag,
+                                   sdet, smat, smul, stranspose)
 from oracles import from_columns, in_ring, is_unit, series_cols, shift, sid
 from test_chains import exact_entries
 

@@ -20,9 +20,10 @@ from loopweyl import linalg, weyl
 from loopweyl.weyl import (CartanContext, bruhat_interval, coset_min,
                            from_word, labeled_covers_down, lower_closure,
                            orbit_point, orbit_word, reduced_word)
-from oracles import (as_matrix, coroot_coords, covers_oracle, gen, in_lattice,
-                     interval_oracle, inversions_oracle, lattice_basis,
-                     matmul, matrix_engine, orbit_weight, sort_key, strip,
+from oracles import (as_matrix, coroot_coords, covers_oracle, gen,
+                     in_coweight_lattice, in_lattice, interval_oracle,
+                     inversions_oracle, lattice_basis, matmul, matrix_engine,
+                     orbit_weight, pweight_coords, sort_key, strip,
                      translation_length, translation_split, w0_orbit)
 
 
@@ -106,6 +107,52 @@ def test_engine_matches_alcove_geometry():
                         assert eng.a[sigma[i]][sigma[j]] == eng.a[i][j], \
                             (name, x, res)
     assert pairs == 48
+
+
+SMALL_PAIRS = [(name, x) for name in known_names()
+               if load_affine_datum(name).rank <= 4
+               for x in special_nodes(load_affine_datum(name))]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_slopes_are_the_one_coweight_test(data):
+    # at every special node of every datum of rank <= 4, the wall slopes
+    # accept exactly the coweights of the Fraction reference, their finite
+    # entries are the fundamental-coweight coordinates and k_x = -sum c_p
+    # k_p over the highest echelonnage root sum c_p alpha_p; and v0, read
+    # off pw_mat, is the barycentre of a second inversion of a_del^T
+    assert len(SMALL_PAIRS) == 48
+    for name, x in SMALL_PAIRS:
+        fin = echelon_system(load_affine_datum(name), x)
+        eng = engine_for(fin)
+        coords = data.draw(st.lists(st.integers(-4, 4), min_size=fin.r,
+                                    max_size=fin.r), label=f"{name} {x}")
+        den = data.draw(st.integers(1, 4))
+        lam = tuple(sum(Fraction(c, den) * v for c, v in zip(coords, row))
+                    for row in fin.pw_mat)
+        try:
+            k = eng.slopes(lam)
+        except ValueError as exc:
+            assert not in_coweight_lattice(fin, lam), (name, x, lam)
+            assert str(exc) == \
+                f"({', '.join(map(str, lam))}) is not in the coweight lattice"
+        else:
+            assert in_coweight_lattice(fin, lam), (name, x, lam)
+            finite = [k[i] for i in fin.nodes]
+            assert finite == list(pweight_coords(fin, lam)), (name, x, lam)
+            top = fin.ech_pairs[-1][0]
+            assert k[x] == -sum(map(mul, top, finite)), (name, x, lam)
+        inv = linalg.inverse(linalg.transpose(fin.a_del))
+        t = Fraction(1, fin.a_x * (sum(fin.theta_coef) + 1))
+        assert fin.v0 == tuple(t * sum(row) for row in inv), (name, x)
+
+
+def test_a_refused_translation_reads_its_rational_coordinates():
+    eng = engine_for(fin_for("A(1)_1"))
+    with pytest.raises(ValueError) as exc:
+        eng.translation((Fraction(1, 3),))
+    assert str(exc.value) == "(1/3) is not in the coweight lattice"
 
 
 @pytest.mark.parametrize("lam", [(1,), (1, 0, 0), (Fraction(1, 3), 0)])
